@@ -7,9 +7,15 @@ ordinary LP; the built-in simplex solver computes its optimum; and the
 satisfaction layer grades that optimum between the problem's pessimistic
 (critical) and optimistic (ideal) values so different positioned choices can
 be ranked against a grey target.
+
+Diagnostics go to the ``greylp`` logger, which is silent unless the
+application configures logging.
 """
 
+import logging
+
 from .analysis import (
+    GridSolution,
     MonotonicityReport,
     SatisfactionRecord,
     SweepTable,
@@ -18,6 +24,7 @@ from .analysis import (
     grid_sweep,
     lambda_sweep,
     render_table,
+    solve_grid,
     unit_grid,
 )
 from .cli import ProblemFile, parse_problem, run, serialize_problem
@@ -46,7 +53,6 @@ from .grey_core import (
 )
 from .lp_solver import LPSolution, SolveStatus, enumerate_vertices_oracle, solve_max
 from .satisfaction import (
-    DegreeQuery,
     ValueBounds,
     bounds,
     is_lambda_satisfactory,
@@ -57,6 +63,8 @@ from .satisfaction import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "__version__",
@@ -78,7 +86,6 @@ __all__ = [
     "enumerate_vertices_oracle",
     # satisfaction
     "ValueBounds",
-    "DegreeQuery",
     "positioned_value",
     "bounds",
     "pleased_degree",
@@ -89,7 +96,9 @@ __all__ = [
     "SatisfactionRecord",
     "SweepTable",
     "MonotonicityReport",
+    "GridSolution",
     "unit_grid",
+    "solve_grid",
     "lambda_sweep",
     "grid_sweep",
     "check_monotonicity",

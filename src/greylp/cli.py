@@ -28,7 +28,14 @@ import sys
 from dataclasses import dataclass
 
 from . import bundled
-from .analysis import check_monotonicity, find_satisfactory, grid_sweep, render_table, unit_grid
+from .analysis import (
+    _gc_paused,
+    check_monotonicity,
+    find_satisfactory,
+    grid_sweep,
+    render_table,
+    unit_grid,
+)
 from .errors import (
     GreyLPError,
     ParseError,
@@ -277,13 +284,21 @@ def _cmd_degrees(args) -> int:
     return 0
 
 
+@_gc_paused()
+def _sweep_text(p: GreyLP, args) -> tuple[int, str]:
+    """The sweep's row count and rendered table.  The table is built,
+    rendered and freed with the collector paused, so no collection ever
+    walks its rows."""
+    table = grid_sweep(p, args.step, lambdas=args.lambdas)
+    return len(table.rows), render_table(table, args.format)
+
+
 def _cmd_sweep(args) -> int:
     pf = _load(args.file)
-    table = grid_sweep(pf.problem, args.step, lambdas=args.lambdas)
-    text = render_table(table, args.format)
+    rows, text = _sweep_text(pf.problem, args)
     if args.out:
         pathlib.Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {len(table.rows)} row(s) to {args.out}")
+        print(f"wrote {rows} row(s) to {args.out}")
     else:
         sys.stdout.write(text)
     return 0
@@ -448,38 +463,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Exit code of each error a command can raise; the first matching row wins,
+# so the subclasses of GreyLPError come before it.
+_EXIT_CODES = (
+    (_UsageError, 3),
+    ((UnboundedValueError, SolverFailure), 2),
+    ((ParseError, ValidationError, OSError, GreyLPError), 1),
+)
+
+
 def run(args) -> int:
     """Execute one command line and return the process exit code.
 
     0 success; 1 validation/parse error; 2 solve failure (unbounded or
     iteration cap); 3 usage error.
     """
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(list(args))
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        ns = _build_parser().parse_args(list(args))
+        return int(ns.handler(ns))
     except SystemExit as exc:  # --help prints and exits 0
         code = exc.code
         return code if isinstance(code, int) else 0
-    try:
-        return int(ns.handler(ns))
-    except _UsageError as exc:
+    except (GreyLPError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (UnboundedValueError, SolverFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GreyLPError as exc:  # domain/structure/consistency problems in the data
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 def main() -> None:

@@ -48,13 +48,17 @@ class LPSolution:
 
     ``x`` and ``objective`` are populated only when optimal; ``ray`` holds an
     unboundedness certificate (a direction d >= 0 with A.d <= 0 and c.d > 0)
-    only when unbounded.
+    only when unbounded.  ``basis`` is the simplex's final basis when
+    optimal: one column index per constraint row, where columns ``0..n-1``
+    are the variables and ``n..n+m-1`` the slacks of ``[A | I]`` (an index
+    from ``n+m`` up is a phase-1 artificial left basic on a redundant row).
     """
 
     status: SolveStatus
     x: tuple[float, ...] = ()
     objective: float | None = None
     ray: tuple[float, ...] | None = None
+    basis: tuple[int, ...] = ()
 
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -190,6 +194,7 @@ def solve_max(lp: WhiteLP) -> LPSolution:
         status=SolveStatus.OPTIMAL,
         x=tuple(float(v) for v in xs),
         objective=objective,
+        basis=tuple(basis),
     )
 
 

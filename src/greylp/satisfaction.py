@@ -34,7 +34,6 @@ from .lp_solver import SolveStatus, solve_max
 
 __all__ = [
     "ValueBounds",
-    "DegreeQuery",
     "positioned_value",
     "bounds",
     "pleased_degree",
@@ -64,21 +63,6 @@ class ValueBounds:
         """True when the two bounds coincide up to solver noise (effectively
         white problem: every positioned optimum equals both bounds)."""
         return self.ideal - self.critical <= 1e-9 * max(1.0, self.ideal)
-
-
-@dataclass(frozen=True)
-class DegreeQuery:
-    """One degree evaluation request: a positioned optimal value ``f``, the
-    attitude weight ``lam``, and the grey-target threshold ``mu0``."""
-
-    f: float
-    lam: float
-    mu0: float
-
-    def __post_init__(self):
-        for name, v in (("lam", self.lam), ("mu0", self.mu0)):
-            if not (0.0 <= v <= 1.0):
-                raise DomainError(f"{name} must be in [0, 1], got {v}")
 
 
 def _value_tol(vb: ValueBounds) -> float:

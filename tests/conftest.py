@@ -12,7 +12,15 @@ import random
 import pytest
 from hypothesis import settings
 
-from greylp import GreyLP, bounds, bundled, parse_problem
+from greylp import (
+    GreyLP,
+    bounds,
+    build_positioned,
+    bundled,
+    parse_problem,
+    solve_max,
+    uniform_coefficients,
+)
 
 settings.register_profile("suite", deadline=None, max_examples=100)
 settings.load_profile("suite")
@@ -84,6 +92,17 @@ def grid_triple(rng: random.Random) -> tuple[float, float, float]:
 
 def random_triple(rng: random.Random) -> tuple[float, float, float]:
     return (round(rng.random(), 3), round(rng.random(), 3), round(rng.random(), 3))
+
+
+def reference_grid(p: GreyLP, triples):
+    """The per-point path that ``solve_grid`` replaces, kept as its
+    reference: whiten each uniform triple on its own and solve it cold.
+    Returns one ``(status, objective)`` pair per triple."""
+    out = []
+    for alpha, beta, gamma in triples:
+        sol = solve_max(build_positioned(p, uniform_coefficients(alpha, beta, gamma, p.m, p.n)))
+        out.append((sol.status, sol.objective))
+    return out
 
 
 @pytest.fixture(scope="session")

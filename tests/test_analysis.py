@@ -1,25 +1,37 @@
 """Sweeps, monotonicity checks, satisfactory search, and table rendering."""
 
 import csv
+import gc
 import io
+import itertools
+import logging
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import random_bounded_problem
+from conftest import random_bounded_problem, random_loose_problem, random_triple, reference_grid
 from greylp import (
     DomainError,
     GreyLP,
     UnboundedValueError,
     SatisfactionRecord,
+    SolveStatus,
+    StructureError,
     SweepTable,
     ValidationError,
     bounds,
+    bundled,
     check_monotonicity,
     find_satisfactory,
     grid_sweep,
+    lambda_satisfaction,
     lambda_sweep,
+    pleased_degree,
     render_table,
+    run,
+    solve_grid,
     unit_grid,
 )
 from greylp.bundled import (
@@ -55,6 +67,84 @@ class TestUnitGrid:
 @pytest.fixture(scope="module")
 def table(demo_problem):
     return lambda_sweep(demo_problem, TABLE_TRIPLES, REFERENCE_LAMBDA_GRID)
+
+
+def reference_table(p, triples, lambdas) -> SweepTable:
+    """A grid table built from the per-point reference, row by row."""
+    vb = bounds(p)
+    rows = []
+    for triple, (status, f) in zip(triples, reference_grid(p, triples)):
+        if status is not SolveStatus.OPTIMAL:
+            rows.append(SatisfactionRecord(triple, None, None, error=str(status)))
+            continue
+        mu_tilde = tuple((lam, lambda_satisfaction(f, vb, lam)) for lam in lambdas)
+        rows.append(SatisfactionRecord(triple, f, pleased_degree(f, vb), mu_tilde))
+    labels = ("alpha", "beta", "gamma", "f", "mu") + tuple("mu_tilde[%g]" % lam for lam in lambdas)
+    return SweepTable(axis_labels=labels, rows=tuple(rows), lambdas=tuple(lambdas))
+
+
+def grid_triples(step):
+    return list(itertools.product(unit_grid(step), repeat=3))
+
+
+UNCAPPED = GreyLP(objective=((1, 2),), matrix=(((0, 1),),), rhs=((5, 6),))
+
+
+class TestSolveGrid:
+    @given(seed=st.integers(0, 2**32 - 1), loose=st.booleans())
+    def test_matches_per_point_reference(self, seed, loose):
+        rng = random.Random(seed)
+        p = random_loose_problem(rng) if loose else random_bounded_problem(rng)
+        triples = grid_triples(0.25) + [random_triple(rng) for _ in range(8)]
+        got = solve_grid(p, triples)
+        assert len(got.status) == len(got.objective) == len(triples)
+        for (status, f), got_status, got_f in zip(
+            reference_grid(p, triples), got.status, got.objective
+        ):
+            assert got_status is status
+            if f is None:
+                assert got_f is None
+            else:
+                assert abs(got_f - f) <= 1e-9 * max(1.0, abs(f))
+
+    def test_cli_sweep_csv_matches_reference_rows(self, demo_problem, tmp_path, capsys):
+        path = tmp_path / "demo.json"
+        path.write_text(bundled.EXAMPLE_PROBLEM_JSON, encoding="utf-8")
+        assert run(["sweep", "--file", str(path), "--step", "0.1", "--lambdas", "0,0.5,1"]) == 0
+        expected = render_table(
+            reference_table(demo_problem, grid_triples(0.1), (0.0, 0.5, 1.0)), "csv"
+        )
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "triple", [(0.5, 1.5, 0.5), (0.5, 0.5, -0.1), (float("nan"), 0.5, 0.5)]
+    )
+    def test_lambda_sweep_rejects_out_of_range_triples(self, demo_problem, triple):
+        with pytest.raises(DomainError, match="must be in \\[0, 1\\]"):
+            lambda_sweep(demo_problem, [(0.5, 0.5, 0.5), triple], (0.5,))
+
+    def test_rejects_malformed_triples(self, demo_problem):
+        with pytest.raises(StructureError):
+            solve_grid(demo_problem, [(0.5, 0.5)])
+
+    def test_empty_batch(self, demo_problem):
+        got = solve_grid(demo_problem, [])
+        assert got.status == () and got.objective == ()
+
+    @pytest.mark.parametrize(
+        "problem, step, message",
+        [
+            ("demo", 0.05, "9261 points, 2 cold solves, 9259 certified, 2 bases, 0 non-optimal"),
+            ("uncapped", 0.5, "27 points, 10 cold solves, 17 certified, 1 bases, 9 non-optimal"),
+        ],
+    )
+    def test_logs_counters(self, demo_problem, caplog, problem, step, message):
+        p = demo_problem if problem == "demo" else UNCAPPED
+        with caplog.at_level(logging.INFO, logger="greylp"):
+            solve_grid(p, grid_triples(step))
+        [record] = [r for r in caplog.records if r.name.startswith("greylp")]
+        assert record.levelno == logging.INFO
+        assert record.getMessage() == "solve_grid: " + message
 
 
 class TestLambdaSweep:
@@ -215,6 +305,10 @@ class TestRenderTable:
         table = SweepTable(axis_labels=("alpha", "beta", "gamma", "f", "mu"), rows=())
         assert render_table(table, "csv") == "alpha,beta,gamma,f,mu\n"
 
+    def test_empty_markdown_table(self):
+        table = SweepTable(axis_labels=("alpha", "beta"), rows=())
+        assert render_table(table, "markdown") == "| alpha | beta |\n| --- | --- |\n"
+
     def test_rejects_unknown_format(self, demo_problem):
         table = grid_sweep(demo_problem, 0.5)
         with pytest.raises(DomainError):
@@ -223,3 +317,59 @@ class TestRenderTable:
     def test_rendering_is_deterministic(self, demo_problem):
         table = grid_sweep(demo_problem, 0.5, lambdas=(0.5,))
         assert render_table(table, "csv") == render_table(table, "csv")
+
+
+class TestCollectorPause:
+    @staticmethod
+    def collections(call):
+        """``call()``'s result and the number of collections started while it
+        ran, counted before anything else is allocated."""
+        started = []
+
+        def on_gc(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(on_gc)
+        try:
+            result = call()
+            during = len(started)
+        finally:
+            gc.callbacks.remove(on_gc)
+        return result, during
+
+    def test_sweep_and_render_collect_at_most_once(self, demo_problem):
+        # With the collector running, this sweep started dozens of
+        # collections; paused, the only one left is when it resumes with the
+        # returned table alive.
+        table, started = self.collections(
+            lambda: grid_sweep(demo_problem, 0.05, lambdas=(0.5, 1.0))
+        )
+        assert len(table.rows) == 21**3 and started <= 1
+        text, started = self.collections(lambda: render_table(table, "csv"))
+        assert text.count("\n") == 1 + 21**3 and started <= 1
+        assert gc.isenabled()
+
+    def test_collector_is_enabled_again_after_an_error(self, demo_problem):
+        with pytest.raises(DomainError):
+            grid_sweep(demo_problem, 0.7)
+        assert gc.isenabled()
+
+    def test_a_paused_collector_stays_paused(self, demo_problem):
+        gc.disable()
+        try:
+            check_monotonicity(demo_problem, "alpha", 0.5)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
+def test_grid_sweep_benchmark_smoke(benchmark, demo_problem):
+    # One timed round with no time bound: it exercises the benchmark plugin
+    # and the sweep path without making the suite depend on host speed.
+    table = benchmark.pedantic(
+        grid_sweep, args=(demo_problem, 0.1), kwargs={"lambdas": (0.5, 1.0)},
+        rounds=1, iterations=1,
+    )
+    assert len(table.rows) == 11**3

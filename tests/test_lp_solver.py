@@ -74,12 +74,22 @@ class TestKnownOptima:
         assert sol.objective == 0.0
         assert sol.x == (0.0, 0.0)
 
+    @pytest.mark.parametrize("lp", [LOOSE, TIGHT])
+    def test_final_basis_reproduces_the_optimum(self, lp):
+        sol = solve_max(lp)
+        m, n = lp.m, lp.n
+        assert sorted(sol.basis) == sorted(set(sol.basis)) and len(sol.basis) == m
+        AI = np.hstack([np.array(lp.A), np.eye(m)])
+        x = np.zeros(n + m)
+        x[list(sol.basis)] = np.linalg.solve(AI[:, list(sol.basis)], np.array(lp.b))
+        assert x[:n] == pytest.approx(sol.x, rel=1e-12)
+
 
 class TestUnbounded:
     def test_uncapped_single_variable(self):
         sol = solve_max(WhiteLP(c=(1,), A=((0,),), b=(5,)))
         assert sol.status is SolveStatus.UNBOUNDED
-        assert sol.objective is None and sol.x == ()
+        assert sol.objective is None and sol.x == () and sol.basis == ()
         assert sol.ray == (1.0,)
 
     def test_ray_certificate(self):

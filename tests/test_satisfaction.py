@@ -6,7 +6,6 @@ import pytest
 
 from greylp import (
     DegenerateBoundsWarning,
-    DegreeQuery,
     DomainError,
     GreyLP,
     InconsistentInputsError,
@@ -43,19 +42,6 @@ class TestValueBounds:
     def test_degenerate_detection(self):
         assert ValueBounds(5.0, 5.0).is_degenerate
         assert not ValueBounds(5.0, 5.1).is_degenerate
-
-
-class TestDegreeQuery:
-    def test_valid(self):
-        q = DegreeQuery(f=10.0, lam=0.5, mu0=0.4)
-        assert q.lam == 0.5
-
-    @pytest.mark.parametrize("field", ["lam", "mu0"])
-    @pytest.mark.parametrize("bad", [-0.1, 1.1])
-    def test_rejects_out_of_range(self, field, bad):
-        kwargs = {"f": 1.0, "lam": 0.5, "mu0": 0.5, field: bad}
-        with pytest.raises(DomainError):
-            DegreeQuery(**kwargs)
 
 
 class TestBoundsAndPositionedValue:
