@@ -58,7 +58,9 @@ from .satisfaction import (
     is_lambda_satisfactory,
     is_pleased,
     lambda_satisfaction,
+    lambda_satisfactions,
     pleased_degree,
+    pleased_degrees,
     positioned_value,
 )
 
@@ -89,7 +91,9 @@ __all__ = [
     "positioned_value",
     "bounds",
     "pleased_degree",
+    "pleased_degrees",
     "lambda_satisfaction",
+    "lambda_satisfactions",
     "is_pleased",
     "is_lambda_satisfactory",
     # analysis

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DomainError, StructureError, ValidationError
 from .grey_core import GreyLP, build_positioned, uniform_coefficients, validate_problem
 from .lp_solver import _TOL_FEAS, _TOL_PIVOT, SolveStatus, solve_max
-from .satisfaction import ValueBounds, bounds, lambda_satisfaction, pleased_degree
+from .satisfaction import bounds, lambda_satisfactions, pleased_degrees
 
 __all__ = [
     "SatisfactionRecord",
@@ -82,19 +82,72 @@ class SatisfactionRecord:
         raise KeyError(f"no satisfaction degree stored for lam={lam}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class SweepTable:
-    """An ordered set of sweep records plus the labels they render under.
+    """Sweep results stored column by column, plus the labels they render
+    under.
+
+    Row ``i`` is the uniform triple ``coefficients[i]`` with its positioned
+    optimum ``f[i]``, pleased degree ``mu[i]`` and satisfaction degrees
+    ``mu_tilde[i, j]`` at ``lambdas[j]``; NaN stands for a missing value
+    (the record's None).  ``errors`` maps each row whose positioned program
+    could not be evaluated to its marker (e.g. ``"unbounded"``); the values
+    of such a row are NaN.
 
     ``axis_labels`` doubles as the rendering schema: a first label of
     ``"lambda"`` marks a table that renders pivoted, one row per lambda and
-    one column per record (the shape of a satisfaction-degree report);
-    otherwise each record renders as one row.
+    one column per row (the shape of a satisfaction-degree report);
+    otherwise each row renders as one table row.
+
+    ``SweepTable(axis_labels, rows, lambdas)`` builds the columns from
+    :class:`SatisfactionRecord` rows, and ``rows`` makes them again.
     """
 
     axis_labels: tuple[str, ...]
-    rows: tuple[SatisfactionRecord, ...]
-    lambdas: tuple[float, ...] = ()
+    lambdas: tuple[float, ...]
+    coefficients: np.ndarray  # N x 3
+    f: np.ndarray  # N
+    mu: np.ndarray  # N
+    mu_tilde: np.ndarray  # N x len(lambdas)
+    errors: dict[int, str]
+
+    def __init__(self, axis_labels, rows=(), lambdas=()):
+        lambdas = tuple(lambdas)
+        by_lam = [dict(r.mu_tilde) for r in rows]
+        # The class is frozen; fields are set once, here and in _of_columns.
+        self.__dict__.update(
+            axis_labels=tuple(axis_labels),
+            lambdas=lambdas,
+            coefficients=np.array([r.coefficients for r in rows], dtype=float).reshape(-1, 3),
+            f=np.array([np.nan if r.f is None else r.f for r in rows], dtype=float),
+            mu=np.array([np.nan if r.mu is None else r.mu for r in rows], dtype=float),
+            mu_tilde=np.array(
+                [[d.get(lam, np.nan) for lam in lambdas] for d in by_lam], dtype=float
+            ).reshape(len(rows), len(lambdas)),
+            errors={i: r.error for i, r in enumerate(rows) if r.error is not None},
+        )
+
+    @classmethod
+    def _of_columns(cls, **columns) -> SweepTable:
+        table = object.__new__(cls)
+        table.__dict__.update(columns)
+        return table
+
+    @property
+    def rows(self) -> tuple[SatisfactionRecord, ...]:
+        """One :class:`SatisfactionRecord` per row, built on each access."""
+        out = []
+        for i, (triple, f, mu, degrees) in enumerate(zip(
+            self.coefficients.tolist(), self.f.tolist(), self.mu.tolist(), self.mu_tilde.tolist()
+        )):
+            error = self.errors.get(i)
+            if error is not None:
+                out.append(SatisfactionRecord(tuple(triple), None, None, error=error))
+                continue
+            mu_tilde = tuple((lam, d) for lam, d in zip(self.lambdas, degrees) if d == d)
+            f, mu = (v if v == v else None for v in (f, mu))  # NaN is a missing value
+            out.append(SatisfactionRecord(tuple(triple), f, mu, mu_tilde))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -125,11 +178,11 @@ class GridSolution:
     in input order.
 
     ``objective[i]`` is the positioned optimal value of triple ``i`` when
-    ``status[i]`` is OPTIMAL, and None otherwise.
+    ``status[i]`` is OPTIMAL, and NaN otherwise.
     """
 
     status: tuple[SolveStatus, ...]
-    objective: tuple[float | None, ...]
+    objective: np.ndarray
 
 
 @contextlib.contextmanager
@@ -262,7 +315,7 @@ def solve_grid(p: GreyLP, triples) -> GridSolution:
     A_hi = np.array([[iv.hi for iv in row] for row in p.matrix], dtype=float)
 
     status = [SolveStatus.OPTIMAL] * len(pts)  # every point not solved cold is certified
-    values = np.zeros(len(pts))
+    values = np.full(len(pts), np.nan)
     bases: list[tuple[int, ...]] = []
     cold = 0
     gammas, slice_of = np.unique(pts[:, 2], return_inverse=True)
@@ -300,35 +353,36 @@ def solve_grid(p: GreyLP, triples) -> GridSolution:
                 bases.append(key)
                 settle(key)
 
-    objective = tuple(
-        v if s is SolveStatus.OPTIMAL else None for v, s in zip(values.tolist(), status)
-    )
     _log.info(
         "solve_grid: %d points, %d cold solves, %d certified, %d bases, %d non-optimal",
-        len(pts), cold, len(pts) - cold, len(bases), objective.count(None),
+        len(pts), cold, len(pts) - cold, len(bases), int(np.isnan(values).sum()),
     )
-    return GridSolution(status=tuple(status), objective=objective)
+    return GridSolution(status=tuple(status), objective=values)
 
 
-def _record(vb: ValueBounds, triple: Triple, status: SolveStatus, f: float | None, lambdas) -> SatisfactionRecord:
-    """One sweep row; solver trouble becomes an error marker so a sweep keeps
-    going and partial reports stay useful."""
-    if status is not SolveStatus.OPTIMAL:
-        return SatisfactionRecord(coefficients=triple, f=None, mu=None, error=str(status))
-    try:
-        mu = pleased_degree(f, vb)
-    except DomainError:
-        mu = None  # ideal value is zero; the ratio form has no meaning
-    mu_tilde = tuple((lam, lambda_satisfaction(f, vb, lam)) for lam in lambdas)
-    return SatisfactionRecord(coefficients=triple, f=f, mu=mu, mu_tilde=mu_tilde)
+def _cube(grid: tuple[float, ...]) -> np.ndarray:
+    """Every triple of ``grid`` values as rows, in lexicographic order."""
+    axes = np.meshgrid(grid, grid, grid, indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, 3)
 
 
-def _records(p: GreyLP, triples: list[Triple], lambdas) -> tuple[SatisfactionRecord, ...]:
+def _scored(p: GreyLP, pts: np.ndarray, labels: tuple[str, ...], lambdas) -> SweepTable:
+    """The sweep table of the triples ``pts``: each row's positioned optimum
+    and degrees, scored a column at a time.  Solver trouble becomes a row's
+    error marker so a sweep keeps going and partial reports stay useful."""
     vb = bounds(p)
-    grid = solve_grid(p, triples)
-    return tuple(
-        _record(vb, t, status, f, lambdas)
-        for t, status, f in zip(triples, grid.status, grid.objective)
+    grid = solve_grid(p, pts)
+    f = grid.objective
+    ok = ~np.isnan(f)
+    mu = np.full(len(f), np.nan)
+    mu[ok] = pleased_degrees(f[ok], vb)  # NaN where undefined (ideal value zero)
+    mu_tilde = np.full((len(f), len(lambdas)), np.nan)
+    for j, lam in enumerate(lambdas):
+        mu_tilde[ok, j] = lambda_satisfactions(f[ok], vb, lam)
+    errors = {i: str(grid.status[i]) for i in np.flatnonzero(~ok).tolist()}
+    return SweepTable._of_columns(
+        axis_labels=labels, lambdas=lambdas, coefficients=pts, f=f, mu=mu,
+        mu_tilde=mu_tilde, errors=errors,
     )
 
 
@@ -341,14 +395,14 @@ def lambda_sweep(p: GreyLP, settings, lambdas) -> SweepTable:
     """Satisfaction degrees of each uniform triple in ``settings`` across the
     ``lambdas`` grid.
 
-    Records are sorted lexicographically by triple.  The result renders
+    Rows are sorted lexicographically by triple.  The result renders
     pivoted: one row per lambda, one column per triple.
     """
     triples = sorted(tuple(float(v) for v in t) for t in settings)
     lambdas = tuple(float(v) for v in lambdas)
-    rows = _records(p, triples, lambdas)
     labels = ("lambda",) + tuple(_triple_label(t) for t in triples)
-    return SweepTable(axis_labels=labels, rows=rows, lambdas=lambdas)
+    pts = np.array(triples, dtype=float).reshape(-1, 3)
+    return _scored(p, pts, labels, lambdas)
 
 
 @_gc_paused()
@@ -360,11 +414,10 @@ def grid_sweep(p: GreyLP, step: float, lambdas=()) -> SweepTable:
     """
     grid = unit_grid(step)
     lambdas = tuple(float(v) for v in lambdas)
-    rows = _records(p, list(itertools.product(grid, repeat=3)), lambdas)
     labels = ("alpha", "beta", "gamma", "f", "mu") + tuple(
         "mu_tilde[%g]" % lam for lam in lambdas
     )
-    return SweepTable(axis_labels=labels, rows=rows, lambdas=lambdas)
+    return _scored(p, _cube(grid), labels, lambdas)
 
 
 _AXES = {"alpha": 0, "beta": 1, "gamma": 2}
@@ -385,37 +438,33 @@ def check_monotonicity(p: GreyLP, axis: str, step: float) -> MonotonicityReport:
     pos = _AXES[axis]
     direction = "nonincreasing" if axis == "gamma" else "nondecreasing"
     grid = unit_grid(step)
-    triples = list(itertools.product(grid, repeat=3))
-    values = dict(zip(triples, solve_grid(p, triples).objective))
-
-    finite = [v for v in values.values() if v is not None]
-    scale = max(1.0, max((abs(v) for v in finite), default=1.0))
+    g = len(grid)
+    values = solve_grid(p, _cube(grid)).objective
+    finite = values[~np.isnan(values)]
+    scale = max(1.0, float(np.abs(finite).max())) if finite.size else 1.0
     tol = 1e-6 * scale
 
-    probed: list[tuple[Triple, Triple]] = []
-    violations: list[tuple[tuple[Triple, Triple], tuple[float, float]]] = []
-    skipped: list[tuple[Triple, Triple]] = []
-    for fixed in itertools.product(grid, repeat=2):
-        for lo, hi in itertools.pairwise(grid):
-            t_lo, t_hi = list(fixed), list(fixed)
-            t_lo.insert(pos, lo)
-            t_hi.insert(pos, hi)
-            pair = (tuple(t_lo), tuple(t_hi))
-            probed.append(pair)
-            f_lo, f_hi = values[pair[0]], values[pair[1]]
-            if f_lo is None or f_hi is None:
-                skipped.append(pair)
-                continue
-            gap = f_hi - f_lo if direction == "nondecreasing" else f_lo - f_hi
-            if gap < -tol:
-                violations.append((pair, (f_lo, f_hi)))
-
+    # Pairs in the order (other two axes, then the probed one): with the
+    # probed axis moved last, that is the C order of the cube.
+    cube = np.moveaxis(values.reshape(g, g, g), pos, -1)
+    f_lo, f_hi = cube[..., :-1].ravel(), cube[..., 1:].ravel()
+    gap = f_hi - f_lo if direction == "nondecreasing" else f_lo - f_hi
+    probed = tuple(
+        (fixed[:pos] + (lo,) + fixed[pos:], fixed[:pos] + (hi,) + fixed[pos:])
+        for fixed in itertools.product(grid, repeat=2)
+        for lo, hi in itertools.pairwise(grid)
+    )
+    violated = np.flatnonzero(gap < -tol).tolist()  # NaN gaps compare False
+    skipped = np.flatnonzero(np.isnan(f_lo) | np.isnan(f_hi)).tolist()
     return MonotonicityReport(
         axis=axis,
         direction=direction,
-        grid=tuple(probed),
-        violations=tuple(violations),
-        skipped=tuple(skipped),
+        grid=probed,
+        violations=tuple(
+            (probed[i], pair)
+            for i, pair in zip(violated, zip(f_lo[violated].tolist(), f_hi[violated].tolist()))
+        ),
+        skipped=tuple(probed[i] for i in skipped),
     )
 
 
@@ -427,53 +476,67 @@ def find_satisfactory(p: GreyLP, mu0: float, lam: float, step: float) -> list[tu
         if not (0.0 <= float(v) <= 1.0):
             raise DomainError(f"{name} must be in [0, 1], got {v}")
     table = grid_sweep(p, step, lambdas=(float(lam),))
-    hits = [
-        (r.coefficients, r.mu_tilde[0][1])
-        for r in table.rows
-        if r.error is None and r.mu_tilde and r.mu_tilde[0][1] >= float(mu0)
+    degree = table.mu_tilde[:, 0]
+    hits = np.flatnonzero(degree >= float(mu0))  # NaN on error rows compares False
+    # Rows are in lexicographic order, so a stable sort on the degree breaks
+    # ties by triple.
+    hits = hits[np.argsort(-degree[hits], kind="stable")]
+    return [
+        (tuple(triple), value)
+        for triple, value in zip(table.coefficients[hits].tolist(), degree[hits].tolist())
     ]
-    hits.sort(key=lambda item: (-item[1], item[0]))
-    return hits
+
+
+# Rows are formatted this many at a time, which bounds the text held at once.
+_CHUNK = 1024
 
 
 def _fmt_coeff(v: float) -> str:
     return "%g" % v
 
 
-def _fmt_f(v: float | None, error: str | None) -> str:
-    if error is not None:
-        return error
-    return "" if v is None else "%.2f" % v
+def _cells(fmt: str, values: np.ndarray, errors: dict[int, str], empty: str) -> list[str]:
+    """``values`` formatted with ``fmt``; NaN becomes ``empty``, and the
+    value at each index of ``errors`` its error marker."""
+    cells = [fmt % v for v in values.tolist()]
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        cells[i] = empty
+    for i, marker in errors.items():
+        cells[i] = marker
+    return cells
 
 
-def _fmt_degree(v: float | None, error: str | None) -> str:
-    if error is not None:
-        return error
-    return "" if v is None else "%.4f" % v
-
-
-def _table_rows(t: SweepTable):
-    """The header, then one list of cells per table row, made as they are
-    consumed so that a table is never held as text cells all at once."""
-    yield list(t.axis_labels)
+def _body(t: SweepTable, empty: str, marker):
+    """The table's rows after the header as tuples of cells, at most
+    ``_CHUNK`` rows at a time.  A missing value renders as ``empty`` and
+    every value of an error row as ``marker(error)``."""
+    errors = {i: marker(e) for i, e in t.errors.items()}
     if t.axis_labels and t.axis_labels[0] == "lambda":
-        for lam in t.lambdas:
-            cells = [_fmt_coeff(lam)]
-            for r in t.rows:
-                if r.error is not None:
-                    cells.append(r.error)
-                else:
-                    cells.append(_fmt_degree(r.mu_tilde_at(lam), None))
-            yield cells
-    else:
-        for r in t.rows:
-            cells = [_fmt_coeff(v) for v in r.coefficients]
-            cells.append(_fmt_f(r.f, r.error))
-            cells.append(_fmt_degree(r.mu, r.error))
-            by_lam = dict(r.mu_tilde)
-            for lam in t.lambdas:
-                cells.append(_fmt_degree(by_lam.get(lam), r.error))
-            yield cells
+        yield [
+            (_fmt_coeff(lam), *_cells("%.4f", t.mu_tilde[:, j], errors, empty))
+            for j, lam in enumerate(t.lambdas)
+        ]
+        return
+    # Each distinct grid value is formatted once.
+    coeffs = []
+    for column in t.coefficients.T:
+        values, index = np.unique(column, return_inverse=True)
+        coeffs.append(np.array([_fmt_coeff(v) for v in values.tolist()], dtype=object)[index])
+    columns = [("%.2f", t.f), ("%.4f", t.mu)] + [("%.4f", c) for c in t.mu_tilde.T]
+    for start in range(0, len(t.f), _CHUNK):
+        stop = start + _CHUNK
+        errs = {i - start: m for i, m in errors.items() if start <= i < stop}
+        cells = [c[start:stop].tolist() for c in coeffs]
+        cells += [_cells(fmt, values[start:stop], errs, empty) for fmt, values in columns]
+        yield list(zip(*cells))
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as the csv module writes it in a row of several cells
+    (quoted only if it holds a comma, a quote or a line break)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[: -len(",\n")]
 
 
 @_gc_paused()
@@ -486,16 +549,17 @@ def render_table(t: SweepTable, format: str) -> str:
     """
     if format not in ("csv", "markdown"):
         raise DomainError(f"format must be 'csv' or 'markdown', got {format!r}")
-    rows = _table_rows(t)
+    header = list(t.axis_labels)
+    buf = io.StringIO()
     if format == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
-        return buf.getvalue()
-    header = next(rows)
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join("---" for _ in header) + " |",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(cell if cell else "-" for cell in row) + " |")
-    return "\n".join(lines) + "\n"
+        # Numbers never need quoting, so only the header and the error
+        # markers go through the csv module.
+        csv.writer(buf, lineterminator="\n").writerow(header)
+        lead, sep, end, empty, marker = "", ",", "\n", "", _csv_cell
+    else:
+        buf.write("| " + " | ".join(header) + " |\n")
+        buf.write("| " + " | ".join("---" for _ in header) + " |\n")
+        lead, sep, end, empty, marker = "| ", " | ", " |\n", "-", lambda e: e or "-"
+    for chunk in _body(t, empty, marker):
+        buf.write("".join([lead + sep.join(row) + end for row in chunk]))
+    return buf.getvalue()

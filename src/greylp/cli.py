@@ -22,6 +22,7 @@ identical invocations produce identical bytes on the output stream.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import pathlib
 import sys
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 
 from . import bundled
 from .analysis import (
-    _gc_paused,
     check_monotonicity,
     find_satisfactory,
     grid_sweep,
@@ -284,21 +284,13 @@ def _cmd_degrees(args) -> int:
     return 0
 
 
-@_gc_paused()
-def _sweep_text(p: GreyLP, args) -> tuple[int, str]:
-    """The sweep's row count and rendered table.  The table is built,
-    rendered and freed with the collector paused, so no collection ever
-    walks its rows."""
-    table = grid_sweep(p, args.step, lambdas=args.lambdas)
-    return len(table.rows), render_table(table, args.format)
-
-
 def _cmd_sweep(args) -> int:
     pf = _load(args.file)
-    rows, text = _sweep_text(pf.problem, args)
+    table = grid_sweep(pf.problem, args.step, lambdas=args.lambdas)
+    text = render_table(table, args.format)
     if args.out:
         pathlib.Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {rows} row(s) to {args.out}")
+        print(f"wrote {len(table.f)} row(s) to {args.out}")
     else:
         sys.stdout.write(text)
     return 0
@@ -372,7 +364,10 @@ def _cmd_verify_example(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built once per process (parsing keeps no
+    state in it: each call gets a fresh namespace)."""
     parser = _Parser(
         prog="greylp",
         description="Whiten, solve, and rank interval-coefficient linear programs.",
@@ -479,7 +474,7 @@ def run(args) -> int:
     iteration cap); 3 usage error.
     """
     try:
-        ns = _build_parser().parse_args(list(args))
+        ns = _parser().parse_args(list(args))
         return int(ns.handler(ns))
     except SystemExit as exc:  # --help prints and exits 0
         code = exc.code

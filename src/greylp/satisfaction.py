@@ -21,6 +21,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     DegenerateBoundsWarning,
     DomainError,
@@ -37,7 +39,9 @@ __all__ = [
     "positioned_value",
     "bounds",
     "pleased_degree",
+    "pleased_degrees",
     "lambda_satisfaction",
+    "lambda_satisfactions",
     "is_pleased",
     "is_lambda_satisfactory",
 ]
@@ -72,14 +76,18 @@ def _value_tol(vb: ValueBounds) -> float:
     return 1e-6 * max(1.0, vb.ideal)
 
 
-def _clamp(f: float, vb: ValueBounds) -> float:
-    f = float(f)
+def _clamp(f: np.ndarray, vb: ValueBounds) -> np.ndarray:
     tol = _value_tol(vb)
-    if f < vb.critical - tol or f > vb.ideal + tol:
+    outside = (f < vb.critical - tol) | (f > vb.ideal + tol)
+    if outside.any():
         raise InconsistentInputsError(
-            f"value {f} lies outside [{vb.critical}, {vb.ideal}] by more than {tol:g}"
+            f"value {float(f[outside][0])} lies outside [{vb.critical}, {vb.ideal}] "
+            f"by more than {tol:g}"
         )
-    return min(max(f, vb.critical), vb.ideal)
+    # min(max(f, critical), ideal) with Python's tie rules, so the sign of a
+    # zero survives as it does for floats.
+    f = np.where(vb.critical > f, vb.critical, f)
+    return np.where(vb.ideal < f, vb.ideal, f)
 
 
 def _solve_positioned(p: GreyLP, k: PositionCoefficients) -> float:
@@ -111,6 +119,27 @@ def bounds(p: GreyLP) -> ValueBounds:
     return ValueBounds(critical=critical, ideal=ideal)
 
 
+def pleased_degrees(f, vb: ValueBounds) -> np.ndarray:
+    """Pleased degree of every value in ``f`` (an array or a number), NaN
+    wherever :func:`pleased_degree` raises :class:`DomainError`.
+
+    Raises :class:`InconsistentInputsError` if a value it scores lies
+    outside the bounds by more than the solver-noise tolerance.
+    """
+    f = np.asarray(f, dtype=float)
+    if vb.ideal <= 0.0:
+        return np.full(f.shape, np.nan)
+    # The negated comparisons keep NaN inputs defined (and NaN), as for floats.
+    defined = ~(f < min(vb.critical, 0.0) - _value_tol(vb))
+    f = _clamp(np.where(defined, f, vb.critical), vb)
+    defined &= ~(f < 0.0) & ((f != 0.0) | (vb.critical == 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # At f = 0 (critical 0) the ratio term is its limit 0.5 as f -> 0+.
+        ratio_term = np.where(f == 0.0, 0.5, 0.5 * (1.0 - vb.critical / f))
+        mu = ratio_term + 0.5 * f / vb.ideal
+    return np.where(defined, mu, np.nan)
+
+
 def pleased_degree(f: float, vb: ValueBounds) -> float:
     """Prior satisfaction measure ``0.5*(1 - critical/f) + 0.5*f/ideal``.
 
@@ -119,22 +148,40 @@ def pleased_degree(f: float, vb: ValueBounds) -> float:
     ``f`` must be positive (zero is allowed only when the critical value is
     zero, where the vanishing ratio term is taken by continuity).
     """
-    if vb.ideal <= 0.0:
-        raise DomainError(f"pleased degree needs a positive ideal value, got {vb.ideal}")
     f = float(f)
-    if f < min(vb.critical, 0.0) - _value_tol(vb):
-        raise DomainError(f"pleased degree needs a positive value, got {f}")
+    mu = float(pleased_degrees(f, vb))
+    if mu == mu or f != f:  # a NaN f scores NaN, as the formula gives
+        return mu
+    raise DomainError(
+        f"pleased degree is undefined at f = {f} between critical value {vb.critical} "
+        f"and ideal value {vb.ideal}: it needs a positive ideal value and f > 0 "
+        "(or f = 0 with critical value 0)"
+    )
+
+
+def lambda_satisfactions(f, vb: ValueBounds, lam: float) -> np.ndarray:
+    """Attitude-weighted satisfaction degree of every value in ``f`` (an
+    array or a number) between the bounds; see :func:`lambda_satisfaction`.
+    Degenerate bounds give 1 everywhere and one
+    :class:`DegenerateBoundsWarning` per call."""
+    lam = float(lam)
+    if not (0.0 <= lam <= 1.0):
+        raise DomainError(f"lam must be in [0, 1], got {lam}")
+    f = np.asarray(f, dtype=float)
+    if vb.is_degenerate:
+        warnings.warn(
+            "critical and ideal values coincide (effectively white problem); "
+            "reporting satisfaction degree 1",
+            DegenerateBoundsWarning,
+            stacklevel=2,
+        )
+        return np.ones(f.shape)
     f = _clamp(f, vb)
-    if f < 0.0:
-        raise DomainError(f"pleased degree needs a nonnegative value, got {f}")
-    if f == 0.0:
-        if vb.critical == 0.0:
-            ratio_term = 0.5  # limit of 0.5*(1 - 0/f) as f -> 0+
-        else:
-            raise DomainError("pleased degree is undefined at f = 0 with a positive critical value")
-    else:
-        ratio_term = 0.5 * (1.0 - vb.critical / f)
-    return ratio_term + 0.5 * f / vb.ideal
+    spread = vb.ideal - vb.critical
+    gain = f - vb.critical
+    linear = gain / spread
+    damped = gain / (spread + (1.0 - lam) * (vb.ideal - f))
+    return lam * linear + (1.0 - lam) * damped
 
 
 def lambda_satisfaction(f: float, vb: ValueBounds, lam: float) -> float:
@@ -150,23 +197,7 @@ def lambda_satisfaction(f: float, vb: ValueBounds, lam: float) -> float:
     attains the ideal, so the degree is reported as 1 with a
     :class:`DegenerateBoundsWarning`.
     """
-    lam = float(lam)
-    if not (0.0 <= lam <= 1.0):
-        raise DomainError(f"lam must be in [0, 1], got {lam}")
-    if vb.is_degenerate:
-        warnings.warn(
-            "critical and ideal values coincide (effectively white problem); "
-            "reporting satisfaction degree 1",
-            DegenerateBoundsWarning,
-            stacklevel=2,
-        )
-        return 1.0
-    f = _clamp(f, vb)
-    spread = vb.ideal - vb.critical
-    gain = f - vb.critical
-    linear = gain / spread
-    damped = gain / (spread + (1.0 - lam) * (vb.ideal - f))
-    return lam * linear + (1.0 - lam) * damped
+    return float(lambda_satisfactions(float(f), vb, lam))
 
 
 def is_pleased(mu: float, mu0: float) -> bool:

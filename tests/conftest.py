@@ -7,13 +7,20 @@ run, so the criterion status is visible even with captured output.
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 
 import pytest
 from hypothesis import settings
 
 from greylp import (
+    DomainError,
     GreyLP,
+    InconsistentInputsError,
+    SatisfactionRecord,
+    SolveStatus,
+    ValueBounds,
     bounds,
     build_positioned,
     bundled,
@@ -103,6 +110,101 @@ def reference_grid(p: GreyLP, triples):
         sol = solve_max(build_positioned(p, uniform_coefficients(alpha, beta, gamma, p.m, p.n)))
         out.append((sol.status, sol.objective))
     return out
+
+
+def _reference_clamp(f: float, vb: ValueBounds) -> float:
+    tol = 1e-6 * max(1.0, vb.ideal)
+    if f < vb.critical - tol or f > vb.ideal + tol:
+        raise InconsistentInputsError(f"value {f} lies outside the bounds")
+    return min(max(f, vb.critical), vb.ideal)
+
+
+def reference_pleased_degree(f: float, vb: ValueBounds) -> float:
+    """The pleased degree computed one float at a time with Python
+    arithmetic, as the scalar path did before scoring moved to arrays."""
+    if vb.ideal <= 0.0:
+        raise DomainError("pleased degree needs a positive ideal value")
+    f = float(f)
+    if f < min(vb.critical, 0.0) - 1e-6 * max(1.0, vb.ideal):
+        raise DomainError("pleased degree needs a positive value")
+    f = _reference_clamp(f, vb)
+    if f < 0.0:
+        raise DomainError("pleased degree needs a nonnegative value")
+    if f == 0.0:
+        if vb.critical != 0.0:
+            raise DomainError("pleased degree is undefined at f = 0")
+        ratio_term = 0.5
+    else:
+        ratio_term = 0.5 * (1.0 - vb.critical / f)
+    return ratio_term + 0.5 * f / vb.ideal
+
+
+def reference_lambda_satisfaction(f: float, vb: ValueBounds, lam: float) -> float:
+    """The lambda-satisfaction degree one float at a time (degenerate bounds
+    give 1, without the warning)."""
+    if vb.is_degenerate:
+        return 1.0
+    f = _reference_clamp(float(f), vb)
+    spread = vb.ideal - vb.critical
+    gain = f - vb.critical
+    linear = gain / spread
+    damped = gain / (spread + (1.0 - lam) * (vb.ideal - f))
+    return lam * linear + (1.0 - lam) * damped
+
+
+def reference_records(p: GreyLP, triples, lambdas, vb: ValueBounds | None = None):
+    """One sweep record per triple, scored row by row over
+    :func:`reference_grid` with the reference degrees; a non-optimal triple
+    becomes an error row.  ``vb`` defaults to ``bounds(p)``."""
+    vb = bounds(p) if vb is None else vb
+    rows = []
+    for triple, (status, f) in zip(triples, reference_grid(p, triples)):
+        triple = tuple(float(v) for v in triple)
+        if status is not SolveStatus.OPTIMAL:
+            rows.append(SatisfactionRecord(triple, None, None, error=str(status)))
+            continue
+        try:
+            mu = reference_pleased_degree(f, vb)
+        except DomainError:
+            mu = None
+        mu_tilde = tuple((lam, reference_lambda_satisfaction(f, vb, lam)) for lam in lambdas)
+        rows.append(SatisfactionRecord(triple, f, mu, mu_tilde))
+    return rows
+
+
+def reference_render(labels, rows, lambdas, format: str) -> str:
+    """The per-row renderer that ``render_table`` replaces, kept as its
+    reference: one list of cells per record, written by the csv module or
+    joined as Markdown.  A first label ``"lambda"`` renders pivoted."""
+
+    def fmt(v, spec, error):
+        if error is not None:
+            return error
+        return "" if v is None else spec % v
+
+    table = [list(labels)]
+    if labels and labels[0] == "lambda":
+        for lam in lambdas:
+            table.append(
+                ["%g" % lam]
+                + [r.error if r.error is not None else "%.4f" % r.mu_tilde_at(lam) for r in rows]
+            )
+    else:
+        for r in rows:
+            by_lam = dict(r.mu_tilde)
+            table.append(
+                ["%g" % v for v in r.coefficients]
+                + [fmt(r.f, "%.2f", r.error), fmt(r.mu, "%.4f", r.error)]
+                + [fmt(by_lam.get(lam), "%.4f", r.error) for lam in lambdas]
+            )
+    if format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(table)
+        return buf.getvalue()
+    header, body = table[0], table[1:]
+    lines = ["| " + " | ".join(header) + " |", "| " + " | ".join("---" for _ in header) + " |"]
+    lines += ["| " + " | ".join(cell if cell else "-" for cell in row) + " |" for row in body]
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="session")

@@ -5,30 +5,35 @@ import gc
 import io
 import itertools
 import logging
+import math
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_bounded_problem, random_loose_problem, random_triple, reference_grid
+from conftest import (
+    random_bounded_problem,
+    random_loose_problem,
+    random_triple,
+    reference_grid,
+    reference_records,
+    reference_render,
+)
 from greylp import (
     DomainError,
     GreyLP,
     UnboundedValueError,
     SatisfactionRecord,
-    SolveStatus,
     StructureError,
     SweepTable,
     ValidationError,
-    bounds,
+    ValueBounds,
     bundled,
     check_monotonicity,
     find_satisfactory,
     grid_sweep,
-    lambda_satisfaction,
     lambda_sweep,
-    pleased_degree,
     render_table,
     run,
     solve_grid,
@@ -69,25 +74,13 @@ def table(demo_problem):
     return lambda_sweep(demo_problem, TABLE_TRIPLES, REFERENCE_LAMBDA_GRID)
 
 
-def reference_table(p, triples, lambdas) -> SweepTable:
-    """A grid table built from the per-point reference, row by row."""
-    vb = bounds(p)
-    rows = []
-    for triple, (status, f) in zip(triples, reference_grid(p, triples)):
-        if status is not SolveStatus.OPTIMAL:
-            rows.append(SatisfactionRecord(triple, None, None, error=str(status)))
-            continue
-        mu_tilde = tuple((lam, lambda_satisfaction(f, vb, lam)) for lam in lambdas)
-        rows.append(SatisfactionRecord(triple, f, pleased_degree(f, vb), mu_tilde))
-    labels = ("alpha", "beta", "gamma", "f", "mu") + tuple("mu_tilde[%g]" % lam for lam in lambdas)
-    return SweepTable(axis_labels=labels, rows=tuple(rows), lambdas=tuple(lambdas))
-
-
 def grid_triples(step):
     return list(itertools.product(unit_grid(step), repeat=3))
 
 
 UNCAPPED = GreyLP(objective=((1, 2),), matrix=(((0, 1),),), rhs=((5, 6),))
+GRID_LAMBDAS = (0.0, 0.5, 1.0)
+GRID_LABELS = ("alpha", "beta", "gamma", "f", "mu", "mu_tilde[0]", "mu_tilde[0.5]", "mu_tilde[1]")
 
 
 class TestSolveGrid:
@@ -99,11 +92,11 @@ class TestSolveGrid:
         got = solve_grid(p, triples)
         assert len(got.status) == len(got.objective) == len(triples)
         for (status, f), got_status, got_f in zip(
-            reference_grid(p, triples), got.status, got.objective
+            reference_grid(p, triples), got.status, got.objective.tolist()
         ):
             assert got_status is status
             if f is None:
-                assert got_f is None
+                assert math.isnan(got_f)
             else:
                 assert abs(got_f - f) <= 1e-9 * max(1.0, abs(f))
 
@@ -111,10 +104,8 @@ class TestSolveGrid:
         path = tmp_path / "demo.json"
         path.write_text(bundled.EXAMPLE_PROBLEM_JSON, encoding="utf-8")
         assert run(["sweep", "--file", str(path), "--step", "0.1", "--lambdas", "0,0.5,1"]) == 0
-        expected = render_table(
-            reference_table(demo_problem, grid_triples(0.1), (0.0, 0.5, 1.0)), "csv"
-        )
-        assert capsys.readouterr().out == expected
+        rows = reference_records(demo_problem, grid_triples(0.1), GRID_LAMBDAS)
+        assert capsys.readouterr().out == reference_render(GRID_LABELS, rows, GRID_LAMBDAS, "csv")
 
     @pytest.mark.parametrize(
         "triple", [(0.5, 1.5, 0.5), (0.5, 0.5, -0.1), (float("nan"), 0.5, 0.5)]
@@ -129,7 +120,7 @@ class TestSolveGrid:
 
     def test_empty_batch(self, demo_problem):
         got = solve_grid(demo_problem, [])
-        assert got.status == () and got.objective == ()
+        assert got.status == () and got.objective.shape == (0,)
 
     @pytest.mark.parametrize(
         "problem, step, message",
@@ -254,6 +245,16 @@ class TestFindSatisfactory:
         hits = find_satisfactory(demo_problem, mu0=1.0, lam=1.0, step=0.5)
         assert [triple for triple, _ in hits] == [(1.0, 1.0, 0.0)]
 
+    def test_ties_keep_lexicographic_order(self):
+        # Only the objective is grey, so the optimum depends on alpha alone
+        # and every alpha ties across all (beta, gamma).
+        p = GreyLP(objective=((1, 2), (1, 3)), matrix=(((1, 1), (2, 2)),), rhs=((4, 4),))
+        hits = find_satisfactory(p, mu0=0.0, lam=0.5, step=0.1)
+        assert len(hits) == 11**3
+        expected = sorted(hits, key=lambda hit: (-hit[1], hit[0]))
+        assert hits == expected
+        assert len({value for _, value in hits}) == 11
+
     @pytest.mark.parametrize("kwargs", [{"mu0": 1.5}, {"lam": -0.2}])
     def test_rejects_bad_thresholds(self, demo_problem, kwargs):
         merged = {"mu0": 0.5, "lam": 0.5, "step": 0.5, **kwargs}
@@ -317,6 +318,81 @@ class TestRenderTable:
     def test_rendering_is_deterministic(self, demo_problem):
         table = grid_sweep(demo_problem, 0.5, lambdas=(0.5,))
         assert render_table(table, "csv") == render_table(table, "csv")
+
+
+class TestRenderMatchesReference:
+    """Byte-for-byte comparisons with the per-row reference renderer of
+    ``conftest``, which scores each row with the float-at-a-time degrees."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    def test_grid_table(self, demo_problem, fmt):
+        rows = reference_records(demo_problem, grid_triples(0.1), GRID_LAMBDAS)
+        table = grid_sweep(demo_problem, 0.1, lambdas=GRID_LAMBDAS)
+        assert render_table(table, fmt) == reference_render(GRID_LABELS, rows, GRID_LAMBDAS, fmt)
+
+    def test_cli_markdown_grid_table(self, demo_problem, tmp_path, capsys):
+        # The CLI's CSV table is compared in TestSolveGrid.
+        path = tmp_path / "demo.json"
+        path.write_text(bundled.EXAMPLE_PROBLEM_JSON, encoding="utf-8")
+        argv = ["sweep", "--file", str(path), "--step", "0.1", "--lambdas", "0,0.5,1",
+                "--format", "markdown"]
+        assert run(argv) == 0
+        rows = reference_records(demo_problem, grid_triples(0.1), GRID_LAMBDAS)
+        assert capsys.readouterr().out == reference_render(
+            GRID_LABELS, rows, GRID_LAMBDAS, "markdown"
+        )
+
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    def test_pivoted_lambda_table(self, demo_problem, fmt):
+        triples = sorted(TABLE_TRIPLES)
+        labels = ("lambda",) + tuple("mu_tilde(%g,%g,%g)" % t for t in triples)
+        rows = reference_records(demo_problem, triples, REFERENCE_LAMBDA_GRID)
+        table = lambda_sweep(demo_problem, TABLE_TRIPLES, REFERENCE_LAMBDA_GRID)
+        assert render_table(table, fmt) == reference_render(
+            labels, rows, REFERENCE_LAMBDA_GRID, fmt
+        )
+
+    @pytest.mark.parametrize("pivoted", [False, True])
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    def test_table_with_error_rows(self, fmt, pivoted):
+        # The uncapped problem has no ideal value, so score its bounded
+        # settings against the spread of their own optima.
+        triples = grid_triples(0.5)
+        finite = [f for status, f in reference_grid(UNCAPPED, triples) if f is not None]
+        vb = ValueBounds(min(finite), max(finite))
+        rows = reference_records(UNCAPPED, triples, GRID_LAMBDAS, vb)
+        assert {r.error for r in rows} == {None, "unbounded"}
+        labels = GRID_LABELS
+        if pivoted:
+            labels = ("lambda",) + tuple("c%d" % i for i in range(len(rows)))
+        table = SweepTable(labels, rows, GRID_LAMBDAS)
+        assert render_table(table, fmt) == reference_render(labels, rows, GRID_LAMBDAS, fmt)
+        assert table.rows == tuple(rows)
+
+    @pytest.mark.parametrize("pivoted", [False, True])
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    def test_error_markers_are_written_as_the_csv_module_writes_them(self, fmt, pivoted):
+        markers = ['says "no", twice', "two\nlines", "", "plain"]
+        rows = [SatisfactionRecord((0.0, 0.0, float(i)), None, None, error=m)
+                for i, m in enumerate(markers)]
+        rows.append(SatisfactionRecord((1.0, 1.0, 1.0), 2.5, None, ((0.5, 0.25),)))
+        labels = ("lambda", "a,b", "c", "d", "e", "f") if pivoted else GRID_LABELS[:6]
+        table = SweepTable(labels, rows, (0.5,))
+        assert render_table(table, fmt) == reference_render(labels, rows, (0.5,), fmt)
+
+    def test_rows_round_trip_through_the_columns(self, demo_problem):
+        table = grid_sweep(demo_problem, 0.25, lambdas=(0.5, 1.0))
+        again = SweepTable(table.axis_labels, table.rows, table.lambdas)
+        assert render_table(again, "csv") == render_table(table, "csv")
+        assert again.rows == table.rows
+
+    def test_rendering_spans_several_chunks(self, demo_problem):
+        # 21**3 rows render in chunks of 1024; the text must not change at a
+        # chunk edge.
+        table = grid_sweep(demo_problem, 0.05, lambdas=(0.5,))
+        text = render_table(table, "csv")
+        assert text.count("\n") == 1 + 21**3
+        assert text == reference_render(table.axis_labels, table.rows, table.lambdas, "csv")
 
 
 class TestCollectorPause:

@@ -1,5 +1,6 @@
 """Command-line surface: parsing, serialization, subcommands, exit codes."""
 
+import hashlib
 import json
 import random
 
@@ -13,6 +14,7 @@ from greylp import (
     ValidationError,
     bundled,
     parse_problem,
+    cli,
     run,
     serialize_problem,
 )
@@ -324,3 +326,68 @@ class TestVerifyExample:
         first = capsys.readouterr().out
         run(["verify-example"])
         assert capsys.readouterr().out == first
+
+
+class TestParserReuse:
+    """The parser is built once per process; no call may see another's
+    options."""
+
+    def test_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_back_to_back_commands_share_no_state(self, capsys, tmp_path, demo_file):
+        dest = tmp_path / "sweep.csv"
+        argv = ["sweep", "--file", demo_file, "--step", "0.5", "--lambdas", "0.5,1",
+                "--out", str(dest)]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == f"wrote 27 row(s) to {dest}\n"
+        # Neither --lambdas nor --out carries over to the next sweep.
+        dest.unlink()
+        assert run(["sweep", "--file", demo_file, "--step", "0.5"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "alpha,beta,gamma,f,mu"
+        assert not dest.exists()
+        # --theta does not carry over either: it would clash with --alpha.
+        assert run(["solve", "--file", demo_file, "--theta", "0.5"]) == 0
+        theta = capsys.readouterr().out
+        argv = ["solve", "--file", demo_file, "--alpha", "0.5", "--beta", "0.5", "--gamma", "0.5"]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == theta
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep"],
+            ["solve", "--file", "x.json", "--theta", "2"],
+            ["monotonicity", "--file", "x.json", "--axis", "delta"],
+            ["no-such-command"],
+        ],
+    )
+    def test_usage_errors_still_exit_3_between_good_calls(self, capsys, demo_file, argv):
+        assert run(["bounds", "--file", demo_file]) == 0
+        assert run(argv) == 3
+        assert run(["bounds", "--file", demo_file]) == 0
+        out = capsys.readouterr().out
+        assert out == "critical = 20657.72\nideal = 74783.51\n" * 2
+
+
+# sha256 of the demo's stdout for commands whose bytes must not change, taken
+# from the per-row implementation before sweeps were scored as arrays.
+GOLDEN_STDOUT = {
+    ("sweep", "--step", "0.05", "--lambdas", "0.25,0.5,0.75,1"):
+        "1ac4fa9eacb623b1ddcbb8d349d2150a9c996c49e0fcd408ea165e2580c12d93",
+    ("sweep", "--step", "0.1", "--lambdas", "0,0.5,1", "--format", "markdown"):
+        "137d25e8d888b57ac020c58ed0175305d17e8740b746bfe51a1a240278c309ce",
+    ("satisfactory", "--mu0", "0.5", "--lambda", "0.5", "--step", "0.05"):
+        "e9208c54d70554a213af641607d4b0885a9bf8cb24b2e1dd2279f3376e25ffed",
+    ("monotonicity", "--axis", "gamma", "--step", "0.05"):
+        "01adac0f90bdf2e648c067a8dc54a18903bce3adf8a202aea374c303418551fc",
+}
+
+
+@pytest.mark.parametrize(
+    "argv", sorted(GOLDEN_STDOUT), ids=lambda argv: "_".join(a.lstrip("-") for a in argv)
+)
+def test_golden_stdout(capsys, demo_file, argv):
+    assert run([argv[0], "--file", demo_file, *argv[1:]]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT[argv]

@@ -1,9 +1,15 @@
 """Degree layer: bounds, pleased degree, lambda-satisfaction, thresholds."""
 
+import math
 import random
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import reference_lambda_satisfaction, reference_pleased_degree
 from greylp import (
     DegenerateBoundsWarning,
     DomainError,
@@ -16,7 +22,9 @@ from greylp import (
     is_lambda_satisfactory,
     is_pleased,
     lambda_satisfaction,
+    lambda_satisfactions,
     pleased_degree,
+    pleased_degrees,
     positioned_value,
     uniform_coefficients,
 )
@@ -254,3 +262,89 @@ class TestThresholds:
         assert max(degrees.values()) < 0.5
         reaching = {lam for lam, d in degrees.items() if is_lambda_satisfactory(d, 0.4)}
         assert reaching == {0.8, 0.9, 1.0}
+
+
+def _scalar_or_none(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError:
+        return None
+
+
+class TestArrayScoring:
+    """``pleased_degrees``/``lambda_satisfactions`` score whole arrays; each
+    value must equal the scalar functions and the float-at-a-time reference
+    of ``conftest`` bit for bit."""
+
+    @given(
+        critical=st.floats(-1e6, 1e6),
+        spread=st.floats(0.0, 1e6),
+        inside=st.lists(st.floats(0.0, 1.0), max_size=8),
+        noise=st.lists(st.floats(0.0, 0.99), max_size=4),
+        lam=st.floats(0.0, 1.0),
+    )
+    def test_equals_scalar_and_reference(self, critical, spread, inside, noise, lam):
+        vb = ValueBounds(critical, critical + spread)
+        tol = 1e-6 * max(1.0, vb.ideal)
+        values = [vb.critical, vb.ideal]
+        values += [vb.critical + u * (vb.ideal - vb.critical) for u in inside]
+        values += [vb.critical - w * tol for w in noise] + [vb.ideal + w * tol for w in noise]
+        if vb.critical <= 0.0 <= vb.ideal:
+            values += [0.0, -0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateBoundsWarning)
+            mu = pleased_degrees(np.array(values), vb).tolist()
+            mu_tilde = lambda_satisfactions(np.array(values), vb, lam).tolist()
+            for f, got_mu, got_mu_tilde in zip(values, mu, mu_tilde):
+                # float.hex tells the zeros apart too, which print differently.
+                want = _scalar_or_none(reference_pleased_degree, f, vb)
+                if want is None:
+                    assert math.isnan(got_mu)
+                    assert _scalar_or_none(pleased_degree, f, vb) is None
+                else:
+                    assert got_mu.hex() == pleased_degree(f, vb).hex() == want.hex()
+                want = reference_lambda_satisfaction(f, vb, lam).hex()
+                assert got_mu_tilde.hex() == lambda_satisfaction(f, vb, lam).hex() == want
+
+    @given(critical=st.floats(0.0, 1e6), spread=st.floats(1.0, 1e6), over=st.floats(2.0, 100.0))
+    def test_beyond_tolerance_is_inconsistent(self, critical, spread, over):
+        vb = ValueBounds(critical, critical + spread)
+        tol = 1e-6 * max(1.0, vb.ideal)
+        for f in (vb.ideal + over * tol, vb.critical - over * tol):
+            if vb.critical - over * tol < 0.0 and f < vb.critical:
+                continue  # below zero the pleased degree is undefined instead
+            values = np.array([vb.critical, f, vb.ideal])
+            with pytest.raises(InconsistentInputsError):
+                pleased_degrees(values, vb)
+            with pytest.raises(InconsistentInputsError):
+                lambda_satisfactions(values, vb, 0.5)
+            with pytest.raises(InconsistentInputsError):
+                pleased_degree(f, vb)
+
+    @pytest.mark.parametrize(
+        "vb", [ValueBounds(0.0, 0.0), ValueBounds(-5.0, -1.0), ValueBounds(-3.0, 0.0)]
+    )
+    def test_nonpositive_ideal_leaves_mu_undefined(self, vb):
+        values = np.linspace(vb.critical, vb.ideal, 5)
+        assert np.isnan(pleased_degrees(values, vb)).all()
+        for f in values.tolist():
+            with pytest.raises(DomainError):
+                pleased_degree(f, vb)
+
+    def test_zero_critical_at_zero_value(self):
+        vb = ValueBounds(0.0, 10.0)
+        got = pleased_degrees(np.array([0.0, -1e-12, 5.0]), vb).tolist()
+        assert got == [0.5, 0.5, reference_pleased_degree(5.0, vb)]
+
+    def test_degenerate_bounds_give_one_with_one_warning(self):
+        vb = ValueBounds(5.0, 5.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = lambda_satisfactions(np.full(7, 5.0), vb, 0.3)
+        assert got.tolist() == [1.0] * 7
+        assert [w.category for w in caught] == [DegenerateBoundsWarning]
+
+    def test_scalar_input_gives_a_zero_dimensional_result(self):
+        vb = ValueBounds(20.0, 80.0)
+        assert pleased_degrees(50.0, vb).shape == ()
+        assert lambda_satisfactions(50.0, vb, 0.5).shape == ()
