@@ -28,7 +28,6 @@ import contextlib
 import csv
 import gc
 import io
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -36,7 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StructureError, ValidationError
-from .grey_core import GreyLP, build_positioned, uniform_coefficients, validate_problem
+from .grey_core import (
+    GreyLP,
+    _whitened,
+    build_positioned,
+    uniform_coefficients,
+    validate_problem,
+)
 from .lp_solver import _TOL_FEAS, _TOL_PIVOT, SolveStatus, solve_max
 from .satisfaction import bounds, lambda_satisfactions, pleased_degrees
 
@@ -153,23 +158,33 @@ class SweepTable:
 @dataclass(frozen=True)
 class MonotonicityReport:
     """Empirical check of the expected ordering of positioned optima along
-    one coefficient axis.
+    one coefficient axis, with every axis on the grid ``axis_values``.
 
-    ``grid`` lists every probed pair of adjacent triples, ``violations``
-    the pairs (with their two optimal values) whose ordering failed beyond
-    tolerance, and ``skipped`` the pairs that could not be evaluated.
-    An empty violation list means the ordering held everywhere probed.
+    ``grid`` lists every probed pair of adjacent triples (built on each
+    access; ``pair_count`` is its length), ``violations`` the pairs (with
+    their two optimal values) whose ordering failed beyond tolerance, and
+    ``skipped`` the pairs that could not be evaluated.  An empty violation
+    list means the ordering held everywhere probed.
     """
 
     axis: str
     direction: str  # nondecreasing | nonincreasing
-    grid: tuple[tuple[Triple, Triple], ...]
+    axis_values: tuple[float, ...]
     violations: tuple[tuple[tuple[Triple, Triple], tuple[float, float]], ...]
     skipped: tuple[tuple[Triple, Triple], ...] = ()
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def pair_count(self) -> int:
+        g = len(self.axis_values)
+        return g * g * (g - 1)
+
+    @property
+    def grid(self) -> tuple[tuple[Triple, Triple], ...]:
+        return _probed_pairs(self.axis_values, _AXES[self.axis], range(self.pair_count))
 
 
 @dataclass(frozen=True)
@@ -225,18 +240,6 @@ def _validated(p: GreyLP) -> None:
     violations = validate_problem(p)
     if violations:
         raise ValidationError(violations)
-
-
-def _whiten(t, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    # ``whiten``'s formula, so each entry matches the per-entry path bit for bit.
-    return t * hi + (1.0 - t) * lo
-
-
-def _ends(intervals) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.array([iv.lo for iv in intervals], dtype=float),
-        np.array([iv.hi for iv in intervals], dtype=float),
-    )
 
 
 def _certify(AI, CI, Bv, basis, ai, bi):
@@ -309,10 +312,6 @@ def solve_grid(p: GreyLP, triples) -> GridSolution:
         )
 
     m, n = p.m, p.n
-    c_lo, c_hi = _ends(p.objective)
-    b_lo, b_hi = _ends(p.rhs)
-    A_lo = np.array([[iv.lo for iv in row] for row in p.matrix], dtype=float)
-    A_hi = np.array([[iv.hi for iv in row] for row in p.matrix], dtype=float)
 
     status = [SolveStatus.OPTIMAL] * len(pts)  # every point not solved cold is certified
     values = np.full(len(pts), np.nan)
@@ -323,9 +322,10 @@ def solve_grid(p: GreyLP, triples) -> GridSolution:
         idx = np.flatnonzero(slice_of == k)
         alphas, ai = np.unique(pts[idx, 0], return_inverse=True)
         betas, bi = np.unique(pts[idx, 1], return_inverse=True)
-        AI = np.hstack([_whiten(gamma, A_lo, A_hi), np.eye(m)])
-        CI = np.hstack([_whiten(alphas[:, None], c_lo, c_hi), np.zeros((len(alphas), m))])
-        Bv = _whiten(betas[:, None], b_lo, b_hi)
+        # build_positioned's formula, so each entry matches a cold solve's bit for bit.
+        AI = np.hstack([_whitened(gamma, p.A_lo, p.A_hi), np.eye(m)])
+        CI = np.hstack([_whitened(alphas[:, None], p.c_lo, p.c_hi), np.zeros((len(alphas), m))])
+        Bv = _whitened(betas[:, None], p.b_lo, p.b_hi)
         pending = np.ones(len(idx), dtype=bool)
 
         def settle(basis):
@@ -449,23 +449,34 @@ def check_monotonicity(p: GreyLP, axis: str, step: float) -> MonotonicityReport:
     cube = np.moveaxis(values.reshape(g, g, g), pos, -1)
     f_lo, f_hi = cube[..., :-1].ravel(), cube[..., 1:].ravel()
     gap = f_hi - f_lo if direction == "nondecreasing" else f_lo - f_hi
-    probed = tuple(
-        (fixed[:pos] + (lo,) + fixed[pos:], fixed[:pos] + (hi,) + fixed[pos:])
-        for fixed in itertools.product(grid, repeat=2)
-        for lo, hi in itertools.pairwise(grid)
-    )
-    violated = np.flatnonzero(gap < -tol).tolist()  # NaN gaps compare False
-    skipped = np.flatnonzero(np.isnan(f_lo) | np.isnan(f_hi)).tolist()
+    violated = np.flatnonzero(gap < -tol)  # NaN gaps compare False
+    skipped = np.flatnonzero(np.isnan(f_lo) | np.isnan(f_hi))
     return MonotonicityReport(
         axis=axis,
         direction=direction,
-        grid=probed,
-        violations=tuple(
-            (probed[i], pair)
-            for i, pair in zip(violated, zip(f_lo[violated].tolist(), f_hi[violated].tolist()))
-        ),
-        skipped=tuple(probed[i] for i in skipped),
+        axis_values=grid,
+        violations=tuple(zip(
+            _probed_pairs(grid, pos, violated),
+            zip(f_lo[violated].tolist(), f_hi[violated].tolist()),
+        )),
+        skipped=_probed_pairs(grid, pos, skipped),
     )
+
+
+def _probed_pairs(grid, pos: int, index) -> tuple[tuple[Triple, Triple], ...]:
+    """The probed pairs at the flat positions ``index``: pair ``i`` holds
+    the other two axes at ``grid[a]``, ``grid[b]`` and the probed axis (at
+    ``pos``) at ``grid[k]`` and ``grid[k + 1]``, where (a, b, k) is ``i``
+    unravelled over shape (g, g, g - 1)."""
+    g = len(grid)
+    out = []
+    for a, b, k in zip(*(axis.tolist() for axis in np.unravel_index(index, (g, g, g - 1)))):
+        fixed = (grid[a], grid[b])
+        out.append((
+            fixed[:pos] + (grid[k],) + fixed[pos:],
+            fixed[:pos] + (grid[k + 1],) + fixed[pos:],
+        ))
+    return tuple(out)
 
 
 @_gc_paused()

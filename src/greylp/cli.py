@@ -23,10 +23,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import pathlib
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import bundled
 from .analysis import (
@@ -94,6 +97,45 @@ def _as_pair_list(value, path: str) -> tuple[tuple[float, float], ...]:
     return tuple(_as_pair(item, f"{path}[{i}]") for i, item in enumerate(value))
 
 
+_NUMBERS = {int, float}
+
+
+def _pair_bounds(items) -> list | None:
+    """Every bound of ``items`` (decoded JSON) in order, if it is a list of
+    [lo, hi] pairs of numbers (a bool is not a number here); else None."""
+    if set(map(type, items)) <= {list} and set(map(len, items)) <= {2}:
+        flat = list(itertools.chain.from_iterable(items))
+        if set(map(type, flat)) <= _NUMBERS:
+            return flat
+    return None
+
+
+def _pair_array(value, path: str) -> np.ndarray:
+    """A list of [lo, hi] pairs as a k x 2 float array.  Anything else
+    raises the :class:`ParseError` of the first bad entry."""
+    flat = _pair_bounds(value) if type(value) is list else None
+    if flat is None:
+        flat = _as_pair_list(value, path)
+    return np.array(flat, dtype=float).reshape(-1, 2)
+
+
+def _matrix_array(rows) -> np.ndarray | list[np.ndarray]:
+    """The matrix field as an m x n x 2 float array, or as one k x 2 array
+    per row when the rows differ in length."""
+    if not isinstance(rows, list):
+        raise ParseError("matrix: expected a list of rows")
+    flat = None
+    if set(map(type, rows)) <= {list}:
+        flat = _pair_bounds(list(itertools.chain.from_iterable(rows)))
+    if flat is None:
+        return [_pair_array(row, f"matrix[{i}]") for i, row in enumerate(rows)]
+    bounds = np.array(flat, dtype=float).reshape(-1, 2)
+    lengths = [len(row) for row in rows]
+    if len(set(lengths)) == 1:
+        return bounds.reshape(len(rows), lengths[0], 2)
+    return np.split(bounds, np.cumsum(lengths)[:-1]) if rows else []
+
+
 def parse_problem(text: str) -> ProblemFile:
     """Parse problem-file JSON into a validated :class:`ProblemFile`.
 
@@ -121,11 +163,9 @@ def parse_problem(text: str) -> ProblemFile:
             if not isinstance(doc[key], str):
                 raise ParseError(f"{key}: expected a string, got {doc[key]!r}")
             meta[key] = doc[key]
-    objective = _as_pair_list(doc["objective"], "objective")
-    if not isinstance(doc["matrix"], list):
-        raise ParseError("matrix: expected a list of rows")
-    matrix = tuple(_as_pair_list(row, f"matrix[{i}]") for i, row in enumerate(doc["matrix"]))
-    rhs = _as_pair_list(doc["rhs"], "rhs")
+    objective = _pair_array(doc["objective"], "objective")
+    matrix = _matrix_array(doc["matrix"])
+    rhs = _pair_array(doc["rhs"], "rhs")
     problem = GreyLP(objective=objective, matrix=matrix, rhs=rhs)
     violations = validate_problem(problem)
     if violations:
@@ -144,9 +184,13 @@ def serialize_problem(pf: ProblemFile) -> str:
         doc["name"] = pf.name
     if pf.description is not None:
         doc["description"] = pf.description
-    doc["objective"] = [[iv.lo, iv.hi] for iv in pf.problem.objective]
-    doc["matrix"] = [[[iv.lo, iv.hi] for iv in row] for row in pf.problem.matrix]
-    doc["rhs"] = [[iv.lo, iv.hi] for iv in pf.problem.rhs]
+    p = pf.problem
+    doc["objective"] = np.column_stack([p.c_lo, p.c_hi]).tolist()
+    doc["matrix"] = [
+        np.column_stack([lo[:k], hi[:k]]).tolist()
+        for lo, hi, k in zip(p.A_lo, p.A_hi, p.row_lengths.tolist())
+    ]
+    doc["rhs"] = np.column_stack([p.b_lo, p.b_hi]).tolist()
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -300,7 +344,7 @@ def _cmd_monotonicity(args) -> int:
     pf = _load(args.file)
     report = check_monotonicity(pf.problem, args.axis, args.step)
     print(f"axis = {report.axis} (expected {report.direction})")
-    print(f"pairs checked = {len(report.grid)}")
+    print(f"pairs checked = {report.pair_count}")
     print(f"violations = {len(report.violations)}")
     if report.skipped:
         print(f"skipped = {len(report.skipped)}")

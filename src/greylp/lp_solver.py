@@ -65,7 +65,7 @@ def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     T[row] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    T -= factors[:, None] * T[row]  # np.outer's product, without its wrapper
     basis[row] = col
 
 
@@ -81,29 +81,27 @@ def _bland_iterate(
     m = T.shape[0] - 1
     used = 0
     while True:
-        enter = -1
-        for j in range(ncols):
-            if T[m, j] > _TOL_PIVOT:
-                enter = j
-                break
-        if enter < 0:
+        improving = T[m, :ncols] > _TOL_PIVOT
+        enter = int(improving.argmax())  # Bland: the lowest-index improving column
+        if not improving[enter]:
             return "optimal", used, -1
-        leave = -1
-        best = np.inf
-        for i in range(m):
-            a = T[i, enter]
-            if a > _TOL_PIVOT:
-                ratio = T[i, -1] / a
-                if ratio < best:  # ties keep the lowest row index
-                    best = ratio
-                    leave = i
-        if leave < 0:
+        col = T[:m, enter]
+        rows = (col > _TOL_PIVOT).nonzero()[0]
+        ratios = T[rows, -1] / col[rows]
+        # argmin keeps the first minimum, so ties go to the lowest row.  A
+        # running minimum started at +inf never picks a NaN or +inf ratio
+        # (only overflow makes one), so those rows are then left out.
+        k = int(ratios.argmin()) if len(rows) else -1
+        if k >= 0 and not ratios[k] < np.inf:
+            usable = np.flatnonzero(ratios < np.inf)
+            k = int(usable[ratios[usable].argmin()]) if len(usable) else -1
+        if k < 0:
             return "unbounded", used, enter
         if used >= budget:
             raise SolverFailure(
                 f"simplex exceeded its iteration cap of {budget} pivots"
             )
-        _pivot(T, basis, leave, enter)
+        _pivot(T, basis, int(rows[k]), enter)
         used += 1
 
 
@@ -111,10 +109,9 @@ def _extract_ray(T: np.ndarray, basis: list[int], enter: int, n: int) -> tuple[f
     m = T.shape[0] - 1
     d = np.zeros(T.shape[1] - 1)
     d[enter] = 1.0
-    for i in range(m):
-        d[basis[i]] = -T[i, enter]
+    d[basis] = -T[:m, enter]
     d[d < 0.0] = 0.0  # only sub-tolerance noise can be negative here
-    return tuple(float(v) for v in d[:n])
+    return tuple(d[:n].tolist())
 
 
 def solve_max(lp: WhiteLP) -> LPSolution:
@@ -123,13 +120,11 @@ def solve_max(lp: WhiteLP) -> LPSolution:
     Deterministic for fixed input.  Raises :class:`SolverFailure` if the
     pivot count exceeds 50*(m+n), which signals a pathological instance.
     """
-    A = np.array(lp.A, dtype=float)
-    b = np.array(lp.b, dtype=float)
-    c = np.array(lp.c, dtype=float)
+    A, b, c = lp.A_array, lp.b_array, lp.c_array
     m, n = A.shape
     budget = 50 * (m + n)
 
-    neg_rows = [i for i in range(m) if b[i] < 0.0]
+    neg_rows = np.flatnonzero(b < 0.0)
     n_art = len(neg_rows)
 
     # Columns: n structural, m slacks, n_art phase-1 artificials, rhs.
@@ -141,7 +136,7 @@ def solve_max(lp: WhiteLP) -> LPSolution:
 
     used_total = 0
     if n_art:
-        for k, i in enumerate(neg_rows):
+        for k, i in enumerate(neg_rows.tolist()):
             T[i, :] *= -1.0  # flips the slack coefficient to -1
             T[i, n + m + k] = 1.0
             basis[i] = n + m + k
@@ -159,11 +154,10 @@ def solve_max(lp: WhiteLP) -> LPSolution:
         # Drive any zero-valued artificials out of the basis.
         for i in range(m):
             if basis[i] >= n + m:
-                for j in range(n + m):
-                    if abs(T[i, j]) > _TOL_PIVOT:
-                        _pivot(T, basis, i, j)
-                        used_total += 1
-                        break
+                eligible = np.flatnonzero(np.abs(T[i, : n + m]) > _TOL_PIVOT)
+                if len(eligible):
+                    _pivot(T, basis, i, int(eligible[0]))
+                    used_total += 1
                 # A row with no eligible column is redundant; its artificial
                 # stays basic at value zero and is harmless in phase 2
                 # because artificial columns are never eligible to enter.
@@ -181,8 +175,7 @@ def solve_max(lp: WhiteLP) -> LPSolution:
         return LPSolution(status=SolveStatus.UNBOUNDED, ray=_extract_ray(T, basis, enter, n))
 
     x = np.zeros(n + m + n_art)
-    for i in range(m):
-        x[basis[i]] = T[i, -1]
+    x[basis] = T[:m, -1]
     xs = x[:n]
     xs[(xs < 0.0) & (xs > -_TOL_PIVOT)] = 0.0
 
@@ -192,7 +185,7 @@ def solve_max(lp: WhiteLP) -> LPSolution:
     objective = float(c @ xs)
     return LPSolution(
         status=SolveStatus.OPTIMAL,
-        x=tuple(float(v) for v in xs),
+        x=tuple(xs.tolist()),
         objective=objective,
         basis=tuple(basis),
     )
@@ -232,9 +225,7 @@ def enumerate_vertices_oracle(lp: WhiteLP) -> LPSolution:
     n, m = lp.n, lp.m
     if n > 4:
         raise DomainError(f"vertex enumeration supports at most 4 variables, got {n}")
-    A = np.array(lp.A, dtype=float)
-    b = np.array(lp.b, dtype=float)
-    c = np.array(lp.c, dtype=float)
+    A, b, c = lp.A_array, lp.b_array, lp.c_array
 
     G = np.vstack([A, -np.eye(n)])
     h = np.concatenate([b, np.zeros(n)])

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -18,9 +20,13 @@ from greylp import (
     DomainError,
     GreyLP,
     InconsistentInputsError,
+    LPSolution,
     SatisfactionRecord,
+    SolverFailure,
     SolveStatus,
     ValueBounds,
+    Violation,
+    WhiteLP,
     bounds,
     build_positioned,
     bundled,
@@ -110,6 +116,167 @@ def reference_grid(p: GreyLP, triples):
         sol = solve_max(build_positioned(p, uniform_coefficients(alpha, beta, gamma, p.m, p.n)))
         out.append((sol.status, sol.objective))
     return out
+
+
+_TOL_PIVOT = 1e-9
+_TOL_FEAS = 1e-7
+
+
+def _reference_pivot(T, basis, row, col):
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    basis[row] = col
+
+
+def _reference_bland_iterate(T, basis, ncols, budget):
+    m = T.shape[0] - 1
+    used = 0
+    while True:
+        enter = -1
+        for j in range(ncols):
+            if T[m, j] > _TOL_PIVOT:
+                enter = j
+                break
+        if enter < 0:
+            return "optimal", used, -1
+        leave = -1
+        best = np.inf
+        for i in range(m):
+            a = T[i, enter]
+            if a > _TOL_PIVOT:
+                ratio = T[i, -1] / a
+                if ratio < best:  # ties keep the lowest row index
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded", used, enter
+        if used >= budget:
+            raise SolverFailure(f"simplex exceeded its iteration cap of {budget} pivots")
+        _reference_pivot(T, basis, leave, enter)
+        used += 1
+
+
+def reference_solve_max(lp: WhiteLP) -> LPSolution:
+    """The scalar Bland loop that the vectorised pricing in ``solve_max``
+    replaces, kept as its reference: one numpy scalar at a time, read from
+    the tuple views of ``lp``."""
+    A = np.array(lp.A, dtype=float)
+    b = np.array(lp.b, dtype=float)
+    c = np.array(lp.c, dtype=float)
+    m, n = A.shape
+    budget = 50 * (m + n)
+    neg_rows = [i for i in range(m) if b[i] < 0.0]
+    n_art = len(neg_rows)
+    T = np.zeros((m + 1, n + m + n_art + 1))
+    T[:m, :n] = A
+    T[:m, n : n + m] = np.eye(m)
+    T[:m, -1] = b
+    basis = list(range(n, n + m))
+    used_total = 0
+    if n_art:
+        for k, i in enumerate(neg_rows):
+            T[i, :] *= -1.0
+            T[i, n + m + k] = 1.0
+            basis[i] = n + m + k
+        T[m, :] = T[neg_rows, :].sum(axis=0)
+        T[m, n + m : -1] = 0.0
+        outcome, used_total, _ = _reference_bland_iterate(T, basis, n + m, budget)
+        if outcome != "optimal":
+            raise SolverFailure("phase 1 is bounded by construction yet did not converge")
+        if -T[m, -1] < -_TOL_FEAS:
+            return LPSolution(status=SolveStatus.INFEASIBLE)
+        for i in range(m):
+            if basis[i] >= n + m:
+                for j in range(n + m):
+                    if abs(T[i, j]) > _TOL_PIVOT:
+                        _reference_pivot(T, basis, i, j)
+                        used_total += 1
+                        break
+        T[m, :] = 0.0
+    T[m, :n] = c
+    for i in range(m):
+        if basis[i] < n and c[basis[i]] != 0.0:
+            T[m, :] -= c[basis[i]] * T[i, :]
+    outcome, _, enter = _reference_bland_iterate(T, basis, n + m, budget - used_total)
+    if outcome == "unbounded":
+        d = np.zeros(T.shape[1] - 1)
+        d[enter] = 1.0
+        for i in range(m):
+            d[basis[i]] = -T[i, enter]
+        d[d < 0.0] = 0.0
+        return LPSolution(status=SolveStatus.UNBOUNDED, ray=tuple(float(v) for v in d[:n]))
+    x = np.zeros(n + m + n_art)
+    for i in range(m):
+        x[basis[i]] = T[i, -1]
+    xs = x[:n]
+    xs[(xs < 0.0) & (xs > -_TOL_PIVOT)] = 0.0
+    slack = b - A @ xs
+    if slack.min() < -_TOL_FEAS or xs.min() < -_TOL_PIVOT:
+        raise SolverFailure("solution failed the feasibility post-check")
+    return LPSolution(
+        status=SolveStatus.OPTIMAL,
+        x=tuple(float(v) for v in xs),
+        objective=float(c @ xs),
+        basis=tuple(basis),
+    )
+
+
+def reference_validate_problem(p: GreyLP) -> list[Violation]:
+    """The per-entry ``validate_problem`` over the :class:`Interval` tuples,
+    kept as the reference for the array masks."""
+    violations: list[Violation] = []
+
+    def check_interval(iv, location: str):
+        bad_number = False
+        for side, v in (("lower", iv.lo), ("upper", iv.hi)):
+            if not math.isfinite(v):
+                violations.append(
+                    Violation(location, "non_finite", f"{side} bound {v} is not finite")
+                )
+                bad_number = True
+        if bad_number:
+            return
+        if iv.lo > iv.hi:
+            violations.append(
+                Violation(
+                    location,
+                    "bounds_order",
+                    f"lower bound {iv.lo:g} exceeds upper bound {iv.hi:g}",
+                )
+            )
+        if iv.lo < 0:
+            violations.append(
+                Violation(
+                    location,
+                    "negative_lower",
+                    f"negative lower bound {iv.lo:g} (all parameters must be >= 0)",
+                )
+            )
+
+    n, m = p.n, p.m
+    if n < 1:
+        violations.append(Violation("objective", "dimension", "no variables"))
+    if m < 1:
+        violations.append(Violation("rhs", "dimension", "no constraints"))
+    if len(p.matrix) != m:
+        violations.append(
+            Violation("matrix", "dimension", f"{len(p.matrix)} matrix rows but {m} right-hand sides")
+        )
+    for i, row in enumerate(p.matrix):
+        if len(row) != n:
+            violations.append(
+                Violation(f"matrix[{i}]", "dimension", f"{len(row)} entries but {n} objective coefficients")
+            )
+    for j, iv in enumerate(p.objective):
+        check_interval(iv, f"objective[{j}]")
+    for i, row in enumerate(p.matrix):
+        for j, iv in enumerate(row):
+            check_interval(iv, f"matrix[{i}][{j}]")
+    for i, iv in enumerate(p.rhs):
+        check_interval(iv, f"rhs[{i}]")
+    return violations
 
 
 def _reference_clamp(f: float, vb: ValueBounds) -> float:

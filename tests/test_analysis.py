@@ -8,6 +8,7 @@ import logging
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +24,8 @@ from conftest import (
 from greylp import (
     DomainError,
     GreyLP,
+    GridSolution,
+    SolveStatus,
     UnboundedValueError,
     SatisfactionRecord,
     StructureError,
@@ -39,6 +42,7 @@ from greylp import (
     solve_grid,
     unit_grid,
 )
+from greylp import analysis
 from greylp.bundled import (
     REFERENCE_LAMBDA_GRID,
     REFERENCE_SATISFACTION,
@@ -224,6 +228,67 @@ class TestCheckMonotonicity:
             p = random_bounded_problem(rng, n=2, m=2)
             for axis in ("alpha", "beta", "gamma"):
                 assert check_monotonicity(p, axis, 0.5).ok
+
+    @staticmethod
+    def _probe_order(grid, pos):
+        """Every probed pair, listed as the report lists them: the other two
+        axes in lexicographic order, then the probed one."""
+        return [
+            (fixed[:pos] + (lo,) + fixed[pos:], fixed[:pos] + (hi,) + fixed[pos:])
+            for fixed in itertools.product(grid, repeat=2)
+            for lo, hi in itertools.pairwise(grid)
+        ]
+
+    @pytest.mark.parametrize("pos, axis", enumerate(["alpha", "beta", "gamma"]))
+    def test_grid_lists_every_pair_in_probe_order(self, demo_problem, pos, axis):
+        report = check_monotonicity(demo_problem, axis, 0.2)
+        expected = self._probe_order(unit_grid(0.2), pos)
+        assert list(report.grid) == expected
+        assert report.pair_count == len(expected) == 6 * 6 * 5
+
+    def test_skipped_pairs_touch_a_non_optimal_setting(self):
+        p = GreyLP(objective=((1, 2),), matrix=(((0, 1),),), rhs=((5, 6),))
+        report = check_monotonicity(p, "alpha", 0.5)
+        pairs = self._probe_order(unit_grid(0.5), 0)
+        status = dict(zip(
+            (t for pair in pairs for t in pair),
+            (s for s, _ in reference_grid(p, [t for pair in pairs for t in pair])),
+        ))
+        expected = [pair for pair in pairs if any(status[t] is not SolveStatus.OPTIMAL for t in pair)]
+        assert list(report.skipped) == expected and expected
+
+    @pytest.mark.parametrize("pos, axis", enumerate(["alpha", "beta", "gamma"]))
+    def test_violations_name_the_failing_pairs(self, monkeypatch, demo_problem, pos, axis):
+        grid = unit_grid(0.25)
+        cube = np.array(list(itertools.product(grid, repeat=3)))
+        f = 100.0 * cube[:, pos] * (-1.0 if axis == "gamma" else 1.0) + 1000.0
+        f[37] += 90.0  # breaks the ordering next to this setting
+        monkeypatch.setattr(
+            analysis, "solve_grid",
+            lambda p, pts: GridSolution(status=(SolveStatus.OPTIMAL,) * len(f), objective=f),
+        )
+        report = check_monotonicity(demo_problem, axis, 0.25)
+        value = dict(zip(map(tuple, cube.tolist()), f.tolist()))
+        sign = -1.0 if axis == "gamma" else 1.0
+        expected = [
+            (pair, (value[pair[0]], value[pair[1]]))
+            for pair in self._probe_order(grid, pos)
+            if sign * (value[pair[1]] - value[pair[0]]) < -1e-6 * 1090.0
+        ]
+        assert list(report.violations) == expected and expected
+
+    def test_pairs_are_built_only_for_violations_and_skips(self, monkeypatch):
+        built = []
+        real = analysis._probed_pairs
+
+        def counting(grid, pos, index):
+            built.append(len(index))
+            return real(grid, pos, index)
+
+        monkeypatch.setattr(analysis, "_probed_pairs", counting)
+        p = GreyLP(objective=((1, 2),), matrix=(((0, 1),),), rhs=((5, 6),))
+        report = check_monotonicity(p, "gamma", 0.05)
+        assert sum(built) == len(report.violations) + len(report.skipped) < report.pair_count
 
 
 class TestFindSatisfactory:

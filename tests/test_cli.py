@@ -1,9 +1,11 @@
 """Command-line surface: parsing, serialization, subcommands, exit codes."""
 
+import copy
 import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_bounded_problem, random_loose_problem
@@ -11,12 +13,15 @@ from greylp import (
     Interval,
     ParseError,
     ProblemFile,
+    GreyLP,
     ValidationError,
     bundled,
     parse_problem,
     cli,
+    positioned_value,
     run,
     serialize_problem,
+    theta_coefficients,
 )
 
 UNCAPPED_DOC = json.dumps(
@@ -108,6 +113,90 @@ class TestParseProblem:
         doc = '{"objective": [[1, Infinity]], "matrix": [[[1, 2]]], "rhs": [[3, 4]]}'
         with pytest.raises(ValidationError):
             parse_problem(doc)
+
+
+_GOOD_DOC = {
+    "objective": [[1, 2], [3, 4]],
+    "matrix": [[[1, 2], [1, 2]], [[1, 2], [1, 2]]],
+    "rhs": [[5, 6], [7, 8]],
+}
+
+
+def _doc_with(*edits):
+    """The good document with each ``(key, ..., value)`` edit applied: the
+    keys lead to the entry that the value replaces."""
+    doc = copy.deepcopy(_GOOD_DOC)
+    for *path, last, value in edits:
+        target = doc
+        for key in path:
+            target = target[key]
+        target[last] = value
+    return json.dumps(doc)
+
+
+# The error text of each malformed document, as the per-entry parser wrote it.
+PARSE_ERRORS = [
+    ([("objective", 1, [True, 2])], ParseError,
+     "objective[1]: interval bounds must be numbers, got True"),
+    ([("matrix", 1, 0, [True, 2])], ParseError,
+     "matrix[1][0]: interval bounds must be numbers, got True"),
+    ([("rhs", 1, [True, 2])], ParseError, "rhs[1]: interval bounds must be numbers, got True"),
+    ([("objective", 1, [1, "2"])], ParseError,
+     "objective[1]: interval bounds must be numbers, got '2'"),
+    ([("matrix", 1, 0, [1, "2"])], ParseError,
+     "matrix[1][0]: interval bounds must be numbers, got '2'"),
+    ([("rhs", 1, [1, "2"])], ParseError, "rhs[1]: interval bounds must be numbers, got '2'"),
+    ([("objective", 1, [None, 2])], ParseError,
+     "objective[1]: interval bounds must be numbers, got None"),
+    ([("matrix", 1, 0, [None, 2])], ParseError,
+     "matrix[1][0]: interval bounds must be numbers, got None"),
+    ([("rhs", 1, [None, 2])], ParseError, "rhs[1]: interval bounds must be numbers, got None"),
+    ([("objective", 1, [1, 2, 3])], ParseError,
+     "objective[1]: expected a [lo, hi] pair, got [1, 2, 3]"),
+    ([("matrix", 1, 0, [1, 2, 3])], ParseError,
+     "matrix[1][0]: expected a [lo, hi] pair, got [1, 2, 3]"),
+    ([("rhs", 1, [1, 2, 3])], ParseError, "rhs[1]: expected a [lo, hi] pair, got [1, 2, 3]"),
+    ([("matrix", 1, 7)], ParseError, "matrix[1]: expected a list of [lo, hi] pairs"),
+    ([("matrix", 1, [[1, 2]])], ValidationError,
+     "invalid problem: matrix[1]: 1 entries but 2 objective coefficients"),
+    ([("matrix", 1, [[1, 2], [1, 2], [True, 2]])], ParseError,
+     "matrix[1][2]: interval bounds must be numbers, got True"),
+    # The first bad field wins: objective, then matrix, then rhs; within a
+    # field, the first bad entry.
+    ([("rhs", 1, [True, 2]), ("matrix", 1, 0, [1, "2"]), ("objective", 1, [None, 2])],
+     ParseError, "objective[1]: interval bounds must be numbers, got None"),
+    ([("rhs", 1, [True, 2]), ("matrix", 1, 7)], ParseError,
+     "matrix[1]: expected a list of [lo, hi] pairs"),
+    ([("objective", 1, 5), ("objective", 0, [1, 2, 3])], ParseError,
+     "objective[0]: expected a [lo, hi] pair, got [1, 2, 3]"),
+]
+
+
+@pytest.mark.parametrize("edits, kind, text", PARSE_ERRORS)
+def test_parse_error_text_is_unchanged(edits, kind, text):
+    with pytest.raises(kind) as exc:
+        parse_problem(_doc_with(*edits))
+    assert type(exc.value) is kind and str(exc.value) == text
+
+
+@pytest.mark.parametrize("field, text", [
+    ("objective", "objective: expected a list of [lo, hi] pairs"),
+    ("matrix", "matrix: expected a list of rows"),
+    ("rhs", "rhs: expected a list of [lo, hi] pairs"),
+])
+def test_field_that_is_not_a_list(field, text):
+    doc = dict(_GOOD_DOC, **{field: {"lo": 1}})
+    with pytest.raises(ParseError) as exc:
+        parse_problem(json.dumps(doc))
+    assert str(exc.value) == text
+
+
+def test_parsed_arrays_match_the_document():
+    p = parse_problem(_doc_with(("matrix", 1, [[0.5, 9], [2, 3.25]]))).problem
+    assert p.A_lo.tolist() == [[1.0, 1.0], [0.5, 2.0]]
+    assert p.A_hi.tolist() == [[2.0, 2.0], [9.0, 3.25]]
+    assert p.c_lo.tolist() == [1.0, 3.0] and p.b_hi.tolist() == [6.0, 8.0]
+    assert p.A_lo.dtype == np.float64 and p.row_lengths.tolist() == [2, 2]
 
 
 class TestSerializeProblem:
@@ -391,3 +480,35 @@ def test_golden_stdout(capsys, demo_file, argv):
     assert run([argv[0], "--file", demo_file, *argv[1:]]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+def _seeded_problem(size: int, seed: int) -> GreyLP:
+    """A seeded size x size grey LP.  Every matrix entry is nonnegative and
+    the diagonal is heavy, so every positioned program is bounded."""
+    rng = np.random.default_rng(seed)
+
+    def grey(lo):
+        hi = lo + rng.uniform(0.0, 0.3, lo.shape) * lo
+        return np.stack([lo, hi], axis=-1).round(6)
+
+    A = rng.uniform(0.0, 1.0, (size, size)) + size * np.eye(size)
+    return GreyLP(
+        objective=grey(rng.uniform(1.0, 10.0, size)),
+        matrix=grey(A),
+        rhs=grey(rng.uniform(50.0, 100.0, size)),
+    )
+
+
+def test_cold_degrees_query_benchmark_smoke(benchmark, capsys, tmp_path):
+    # One timed round with no time bound: a cold 60x60 query runs parse,
+    # validate, whiten and three solves, and the suite does not depend on
+    # host speed.
+    p = _seeded_problem(60, seed=2012)
+    path = tmp_path / "synthetic60.json"
+    path.write_text(serialize_problem(ProblemFile(problem=p)), encoding="utf-8")
+    argv = ["degrees", "--file", str(path), "--theta", "0.3", "--precise"]
+    code = benchmark.pedantic(run, args=(argv,), rounds=1, iterations=1)
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5
+    assert lines[0] == f"f = {positioned_value(p, theta_coefficients(0.3, 60, 60))!r}"

@@ -1,11 +1,14 @@
 """Data model and whitening: construction, endpoints, validation collection."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import reference_validate_problem
 from greylp import (
     DomainError,
     GreyLP,
@@ -261,3 +264,153 @@ class TestValidateProblem:
         violations = validate_problem(p)
         assert {v.kind for v in violations} == {"bounds_order", "negative_lower", "non_finite"}
         assert len(violations) == 3
+
+
+_special = st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0, -3.5, math.nan, math.inf, -math.inf])
+_bound = st.one_of(st.floats(0.0, 10.0), _special)
+_pair = st.tuples(_bound, _bound)
+_block = st.lists(_pair, max_size=3)
+# Rows of any length, so the matrix may be ragged, short, long or empty.
+_rows = st.lists(st.lists(_pair, max_size=4), max_size=4)
+
+
+def _hexes(intervals):
+    return [(iv.lo.hex(), iv.hi.hex()) for iv in intervals]
+
+
+class TestArrayStorage:
+    @given(objective=_block, matrix=_rows, rhs=_block)
+    def test_tuple_views_give_back_the_input(self, objective, matrix, rhs):
+        p = GreyLP(objective=objective, matrix=matrix, rhs=rhs)
+        assert (p.n, p.m) == (len(objective), len(rhs))
+        assert _hexes(p.objective) == _hexes(Interval(*pair) for pair in objective)
+        assert [_hexes(row) for row in p.matrix] == [
+            _hexes(Interval(*pair) for pair in row) for row in matrix
+        ]
+        assert _hexes(p.rhs) == _hexes(Interval(*pair) for pair in rhs)
+        assert GreyLP(p.objective, p.matrix, p.rhs) == p
+
+    def test_ragged_matrix_is_padded_and_keeps_row_lengths(self):
+        p = GreyLP(objective=((1, 2), (1, 2)), matrix=(((1, 2),), ()), rhs=((1, 2), (3, 4)))
+        assert p.A_lo.shape == (2, 1) and p.row_lengths.tolist() == [1, 0]
+        assert math.isnan(p.A_lo[1, 0])
+        assert p.matrix == ((Interval(1, 2),), ())
+
+    def test_accepts_interval_objects_arrays_and_iterators(self):
+        pairs = GreyLP(objective=((1, 2),), matrix=(((3, 4),),), rhs=((5, 6),))
+        assert GreyLP(
+            objective=[Interval(1, 2)], matrix=iter([iter([Interval(3, 4)])]), rhs=np.array([[5, 6]])
+        ) == pairs
+
+    def test_arrays_are_read_only_and_fields_frozen(self, demo_problem):
+        with pytest.raises(ValueError):
+            demo_problem.A_lo[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            demo_problem.c_lo = np.zeros(2)
+        w = build_positioned(demo_problem, uniform_coefficients(0, 0, 0, 3, 2))
+        with pytest.raises(ValueError):
+            w.c_array[0] = 1.0
+
+    def test_construction_copies_the_caller_arrays(self):
+        A = np.array([[1.0, 2.0]])
+        w = WhiteLP(c=[1.0, 1.0], A=A, b=[3.0])
+        A[0, 0] = 9.0
+        assert w.A == ((1.0, 2.0),)
+
+    def test_equality_and_hash(self):
+        p = GreyLP(objective=((1, 2),), matrix=(((0.0, 2),),), rhs=((math.nan, 4),))
+        q = GreyLP(objective=((1, 2),), matrix=(((-0.0, 2),),), rhs=((math.nan, 4),))
+        assert p == q and hash(p) == hash(q)
+        assert p != GreyLP(objective=((1, 2),), matrix=(((0, 3),),), rhs=((math.nan, 4),))
+        k = PositionCoefficients(alphas=[0.5], betas=(0.5,), gammas=[[0.5]])
+        assert k == uniform_coefficients(0.5, 0.5, 0.5, 1, 1) and hash(k) == hash(
+            uniform_coefficients(0.5, 0.5, 0.5, 1, 1)
+        )
+        assert WhiteLP(c=(1,), A=((2,),), b=(3,)) == WhiteLP(c=[1.0], A=np.array([[2.0]]), b=[3])
+
+    def test_ragged_gammas_are_range_checked_first(self):
+        with pytest.raises(DomainError):
+            PositionCoefficients(alphas=(0.5,), betas=(0.5, 0.5), gammas=((0.5,), (0.5, 2.0)))
+
+
+class TestValidateMatchesReference:
+    """``validate_problem`` checks with array masks; it must report the
+    per-entry reference's violations, message and order included."""
+
+    @given(objective=_block, matrix=_rows, rhs=_block)
+    def test_identical_violation_lists(self, objective, matrix, rhs):
+        p = GreyLP(objective=objective, matrix=matrix, rhs=rhs)
+        got = [(v.location, v.kind, v.message) for v in validate_problem(p)]
+        want = [(v.location, v.kind, v.message) for v in reference_validate_problem(p)]
+        assert got == want
+
+    def test_every_kind_in_one_problem(self):
+        p = GreyLP(
+            objective=((math.nan, -math.inf), (3, 1)),
+            matrix=(((-1, 2), (math.inf, 1), (0, 1)), ((2, 1),)),
+            rhs=((-2, -3),),
+        )
+        got = [str(v) for v in validate_problem(p)]
+        assert got == [str(v) for v in reference_validate_problem(p)]
+        assert got[:2] == [
+            "matrix: 2 matrix rows but 1 right-hand sides",
+            "matrix[0]: 3 entries but 2 objective coefficients",
+        ]
+
+
+def _reference_build(p, k):
+    """``build_positioned`` one entry at a time over the tuple views."""
+
+    def whiten_entry(iv, t):
+        if not (math.isfinite(iv.lo) and math.isfinite(iv.hi)) or iv.lo > iv.hi:
+            raise DomainError(f"cannot whiten invalid interval [{iv.lo}, {iv.hi}]")
+        return t * iv.hi + (1.0 - t) * iv.lo
+
+    if len(k.alphas) != p.n:
+        raise StructureError(f"expected {p.n} alphas, got {len(k.alphas)}")
+    if len(k.betas) != p.m:
+        raise StructureError(f"expected {p.m} betas, got {len(k.betas)}")
+    if len(k.gammas) != p.m or any(len(row) != p.n for row in k.gammas):
+        raise StructureError(f"expected a {p.m}x{p.n} gamma grid")
+    c = tuple(whiten_entry(iv, a) for iv, a in zip(p.objective, k.alphas))
+    b = tuple(whiten_entry(iv, be) for iv, be in zip(p.rhs, k.betas))
+    A = tuple(
+        tuple(whiten_entry(iv, g) for iv, g in zip(mrow, grow))
+        for mrow, grow in zip(p.matrix, k.gammas)
+    )
+    return WhiteLP(c=c, A=A, b=b)
+
+
+def _built(build, p, k):
+    try:
+        w = build(p, k)
+    except (DomainError, StructureError) as exc:
+        return type(exc), str(exc)
+    return [v.hex() for v in w.c], [[v.hex() for v in row] for row in w.A], [v.hex() for v in w.b]
+
+
+class TestBuildPositionedMatchesReference:
+    @given(objective=_block, matrix=_rows, rhs=_block, t=st.floats(0.0, 1.0), data=st.data())
+    def test_same_program_or_same_error(self, objective, matrix, rhs, t, data):
+        p = GreyLP(objective=objective, matrix=matrix, rhs=rhs)
+        gammas = data.draw(st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=p.n, max_size=p.n), min_size=p.m, max_size=p.m
+        ))
+        k = PositionCoefficients(alphas=[t] * p.n, betas=[1.0 - t] * p.m, gammas=gammas)
+        assert _built(build_positioned, p, k) == _built(_reference_build, p, k)
+
+    def test_valid_problems_at_three_sizes(self):
+        rng = np.random.default_rng(5)
+        for size in (10, 30, 60):
+            lo = rng.uniform(0.0, 5.0, (size + 2, size))
+            hi = lo + rng.uniform(0.0, 2.0, lo.shape)
+            p = GreyLP(
+                objective=np.stack([lo[0], hi[0]], axis=-1),
+                matrix=np.stack([lo[2:], hi[2:]], axis=-1),
+                rhs=np.stack([lo[1], hi[1]], axis=-1),
+            )
+            k = PositionCoefficients(
+                alphas=rng.uniform(size=size), betas=rng.uniform(size=size),
+                gammas=rng.uniform(size=(size, size)),
+            )
+            assert _built(build_positioned, p, k) == _built(_reference_build, p, k)

@@ -5,8 +5,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import grid_triple, random_bounded_problem, random_loose_problem, random_triple
+from conftest import (
+    grid_triple,
+    random_bounded_problem,
+    random_loose_problem,
+    random_triple,
+    reference_solve_max,
+)
 from greylp import (
     DomainError,
     SolveStatus,
@@ -227,3 +235,138 @@ class TestOracle:
                     oracle.objective, abs=1e-6 * max(1.0, abs(oracle.objective))
                 )
         assert seen_unbounded > 0  # the generator must actually exercise the path
+
+
+def _outcome(solve, lp: WhiteLP):
+    """Everything a solve returns, with floats as hex so that equal means
+    bit for bit equal (a -0.0 differs from 0.0)."""
+    try:
+        sol = solve(lp)
+    except SolverFailure as exc:
+        return ("failure", str(exc))
+    assert all(type(j) is int for j in sol.basis)
+
+    def hexes(values):
+        return None if values is None else tuple(float(v).hex() for v in values)
+
+    objective = None if sol.objective is None else sol.objective.hex()
+    return (sol.status, hexes(sol.x), objective, sol.basis, hexes(sol.ray))
+
+
+def _scaled(A, b, c, rows, cols, obj):
+    """The LP with row i scaled by 10**rows[i] (b too), column j by
+    10**cols[j] and the objective by 10**obj."""
+    R = 10.0 ** np.array(rows, dtype=float)
+    S = 10.0 ** np.array(cols, dtype=float)
+    A = np.array(A) * R[:, None] * S[None, :]
+    return WhiteLP(c=np.array(c) * S * 10.0**obj, A=A, b=np.array(b) * R)
+
+
+_sizes = st.tuples(st.integers(1, 6), st.integers(1, 6))
+_real = st.floats(-5.0, 5.0, allow_nan=False).map(lambda v: round(v, 3))
+
+
+@st.composite
+def _phase1_lps(draw):
+    """At least one negative right-hand side, so phase 1 runs."""
+    m, n = draw(_sizes)
+    A = draw(st.lists(st.lists(_real, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(st.floats(-10.0, 10.0).map(lambda v: round(v, 2)), min_size=m, max_size=m))
+    b[draw(st.integers(0, m - 1))] = -draw(st.floats(0.01, 10.0))
+    return WhiteLP(c=draw(st.lists(_real, min_size=n, max_size=n)), A=A, b=b)
+
+
+@st.composite
+def _unbounded_lps(draw):
+    """A profitable column with no positive entry: feasible at the origin
+    and unbounded along that column."""
+    m, n = draw(_sizes)
+    A = draw(st.lists(
+        st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n), min_size=m, max_size=m
+    ))
+    j = draw(st.integers(0, n - 1))
+    for row in A:
+        row[j] = -draw(st.sampled_from([0.0, 0.5, 2.0]))
+    c = draw(st.lists(_real, min_size=n, max_size=n))
+    c[j] = draw(st.floats(0.5, 5.0))
+    b = draw(st.lists(st.floats(0.0, 10.0), min_size=m, max_size=m))
+    return WhiteLP(c=c, A=A, b=b)
+
+
+@st.composite
+def _degenerate_lps(draw):
+    """Small integer data with zero right-hand sides and repeated rows, so
+    ratio ties and degenerate pivots are common."""
+    m, n = draw(_sizes)
+    small = st.sampled_from([0.0, 1.0, 2.0])
+    A = draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0]), min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 2))):  # repeat a row (and its bound)
+        i = draw(st.integers(0, m - 1))
+        A.append(list(A[i]))
+        b.append(b[i] * draw(st.sampled_from([1.0, 2.0])))
+        A[-1] = [v * (b[-1] / b[i] if b[i] else 1.0) for v in A[-1]]
+    c = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0, 2.0]), min_size=n, max_size=n))
+    return WhiteLP(c=c, A=A, b=b)
+
+
+@st.composite
+def _badly_scaled_lps(draw):
+    """Bounded problems with rows, columns and the objective scaled by
+    factors from 1e-12 to 1e12."""
+    m, n = draw(_sizes)
+    A = draw(st.lists(
+        st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n), min_size=m, max_size=m
+    ))
+    b = draw(st.lists(st.floats(0.0, 50.0), min_size=m, max_size=m))
+    c = draw(st.lists(st.floats(-5.0, 50.0), min_size=n, max_size=n))
+    exponent = st.integers(-12, 12)
+    rows = draw(st.lists(exponent, min_size=m, max_size=m))
+    cols = draw(st.lists(exponent, min_size=n, max_size=n))
+    return _scaled(A, b, c, rows, cols, draw(exponent))
+
+
+class TestVectorisedPricing:
+    """``solve_max`` prices with array operations; it must pick the pivots
+    of the scalar Bland loop (``reference_solve_max``) and so return the
+    same solution bit for bit."""
+
+    @given(lp=_phase1_lps())
+    def test_phase1_cases(self, lp):
+        assert _outcome(solve_max, lp) == _outcome(reference_solve_max, lp)
+
+    @given(lp=_unbounded_lps())
+    def test_unbounded_cases(self, lp):
+        got = _outcome(solve_max, lp)
+        assert got[0] is SolveStatus.UNBOUNDED
+        assert got == _outcome(reference_solve_max, lp)
+
+    @given(lp=_degenerate_lps())
+    def test_degenerate_cases(self, lp):
+        assert _outcome(solve_max, lp) == _outcome(reference_solve_max, lp)
+
+    @given(lp=_badly_scaled_lps())
+    def test_badly_scaled_cases(self, lp):
+        assert _outcome(solve_max, lp) == _outcome(reference_solve_max, lp)
+
+    @pytest.mark.parametrize("lp", [
+        LOOSE,
+        TIGHT,
+        WhiteLP(c=(1, 1), A=((1, 0), (0, 1), (1, 1)), b=(1, 1, 2)),
+        WhiteLP(c=(1, 1), A=((1, -1), (-1, 1)), b=(0, 0)),
+        WhiteLP(c=(1,), A=((-1,), (1,)), b=(-5, 3)),
+        # The only ratio overflows to +inf, which the running minimum never
+        # takes: both report the column unbounded.
+        WhiteLP(c=(1,), A=((1e-8,),), b=(1.7e308,)),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_hand_picked_cases(self, lp):
+        assert _outcome(solve_max, lp) == _outcome(reference_solve_max, lp)
+
+    def test_synthetic_problems_at_three_sizes(self):
+        rng = random.Random(77)
+        for size in (10, 30, 60):
+            p = random_bounded_problem(rng, n=size, m=size)
+            for triple in ((0, 0, 1), (1, 1, 0), (0.3, 0.6, 0.4)):
+                lp = build_positioned(p, uniform_coefficients(*triple, p.m, p.n))
+                assert _outcome(solve_max, lp) == _outcome(reference_solve_max, lp)
