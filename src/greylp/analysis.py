@@ -16,7 +16,10 @@ every beta of the slice and the dual vector for every alpha; the basis is
 optimal on the rectangle of primal-feasible betas times dual-feasible
 alphas (parametric programming, Gal 1995).  The kernel keeps the optimal
 bases found so far, certifies each slice's points against them, and solves
-only the points no cached basis certifies with the cold simplex.
+only the points no cached basis certifies, each started from the latest
+cached basis that is primal feasible there (so the simplex only pivots in
+phase 2).  A sweep's first cached bases are those of its critical and
+ideal solves.
 
 Tables render to CSV or Markdown with the presentation rounding used
 throughout: optimal values to 2 decimals, degrees to 4.
@@ -34,16 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StructureError, ValidationError
+from .errors import DomainError, StructureError
 from .grey_core import (
     GreyLP,
     _whitened,
     build_positioned,
     uniform_coefficients,
-    validate_problem,
 )
-from .lp_solver import _TOL_FEAS, _TOL_PIVOT, SolveStatus, solve_max
-from .satisfaction import bounds, lambda_satisfactions, pleased_degrees
+from .lp_solver import SolveStatus, _certify, solve_max
+from .satisfaction import _bounds, _validated, lambda_satisfactions, pleased_degrees
 
 __all__ = [
     "SatisfactionRecord",
@@ -236,68 +238,10 @@ def unit_grid(step: float) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _validated(p: GreyLP) -> None:
-    violations = validate_problem(p)
-    if violations:
-        raise ValidationError(violations)
-
-
-def _certify(AI, CI, Bv, basis, ai, bi):
-    """Which points (alpha ``ai[k]``, beta ``bi[k]``) of one gamma slice
-    ``basis`` proves optimal, and their objective values.
-
-    ``AI`` is [A | I] at the slice's gamma, ``CI`` one whitened objective per
-    alpha (zero-padded over the slacks), ``Bv`` one right-hand side per beta.
-    A point is certified only if it passes the solver's own tests: basic
-    values >= -tol, reduced costs <= tol, the post-check A.x <= b + feas
-    tol, and a duality gap |c.x - y.b| <= tol * max(1, |f|).  Returns
-    (mask over k, f over k); f is meaningful only where the mask is set.
-    """
-    m, width = AI.shape
-    n = width - m
-    S = np.asarray(basis)
-    B = AI[:, S]
-    try:
-        xB = np.linalg.solve(B, Bv.T)  # m x betas
-        Y = np.linalg.solve(B.T, CI[:, S].T)  # m x alphas
-    except np.linalg.LinAlgError:  # the basis is singular at this gamma
-        return np.zeros(len(ai), dtype=bool), np.zeros(len(ai))
-    with np.errstate(invalid="ignore", over="ignore"):
-        xs = np.zeros((n, len(Bv)))
-        structural = S < n
-        xs[S[structural]] = xB[structural]
-        xs[(xs < 0.0) & (xs > -_TOL_PIVOT)] = 0.0  # solve_max's snap
-        primal = (xB >= -_TOL_PIVOT).all(axis=0)
-        primal &= (Bv.T - AI[:, :n] @ xs >= -_TOL_FEAS).all(axis=0)
-        nonbasic = np.ones(width, dtype=bool)
-        nonbasic[S] = False
-        reduced = CI.T[nonbasic] - AI[:, nonbasic].T @ Y
-        dual = (reduced <= _TOL_PIVOT).all(axis=0)
-        ok = primal[bi] & dual[ai]
-        f = np.einsum("ij,ji->i", CI[ai, :n], xs[:, bi])
-        yb = np.einsum("ji,ij->i", Y[:, ai], Bv[bi])
-        ok &= np.abs(f - yb) <= _TOL_PIVOT * np.maximum(1.0, np.abs(f))
-    return ok, f
-
-
-def solve_grid(p: GreyLP, triples) -> GridSolution:
-    """Positioned optimum and solver status of every uniform triple
-    ``(alpha, beta, gamma)`` in ``triples``.
-
-    Results equal those of solving each triple on its own
-    (``solve_max(build_positioned(p, uniform_coefficients(...)))``): the
-    same status, and the optimal value up to rounding.  Triples are grouped
-    by gamma; each group is first checked against the optimal bases cached
-    so far (see :func:`_certify`), and every point no basis certifies is
-    solved cold, adding its optimal basis to the cache.  One INFO record on
-    the ``greylp.analysis`` logger reports the points, cold solves,
-    certified points, distinct bases and non-optimal points.
-
-    Raises :class:`ValidationError` for an invalid problem and
-    :class:`DomainError` for a coefficient outside [0, 1] (or NaN), before
-    anything is solved.
-    """
-    _validated(p)
+def _points(triples) -> np.ndarray:
+    """``triples`` as an N x 3 array of uniform coefficients; raises
+    :class:`StructureError` for another shape and :class:`DomainError` for
+    a coefficient outside [0, 1] (or NaN)."""
     pts = np.asarray(triples, dtype=float)
     if pts.size == 0:
         pts = pts.reshape(0, 3)
@@ -310,13 +254,54 @@ def solve_grid(p: GreyLP, triples) -> GridSolution:
         raise DomainError(
             f"position coefficient in {name} must be in [0, 1], got {pts[row, col]}"
         )
+    return pts
 
+
+def solve_grid(p: GreyLP, triples) -> GridSolution:
+    """Positioned optimum and solver status of every uniform triple
+    ``(alpha, beta, gamma)`` in ``triples``.
+
+    Results equal those of solving each triple on its own
+    (``solve_max(build_positioned(p, uniform_coefficients(...)))``): the
+    same status, and the optimal value up to rounding.  Triples are grouped
+    by gamma; each group is first checked against the optimal bases cached
+    so far (see :func:`greylp.lp_solver._certify`), and every point no basis
+    certifies is solved from the latest cached basis that is primal feasible
+    there (cold if there is none), adding its optimal basis to the cache.
+    One INFO record on the ``greylp.analysis`` logger reports the points,
+    cold and warm-started solves, certified points, distinct bases and
+    non-optimal points.
+
+    Raises :class:`ValidationError` for an invalid problem and
+    :class:`DomainError` for a coefficient outside [0, 1] (or NaN), before
+    anything is solved.
+    """
+    _validated(p)
+    return _solve_grid(p, _points(triples))
+
+
+def _solve_grid(p: GreyLP, pts: np.ndarray, bases=()) -> GridSolution:
+    """:func:`solve_grid` of a validated problem and checked points, with
+    ``bases`` (optimal bases of other whitenings of ``p``) as the first
+    cached bases."""
     m, n = p.m, p.n
 
-    status = [SolveStatus.OPTIMAL] * len(pts)  # every point not solved cold is certified
+    status = [SolveStatus.OPTIMAL] * len(pts)  # every point not solved is certified
     values = np.full(len(pts), np.nan)
-    bases: list[tuple[int, ...]] = []
-    cold = 0
+    cache: list[tuple[int, ...]] = []
+
+    def cached(basis) -> bool:
+        """Add ``basis`` to the cache unless it is there or holds a phase-1
+        artificial; True if it was added."""
+        key = tuple(sorted(basis))
+        if key in cache or key[-1] >= n + m:
+            return False
+        cache.append(key)
+        return True
+
+    for basis in bases:
+        cached(basis)
+    cold = warm = 0
     gammas, slice_of = np.unique(pts[:, 2], return_inverse=True)
     for k, gamma in enumerate(gammas):
         idx = np.flatnonzero(slice_of == k)
@@ -327,35 +312,44 @@ def solve_grid(p: GreyLP, triples) -> GridSolution:
         CI = np.hstack([_whitened(alphas[:, None], p.c_lo, p.c_hi), np.zeros((len(alphas), m))])
         Bv = _whitened(betas[:, None], p.b_lo, p.b_hi)
         pending = np.ones(len(idx), dtype=bool)
+        # Per point, the latest cached basis that is primal feasible there
+        # (-1 for none): a solve started from it only pivots in phase 2.
+        feasible = np.full(len(idx), -1)
 
-        def settle(basis):
+        def settle(which):
             rows = np.flatnonzero(pending)
-            ok, f = _certify(AI, CI, Bv, basis, ai[rows], bi[rows])
+            ok, f, primal, _ = _certify(AI, CI, Bv, cache[which], ai[rows], bi[rows])
             values[idx[rows[ok]]] = f[ok]
             pending[rows[ok]] = False
+            feasible[rows[primal[bi[rows]]]] = which
 
-        for basis in bases:
+        for which in range(len(cache)):
             if not pending.any():
                 break
-            settle(basis)
+            settle(which)
         while pending.any():
             j = int(np.argmax(pending))
             pending[j] = False
             alpha, beta, g = pts[idx[j]].tolist()
-            sol = solve_max(build_positioned(p, uniform_coefficients(alpha, beta, g, m, n)))
-            cold += 1
+            lp = build_positioned(p, uniform_coefficients(alpha, beta, g, m, n))
+            start = cache[feasible[j]] if feasible[j] >= 0 else None
+            sol = solve_max(lp, start)
+            if start is None:
+                cold += 1
+            else:
+                warm += 1
             status[idx[j]] = sol.status
             if sol.status is not SolveStatus.OPTIMAL:
                 continue
             values[idx[j]] = sol.objective
-            key = tuple(sorted(sol.basis))
-            if key not in bases and key[-1] < n + m:  # no phase-1 artificials
-                bases.append(key)
-                settle(key)
+            if cached(sol.basis):
+                settle(len(cache) - 1)
 
+    solved = cold + warm
     _log.info(
-        "solve_grid: %d points, %d cold solves, %d certified, %d bases, %d non-optimal",
-        len(pts), cold, len(pts) - cold, len(bases), int(np.isnan(values).sum()),
+        "solve_grid: %d points, %d cold solves, %d warm starts, %d certified, %d bases, "
+        "%d non-optimal",
+        len(pts), cold, warm, len(pts) - solved, len(cache), int(np.isnan(values).sum()),
     )
     return GridSolution(status=tuple(status), objective=values)
 
@@ -370,8 +364,9 @@ def _scored(p: GreyLP, pts: np.ndarray, labels: tuple[str, ...], lambdas) -> Swe
     """The sweep table of the triples ``pts``: each row's positioned optimum
     and degrees, scored a column at a time.  Solver trouble becomes a row's
     error marker so a sweep keeps going and partial reports stay useful."""
-    vb = bounds(p)
-    grid = solve_grid(p, pts)
+    _validated(p)
+    vb, bases = _bounds(p)
+    grid = _solve_grid(p, _points(pts), bases)
     f = grid.objective
     ok = ~np.isnan(f)
     mu = np.full(len(f), np.nan)
@@ -489,9 +484,10 @@ def find_satisfactory(p: GreyLP, mu0: float, lam: float, step: float) -> list[tu
     table = grid_sweep(p, step, lambdas=(float(lam),))
     degree = table.mu_tilde[:, 0]
     hits = np.flatnonzero(degree >= float(mu0))  # NaN on error rows compares False
-    # Rows are in lexicographic order, so a stable sort on the degree breaks
+    # Degrees are compared at 12 decimals, so that two equal up to solver
+    # rounding tie; rows are in lexicographic order, so the row index breaks
     # ties by triple.
-    hits = hits[np.argsort(-degree[hits], kind="stable")]
+    hits = hits[np.lexsort((hits, -np.round(degree[hits], 12)))]
     return [
         (tuple(triple), value)
         for triple, value in zip(table.coefficients[hits].tolist(), degree[hits].tolist())

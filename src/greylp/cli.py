@@ -56,6 +56,8 @@ from .grey_core import (
 )
 from .lp_solver import SolveStatus, solve_max
 from .satisfaction import (
+    _bounds,
+    _solve_positioned,
     bounds,
     is_lambda_satisfactory,
     is_pleased,
@@ -313,8 +315,11 @@ def _cmd_degrees(args) -> int:
     pf = _load(args.file)
     p = pf.problem
     k = _coefficients(args, p)
-    vb = bounds(p)
-    f = positioned_value(p, k)
+    # Parsing validated the problem.  The query is solved cold, as
+    # positioned_value solves it, and both bounds start from its basis.
+    sol = _solve_positioned(p, k)
+    vb, _ = _bounds(p, sol.basis)
+    f = sol.objective
     mu = pleased_degree(f, vb)
     mu_tilde = lambda_satisfaction(f, vb, args.lam)
     print(f"f = {_fmt_value(f, args.precise)}")

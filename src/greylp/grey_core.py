@@ -231,6 +231,10 @@ class GreyLP(_ArrayRecord):
         )
 
 
+def _out_of_range(name: str, v) -> None:
+    raise DomainError(f"position coefficient in {name} must be in [0, 1], got {float(v)}")
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class PositionCoefficients(_ArrayRecord):
     """Whitening weights: one alpha per objective entry, one beta per
@@ -261,13 +265,24 @@ class PositionCoefficients(_ArrayRecord):
         ):
             bad = ~((values >= 0.0) & (values <= 1.0))  # also flags NaN
             if bad.any():
-                v = float(values[bad.argmax()])
-                raise DomainError(f"position coefficient in {name} must be in [0, 1], got {v}")
+                _out_of_range(name, values[bad.argmax()])
         if ragged:
             raise StructureError("gamma grid is ragged")
+        self._set(alpha, beta, gamma)
+
+    def _set(self, alpha, beta, gamma):
+        # The class is frozen; fields are set once, here.
         self.__dict__.update(
             alpha_array=_frozen(alpha), beta_array=_frozen(beta), gamma_array=_frozen(gamma)
         )
+
+    @classmethod
+    def _of_arrays(cls, alpha, beta, gamma) -> PositionCoefficients:
+        """Coefficients holding the new arrays ``alpha`` (n), ``beta`` (m)
+        and ``gamma`` (m x n), whose entries the caller checked."""
+        k = object.__new__(cls)
+        k._set(alpha, beta, gamma)
+        return k
 
     @property
     def alphas(self) -> tuple[float, ...]:
@@ -306,12 +321,24 @@ class WhiteLP(_ArrayRecord):
             raise StructureError(f"need at least one variable and one constraint, got n={n}, m={m}")
         if isinstance(A, list) or A.shape != (m, n):
             raise StructureError(f"matrix must be {m}x{n}")
+        self._set(c, A, b)
+
+    @classmethod
+    def _of_arrays(cls, c, A, b) -> WhiteLP:
+        """A program holding the new arrays ``c`` (n), ``A`` (m x n) and
+        ``b`` (m), with n, m >= 1; only finiteness is checked."""
+        lp = object.__new__(cls)
+        lp._set(c, A, b)
+        return lp
+
+    def _set(self, c, A, b):
         for values in (c, b, A):
             bad = ~np.isfinite(values)
             if bad.any():
                 raise DomainError(
                     f"non-finite entry {float(values.flat[bad.argmax()])} in white problem"
                 )
+        # The class is frozen; fields are set once, here.
         self.__dict__.update(c_array=_frozen(c), A_array=_frozen(A), b_array=_frozen(b))
 
     @property
@@ -398,6 +425,8 @@ def build_positioned(p: GreyLP, k: PositionCoefficients) -> WhiteLP:
     lengths = np.minimum(p.row_lengths[: p.m], p.n)
     if k.gamma_array.shape == A_lo.shape == (p.m, p.n) and (lengths == p.n).all():
         A = _whitened(k.gamma_array, A_lo, A_hi)
+        if p.m and p.n:  # new arrays of the right shapes, stored as they are
+            return WhiteLP._of_arrays(c, A, b)
     else:  # too few or too short rows: whiten what is there; WhiteLP rejects the shape
         A = [
             _whitened(g[:w], lo[:w], hi[:w])
@@ -416,10 +445,14 @@ def uniform_coefficients(
     """
     if m < 1 or n < 1:
         raise StructureError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    return PositionCoefficients(
-        alphas=np.full(n, float(alpha)),
-        betas=np.full(m, float(beta)),
-        gammas=np.full((m, n), float(gamma)),
+    alpha, beta, gamma = float(alpha), float(beta), float(gamma)
+    # Every entry is one of three scalars, so the scalars are range-checked
+    # (in the constructor's order) instead of the filled arrays.
+    for name, v in (("alphas", alpha), ("betas", beta), ("gammas", gamma)):
+        if not (0.0 <= v <= 1.0):  # also true for NaN
+            _out_of_range(name, v)
+    return PositionCoefficients._of_arrays(
+        np.full(n, alpha), np.full(m, beta), np.full((m, n), gamma)
     )
 
 

@@ -8,6 +8,17 @@ the all-slack basis is infeasible, so a standard phase-1 with artificial
 variables runs first; whitened problems from valid grey programs always have
 b >= 0 and skip it.
 
+A solve can also start from a known basis (``solve_max(lp, start)``),
+typically the optimal basis of a nearby program.  The basis is first
+certified as it stands (``_certify``: primal and dual feasibility, the
+feasibility post-check and a duality gap); if it is only primal feasible,
+phase 2 continues from the tableau rebuilt in that basis; anything else
+(a singular or artificial basis, a wrong length, a primal infeasible
+start, an exhausted pivot budget, an unbounded ray or a failed post-check)
+falls back to the cold solve, which is the same solve as without a start.
+One DEBUG record per solve on the ``greylp.lp_solver`` logger names the
+start used (cold, certified or warm) and the pivots per phase.
+
 ``enumerate_vertices_oracle`` solves the same problem by enumerating basic
 points directly.  It shares nothing with the simplex path, so the two act as
 independent checks on each other.
@@ -17,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +43,8 @@ __all__ = ["SolveStatus", "LPSolution", "solve_max", "enumerate_vertices_oracle"
 # feasibility is checked more loosely because residuals accumulate pivots.
 _TOL_PIVOT = 1e-9
 _TOL_FEAS = 1e-7
+
+_log = logging.getLogger(__name__)
 
 
 class SolveStatus(str, enum.Enum):
@@ -114,13 +128,30 @@ def _extract_ray(T: np.ndarray, basis: list[int], enter: int, n: int) -> tuple[f
     return tuple(d[:n].tolist())
 
 
-def solve_max(lp: WhiteLP) -> LPSolution:
-    """Maximize c.x subject to A.x <= b, x >= 0 by primal simplex.
+def _vertex(T: np.ndarray, basis: list[int], A, b, c) -> LPSolution | None:
+    """The optimal solution read from the final tableau ``T``, or None if it
+    fails the feasibility post-check."""
+    m, n = A.shape
+    x = np.zeros(T.shape[1] - 1)
+    x[basis] = T[:m, -1]
+    xs = x[:n]
+    xs[(xs < 0.0) & (xs > -_TOL_PIVOT)] = 0.0
 
-    Deterministic for fixed input.  Raises :class:`SolverFailure` if the
-    pivot count exceeds 50*(m+n), which signals a pathological instance.
-    """
-    A, b, c = lp.A_array, lp.b_array, lp.c_array
+    slack = b - A @ xs
+    if slack.min() < -_TOL_FEAS or xs.min() < -_TOL_PIVOT:
+        return None
+    objective = float(c @ xs)
+    return LPSolution(
+        status=SolveStatus.OPTIMAL,
+        x=tuple(xs.tolist()),
+        objective=objective,
+        basis=tuple(basis),
+    )
+
+
+def _solve_cold(A, b, c) -> tuple[LPSolution, int, int]:
+    """Two-phase simplex from the all-slack basis; returns the solution and
+    the pivots of phase 1 and phase 2."""
     m, n = A.shape
     budget = 50 * (m + n)
 
@@ -150,7 +181,7 @@ def solve_max(lp: WhiteLP) -> LPSolution:
         if outcome != "optimal":
             raise SolverFailure("phase 1 is bounded by construction yet did not converge")
         if -T[m, -1] < -_TOL_FEAS:
-            return LPSolution(status=SolveStatus.INFEASIBLE)
+            return LPSolution(status=SolveStatus.INFEASIBLE), used_total, 0
         # Drive any zero-valued artificials out of the basis.
         for i in range(m):
             if basis[i] >= n + m:
@@ -172,23 +203,137 @@ def solve_max(lp: WhiteLP) -> LPSolution:
 
     outcome, used2, enter = _bland_iterate(T, basis, n + m, budget - used_total)
     if outcome == "unbounded":
-        return LPSolution(status=SolveStatus.UNBOUNDED, ray=_extract_ray(T, basis, enter, n))
-
-    x = np.zeros(n + m + n_art)
-    x[basis] = T[:m, -1]
-    xs = x[:n]
-    xs[(xs < 0.0) & (xs > -_TOL_PIVOT)] = 0.0
-
-    slack = b - A @ xs
-    if slack.min() < -_TOL_FEAS or xs.min() < -_TOL_PIVOT:
+        ray = _extract_ray(T, basis, enter, n)
+        return LPSolution(status=SolveStatus.UNBOUNDED, ray=ray), used_total, used2
+    sol = _vertex(T, basis, A, b, c)
+    if sol is None:
         raise SolverFailure("solution failed the feasibility post-check")
-    objective = float(c @ xs)
-    return LPSolution(
-        status=SolveStatus.OPTIMAL,
-        x=tuple(xs.tolist()),
-        objective=objective,
-        basis=tuple(basis),
+    return sol, used_total, used2
+
+
+def _certify(AI, CI, Bv, basis, ai, bi):
+    """Which points (objective ``CI[ai[k]]``, right-hand side ``Bv[bi[k]]``)
+    of the constraint matrix [A | I] = ``AI`` the basis ``basis`` proves
+    optimal.
+
+    ``CI`` holds objectives zero-padded over the slacks, one per row, and
+    ``Bv`` right-hand sides, one per row.  A point is certified only if it
+    passes the solver's own tests: basic values >= -tol, reduced costs <=
+    tol, the post-check A.x <= b + feas tol, and a duality gap |c.x - y.b|
+    <= tol * max(1, |f|).  Returns (mask over k, f over k, primal, xs):
+    ``primal[j]`` tells whether the basis is primal feasible for ``Bv[j]``
+    and ``xs[:, j]`` is its basic solution (snapped as the solver snaps);
+    f is meaningful only where the mask is set.
+    """
+    m, width = AI.shape
+    n = width - m
+    S = np.asarray(basis)
+    B = AI[:, S]
+    try:
+        xB = np.linalg.solve(B, Bv.T)  # m x betas
+        Y = np.linalg.solve(B.T, CI[:, S].T)  # m x alphas
+    except np.linalg.LinAlgError:  # the basis is singular
+        never = np.zeros(len(ai), dtype=bool)
+        return never, np.zeros(len(ai)), np.zeros(len(Bv), dtype=bool), None
+    with np.errstate(invalid="ignore", over="ignore"):
+        xs = np.zeros((n, len(Bv)))
+        structural = S < n
+        xs[S[structural]] = xB[structural]
+        xs[(xs < 0.0) & (xs > -_TOL_PIVOT)] = 0.0  # solve_max's snap
+        primal = (xB >= -_TOL_PIVOT).all(axis=0)
+        primal &= (Bv.T - AI[:, :n] @ xs >= -_TOL_FEAS).all(axis=0)
+        nonbasic = np.ones(width, dtype=bool)
+        nonbasic[S] = False
+        reduced = CI.T[nonbasic] - AI[:, nonbasic].T @ Y
+        dual = (reduced <= _TOL_PIVOT).all(axis=0)
+        ok = primal[bi] & dual[ai]
+        f = np.einsum("ij,ji->i", CI[ai, :n], xs[:, bi])
+        yb = np.einsum("ji,ij->i", Y[:, ai], Bv[bi])
+        ok &= np.abs(f - yb) <= _TOL_PIVOT * np.maximum(1.0, np.abs(f))
+    return ok, f, primal, xs
+
+
+def _solve_started(A, b, c, start) -> tuple[LPSolution | None, str, int]:
+    """The solve from the basis ``start``: (solution, "certified" or "warm",
+    phase-2 pivots), or (None, reason, 0) when the start cannot be used and
+    the caller must solve cold."""
+    m, n = A.shape
+    S = np.asarray(start)
+    if S.shape != (m,):
+        return None, "wrong length", 0
+    if S.dtype.kind not in "iu" or S.min() < 0 or S.max() >= n + m:  # e.g. an artificial
+        return None, "not a column basis", 0
+    basis = S.tolist()
+    if len(set(basis)) != m:  # a repeated column
+        return None, "singular", 0
+    AI = np.hstack([A, np.eye(m)])
+    CI = np.concatenate([c, np.zeros(m)])[None, :]
+    zero = np.zeros(1, dtype=np.intp)
+    ok, _, primal, xs = _certify(AI, CI, b[None, :], S, zero, zero)
+    if ok[0]:
+        x = xs[:, 0]
+        sol = LPSolution(
+            status=SolveStatus.OPTIMAL,
+            x=tuple(x.tolist()),
+            objective=float(c @ x),
+            basis=tuple(basis),
+        )
+        return sol, "certified", 0
+    if xs is None:
+        return None, "singular", 0
+    if not primal[0]:
+        return None, "primal infeasible", 0
+    # Phase 2 from the tableau of the basis: B^-1 [A | I | b], with the
+    # reduced costs c - c_B B^-1 [A | I] as the objective row.
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :-1] = AI
+    T[:m, -1] = b
+    T[:m] = np.linalg.solve(AI[:, S], T[:m])
+    T[:m, S] = np.eye(m)
+    T[:m, -1][T[:m, -1] < 0.0] = 0.0  # only sub-tolerance noise is negative here
+    T[m, :-1] = CI[0]
+    T[m] -= CI[0, S] @ T[:m]
+    T[m, S] = 0.0
+    try:
+        outcome, used, _ = _bland_iterate(T, basis, n + m, 50 * (m + n))
+    except SolverFailure:
+        return None, "pivot budget exhausted", 0
+    if outcome == "unbounded":
+        # The cold solve finds the same status; its ray is the one reported.
+        return None, "unbounded", 0
+    sol = _vertex(T, basis, A, b, c)
+    if sol is None:
+        return None, "failed post-check", 0
+    return sol, "warm", used
+
+
+def solve_max(lp: WhiteLP, start=None) -> LPSolution:
+    """Maximize c.x subject to A.x <= b, x >= 0 by primal simplex.
+
+    ``start`` optionally names a basis to start from, as ``LPSolution.basis``
+    gives it (one column of [A | I] per constraint row).  It is returned at
+    once if it certifies as optimal, and phase 2 pivots on from it if it is
+    primal feasible; otherwise, and whenever the started solve does not end
+    in a checked optimum, the solve runs cold, exactly as without a start.
+    A started solve returns the cold solve's status and optimal value up to
+    rounding, but may return another optimal vertex where there are several.
+
+    Deterministic for fixed input.  Raises :class:`SolverFailure` if the
+    pivot count exceeds 50*(m+n), which signals a pathological instance.
+    """
+    A, b, c = lp.A_array, lp.b_array, lp.c_array
+    sol, used, rejected, phase1, phase2 = None, "cold", "", 0, 0
+    if start is not None:
+        sol, used, phase2 = _solve_started(A, b, c, start)
+        if sol is None:
+            used, rejected = "cold", f" (start rejected: {used})"
+    if sol is None:
+        sol, phase1, phase2 = _solve_cold(A, b, c)
+    _log.debug(
+        "solve_max: %s start%s, %d phase-1 pivots, %d phase-2 pivots, %s",
+        used, rejected, phase1, phase2, sol.status.value,
     )
+    return sol
 
 
 def _recession_directions(G: np.ndarray, n: int):

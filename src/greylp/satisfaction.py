@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .grey_core import GreyLP, PositionCoefficients, build_positioned, uniform_coefficients, validate_problem
-from .lp_solver import SolveStatus, solve_max
+from .lp_solver import LPSolution, SolveStatus, solve_max
 
 __all__ = [
     "ValueBounds",
@@ -90,33 +90,47 @@ def _clamp(f: np.ndarray, vb: ValueBounds) -> np.ndarray:
     return np.where(vb.ideal < f, vb.ideal, f)
 
 
-def _solve_positioned(p: GreyLP, k: PositionCoefficients) -> float:
-    sol = solve_max(build_positioned(p, k))
+def _solve_positioned(p: GreyLP, k: PositionCoefficients, start=None) -> LPSolution:
+    """The optimal solution of the positioned program of a validated ``p``,
+    solved from the basis ``start`` if one is given."""
+    sol = solve_max(build_positioned(p, k), start)
     if sol.status is SolveStatus.UNBOUNDED:
         raise UnboundedValueError(
             "positioned program is unbounded; satisfaction analysis is undefined"
         )
     if sol.status is not SolveStatus.OPTIMAL:  # unreachable for valid problems
         raise SolverFailure(f"unexpected solver status {sol.status} for a whitened problem")
-    return sol.objective
+    return sol
+
+
+def _validated(p: GreyLP) -> None:
+    violations = validate_problem(p)
+    if violations:
+        raise ValidationError(violations)
 
 
 def positioned_value(p: GreyLP, k: PositionCoefficients) -> float:
     """Optimal value of the positioned program built from ``p`` with ``k``."""
-    violations = validate_problem(p)
-    if violations:
-        raise ValidationError(violations)
-    return _solve_positioned(p, k)
+    _validated(p)
+    return _solve_positioned(p, k).objective
+
+
+def _bounds(p: GreyLP, start=None) -> tuple[ValueBounds, tuple[tuple[int, ...], ...]]:
+    """The bounds of a validated ``p`` and the optimal bases of its critical
+    and ideal programs.  Both solves start from the basis ``start`` if one
+    is given; otherwise the critical solve is cold and the ideal one starts
+    from the critical basis."""
+    critical = _solve_positioned(p, uniform_coefficients(0, 0, 1, p.m, p.n), start)
+    start = critical.basis if start is None else start
+    ideal = _solve_positioned(p, uniform_coefficients(1, 1, 0, p.m, p.n), start)
+    vb = ValueBounds(critical=critical.objective, ideal=ideal.objective)
+    return vb, (critical.basis, ideal.basis)
 
 
 def bounds(p: GreyLP) -> ValueBounds:
     """Critical and ideal optimal values of ``p``."""
-    violations = validate_problem(p)
-    if violations:
-        raise ValidationError(violations)
-    critical = _solve_positioned(p, uniform_coefficients(0, 0, 1, p.m, p.n))
-    ideal = _solve_positioned(p, uniform_coefficients(1, 1, 0, p.m, p.n))
-    return ValueBounds(critical=critical, ideal=ideal)
+    _validated(p)
+    return _bounds(p)[0]
 
 
 def pleased_degrees(f, vb: ValueBounds) -> np.ndarray:

@@ -129,8 +129,15 @@ class TestSolveGrid:
     @pytest.mark.parametrize(
         "problem, step, message",
         [
-            ("demo", 0.05, "9261 points, 2 cold solves, 9259 certified, 2 bases, 0 non-optimal"),
-            ("uncapped", 0.5, "27 points, 10 cold solves, 17 certified, 1 bases, 9 non-optimal"),
+            (
+                "demo", 0.05,
+                "9261 points, 2 cold solves, 0 warm starts, 9259 certified, 2 bases, "
+                "0 non-optimal",
+            ),
+            (
+                "uncapped", 0.5,
+                "27 points, 10 cold solves, 0 warm starts, 17 certified, 1 bases, 9 non-optimal",
+            ),
         ],
     )
     def test_logs_counters(self, demo_problem, caplog, problem, step, message):
@@ -140,6 +147,45 @@ class TestSolveGrid:
         [record] = [r for r in caplog.records if r.name.startswith("greylp")]
         assert record.levelno == logging.INFO
         assert record.getMessage() == "solve_grid: " + message
+
+    def test_sweep_starts_from_the_bounds_bases(self, demo_problem, caplog):
+        # The critical solve is cold; the ideal program rejects the critical
+        # basis (it is primal infeasible there) and is solved cold too.  The
+        # two bases then certify the whole grid.
+        with caplog.at_level(logging.DEBUG, logger="greylp"):
+            grid_sweep(demo_problem, 0.05)
+        assert [r.getMessage() for r in caplog.records] == [
+            "solve_max: cold start, 0 phase-1 pivots, 3 phase-2 pivots, optimal",
+            "solve_max: cold start (start rejected: primal infeasible), 0 phase-1 pivots, "
+            "2 phase-2 pivots, optimal",
+            "solve_grid: 9261 points, 0 cold solves, 0 warm starts, 9261 certified, 2 bases, "
+            "0 non-optimal",
+        ]
+
+    def test_uncertified_points_start_from_a_primal_feasible_basis(self, caplog):
+        # The gamma slices of a 20x20 problem need bases of their own.  A
+        # point no cached basis certifies is solved from the latest cached
+        # basis that is primal feasible there, so the start is never
+        # rejected and phase 2 takes a pivot or two; with none it is cold.
+        p = random_bounded_problem(random.Random(5), n=20, m=20)
+        triples = grid_triples(0.5)
+        with caplog.at_level(logging.DEBUG, logger="greylp"):
+            got = solve_grid(p, triples)
+        *solves, summary = [r.getMessage() for r in caplog.records]
+        starts = [message.split(",")[0] for message in solves]
+        assert starts.count("solve_max: cold start") == 5
+        assert starts.count("solve_max: warm start") == 8
+        phase2 = [int(m.split(", ")[2].split()[0]) for m in solves if "warm start" in m]
+        assert max(phase2) <= 2
+        assert summary == (
+            "solve_grid: 27 points, 5 cold solves, 8 warm starts, 14 certified, 13 bases, "
+            "0 non-optimal"
+        )
+        for (status, f), got_status, got_f in zip(
+            reference_grid(p, triples), got.status, got.objective.tolist()
+        ):
+            assert got_status is status
+            assert abs(got_f - f) <= 1e-9 * max(1.0, abs(f))
 
 
 class TestLambdaSweep:
@@ -319,6 +365,24 @@ class TestFindSatisfactory:
         expected = sorted(hits, key=lambda hit: (-hit[1], hit[0]))
         assert hits == expected
         assert len({value for _, value in hits}) == 11
+
+    def test_degrees_equal_up_to_rounding_are_listed_by_triple(self, demo_problem, monkeypatch):
+        # Two rows whose degrees differ by 1 ulp (solver rounding) tie, and
+        # so come out in triple order, not in the order of the rounding.
+        low = 0.7
+        high = float(np.nextafter(low, 1.0))
+        table = SweepTable._of_columns(
+            axis_labels=("alpha", "beta", "gamma", "f", "mu", "mu_tilde[0.5]"),
+            lambdas=(0.5,),
+            coefficients=np.array([(0.0, 0.0, 0.5), (0.0, 0.5, 0.0), (1.0, 1.0, 0.0)]),
+            f=np.array([1.0, 1.0, 2.0]),
+            mu=np.array([0.5, 0.5, 0.9]),
+            mu_tilde=np.array([[low], [high], [1.0]]),
+            errors={},
+        )
+        monkeypatch.setattr(analysis, "grid_sweep", lambda p, step, lambdas: table)
+        hits = find_satisfactory(demo_problem, mu0=0.5, lam=0.5, step=0.5)
+        assert hits == [((1.0, 1.0, 0.0), 1.0), ((0.0, 0.0, 0.5), low), ((0.0, 0.5, 0.0), high)]
 
     @pytest.mark.parametrize("kwargs", [{"mu0": 1.5}, {"lam": -0.2}])
     def test_rejects_bad_thresholds(self, demo_problem, kwargs):

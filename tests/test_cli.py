@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import logging
 import random
 
 import numpy as np
@@ -23,6 +24,7 @@ from greylp import (
     serialize_problem,
     theta_coefficients,
 )
+from greylp import analysis, grey_core, satisfaction
 
 UNCAPPED_DOC = json.dumps(
     {"objective": [[1, 2]], "matrix": [[[0, 1]]], "rhs": [[5, 6]]}
@@ -352,6 +354,43 @@ class TestDegreesCommand:
         assert "pleased (mu >= 0.5): yes" in out
         assert "satisfactory (mu_tilde >= 0.5): no" in out
 
+    @pytest.mark.parametrize("argv, calls", [
+        (["degrees", "--theta", "0.6"], 1),
+        (["degrees", "--alpha", "1", "--beta", "0", "--gamma", "0.5", "--precise"], 1),
+        (["sweep", "--step", "0.5"], 2),
+    ])
+    def test_validates_the_problem_once(self, monkeypatch, capsys, demo_file, argv, calls):
+        # Parsing validates; the degrees query and its bounds do not again
+        # (a sweep validates once more, as the library grid_sweep does).
+        original = grey_core.validate_problem
+        counted = []
+
+        def counting(p):
+            counted.append(p)
+            return original(p)
+
+        for module in (grey_core, cli, satisfaction, analysis):
+            if getattr(module, "validate_problem", None) is original:
+                monkeypatch.setattr(module, "validate_problem", counting)
+        assert run([argv[0], "--file", demo_file, *argv[1:]]) == 0
+        assert len(counted) == calls
+
+    def test_unbounded_degrees_exit_2(self, capsys, uncapped_file):
+        assert run(["degrees", "--file", uncapped_file, "--theta", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: positioned program is unbounded; satisfaction analysis is undefined\n"
+        )
+
+    def test_invalid_problem_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "reversed.json"
+        path.write_text(
+            '{"objective": [[2, 1]], "matrix": [[[1, 2]]], "rhs": [[5, 6]]}', encoding="utf-8"
+        )
+        assert run(["degrees", "--file", str(path), "--theta", "0.5"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSweepCommand:
     def test_stdout_csv(self, capsys, demo_file):
@@ -499,16 +538,21 @@ def _seeded_problem(size: int, seed: int) -> GreyLP:
     )
 
 
-def test_cold_degrees_query_benchmark_smoke(benchmark, capsys, tmp_path):
-    # One timed round with no time bound: a cold 60x60 query runs parse,
-    # validate, whiten and three solves, and the suite does not depend on
-    # host speed.
+def test_cold_degrees_query_benchmark_smoke(benchmark, capsys, caplog, tmp_path):
+    # One timed round with no time bound: a 60x60 query runs parse,
+    # validate and whiten, solves its own setting cold and both bounds from
+    # that basis, and the suite does not depend on host speed.
     p = _seeded_problem(60, seed=2012)
     path = tmp_path / "synthetic60.json"
     path.write_text(serialize_problem(ProblemFile(problem=p)), encoding="utf-8")
     argv = ["degrees", "--file", str(path), "--theta", "0.3", "--precise"]
-    code = benchmark.pedantic(run, args=(argv,), rounds=1, iterations=1)
+    with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
+        code = benchmark.pedantic(run, args=(argv,), rounds=1, iterations=1)
     assert code == 0
+    starts = [r.getMessage().split(",")[0] for r in caplog.records]
+    assert starts[0] == "solve_max: cold start"
+    assert len(starts) == 3
+    assert set(starts[1:]) <= {"solve_max: certified start", "solve_max: warm start"}
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 5
     assert lines[0] == f"f = {positioned_value(p, theta_coefficients(0.3, 60, 60))!r}"

@@ -151,6 +151,31 @@ class TestUniformAndTheta:
         with pytest.raises(DomainError):
             uniform_coefficients(1.5, 0.5, 0.5, m=1, n=1)
 
+    @given(
+        values=st.tuples(
+            *[st.one_of(st.floats(-0.5, 1.5), st.sampled_from([math.nan, math.inf]))] * 3
+        ),
+        m=st.integers(1, 3),
+        n=st.integers(1, 3),
+    )
+    def test_same_result_or_error_as_the_checked_constructor(self, values, m, n):
+        # uniform_coefficients range-checks its three scalars, not the
+        # filled arrays; the outcome must be the constructor's.
+        def outcome(make):
+            try:
+                k = make()
+            except DomainError as exc:
+                return str(exc)
+            assert not k.gamma_array.flags.writeable
+            return k
+
+        alpha, beta, gamma = values
+        assert outcome(lambda: uniform_coefficients(alpha, beta, gamma, m, n)) == outcome(
+            lambda: PositionCoefficients(
+                alphas=np.full(n, alpha), betas=np.full(m, beta), gammas=np.full((m, n), gamma)
+            )
+        )
+
 
 class TestBuildPositioned:
     def test_loose_endpoint(self, demo_problem):
