@@ -498,8 +498,10 @@ class TestParserReuse:
         assert out == "critical = 20657.72\nideal = 74783.51\n" * 2
 
 
-# sha256 of the demo's stdout for commands whose bytes must not change, taken
-# from the per-row implementation before sweeps were scored as arrays.
+# sha256 of the demo's stdout for commands whose bytes must not change.  The
+# first four were taken from the per-row implementation before sweeps were
+# scored as arrays, the last four before degree cells were formatted from a
+# lookup table (step 0.02 puts many more cells next to a rounding tie).
 GOLDEN_STDOUT = {
     ("sweep", "--step", "0.05", "--lambdas", "0.25,0.5,0.75,1"):
         "1ac4fa9eacb623b1ddcbb8d349d2150a9c996c49e0fcd408ea165e2580c12d93",
@@ -509,6 +511,14 @@ GOLDEN_STDOUT = {
         "e9208c54d70554a213af641607d4b0885a9bf8cb24b2e1dd2279f3376e25ffed",
     ("monotonicity", "--axis", "gamma", "--step", "0.05"):
         "01adac0f90bdf2e648c067a8dc54a18903bce3adf8a202aea374c303418551fc",
+    ("verify-example",):
+        "22f62a4782f3d0780e7218b965da872dc28b34d9de5af70f58139992e45333c3",
+    ("sweep", "--step", "0.02", "--lambdas", "0,0.25,0.5,0.75,1"):
+        "e1e8f758f51118143d7f1f0d67de1ccf822482b4ab7503385ab860738934f8e3",
+    ("satisfactory", "--mu0", "0.4", "--lambda", "0.9", "--step", "0.02"):
+        "5a9664ad4d7c9a5b504d08d5fbcc18dd56e604a2fd50359b085e9d7b153c71d0",
+    ("sweep", "--step", "0.05", "--lambdas", "0.5", "--format", "markdown"):
+        "b4b0f4904646732f84cb86439c250055550d4d83d327d72a1ff9f108b925757a",
 }
 
 
@@ -516,7 +526,8 @@ GOLDEN_STDOUT = {
     "argv", sorted(GOLDEN_STDOUT), ids=lambda argv: "_".join(a.lstrip("-") for a in argv)
 )
 def test_golden_stdout(capsys, demo_file, argv):
-    assert run([argv[0], "--file", demo_file, *argv[1:]]) == 0
+    file = [] if argv[0] == "verify-example" else ["--file", demo_file]  # it embeds the demo
+    assert run([argv[0], *file, *argv[1:]]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT[argv]
 
