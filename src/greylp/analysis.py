@@ -14,12 +14,13 @@ gamma slice share A and differ only in b and c.  A simplex basis S then
 gives, from one factorisation of B = [A | I][:, S], the basic solution for
 every beta of the slice and the dual vector for every alpha; the basis is
 optimal on the rectangle of primal-feasible betas times dual-feasible
-alphas (parametric programming, Gal 1995).  The kernel keeps the optimal
-bases found so far, certifies each slice's points against them, and solves
-only the points no cached basis certifies, each started from the latest
-cached basis that is primal feasible there (so the simplex only pivots in
-phase 2).  A sweep's first cached bases are those of its critical and
-ideal solves.
+alphas (parametric programming, Gal 1995).  The kernel whitens every slice
+once, keeps the optimal bases found so far, and certifies each of them
+against the pending points of all slices at once, with one stacked
+factorisation per slice.  It solves only the points no cached basis
+certifies, slice by slice, each started from the latest cached basis that
+is primal feasible there (so the simplex only pivots in phase 2).  A
+sweep's first cached bases are those of its critical and ideal solves.
 
 Tables render to CSV or Markdown with the presentation rounding used
 throughout: optimal values to 2 decimals, degrees to 4.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import gc
 import io
 import logging
@@ -263,11 +265,12 @@ def solve_grid(p: GreyLP, triples) -> GridSolution:
 
     Results equal those of solving each triple on its own
     (``solve_max(build_positioned(p, uniform_coefficients(...)))``): the
-    same status, and the optimal value up to rounding.  Triples are grouped
-    by gamma; each group is first checked against the optimal bases cached
-    so far (see :func:`greylp.lp_solver._certify`), and every point no basis
-    certifies is solved from the latest cached basis that is primal feasible
-    there (cold if there is none), adding its optimal basis to the cache.
+    same status, and the optimal value up to rounding.  Every cached optimal
+    basis is checked at all points still pending, over all gamma slices at
+    once (see :func:`greylp.lp_solver._certify`).  Every point no basis
+    certifies is solved, in gamma order and then input order, from the
+    latest cached basis that is primal feasible there (cold if there is
+    none), and its optimal basis joins the cache and is checked in turn.
     One INFO record on the ``greylp.analysis`` logger reports the points,
     cold and warm-started solves, certified points, distinct bases and
     non-optimal points.
@@ -278,6 +281,19 @@ def solve_grid(p: GreyLP, triples) -> GridSolution:
     """
     _validated(p)
     return _solve_grid(p, _points(triples))
+
+
+def _by_slice(at: np.ndarray, v: np.ndarray, slices: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``v`` within each slice (``at`` gives each
+    point's slice) as the rows of a table, ascending and padded with zeros,
+    and each point's entry in the flattened table."""
+    values, vi = np.unique(v, return_inverse=True)
+    pairs, inverse = np.unique(at * len(values) + vi, return_inverse=True)
+    slice_of, value_of = np.divmod(pairs, len(values))
+    column = np.arange(len(pairs)) - np.searchsorted(slice_of, slice_of)
+    table = np.zeros((slices, column.max(initial=-1) + 1))
+    table[slice_of, column] = values[value_of]
+    return table, (slice_of * table.shape[1] + column)[inverse]
 
 
 def _solve_grid(p: GreyLP, pts: np.ndarray, bases=()) -> GridSolution:
@@ -301,49 +317,61 @@ def _solve_grid(p: GreyLP, pts: np.ndarray, bases=()) -> GridSolution:
 
     for basis in bases:
         cached(basis)
+    # Every gamma slice's [A | I], and its distinct objectives and
+    # right-hand sides, whitened once with build_positioned's formula, so
+    # each entry matches a cold solve's bit for bit.  Point k lies in slice
+    # at[k] and has objective ca[k] and right-hand side cb[k] of the
+    # flattened per-slice tables.
+    gammas, at = np.unique(pts[:, 2], return_inverse=True)
+    G = len(gammas)
+    alphas, ca = _by_slice(at, pts[:, 0], G)
+    betas, cb = _by_slice(at, pts[:, 1], G)
+    AI = np.concatenate(
+        [_whitened(gammas[:, None, None], p.A_lo, p.A_hi), np.broadcast_to(np.eye(m), (G, m, m))],
+        axis=2,
+    )
+    C = _whitened(alphas[..., None], p.c_lo, p.c_hi)
+    CI = np.concatenate([C, np.zeros(C.shape[:2] + (m,))], axis=2)
+    Bv = _whitened(betas[..., None], p.b_lo, p.b_hi)
+    pending = np.ones(len(pts), dtype=bool)
+    # Per point, the latest cached basis that is primal feasible there (-1
+    # for none): a solve started from it only pivots in phase 2.
+    feasible = np.full(len(pts), -1)
+
+    def settle(which, first=0):
+        """Certify ``cache[which]`` at every pending point, all of them in
+        slice ``first`` or later."""
+        rows = np.flatnonzero(pending)
+        a, b = ca[rows], cb[rows]
+        a -= first * alphas.shape[1]
+        b -= first * betas.shape[1]
+        ok, f, primal, _, _ = _certify(AI[first:], CI[first:], Bv[first:], cache[which], a, b)
+        values[rows[ok]] = f[ok]
+        pending[rows[ok]] = False
+        feasible[rows[primal]] = which
+
+    for which in range(len(cache)):
+        if not pending.any():
+            break
+        settle(which)
     cold = warm = 0
-    gammas, slice_of = np.unique(pts[:, 2], return_inverse=True)
-    for k, gamma in enumerate(gammas):
-        idx = np.flatnonzero(slice_of == k)
-        alphas, ai = np.unique(pts[idx, 0], return_inverse=True)
-        betas, bi = np.unique(pts[idx, 1], return_inverse=True)
-        # build_positioned's formula, so each entry matches a cold solve's bit for bit.
-        AI = np.hstack([_whitened(gamma, p.A_lo, p.A_hi), np.eye(m)])
-        CI = np.hstack([_whitened(alphas[:, None], p.c_lo, p.c_hi), np.zeros((len(alphas), m))])
-        Bv = _whitened(betas[:, None], p.b_lo, p.b_hi)
-        pending = np.ones(len(idx), dtype=bool)
-        # Per point, the latest cached basis that is primal feasible there
-        # (-1 for none): a solve started from it only pivots in phase 2.
-        feasible = np.full(len(idx), -1)
-
-        def settle(which):
-            rows = np.flatnonzero(pending)
-            ok, f, primal, _ = _certify(AI, CI, Bv, cache[which], ai[rows], bi[rows])
-            values[idx[rows[ok]]] = f[ok]
-            pending[rows[ok]] = False
-            feasible[rows[primal[bi[rows]]]] = which
-
-        for which in range(len(cache)):
-            if not pending.any():
-                break
-            settle(which)
-        while pending.any():
-            j = int(np.argmax(pending))
-            pending[j] = False
-            alpha, beta, g = pts[idx[j]].tolist()
-            lp = build_positioned(p, uniform_coefficients(alpha, beta, g, m, n))
-            start = cache[feasible[j]] if feasible[j] >= 0 else None
-            sol = solve_max(lp, start)
-            if start is None:
-                cold += 1
-            else:
-                warm += 1
-            status[idx[j]] = sol.status
-            if sol.status is not SolveStatus.OPTIMAL:
-                continue
-            values[idx[j]] = sol.objective
-            if cached(sol.basis):
-                settle(len(cache) - 1)
+    while pending.any():
+        j = int(np.where(pending, at, G).argmin())  # the first point of the first slice left
+        pending[j] = False
+        alpha, beta, gamma = pts[j].tolist()
+        lp = build_positioned(p, uniform_coefficients(alpha, beta, gamma, m, n))
+        start = cache[feasible[j]] if feasible[j] >= 0 else None
+        sol = solve_max(lp, start)
+        if start is None:
+            cold += 1
+        else:
+            warm += 1
+        status[j] = sol.status
+        if sol.status is not SolveStatus.OPTIMAL:
+            continue
+        values[j] = sol.objective
+        if cached(sol.basis):
+            settle(len(cache) - 1, first=at[j])
 
     solved = cold + warm
     _log.info(
@@ -502,26 +530,64 @@ def _fmt_coeff(v: float) -> str:
     return "%g" % v
 
 
-def _cells(fmt: str, values: np.ndarray, errors: dict[int, str], empty: str) -> list[str]:
-    """``values`` formatted with ``fmt``; NaN becomes ``empty``, and the
-    value at each index of ``errors`` its error marker."""
-    cells = [fmt % v for v in values.tolist()]
+@functools.cache
+def _degree_table() -> tuple[np.ndarray, np.ndarray]:
+    """The text "%d.%04d" % divmod(q, 10000) of each 4-decimal code q of a
+    degree in [0, 1], and which of them are filled in.  Codes are filled in
+    as they come into use; the table is shared by the whole process, which
+    is safe because each entry depends on its code alone."""
+    return np.empty(10_001, dtype=object), np.zeros(10_001, dtype=bool)
+
+
+def _degree_texts(values: np.ndarray) -> np.ndarray:
+    """``"%.4f" % v`` of every value, as an object array of the same shape,
+    looked up wherever that is provably the same text.
+
+    A value v in [0, 1] takes the text of its code q = rint(v * 1e4).  The
+    product is within 1.2e-12 of the exact v * 10^4, so q is the correctly
+    rounded 4-decimal value, as "%.4f" prints it, unless the product lies
+    within 1e-6 of a rounding tie.  Values near a tie, NaN, -0.0 and values
+    outside [0, 1] are formatted one by one.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        scaled = values * 1e4
+        exact = (values >= 0.0) & (values <= 1.0) & ~np.signbit(values)
+        exact &= np.abs(scaled - np.floor(scaled) - 0.5) > 1e-6
+    codes = np.rint(scaled[exact]).astype(np.intp)
+    table, known = _degree_table()
+    fresh = np.zeros(len(table), dtype=bool)
+    fresh[codes] = True
+    fresh &= ~known
+    for q in np.flatnonzero(fresh).tolist():
+        table[q] = "%d.%04d" % divmod(q, 10000)
+    known |= fresh
+    texts = np.empty(values.shape, dtype=object)
+    texts[exact] = table[codes]
+    for i in np.flatnonzero(~exact).tolist():
+        texts.flat[i] = "%.4f" % values.flat[i]
+    return texts
+
+
+def _cells(texts: list[str], values: np.ndarray, errors: dict[int, str], empty: str) -> list[str]:
+    """``texts``, the formatted ``values``, with each NaN's replaced by
+    ``empty`` and the text at each index of ``errors`` by its error
+    marker."""
     for i in np.flatnonzero(np.isnan(values)).tolist():
-        cells[i] = empty
+        texts[i] = empty
     for i, marker in errors.items():
-        cells[i] = marker
-    return cells
+        texts[i] = marker
+    return texts
 
 
 def _body(t: SweepTable, empty: str, marker):
-    """The table's rows after the header as tuples of cells, at most
-    ``_CHUNK`` rows at a time.  A missing value renders as ``empty`` and
-    every value of an error row as ``marker(error)``."""
+    """The table's rows after the header, each an iterable of cells, at
+    most ``_CHUNK`` rows at a time.  A missing value renders as ``empty``
+    and every value of an error row as ``marker(error)``."""
     errors = {i: marker(e) for i, e in t.errors.items()}
     if t.axis_labels and t.axis_labels[0] == "lambda":
         yield [
-            (_fmt_coeff(lam), *_cells("%.4f", t.mu_tilde[:, j], errors, empty))
-            for j, lam in enumerate(t.lambdas)
+            (_fmt_coeff(lam), *_cells(_degree_texts(row).tolist(), row, errors, empty))
+            for lam, row in zip(t.lambdas, t.mu_tilde.T)
         ]
         return
     # Each distinct grid value is formatted once.
@@ -529,13 +595,16 @@ def _body(t: SweepTable, empty: str, marker):
     for column in t.coefficients.T:
         values, index = np.unique(column, return_inverse=True)
         coeffs.append(np.array([_fmt_coeff(v) for v in values.tolist()], dtype=object)[index])
-    columns = [("%.2f", t.f), ("%.4f", t.mu)] + [("%.4f", c) for c in t.mu_tilde.T]
     for start in range(0, len(t.f), _CHUNK):
         stop = start + _CHUNK
         errs = {i - start: m for i, m in errors.items() if start <= i < stop}
+        f = t.f[start:stop]
+        degrees = np.column_stack((t.mu[start:stop], t.mu_tilde[start:stop]))
         cells = [c[start:stop].tolist() for c in coeffs]
-        cells += [_cells(fmt, values[start:stop], errs, empty) for fmt, values in columns]
-        yield list(zip(*cells))
+        cells.append(_cells(["%.2f" % v for v in f.tolist()], f, errs, empty))
+        for values, texts in zip(degrees.T, _degree_texts(degrees).T):
+            cells.append(_cells(texts.tolist(), values, errs, empty))
+        yield zip(*cells)
 
 
 def _csv_cell(text: str) -> str:
@@ -568,5 +637,7 @@ def render_table(t: SweepTable, format: str) -> str:
         buf.write("| " + " | ".join("---" for _ in header) + " |\n")
         lead, sep, end, empty, marker = "| ", " | ", " |\n", "-", lambda e: e or "-"
     for chunk in _body(t, empty, marker):
-        buf.write("".join([lead + sep.join(row) + end for row in chunk]))
+        lines = list(map(sep.join, chunk))
+        if lines:
+            buf.write(lead + (end + lead).join(lines) + end)
     return buf.getvalue()

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import bundled
 from .analysis import (
+    _degree_texts,
     check_monotonicity,
     find_satisfactory,
     grid_sweep,
@@ -49,12 +50,10 @@ from .errors import (
 from .grey_core import (
     GreyLP,
     PositionCoefficients,
-    build_positioned,
     theta_coefficients,
     uniform_coefficients,
     validate_problem,
 )
-from .lp_solver import SolveStatus, solve_max
 from .satisfaction import (
     _bounds,
     _solve_positioned,
@@ -292,11 +291,11 @@ def _cmd_validate(args) -> int:
 def _cmd_solve(args) -> int:
     pf = _load(args.file)
     k = _coefficients(args, pf.problem)
-    sol = solve_max(build_positioned(pf.problem, k))
-    if sol.status is SolveStatus.UNBOUNDED:
-        raise UnboundedValueError("positioned program is unbounded")
-    if sol.status is not SolveStatus.OPTIMAL:
-        raise SolverFailure(f"solver finished with status {sol.status.value}")
+    sol = _solve_positioned(
+        pf.problem, k,
+        unbounded="positioned program is unbounded",
+        failed="solver finished with status {}",
+    )
     print(f"f = {_fmt_value(sol.objective, args.precise)}")
     xs = ", ".join(repr(float(v)) if args.precise else "%.6f" % v for v in sol.x)
     print(f"x = ({xs})")
@@ -361,16 +360,19 @@ def _cmd_monotonicity(args) -> int:
 def _cmd_satisfactory(args) -> int:
     pf = _load(args.file)
     hits = find_satisfactory(pf.problem, args.mu0, args.lam, args.step)
-    total = len(unit_grid(args.step)) ** 3
+    grid = unit_grid(args.step)
+    total = len(grid) ** 3
     print(
         f"{len(hits)} of {total} grid setting(s) reach "
         f"mu_tilde[lambda={args.lam:g}] >= {args.mu0:g}"
     )
-    for triple, value in hits:
-        print(
-            f"  alpha={triple[0]:g} beta={triple[1]:g} gamma={triple[2]:g}"
-            f"  mu_tilde={value:.4f}"
-        )
+    # The triples hold grid values, so each value is formatted once.
+    coeff = {v: "%g" % v for v in grid}
+    degrees = _degree_texts(np.fromiter((value for _, value in hits), float, len(hits))).tolist()
+    sys.stdout.write("".join([
+        f"  alpha={coeff[a]} beta={coeff[b]} gamma={coeff[g]}  mu_tilde={degree}\n"
+        for ((a, b, g), _), degree in zip(hits, degrees)
+    ]))
     return 0
 
 

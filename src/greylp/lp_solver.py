@@ -26,6 +26,7 @@ independent checks on each other.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import itertools
 import logging
@@ -43,6 +44,8 @@ __all__ = ["SolveStatus", "LPSolution", "solve_max", "enumerate_vertices_oracle"
 # feasibility is checked more loosely because residuals accumulate pivots.
 _TOL_PIVOT = 1e-9
 _TOL_FEAS = 1e-7
+# Certification gathers per-point rows in blocks of about this many entries.
+_BLOCK = 1 << 13
 
 _log = logging.getLogger(__name__)
 
@@ -211,46 +214,85 @@ def _solve_cold(A, b, c) -> tuple[LPSolution, int, int]:
     return sol, used_total, used2
 
 
-def _certify(AI, CI, Bv, basis, ai, bi):
-    """Which points (objective ``CI[ai[k]]``, right-hand side ``Bv[bi[k]]``)
-    of the constraint matrix [A | I] = ``AI`` the basis ``basis`` proves
+def _solve_stack(M, R) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.solve(M, R)`` over a stack of matrices, and which of them
+    are nonsingular.  One singular matrix makes the stacked solve raise for
+    all of them, so the stack is then solved one matrix at a time and the
+    solutions in the singular ones are NaN."""
+    try:
+        return np.linalg.solve(M, R), np.ones(len(M), dtype=bool)
+    except np.linalg.LinAlgError:
+        X = np.full(R.shape, np.nan)
+        nonsingular = np.zeros(len(M), dtype=bool)
+        for g in range(len(M)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                X[g] = np.linalg.solve(M[g], R[g])
+                nonsingular[g] = True
+        return X, nonsingular
+
+
+def _rows(X: np.ndarray) -> np.ndarray:
+    """The columns of a stack of matrices as rows, program by program
+    (G x r x k -> G*k x r)."""
+    return X.transpose(0, 2, 1).reshape(-1, X.shape[1])
+
+
+def _certify(AI, CI, Bv, basis, ca, cb):
+    """Which points of a stack of G programs the basis ``basis`` proves
     optimal.
 
-    ``CI`` holds objectives zero-padded over the slacks, one per row, and
-    ``Bv`` right-hand sides, one per row.  A point is certified only if it
-    passes the solver's own tests: basic values >= -tol, reduced costs <=
-    tol, the post-check A.x <= b + feas tol, and a duality gap |c.x - y.b|
-    <= tol * max(1, |f|).  Returns (mask over k, f over k, primal, xs):
-    ``primal[j]`` tells whether the basis is primal feasible for ``Bv[j]``
-    and ``xs[:, j]`` is its basic solution (snapped as the solver snaps);
-    f is meaningful only where the mask is set.
+    ``AI`` stacks the programs' constraint matrices [A | I] (G x m x
+    (n+m)), ``CI`` their objectives zero-padded over the slacks (G x ka x
+    (n+m)) and ``Bv`` their right-hand sides (G x kb x m).  Point k is the
+    objective ``ca[k]`` and the right-hand side ``cb[k]`` of one program,
+    counted across the stack (so objective ``ca[k]`` is ``CI[ca[k] // ka,
+    ca[k] % ka]``).  A point is certified only if it passes the solver's
+    own tests: basic values >= -tol, reduced costs <= tol, the post-check
+    A.x <= b + feas tol, and a duality gap |c.x - y.b| <= tol * max(1,
+    |f|).  One factorisation per program serves all its objectives and
+    right-hand sides.  Returns (mask, f, primal, xs, nonsingular):
+    ``mask[k]`` tells whether point k is certified, ``f[k]`` its optimal
+    value (meaningful only where the mask is set) and ``primal[k]`` whether
+    the basis is primal feasible there; ``xs[g, :, j]`` is the basic
+    solution for ``Bv[g, j]`` (snapped as the solver snaps), NaN where the
+    basis is singular in program g (``nonsingular[g]`` False).
     """
-    m, width = AI.shape
+    m, width = AI.shape[1:]
     n = width - m
     S = np.asarray(basis)
-    B = AI[:, S]
-    try:
-        xB = np.linalg.solve(B, Bv.T)  # m x betas
-        Y = np.linalg.solve(B.T, CI[:, S].T)  # m x alphas
-    except np.linalg.LinAlgError:  # the basis is singular
-        never = np.zeros(len(ai), dtype=bool)
-        return never, np.zeros(len(ai)), np.zeros(len(Bv), dtype=bool), None
+    B = AI[:, :, S]
+    xB, solved = _solve_stack(B, Bv.transpose(0, 2, 1))  # G x m x kb
+    Y, solved_dual = _solve_stack(B.transpose(0, 2, 1), CI[:, :, S].transpose(0, 2, 1))
+    nonsingular = solved & solved_dual
     with np.errstate(invalid="ignore", over="ignore"):
-        xs = np.zeros((n, len(Bv)))
+        xs = np.zeros((len(AI), n, Bv.shape[1]))
         structural = S < n
-        xs[S[structural]] = xB[structural]
+        xs[:, S[structural]] = xB[:, structural]
         xs[(xs < 0.0) & (xs > -_TOL_PIVOT)] = 0.0  # solve_max's snap
-        primal = (xB >= -_TOL_PIVOT).all(axis=0)
-        primal &= (Bv.T - AI[:, :n] @ xs >= -_TOL_FEAS).all(axis=0)
+        primal = (xB >= -_TOL_PIVOT).all(axis=1)
+        primal &= (Bv.transpose(0, 2, 1) - AI[:, :, :n] @ xs >= -_TOL_FEAS).all(axis=1)
+        primal &= nonsingular[:, None]
         nonbasic = np.ones(width, dtype=bool)
         nonbasic[S] = False
-        reduced = CI.T[nonbasic] - AI[:, nonbasic].T @ Y
-        dual = (reduced <= _TOL_PIVOT).all(axis=0)
-        ok = primal[bi] & dual[ai]
-        f = np.einsum("ij,ji->i", CI[ai, :n], xs[:, bi])
-        yb = np.einsum("ji,ij->i", Y[:, ai], Bv[bi])
-        ok &= np.abs(f - yb) <= _TOL_PIVOT * np.maximum(1.0, np.abs(f))
-    return ok, f, primal, xs
+        AN = AI[:, :, nonbasic].transpose(0, 2, 1)
+        reduced = CI[:, :, nonbasic].transpose(0, 2, 1) - AN @ Y
+        dual = (reduced <= _TOL_PIVOT).all(axis=1)
+        primal = primal.ravel()[cb]
+        ok = primal & dual.ravel()[ca]
+        # The values and the duality gap are summed over one row per point
+        # in every operand: einsum's summation order depends on the layout,
+        # and with this one each point is summed the same way however many
+        # programs are stacked.  Blocks of points bound the rows held.
+        C, X = CI[:, :, :n].reshape(-1, n), _rows(xs)
+        Yr, R = _rows(Y), Bv.reshape(-1, m)
+        f = np.empty(len(ca))
+        size = max(1, _BLOCK // width)
+        for block in (slice(k, k + size) for k in range(0, len(ca), size)):
+            a, b = ca[block], cb[block]
+            f[block] = fb = np.einsum("ij,ij->i", C.take(a, axis=0), X.take(b, axis=0))
+            yb = np.einsum("ij,ij->i", Yr.take(a, axis=0), R.take(b, axis=0))
+            ok[block] &= np.abs(fb - yb) <= _TOL_PIVOT * np.maximum(1.0, np.abs(fb))
+    return ok, f, primal, xs, nonsingular
 
 
 def _solve_started(A, b, c, start) -> tuple[LPSolution | None, str, int]:
@@ -267,11 +309,11 @@ def _solve_started(A, b, c, start) -> tuple[LPSolution | None, str, int]:
     if len(set(basis)) != m:  # a repeated column
         return None, "singular", 0
     AI = np.hstack([A, np.eye(m)])
-    CI = np.concatenate([c, np.zeros(m)])[None, :]
+    CI = np.concatenate([c, np.zeros(m)])
     zero = np.zeros(1, dtype=np.intp)
-    ok, _, primal, xs = _certify(AI, CI, b[None, :], S, zero, zero)
+    ok, _, primal, xs, nonsingular = _certify(AI[None], CI[None, None], b[None, None], S, zero, zero)
     if ok[0]:
-        x = xs[:, 0]
+        x = xs[0, :, 0]
         sol = LPSolution(
             status=SolveStatus.OPTIMAL,
             x=tuple(x.tolist()),
@@ -279,7 +321,7 @@ def _solve_started(A, b, c, start) -> tuple[LPSolution | None, str, int]:
             basis=tuple(basis),
         )
         return sol, "certified", 0
-    if xs is None:
+    if not nonsingular[0]:
         return None, "singular", 0
     if not primal[0]:
         return None, "primal infeasible", 0
@@ -291,8 +333,8 @@ def _solve_started(A, b, c, start) -> tuple[LPSolution | None, str, int]:
     T[:m] = np.linalg.solve(AI[:, S], T[:m])
     T[:m, S] = np.eye(m)
     T[:m, -1][T[:m, -1] < 0.0] = 0.0  # only sub-tolerance noise is negative here
-    T[m, :-1] = CI[0]
-    T[m] -= CI[0, S] @ T[:m]
+    T[m, :-1] = CI
+    T[m] -= CI[S] @ T[:m]
     T[m, S] = 0.0
     try:
         outcome, used, _ = _bland_iterate(T, basis, n + m, 50 * (m + n))

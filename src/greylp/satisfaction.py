@@ -90,16 +90,23 @@ def _clamp(f: np.ndarray, vb: ValueBounds) -> np.ndarray:
     return np.where(vb.ideal < f, vb.ideal, f)
 
 
-def _solve_positioned(p: GreyLP, k: PositionCoefficients, start=None) -> LPSolution:
+def _solve_positioned(
+    p: GreyLP,
+    k: PositionCoefficients,
+    start=None,
+    unbounded: str = "positioned program is unbounded; satisfaction analysis is undefined",
+    failed: str = "unexpected solver status {} for a whitened problem",
+) -> LPSolution:
     """The optimal solution of the positioned program of a validated ``p``,
-    solved from the basis ``start`` if one is given."""
+    solved from the basis ``start`` if one is given.  Raises
+    :class:`UnboundedValueError` with the message ``unbounded``, and
+    :class:`SolverFailure` with ``failed`` formatted with the status for
+    any other outcome (unreachable for valid problems)."""
     sol = solve_max(build_positioned(p, k), start)
     if sol.status is SolveStatus.UNBOUNDED:
-        raise UnboundedValueError(
-            "positioned program is unbounded; satisfaction analysis is undefined"
-        )
-    if sol.status is not SolveStatus.OPTIMAL:  # unreachable for valid problems
-        raise SolverFailure(f"unexpected solver status {sol.status} for a whitened problem")
+        raise UnboundedValueError(unbounded)
+    if sol.status is not SolveStatus.OPTIMAL:
+        raise SolverFailure(failed.format(sol.status.value))
     return sol
 
 

@@ -187,6 +187,28 @@ class TestSolveGrid:
             assert got_status is status
             assert abs(got_f - f) <= 1e-9 * max(1.0, abs(f))
 
+    def test_basis_singular_in_one_slice_certifies_the_others(self, caplog):
+        # The basis {x} of UNCAPPED is the 1x1 matrix [gamma]: singular in
+        # the gamma = 0 slice only, where the program is unbounded.  The
+        # slices are certified together, and the singular one must neither
+        # raise nor keep the others from being certified.
+        triples = grid_triples(0.1)
+        with caplog.at_level(logging.INFO, logger="greylp"):
+            got = analysis._solve_grid(UNCAPPED, np.array(triples), bases=[(0,)])
+        [record] = [r for r in caplog.records if r.name.startswith("greylp")]
+        assert record.getMessage() == (
+            "solve_grid: 1331 points, 121 cold solves, 0 warm starts, 1210 certified, 1 bases, "
+            "121 non-optimal"
+        )
+        for (status, f), got_status, got_f in zip(
+            reference_grid(UNCAPPED, triples), got.status, got.objective.tolist()
+        ):
+            assert got_status is status
+            if f is None:
+                assert math.isnan(got_f)
+            else:
+                assert abs(got_f - f) <= 1e-9 * max(1.0, abs(f))
+
 
 class TestLambdaSweep:
     def test_reproduces_reference_grid(self, table):
@@ -447,6 +469,68 @@ class TestRenderTable:
     def test_rendering_is_deterministic(self, demo_problem):
         table = grid_sweep(demo_problem, 0.5, lambdas=(0.5,))
         assert render_table(table, "csv") == render_table(table, "csv")
+
+
+def _ulp_neighbours(values, steps):
+    """``values`` moved by each of ``steps`` ulps (negative steps go down)."""
+    out = []
+    for step in steps:
+        moved = values
+        for _ in range(abs(step)):
+            moved = np.nextafter(moved, np.inf if step > 0 else -np.inf)
+        out.append(moved)
+    return np.concatenate(out)
+
+
+# (k + 0.5)/1e4 for an integer k, give or take a few ulps: where rounding
+# to 4 decimals is closest to a tie.
+_near_ties = st.builds(
+    lambda k, ulps: _ulp_neighbours(np.array([(k + 0.5) / 1e4]), [ulps])[0],
+    st.integers(-5000, 14999), st.integers(-3, 3),
+)
+
+
+class TestDegreeTexts:
+    """Degree cells come from a lookup table; every text must be the one
+    ``"%.4f" % v`` prints."""
+
+    @given(st.lists(
+        st.one_of(
+            st.floats(-0.5, 1.5),
+            _near_ties,
+            st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf, -math.inf]),
+            st.floats(allow_nan=True, allow_infinity=True),
+        ),
+        max_size=40,
+    ))
+    def test_matches_percent_format(self, values):
+        values = np.array(values, dtype=float)
+        assert analysis._degree_texts(values).tolist() == ["%.4f" % v for v in values.tolist()]
+
+    def test_matches_percent_format_at_every_tie_and_code(self):
+        k = np.arange(-5000, 15000)
+        ties = (k + 0.5) / 1e4
+        special = [0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), math.nan, math.inf, -math.inf]
+        values = np.concatenate([
+            _ulp_neighbours(ties, [0, 1, 2, -1, -2]),
+            np.arange(-5000, 15001) / 1e4,
+            special,
+        ])
+        want = ["%.4f" % v for v in values.tolist()]
+        assert analysis._degree_texts(values).tolist() == want
+        # Any shape: the texts keep the shape of the values.
+        block = values[: 4 * (len(values) // 4)].reshape(-1, 4)
+        assert analysis._degree_texts(block).ravel().tolist() == want[: block.size]
+
+    def test_table_holds_only_the_codes_in_use(self):
+        analysis._degree_table.cache_clear()
+        try:
+            analysis._degree_texts(np.array([0.25, 0.25, 0.5, -0.0, 2.0, math.nan]))
+            table, known = analysis._degree_table()
+            assert np.flatnonzero(known).tolist() == [2500, 5000]
+            assert table[[2500, 5000]].tolist() == ["0.2500", "0.5000"]
+        finally:
+            analysis._degree_table.cache_clear()
 
 
 class TestRenderMatchesReference:

@@ -4,14 +4,20 @@ import copy
 import hashlib
 import json
 import logging
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import greylp
 from conftest import random_bounded_problem, random_loose_problem
 from greylp import (
     Interval,
+    LPSolution,
     ParseError,
     ProblemFile,
     GreyLP,
@@ -22,6 +28,7 @@ from greylp import (
     positioned_value,
     run,
     serialize_problem,
+    SolveStatus,
     theta_coefficients,
 )
 from greylp import analysis, grey_core, satisfaction
@@ -329,6 +336,18 @@ class TestSolveCommand:
         run(argv)
         assert capsys.readouterr().out == first
 
+    def test_unbounded_message(self, capsys, uncapped_file):
+        assert run(["solve", "--file", uncapped_file, "--theta", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: positioned program is unbounded\n")
+
+    def test_other_status_message(self, capsys, monkeypatch, demo_file):
+        # Unreachable for a valid problem (x = 0 is always feasible), so the
+        # solver is made to answer "infeasible".
+        infeasible = LPSolution(status=SolveStatus.INFEASIBLE)
+        monkeypatch.setattr(satisfaction, "solve_max", lambda lp, start=None: infeasible)
+        assert run(["solve", "--file", demo_file, "--theta", "0.5"]) == 2
+        assert capsys.readouterr() == ("", "error: solver finished with status infeasible\n")
+
 
 class TestBoundsCommand:
     def test_prints_reference_bounds(self, capsys, demo_file):
@@ -530,6 +549,31 @@ def test_golden_stdout(capsys, demo_file, argv):
     assert run([argv[0], *file, *argv[1:]]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+def test_grid_commands_leave_numpy_ma_unimported(demo_file):
+    # Importing numpy.ma adds about a megabyte of resident memory.  np.unique
+    # imports it when called without return_inverse, so a grid command that
+    # did would carry it in its peak RSS.  Only a fresh interpreter shows it.
+    commands = [
+        ["sweep", "--file", demo_file, "--step", "0.1", "--lambdas", "0.5,1"],
+        ["satisfactory", "--file", demo_file, "--mu0", "0.5", "--step", "0.1"],
+        ["monotonicity", "--file", demo_file, "--axis", "beta", "--step", "0.1"],
+        ["verify-example"],
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from greylp.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [run(argv) for argv in {commands!r}]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(pathlib.Path(greylp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.stdout == "[0, 0, 0, 0] False\n", done.stderr
 
 
 def _seeded_problem(size: int, seed: int) -> GreyLP:

@@ -582,7 +582,7 @@ class TestRejectedStart:
 
 def test_badly_scaled_start_can_end_away_from_the_cold_solve():
     # The solver's tolerances are absolute (the scale defect in ROADMAP item
-    # 4), so at tiny scales "optimal" depends on the path.  Cold, the reduced
+    # 2), so at tiny scales "optimal" depends on the path.  Cold, the reduced
     # cost 1e-9 does not exceed the tolerance and x = 0 is reported; started
     # from the basis {x}, the basis certifies and the true optimum 1e-8 is.
     lp = WhiteLP(c=(1e-9,), A=((0.1,),), b=(1.0,))
