@@ -28,10 +28,8 @@ throughout: optimal values to 2 decimals, degrees to 4.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
-import gc
 import io
 import logging
 import math
@@ -103,13 +101,12 @@ class SweepTable:
     could not be evaluated to its marker (e.g. ``"unbounded"``); the values
     of such a row are NaN.
 
-    ``axis_labels`` doubles as the rendering schema: a first label of
-    ``"lambda"`` marks a table that renders pivoted, one row per lambda and
-    one column per row (the shape of a satisfaction-degree report);
-    otherwise each row renders as one table row.
+    A ``pivoted`` table renders one row per lambda and one column per row
+    (the shape of a satisfaction-degree report); otherwise each row renders
+    as one table row.  ``axis_labels`` is the header either way.
 
-    ``SweepTable(axis_labels, rows, lambdas)`` builds the columns from
-    :class:`SatisfactionRecord` rows, and ``rows`` makes them again.
+    ``SweepTable(axis_labels, rows, lambdas, pivoted)`` builds the columns
+    from :class:`SatisfactionRecord` rows, and ``rows`` makes them again.
     """
 
     axis_labels: tuple[str, ...]
@@ -119,8 +116,9 @@ class SweepTable:
     mu: np.ndarray  # N
     mu_tilde: np.ndarray  # N x len(lambdas)
     errors: dict[int, str]
+    pivoted: bool
 
-    def __init__(self, axis_labels, rows=(), lambdas=()):
+    def __init__(self, axis_labels, rows=(), lambdas=(), pivoted=False):
         lambdas = tuple(lambdas)
         by_lam = [dict(r.mu_tilde) for r in rows]
         # The class is frozen; fields are set once, here and in _of_columns.
@@ -134,6 +132,7 @@ class SweepTable:
                 [[d.get(lam, np.nan) for lam in lambdas] for d in by_lam], dtype=float
             ).reshape(len(rows), len(lambdas)),
             errors={i: r.error for i, r in enumerate(rows) if r.error is not None},
+            pivoted=pivoted,
         )
 
     @classmethod
@@ -202,26 +201,6 @@ class GridSolution:
 
     status: tuple[SolveStatus, ...]
     objective: np.ndarray
-
-
-@contextlib.contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector for the body (also usable as a
-    decorator); an outer pause is left as it was.
-
-    A sweep builds tens of thousands of acyclic row objects.  Each
-    collection they trigger finds nothing to free, and costs time in
-    proportion to everything alive in the process, so with the collector
-    running, the same sweep took a different time from one call to the next.
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
 
 
 def unit_grid(step: float) -> tuple[float, ...]:
@@ -388,7 +367,9 @@ def _cube(grid: tuple[float, ...]) -> np.ndarray:
     return np.stack(axes, axis=-1).reshape(-1, 3)
 
 
-def _scored(p: GreyLP, pts: np.ndarray, labels: tuple[str, ...], lambdas) -> SweepTable:
+def _scored(
+    p: GreyLP, pts: np.ndarray, labels: tuple[str, ...], lambdas, pivoted: bool
+) -> SweepTable:
     """The sweep table of the triples ``pts``: each row's positioned optimum
     and degrees, scored a column at a time.  Solver trouble becomes a row's
     error marker so a sweep keeps going and partial reports stay useful."""
@@ -405,7 +386,7 @@ def _scored(p: GreyLP, pts: np.ndarray, labels: tuple[str, ...], lambdas) -> Swe
     errors = {i: str(grid.status[i]) for i in np.flatnonzero(~ok).tolist()}
     return SweepTable._of_columns(
         axis_labels=labels, lambdas=lambdas, coefficients=pts, f=f, mu=mu,
-        mu_tilde=mu_tilde, errors=errors,
+        mu_tilde=mu_tilde, errors=errors, pivoted=pivoted,
     )
 
 
@@ -413,7 +394,6 @@ def _triple_label(triple: Triple) -> str:
     return "mu_tilde(%g,%g,%g)" % triple
 
 
-@_gc_paused()
 def lambda_sweep(p: GreyLP, settings, lambdas) -> SweepTable:
     """Satisfaction degrees of each uniform triple in ``settings`` across the
     ``lambdas`` grid.
@@ -425,10 +405,9 @@ def lambda_sweep(p: GreyLP, settings, lambdas) -> SweepTable:
     lambdas = tuple(float(v) for v in lambdas)
     labels = ("lambda",) + tuple(_triple_label(t) for t in triples)
     pts = np.array(triples, dtype=float).reshape(-1, 3)
-    return _scored(p, pts, labels, lambdas)
+    return _scored(p, pts, labels, lambdas, pivoted=True)
 
 
-@_gc_paused()
 def grid_sweep(p: GreyLP, step: float, lambdas=()) -> SweepTable:
     """Positioned values and degrees for every uniform triple on the cubic
     grid with the given step, in lexicographic order.
@@ -440,13 +419,12 @@ def grid_sweep(p: GreyLP, step: float, lambdas=()) -> SweepTable:
     labels = ("alpha", "beta", "gamma", "f", "mu") + tuple(
         "mu_tilde[%g]" % lam for lam in lambdas
     )
-    return _scored(p, _cube(grid), labels, lambdas)
+    return _scored(p, _cube(grid), labels, lambdas, pivoted=False)
 
 
 _AXES = {"alpha": 0, "beta": 1, "gamma": 2}
 
 
-@_gc_paused()
 def check_monotonicity(p: GreyLP, axis: str, step: float) -> MonotonicityReport:
     """Probe adjacent grid values along one coefficient axis, holding the
     other two axes on their own grid.
@@ -502,10 +480,12 @@ def _probed_pairs(grid, pos: int, index) -> tuple[tuple[Triple, Triple], ...]:
     return tuple(out)
 
 
-@_gc_paused()
-def find_satisfactory(p: GreyLP, mu0: float, lam: float, step: float) -> list[tuple[Triple, float]]:
+def find_satisfactory(
+    p: GreyLP, mu0: float, lam: float, step: float
+) -> tuple[np.ndarray, np.ndarray]:
     """All uniform grid triples whose satisfaction degree at ``lam`` reaches
-    the grey target ``mu0``, best first (ties in lexicographic order)."""
+    the grey target ``mu0``, best first (ties in lexicographic order): the
+    triples as an N x 3 array and their degrees as an array of N."""
     for name, v in (("mu0", mu0), ("lam", lam)):
         if not (0.0 <= float(v) <= 1.0):
             raise DomainError(f"{name} must be in [0, 1], got {v}")
@@ -516,18 +496,19 @@ def find_satisfactory(p: GreyLP, mu0: float, lam: float, step: float) -> list[tu
     # rounding tie; rows are in lexicographic order, so the row index breaks
     # ties by triple.
     hits = hits[np.lexsort((hits, -np.round(degree[hits], 12)))]
-    return [
-        (tuple(triple), value)
-        for triple, value in zip(table.coefficients[hits].tolist(), degree[hits].tolist())
-    ]
+    return table.coefficients[hits], degree[hits]
 
 
 # Rows are formatted this many at a time, which bounds the text held at once.
 _CHUNK = 1024
 
 
-def _fmt_coeff(v: float) -> str:
-    return "%g" % v
+def _coeff_texts(values: np.ndarray) -> np.ndarray:
+    """``"%g" % v`` of every value, as an object array of the same shape;
+    each distinct value is formatted once."""
+    distinct, index = np.unique(values, return_inverse=True)
+    texts = np.array(["%g" % v for v in distinct.tolist()], dtype=object)
+    return texts[index].reshape(values.shape)
 
 
 @functools.cache
@@ -584,23 +565,19 @@ def _body(t: SweepTable, empty: str, marker):
     most ``_CHUNK`` rows at a time.  A missing value renders as ``empty``
     and every value of an error row as ``marker(error)``."""
     errors = {i: marker(e) for i, e in t.errors.items()}
-    if t.axis_labels and t.axis_labels[0] == "lambda":
+    if t.pivoted:
         yield [
-            (_fmt_coeff(lam), *_cells(_degree_texts(row).tolist(), row, errors, empty))
+            ("%g" % lam, *_cells(_degree_texts(row).tolist(), row, errors, empty))
             for lam, row in zip(t.lambdas, t.mu_tilde.T)
         ]
         return
-    # Each distinct grid value is formatted once.
-    coeffs = []
-    for column in t.coefficients.T:
-        values, index = np.unique(column, return_inverse=True)
-        coeffs.append(np.array([_fmt_coeff(v) for v in values.tolist()], dtype=object)[index])
+    coeffs = _coeff_texts(t.coefficients)
     for start in range(0, len(t.f), _CHUNK):
         stop = start + _CHUNK
         errs = {i - start: m for i, m in errors.items() if start <= i < stop}
         f = t.f[start:stop]
         degrees = np.column_stack((t.mu[start:stop], t.mu_tilde[start:stop]))
-        cells = [c[start:stop].tolist() for c in coeffs]
+        cells = coeffs[start:stop].T.tolist()
         cells.append(_cells(["%.2f" % v for v in f.tolist()], f, errs, empty))
         for values, texts in zip(degrees.T, _degree_texts(degrees).T):
             cells.append(_cells(texts.tolist(), values, errs, empty))
@@ -615,7 +592,6 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[: -len(",\n")]
 
 
-@_gc_paused()
 def render_table(t: SweepTable, format: str) -> str:
     """Render a sweep table to ``csv`` or ``markdown`` text.
 

@@ -33,7 +33,9 @@ import numpy as np
 
 from . import bundled
 from .analysis import (
+    _coeff_texts,
     _degree_texts,
+    _solve_grid,
     check_monotonicity,
     find_satisfactory,
     grid_sweep,
@@ -62,7 +64,6 @@ from .satisfaction import (
     is_pleased,
     lambda_satisfaction,
     pleased_degree,
-    positioned_value,
 )
 
 __all__ = ["ProblemFile", "parse_problem", "serialize_problem", "run", "main"]
@@ -359,27 +360,27 @@ def _cmd_monotonicity(args) -> int:
 
 def _cmd_satisfactory(args) -> int:
     pf = _load(args.file)
-    hits = find_satisfactory(pf.problem, args.mu0, args.lam, args.step)
-    grid = unit_grid(args.step)
-    total = len(grid) ** 3
+    triples, degrees = find_satisfactory(pf.problem, args.mu0, args.lam, args.step)
+    total = len(unit_grid(args.step)) ** 3
     print(
-        f"{len(hits)} of {total} grid setting(s) reach "
+        f"{len(degrees)} of {total} grid setting(s) reach "
         f"mu_tilde[lambda={args.lam:g}] >= {args.mu0:g}"
     )
-    # The triples hold grid values, so each value is formatted once.
-    coeff = {v: "%g" % v for v in grid}
-    degrees = _degree_texts(np.fromiter((value for _, value in hits), float, len(hits))).tolist()
+    hits = zip(*_coeff_texts(triples).T.tolist(), _degree_texts(degrees).tolist())
     sys.stdout.write("".join([
-        f"  alpha={coeff[a]} beta={coeff[b]} gamma={coeff[g]}  mu_tilde={degree}\n"
-        for ((a, b, g), _), degree in zip(hits, degrees)
+        f"  alpha={a} beta={b} gamma={g}  mu_tilde={degree}\n" for a, b, g, degree in hits
     ]))
     return 0
 
 
 def _cmd_verify_example(args) -> int:
-    pf = parse_problem(bundled.EXAMPLE_PROBLEM_JSON)
-    p = pf.problem
-    vb = bounds(p)
+    p = parse_problem(bundled.EXAMPLE_PROBLEM_JSON).problem
+    # Parsing validated the problem, and the bounds' bases certify every
+    # reference setting, so the grid kernel evaluates them without a solve.
+    vb, bases = _bounds(p)
+    triples = [triple for triple, _, _ in bundled.REFERENCE_POSITIONED]
+    values = _solve_grid(p, np.array(triples, dtype=float), bases).objective
+    f_by_triple = dict(zip(triples, values.tolist()))
     checked = 0
     failed = 0
 
@@ -395,11 +396,8 @@ def _cmd_verify_example(args) -> int:
             f"reference {want}, |diff| {diff:.2e} (tol {tol:g})"
         )
 
-    f_by_triple: dict[tuple[float, float, float], float] = {}
     for triple, f_ref, mu_ref in bundled.REFERENCE_POSITIONED:
-        k = uniform_coefficients(triple[0], triple[1], triple[2], p.m, p.n)
-        f = positioned_value(p, k)
-        f_by_triple[triple] = f
+        f = f_by_triple[triple]
         cell(f"f{_fmt_triple(triple)}", f, f_ref, bundled.F_TOL)
         cell(f"mu{_fmt_triple(triple)}", pleased_degree(f, vb), mu_ref, bundled.MU_TOL)
     for triple, refs in bundled.REFERENCE_SATISFACTION:

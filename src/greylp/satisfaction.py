@@ -18,6 +18,7 @@ A degree is then accepted against a grey target [mu0, 1].
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -140,6 +141,16 @@ def bounds(p: GreyLP) -> ValueBounds:
     return _bounds(p)[0]
 
 
+def _outside_stacklevel() -> int:
+    """The ``stacklevel`` that attributes a warning issued by the caller of
+    this function to the first stack frame outside greylp."""
+    inside = __package__ + "."
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__", "").startswith(inside):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def pleased_degrees(f, vb: ValueBounds) -> np.ndarray:
     """Pleased degree of every value in ``f`` (an array or a number), NaN
     wherever :func:`pleased_degree` raises :class:`DomainError`.
@@ -194,7 +205,7 @@ def lambda_satisfactions(f, vb: ValueBounds, lam: float) -> np.ndarray:
             "critical and ideal values coincide (effectively white problem); "
             "reporting satisfaction degree 1",
             DegenerateBoundsWarning,
-            stacklevel=2,
+            stacklevel=_outside_stacklevel(),
         )
         return np.ones(f.shape)
     f = _clamp(f, vb)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import pathlib
 import random
 
 import numpy as np
@@ -37,6 +38,21 @@ from greylp import (
 
 settings.register_profile("suite", deadline=None, max_examples=100)
 settings.load_profile("suite")
+
+_TESTS = pathlib.Path(__file__).parent
+
+
+def pytest_collection_modifyitems(config, items):
+    # An unexpected warning fails a test of this suite.  The mark goes
+    # first, so a test's own filterwarnings marks take precedence over it.
+    # Reporting a failed hypothesis test imports libcst, whose import warns
+    # through mypy_extensions; as an error that would abort the whole run.
+    strict = pytest.mark.filterwarnings(
+        "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+    )
+    for item in items:
+        if item.path.is_relative_to(_TESTS):
+            item.add_marker(strict, append=False)
 
 
 def interval(
@@ -339,10 +355,10 @@ def reference_records(p: GreyLP, triples, lambdas, vb: ValueBounds | None = None
     return rows
 
 
-def reference_render(labels, rows, lambdas, format: str) -> str:
+def reference_render(labels, rows, lambdas, format: str, pivoted: bool = False) -> str:
     """The per-row renderer that ``render_table`` replaces, kept as its
-    reference: one list of cells per record, written by the csv module or
-    joined as Markdown.  A first label ``"lambda"`` renders pivoted."""
+    reference: one list of cells per record (or, ``pivoted``, per lambda),
+    written by the csv module or joined as Markdown."""
 
     def fmt(v, spec, error):
         if error is not None:
@@ -350,7 +366,7 @@ def reference_render(labels, rows, lambdas, format: str) -> str:
         return "" if v is None else spec % v
 
     table = [list(labels)]
-    if labels and labels[0] == "lambda":
+    if pivoted:
         for lam in lambdas:
             table.append(
                 ["%g" % lam]

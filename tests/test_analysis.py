@@ -223,6 +223,7 @@ class TestLambdaSweep:
         assert coeffs == sorted(coeffs)
 
     def test_axis_labels_mark_pivot_layout(self, table):
+        assert table.pivoted
         assert table.axis_labels[0] == "lambda"
         assert len(table.axis_labels) == 1 + len(TABLE_TRIPLES)
         assert table.lambdas == tuple(REFERENCE_LAMBDA_GRID)
@@ -247,6 +248,7 @@ class TestGridSweep:
         assert by_triple[(1.0, 1.0, 0.0)].f == pytest.approx(74783.51, abs=0.01)
         assert by_triple[(0.0, 0.0, 1.0)].f == pytest.approx(20657.71, abs=0.01)
         assert table.axis_labels == ("alpha", "beta", "gamma", "f", "mu")
+        assert not table.pivoted
 
     def test_lambda_columns(self, demo_problem):
         table = grid_sweep(demo_problem, 0.5, lambdas=(0.5, 1.0))
@@ -359,9 +361,16 @@ class TestCheckMonotonicity:
         assert sum(built) == len(report.violations) + len(report.skipped) < report.pair_count
 
 
+def hit_list(found) -> list:
+    """``find_satisfactory``'s arrays as a list of (triple, degree) pairs."""
+    triples, degrees = found
+    assert triples.shape == (len(degrees), 3) and degrees.shape == (len(degrees),)
+    return [(tuple(t), d) for t, d in zip(triples.tolist(), degrees.tolist())]
+
+
 class TestFindSatisfactory:
     def test_demo_search(self, demo_problem):
-        hits = find_satisfactory(demo_problem, mu0=0.5, lam=0.8, step=0.5)
+        hits = hit_list(find_satisfactory(demo_problem, mu0=0.5, lam=0.8, step=0.5))
         assert len(hits) == 9
         assert hits[0][0] == (1.0, 1.0, 0.0)
         assert hits[0][1] == pytest.approx(1.0, abs=1e-12)
@@ -370,19 +379,19 @@ class TestFindSatisfactory:
         assert all(value >= 0.5 for value in values)
 
     def test_zero_target_accepts_everything(self, demo_problem):
-        hits = find_satisfactory(demo_problem, mu0=0.0, lam=1.0, step=0.5)
+        hits = hit_list(find_satisfactory(demo_problem, mu0=0.0, lam=1.0, step=0.5))
         assert len(hits) == 27
 
     def test_impossible_target(self, demo_problem):
         # Degrees below 1 everywhere except the loosest corner.
-        hits = find_satisfactory(demo_problem, mu0=1.0, lam=1.0, step=0.5)
+        hits = hit_list(find_satisfactory(demo_problem, mu0=1.0, lam=1.0, step=0.5))
         assert [triple for triple, _ in hits] == [(1.0, 1.0, 0.0)]
 
     def test_ties_keep_lexicographic_order(self):
         # Only the objective is grey, so the optimum depends on alpha alone
         # and every alpha ties across all (beta, gamma).
         p = GreyLP(objective=((1, 2), (1, 3)), matrix=(((1, 1), (2, 2)),), rhs=((4, 4),))
-        hits = find_satisfactory(p, mu0=0.0, lam=0.5, step=0.1)
+        hits = hit_list(find_satisfactory(p, mu0=0.0, lam=0.5, step=0.1))
         assert len(hits) == 11**3
         expected = sorted(hits, key=lambda hit: (-hit[1], hit[0]))
         assert hits == expected
@@ -403,7 +412,7 @@ class TestFindSatisfactory:
             errors={},
         )
         monkeypatch.setattr(analysis, "grid_sweep", lambda p, step, lambdas: table)
-        hits = find_satisfactory(demo_problem, mu0=0.5, lam=0.5, step=0.5)
+        hits = hit_list(find_satisfactory(demo_problem, mu0=0.5, lam=0.5, step=0.5))
         assert hits == [((1.0, 1.0, 0.0), 1.0), ((0.0, 0.0, 0.5), low), ((0.0, 0.5, 0.0), high)]
 
     @pytest.mark.parametrize("kwargs", [{"mu0": 1.5}, {"lam": -0.2}])
@@ -562,7 +571,7 @@ class TestRenderMatchesReference:
         rows = reference_records(demo_problem, triples, REFERENCE_LAMBDA_GRID)
         table = lambda_sweep(demo_problem, TABLE_TRIPLES, REFERENCE_LAMBDA_GRID)
         assert render_table(table, fmt) == reference_render(
-            labels, rows, REFERENCE_LAMBDA_GRID, fmt
+            labels, rows, REFERENCE_LAMBDA_GRID, fmt, pivoted=True
         )
 
     @pytest.mark.parametrize("pivoted", [False, True])
@@ -578,8 +587,10 @@ class TestRenderMatchesReference:
         labels = GRID_LABELS
         if pivoted:
             labels = ("lambda",) + tuple("c%d" % i for i in range(len(rows)))
-        table = SweepTable(labels, rows, GRID_LAMBDAS)
-        assert render_table(table, fmt) == reference_render(labels, rows, GRID_LAMBDAS, fmt)
+        table = SweepTable(labels, rows, GRID_LAMBDAS, pivoted=pivoted)
+        assert render_table(table, fmt) == reference_render(
+            labels, rows, GRID_LAMBDAS, fmt, pivoted=pivoted
+        )
         assert table.rows == tuple(rows)
 
     @pytest.mark.parametrize("pivoted", [False, True])
@@ -590,8 +601,10 @@ class TestRenderMatchesReference:
                 for i, m in enumerate(markers)]
         rows.append(SatisfactionRecord((1.0, 1.0, 1.0), 2.5, None, ((0.5, 0.25),)))
         labels = ("lambda", "a,b", "c", "d", "e", "f") if pivoted else GRID_LABELS[:6]
-        table = SweepTable(labels, rows, (0.5,))
-        assert render_table(table, fmt) == reference_render(labels, rows, (0.5,), fmt)
+        table = SweepTable(labels, rows, (0.5,), pivoted=pivoted)
+        assert render_table(table, fmt) == reference_render(
+            labels, rows, (0.5,), fmt, pivoted=pivoted
+        )
 
     def test_rows_round_trip_through_the_columns(self, demo_problem):
         table = grid_sweep(demo_problem, 0.25, lambdas=(0.5, 1.0))
@@ -609,6 +622,10 @@ class TestRenderMatchesReference:
 
 
 class TestCollectorPause:
+    """Grid commands run with the cyclic collector on.  Their results are
+    arrays, not one tracked object per row, so a call starts at most one
+    collection and its run time does not grow with what else is alive."""
+
     @staticmethod
     def collections(call):
         """``call()``'s result and the number of collections started while it
@@ -629,29 +646,24 @@ class TestCollectorPause:
         return result, during
 
     def test_sweep_and_render_collect_at_most_once(self, demo_problem):
-        # With the collector running, this sweep started dozens of
-        # collections; paused, the only one left is when it resumes with the
-        # returned table alive.
         table, started = self.collections(
             lambda: grid_sweep(demo_problem, 0.05, lambdas=(0.5, 1.0))
         )
-        assert len(table.rows) == 21**3 and started <= 1
+        assert len(table.f) == 21**3 and started <= 1
         text, started = self.collections(lambda: render_table(table, "csv"))
         assert text.count("\n") == 1 + 21**3 and started <= 1
-        assert gc.isenabled()
 
-    def test_collector_is_enabled_again_after_an_error(self, demo_problem):
-        with pytest.raises(DomainError):
-            grid_sweep(demo_problem, 0.7)
-        assert gc.isenabled()
+    def test_satisfactory_search_collects_at_most_once(self, demo_problem):
+        (triples, degrees), started = self.collections(
+            lambda: find_satisfactory(demo_problem, 0.4, 0.9, 0.02)
+        )
+        assert len(triples) == len(degrees) == 62_800 and started <= 1
 
-    def test_a_paused_collector_stays_paused(self, demo_problem):
-        gc.disable()
-        try:
-            check_monotonicity(demo_problem, "alpha", 0.5)
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
+    def test_monotonicity_check_collects_at_most_once(self, demo_problem):
+        report, started = self.collections(
+            lambda: check_monotonicity(demo_problem, "gamma", 0.02)
+        )
+        assert report.pair_count == 51 * 51 * 50 and report.ok and started <= 1
 
 
 def test_grid_sweep_benchmark_smoke(benchmark, demo_problem):
@@ -661,4 +673,4 @@ def test_grid_sweep_benchmark_smoke(benchmark, demo_problem):
         grid_sweep, args=(demo_problem, 0.1), kwargs={"lambdas": (0.5, 1.0)},
         rounds=1, iterations=1,
     )
-    assert len(table.rows) == 11**3
+    assert len(table.f) == 11**3

@@ -468,6 +468,20 @@ class TestVerifyExample:
         assert "result: 56 of 56 cells match" in out
         assert "FAIL" not in out
 
+    def test_solves_only_its_two_bounds(self, capsys, caplog):
+        # The critical and ideal bases certify all six reference settings.
+        with caplog.at_level(logging.DEBUG, logger="greylp"):
+            assert run(["verify-example"]) == 0
+        capsys.readouterr()
+        records = [(r.name, r.levelname) for r in caplog.records]
+        assert records == [("greylp.lp_solver", "DEBUG")] * 2 + [("greylp.analysis", "INFO")]
+        messages = [r.getMessage() for r in caplog.records]
+        assert all(m.startswith("solve_max: ") for m in messages[:2])
+        assert messages[2] == (
+            "solve_grid: 6 points, 0 cold solves, 0 warm starts, 6 certified, 2 bases, "
+            "0 non-optimal"
+        )
+
     def test_is_deterministic(self, capsys):
         run(["verify-example"])
         first = capsys.readouterr().out

@@ -19,10 +19,12 @@ from greylp import (
     ValidationError,
     ValueBounds,
     bounds,
+    grid_sweep,
     is_lambda_satisfactory,
     is_pleased,
     lambda_satisfaction,
     lambda_satisfactions,
+    lambda_sweep,
     pleased_degree,
     pleased_degrees,
     positioned_value,
@@ -228,6 +230,24 @@ class TestLambdaSatisfaction:
         vb = ValueBounds(5.0, 5.0)
         with pytest.warns(DegenerateBoundsWarning):
             assert lambda_satisfaction(5.0, vb, 0.5) == 1.0
+
+    def test_degenerate_bounds_warnings_name_the_calling_line(self):
+        # Each call warns once per lambda it scores, from the caller's line
+        # and not from greylp's own source.
+        white = GreyLP(objective=((2, 2),), matrix=(((1, 1),),), rhs=((4, 4),))
+        vb = ValueBounds(5.0, 5.0)
+        calls = [
+            (lambda: lambda_satisfaction(5.0, vb, 0.5), 1),
+            (lambda: lambda_satisfactions(np.full(3, 5.0), vb, 0.5), 1),
+            (lambda: grid_sweep(white, 0.5, lambdas=(0.5, 1.0)), 2),
+            (lambda: lambda_sweep(white, [(0.5, 0.5, 0.5)], (0.0, 0.5, 1.0)), 3),
+        ]
+        for call, count in calls:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert [w.category for w in caught] == [DegenerateBoundsWarning] * count
+            assert {w.filename for w in caught} == {__file__}
 
 
 class TestThresholds:
