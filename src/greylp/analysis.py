@@ -19,7 +19,7 @@ once, keeps the optimal bases found so far, and certifies each of them
 against the pending points of all slices at once, with one stacked
 factorisation per slice.  It solves only the points no cached basis
 certifies, slice by slice, each started from the latest cached basis that
-is primal feasible there (so the simplex only pivots in phase 2).  A
+is primal feasible there, so that the simplex pivots on from it.  A
 sweep's first cached bases are those of its critical and ideal solves.
 
 Tables render to CSV or Markdown with the presentation rounding used
@@ -286,10 +286,10 @@ def _solve_grid(p: GreyLP, pts: np.ndarray, bases=()) -> GridSolution:
     cache: list[tuple[int, ...]] = []
 
     def cached(basis) -> bool:
-        """Add ``basis`` to the cache unless it is there or holds a phase-1
-        artificial; True if it was added."""
+        """Add ``basis`` to the cache unless it is there; True if it was
+        added."""
         key = tuple(sorted(basis))
-        if key in cache or key[-1] >= n + m:
+        if key in cache:
             return False
         cache.append(key)
         return True
@@ -314,7 +314,7 @@ def _solve_grid(p: GreyLP, pts: np.ndarray, bases=()) -> GridSolution:
     Bv = _whitened(betas[..., None], p.b_lo, p.b_hi)
     pending = np.ones(len(pts), dtype=bool)
     # Per point, the latest cached basis that is primal feasible there (-1
-    # for none): a solve started from it only pivots in phase 2.
+    # for none): the start of the point's solve if no basis certifies it.
     feasible = np.full(len(pts), -1)
 
     def settle(which, first=0):

@@ -89,7 +89,10 @@ def _as_pair(value, path: str) -> tuple[float, float]:
     for bound in value:
         if isinstance(bound, bool) or not isinstance(bound, (int, float)):
             raise ParseError(f"{path}: interval bounds must be numbers, got {bound!r}")
-        out.append(float(bound))
+        try:
+            out.append(float(bound))
+        except OverflowError:
+            raise ParseError(f"{path}: interval bound is too large for a float") from None
     return out[0], out[1]
 
 
@@ -112,13 +115,19 @@ def _pair_bounds(items) -> list | None:
     return None
 
 
+def _floats(flat) -> np.ndarray | None:
+    """``flat`` as a k x 2 float array; None if None or past float range."""
+    try:
+        return None if flat is None else np.array(flat, dtype=float).reshape(-1, 2)
+    except OverflowError:
+        return None
+
+
 def _pair_array(value, path: str) -> np.ndarray:
     """A list of [lo, hi] pairs as a k x 2 float array.  Anything else
     raises the :class:`ParseError` of the first bad entry."""
-    flat = _pair_bounds(value) if type(value) is list else None
-    if flat is None:
-        flat = _as_pair_list(value, path)
-    return np.array(flat, dtype=float).reshape(-1, 2)
+    bounds = _floats(_pair_bounds(value) if type(value) is list else None)
+    return _floats(_as_pair_list(value, path)) if bounds is None else bounds
 
 
 def _matrix_array(rows) -> np.ndarray | list[np.ndarray]:
@@ -126,12 +135,11 @@ def _matrix_array(rows) -> np.ndarray | list[np.ndarray]:
     per row when the rows differ in length."""
     if not isinstance(rows, list):
         raise ParseError("matrix: expected a list of rows")
-    flat = None
+    bounds = None
     if set(map(type, rows)) <= {list}:
-        flat = _pair_bounds(list(itertools.chain.from_iterable(rows)))
-    if flat is None:
+        bounds = _floats(_pair_bounds(list(itertools.chain.from_iterable(rows))))
+    if bounds is None:
         return [_pair_array(row, f"matrix[{i}]") for i, row in enumerate(rows)]
-    bounds = np.array(flat, dtype=float).reshape(-1, 2)
     lengths = [len(row) for row in rows]
     if len(set(lengths)) == 1:
         return bounds.reshape(len(rows), lengths[0], 2)
@@ -151,6 +159,8 @@ def parse_problem(text: str) -> ProblemFile:
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit, deep nesting
+        raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
     unknown = sorted(set(doc) - set(_REQUIRED_FIELDS) - set(_OPTIONAL_FIELDS))
@@ -275,8 +285,8 @@ def _fmt_triple(t) -> str:
 def _load(path: str) -> ProblemFile:
     try:
         text = pathlib.Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        reason = exc.strerror or str(exc)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or str(exc)
         raise ParseError(f"cannot read problem file {path!r}: {reason}") from None
     return parse_problem(text)
 
@@ -292,11 +302,7 @@ def _cmd_validate(args) -> int:
 def _cmd_solve(args) -> int:
     pf = _load(args.file)
     k = _coefficients(args, pf.problem)
-    sol = _solve_positioned(
-        pf.problem, k,
-        unbounded="positioned program is unbounded",
-        failed="solver finished with status {}",
-    )
+    sol = _solve_positioned(pf.problem, k, unbounded="positioned program is unbounded")
     print(f"f = {_fmt_value(sol.objective, args.precise)}")
     xs = ", ".join(repr(float(v)) if args.precise else "%.6f" % v for v in sol.x)
     print(f"x = ({xs})")

@@ -1,23 +1,23 @@
 """Dense simplex solver for white max-LPs, plus a brute-force oracle.
 
-Problems have the form: maximize c.x subject to A.x <= b, x >= 0.  The
-solver is a dense primal tableau simplex using Bland's rule (lowest-index
-entering column; ratio ties broken by lowest row index), which keeps every
-solve deterministic and terminating.  When some right-hand side is negative
-the all-slack basis is infeasible, so a standard phase-1 with artificial
-variables runs first; whitened problems from valid grey programs always have
-b >= 0 and skip it.
+Problems have the form: maximize c.x subject to A.x <= b, x >= 0, with
+b >= 0 as in every positioned program of a valid grey problem.  So x = 0
+is feasible, and every solve is phase 2 of a dense primal tableau simplex
+from a feasible basis, cold from the all-slack one ([A | I | b], objective
+row c).  Bland's rule (lowest-index entering column; ratio ties broken by
+lowest row index) keeps every solve deterministic and terminating.
 
 A solve can also start from a known basis (``solve_max(lp, start)``),
 typically the optimal basis of a nearby program.  The basis is first
 certified as it stands (``_certify``: primal and dual feasibility, the
 feasibility post-check and a duality gap); if it is only primal feasible,
 phase 2 continues from the tableau rebuilt in that basis; anything else
-(a singular or artificial basis, a wrong length, a primal infeasible
-start, an exhausted pivot budget, an unbounded ray or a failed post-check)
-falls back to the cold solve, which is the same solve as without a start.
-One DEBUG record per solve on the ``greylp.lp_solver`` logger names the
-start used (cold, certified or warm) and the pivots per phase.
+(a singular basis or one that names a column past the slacks, a wrong
+length, a primal infeasible start, an exhausted pivot budget, an unbounded
+ray or a failed post-check) falls back to the cold solve, which is the same
+solve as without a start.  One DEBUG record per solve on the
+``greylp.lp_solver`` logger names the start used (cold, certified or warm)
+and the pivots taken.
 
 ``enumerate_vertices_oracle`` solves the same problem by enumerating basic
 points directly.  It shares nothing with the simplex path, so the two act as
@@ -67,8 +67,7 @@ class LPSolution:
     unboundedness certificate (a direction d >= 0 with A.d <= 0 and c.d > 0)
     only when unbounded.  ``basis`` is the simplex's final basis when
     optimal: one column index per constraint row, where columns ``0..n-1``
-    are the variables and ``n..n+m-1`` the slacks of ``[A | I]`` (an index
-    from ``n+m`` up is a phase-1 artificial left basic on a redundant row).
+    are the variables and ``n..n+m-1`` the slacks of ``[A | I]``.
     """
 
     status: SolveStatus
@@ -86,19 +85,16 @@ def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _bland_iterate(
-    T: np.ndarray, basis: list[int], ncols: int, budget: int
-) -> tuple[str, int, int]:
+def _bland_iterate(T: np.ndarray, basis: list[int], budget: int) -> tuple[str, int, int]:
     """Run simplex pivots until optimal or unbounded.
 
     Returns (outcome, pivots_used, entering_col); entering_col is only
-    meaningful for the "unbounded" outcome.  ``ncols`` bounds the eligible
-    entering columns (used to exclude artificial columns in phase 2).
+    meaningful for the "unbounded" outcome.
     """
     m = T.shape[0] - 1
     used = 0
     while True:
-        improving = T[m, :ncols] > _TOL_PIVOT
+        improving = T[m, :-1] > _TOL_PIVOT
         enter = int(improving.argmax())  # Bland: the lowest-index improving column
         if not improving[enter]:
             return "optimal", used, -1
@@ -152,66 +148,32 @@ def _vertex(T: np.ndarray, basis: list[int], A, b, c) -> LPSolution | None:
     )
 
 
-def _solve_cold(A, b, c) -> tuple[LPSolution, int, int]:
-    """Two-phase simplex from the all-slack basis; returns the solution and
-    the pivots of phase 1 and phase 2."""
+def _phase2(A, b, c, S=None) -> tuple[LPSolution | None, int]:
+    """Phase 2 from the primal feasible basis ``S`` (the all-slack one if
+    None): the optimal or unbounded solution, None if it fails the
+    post-check, and the pivots.  Raises :class:`SolverFailure` past the
+    pivot budget."""
     m, n = A.shape
-    budget = 50 * (m + n)
-
-    neg_rows = np.flatnonzero(b < 0.0)
-    n_art = len(neg_rows)
-
-    # Columns: n structural, m slacks, n_art phase-1 artificials, rhs.
-    T = np.zeros((m + 1, n + m + n_art + 1))
+    T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
+    T[:m, n:-1] = np.eye(m)
     T[:m, -1] = b
-    basis = list(range(n, n + m))
-
-    used_total = 0
-    if n_art:
-        for k, i in enumerate(neg_rows.tolist()):
-            T[i, :] *= -1.0  # flips the slack coefficient to -1
-            T[i, n + m + k] = 1.0
-            basis[i] = n + m + k
-        # Phase-1 objective row: maximize -(sum of artificials).  Summing the
-        # artificialized rows gives the reduced costs directly (artificial
-        # columns cancel to zero); the rhs entry tracks minus the phase-1
-        # objective value.
-        T[m, :] = T[neg_rows, :].sum(axis=0)
-        T[m, n + m : -1] = 0.0
-        outcome, used_total, _ = _bland_iterate(T, basis, n + m, budget)
-        if outcome != "optimal":
-            raise SolverFailure("phase 1 is bounded by construction yet did not converge")
-        if -T[m, -1] < -_TOL_FEAS:
-            return LPSolution(status=SolveStatus.INFEASIBLE), used_total, 0
-        # Drive any zero-valued artificials out of the basis.
-        for i in range(m):
-            if basis[i] >= n + m:
-                eligible = np.flatnonzero(np.abs(T[i, : n + m]) > _TOL_PIVOT)
-                if len(eligible):
-                    _pivot(T, basis, i, int(eligible[0]))
-                    used_total += 1
-                # A row with no eligible column is redundant; its artificial
-                # stays basic at value zero and is harmless in phase 2
-                # because artificial columns are never eligible to enter.
-
-        T[m, :] = 0.0
-
-    # Phase-2 objective row: reduced costs of c under the current basis.
     T[m, :n] = c
-    for i in range(m):
-        if basis[i] < n and c[basis[i]] != 0.0:
-            T[m, :] -= c[basis[i]] * T[i, :]
-
-    outcome, used2, enter = _bland_iterate(T, basis, n + m, budget - used_total)
+    if S is None:
+        basis = list(range(n, n + m))
+    else:
+        # The tableau of the basis: B^-1 [A | I | b], with the reduced costs
+        # c - c_B B^-1 [A | I] as the objective row.
+        basis = S.tolist()
+        T[:m] = np.linalg.solve(T[:m, S], T[:m])
+        T[:m, S] = np.eye(m)
+        T[:m, -1][T[:m, -1] < 0.0] = 0.0  # only sub-tolerance noise is negative here
+        T[m] -= T[m, S] @ T[:m]
+        T[m, S] = 0.0
+    outcome, used, enter = _bland_iterate(T, basis, 50 * (m + n))
     if outcome == "unbounded":
-        ray = _extract_ray(T, basis, enter, n)
-        return LPSolution(status=SolveStatus.UNBOUNDED, ray=ray), used_total, used2
-    sol = _vertex(T, basis, A, b, c)
-    if sol is None:
-        raise SolverFailure("solution failed the feasibility post-check")
-    return sol, used_total, used2
+        return LPSolution(SolveStatus.UNBOUNDED, ray=_extract_ray(T, basis, enter, n)), used
+    return _vertex(T, basis, A, b, c), used
 
 
 def _solve_stack(M, R) -> tuple[np.ndarray, np.ndarray]:
@@ -297,13 +259,13 @@ def _certify(AI, CI, Bv, basis, ca, cb):
 
 def _solve_started(A, b, c, start) -> tuple[LPSolution | None, str, int]:
     """The solve from the basis ``start``: (solution, "certified" or "warm",
-    phase-2 pivots), or (None, reason, 0) when the start cannot be used and
-    the caller must solve cold."""
+    pivots), or (None, reason, 0) when the start cannot be used and the
+    caller must solve cold."""
     m, n = A.shape
     S = np.asarray(start)
     if S.shape != (m,):
         return None, "wrong length", 0
-    if S.dtype.kind not in "iu" or S.min() < 0 or S.max() >= n + m:  # e.g. an artificial
+    if S.dtype.kind not in "iu" or S.min() < 0 or S.max() >= n + m:
         return None, "not a column basis", 0
     basis = S.tolist()
     if len(set(basis)) != m:  # a repeated column
@@ -325,32 +287,21 @@ def _solve_started(A, b, c, start) -> tuple[LPSolution | None, str, int]:
         return None, "singular", 0
     if not primal[0]:
         return None, "primal infeasible", 0
-    # Phase 2 from the tableau of the basis: B^-1 [A | I | b], with the
-    # reduced costs c - c_B B^-1 [A | I] as the objective row.
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :-1] = AI
-    T[:m, -1] = b
-    T[:m] = np.linalg.solve(AI[:, S], T[:m])
-    T[:m, S] = np.eye(m)
-    T[:m, -1][T[:m, -1] < 0.0] = 0.0  # only sub-tolerance noise is negative here
-    T[m, :-1] = CI
-    T[m] -= CI[S] @ T[:m]
-    T[m, S] = 0.0
     try:
-        outcome, used, _ = _bland_iterate(T, basis, n + m, 50 * (m + n))
+        sol, used = _phase2(A, b, c, S)
     except SolverFailure:
         return None, "pivot budget exhausted", 0
-    if outcome == "unbounded":
-        # The cold solve finds the same status; its ray is the one reported.
-        return None, "unbounded", 0
-    sol = _vertex(T, basis, A, b, c)
     if sol is None:
         return None, "failed post-check", 0
+    if sol.status is SolveStatus.UNBOUNDED:
+        # The cold solve finds the same status; its ray is the one reported.
+        return None, "unbounded", 0
     return sol, "warm", used
 
 
 def solve_max(lp: WhiteLP, start=None) -> LPSolution:
-    """Maximize c.x subject to A.x <= b, x >= 0 by primal simplex.
+    """Maximize c.x subject to A.x <= b, x >= 0 by primal simplex, for
+    b >= 0.
 
     ``start`` optionally names a basis to start from, as ``LPSolution.basis``
     gives it (one column of [A | I] per constraint row).  It is returned at
@@ -360,21 +311,25 @@ def solve_max(lp: WhiteLP, start=None) -> LPSolution:
     A started solve returns the cold solve's status and optimal value up to
     rounding, but may return another optimal vertex where there are several.
 
-    Deterministic for fixed input.  Raises :class:`SolverFailure` if the
-    pivot count exceeds 50*(m+n), which signals a pathological instance.
+    Deterministic for fixed input.  Raises :class:`DomainError` if some
+    b_i < 0, and :class:`SolverFailure` if the pivot count exceeds
+    50*(m+n), which signals a pathological instance.
     """
     A, b, c = lp.A_array, lp.b_array, lp.c_array
-    sol, used, rejected, phase1, phase2 = None, "cold", "", 0, 0
+    negative = np.flatnonzero(b < 0.0)
+    if len(negative):
+        i = int(negative[0])
+        raise DomainError(f"solve_max needs b >= 0, but b[{i}] = {float(b[i])!r}")
+    sol, used, rejected, pivots = None, "cold", "", 0
     if start is not None:
-        sol, used, phase2 = _solve_started(A, b, c, start)
+        sol, used, pivots = _solve_started(A, b, c, start)
         if sol is None:
             used, rejected = "cold", f" (start rejected: {used})"
     if sol is None:
-        sol, phase1, phase2 = _solve_cold(A, b, c)
-    _log.debug(
-        "solve_max: %s start%s, %d phase-1 pivots, %d phase-2 pivots, %s",
-        used, rejected, phase1, phase2, sol.status.value,
-    )
+        sol, pivots = _phase2(A, b, c)
+        if sol is None:
+            raise SolverFailure("solution failed the feasibility post-check")
+    _log.debug("solve_max: %s start%s, %d pivots, %s", used, rejected, pivots, sol.status.value)
     return sol
 
 

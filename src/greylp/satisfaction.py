@@ -28,7 +28,6 @@ from .errors import (
     DegenerateBoundsWarning,
     DomainError,
     InconsistentInputsError,
-    SolverFailure,
     UnboundedValueError,
     ValidationError,
 )
@@ -96,18 +95,13 @@ def _solve_positioned(
     k: PositionCoefficients,
     start=None,
     unbounded: str = "positioned program is unbounded; satisfaction analysis is undefined",
-    failed: str = "unexpected solver status {} for a whitened problem",
 ) -> LPSolution:
     """The optimal solution of the positioned program of a validated ``p``,
     solved from the basis ``start`` if one is given.  Raises
-    :class:`UnboundedValueError` with the message ``unbounded``, and
-    :class:`SolverFailure` with ``failed`` formatted with the status for
-    any other outcome (unreachable for valid problems)."""
+    :class:`UnboundedValueError` with the message ``unbounded``."""
     sol = solve_max(build_positioned(p, k), start)
     if sol.status is SolveStatus.UNBOUNDED:
         raise UnboundedValueError(unbounded)
-    if sol.status is not SolveStatus.OPTIMAL:
-        raise SolverFailure(failed.format(sol.status.value))
     return sol
 
 

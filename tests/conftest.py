@@ -146,12 +146,12 @@ def _reference_pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _reference_bland_iterate(T, basis, ncols, budget):
+def _reference_bland_iterate(T, basis, budget):
     m = T.shape[0] - 1
     used = 0
     while True:
         enter = -1
-        for j in range(ncols):
+        for j in range(T.shape[1] - 1):
             if T[m, j] > _TOL_PIVOT:
                 enter = j
                 break
@@ -177,45 +177,19 @@ def _reference_bland_iterate(T, basis, ncols, budget):
 def reference_solve_max(lp: WhiteLP) -> LPSolution:
     """The scalar Bland loop that the vectorised pricing in ``solve_max``
     replaces, kept as its reference: one numpy scalar at a time, read from
-    the tuple views of ``lp``."""
+    the tuple views of ``lp``, from the all-slack basis (so b >= 0)."""
     A = np.array(lp.A, dtype=float)
     b = np.array(lp.b, dtype=float)
     c = np.array(lp.c, dtype=float)
+    assert (b >= 0.0).all(), "the all-slack basis needs b >= 0"
     m, n = A.shape
-    budget = 50 * (m + n)
-    neg_rows = [i for i in range(m) if b[i] < 0.0]
-    n_art = len(neg_rows)
-    T = np.zeros((m + 1, n + m + n_art + 1))
+    T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = A
     T[:m, n : n + m] = np.eye(m)
     T[:m, -1] = b
-    basis = list(range(n, n + m))
-    used_total = 0
-    if n_art:
-        for k, i in enumerate(neg_rows):
-            T[i, :] *= -1.0
-            T[i, n + m + k] = 1.0
-            basis[i] = n + m + k
-        T[m, :] = T[neg_rows, :].sum(axis=0)
-        T[m, n + m : -1] = 0.0
-        outcome, used_total, _ = _reference_bland_iterate(T, basis, n + m, budget)
-        if outcome != "optimal":
-            raise SolverFailure("phase 1 is bounded by construction yet did not converge")
-        if -T[m, -1] < -_TOL_FEAS:
-            return LPSolution(status=SolveStatus.INFEASIBLE)
-        for i in range(m):
-            if basis[i] >= n + m:
-                for j in range(n + m):
-                    if abs(T[i, j]) > _TOL_PIVOT:
-                        _reference_pivot(T, basis, i, j)
-                        used_total += 1
-                        break
-        T[m, :] = 0.0
     T[m, :n] = c
-    for i in range(m):
-        if basis[i] < n and c[basis[i]] != 0.0:
-            T[m, :] -= c[basis[i]] * T[i, :]
-    outcome, _, enter = _reference_bland_iterate(T, basis, n + m, budget - used_total)
+    basis = list(range(n, n + m))
+    outcome, _, enter = _reference_bland_iterate(T, basis, 50 * (m + n))
     if outcome == "unbounded":
         d = np.zeros(T.shape[1] - 1)
         d[enter] = 1.0
@@ -223,7 +197,7 @@ def reference_solve_max(lp: WhiteLP) -> LPSolution:
             d[basis[i]] = -T[i, enter]
         d[d < 0.0] = 0.0
         return LPSolution(status=SolveStatus.UNBOUNDED, ray=tuple(float(v) for v in d[:n]))
-    x = np.zeros(n + m + n_art)
+    x = np.zeros(n + m)
     for i in range(m):
         x[basis[i]] = T[i, -1]
     xs = x[:n]

@@ -155,9 +155,8 @@ class TestSolveGrid:
         with caplog.at_level(logging.DEBUG, logger="greylp"):
             grid_sweep(demo_problem, 0.05)
         assert [r.getMessage() for r in caplog.records] == [
-            "solve_max: cold start, 0 phase-1 pivots, 3 phase-2 pivots, optimal",
-            "solve_max: cold start (start rejected: primal infeasible), 0 phase-1 pivots, "
-            "2 phase-2 pivots, optimal",
+            "solve_max: cold start, 3 pivots, optimal",
+            "solve_max: cold start (start rejected: primal infeasible), 2 pivots, optimal",
             "solve_grid: 9261 points, 0 cold solves, 0 warm starts, 9261 certified, 2 bases, "
             "0 non-optimal",
         ]
@@ -166,7 +165,7 @@ class TestSolveGrid:
         # The gamma slices of a 20x20 problem need bases of their own.  A
         # point no cached basis certifies is solved from the latest cached
         # basis that is primal feasible there, so the start is never
-        # rejected and phase 2 takes a pivot or two; with none it is cold.
+        # rejected and the solve takes a pivot or two; with none it is cold.
         p = random_bounded_problem(random.Random(5), n=20, m=20)
         triples = grid_triples(0.5)
         with caplog.at_level(logging.DEBUG, logger="greylp"):
@@ -175,8 +174,8 @@ class TestSolveGrid:
         starts = [message.split(",")[0] for message in solves]
         assert starts.count("solve_max: cold start") == 5
         assert starts.count("solve_max: warm start") == 8
-        phase2 = [int(m.split(", ")[2].split()[0]) for m in solves if "warm start" in m]
-        assert max(phase2) <= 2
+        pivots = [int(m.split(", ")[1].split()[0]) for m in solves if "warm start" in m]
+        assert max(pivots) <= 2
         assert summary == (
             "solve_grid: 27 points, 5 cold solves, 8 warm starts, 14 certified, 13 bases, "
             "0 non-optimal"

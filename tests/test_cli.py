@@ -17,7 +17,6 @@ import greylp
 from conftest import random_bounded_problem, random_loose_problem
 from greylp import (
     Interval,
-    LPSolution,
     ParseError,
     ProblemFile,
     GreyLP,
@@ -28,7 +27,6 @@ from greylp import (
     positioned_value,
     run,
     serialize_problem,
-    SolveStatus,
     theta_coefficients,
 )
 from greylp import analysis, grey_core, satisfaction
@@ -248,6 +246,40 @@ class TestExitCodes:
         assert run(["validate", "--file", str(path)]) == 1
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edits, entry", [
+        ([("objective", 1, [1, 10**400])], "objective[1]"),
+        ([("rhs", 0, [-(10**400), 6])], "rhs[0]"),
+        ([("matrix", 1, 0, [1, 10**400])], "matrix[1][0]"),
+        ([("matrix", 1, [[1, 2], [1, 2], [1, 10**400]])], "matrix[1][2]"),  # a ragged matrix
+    ], ids=["objective", "rhs", "matrix", "ragged-matrix"])
+    def test_integer_too_large_for_a_float_exits_1(self, capsys, tmp_path, edits, entry):
+        path = tmp_path / "big.json"
+        path.write_text(_doc_with(*edits), encoding="utf-8")
+        assert run(["validate", "--file", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {entry}: interval bound is too large for a float\n"
+        )
+
+    @pytest.mark.parametrize("text, error", [
+        ("[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+        ('{"rhs": [[1, %s]]}' % ("1" * 5000), "invalid JSON: Exceeds the limit"),
+    ], ids=["nested", "digits"])
+    def test_json_the_decoder_refuses_exits_1(self, capsys, tmp_path, text, error):
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        assert run(["validate", "--file", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {error}") and err.count("\n") == 1
+
+    def test_file_that_is_not_utf8_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe")
+        assert run(["validate", "--file", str(path)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: cannot read problem file {str(path)!r}: 'utf-8' codec can't decode "
+            "byte 0xff in position 0: invalid start byte\n"
+        ))
+
     def test_invalid_problem_exits_1(self, capsys, tmp_path):
         path = tmp_path / "invalid.json"
         path.write_text(
@@ -339,14 +371,6 @@ class TestSolveCommand:
     def test_unbounded_message(self, capsys, uncapped_file):
         assert run(["solve", "--file", uncapped_file, "--theta", "0"]) == 2
         assert capsys.readouterr() == ("", "error: positioned program is unbounded\n")
-
-    def test_other_status_message(self, capsys, monkeypatch, demo_file):
-        # Unreachable for a valid problem (x = 0 is always feasible), so the
-        # solver is made to answer "infeasible".
-        infeasible = LPSolution(status=SolveStatus.INFEASIBLE)
-        monkeypatch.setattr(satisfaction, "solve_max", lambda lp, start=None: infeasible)
-        assert run(["solve", "--file", demo_file, "--theta", "0.5"]) == 2
-        assert capsys.readouterr() == ("", "error: solver finished with status infeasible\n")
 
 
 class TestBoundsCommand:
