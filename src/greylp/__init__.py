@@ -15,9 +15,7 @@ application configures logging.
 import logging
 
 from .analysis import (
-    GridSolution,
     MonotonicityReport,
-    SatisfactionRecord,
     SweepTable,
     check_monotonicity,
     find_satisfactory,
@@ -97,10 +95,8 @@ __all__ = [
     "is_pleased",
     "is_lambda_satisfactory",
     # analysis
-    "SatisfactionRecord",
     "SweepTable",
     "MonotonicityReport",
-    "GridSolution",
     "unit_grid",
     "solve_grid",
     "lambda_sweep",

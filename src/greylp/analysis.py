@@ -48,10 +48,8 @@ from .lp_solver import SolveStatus, _certify, solve_max
 from .satisfaction import _bounds, _validated, lambda_satisfactions, pleased_degrees
 
 __all__ = [
-    "SatisfactionRecord",
     "SweepTable",
     "MonotonicityReport",
-    "GridSolution",
     "unit_grid",
     "solve_grid",
     "lambda_sweep",
@@ -66,30 +64,7 @@ _log = logging.getLogger(__name__)
 Triple = tuple[float, float, float]
 
 
-@dataclass(frozen=True, slots=True)
-class SatisfactionRecord:
-    """One sweep row: a uniform coefficient triple, its positioned optimal
-    value, its pleased degree, and its lambda-satisfaction degrees.
-
-    ``error`` marks rows whose positioned program could not be evaluated
-    (e.g. unbounded); such rows carry no values.  ``mu`` alone may be None
-    when the pleased degree is undefined (ideal value zero).
-    """
-
-    coefficients: Triple
-    f: float | None
-    mu: float | None
-    mu_tilde: tuple[tuple[float, float], ...] = ()
-    error: str | None = None
-
-    def mu_tilde_at(self, lam: float) -> float:
-        for key, value in self.mu_tilde:
-            if key == lam:
-                return value
-        raise KeyError(f"no satisfaction degree stored for lam={lam}")
-
-
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class SweepTable:
     """Sweep results stored column by column, plus the labels they render
     under.
@@ -97,16 +72,14 @@ class SweepTable:
     Row ``i`` is the uniform triple ``coefficients[i]`` with its positioned
     optimum ``f[i]``, pleased degree ``mu[i]`` and satisfaction degrees
     ``mu_tilde[i, j]`` at ``lambdas[j]``; NaN stands for a missing value
-    (the record's None).  ``errors`` maps each row whose positioned program
-    could not be evaluated to its marker (e.g. ``"unbounded"``); the values
-    of such a row are NaN.
+    (``mu`` is NaN where the pleased degree is undefined, at ideal value
+    zero).  ``errors`` maps each row whose positioned program could not be
+    evaluated to its marker (e.g. ``"unbounded"``); the values of such a row
+    are NaN.
 
     A ``pivoted`` table renders one row per lambda and one column per row
     (the shape of a satisfaction-degree report); otherwise each row renders
     as one table row.  ``axis_labels`` is the header either way.
-
-    ``SweepTable(axis_labels, rows, lambdas, pivoted)`` builds the columns
-    from :class:`SatisfactionRecord` rows, and ``rows`` makes them again.
     """
 
     axis_labels: tuple[str, ...]
@@ -118,56 +91,17 @@ class SweepTable:
     errors: dict[int, str]
     pivoted: bool
 
-    def __init__(self, axis_labels, rows=(), lambdas=(), pivoted=False):
-        lambdas = tuple(lambdas)
-        by_lam = [dict(r.mu_tilde) for r in rows]
-        # The class is frozen; fields are set once, here and in _of_columns.
-        self.__dict__.update(
-            axis_labels=tuple(axis_labels),
-            lambdas=lambdas,
-            coefficients=np.array([r.coefficients for r in rows], dtype=float).reshape(-1, 3),
-            f=np.array([np.nan if r.f is None else r.f for r in rows], dtype=float),
-            mu=np.array([np.nan if r.mu is None else r.mu for r in rows], dtype=float),
-            mu_tilde=np.array(
-                [[d.get(lam, np.nan) for lam in lambdas] for d in by_lam], dtype=float
-            ).reshape(len(rows), len(lambdas)),
-            errors={i: r.error for i, r in enumerate(rows) if r.error is not None},
-            pivoted=pivoted,
-        )
-
-    @classmethod
-    def _of_columns(cls, **columns) -> SweepTable:
-        table = object.__new__(cls)
-        table.__dict__.update(columns)
-        return table
-
-    @property
-    def rows(self) -> tuple[SatisfactionRecord, ...]:
-        """One :class:`SatisfactionRecord` per row, built on each access."""
-        out = []
-        for i, (triple, f, mu, degrees) in enumerate(zip(
-            self.coefficients.tolist(), self.f.tolist(), self.mu.tolist(), self.mu_tilde.tolist()
-        )):
-            error = self.errors.get(i)
-            if error is not None:
-                out.append(SatisfactionRecord(tuple(triple), None, None, error=error))
-                continue
-            mu_tilde = tuple((lam, d) for lam, d in zip(self.lambdas, degrees) if d == d)
-            f, mu = (v if v == v else None for v in (f, mu))  # NaN is a missing value
-            out.append(SatisfactionRecord(tuple(triple), f, mu, mu_tilde))
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class MonotonicityReport:
     """Empirical check of the expected ordering of positioned optima along
     one coefficient axis, with every axis on the grid ``axis_values``.
 
-    ``grid`` lists every probed pair of adjacent triples (built on each
-    access; ``pair_count`` is its length), ``violations`` the pairs (with
-    their two optimal values) whose ordering failed beyond tolerance, and
-    ``skipped`` the pairs that could not be evaluated.  An empty violation
-    list means the ordering held everywhere probed.
+    ``pair_count`` is the number of probed pairs of adjacent triples,
+    ``violations`` the pairs (with their two optimal values) whose ordering
+    failed beyond tolerance, and ``skipped`` the pairs that could not be
+    evaluated.  An empty violation list means the ordering held everywhere
+    probed.
     """
 
     axis: str
@@ -184,23 +118,6 @@ class MonotonicityReport:
     def pair_count(self) -> int:
         g = len(self.axis_values)
         return g * g * (g - 1)
-
-    @property
-    def grid(self) -> tuple[tuple[Triple, Triple], ...]:
-        return _probed_pairs(self.axis_values, _AXES[self.axis], range(self.pair_count))
-
-
-@dataclass(frozen=True)
-class GridSolution:
-    """Solver outcome of each uniform triple passed to :func:`solve_grid`,
-    in input order.
-
-    ``objective[i]`` is the positioned optimal value of triple ``i`` when
-    ``status[i]`` is OPTIMAL, and NaN otherwise.
-    """
-
-    status: tuple[SolveStatus, ...]
-    objective: np.ndarray
 
 
 def unit_grid(step: float) -> tuple[float, ...]:
@@ -238,13 +155,15 @@ def _points(triples) -> np.ndarray:
     return pts
 
 
-def solve_grid(p: GreyLP, triples) -> GridSolution:
-    """Positioned optimum and solver status of every uniform triple
-    ``(alpha, beta, gamma)`` in ``triples``.
+def solve_grid(p: GreyLP, triples) -> np.ndarray:
+    """Positioned optimum of every uniform triple ``(alpha, beta, gamma)``
+    in ``triples``, as an array in input order, NaN where the positioned
+    program is unbounded.
 
     Results equal those of solving each triple on its own
-    (``solve_max(build_positioned(p, uniform_coefficients(...)))``): the
-    same status, and the optimal value up to rounding.  Every cached optimal
+    (``solve_max(build_positioned(p, uniform_coefficients(...)))``), up to
+    rounding; that solve is either optimal or unbounded, and any other
+    outcome raises :class:`SolverFailure`.  Every cached optimal
     basis is checked at all points still pending, over all gamma slices at
     once (see :func:`greylp.lp_solver._certify`).  Every point no basis
     certifies is solved, in gamma order and then input order, from the
@@ -252,7 +171,7 @@ def solve_grid(p: GreyLP, triples) -> GridSolution:
     none), and its optimal basis joins the cache and is checked in turn.
     One INFO record on the ``greylp.analysis`` logger reports the points,
     cold and warm-started solves, certified points, distinct bases and
-    non-optimal points.
+    non-optimal (unbounded) points.
 
     Raises :class:`ValidationError` for an invalid problem and
     :class:`DomainError` for a coefficient outside [0, 1] (or NaN), before
@@ -275,13 +194,12 @@ def _by_slice(at: np.ndarray, v: np.ndarray, slices: int) -> tuple[np.ndarray, n
     return table, (slice_of * table.shape[1] + column)[inverse]
 
 
-def _solve_grid(p: GreyLP, pts: np.ndarray, bases=()) -> GridSolution:
+def _solve_grid(p: GreyLP, pts: np.ndarray, bases=()) -> np.ndarray:
     """:func:`solve_grid` of a validated problem and checked points, with
     ``bases`` (optimal bases of other whitenings of ``p``) as the first
     cached bases."""
     m, n = p.m, p.n
 
-    status = [SolveStatus.OPTIMAL] * len(pts)  # every point not solved is certified
     values = np.full(len(pts), np.nan)
     cache: list[tuple[int, ...]] = []
 
@@ -345,7 +263,6 @@ def _solve_grid(p: GreyLP, pts: np.ndarray, bases=()) -> GridSolution:
             cold += 1
         else:
             warm += 1
-        status[j] = sol.status
         if sol.status is not SolveStatus.OPTIMAL:
             continue
         values[j] = sol.objective
@@ -358,7 +275,7 @@ def _solve_grid(p: GreyLP, pts: np.ndarray, bases=()) -> GridSolution:
         "%d non-optimal",
         len(pts), cold, warm, len(pts) - solved, len(cache), int(np.isnan(values).sum()),
     )
-    return GridSolution(status=tuple(status), objective=values)
+    return values
 
 
 def _cube(grid: tuple[float, ...]) -> np.ndarray:
@@ -370,24 +287,21 @@ def _cube(grid: tuple[float, ...]) -> np.ndarray:
 def _scored(
     p: GreyLP, pts: np.ndarray, labels: tuple[str, ...], lambdas, pivoted: bool
 ) -> SweepTable:
-    """The sweep table of the triples ``pts``: each row's positioned optimum
-    and degrees, scored a column at a time.  Solver trouble becomes a row's
-    error marker so a sweep keeps going and partial reports stay useful."""
+    """The sweep table of the checked triples ``pts`` (see :func:`_points`):
+    each row's positioned optimum and degrees, scored a column at a time.
+    An unbounded row gets an error marker so a sweep keeps going and partial
+    reports stay useful."""
     _validated(p)
     vb, bases = _bounds(p)
-    grid = _solve_grid(p, _points(pts), bases)
-    f = grid.objective
+    f = _solve_grid(p, pts, bases)
     ok = ~np.isnan(f)
     mu = np.full(len(f), np.nan)
     mu[ok] = pleased_degrees(f[ok], vb)  # NaN where undefined (ideal value zero)
     mu_tilde = np.full((len(f), len(lambdas)), np.nan)
     for j, lam in enumerate(lambdas):
         mu_tilde[ok, j] = lambda_satisfactions(f[ok], vb, lam)
-    errors = {i: str(grid.status[i]) for i in np.flatnonzero(~ok).tolist()}
-    return SweepTable._of_columns(
-        axis_labels=labels, lambdas=lambdas, coefficients=pts, f=f, mu=mu,
-        mu_tilde=mu_tilde, errors=errors, pivoted=pivoted,
-    )
+    errors = dict.fromkeys(np.flatnonzero(~ok).tolist(), str(SolveStatus.UNBOUNDED))
+    return SweepTable(labels, lambdas, pts, f, mu, mu_tilde, errors, pivoted)
 
 
 def _triple_label(triple: Triple) -> str:
@@ -401,10 +315,10 @@ def lambda_sweep(p: GreyLP, settings, lambdas) -> SweepTable:
     Rows are sorted lexicographically by triple.  The result renders
     pivoted: one row per lambda, one column per triple.
     """
-    triples = sorted(tuple(float(v) for v in t) for t in settings)
+    pts = _points(list(settings))
+    pts = pts[np.lexsort(pts.T[::-1])]
     lambdas = tuple(float(v) for v in lambdas)
-    labels = ("lambda",) + tuple(_triple_label(t) for t in triples)
-    pts = np.array(triples, dtype=float).reshape(-1, 3)
+    labels = ("lambda",) + tuple(_triple_label(tuple(t)) for t in pts.tolist())
     return _scored(p, pts, labels, lambdas, pivoted=True)
 
 
@@ -440,7 +354,7 @@ def check_monotonicity(p: GreyLP, axis: str, step: float) -> MonotonicityReport:
     direction = "nonincreasing" if axis == "gamma" else "nondecreasing"
     grid = unit_grid(step)
     g = len(grid)
-    values = solve_grid(p, _cube(grid)).objective
+    values = solve_grid(p, _cube(grid))
     finite = values[~np.isnan(values)]
     scale = max(1.0, float(np.abs(finite).max())) if finite.size else 1.0
     tol = 1e-6 * scale

@@ -14,9 +14,10 @@ Subcommands: ``validate``, ``solve``, ``bounds``, ``degrees``, ``sweep``,
 ``monotonicity``, ``satisfactory``, and ``verify-example`` (recomputes the
 bundled demo problem's reference tables from embedded data).
 
-Exit codes: 0 success, 1 validation/parse error, 2 solve failure (unbounded
-or iteration cap), 3 usage error.  Error messages go to the error stream;
-identical invocations produce identical bytes on the output stream.
+Exit codes: 0 success, 1 validation/parse error, 2 computation failure
+(unbounded, iteration cap, or a grid too large to allocate), 3 usage error.
+Error messages go to the error stream; identical invocations produce
+identical bytes on the output stream.
 """
 
 from __future__ import annotations
@@ -385,7 +386,7 @@ def _cmd_verify_example(args) -> int:
     # reference setting, so the grid kernel evaluates them without a solve.
     vb, bases = _bounds(p)
     triples = [triple for triple, _, _ in bundled.REFERENCE_POSITIONED]
-    values = _solve_grid(p, np.array(triples, dtype=float), bases).objective
+    values = _solve_grid(p, np.array(triples, dtype=float), bases)
     f_by_triple = dict(zip(triples, values.tolist()))
     checked = 0
     failed = 0
@@ -517,7 +518,7 @@ def _parser() -> _Parser:
 # so the subclasses of GreyLPError come before it.
 _EXIT_CODES = (
     (_UsageError, 3),
-    ((UnboundedValueError, SolverFailure), 2),
+    ((UnboundedValueError, SolverFailure, MemoryError), 2),
     ((ParseError, ValidationError, OSError, GreyLPError), 1),
 )
 
@@ -525,8 +526,8 @@ _EXIT_CODES = (
 def run(args) -> int:
     """Execute one command line and return the process exit code.
 
-    0 success; 1 validation/parse error; 2 solve failure (unbounded or
-    iteration cap); 3 usage error.
+    0 success; 1 validation/parse error; 2 computation failure (unbounded,
+    iteration cap, or a grid too large to allocate); 3 usage error.
     """
     try:
         ns = _parser().parse_args(list(args))
@@ -534,7 +535,7 @@ def run(args) -> int:
     except SystemExit as exc:  # --help prints and exits 0
         code = exc.code
         return code if isinstance(code, int) else 0
-    except (GreyLPError, OSError) as exc:
+    except (GreyLPError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 

@@ -12,6 +12,7 @@ import io
 import math
 import pathlib
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -22,9 +23,9 @@ from greylp import (
     GreyLP,
     InconsistentInputsError,
     LPSolution,
-    SatisfactionRecord,
     SolverFailure,
     SolveStatus,
+    SweepTable,
     ValueBounds,
     Violation,
     WhiteLP,
@@ -309,8 +310,22 @@ def reference_lambda_satisfaction(f: float, vb: ValueBounds, lam: float) -> floa
     return lam * linear + (1.0 - lam) * damped
 
 
+class Record(NamedTuple):
+    """One sweep row as the per-row references see it: a uniform triple, its
+    positioned optimum, its pleased degree and its ``(lambda, degree)``
+    pairs.  ``error`` marks a row whose program could not be evaluated;
+    such a row carries no values, and ``mu`` alone may be None when the
+    pleased degree is undefined (ideal value zero)."""
+
+    coefficients: tuple[float, float, float]
+    f: float | None
+    mu: float | None
+    mu_tilde: tuple[tuple[float, float], ...] = ()
+    error: str | None = None
+
+
 def reference_records(p: GreyLP, triples, lambdas, vb: ValueBounds | None = None):
-    """One sweep record per triple, scored row by row over
+    """One :class:`Record` per triple, scored row by row over
     :func:`reference_grid` with the reference degrees; a non-optimal triple
     becomes an error row.  ``vb`` defaults to ``bounds(p)``."""
     vb = bounds(p) if vb is None else vb
@@ -318,15 +333,33 @@ def reference_records(p: GreyLP, triples, lambdas, vb: ValueBounds | None = None
     for triple, (status, f) in zip(triples, reference_grid(p, triples)):
         triple = tuple(float(v) for v in triple)
         if status is not SolveStatus.OPTIMAL:
-            rows.append(SatisfactionRecord(triple, None, None, error=str(status)))
+            rows.append(Record(triple, None, None, error=str(status)))
             continue
         try:
             mu = reference_pleased_degree(f, vb)
         except DomainError:
             mu = None
         mu_tilde = tuple((lam, reference_lambda_satisfaction(f, vb, lam)) for lam in lambdas)
-        rows.append(SatisfactionRecord(triple, f, mu, mu_tilde))
+        rows.append(Record(triple, f, mu, mu_tilde))
     return rows
+
+
+def table_of(labels, rows, lambdas, pivoted: bool = False) -> SweepTable:
+    """The :class:`SweepTable` of the records ``rows``: each value in its
+    column, NaN where a record has none."""
+    by_lam = [dict(r.mu_tilde) for r in rows]
+    return SweepTable(
+        axis_labels=tuple(labels),
+        lambdas=tuple(lambdas),
+        coefficients=np.array([r.coefficients for r in rows], dtype=float).reshape(-1, 3),
+        f=np.array([np.nan if r.f is None else r.f for r in rows], dtype=float),
+        mu=np.array([np.nan if r.mu is None else r.mu for r in rows], dtype=float),
+        mu_tilde=np.array(
+            [[d.get(lam, np.nan) for lam in lambdas] for d in by_lam], dtype=float
+        ).reshape(len(rows), len(lambdas)),
+        errors={i: r.error for i, r in enumerate(rows) if r.error is not None},
+        pivoted=pivoted,
+    )
 
 
 def reference_render(labels, rows, lambdas, format: str, pivoted: bool = False) -> str:
@@ -344,7 +377,7 @@ def reference_render(labels, rows, lambdas, format: str, pivoted: bool = False) 
         for lam in lambdas:
             table.append(
                 ["%g" % lam]
-                + [r.error if r.error is not None else "%.4f" % r.mu_tilde_at(lam) for r in rows]
+                + [r.error if r.error is not None else "%.4f" % dict(r.mu_tilde)[lam] for r in rows]
             )
     else:
         for r in rows:

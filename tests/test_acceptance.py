@@ -6,6 +6,7 @@ PASS/FAIL verdict that the conftest hook prints after the run summary.
 
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -104,13 +105,14 @@ def test_criterion_4_demo_satisfaction_grid(demo_problem):
     def body():
         triples = [t for t, _ in bundled.REFERENCE_SATISFACTION]
         table = lambda_sweep(demo_problem, triples, bundled.REFERENCE_LAMBDA_GRID)
-        by_triple = {row.coefficients: row for row in table.rows}
+        row = {tuple(t): i for i, t in enumerate(table.coefficients.tolist())}
+        assert table.errors == {}
         worst, checked = 0.0, 0
         for triple, want_row in bundled.REFERENCE_SATISFACTION:
-            record = by_triple[triple]
-            assert len(record.mu_tilde) == len(want_row)
+            degrees = table.mu_tilde[row[triple]]
+            assert len(degrees) == len(want_row) and not np.isnan(degrees).any()
             for lam, want in zip(bundled.REFERENCE_LAMBDA_GRID, want_row):
-                got = record.mu_tilde_at(lam)
+                got = degrees[table.lambdas.index(lam)]
                 checked += 1
                 worst = max(worst, abs(got - want))
                 assert got == pytest.approx(want, abs=bundled.MU_TILDE_TOL), (triple, lam)
@@ -223,9 +225,9 @@ def test_criterion_8_grid_monotonicity_and_containment(demo_problem):
             vb = bounds(problem)
             tol = 1e-6 * max(1.0, abs(vb.ideal), abs(vb.critical))
             table = grid_sweep(problem, 0.25)
-            assert len(table.rows) == 125
-            assert all(row.error is None for row in table.rows)
-            value = {row.coefficients: row.f for row in table.rows}
+            assert table.f.shape == (125,)
+            assert table.errors == {} and not np.isnan(table.f).any()
+            value = dict(zip(map(tuple, table.coefficients.tolist()), table.f.tolist()))
             for f in value.values():
                 assert vb.critical - tol <= f <= vb.ideal + tol, (case, f, vb)
             for (a, b, g), f in value.items():

@@ -14,20 +14,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    Record,
     random_bounded_problem,
     random_loose_problem,
     random_triple,
     reference_grid,
     reference_records,
     reference_render,
+    table_of,
 )
 from greylp import (
     DomainError,
     GreyLP,
-    GridSolution,
     SolveStatus,
     UnboundedValueError,
-    SatisfactionRecord,
     StructureError,
     SweepTable,
     ValidationError,
@@ -87,22 +87,33 @@ GRID_LAMBDAS = (0.0, 0.5, 1.0)
 GRID_LABELS = ("alpha", "beta", "gamma", "f", "mu", "mu_tilde[0]", "mu_tilde[0.5]", "mu_tilde[1]")
 
 
+def assert_matches_reference(p, triples, got):
+    """``got``, the optima ``solve_grid`` gives for ``triples``, against the
+    per-point reference: NaN exactly where the reference solve is
+    unbounded, and the reference optimum up to rounding elsewhere."""
+    want = reference_grid(p, triples)
+    assert got.shape == (len(want),)
+    for (status, f), got_f in zip(want, got.tolist()):
+        if status is SolveStatus.UNBOUNDED:
+            assert math.isnan(got_f)
+        else:
+            assert status is SolveStatus.OPTIMAL
+            assert abs(got_f - f) <= 1e-9 * max(1.0, abs(f))
+
+
+def row_of(table, triple) -> int:
+    """The index of the row of ``table`` whose triple is ``triple``."""
+    [i] = [i for i, t in enumerate(table.coefficients.tolist()) if tuple(t) == triple]
+    return i
+
+
 class TestSolveGrid:
     @given(seed=st.integers(0, 2**32 - 1), loose=st.booleans())
     def test_matches_per_point_reference(self, seed, loose):
         rng = random.Random(seed)
         p = random_loose_problem(rng) if loose else random_bounded_problem(rng)
         triples = grid_triples(0.25) + [random_triple(rng) for _ in range(8)]
-        got = solve_grid(p, triples)
-        assert len(got.status) == len(got.objective) == len(triples)
-        for (status, f), got_status, got_f in zip(
-            reference_grid(p, triples), got.status, got.objective.tolist()
-        ):
-            assert got_status is status
-            if f is None:
-                assert math.isnan(got_f)
-            else:
-                assert abs(got_f - f) <= 1e-9 * max(1.0, abs(f))
+        assert_matches_reference(p, triples, solve_grid(p, triples))
 
     def test_cli_sweep_csv_matches_reference_rows(self, demo_problem, tmp_path, capsys):
         path = tmp_path / "demo.json"
@@ -119,12 +130,16 @@ class TestSolveGrid:
             lambda_sweep(demo_problem, [(0.5, 0.5, 0.5), triple], (0.5,))
 
     def test_rejects_malformed_triples(self, demo_problem):
-        with pytest.raises(StructureError):
+        message = "triples must be \\(alpha, beta, gamma\\) rows"
+        with pytest.raises(StructureError, match=message):
             solve_grid(demo_problem, [(0.5, 0.5)])
+        # The sweep checks the shape before it formats a label per triple.
+        for bad in [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4)]:
+            with pytest.raises(StructureError, match=message):
+                lambda_sweep(demo_problem, [bad], [0.5])
 
     def test_empty_batch(self, demo_problem):
-        got = solve_grid(demo_problem, [])
-        assert got.status == () and got.objective.shape == (0,)
+        assert solve_grid(demo_problem, []).shape == (0,)
 
     @pytest.mark.parametrize(
         "problem, step, message",
@@ -180,11 +195,8 @@ class TestSolveGrid:
             "solve_grid: 27 points, 5 cold solves, 8 warm starts, 14 certified, 13 bases, "
             "0 non-optimal"
         )
-        for (status, f), got_status, got_f in zip(
-            reference_grid(p, triples), got.status, got.objective.tolist()
-        ):
-            assert got_status is status
-            assert abs(got_f - f) <= 1e-9 * max(1.0, abs(f))
+        assert not np.isnan(got).any()
+        assert_matches_reference(p, triples, got)
 
     def test_basis_singular_in_one_slice_certifies_the_others(self, caplog):
         # The basis {x} of UNCAPPED is the 1x1 matrix [gamma]: singular in
@@ -199,37 +211,47 @@ class TestSolveGrid:
             "solve_grid: 1331 points, 121 cold solves, 0 warm starts, 1210 certified, 1 bases, "
             "121 non-optimal"
         )
-        for (status, f), got_status, got_f in zip(
-            reference_grid(UNCAPPED, triples), got.status, got.objective.tolist()
-        ):
-            assert got_status is status
-            if f is None:
-                assert math.isnan(got_f)
-            else:
-                assert abs(got_f - f) <= 1e-9 * max(1.0, abs(f))
+        assert_matches_reference(UNCAPPED, triples, got)
+
+    def test_unbounded_rows_become_error_rows(self, demo_problem, monkeypatch):
+        # No valid problem has an unbounded positioned program under bounded
+        # ideal values, so the grid kernel's answer is replaced here.
+        real = analysis._solve_grid
+
+        def with_holes(p, pts, bases=()):
+            f = real(p, pts, bases)
+            f[[1, 5]] = np.nan
+            return f
+
+        monkeypatch.setattr(analysis, "_solve_grid", with_holes)
+        table = grid_sweep(demo_problem, 0.5, lambdas=(0.5, 1.0))
+        assert table.errors == {1: "unbounded", 5: "unbounded"}
+        holes = np.isnan(table.f)
+        assert holes.tolist() == [i in (1, 5) for i in range(27)]
+        assert (np.isnan(table.mu) == holes).all()
+        assert (np.isnan(table.mu_tilde) == holes[:, None]).all()
 
 
 class TestLambdaSweep:
     def test_reproduces_reference_grid(self, table):
-        by_triple = {r.coefficients: r for r in table.rows}
+        assert table.mu_tilde.shape == (len(REFERENCE_SATISFACTION), len(REFERENCE_LAMBDA_GRID))
+        assert table.errors == {}
         for triple, refs in REFERENCE_SATISFACTION:
-            record = by_triple[triple]
+            i = row_of(table, triple)
             for lam, ref in zip(REFERENCE_LAMBDA_GRID, refs):
-                assert record.mu_tilde_at(lam) == pytest.approx(ref, abs=2e-4)
+                got = table.mu_tilde[i, table.lambdas.index(lam)]
+                assert got == pytest.approx(ref, abs=2e-4)
 
     def test_rows_sorted_lexicographically(self, table):
-        coeffs = [r.coefficients for r in table.rows]
+        coeffs = table.coefficients.tolist()
         assert coeffs == sorted(coeffs)
+        assert table.axis_labels[1:] == tuple("mu_tilde(%g,%g,%g)" % tuple(t) for t in coeffs)
 
     def test_axis_labels_mark_pivot_layout(self, table):
         assert table.pivoted
         assert table.axis_labels[0] == "lambda"
         assert len(table.axis_labels) == 1 + len(TABLE_TRIPLES)
         assert table.lambdas == tuple(REFERENCE_LAMBDA_GRID)
-
-    def test_missing_lambda_lookup_raises(self, table):
-        with pytest.raises(KeyError):
-            table.rows[0].mu_tilde_at(0.123)
 
     def test_rejects_invalid_problem(self):
         bad = GreyLP(objective=((2, 1),), matrix=(((1, 2),),), rhs=((3, 4),))
@@ -240,25 +262,24 @@ class TestLambdaSweep:
 class TestGridSweep:
     def test_half_step_covers_cube(self, demo_problem):
         table = grid_sweep(demo_problem, 0.5)
-        assert len(table.rows) == 27
-        coeffs = [r.coefficients for r in table.rows]
-        assert coeffs == sorted(coeffs)
-        by_triple = {r.coefficients: r for r in table.rows}
-        assert by_triple[(1.0, 1.0, 0.0)].f == pytest.approx(74783.51, abs=0.01)
-        assert by_triple[(0.0, 0.0, 1.0)].f == pytest.approx(20657.71, abs=0.01)
+        assert table.coefficients.shape == (27, 3) and table.f.shape == (27,)
+        coeffs = table.coefficients.tolist()
+        assert coeffs == sorted(coeffs) == [list(t) for t in grid_triples(0.5)]
+        assert table.f[row_of(table, (1.0, 1.0, 0.0))] == pytest.approx(74783.51, abs=0.01)
+        assert table.f[row_of(table, (0.0, 0.0, 1.0))] == pytest.approx(20657.71, abs=0.01)
         assert table.axis_labels == ("alpha", "beta", "gamma", "f", "mu")
         assert not table.pivoted
 
     def test_lambda_columns(self, demo_problem):
         table = grid_sweep(demo_problem, 0.5, lambdas=(0.5, 1.0))
         assert table.axis_labels[-2:] == ("mu_tilde[0.5]", "mu_tilde[1]")
-        record = next(r for r in table.rows if r.coefficients == (1.0, 1.0, 0.0))
-        assert record.mu_tilde_at(1.0) == pytest.approx(1.0, abs=1e-12)
+        got = table.mu_tilde[row_of(table, (1.0, 1.0, 0.0)), table.lambdas.index(1.0)]
+        assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_white_problem_sweeps_flat(self):
         p = GreyLP(objective=((2, 2),), matrix=(((1, 1),),), rhs=((4, 4),))
         table = grid_sweep(p, 0.5)
-        values = {r.f for r in table.rows}
+        values = set(table.f.tolist())
         assert len(values) == 1
         assert values.pop() == pytest.approx(8.0, rel=1e-12)
 
@@ -277,7 +298,10 @@ class TestCheckMonotonicity:
         assert report.ok
         assert report.violations == ()
         assert report.skipped == ()
-        assert len(report.grid) == 100  # 4 adjacent pairs x 25 fixed settings
+        pairs = analysis._probed_pairs(
+            report.axis_values, analysis._AXES[axis], range(report.pair_count)
+        )
+        assert report.pair_count == len(pairs) == 100  # 4 adjacent pairs x 25 fixed settings
         expected = "nonincreasing" if axis == "gamma" else "nondecreasing"
         assert report.direction == expected
 
@@ -312,7 +336,9 @@ class TestCheckMonotonicity:
     def test_grid_lists_every_pair_in_probe_order(self, demo_problem, pos, axis):
         report = check_monotonicity(demo_problem, axis, 0.2)
         expected = self._probe_order(unit_grid(0.2), pos)
-        assert list(report.grid) == expected
+        assert report.axis_values == unit_grid(0.2)
+        pairs = analysis._probed_pairs(report.axis_values, pos, range(report.pair_count))
+        assert list(pairs) == expected
         assert report.pair_count == len(expected) == 6 * 6 * 5
 
     def test_skipped_pairs_touch_a_non_optimal_setting(self):
@@ -334,7 +360,7 @@ class TestCheckMonotonicity:
         f[37] += 90.0  # breaks the ordering next to this setting
         monkeypatch.setattr(
             analysis, "solve_grid",
-            lambda p, pts: GridSolution(status=(SolveStatus.OPTIMAL,) * len(f), objective=f),
+            lambda p, pts: f,
         )
         report = check_monotonicity(demo_problem, axis, 0.25)
         value = dict(zip(map(tuple, cube.tolist()), f.tolist()))
@@ -401,7 +427,7 @@ class TestFindSatisfactory:
         # so come out in triple order, not in the order of the rounding.
         low = 0.7
         high = float(np.nextafter(low, 1.0))
-        table = SweepTable._of_columns(
+        table = SweepTable(
             axis_labels=("alpha", "beta", "gamma", "f", "mu", "mu_tilde[0.5]"),
             lambdas=(0.5,),
             coefficients=np.array([(0.0, 0.0, 0.5), (0.0, 0.5, 0.0), (1.0, 1.0, 0.0)]),
@@ -409,6 +435,7 @@ class TestFindSatisfactory:
             mu=np.array([0.5, 0.5, 0.9]),
             mu_tilde=np.array([[low], [high], [1.0]]),
             errors={},
+            pivoted=False,
         )
         monkeypatch.setattr(analysis, "grid_sweep", lambda p, step, lambdas: table)
         hits = hit_list(find_satisfactory(demo_problem, mu0=0.5, lam=0.5, step=0.5))
@@ -454,19 +481,25 @@ class TestRenderTable:
         assert len(lines) == 2 + 27
 
     def test_error_rows_render_their_marker(self):
-        record = SatisfactionRecord(
-            coefficients=(0.0, 0.0, 0.0), f=None, mu=None, error="unbounded"
+        table = SweepTable(
+            axis_labels=("alpha", "beta", "gamma", "f", "mu"),
+            lambdas=(),
+            coefficients=np.zeros((1, 3)),
+            f=np.array([np.nan]),
+            mu=np.array([np.nan]),
+            mu_tilde=np.empty((1, 0)),
+            errors={0: "unbounded"},
+            pivoted=False,
         )
-        table = SweepTable(axis_labels=("alpha", "beta", "gamma", "f", "mu"), rows=(record,))
         rows = list(csv.reader(io.StringIO(render_table(table, "csv"))))
         assert rows[1] == ["0", "0", "0", "unbounded", "unbounded"]
 
     def test_empty_table(self):
-        table = SweepTable(axis_labels=("alpha", "beta", "gamma", "f", "mu"), rows=())
+        table = table_of(("alpha", "beta", "gamma", "f", "mu"), (), ())
         assert render_table(table, "csv") == "alpha,beta,gamma,f,mu\n"
 
     def test_empty_markdown_table(self):
-        table = SweepTable(axis_labels=("alpha", "beta"), rows=())
+        table = table_of(("alpha", "beta"), (), ())
         assert render_table(table, "markdown") == "| alpha | beta |\n| --- | --- |\n"
 
     def test_rejects_unknown_format(self, demo_problem):
@@ -586,30 +619,22 @@ class TestRenderMatchesReference:
         labels = GRID_LABELS
         if pivoted:
             labels = ("lambda",) + tuple("c%d" % i for i in range(len(rows)))
-        table = SweepTable(labels, rows, GRID_LAMBDAS, pivoted=pivoted)
+        table = table_of(labels, rows, GRID_LAMBDAS, pivoted=pivoted)
         assert render_table(table, fmt) == reference_render(
             labels, rows, GRID_LAMBDAS, fmt, pivoted=pivoted
         )
-        assert table.rows == tuple(rows)
 
     @pytest.mark.parametrize("pivoted", [False, True])
     @pytest.mark.parametrize("fmt", ["csv", "markdown"])
     def test_error_markers_are_written_as_the_csv_module_writes_them(self, fmt, pivoted):
         markers = ['says "no", twice', "two\nlines", "", "plain"]
-        rows = [SatisfactionRecord((0.0, 0.0, float(i)), None, None, error=m)
-                for i, m in enumerate(markers)]
-        rows.append(SatisfactionRecord((1.0, 1.0, 1.0), 2.5, None, ((0.5, 0.25),)))
+        rows = [Record((0.0, 0.0, float(i)), None, None, error=m) for i, m in enumerate(markers)]
+        rows.append(Record((1.0, 1.0, 1.0), 2.5, None, ((0.5, 0.25),)))
         labels = ("lambda", "a,b", "c", "d", "e", "f") if pivoted else GRID_LABELS[:6]
-        table = SweepTable(labels, rows, (0.5,), pivoted=pivoted)
+        table = table_of(labels, rows, (0.5,), pivoted=pivoted)
         assert render_table(table, fmt) == reference_render(
             labels, rows, (0.5,), fmt, pivoted=pivoted
         )
-
-    def test_rows_round_trip_through_the_columns(self, demo_problem):
-        table = grid_sweep(demo_problem, 0.25, lambdas=(0.5, 1.0))
-        again = SweepTable(table.axis_labels, table.rows, table.lambdas)
-        assert render_table(again, "csv") == render_table(table, "csv")
-        assert again.rows == table.rows
 
     def test_rendering_spans_several_chunks(self, demo_problem):
         # 21**3 rows render in chunks of 1024; the text must not change at a
@@ -617,7 +642,8 @@ class TestRenderMatchesReference:
         table = grid_sweep(demo_problem, 0.05, lambdas=(0.5,))
         text = render_table(table, "csv")
         assert text.count("\n") == 1 + 21**3
-        assert text == reference_render(table.axis_labels, table.rows, table.lambdas, "csv")
+        rows = reference_records(demo_problem, grid_triples(0.05), (0.5,))
+        assert text == reference_render(table.axis_labels, rows, table.lambdas, "csv")
 
 
 class TestCollectorPause:

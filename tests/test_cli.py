@@ -303,6 +303,23 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["monotonicity", "--axis", "alpha"],
+            ["sweep"],
+            ["satisfactory", "--mu0", "0.5", "--lambda", "0.5"],
+        ],
+        ids=["monotonicity", "sweep", "satisfactory"],
+    )
+    def test_grid_too_large_to_allocate_exits_2(self, capsys, demo_file, argv):
+        # numpy refuses the 1000001**3 cube of this step at once, before
+        # anything is allocated.
+        assert run([*argv, "--file", demo_file, "--step", "1e-6"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             [],
             ["frobnicate"],
             ["solve", "--file", "x.json", "--alpha", "2.0", "--beta", "0.5", "--gamma", "0.5"],
