@@ -39,7 +39,6 @@ from .errors import (
 )
 from .grey_core import (
     GreyLP,
-    Interval,
     PositionCoefficients,
     Violation,
     WhiteLP,
@@ -69,7 +68,6 @@ logging.getLogger(__name__).addHandler(logging.NullHandler())
 __all__ = [
     "__version__",
     # grey_core
-    "Interval",
     "GreyLP",
     "PositionCoefficients",
     "WhiteLP",

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StructureError
+from .errors import DomainError, SolverFailure, StructureError
 from .grey_core import (
     GreyLP,
     _whitened,
@@ -71,11 +71,10 @@ class SweepTable:
 
     Row ``i`` is the uniform triple ``coefficients[i]`` with its positioned
     optimum ``f[i]``, pleased degree ``mu[i]`` and satisfaction degrees
-    ``mu_tilde[i, j]`` at ``lambdas[j]``; NaN stands for a missing value
-    (``mu`` is NaN where the pleased degree is undefined, at ideal value
-    zero).  ``errors`` maps each row whose positioned program could not be
-    evaluated to its marker (e.g. ``"unbounded"``); the values of such a row
-    are NaN.
+    ``mu_tilde[i, j]`` at ``lambdas[j]``.  Every optimum is finite: a sweep
+    whose positioned program is unbounded anywhere raises instead (see
+    :func:`_scored`).  A degree is NaN where it is undefined (``mu`` at
+    ideal value zero) and renders as an empty cell.
 
     A ``pivoted`` table renders one row per lambda and one column per row
     (the shape of a satisfaction-degree report); otherwise each row renders
@@ -88,7 +87,6 @@ class SweepTable:
     f: np.ndarray  # N
     mu: np.ndarray  # N
     mu_tilde: np.ndarray  # N x len(lambdas)
-    errors: dict[int, str]
     pivoted: bool
 
 
@@ -125,13 +123,23 @@ def unit_grid(step: float) -> tuple[float, ...]:
 
     Values are rounded to 10 decimals so grid points like 3*0.1 come out as
     exact presentation values (0.3, not 0.30000000000000004).
+
+    Raises :class:`DomainError` for a step outside (0, 0.5], and
+    :class:`MemoryError`, before the grid is built, for a step so fine that
+    the cube of grid triples the grid commands solve has more points than
+    an array index can count.
     """
     step = float(step)
     if not (0.0 < step <= 0.5):
         raise DomainError(f"grid step must be in (0, 0.5], got {step}")
-    count = int(math.floor(1.0 / step + 1e-9))
+    limit = np.iinfo(np.intp).max
+    inverse = 1.0 / step  # inf for the smallest subnormal steps
+    count = int(math.floor(inverse + 1e-9)) if inverse < limit else limit
+    size = count + 1 + (round(count * step, 10) < 1.0)
+    if size**3 > limit:
+        raise MemoryError(f"grid step {step:g} is too fine: its grid has more than {limit} triples")
     values = [round(k * step, 10) for k in range(count + 1)]
-    if values[-1] < 1.0:
+    if len(values) < size:
         values.append(1.0)
     return tuple(values)
 
@@ -140,7 +148,10 @@ def _points(triples) -> np.ndarray:
     """``triples`` as an N x 3 array of uniform coefficients; raises
     :class:`StructureError` for another shape and :class:`DomainError` for
     a coefficient outside [0, 1] (or NaN)."""
-    pts = np.asarray(triples, dtype=float)
+    try:
+        pts = np.asarray(triples, dtype=float)
+    except (TypeError, ValueError):  # ragged rows, or entries that are not numbers
+        raise StructureError("triples must be (alpha, beta, gamma) rows") from None
     if pts.size == 0:
         pts = pts.reshape(0, 3)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -289,19 +300,26 @@ def _scored(
 ) -> SweepTable:
     """The sweep table of the checked triples ``pts`` (see :func:`_points`):
     each row's positioned optimum and degrees, scored a column at a time.
-    An unbounded row gets an error marker so a sweep keeps going and partial
-    reports stay useful."""
+
+    Both bounds are solved first, so an unbounded ideal program raises
+    :class:`UnboundedValueError`.  Once the ideal program is bounded, no
+    positioned program is unbounded: valid data have A_lo >= 0 and c >= 0,
+    so a ray d of a positioned program (A d = 0, c·d > 0) is a ray of the
+    ideal program (c_hi, A_lo) too.  A NaN optimum can thus only come from
+    the solver, and it raises :class:`SolverFailure`."""
     _validated(p)
     vb, bases = _bounds(p)
     f = _solve_grid(p, pts, bases)
-    ok = ~np.isnan(f)
-    mu = np.full(len(f), np.nan)
-    mu[ok] = pleased_degrees(f[ok], vb)  # NaN where undefined (ideal value zero)
-    mu_tilde = np.full((len(f), len(lambdas)), np.nan)
+    if np.isnan(f).any():
+        triple = tuple(pts[np.isnan(f).argmax()].tolist())
+        raise SolverFailure(
+            "positioned program at (%g,%g,%g) is unbounded, but the ideal one is bounded" % triple
+        )
+    mu = pleased_degrees(f, vb)  # NaN where undefined (ideal value zero)
+    mu_tilde = np.empty((len(f), len(lambdas)))
     for j, lam in enumerate(lambdas):
-        mu_tilde[ok, j] = lambda_satisfactions(f[ok], vb, lam)
-    errors = dict.fromkeys(np.flatnonzero(~ok).tolist(), str(SolveStatus.UNBOUNDED))
-    return SweepTable(labels, lambdas, pts, f, mu, mu_tilde, errors, pivoted)
+        mu_tilde[:, j] = lambda_satisfactions(f, vb, lam)
+    return SweepTable(labels, lambdas, pts, f, mu, mu_tilde, pivoted)
 
 
 def _triple_label(triple: Triple) -> str:
@@ -405,7 +423,7 @@ def find_satisfactory(
             raise DomainError(f"{name} must be in [0, 1], got {v}")
     table = grid_sweep(p, step, lambdas=(float(lam),))
     degree = table.mu_tilde[:, 0]
-    hits = np.flatnonzero(degree >= float(mu0))  # NaN on error rows compares False
+    hits = np.flatnonzero(degree >= float(mu0))
     # Degrees are compared at 12 decimals, so that two equal up to solver
     # rounding tie; rows are in lexicographic order, so the row index breaks
     # ties by triple.
@@ -463,47 +481,34 @@ def _degree_texts(values: np.ndarray) -> np.ndarray:
     return texts
 
 
-def _cells(texts: list[str], values: np.ndarray, errors: dict[int, str], empty: str) -> list[str]:
-    """``texts``, the formatted ``values``, with each NaN's replaced by
-    ``empty`` and the text at each index of ``errors`` by its error
-    marker."""
+def _cells(texts: list[str], values: np.ndarray, empty: str) -> list[str]:
+    """``texts``, the formatted degrees ``values``, with each NaN's replaced
+    by ``empty``."""
     for i in np.flatnonzero(np.isnan(values)).tolist():
         texts[i] = empty
-    for i, marker in errors.items():
-        texts[i] = marker
     return texts
 
 
-def _body(t: SweepTable, empty: str, marker):
+def _body(t: SweepTable, empty: str):
     """The table's rows after the header, each an iterable of cells, at
-    most ``_CHUNK`` rows at a time.  A missing value renders as ``empty``
-    and every value of an error row as ``marker(error)``."""
-    errors = {i: marker(e) for i, e in t.errors.items()}
+    most ``_CHUNK`` rows at a time.  An undefined degree renders as
+    ``empty``."""
     if t.pivoted:
         yield [
-            ("%g" % lam, *_cells(_degree_texts(row).tolist(), row, errors, empty))
+            ("%g" % lam, *_cells(_degree_texts(row).tolist(), row, empty))
             for lam, row in zip(t.lambdas, t.mu_tilde.T)
         ]
         return
     coeffs = _coeff_texts(t.coefficients)
     for start in range(0, len(t.f), _CHUNK):
         stop = start + _CHUNK
-        errs = {i - start: m for i, m in errors.items() if start <= i < stop}
         f = t.f[start:stop]
         degrees = np.column_stack((t.mu[start:stop], t.mu_tilde[start:stop]))
         cells = coeffs[start:stop].T.tolist()
-        cells.append(_cells(["%.2f" % v for v in f.tolist()], f, errs, empty))
+        cells.append(["%.2f" % v for v in f.tolist()])
         for values, texts in zip(degrees.T, _degree_texts(degrees).T):
-            cells.append(_cells(texts.tolist(), values, errs, empty))
+            cells.append(_cells(texts.tolist(), values, empty))
         yield zip(*cells)
-
-
-def _csv_cell(text: str) -> str:
-    """``text`` as the csv module writes it in a row of several cells
-    (quoted only if it holds a comma, a quote or a line break)."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[: -len(",\n")]
 
 
 def render_table(t: SweepTable, format: str) -> str:
@@ -518,15 +523,15 @@ def render_table(t: SweepTable, format: str) -> str:
     header = list(t.axis_labels)
     buf = io.StringIO()
     if format == "csv":
-        # Numbers never need quoting, so only the header and the error
-        # markers go through the csv module.
+        # Numbers never need quoting, so only the header goes through the
+        # csv module.
         csv.writer(buf, lineterminator="\n").writerow(header)
-        lead, sep, end, empty, marker = "", ",", "\n", "", _csv_cell
+        lead, sep, end, empty = "", ",", "\n", ""
     else:
         buf.write("| " + " | ".join(header) + " |\n")
         buf.write("| " + " | ".join("---" for _ in header) + " |\n")
-        lead, sep, end, empty, marker = "| ", " | ", " |\n", "-", lambda e: e or "-"
-    for chunk in _body(t, empty, marker):
+        lead, sep, end, empty = "| ", " | ", " |\n", "-"
+    for chunk in _body(t, empty):
         lines = list(map(sep.join, chunk))
         if lines:
             buf.write(lead + (end + lead).join(lines) + end)

@@ -6,11 +6,12 @@ coefficient, and right-hand side.  Whitening replaces each interval by the
 convex combination ``t*hi + (1-t)*lo`` for a position coefficient
 ``t in [0, 1]``, turning the grey problem into a concrete ("white") max-LP.
 
-Problems, coefficient blocks and white programs store their numbers as
-read-only numpy arrays; the tuple views (``GreyLP.objective``,
-``WhiteLP.c``, ``PositionCoefficients.alphas``, ...) are built on access.
-All types are immutable after construction and all operations are pure, so
-everything here is safe to share across threads.
+Problems, coefficient blocks and white programs store their numbers only
+as read-only numpy arrays (``GreyLP.c_lo``, ``PositionCoefficients.
+alpha_array``, ``WhiteLP.A_array``, ...); an interval is a ``(lo, hi)``
+pair wherever one is passed in.  All types are immutable after
+construction and all operations are pure, so everything here is safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 from .errors import DomainError, StructureError
 
 __all__ = [
-    "Interval",
     "GreyLP",
     "PositionCoefficients",
     "WhiteLP",
@@ -34,35 +34,6 @@ __all__ = [
     "theta_coefficients",
     "validate_problem",
 ]
-
-
-@dataclass(frozen=True)
-class Interval:
-    """A closed real range [lo, hi] housing one grey parameter.
-
-    Construction only coerces to float; whether the bounds are ordered and
-    nonnegative is checked by :func:`validate_problem`, which collects every
-    violation in a problem instead of failing on the first one.
-    """
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-
-    @property
-    def is_white(self) -> bool:
-        """True when the interval is a single point (no greyness)."""
-        return self.lo == self.hi
-
-
-def _as_interval(value) -> Interval:
-    if isinstance(value, Interval):
-        return value
-    lo, hi = value
-    return Interval(lo, hi)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -98,22 +69,20 @@ def _grid(rows) -> np.ndarray | list[np.ndarray]:
     return np.array(vectors, dtype=float).reshape(len(vectors), len(vectors[0]) if vectors else 0)
 
 
-def _pairs(block) -> np.ndarray:
-    """A block of intervals (``Interval`` objects or ``(lo, hi)`` pairs) as
-    a k x 2 float array."""
-    if not isinstance(block, (np.ndarray, list, tuple)):
-        block = tuple(block)
+def _pairs(block, name: str) -> np.ndarray:
+    """A block of ``(lo, hi)`` pairs as a k x 2 float array; raises
+    :class:`StructureError` naming the block ``name`` for anything else."""
     try:
+        if not isinstance(block, (np.ndarray, list, tuple)):
+            block = tuple(block)
         a = np.array(block, dtype=float)
-    except (TypeError, ValueError):  # Interval objects, or pairs of mixed lengths
+    except (TypeError, ValueError):  # not iterable, pairs of mixed lengths, not numbers
         a = None
+    if a is not None and a.shape == (0,):
+        return a.reshape(0, 2)
     if a is None or a.ndim != 2 or a.shape[1] != 2:
-        a = np.array([(iv.lo, iv.hi) for iv in map(_as_interval, block)], dtype=float)
-    return a.reshape(-1, 2)
-
-
-def _intervals(lo: np.ndarray, hi: np.ndarray) -> tuple[Interval, ...]:
-    return tuple(map(Interval, lo.tolist(), hi.tolist()))
+        raise StructureError(f"{name}: expected (lo, hi) pairs")
+    return a
 
 
 class _ArrayRecord:
@@ -139,19 +108,18 @@ class _ArrayRecord:
 @dataclass(frozen=True, eq=False, init=False)
 class GreyLP(_ArrayRecord):
     """A grey max-LP: maximize c(x)·x subject to A(x)·x <= b(x), x >= 0,
-    with every coefficient an :class:`Interval`.
+    with every coefficient a closed interval [lo, hi].
 
-    ``GreyLP(objective, matrix, rhs)`` takes one entry per variable, an
-    m-by-n grid (one row per constraint) and one entry per constraint;
-    entries may be ``Interval`` objects or ``(lo, hi)`` pairs.  Like
-    :class:`Interval`, construction does not validate; use
-    :func:`validate_problem`.
+    ``GreyLP(objective, matrix, rhs)`` takes one ``(lo, hi)`` pair per
+    variable, an m-by-n grid of pairs (one row per constraint) and one pair
+    per constraint; a block that is not made of pairs raises
+    :class:`StructureError`.  Construction does not check the bounds
+    themselves; use :func:`validate_problem`.
 
     The bounds are stored as arrays: ``c_lo``/``c_hi`` (n), ``b_lo``/``b_hi``
     (m) and ``A_lo``/``A_hi`` (one row per matrix row).  A ragged matrix is
     padded with NaN to its longest row, and ``row_lengths`` keeps each
-    row's own length.  ``objective``, ``matrix`` and ``rhs`` rebuild the
-    :class:`Interval` tuples on each access.
+    row's own length.
     """
 
     c_lo: np.ndarray
@@ -165,22 +133,25 @@ class GreyLP(_ArrayRecord):
     _arrays = ("row_lengths", "c_lo", "c_hi", "A_lo", "A_hi", "b_lo", "b_hi")
 
     def __init__(self, objective, matrix, rhs):
-        c = _pairs(objective)
-        if not isinstance(matrix, (np.ndarray, list, tuple)):
-            matrix = tuple(matrix)
+        c = _pairs(objective, "objective")
+        try:
+            if not isinstance(matrix, (np.ndarray, list, tuple)):
+                matrix = tuple(matrix)
+        except TypeError:
+            raise StructureError("matrix: expected rows of (lo, hi) pairs") from None
         try:
             A = np.array(matrix, dtype=float)
-        except (TypeError, ValueError):  # Interval objects, or a ragged matrix
+        except (TypeError, ValueError):  # a ragged matrix, or entries that are not numbers
             A = None
         if A is None or A.ndim != 3 or A.shape[2] != 2:
-            rows = [_pairs(row) for row in matrix]
+            rows = [_pairs(row, f"matrix[{i}]") for i, row in enumerate(matrix)]
             A = np.full((len(rows), max(map(len, rows), default=0), 2), np.nan)
             for i, row in enumerate(rows):
                 A[i, : len(row)] = row
             lengths = np.array([len(row) for row in rows], dtype=int)
         else:
             lengths = np.full(len(A), A.shape[1], dtype=int)
-        b = _pairs(rhs)
+        b = _pairs(rhs, "rhs")
         # The class is frozen; fields are set once, here.
         self.__dict__.update(
             (name, _frozen(np.ascontiguousarray(a)))
@@ -197,21 +168,6 @@ class GreyLP(_ArrayRecord):
         return np.arange(self.A_lo.shape[1]) < self.row_lengths[:, None]
 
     @property
-    def objective(self) -> tuple[Interval, ...]:
-        return _intervals(self.c_lo, self.c_hi)
-
-    @property
-    def matrix(self) -> tuple[tuple[Interval, ...], ...]:
-        return tuple(
-            _intervals(lo[:k], hi[:k])
-            for lo, hi, k in zip(self.A_lo, self.A_hi, self.row_lengths.tolist())
-        )
-
-    @property
-    def rhs(self) -> tuple[Interval, ...]:
-        return _intervals(self.b_lo, self.b_hi)
-
-    @property
     def n(self) -> int:
         """Number of variables."""
         return len(self.c_lo)
@@ -220,15 +176,6 @@ class GreyLP(_ArrayRecord):
     def m(self) -> int:
         """Number of constraints."""
         return len(self.b_lo)
-
-    @property
-    def is_white(self) -> bool:
-        """True when every interval is a single point."""
-        return bool(
-            (self.c_lo == self.c_hi).all()
-            and (self.b_lo == self.b_hi).all()
-            and ((self.A_lo == self.A_hi) | ~self._real()).all()
-        )
 
 
 def _out_of_range(name: str, v) -> None:
@@ -244,9 +191,8 @@ class PositionCoefficients(_ArrayRecord):
     :class:`DomainError` at construction.  Whether the dimensions match a
     particular problem is checked by :func:`build_positioned`.
 
-    The weights are stored as ``alpha_array`` (n), ``beta_array`` (m) and
-    ``gamma_array`` (m x n); ``alphas``, ``betas`` and ``gammas`` are their
-    tuple views.
+    ``PositionCoefficients(alphas, betas, gammas)`` stores the weights as
+    ``alpha_array`` (n), ``beta_array`` (m) and ``gamma_array`` (m x n).
     """
 
     alpha_array: np.ndarray
@@ -284,18 +230,6 @@ class PositionCoefficients(_ArrayRecord):
         k._set(alpha, beta, gamma)
         return k
 
-    @property
-    def alphas(self) -> tuple[float, ...]:
-        return tuple(self.alpha_array.tolist())
-
-    @property
-    def betas(self) -> tuple[float, ...]:
-        return tuple(self.beta_array.tolist())
-
-    @property
-    def gammas(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(map(tuple, self.gamma_array.tolist()))
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class WhiteLP(_ArrayRecord):
@@ -303,9 +237,8 @@ class WhiteLP(_ArrayRecord):
 
     Unlike the grey containers this type is strict: entries must be finite
     and the dimensions consistent, since a white problem is handed straight
-    to the solver.  The numbers are stored as ``c_array`` (n), ``A_array``
-    (m x n) and ``b_array`` (m); ``c``, ``A`` and ``b`` are their tuple
-    views.
+    to the solver.  ``WhiteLP(c, A, b)`` stores the numbers as ``c_array``
+    (n), ``A_array`` (m x n) and ``b_array`` (m).
     """
 
     c_array: np.ndarray
@@ -340,18 +273,6 @@ class WhiteLP(_ArrayRecord):
                 )
         # The class is frozen; fields are set once, here.
         self.__dict__.update(c_array=_frozen(c), A_array=_frozen(A), b_array=_frozen(b))
-
-    @property
-    def c(self) -> tuple[float, ...]:
-        return tuple(self.c_array.tolist())
-
-    @property
-    def A(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(map(tuple, self.A_array.tolist()))
-
-    @property
-    def b(self) -> tuple[float, ...]:
-        return tuple(self.b_array.tolist())
 
     @property
     def n(self) -> int:
@@ -391,8 +312,9 @@ def _whitened(t, lo, hi) -> np.ndarray:
     return t * hi + (1.0 - t) * lo
 
 
-def whiten(iv: Interval, t: float) -> float:
-    """White value of a grey parameter: ``t*hi + (1-t)*lo``.
+def whiten(iv, t: float) -> float:
+    """White value of the grey parameter ``iv``, a ``(lo, hi)`` pair:
+    ``t*hi + (1-t)*lo``.
 
     ``t=0`` selects the lower bound exactly and ``t=1`` the upper bound;
     every result lies in [lo, hi].
@@ -400,8 +322,8 @@ def whiten(iv: Interval, t: float) -> float:
     t = float(t)
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"position coefficient must be in [0, 1], got {t}")
-    iv = _as_interval(iv)
-    return float(_whitened(t, iv.lo, iv.hi))
+    lo, hi = _pairs([iv], "interval")[0]
+    return float(_whitened(t, lo, hi))
 
 
 def build_positioned(p: GreyLP, k: PositionCoefficients) -> WhiteLP:

@@ -178,10 +178,10 @@ def _reference_bland_iterate(T, basis, budget):
 def reference_solve_max(lp: WhiteLP) -> LPSolution:
     """The scalar Bland loop that the vectorised pricing in ``solve_max``
     replaces, kept as its reference: one numpy scalar at a time, read from
-    the tuple views of ``lp``, from the all-slack basis (so b >= 0)."""
-    A = np.array(lp.A, dtype=float)
-    b = np.array(lp.b, dtype=float)
-    c = np.array(lp.c, dtype=float)
+    copies of the arrays of ``lp``, from the all-slack basis (so b >= 0)."""
+    A = np.array(lp.A_array, dtype=float)
+    b = np.array(lp.b_array, dtype=float)
+    c = np.array(lp.c_array, dtype=float)
     assert (b >= 0.0).all(), "the all-slack basis needs b >= 0"
     m, n = A.shape
     T = np.zeros((m + 1, n + m + 1))
@@ -214,14 +214,27 @@ def reference_solve_max(lp: WhiteLP) -> LPSolution:
     )
 
 
+def blocks(p: GreyLP):
+    """The objective, matrix rows and right-hand side of ``p`` as lists of
+    ``(lo, hi)`` float pairs, read from its arrays (each matrix row at its
+    own length)."""
+
+    def pairs(lo, hi):
+        return list(zip(lo.tolist(), hi.tolist()))
+
+    matrix = [pairs(lo[:k], hi[:k]) for lo, hi, k in zip(p.A_lo, p.A_hi, p.row_lengths.tolist())]
+    return pairs(p.c_lo, p.c_hi), matrix, pairs(p.b_lo, p.b_hi)
+
+
 def reference_validate_problem(p: GreyLP) -> list[Violation]:
-    """The per-entry ``validate_problem`` over the :class:`Interval` tuples,
-    kept as the reference for the array masks."""
+    """The per-entry ``validate_problem``, one ``(lo, hi)`` float pair at a
+    time, kept as the reference for the array masks."""
     violations: list[Violation] = []
 
     def check_interval(iv, location: str):
+        lo, hi = iv
         bad_number = False
-        for side, v in (("lower", iv.lo), ("upper", iv.hi)):
+        for side, v in (("lower", lo), ("upper", hi)):
             if not math.isfinite(v):
                 violations.append(
                     Violation(location, "non_finite", f"{side} bound {v} is not finite")
@@ -229,43 +242,44 @@ def reference_validate_problem(p: GreyLP) -> list[Violation]:
                 bad_number = True
         if bad_number:
             return
-        if iv.lo > iv.hi:
+        if lo > hi:
             violations.append(
                 Violation(
                     location,
                     "bounds_order",
-                    f"lower bound {iv.lo:g} exceeds upper bound {iv.hi:g}",
+                    f"lower bound {lo:g} exceeds upper bound {hi:g}",
                 )
             )
-        if iv.lo < 0:
+        if lo < 0:
             violations.append(
                 Violation(
                     location,
                     "negative_lower",
-                    f"negative lower bound {iv.lo:g} (all parameters must be >= 0)",
+                    f"negative lower bound {lo:g} (all parameters must be >= 0)",
                 )
             )
 
+    objective, matrix, rhs = blocks(p)
     n, m = p.n, p.m
     if n < 1:
         violations.append(Violation("objective", "dimension", "no variables"))
     if m < 1:
         violations.append(Violation("rhs", "dimension", "no constraints"))
-    if len(p.matrix) != m:
+    if len(matrix) != m:
         violations.append(
-            Violation("matrix", "dimension", f"{len(p.matrix)} matrix rows but {m} right-hand sides")
+            Violation("matrix", "dimension", f"{len(matrix)} matrix rows but {m} right-hand sides")
         )
-    for i, row in enumerate(p.matrix):
+    for i, row in enumerate(matrix):
         if len(row) != n:
             violations.append(
                 Violation(f"matrix[{i}]", "dimension", f"{len(row)} entries but {n} objective coefficients")
             )
-    for j, iv in enumerate(p.objective):
+    for j, iv in enumerate(objective):
         check_interval(iv, f"objective[{j}]")
-    for i, row in enumerate(p.matrix):
+    for i, row in enumerate(matrix):
         for j, iv in enumerate(row):
             check_interval(iv, f"matrix[{i}][{j}]")
-    for i, iv in enumerate(p.rhs):
+    for i, iv in enumerate(rhs):
         check_interval(iv, f"rhs[{i}]")
     return violations
 
@@ -312,29 +326,24 @@ def reference_lambda_satisfaction(f: float, vb: ValueBounds, lam: float) -> floa
 
 class Record(NamedTuple):
     """One sweep row as the per-row references see it: a uniform triple, its
-    positioned optimum, its pleased degree and its ``(lambda, degree)``
-    pairs.  ``error`` marks a row whose program could not be evaluated;
-    such a row carries no values, and ``mu`` alone may be None when the
-    pleased degree is undefined (ideal value zero)."""
+    positioned optimum, its pleased degree (None where it is undefined, at
+    ideal value zero) and its ``(lambda, degree)`` pairs."""
 
     coefficients: tuple[float, float, float]
-    f: float | None
+    f: float
     mu: float | None
     mu_tilde: tuple[tuple[float, float], ...] = ()
-    error: str | None = None
 
 
-def reference_records(p: GreyLP, triples, lambdas, vb: ValueBounds | None = None):
+def reference_records(p: GreyLP, triples, lambdas):
     """One :class:`Record` per triple, scored row by row over
-    :func:`reference_grid` with the reference degrees; a non-optimal triple
-    becomes an error row.  ``vb`` defaults to ``bounds(p)``."""
-    vb = bounds(p) if vb is None else vb
+    :func:`reference_grid` with the reference degrees against ``bounds(p)``;
+    every triple must solve to optimality."""
+    vb = bounds(p)
     rows = []
     for triple, (status, f) in zip(triples, reference_grid(p, triples)):
         triple = tuple(float(v) for v in triple)
-        if status is not SolveStatus.OPTIMAL:
-            rows.append(Record(triple, None, None, error=str(status)))
-            continue
+        assert status is SolveStatus.OPTIMAL, (triple, status)
         try:
             mu = reference_pleased_degree(f, vb)
         except DomainError:
@@ -352,12 +361,11 @@ def table_of(labels, rows, lambdas, pivoted: bool = False) -> SweepTable:
         axis_labels=tuple(labels),
         lambdas=tuple(lambdas),
         coefficients=np.array([r.coefficients for r in rows], dtype=float).reshape(-1, 3),
-        f=np.array([np.nan if r.f is None else r.f for r in rows], dtype=float),
+        f=np.array([r.f for r in rows], dtype=float),
         mu=np.array([np.nan if r.mu is None else r.mu for r in rows], dtype=float),
         mu_tilde=np.array(
             [[d.get(lam, np.nan) for lam in lambdas] for d in by_lam], dtype=float
         ).reshape(len(rows), len(lambdas)),
-        errors={i: r.error for i, r in enumerate(rows) if r.error is not None},
         pivoted=pivoted,
     )
 
@@ -367,25 +375,20 @@ def reference_render(labels, rows, lambdas, format: str, pivoted: bool = False) 
     reference: one list of cells per record (or, ``pivoted``, per lambda),
     written by the csv module or joined as Markdown."""
 
-    def fmt(v, spec, error):
-        if error is not None:
-            return error
+    def fmt(v, spec):
         return "" if v is None else spec % v
 
     table = [list(labels)]
     if pivoted:
         for lam in lambdas:
-            table.append(
-                ["%g" % lam]
-                + [r.error if r.error is not None else "%.4f" % dict(r.mu_tilde)[lam] for r in rows]
-            )
+            table.append(["%g" % lam] + ["%.4f" % dict(r.mu_tilde)[lam] for r in rows])
     else:
         for r in rows:
             by_lam = dict(r.mu_tilde)
             table.append(
                 ["%g" % v for v in r.coefficients]
-                + [fmt(r.f, "%.2f", r.error), fmt(r.mu, "%.4f", r.error)]
-                + [fmt(by_lam.get(lam), "%.4f", r.error) for lam in lambdas]
+                + ["%.2f" % r.f, fmt(r.mu, "%.4f")]
+                + [fmt(by_lam.get(lam), "%.4f") for lam in lambdas]
             )
     if format == "csv":
         buf = io.StringIO()

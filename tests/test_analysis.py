@@ -7,6 +7,7 @@ import itertools
 import logging
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
-    Record,
     random_bounded_problem,
     random_loose_problem,
     random_triple,
@@ -27,11 +27,11 @@ from greylp import (
     DomainError,
     GreyLP,
     SolveStatus,
+    SolverFailure,
     UnboundedValueError,
     StructureError,
     SweepTable,
     ValidationError,
-    ValueBounds,
     bundled,
     check_monotonicity,
     find_satisfactory,
@@ -71,6 +71,18 @@ class TestUnitGrid:
     def test_rejects_bad_step(self, bad):
         with pytest.raises(DomainError):
             unit_grid(bad)
+
+    @pytest.mark.parametrize("step", [4e-7, 1e-12, 1e-320, 1 / 2_097_151])
+    def test_refuses_steps_too_fine_to_index(self, step):
+        # 2_097_152**3 is one past the largest array index.
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="too fine"):
+                unit_grid(step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +149,13 @@ class TestSolveGrid:
         for bad in [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4)]:
             with pytest.raises(StructureError, match=message):
                 lambda_sweep(demo_problem, [bad], [0.5])
+        # Ragged rows and entries that are not numbers fail numpy's
+        # conversion itself.
+        for bad in [[(0.1, 0.2, 0.3), (0.1, 0.2)], [("a", 0.2, 0.3)]]:
+            with pytest.raises(StructureError, match=message):
+                solve_grid(demo_problem, bad)
+            with pytest.raises(StructureError, match=message):
+                lambda_sweep(demo_problem, bad, [0.5])
 
     def test_empty_batch(self, demo_problem):
         assert solve_grid(demo_problem, []).shape == (0,)
@@ -213,7 +232,8 @@ class TestSolveGrid:
         )
         assert_matches_reference(UNCAPPED, triples, got)
 
-    def test_unbounded_rows_become_error_rows(self, demo_problem, monkeypatch):
+    def test_unbounded_rows_raise_solver_failure(self, demo_problem, tmp_path, monkeypatch,
+                                                 capsys):
         # No valid problem has an unbounded positioned program under bounded
         # ideal values, so the grid kernel's answer is replaced here.
         real = analysis._solve_grid
@@ -224,18 +244,22 @@ class TestSolveGrid:
             return f
 
         monkeypatch.setattr(analysis, "_solve_grid", with_holes)
-        table = grid_sweep(demo_problem, 0.5, lambdas=(0.5, 1.0))
-        assert table.errors == {1: "unbounded", 5: "unbounded"}
-        holes = np.isnan(table.f)
-        assert holes.tolist() == [i in (1, 5) for i in range(27)]
-        assert (np.isnan(table.mu) == holes).all()
-        assert (np.isnan(table.mu_tilde) == holes[:, None]).all()
+        message = "positioned program at (0,0,0.5) is unbounded, but the ideal one is bounded"
+        with pytest.raises(SolverFailure) as exc:
+            grid_sweep(demo_problem, 0.5, lambdas=(0.5, 1.0))
+        assert str(exc.value) == message
+        with pytest.raises(SolverFailure):
+            lambda_sweep(demo_problem, [(0.5, 0.5, 0.5)] * 6, (0.5,))
+        path = tmp_path / "demo.json"
+        path.write_text(bundled.EXAMPLE_PROBLEM_JSON, encoding="utf-8")
+        assert run(["sweep", "--file", str(path), "--step", "0.5"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestLambdaSweep:
     def test_reproduces_reference_grid(self, table):
         assert table.mu_tilde.shape == (len(REFERENCE_SATISFACTION), len(REFERENCE_LAMBDA_GRID))
-        assert table.errors == {}
+        assert not np.isnan(table.mu_tilde).any()
         for triple, refs in REFERENCE_SATISFACTION:
             i = row_of(table, triple)
             for lam, ref in zip(REFERENCE_LAMBDA_GRID, refs):
@@ -434,7 +458,6 @@ class TestFindSatisfactory:
             f=np.array([1.0, 1.0, 2.0]),
             mu=np.array([0.5, 0.5, 0.9]),
             mu_tilde=np.array([[low], [high], [1.0]]),
-            errors={},
             pivoted=False,
         )
         monkeypatch.setattr(analysis, "grid_sweep", lambda p, step, lambdas: table)
@@ -479,20 +502,6 @@ class TestRenderTable:
         assert lines[0].startswith("| alpha | beta | gamma |")
         assert set(lines[1].replace("|", "").split()) == {"---"}
         assert len(lines) == 2 + 27
-
-    def test_error_rows_render_their_marker(self):
-        table = SweepTable(
-            axis_labels=("alpha", "beta", "gamma", "f", "mu"),
-            lambdas=(),
-            coefficients=np.zeros((1, 3)),
-            f=np.array([np.nan]),
-            mu=np.array([np.nan]),
-            mu_tilde=np.empty((1, 0)),
-            errors={0: "unbounded"},
-            pivoted=False,
-        )
-        rows = list(csv.reader(io.StringIO(render_table(table, "csv"))))
-        assert rows[1] == ["0", "0", "0", "unbounded", "unbounded"]
 
     def test_empty_table(self):
         table = table_of(("alpha", "beta", "gamma", "f", "mu"), (), ())
@@ -606,35 +615,15 @@ class TestRenderMatchesReference:
             labels, rows, REFERENCE_LAMBDA_GRID, fmt, pivoted=True
         )
 
-    @pytest.mark.parametrize("pivoted", [False, True])
     @pytest.mark.parametrize("fmt", ["csv", "markdown"])
-    def test_table_with_error_rows(self, fmt, pivoted):
-        # The uncapped problem has no ideal value, so score its bounded
-        # settings against the spread of their own optima.
-        triples = grid_triples(0.5)
-        finite = [f for status, f in reference_grid(UNCAPPED, triples) if f is not None]
-        vb = ValueBounds(min(finite), max(finite))
-        rows = reference_records(UNCAPPED, triples, GRID_LAMBDAS, vb)
-        assert {r.error for r in rows} == {None, "unbounded"}
-        labels = GRID_LABELS
-        if pivoted:
-            labels = ("lambda",) + tuple("c%d" % i for i in range(len(rows)))
-        table = table_of(labels, rows, GRID_LAMBDAS, pivoted=pivoted)
-        assert render_table(table, fmt) == reference_render(
-            labels, rows, GRID_LAMBDAS, fmt, pivoted=pivoted
-        )
-
-    @pytest.mark.parametrize("pivoted", [False, True])
-    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
-    def test_error_markers_are_written_as_the_csv_module_writes_them(self, fmt, pivoted):
-        markers = ['says "no", twice', "two\nlines", "", "plain"]
-        rows = [Record((0.0, 0.0, float(i)), None, None, error=m) for i, m in enumerate(markers)]
-        rows.append(Record((1.0, 1.0, 1.0), 2.5, None, ((0.5, 0.25),)))
-        labels = ("lambda", "a,b", "c", "d", "e", "f") if pivoted else GRID_LABELS[:6]
-        table = table_of(labels, rows, (0.5,), pivoted=pivoted)
-        assert render_table(table, fmt) == reference_render(
-            labels, rows, (0.5,), fmt, pivoted=pivoted
-        )
+    def test_undefined_pleased_degrees_render_empty(self, fmt):
+        # At ideal value zero the pleased degree is undefined (NaN), and its
+        # cells render empty ("-" in Markdown).
+        p = GreyLP(objective=((0, 0),), matrix=(((1, 2),),), rhs=((1, 2),))
+        table = grid_sweep(p, 0.5)
+        assert np.isnan(table.mu).all()
+        rows = reference_records(p, grid_triples(0.5), ())
+        assert render_table(table, fmt) == reference_render(GRID_LABELS[:5], rows, (), fmt)
 
     def test_rendering_spans_several_chunks(self, demo_problem):
         # 21**3 rows render in chunks of 1024; the text must not change at a

@@ -16,7 +16,6 @@ import pytest
 import greylp
 from conftest import random_bounded_problem, random_loose_problem
 from greylp import (
-    Interval,
     ParseError,
     ProblemFile,
     GreyLP,
@@ -54,7 +53,8 @@ class TestParseProblem:
     def test_parses_demo_document(self):
         pf = parse_problem(bundled.EXAMPLE_PROBLEM_JSON)
         assert pf.problem.n == 2 and pf.problem.m == 3
-        assert pf.problem.objective == (Interval(600, 800), Interval(900, 1500))
+        assert pf.problem.c_lo.tolist() == [600.0, 900.0]
+        assert pf.problem.c_hi.tolist() == [800.0, 1500.0]
         assert pf.name == "two-product interval planning demo"
         assert pf.description is not None
 
@@ -229,6 +229,15 @@ class TestSerializeProblem:
             assert parse_problem(serialize_problem(pf)) == pf
 
 
+# The commands that solve a cube of grid triples, without their --file and
+# --step.
+GRID_COMMANDS = [
+    ["monotonicity", "--axis", "alpha"],
+    ["sweep"],
+    ["satisfactory", "--mu0", "0.5", "--lambda", "0.5"],
+]
+
+
 class TestExitCodes:
     def test_success(self, capsys, demo_file):
         assert run(["validate", "--file", demo_file]) == 0
@@ -300,15 +309,7 @@ class TestExitCodes:
         assert run(["bounds", "--file", uncapped_file]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["monotonicity", "--axis", "alpha"],
-            ["sweep"],
-            ["satisfactory", "--mu0", "0.5", "--lambda", "0.5"],
-        ],
-        ids=["monotonicity", "sweep", "satisfactory"],
-    )
+    @pytest.mark.parametrize("argv", GRID_COMMANDS, ids=["monotonicity", "sweep", "satisfactory"])
     def test_grid_too_large_to_allocate_exits_2(self, capsys, demo_file, argv):
         # numpy refuses the 1000001**3 cube of this step at once, before
         # anything is allocated.
@@ -316,6 +317,17 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("step", ["4e-7", "1e-12", "1e-320"])
+    @pytest.mark.parametrize("argv", GRID_COMMANDS, ids=["monotonicity", "sweep", "satisfactory"])
+    def test_grid_too_fine_to_index_exits_2(self, capsys, demo_file, argv, step):
+        # Refused from the step alone, before the grid's values are listed.
+        assert run([*argv, "--file", demo_file, "--step", step]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        limit = np.iinfo(np.intp).max
+        assert err.startswith("error: grid step ") and err.count("\n") == 1
+        assert err.endswith(f" is too fine: its grid has more than {limit} triples\n")
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,18 +1,19 @@
 """Data model and whitening: construction, endpoints, validation collection."""
 
+import collections
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import reference_validate_problem
+from conftest import blocks, reference_validate_problem
 from greylp import (
     DomainError,
     GreyLP,
-    Interval,
     PositionCoefficients,
     StructureError,
     WhiteLP,
@@ -28,64 +29,52 @@ _width = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity
 _t = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
-class TestInterval:
-    def test_coerces_bounds_to_float(self):
-        iv = Interval(1, 2)
-        assert isinstance(iv.lo, float) and isinstance(iv.hi, float)
-        assert iv == Interval(1.0, 2.0)
-
-    def test_is_white(self):
-        assert Interval(3.5, 3.5).is_white
-        assert not Interval(3.5, 4.0).is_white
-
-    def test_frozen(self):
-        with pytest.raises(Exception):
-            Interval(1, 2).lo = 5.0
-
-
 class TestWhiten:
     def test_position_weights_upper_bound(self):
-        assert whiten(Interval(600, 800), 0.6) == pytest.approx(720.0, abs=1e-9)
-        assert whiten(Interval(100, 200), 0.5) == pytest.approx(150.0, abs=1e-9)
-        assert whiten(Interval(0, 10), 0.25) == pytest.approx(2.5, abs=1e-12)
+        assert whiten((600, 800), 0.6) == pytest.approx(720.0, abs=1e-9)
+        assert whiten((100, 200), 0.5) == pytest.approx(150.0, abs=1e-9)
+        assert whiten((0, 10), 0.25) == pytest.approx(2.5, abs=1e-12)
 
     def test_endpoints_are_exact(self):
-        iv = Interval(0.1, 9.7)
-        assert whiten(iv, 0.0) == iv.lo
-        assert whiten(iv, 1.0) == iv.hi
+        lo, hi = 0.1, 9.7
+        assert whiten((lo, hi), 0.0) == lo
+        assert whiten((lo, hi), 1.0) == hi
 
     def test_accepts_bare_pairs(self):
         assert whiten((2, 4), 0.5) == pytest.approx(3.0)
+        assert whiten([2, 4], 0.5) == whiten(np.array([2.0, 4.0]), 0.5) == 3.0
+        with pytest.raises(StructureError, match="^interval: expected \\(lo, hi\\) pairs$"):
+            whiten((1, 2, 3), 0.5)
 
     def test_white_interval_ignores_position(self):
         for t in (0.0, 0.3, 1.0):
-            assert whiten(Interval(5, 5), t) == 5.0
+            assert whiten((5, 5), t) == 5.0
 
     @pytest.mark.parametrize("t", [-0.1, 1.1, float("nan"), float("inf")])
     def test_rejects_position_outside_unit(self, t):
         with pytest.raises(DomainError):
-            whiten(Interval(1, 2), t)
+            whiten((1, 2), t)
 
     def test_rejects_invalid_interval(self):
         with pytest.raises(DomainError):
-            whiten(Interval(3, 1), 0.5)
+            whiten((3, 1), 0.5)
         with pytest.raises(DomainError):
-            whiten(Interval(0, float("inf")), 0.5)
+            whiten((0, float("inf")), 0.5)
         with pytest.raises(DomainError):
-            whiten(Interval(float("nan"), 1), 0.5)
+            whiten((float("nan"), 1), 0.5)
 
     @given(lo=_lo, width=_width, t=_t)
     def test_result_stays_within_interval(self, lo, width, t):
-        iv = Interval(lo, lo + width)
-        v = whiten(iv, t)
-        slack = 1e-12 * max(1.0, iv.hi)
-        assert iv.lo - slack <= v <= iv.hi + slack
+        hi = lo + width
+        v = whiten((lo, hi), t)
+        slack = 1e-12 * max(1.0, hi)
+        assert lo - slack <= v <= hi + slack
 
     @given(lo=_lo, width=_width, t1=_t, t2=_t)
     def test_monotone_in_position(self, lo, width, t1, t2):
-        iv = Interval(lo, lo + width)
+        iv = (lo, lo + width)
         t1, t2 = min(t1, t2), max(t1, t2)
-        slack = 1e-12 * max(1.0, iv.hi)
+        slack = 1e-12 * max(1.0, iv[1])
         assert whiten(iv, t1) <= whiten(iv, t2) + slack
 
 
@@ -97,13 +86,27 @@ class TestGreyLP:
             rhs=((150, 235), (280, 360), (270, 330)),
         )
         assert p.n == 2 and p.m == 3
-        assert p.objective[0] == Interval(600, 800)
-        assert p.matrix[2][1] == Interval(8, 12)
-        assert not p.is_white
+        assert (p.c_lo[0], p.c_hi[0]) == (600.0, 800.0)
+        assert (p.A_lo[2, 1], p.A_hi[2, 1]) == (8.0, 12.0)
+        assert p.b_hi.tolist() == [235.0, 360.0, 330.0]
 
-    def test_is_white(self):
-        p = GreyLP(objective=((1, 1),), matrix=(((2, 2),),), rhs=((3, 3),))
-        assert p.is_white
+    @pytest.mark.parametrize("edits, block", [
+        ({"objective": [1, 2]}, "objective"),
+        ({"objective": [(1, 2, 3)]}, "objective"),
+        ({"objective": [(1, "a")]}, "objective"),
+        ({"objective": 7}, "objective"),
+        ({"rhs": [(3, 4), (5,)]}, "rhs"),
+        ({"rhs": [3]}, "rhs"),
+        ({"matrix": [[1, 2]]}, "matrix[0]"),
+        ({"matrix": [[(1, 2, 3)]]}, "matrix[0]"),
+        ({"matrix": [[(1, 2)], [(1, 2), (3,)]]}, "matrix[1]"),
+        ({"matrix": [[(1, 2)], 5]}, "matrix[1]"),
+        ({"matrix": 5}, "matrix"),
+    ])
+    def test_malformed_blocks_raise_structure_error(self, edits, block):
+        given = {"objective": [(1, 2)], "matrix": [[(1, 2)]], "rhs": [(3, 4)], **edits}
+        with pytest.raises(StructureError, match=f"^{re.escape(block)}: expected "):
+            GreyLP(**given)
 
     def test_construction_does_not_validate(self):
         # Collecting violations is validate_problem's job.
@@ -114,8 +117,9 @@ class TestGreyLP:
 class TestPositionCoefficients:
     def test_valid_construction(self):
         k = PositionCoefficients(alphas=(0, 1), betas=(0.5,), gammas=((0.25, 0.75),))
-        assert k.alphas == (0.0, 1.0)
-        assert k.gammas == ((0.25, 0.75),)
+        assert k.alpha_array.tolist() == [0.0, 1.0]
+        assert k.beta_array.tolist() == [0.5]
+        assert k.gamma_array.tolist() == [[0.25, 0.75]]
 
     @pytest.mark.parametrize("bad", [-0.01, 1.01, float("nan")])
     def test_rejects_out_of_range(self, bad):
@@ -134,9 +138,9 @@ class TestPositionCoefficients:
 class TestUniformAndTheta:
     def test_uniform_shapes(self):
         k = uniform_coefficients(0.1, 0.2, 0.3, m=3, n=2)
-        assert k.alphas == (0.1, 0.1)
-        assert k.betas == (0.2, 0.2, 0.2)
-        assert k.gammas == ((0.3, 0.3),) * 3
+        assert k.alpha_array.tolist() == [0.1, 0.1]
+        assert k.beta_array.tolist() == [0.2, 0.2, 0.2]
+        assert k.gamma_array.tolist() == [[0.3, 0.3]] * 3
 
     def test_theta_equals_uniform(self):
         assert theta_coefficients(0.4, 2, 3) == uniform_coefficients(0.4, 0.4, 0.4, 2, 3)
@@ -181,31 +185,31 @@ class TestBuildPositioned:
     def test_loose_endpoint(self, demo_problem):
         k = uniform_coefficients(1, 1, 0, demo_problem.m, demo_problem.n)
         w = build_positioned(demo_problem, k)
-        assert w.c == (800.0, 1500.0)
-        assert w.b == (235.0, 360.0, 330.0)
-        assert w.A == ((3.0, 3.5), (7.0, 3.0), (2.5, 8.0))
+        assert w.c_array.tolist() == [800.0, 1500.0]
+        assert w.b_array.tolist() == [235.0, 360.0, 330.0]
+        assert w.A_array.tolist() == [[3.0, 3.5], [7.0, 3.0], [2.5, 8.0]]
 
     def test_tight_endpoint(self, demo_problem):
         k = uniform_coefficients(0, 0, 1, demo_problem.m, demo_problem.n)
         w = build_positioned(demo_problem, k)
-        assert w.c == (600.0, 900.0)
-        assert w.b == (150.0, 280.0, 270.0)
-        assert w.A == ((5.0, 6.5), (11.0, 5.0), (3.5, 12.0))
+        assert w.c_array.tolist() == [600.0, 900.0]
+        assert w.b_array.tolist() == [150.0, 280.0, 270.0]
+        assert w.A_array.tolist() == [[5.0, 6.5], [11.0, 5.0], [3.5, 12.0]]
 
     def test_interior_position(self, demo_problem):
         k = uniform_coefficients(0.5, 0.5, 0.5, demo_problem.m, demo_problem.n)
         w = build_positioned(demo_problem, k)
-        assert w.c == pytest.approx((700.0, 1200.0), abs=1e-9)
-        assert w.b == pytest.approx((192.5, 320.0, 300.0), abs=1e-9)
-        assert w.A[0] == pytest.approx((4.0, 5.0), abs=1e-9)
+        assert w.c_array.tolist() == pytest.approx([700.0, 1200.0], abs=1e-9)
+        assert w.b_array.tolist() == pytest.approx([192.5, 320.0, 300.0], abs=1e-9)
+        assert w.A_array[0].tolist() == pytest.approx([4.0, 5.0], abs=1e-9)
 
     def test_per_entry_coefficients(self):
         p = GreyLP(objective=((0, 10), (0, 10)), matrix=(((1, 3), (1, 3)),), rhs=((5, 7),))
         k = PositionCoefficients(alphas=(0.0, 1.0), betas=(0.5,), gammas=((1.0, 0.0),))
         w = build_positioned(p, k)
-        assert w.c == (0.0, 10.0)
-        assert w.b == pytest.approx((6.0,))
-        assert w.A == ((3.0, 1.0),)
+        assert w.c_array.tolist() == [0.0, 10.0]
+        assert w.b_array.tolist() == pytest.approx([6.0])
+        assert w.A_array.tolist() == [[3.0, 1.0]]
 
     def test_dimension_mismatch(self, demo_problem):
         wrong_n = uniform_coefficients(0.5, 0.5, 0.5, demo_problem.m, demo_problem.n + 1)
@@ -299,33 +303,36 @@ _block = st.lists(_pair, max_size=3)
 _rows = st.lists(st.lists(_pair, max_size=4), max_size=4)
 
 
-def _hexes(intervals):
-    return [(iv.lo.hex(), iv.hi.hex()) for iv in intervals]
+def _hexes(pairs):
+    return [(float(lo).hex(), float(hi).hex()) for lo, hi in pairs]
 
 
 class TestArrayStorage:
     @given(objective=_block, matrix=_rows, rhs=_block)
     def test_tuple_views_give_back_the_input(self, objective, matrix, rhs):
+        # The views are built here, by conftest.blocks, from the arrays.
         p = GreyLP(objective=objective, matrix=matrix, rhs=rhs)
         assert (p.n, p.m) == (len(objective), len(rhs))
-        assert _hexes(p.objective) == _hexes(Interval(*pair) for pair in objective)
-        assert [_hexes(row) for row in p.matrix] == [
-            _hexes(Interval(*pair) for pair in row) for row in matrix
-        ]
-        assert _hexes(p.rhs) == _hexes(Interval(*pair) for pair in rhs)
-        assert GreyLP(p.objective, p.matrix, p.rhs) == p
+        got_objective, got_matrix, got_rhs = blocks(p)
+        assert _hexes(got_objective) == _hexes(objective)
+        assert [_hexes(row) for row in got_matrix] == [_hexes(row) for row in matrix]
+        assert _hexes(got_rhs) == _hexes(rhs)
+        assert GreyLP(*blocks(p)) == p
 
     def test_ragged_matrix_is_padded_and_keeps_row_lengths(self):
         p = GreyLP(objective=((1, 2), (1, 2)), matrix=(((1, 2),), ()), rhs=((1, 2), (3, 4)))
         assert p.A_lo.shape == (2, 1) and p.row_lengths.tolist() == [1, 0]
         assert math.isnan(p.A_lo[1, 0])
-        assert p.matrix == ((Interval(1, 2),), ())
+        assert blocks(p)[1] == [[(1.0, 2.0)], []]
 
     def test_accepts_interval_objects_arrays_and_iterators(self):
+        # Any object that unpacks to two numbers is an interval.
+        Pair = collections.namedtuple("Pair", "lo hi")
         pairs = GreyLP(objective=((1, 2),), matrix=(((3, 4),),), rhs=((5, 6),))
         assert GreyLP(
-            objective=[Interval(1, 2)], matrix=iter([iter([Interval(3, 4)])]), rhs=np.array([[5, 6]])
+            objective=[Pair(1, 2)], matrix=iter([iter([Pair(3, 4)])]), rhs=np.array([[5, 6]])
         ) == pairs
+        assert GreyLP(objective=iter([[1, 2]]), matrix=[[[3, 4]]], rhs=[Pair(5, 6)]) == pairs
 
     def test_arrays_are_read_only_and_fields_frozen(self, demo_problem):
         with pytest.raises(ValueError):
@@ -340,7 +347,7 @@ class TestArrayStorage:
         A = np.array([[1.0, 2.0]])
         w = WhiteLP(c=[1.0, 1.0], A=A, b=[3.0])
         A[0, 0] = 9.0
-        assert w.A == ((1.0, 2.0),)
+        assert w.A_array.tolist() == [[1.0, 2.0]]
 
     def test_equality_and_hash(self):
         p = GreyLP(objective=((1, 2),), matrix=(((0.0, 2),),), rhs=((math.nan, 4),))
@@ -384,24 +391,29 @@ class TestValidateMatchesReference:
 
 
 def _reference_build(p, k):
-    """``build_positioned`` one entry at a time over the tuple views."""
+    """``build_positioned`` one entry at a time, over ``(lo, hi)`` float
+    pairs and Python lists of the weights."""
 
     def whiten_entry(iv, t):
-        if not (math.isfinite(iv.lo) and math.isfinite(iv.hi)) or iv.lo > iv.hi:
-            raise DomainError(f"cannot whiten invalid interval [{iv.lo}, {iv.hi}]")
-        return t * iv.hi + (1.0 - t) * iv.lo
+        lo, hi = iv
+        if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+            raise DomainError(f"cannot whiten invalid interval [{lo}, {hi}]")
+        return t * hi + (1.0 - t) * lo
 
-    if len(k.alphas) != p.n:
-        raise StructureError(f"expected {p.n} alphas, got {len(k.alphas)}")
-    if len(k.betas) != p.m:
-        raise StructureError(f"expected {p.m} betas, got {len(k.betas)}")
-    if len(k.gammas) != p.m or any(len(row) != p.n for row in k.gammas):
+    objective, matrix, rhs = blocks(p)
+    alphas, betas = k.alpha_array.tolist(), k.beta_array.tolist()
+    gammas = k.gamma_array.tolist()
+    if len(alphas) != p.n:
+        raise StructureError(f"expected {p.n} alphas, got {len(alphas)}")
+    if len(betas) != p.m:
+        raise StructureError(f"expected {p.m} betas, got {len(betas)}")
+    if len(gammas) != p.m or any(len(row) != p.n for row in gammas):
         raise StructureError(f"expected a {p.m}x{p.n} gamma grid")
-    c = tuple(whiten_entry(iv, a) for iv, a in zip(p.objective, k.alphas))
-    b = tuple(whiten_entry(iv, be) for iv, be in zip(p.rhs, k.betas))
+    c = tuple(whiten_entry(iv, a) for iv, a in zip(objective, alphas))
+    b = tuple(whiten_entry(iv, be) for iv, be in zip(rhs, betas))
     A = tuple(
         tuple(whiten_entry(iv, g) for iv, g in zip(mrow, grow))
-        for mrow, grow in zip(p.matrix, k.gammas)
+        for mrow, grow in zip(matrix, gammas)
     )
     return WhiteLP(c=c, A=A, b=b)
 
@@ -411,7 +423,11 @@ def _built(build, p, k):
         w = build(p, k)
     except (DomainError, StructureError) as exc:
         return type(exc), str(exc)
-    return [v.hex() for v in w.c], [[v.hex() for v in row] for row in w.A], [v.hex() for v in w.b]
+    return (
+        [v.hex() for v in w.c_array.tolist()],
+        [[v.hex() for v in row] for row in w.A_array.tolist()],
+        [v.hex() for v in w.b_array.tolist()],
+    )
 
 
 class TestBuildPositionedMatchesReference:

@@ -45,8 +45,8 @@ TIGHT_F = 769500 / 37.25
 
 
 def _assert_feasible(lp: WhiteLP, x, tol=1e-7):
-    A = np.array(lp.A)
-    b = np.array(lp.b)
+    A = lp.A_array
+    b = lp.b_array
     xs = np.array(x)
     assert (xs >= -tol).all()
     assert (A @ xs <= b + tol).all()
@@ -90,9 +90,9 @@ class TestKnownOptima:
         sol = solve_max(lp)
         m, n = lp.m, lp.n
         assert sorted(sol.basis) == sorted(set(sol.basis)) and len(sol.basis) == m
-        AI = np.hstack([np.array(lp.A), np.eye(m)])
+        AI = np.hstack([lp.A_array, np.eye(m)])
         x = np.zeros(n + m)
-        x[list(sol.basis)] = np.linalg.solve(AI[:, list(sol.basis)], np.array(lp.b))
+        x[list(sol.basis)] = np.linalg.solve(AI[:, list(sol.basis)], lp.b_array)
         assert x[:n] == pytest.approx(sol.x, rel=1e-12)
 
 
@@ -109,8 +109,8 @@ class TestUnbounded:
         assert sol.status is SolveStatus.UNBOUNDED
         d = np.array(sol.ray)
         assert (d >= 0.0).all() and d.max() > 0.0
-        assert np.array(lp.c) @ d > 1e-9
-        assert (np.array(lp.A) @ d <= 1e-9).all()
+        assert lp.c_array @ d > 1e-9
+        assert (lp.A_array @ d <= 1e-9).all()
 
     def test_equality_line_direction(self):
         # Feasible set is the ray x1 = x2 >= 0; profit grows along it.
@@ -118,8 +118,8 @@ class TestUnbounded:
         sol = solve_max(lp)
         assert sol.status is SolveStatus.UNBOUNDED
         d = np.array(sol.ray)
-        assert (np.array(lp.A) @ d <= 1e-9).all()
-        assert np.array(lp.c) @ d > 1e-9
+        assert (lp.A_array @ d <= 1e-9).all()
+        assert lp.c_array @ d > 1e-9
 
 
 # Programs with some b_i < 0, the index of the first, and a start of the
@@ -144,7 +144,7 @@ class TestNegativeRhs:
             with pytest.raises(DomainError) as exc:
                 solve_max(lp, start if started else None)
         assert str(exc.value) == (
-            f"solve_max needs b >= 0, but b[{first}] = {lp.b[first]!r}"
+            f"solve_max needs b >= 0, but b[{first}] = {float(lp.b_array[first])!r}"
         )
         assert caplog.records == []
 
