@@ -23,6 +23,7 @@ identical bytes on the output stream.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -53,6 +54,8 @@ from .errors import (
 from .grey_core import (
     GreyLP,
     PositionCoefficients,
+    _dimension_violations,
+    _interval_violations,
     theta_coefficients,
     uniform_coefficients,
     validate_problem,
@@ -83,68 +86,46 @@ _REQUIRED_FIELDS = ("objective", "matrix", "rhs")
 _OPTIONAL_FIELDS = ("name", "description")
 
 
-def _as_pair(value, path: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ParseError(f"{path}: expected a [lo, hi] pair, got {value!r}")
-    out = []
-    for bound in value:
-        if isinstance(bound, bool) or not isinstance(bound, (int, float)):
-            raise ParseError(f"{path}: interval bounds must be numbers, got {bound!r}")
-        try:
-            out.append(float(bound))
-        except OverflowError:
-            raise ParseError(f"{path}: interval bound is too large for a float") from None
-    return out[0], out[1]
-
-
-def _as_pair_list(value, path: str) -> tuple[tuple[float, float], ...]:
-    if not isinstance(value, list):
-        raise ParseError(f"{path}: expected a list of [lo, hi] pairs")
-    return tuple(_as_pair(item, f"{path}[{i}]") for i, item in enumerate(value))
-
-
 _NUMBERS = {int, float}
 
 
-def _pair_bounds(items) -> list | None:
-    """Every bound of ``items`` (decoded JSON) in order, if it is a list of
-    [lo, hi] pairs of numbers (a bool is not a number here); else None."""
+def _pair_array(items, path: str) -> np.ndarray:
+    """A decoded list of [lo, hi] pairs as a k x 2 float array.  Anything
+    else raises the :class:`ParseError` of the first bad entry."""
+    if type(items) is not list:
+        raise ParseError(f"{path}: expected a list of [lo, hi] pairs")
+    # A bool is not a number here, so types are compared exactly.
     if set(map(type, items)) <= {list} and set(map(len, items)) <= {2}:
-        flat = list(itertools.chain.from_iterable(items))
-        if set(map(type, flat)) <= _NUMBERS:
-            return flat
-    return None
-
-
-def _floats(flat) -> np.ndarray | None:
-    """``flat`` as a k x 2 float array; None if None or past float range."""
-    try:
-        return None if flat is None else np.array(flat, dtype=float).reshape(-1, 2)
-    except OverflowError:
-        return None
-
-
-def _pair_array(value, path: str) -> np.ndarray:
-    """A list of [lo, hi] pairs as a k x 2 float array.  Anything else
-    raises the :class:`ParseError` of the first bad entry."""
-    bounds = _floats(_pair_bounds(value) if type(value) is list else None)
-    return _floats(_as_pair_list(value, path)) if bounds is None else bounds
+        bounds = list(itertools.chain.from_iterable(items))
+        if set(map(type, bounds)) <= _NUMBERS:
+            with contextlib.suppress(OverflowError):  # named by the walk below
+                return np.array(bounds, dtype=float).reshape(-1, 2)
+    # Some entry failed a check above: name the first one.
+    for i, pair in enumerate(items):
+        if type(pair) is not list or len(pair) != 2:
+            raise ParseError(f"{path}[{i}]: expected a [lo, hi] pair, got {pair!r}")
+        for bound in pair:
+            if type(bound) not in _NUMBERS:
+                raise ParseError(f"{path}[{i}]: interval bounds must be numbers, got {bound!r}")
+            try:
+                float(bound)
+            except OverflowError:
+                raise ParseError(f"{path}[{i}]: interval bound is too large for a float") from None
 
 
 def _matrix_array(rows) -> np.ndarray | list[np.ndarray]:
     """The matrix field as an m x n x 2 float array, or as one k x 2 array
     per row when the rows differ in length."""
-    if not isinstance(rows, list):
+    if type(rows) is not list:
         raise ParseError("matrix: expected a list of rows")
-    bounds = None
     if set(map(type, rows)) <= {list}:
-        bounds = _floats(_pair_bounds(list(itertools.chain.from_iterable(rows))))
-    if bounds is None:
-        return [_pair_array(row, f"matrix[{i}]") for i, row in enumerate(rows)]
-    lengths = [len(row) for row in rows]
-    if len(set(lengths)) == 1:
-        return bounds.reshape(len(rows), lengths[0], 2)
-    return np.split(bounds, np.cumsum(lengths)[:-1]) if rows else []
+        with contextlib.suppress(ParseError):  # named row by row below
+            bounds = _pair_array(list(itertools.chain.from_iterable(rows)), "matrix")
+            lengths = list(map(len, rows))
+            if len(set(lengths)) == 1:
+                return bounds.reshape(len(rows), lengths[0], 2)
+            return np.split(bounds, np.cumsum(lengths)[:-1]) if rows else []
+    return [_pair_array(row, f"matrix[{i}]") for i, row in enumerate(rows)]
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -152,7 +133,10 @@ def parse_problem(text: str) -> ProblemFile:
 
     Malformed syntax raises :class:`ParseError` with line/column or field
     context; a well-formed document whose data breaks a problem invariant
-    raises :class:`ValidationError` listing every violation at once.
+    raises :class:`ValidationError` listing every violation at once.  This
+    is the only place that reports dimension violations: blocks that do not
+    make an m x n problem (with m, n >= 1) are listed first, followed by the
+    findings on every bound present, and never become a :class:`GreyLP`.
     """
     try:
         doc = json.loads(text)
@@ -179,6 +163,13 @@ def parse_problem(text: str) -> ProblemFile:
     objective = _pair_array(doc["objective"], "objective")
     matrix = _matrix_array(doc["matrix"])
     rhs = _pair_array(doc["rhs"], "rhs")
+    violations = _dimension_violations(len(objective), len(rhs), list(map(len, doc["matrix"])))
+    if violations:  # no GreyLP has these shapes: check the intervals present, row by row
+        violations += _interval_violations(*objective.T, "objective[{}]".format)
+        for i, row in enumerate(matrix):
+            violations += _interval_violations(*row.T, f"matrix[{i}][{{}}]".format)
+        violations += _interval_violations(*rhs.T, "rhs[{}]".format)
+        raise ValidationError(violations)
     problem = GreyLP(objective=objective, matrix=matrix, rhs=rhs)
     violations = validate_problem(problem)
     if violations:
@@ -199,10 +190,7 @@ def serialize_problem(pf: ProblemFile) -> str:
         doc["description"] = pf.description
     p = pf.problem
     doc["objective"] = np.column_stack([p.c_lo, p.c_hi]).tolist()
-    doc["matrix"] = [
-        np.column_stack([lo[:k], hi[:k]]).tolist()
-        for lo, hi, k in zip(p.A_lo, p.A_hi, p.row_lengths.tolist())
-    ]
+    doc["matrix"] = np.stack([p.A_lo, p.A_hi], -1).tolist()
     doc["rhs"] = np.column_stack([p.b_lo, p.b_hi]).tolist()
     return json.dumps(doc, indent=2) + "\n"
 

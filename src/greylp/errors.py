@@ -11,8 +11,10 @@ class DomainError(GreyLPError, ValueError):
 
 
 class StructureError(GreyLPError, ValueError):
-    """Containers have inconsistent dimensions (ragged matrix, coefficient
-    block that does not match the target problem)."""
+    """A container was given a block of the wrong shape (a ragged or empty
+    matrix, entries that are not numbers, a coefficient block that does not
+    match the target problem).  A problem file reports the dimension
+    mismatches of its blocks as :class:`ValidationError` instead."""
 
 
 class ValidationError(GreyLPError, ValueError):

@@ -9,9 +9,12 @@ convex combination ``t*hi + (1-t)*lo`` for a position coefficient
 Problems, coefficient blocks and white programs store their numbers only
 as read-only numpy arrays (``GreyLP.c_lo``, ``PositionCoefficients.
 alpha_array``, ``WhiteLP.A_array``, ...); an interval is a ``(lo, hi)``
-pair wherever one is passed in.  All types are immutable after
-construction and all operations are pure, so everything here is safe to
-share across threads.
+pair wherever one is passed in.  Every block is checked for its shape at
+construction (a problem is m x n, with m, n >= 1) and a block of any other
+shape raises :class:`StructureError`, so no ragged or empty container
+exists past that point.  All types are immutable after construction and
+all operations are pure, so everything here is safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -41,48 +44,22 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _vector(values) -> np.ndarray:
-    """``values`` as a new 1-D float array; anything else fails as
-    ``float()`` fails on its entries."""
-    if not isinstance(values, (np.ndarray, list, tuple)):
-        values = tuple(values)
-    a = np.array(values, dtype=float)
-    if a.ndim != 1:
-        a = np.array([float(v) for v in values], dtype=float)
+def _shaped(values, shape: tuple, error: str) -> np.ndarray:
+    """``values`` as a new float array of ``shape``, where ``None`` stands
+    for any length; anything else raises :class:`StructureError` with the
+    text ``error``."""
+    try:
+        a = np.array(values, dtype=float)
+    except (TypeError, ValueError):  # ragged, not iterable as a block, or not numbers
+        a = None
+    if a is None or a.ndim != len(shape) or any(k not in (None, s) for k, s in zip(shape, a.shape)):
+        raise StructureError(error)
     return a
 
 
-def _grid(rows) -> np.ndarray | list[np.ndarray]:
-    """``rows`` as a new 2-D float array, or as a list of 1-D arrays when
-    the rows differ in length."""
-    if not isinstance(rows, (np.ndarray, list, tuple)):
-        rows = tuple(rows)
-    try:
-        a = np.array(rows, dtype=float)
-    except (TypeError, ValueError):  # ragged rows, or entries that are not numbers
-        a = None
-    if a is not None and a.ndim == 2:
-        return a
-    vectors = [_vector(row) for row in rows]
-    if len({len(v) for v in vectors}) > 1:
-        return vectors
-    return np.array(vectors, dtype=float).reshape(len(vectors), len(vectors[0]) if vectors else 0)
-
-
-def _pairs(block, name: str) -> np.ndarray:
-    """A block of ``(lo, hi)`` pairs as a k x 2 float array; raises
-    :class:`StructureError` naming the block ``name`` for anything else."""
-    try:
-        if not isinstance(block, (np.ndarray, list, tuple)):
-            block = tuple(block)
-        a = np.array(block, dtype=float)
-    except (TypeError, ValueError):  # not iterable, pairs of mixed lengths, not numbers
-        a = None
-    if a is not None and a.shape == (0,):
-        return a.reshape(0, 2)
-    if a is None or a.ndim != 2 or a.shape[1] != 2:
-        raise StructureError(f"{name}: expected (lo, hi) pairs")
-    return a
+def _at_least_one(n: int, m: int) -> None:
+    if n < 1 or m < 1:
+        raise StructureError(f"need at least one variable and one constraint, got n={n}, m={m}")
 
 
 class _ArrayRecord:
@@ -110,16 +87,16 @@ class GreyLP(_ArrayRecord):
     """A grey max-LP: maximize c(x)·x subject to A(x)·x <= b(x), x >= 0,
     with every coefficient a closed interval [lo, hi].
 
-    ``GreyLP(objective, matrix, rhs)`` takes one ``(lo, hi)`` pair per
-    variable, an m-by-n grid of pairs (one row per constraint) and one pair
-    per constraint; a block that is not made of pairs raises
-    :class:`StructureError`.  Construction does not check the bounds
-    themselves; use :func:`validate_problem`.
+    ``GreyLP(objective, matrix, rhs)`` takes n >= 1 ``(lo, hi)`` pairs for
+    the objective, an m-by-n grid of pairs (one row per constraint) and
+    m >= 1 pairs for the right-hand side.  Blocks of any other shape raise
+    :class:`StructureError` naming the block; a file whose blocks do not fit
+    together is reported by :func:`~greylp.cli.parse_problem` instead.
+    Construction does not check the bounds themselves; use
+    :func:`validate_problem`.
 
-    The bounds are stored as arrays: ``c_lo``/``c_hi`` (n), ``b_lo``/``b_hi``
-    (m) and ``A_lo``/``A_hi`` (one row per matrix row).  A ragged matrix is
-    padded with NaN to its longest row, and ``row_lengths`` keeps each
-    row's own length.
+    The bounds are stored as arrays: ``c_lo``/``c_hi`` (n), ``A_lo``/``A_hi``
+    (m x n) and ``b_lo``/``b_hi`` (m).
     """
 
     c_lo: np.ndarray
@@ -128,30 +105,15 @@ class GreyLP(_ArrayRecord):
     A_hi: np.ndarray
     b_lo: np.ndarray
     b_hi: np.ndarray
-    row_lengths: np.ndarray
 
-    _arrays = ("row_lengths", "c_lo", "c_hi", "A_lo", "A_hi", "b_lo", "b_hi")
+    _arrays = ("c_lo", "c_hi", "A_lo", "A_hi", "b_lo", "b_hi")
 
     def __init__(self, objective, matrix, rhs):
-        c = _pairs(objective, "objective")
-        try:
-            if not isinstance(matrix, (np.ndarray, list, tuple)):
-                matrix = tuple(matrix)
-        except TypeError:
-            raise StructureError("matrix: expected rows of (lo, hi) pairs") from None
-        try:
-            A = np.array(matrix, dtype=float)
-        except (TypeError, ValueError):  # a ragged matrix, or entries that are not numbers
-            A = None
-        if A is None or A.ndim != 3 or A.shape[2] != 2:
-            rows = [_pairs(row, f"matrix[{i}]") for i, row in enumerate(matrix)]
-            A = np.full((len(rows), max(map(len, rows), default=0), 2), np.nan)
-            for i, row in enumerate(rows):
-                A[i, : len(row)] = row
-            lengths = np.array([len(row) for row in rows], dtype=int)
-        else:
-            lengths = np.full(len(A), A.shape[1], dtype=int)
-        b = _pairs(rhs, "rhs")
+        c = _shaped(objective, (None, 2), "objective: expected (lo, hi) pairs")
+        b = _shaped(rhs, (None, 2), "rhs: expected (lo, hi) pairs")
+        n, m = len(c), len(b)
+        _at_least_one(n, m)
+        A = _shaped(matrix, (m, n, 2), f"matrix: expected a {m}x{n} grid of (lo, hi) pairs")
         # The class is frozen; fields are set once, here.
         self.__dict__.update(
             (name, _frozen(np.ascontiguousarray(a)))
@@ -159,13 +121,8 @@ class GreyLP(_ArrayRecord):
                 ("c_lo", c[:, 0]), ("c_hi", c[:, 1]),
                 ("A_lo", A[..., 0]), ("A_hi", A[..., 1]),
                 ("b_lo", b[:, 0]), ("b_hi", b[:, 1]),
-                ("row_lengths", lengths),
             )
         )
-
-    def _real(self) -> np.ndarray:
-        """Mask of the matrix entries that exist (False on the padding)."""
-        return np.arange(self.A_lo.shape[1]) < self.row_lengths[:, None]
 
     @property
     def n(self) -> int:
@@ -188,8 +145,11 @@ class PositionCoefficients(_ArrayRecord):
     right-hand side entry, and an m-by-n grid of gammas for the matrix.
 
     Every entry must lie in [0, 1]; out-of-range or non-finite entries raise
-    :class:`DomainError` at construction.  Whether the dimensions match a
-    particular problem is checked by :func:`build_positioned`.
+    :class:`DomainError` at construction, after the shapes are checked (a
+    list of numbers each for alphas and betas, rows of one length for the
+    gammas; anything else raises :class:`StructureError`).  Whether the
+    dimensions match a particular problem is checked by
+    :func:`build_positioned`.
 
     ``PositionCoefficients(alphas, betas, gammas)`` stores the weights as
     ``alpha_array`` (n), ``beta_array`` (m) and ``gamma_array`` (m x n).
@@ -202,18 +162,13 @@ class PositionCoefficients(_ArrayRecord):
     _arrays = ("alpha_array", "beta_array", "gamma_array")
 
     def __init__(self, alphas, betas, gammas):
-        alpha, beta, gamma = _vector(alphas), _vector(betas), _grid(gammas)
-        ragged = isinstance(gamma, list)
-        for name, values in (
-            ("alphas", alpha),
-            ("betas", beta),
-            ("gammas", np.concatenate(gamma) if ragged else gamma.ravel()),
-        ):
+        alpha = _shaped(alphas, (None,), "alphas: expected a list of numbers")
+        beta = _shaped(betas, (None,), "betas: expected a list of numbers")
+        gamma = _shaped(gammas, (None, None), "gammas: expected rows of numbers of one length")
+        for name, values in (("alphas", alpha), ("betas", beta), ("gammas", gamma.ravel())):
             bad = ~((values >= 0.0) & (values <= 1.0))  # also flags NaN
             if bad.any():
                 _out_of_range(name, values[bad.argmax()])
-        if ragged:
-            raise StructureError("gamma grid is ragged")
         self._set(alpha, beta, gamma)
 
     def _set(self, alpha, beta, gamma):
@@ -248,13 +203,11 @@ class WhiteLP(_ArrayRecord):
     _arrays = ("c_array", "A_array", "b_array")
 
     def __init__(self, c, A, b):
-        c, A, b = _vector(c), _grid(A), _vector(b)
+        c = _shaped(c, (None,), "c: expected a list of numbers")
+        b = _shaped(b, (None,), "b: expected a list of numbers")
         n, m = len(c), len(b)
-        if n < 1 or m < 1:
-            raise StructureError(f"need at least one variable and one constraint, got n={n}, m={m}")
-        if isinstance(A, list) or A.shape != (m, n):
-            raise StructureError(f"matrix must be {m}x{n}")
-        self._set(c, A, b)
+        _at_least_one(n, m)
+        self._set(c, _shaped(A, (m, n), f"matrix must be {m}x{n}"), b)
 
     @classmethod
     def _of_arrays(cls, c, A, b) -> WhiteLP:
@@ -322,7 +275,7 @@ def whiten(iv, t: float) -> float:
     t = float(t)
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"position coefficient must be in [0, 1], got {t}")
-    lo, hi = _pairs([iv], "interval")[0]
+    lo, hi = _shaped(iv, (2,), "interval: expected (lo, hi) pairs")
     return float(_whitened(t, lo, hi))
 
 
@@ -338,23 +291,11 @@ def build_positioned(p: GreyLP, k: PositionCoefficients) -> WhiteLP:
         raise StructureError(f"expected {p.n} alphas, got {len(k.alpha_array)}")
     if len(k.beta_array) != p.m:
         raise StructureError(f"expected {p.m} betas, got {len(k.beta_array)}")
-    rows, cols = k.gamma_array.shape
-    if rows != p.m or (rows and cols != p.n):
+    if k.gamma_array.shape != (p.m, p.n):
         raise StructureError(f"expected a {p.m}x{p.n} gamma grid")
     c = _whitened(k.alpha_array, p.c_lo, p.c_hi)
     b = _whitened(k.beta_array, p.b_lo, p.b_hi)
-    A_lo, A_hi = p.A_lo[: p.m, : p.n], p.A_hi[: p.m, : p.n]
-    lengths = np.minimum(p.row_lengths[: p.m], p.n)
-    if k.gamma_array.shape == A_lo.shape == (p.m, p.n) and (lengths == p.n).all():
-        A = _whitened(k.gamma_array, A_lo, A_hi)
-        if p.m and p.n:  # new arrays of the right shapes, stored as they are
-            return WhiteLP._of_arrays(c, A, b)
-    else:  # too few or too short rows: whiten what is there; WhiteLP rejects the shape
-        A = [
-            _whitened(g[:w], lo[:w], hi[:w])
-            for g, lo, hi, w in zip(k.gamma_array, A_lo, A_hi, lengths.tolist())
-        ]
-    return WhiteLP(c=c, A=A, b=b)
+    return WhiteLP._of_arrays(c, _whitened(k.gamma_array, p.A_lo, p.A_hi), b)
 
 
 def uniform_coefficients(
@@ -383,13 +324,10 @@ def theta_coefficients(theta: float, m: int, n: int) -> PositionCoefficients:
     return uniform_coefficients(theta, theta, theta, m, n)
 
 
-def _interval_violations(lo, hi, locations, real=None) -> list[Violation]:
+def _interval_violations(lo, hi, locations) -> list[Violation]:
     """The violations of the intervals ``[lo, hi]`` (arrays of one shape),
-    in C order; ``locations(i)`` names flat entry ``i``, and entries where
-    ``real`` is False are skipped."""
+    in C order; ``locations(i)`` names flat entry ``i``."""
     ok = (lo >= 0.0) & (lo <= hi) & (hi < np.inf)  # False wherever a check fails
-    if real is not None:
-        ok |= ~real
     if ok.all():
         return []
     out = []
@@ -422,37 +360,42 @@ def _interval_violations(lo, hi, locations, real=None) -> list[Violation]:
     return out
 
 
-def validate_problem(p: GreyLP) -> list[Violation]:
-    """Collect every invariant violation in ``p``.
-
-    Checks interval ordering (lo <= hi), the nonnegativity assumption
-    (lo >= 0), finiteness of all bounds, and dimension consistency.  Returns
-    an empty list iff the problem is valid.  Violations are data, not
-    exceptions, so a CLI user sees every data problem in one pass.
-    """
+def _dimension_violations(n: int, m: int, lengths: list[int]) -> list[Violation]:
+    """The dimension findings on a problem file's blocks: ``n`` objective
+    pairs, ``m`` right-hand sides and one matrix row per entry of
+    ``lengths`` (its number of pairs).  Empty iff the blocks make an m x n
+    problem with m, n >= 1."""
     violations: list[Violation] = []
-    n, m = p.n, p.m
     if n < 1:
         violations.append(Violation("objective", "dimension", "no variables"))
     if m < 1:
         violations.append(Violation("rhs", "dimension", "no constraints"))
-    rows = len(p.row_lengths)
-    if rows != m:
+    if len(lengths) != m:
         violations.append(
-            Violation("matrix", "dimension", f"{rows} matrix rows but {m} right-hand sides")
+            Violation("matrix", "dimension", f"{len(lengths)} matrix rows but {m} right-hand sides")
         )
-    for i, length in enumerate(p.row_lengths.tolist()):
-        if length != n:
-            violations.append(
-                Violation(
-                    f"matrix[{i}]", "dimension", f"{length} entries but {n} objective coefficients"
-                )
-            )
-
-    width = p.A_lo.shape[1]
-    violations += _interval_violations(p.c_lo, p.c_hi, "objective[{}]".format)
-    violations += _interval_violations(
-        p.A_lo, p.A_hi, lambda i: "matrix[{}][{}]".format(*divmod(i, width)), p._real()
-    )
-    violations += _interval_violations(p.b_lo, p.b_hi, "rhs[{}]".format)
+    violations += [
+        Violation(f"matrix[{i}]", "dimension", f"{length} entries but {n} objective coefficients")
+        for i, length in enumerate(lengths)
+        if length != n
+    ]
     return violations
+
+
+def validate_problem(p: GreyLP) -> list[Violation]:
+    """Collect every invariant violation in ``p``.
+
+    Checks interval ordering (lo <= hi), the nonnegativity assumption
+    (lo >= 0) and finiteness of all bounds.  Returns an empty list iff the
+    problem is valid.  Violations are data, not exceptions, so a CLI user
+    sees every data problem in one pass.  A ``GreyLP`` is m x n by
+    construction; :func:`~greylp.cli.parse_problem` reports the dimension
+    mismatches of a problem file.
+    """
+    return [
+        *_interval_violations(p.c_lo, p.c_hi, "objective[{}]".format),
+        *_interval_violations(
+            p.A_lo, p.A_hi, lambda i: "matrix[{}][{}]".format(*divmod(i, p.n))
+        ),
+        *_interval_violations(p.b_lo, p.b_hi, "rhs[{}]".format),
+    ]

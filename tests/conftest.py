@@ -216,19 +216,20 @@ def reference_solve_max(lp: WhiteLP) -> LPSolution:
 
 def blocks(p: GreyLP):
     """The objective, matrix rows and right-hand side of ``p`` as lists of
-    ``(lo, hi)`` float pairs, read from its arrays (each matrix row at its
-    own length)."""
+    ``(lo, hi)`` float pairs, read from its arrays."""
 
     def pairs(lo, hi):
         return list(zip(lo.tolist(), hi.tolist()))
 
-    matrix = [pairs(lo[:k], hi[:k]) for lo, hi, k in zip(p.A_lo, p.A_hi, p.row_lengths.tolist())]
+    matrix = [pairs(lo, hi) for lo, hi in zip(p.A_lo, p.A_hi)]
     return pairs(p.c_lo, p.c_hi), matrix, pairs(p.b_lo, p.b_hi)
 
 
-def reference_validate_problem(p: GreyLP) -> list[Violation]:
-    """The per-entry ``validate_problem``, one ``(lo, hi)`` float pair at a
-    time, kept as the reference for the array masks."""
+def reference_validate_problem(objective, matrix, rhs) -> list[Violation]:
+    """The per-entry validation of a problem file's blocks (lists of
+    ``(lo, hi)`` float pairs, the matrix as a list of rows of any length),
+    one pair at a time: the reference for ``parse_problem``'s dimension
+    checks and ``validate_problem``'s array masks."""
     violations: list[Violation] = []
 
     def check_interval(iv, location: str):
@@ -259,8 +260,7 @@ def reference_validate_problem(p: GreyLP) -> list[Violation]:
                 )
             )
 
-    objective, matrix, rhs = blocks(p)
-    n, m = p.n, p.m
+    n, m = len(objective), len(rhs)
     if n < 1:
         violations.append(Violation("objective", "dimension", "no variables"))
     if m < 1:

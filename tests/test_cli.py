@@ -198,12 +198,54 @@ def test_field_that_is_not_a_list(field, text):
     assert str(exc.value) == text
 
 
+# The `validate` error of each file whose blocks do not make an m x n
+# problem: the dimension findings first, then those of every bound present.
+SHAPE_ERRORS = [
+    ([("objective", [])], "objective: no variables; "
+     "matrix[0]: 2 entries but 0 objective coefficients; "
+     "matrix[1]: 2 entries but 0 objective coefficients"),
+    ([("rhs", [])], "rhs: no constraints; matrix: 2 matrix rows but 0 right-hand sides"),
+    ([("matrix", [])], "matrix: 0 matrix rows but 2 right-hand sides"),
+    ([("objective", []), ("matrix", []), ("rhs", [])],
+     "objective: no variables; rhs: no constraints"),
+    ([("matrix", [[[1, 2], [1, 2]]])], "matrix: 1 matrix rows but 2 right-hand sides"),
+    ([("matrix", [[[1, 2], [1, 2]]] * 3)], "matrix: 3 matrix rows but 2 right-hand sides"),
+    ([("matrix", 1, [[1, 2]])], "matrix[1]: 1 entries but 2 objective coefficients"),
+    ([("matrix", 1, [[1, 2]] * 3)], "matrix[1]: 3 entries but 2 objective coefficients"),
+    ([("matrix", 1, [[1, 2], [1, 2], [5, 3]])],
+     "matrix[1]: 3 entries but 2 objective coefficients; "
+     "matrix[1][2]: lower bound 5 exceeds upper bound 3"),
+    ([("matrix", 0, [[-1, 2]])],
+     "matrix[0]: 1 entries but 2 objective coefficients; "
+     "matrix[0][0]: negative lower bound -1 (all parameters must be >= 0)"),
+    ([("matrix", 1, [[1, 2], [1, 2], [1, float("inf")]])],
+     "matrix[1]: 3 entries but 2 objective coefficients; "
+     "matrix[1][2]: upper bound inf is not finite"),
+    ([("objective", 1, [4, 3]), ("matrix", 0, [[-1, 2]]),
+      ("matrix", 1, [[1, 2], [1, 2], [1, float("inf")]]), ("rhs", 0, [-5, 6])],
+     "matrix[0]: 1 entries but 2 objective coefficients; "
+     "matrix[1]: 3 entries but 2 objective coefficients; "
+     "objective[1]: lower bound 4 exceeds upper bound 3; "
+     "matrix[0][0]: negative lower bound -1 (all parameters must be >= 0); "
+     "matrix[1][2]: upper bound inf is not finite; "
+     "rhs[0]: negative lower bound -5 (all parameters must be >= 0)"),
+]
+
+
+@pytest.mark.parametrize("edits, text", SHAPE_ERRORS)
+def test_validate_text_for_blocks_that_do_not_fit(capsys, tmp_path, edits, text):
+    path = tmp_path / "shape.json"
+    path.write_text(_doc_with(*edits), encoding="utf-8")
+    assert run(["validate", "--file", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: invalid problem: {text}\n")
+
+
 def test_parsed_arrays_match_the_document():
     p = parse_problem(_doc_with(("matrix", 1, [[0.5, 9], [2, 3.25]]))).problem
     assert p.A_lo.tolist() == [[1.0, 1.0], [0.5, 2.0]]
     assert p.A_hi.tolist() == [[2.0, 2.0], [9.0, 3.25]]
     assert p.c_lo.tolist() == [1.0, 3.0] and p.b_hi.tolist() == [6.0, 8.0]
-    assert p.A_lo.dtype == np.float64 and p.row_lengths.tolist() == [2, 2]
+    assert p.A_lo.dtype == np.float64 and p.A_lo.shape == p.A_hi.shape == (2, 2)
 
 
 class TestSerializeProblem:

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import json
 import math
 import re
 
@@ -16,8 +17,10 @@ from greylp import (
     GreyLP,
     PositionCoefficients,
     StructureError,
+    ValidationError,
     WhiteLP,
     build_positioned,
+    parse_problem,
     theta_coefficients,
     uniform_coefficients,
     validate_problem,
@@ -78,6 +81,13 @@ class TestWhiten:
         assert whiten(iv, t1) <= whiten(iv, t2) + slack
 
 
+_WELL_FORMED = (
+    (GreyLP, {"objective": [(1, 2)], "matrix": [[(1, 2)]], "rhs": [(3, 4)]}),
+    (PositionCoefficients, {"alphas": [0.5], "betas": [0.5], "gammas": [[0.5]]}),
+    (WhiteLP, {"c": [1.0], "A": [[1.0]], "b": [1.0]}),
+)
+
+
 class TestGreyLP:
     def test_construction_from_pairs(self):
         p = GreyLP(
@@ -97,16 +107,34 @@ class TestGreyLP:
         ({"objective": 7}, "objective"),
         ({"rhs": [(3, 4), (5,)]}, "rhs"),
         ({"rhs": [3]}, "rhs"),
-        ({"matrix": [[1, 2]]}, "matrix[0]"),
-        ({"matrix": [[(1, 2, 3)]]}, "matrix[0]"),
-        ({"matrix": [[(1, 2)], [(1, 2), (3,)]]}, "matrix[1]"),
-        ({"matrix": [[(1, 2)], 5]}, "matrix[1]"),
+        ({"matrix": [[1, 2]]}, "matrix"),
+        ({"matrix": [[(1, 2, 3)]]}, "matrix"),
+        ({"matrix": [[(1, 2)], [(1, 2), (3,)]]}, "matrix"),
+        ({"matrix": [[(1, 2)], 5]}, "matrix"),
         ({"matrix": 5}, "matrix"),
+        ({"matrix": np.array(5.0)}, "matrix"),
+        ({"matrix": [[(1, 2)], [(1, 2)]]}, "matrix"),
+        ({"alphas": 5}, "alphas"),
+        ({"alphas": [(0.5, 0.5)]}, "alphas"),
+        ({"gammas": [0.5]}, "gammas"),
+        # The shape is checked before the range of the entries.
+        ({"gammas": [[0.5], [0.5, 2.0]]}, "gammas"),
+        ({"c": [1, (2, 3)]}, "c"),
+        ({"A": [1]}, "matrix"),
     ])
     def test_malformed_blocks_raise_structure_error(self, edits, block):
-        given = {"objective": [(1, 2)], "matrix": [[(1, 2)]], "rhs": [(3, 4)], **edits}
-        with pytest.raises(StructureError, match=f"^{re.escape(block)}: expected "):
-            GreyLP(**given)
+        # The edited keys pick the constructor.
+        make, given = next(
+            (make, given) for make, given in _WELL_FORMED if edits.keys() <= given.keys()
+        )
+        with pytest.raises(StructureError, match=f"^{re.escape(block)}(: expected | must be )"):
+            make(**{**given, **edits})
+
+    def test_rejects_empty_blocks(self):
+        with pytest.raises(StructureError, match="^need at least one variable and one "):
+            GreyLP(objective=np.empty((0, 2)), matrix=np.empty((1, 0, 2)), rhs=[(1, 2)])
+        with pytest.raises(StructureError, match="^objective: expected "):
+            GreyLP(objective=[], matrix=[[]], rhs=[(1, 2)])
 
     def test_construction_does_not_validate(self):
         # Collecting violations is validate_problem's job.
@@ -269,20 +297,17 @@ class TestValidateProblem:
         assert all(v.location == "rhs[0]" for v in violations)
 
     def test_dimension_violations(self):
-        p = GreyLP(objective=(), matrix=(), rhs=())
-        kinds = {v.kind for v in validate_problem(p)}
-        assert kinds == {"dimension"}
+        # Blocks that do not fit together never make a GreyLP; parsing a
+        # file reports them.
+        assert {v.kind for v in _file_violations([], [], [])} == {"dimension"}
 
-        ragged = GreyLP(
-            objective=((1, 2), (1, 2)),
-            matrix=(((1, 2),), ((1, 2), (1, 2))),
-            rhs=((1, 2), (1, 2)),
+        ragged = _file_violations(
+            [(1, 2), (1, 2)], [[(1, 2)], [(1, 2), (1, 2)]], [(1, 2), (1, 2)]
         )
-        locs = [v.location for v in validate_problem(ragged)]
-        assert locs == ["matrix[0]"]
+        assert [v.location for v in ragged] == ["matrix[0]"]
 
-        missing_row = GreyLP(objective=((1, 2),), matrix=(((1, 2),),), rhs=((1, 2), (3, 4)))
-        assert [v.kind for v in validate_problem(missing_row)] == ["dimension"]
+        missing_row = _file_violations([(1, 2)], [[(1, 2)]], [(1, 2), (3, 4)])
+        assert [v.kind for v in missing_row] == ["dimension"]
 
     def test_collects_every_violation_at_once(self):
         p = GreyLP(
@@ -295,6 +320,18 @@ class TestValidateProblem:
         assert len(violations) == 3
 
 
+def _file_violations(objective, matrix, rhs):
+    """The violations ``parse_problem`` reports for a problem file of these
+    blocks (``[]`` when it parses); NaN and infinities are written as the
+    JSON extensions ``NaN`` and ``Infinity``."""
+    doc = json.dumps({"objective": objective, "matrix": matrix, "rhs": rhs})
+    try:
+        parse_problem(doc)
+    except ValidationError as exc:
+        return list(exc.violations)
+    return []
+
+
 _special = st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0, -3.5, math.nan, math.inf, -math.inf])
 _bound = st.one_of(st.floats(0.0, 10.0), _special)
 _pair = st.tuples(_bound, _bound)
@@ -303,14 +340,24 @@ _block = st.lists(_pair, max_size=3)
 _rows = st.lists(st.lists(_pair, max_size=4), max_size=4)
 
 
+@st.composite
+def _problems(draw):
+    """The objective, matrix rows and right-hand side of an m x n problem."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    objective = draw(st.lists(_pair, min_size=n, max_size=n))
+    matrix = draw(st.lists(st.lists(_pair, min_size=n, max_size=n), min_size=m, max_size=m))
+    return objective, matrix, draw(st.lists(_pair, min_size=m, max_size=m))
+
+
 def _hexes(pairs):
     return [(float(lo).hex(), float(hi).hex()) for lo, hi in pairs]
 
 
 class TestArrayStorage:
-    @given(objective=_block, matrix=_rows, rhs=_block)
-    def test_tuple_views_give_back_the_input(self, objective, matrix, rhs):
+    @given(problem=_problems())
+    def test_tuple_views_give_back_the_input(self, problem):
         # The views are built here, by conftest.blocks, from the arrays.
+        objective, matrix, rhs = problem
         p = GreyLP(objective=objective, matrix=matrix, rhs=rhs)
         assert (p.n, p.m) == (len(objective), len(rhs))
         got_objective, got_matrix, got_rhs = blocks(p)
@@ -319,20 +366,23 @@ class TestArrayStorage:
         assert _hexes(got_rhs) == _hexes(rhs)
         assert GreyLP(*blocks(p)) == p
 
-    def test_ragged_matrix_is_padded_and_keeps_row_lengths(self):
-        p = GreyLP(objective=((1, 2), (1, 2)), matrix=(((1, 2),), ()), rhs=((1, 2), (3, 4)))
-        assert p.A_lo.shape == (2, 1) and p.row_lengths.tolist() == [1, 0]
-        assert math.isnan(p.A_lo[1, 0])
-        assert blocks(p)[1] == [[(1.0, 2.0)], []]
+    @given(objective=_block, matrix=_rows, rhs=_block)
+    def test_blocks_that_do_not_fit_raise_structure_error(self, objective, matrix, rhs):
+        n, m = len(objective), len(rhs)
+        if n and m and len(matrix) == m and all(len(row) == n for row in matrix):
+            assert GreyLP(objective=objective, matrix=matrix, rhs=rhs).A_lo.shape == (m, n)
+        else:
+            with pytest.raises(StructureError):
+                GreyLP(objective=objective, matrix=matrix, rhs=rhs)
 
-    def test_accepts_interval_objects_arrays_and_iterators(self):
-        # Any object that unpacks to two numbers is an interval.
+    def test_accepts_interval_objects_and_arrays(self):
+        # Any sequence of two numbers is an interval.
         Pair = collections.namedtuple("Pair", "lo hi")
         pairs = GreyLP(objective=((1, 2),), matrix=(((3, 4),),), rhs=((5, 6),))
         assert GreyLP(
-            objective=[Pair(1, 2)], matrix=iter([iter([Pair(3, 4)])]), rhs=np.array([[5, 6]])
+            objective=[Pair(1, 2)], matrix=[(Pair(3, 4),)], rhs=np.array([[5, 6]])
         ) == pairs
-        assert GreyLP(objective=iter([[1, 2]]), matrix=[[[3, 4]]], rhs=[Pair(5, 6)]) == pairs
+        assert GreyLP(objective=np.array([[1, 2]]), matrix=[[[3, 4]]], rhs=[Pair(5, 6)]) == pairs
 
     def test_arrays_are_read_only_and_fields_frozen(self, demo_problem):
         with pytest.raises(ValueError):
@@ -360,30 +410,32 @@ class TestArrayStorage:
         )
         assert WhiteLP(c=(1,), A=((2,),), b=(3,)) == WhiteLP(c=[1.0], A=np.array([[2.0]]), b=[3])
 
-    def test_ragged_gammas_are_range_checked_first(self):
-        with pytest.raises(DomainError):
-            PositionCoefficients(alphas=(0.5,), betas=(0.5, 0.5), gammas=((0.5,), (0.5, 2.0)))
-
 
 class TestValidateMatchesReference:
-    """``validate_problem`` checks with array masks; it must report the
-    per-entry reference's violations, message and order included."""
+    """``parse_problem`` checks a file's dimensions from the decoded lists
+    and ``validate_problem`` its intervals with array masks; together they
+    must report the per-entry reference's violations, message and order
+    included."""
 
-    @given(objective=_block, matrix=_rows, rhs=_block)
-    def test_identical_violation_lists(self, objective, matrix, rhs):
-        p = GreyLP(objective=objective, matrix=matrix, rhs=rhs)
-        got = [(v.location, v.kind, v.message) for v in validate_problem(p)]
-        want = [(v.location, v.kind, v.message) for v in reference_validate_problem(p)]
+    # Half the draws fit together, so the array masks see bad bounds too.
+    @given(blocks_=st.one_of(_problems(), st.tuples(_block, _rows, _block)))
+    def test_identical_violation_lists(self, blocks_):
+        objective, matrix, rhs = blocks_
+        got = [(v.location, v.kind, v.message) for v in _file_violations(objective, matrix, rhs)]
+        want = [
+            (v.location, v.kind, v.message)
+            for v in reference_validate_problem(objective, matrix, rhs)
+        ]
         assert got == want
 
     def test_every_kind_in_one_problem(self):
-        p = GreyLP(
-            objective=((math.nan, -math.inf), (3, 1)),
-            matrix=(((-1, 2), (math.inf, 1), (0, 1)), ((2, 1),)),
-            rhs=((-2, -3),),
+        blocks_ = (
+            [(math.nan, -math.inf), (3, 1)],
+            [[(-1, 2), (math.inf, 1), (0, 1)], [(2, 1)]],
+            [(-2, -3)],
         )
-        got = [str(v) for v in validate_problem(p)]
-        assert got == [str(v) for v in reference_validate_problem(p)]
+        got = [str(v) for v in _file_violations(*blocks_)]
+        assert got == [str(v) for v in reference_validate_problem(*blocks_)]
         assert got[:2] == [
             "matrix: 2 matrix rows but 1 right-hand sides",
             "matrix[0]: 3 entries but 2 objective coefficients",
@@ -431,9 +483,9 @@ def _built(build, p, k):
 
 
 class TestBuildPositionedMatchesReference:
-    @given(objective=_block, matrix=_rows, rhs=_block, t=st.floats(0.0, 1.0), data=st.data())
-    def test_same_program_or_same_error(self, objective, matrix, rhs, t, data):
-        p = GreyLP(objective=objective, matrix=matrix, rhs=rhs)
+    @given(problem=_problems(), t=st.floats(0.0, 1.0), data=st.data())
+    def test_same_program_or_same_error(self, problem, t, data):
+        p = GreyLP(*problem)
         gammas = data.draw(st.lists(
             st.lists(st.floats(0.0, 1.0), min_size=p.n, max_size=p.n), min_size=p.m, max_size=p.m
         ))

@@ -36,7 +36,7 @@ EXPORTED = {
 # The data classes hold arrays only; a tuple view of them, or another
 # attribute, is an API of its own.
 ATTRIBUTES = {
-    "GreyLP": {"c_lo", "c_hi", "A_lo", "A_hi", "b_lo", "b_hi", "row_lengths", "n", "m"},
+    "GreyLP": {"c_lo", "c_hi", "A_lo", "A_hi", "b_lo", "b_hi", "n", "m"},
     "PositionCoefficients": {"alpha_array", "beta_array", "gamma_array"},
     "WhiteLP": {"c_array", "A_array", "b_array", "n", "m"},
     "SweepTable": {"axis_labels", "lambdas", "coefficients", "f", "mu", "mu_tilde", "pivoted"},
