@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import itertools
 import json
 import pathlib
@@ -54,6 +55,7 @@ from .errors import (
 from .grey_core import (
     GreyLP,
     PositionCoefficients,
+    _REALS,
     _dimension_violations,
     _interval_violations,
     theta_coefficients,
@@ -86,9 +88,6 @@ _REQUIRED_FIELDS = ("objective", "matrix", "rhs")
 _OPTIONAL_FIELDS = ("name", "description")
 
 
-_NUMBERS = {int, float}
-
-
 def _pair_array(items, path: str) -> np.ndarray:
     """A decoded list of [lo, hi] pairs as a k x 2 float array.  Anything
     else raises the :class:`ParseError` of the first bad entry."""
@@ -97,7 +96,7 @@ def _pair_array(items, path: str) -> np.ndarray:
     # A bool is not a number here, so types are compared exactly.
     if set(map(type, items)) <= {list} and set(map(len, items)) <= {2}:
         bounds = list(itertools.chain.from_iterable(items))
-        if set(map(type, bounds)) <= _NUMBERS:
+        if set(map(type, bounds)) <= _REALS:
             with contextlib.suppress(OverflowError):  # named by the walk below
                 return np.array(bounds, dtype=float).reshape(-1, 2)
     # Some entry failed a check above: name the first one.
@@ -105,7 +104,7 @@ def _pair_array(items, path: str) -> np.ndarray:
         if type(pair) is not list or len(pair) != 2:
             raise ParseError(f"{path}[{i}]: expected a [lo, hi] pair, got {pair!r}")
         for bound in pair:
-            if type(bound) not in _NUMBERS:
+            if type(bound) not in _REALS:
                 raise ParseError(f"{path}[{i}]: interval bounds must be numbers, got {bound!r}")
             try:
                 float(bound)
@@ -137,7 +136,24 @@ def parse_problem(text: str) -> ProblemFile:
     is the only place that reports dimension violations: blocks that do not
     make an m x n problem (with m, n >= 1) are listed first, followed by the
     findings on every bound present, and never become a :class:`GreyLP`.
+
+    The cyclic garbage collector is paused while the document is decoded,
+    checked and turned into arrays, and restored (to on, unless the caller
+    had paused it) once the decoded tree is freed.  Decoding allocates one
+    tracked list per pair and per row, thousands for a 60 x 60 problem,
+    each step towards a collection that scans everything alive in the
+    process, yet the tree holds no cycle and none of it outlives the call.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse(text)  # the decoded tree dies with _parse's frame
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse(text: str) -> ProblemFile:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

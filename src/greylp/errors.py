@@ -7,14 +7,16 @@ class GreyLPError(Exception):
 
 class DomainError(GreyLPError, ValueError):
     """A scalar argument is outside its allowed range (e.g. a position
-    coefficient not in [0, 1], or an oracle call on too many variables)."""
+    coefficient not in [0, 1], an integer too large for a float, or an
+    oracle call on too many variables)."""
 
 
 class StructureError(GreyLPError, ValueError):
     """A container was given a block of the wrong shape (a ragged or empty
-    matrix, entries that are not numbers, a coefficient block that does not
-    match the target problem).  A problem file reports the dimension
-    mismatches of its blocks as :class:`ValidationError` instead."""
+    matrix, entries that are not real numbers, a coefficient block that
+    does not match the target problem).  A problem file reports the
+    dimension mismatches of its blocks as :class:`ValidationError`
+    instead."""
 
 
 class ValidationError(GreyLPError, ValueError):

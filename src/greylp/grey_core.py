@@ -9,9 +9,11 @@ convex combination ``t*hi + (1-t)*lo`` for a position coefficient
 Problems, coefficient blocks and white programs store their numbers only
 as read-only numpy arrays (``GreyLP.c_lo``, ``PositionCoefficients.
 alpha_array``, ``WhiteLP.A_array``, ...); an interval is a ``(lo, hi)``
-pair wherever one is passed in.  Every block is checked for its shape at
-construction (a problem is m x n, with m, n >= 1) and a block of any other
-shape raises :class:`StructureError`, so no ragged or empty container
+pair wherever one is passed in.  Every block is checked at construction:
+an entry that is not a real number raises :class:`StructureError`, an
+integer past float range :class:`DomainError`, and a block of any shape
+but its own (a problem is m x n, with m, n >= 1) :class:`StructureError`,
+so no ragged or empty container, and no bool or string read as a number,
 exists past that point.  All types are immutable after construction and
 all operations are pure, so everything here is safe to share across
 threads.
@@ -19,7 +21,10 @@ threads.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,13 +49,51 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _shaped(values, shape: tuple, error: str) -> np.ndarray:
+_REALS = {int, float}  # exact types: a bool is not a number here
+
+
+def _check_real(values, depth: int, block: str) -> None:
+    """Raise :class:`StructureError` naming ``block`` at an entry of
+    ``values``, containers nested ``depth`` deep, that is not a real number:
+    a bool, a string and None are not, though ``float()`` takes some of
+    them.  An array is judged by its dtype alone; nesting that does not fit
+    ``depth`` is left to the shape check.  The entries are walked one level
+    at a time, so lists and tuples of Python numbers cost no Python loop."""
+    level = [values]
+    for deeper in range(depth, -1, -1):
+        kinds = set(map(type, level))
+        if kinds <= _REALS:
+            return
+        if deeper and kinds <= {list, tuple}:
+            level = list(itertools.chain.from_iterable(level))
+            continue
+        nested = []
+        for v in level:
+            if isinstance(v, np.ndarray):
+                if v.dtype.kind not in "iuf":
+                    raise StructureError(
+                        f"{block}: expected real numbers, got an array of {v.dtype}"
+                    )
+            elif isinstance(v, Sequence) and not isinstance(v, (str, bytes, bytearray)):
+                if deeper:
+                    nested.extend(v)
+            elif isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise StructureError(f"{block}: expected real numbers, got {v!r}")
+        level = nested
+
+
+def _shaped(values, shape: tuple, block: str, error: str) -> np.ndarray:
     """``values`` as a new float array of ``shape``, where ``None`` stands
-    for any length; anything else raises :class:`StructureError` with the
-    text ``error``."""
+    for any length.  An entry that is not a real number raises
+    :class:`StructureError` naming ``block``, one past float range
+    :class:`DomainError`, and a block of any other shape
+    :class:`StructureError` with the text ``error``."""
+    _check_real(values, len(shape), block)
     try:
         a = np.array(values, dtype=float)
-    except (TypeError, ValueError):  # ragged, not iterable as a block, or not numbers
+    except OverflowError:  # a Python int past float range
+        raise DomainError(f"{block}: value is too large for a float") from None
+    except (TypeError, ValueError):  # ragged or not iterable as a block
         a = None
     if a is None or a.ndim != len(shape) or any(k not in (None, s) for k, s in zip(shape, a.shape)):
         raise StructureError(error)
@@ -89,8 +132,10 @@ class GreyLP(_ArrayRecord):
 
     ``GreyLP(objective, matrix, rhs)`` takes n >= 1 ``(lo, hi)`` pairs for
     the objective, an m-by-n grid of pairs (one row per constraint) and
-    m >= 1 pairs for the right-hand side.  Blocks of any other shape raise
-    :class:`StructureError` naming the block; a file whose blocks do not fit
+    m >= 1 pairs for the right-hand side, all real numbers.  Blocks of any
+    other shape, and entries that are not real numbers, raise
+    :class:`StructureError` naming the block, and an integer past float
+    range raises :class:`DomainError`; a file whose blocks do not fit
     together is reported by :func:`~greylp.cli.parse_problem` instead.
     Construction does not check the bounds themselves; use
     :func:`validate_problem`.
@@ -109,11 +154,13 @@ class GreyLP(_ArrayRecord):
     _arrays = ("c_lo", "c_hi", "A_lo", "A_hi", "b_lo", "b_hi")
 
     def __init__(self, objective, matrix, rhs):
-        c = _shaped(objective, (None, 2), "objective: expected (lo, hi) pairs")
-        b = _shaped(rhs, (None, 2), "rhs: expected (lo, hi) pairs")
+        c = _shaped(objective, (None, 2), "objective", "objective: expected (lo, hi) pairs")
+        b = _shaped(rhs, (None, 2), "rhs", "rhs: expected (lo, hi) pairs")
         n, m = len(c), len(b)
         _at_least_one(n, m)
-        A = _shaped(matrix, (m, n, 2), f"matrix: expected a {m}x{n} grid of (lo, hi) pairs")
+        A = _shaped(
+            matrix, (m, n, 2), "matrix", f"matrix: expected a {m}x{n} grid of (lo, hi) pairs"
+        )
         # The class is frozen; fields are set once, here.
         self.__dict__.update(
             (name, _frozen(np.ascontiguousarray(a)))
@@ -145,10 +192,10 @@ class PositionCoefficients(_ArrayRecord):
     right-hand side entry, and an m-by-n grid of gammas for the matrix.
 
     Every entry must lie in [0, 1]; out-of-range or non-finite entries raise
-    :class:`DomainError` at construction, after the shapes are checked (a
-    list of numbers each for alphas and betas, rows of one length for the
-    gammas; anything else raises :class:`StructureError`).  Whether the
-    dimensions match a particular problem is checked by
+    :class:`DomainError` at construction, after the entries and shapes are
+    checked (a list of real numbers each for alphas and betas, rows of one
+    length for the gammas; anything else raises :class:`StructureError`).
+    Whether the dimensions match a particular problem is checked by
     :func:`build_positioned`.
 
     ``PositionCoefficients(alphas, betas, gammas)`` stores the weights as
@@ -162,9 +209,11 @@ class PositionCoefficients(_ArrayRecord):
     _arrays = ("alpha_array", "beta_array", "gamma_array")
 
     def __init__(self, alphas, betas, gammas):
-        alpha = _shaped(alphas, (None,), "alphas: expected a list of numbers")
-        beta = _shaped(betas, (None,), "betas: expected a list of numbers")
-        gamma = _shaped(gammas, (None, None), "gammas: expected rows of numbers of one length")
+        alpha = _shaped(alphas, (None,), "alphas", "alphas: expected a list of numbers")
+        beta = _shaped(betas, (None,), "betas", "betas: expected a list of numbers")
+        gamma = _shaped(
+            gammas, (None, None), "gammas", "gammas: expected rows of numbers of one length"
+        )
         for name, values in (("alphas", alpha), ("betas", beta), ("gammas", gamma.ravel())):
             bad = ~((values >= 0.0) & (values <= 1.0))  # also flags NaN
             if bad.any():
@@ -191,8 +240,8 @@ class WhiteLP(_ArrayRecord):
     """A concrete max-LP (c, A, b): maximize c·x subject to A·x <= b, x >= 0.
 
     Unlike the grey containers this type is strict: entries must be finite
-    and the dimensions consistent, since a white problem is handed straight
-    to the solver.  ``WhiteLP(c, A, b)`` stores the numbers as ``c_array``
+    real numbers and the dimensions consistent, since a white problem is
+    handed straight to the solver.  ``WhiteLP(c, A, b)`` stores the numbers as ``c_array``
     (n), ``A_array`` (m x n) and ``b_array`` (m).
     """
 
@@ -203,11 +252,11 @@ class WhiteLP(_ArrayRecord):
     _arrays = ("c_array", "A_array", "b_array")
 
     def __init__(self, c, A, b):
-        c = _shaped(c, (None,), "c: expected a list of numbers")
-        b = _shaped(b, (None,), "b: expected a list of numbers")
+        c = _shaped(c, (None,), "c", "c: expected a list of numbers")
+        b = _shaped(b, (None,), "b", "b: expected a list of numbers")
         n, m = len(c), len(b)
         _at_least_one(n, m)
-        self._set(c, _shaped(A, (m, n), f"matrix must be {m}x{n}"), b)
+        self._set(c, _shaped(A, (m, n), "matrix", f"matrix must be {m}x{n}"), b)
 
     @classmethod
     def _of_arrays(cls, c, A, b) -> WhiteLP:
@@ -275,7 +324,7 @@ def whiten(iv, t: float) -> float:
     t = float(t)
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"position coefficient must be in [0, 1], got {t}")
-    lo, hi = _shaped(iv, (2,), "interval: expected (lo, hi) pairs")
+    lo, hi = _shaped(iv, (2,), "interval", "interval: expected (lo, hi) pairs")
     return float(_whitened(t, lo, hi))
 
 

@@ -77,21 +77,21 @@ class LPSolution:
     basis: tuple[int, ...] = ()
 
 
-def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= factors[:, None] * T[row]  # np.outer's product, without its wrapper
-    basis[row] = col
-
-
 def _bland_iterate(T: np.ndarray, basis: list[int], budget: int) -> tuple[str, int, int]:
-    """Run simplex pivots until optimal or unbounded.
+    """Run simplex pivots on the tableau ``T`` in place until optimal or
+    unbounded.
 
     Returns (outcome, pivots_used, entering_col); entering_col is only
-    meaningful for the "unbounded" outcome.
+    meaningful for the "unbounded" outcome.  The ratio vector and the
+    rank-one update are written into buffers allocated once per call, and
+    the update multiplies entry by entry as ``np.outer`` does (not a BLAS
+    product, which may round or sign zeros differently), so every pivot
+    keeps the scalar reference loop's arithmetic bit for bit.
     """
     m = T.shape[0] - 1
+    ratios = np.empty(m)
+    factors = np.empty(m + 1)
+    update = np.empty_like(T)
     used = 0
     while True:
         improving = T[m, :-1] > _TOL_PIVOT
@@ -99,22 +99,27 @@ def _bland_iterate(T: np.ndarray, basis: list[int], budget: int) -> tuple[str, i
         if not improving[enter]:
             return "optimal", used, -1
         col = T[:m, enter]
-        rows = (col > _TOL_PIVOT).nonzero()[0]
-        ratios = T[rows, -1] / col[rows]
+        ratios.fill(np.inf)  # rows that do not limit the step
+        np.divide(T[:m, -1], col, out=ratios, where=col > _TOL_PIVOT)
         # argmin keeps the first minimum, so ties go to the lowest row.  A
         # running minimum started at +inf never picks a NaN or +inf ratio
         # (only overflow makes one), so those rows are then left out.
-        k = int(ratios.argmin()) if len(rows) else -1
-        if k >= 0 and not ratios[k] < np.inf:
+        row = int(ratios.argmin())
+        if not ratios[row] < np.inf:
             usable = np.flatnonzero(ratios < np.inf)
-            k = int(usable[ratios[usable].argmin()]) if len(usable) else -1
-        if k < 0:
+            row = int(usable[ratios[usable].argmin()]) if len(usable) else -1
+        if row < 0:
             return "unbounded", used, enter
         if used >= budget:
             raise SolverFailure(
                 f"simplex exceeded its iteration cap of {budget} pivots"
             )
-        _pivot(T, basis, int(rows[k]), enter)
+        T[row] /= T[row, enter]
+        factors[:] = T[:, enter]
+        factors[row] = 0.0
+        np.multiply(factors[:, None], T[row], out=update)  # np.outer's product
+        T -= update
+        basis[row] = enter
         used += 1
 
 

@@ -8,6 +8,7 @@ run, so the criterion status is visible even with captured output.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import math
 import pathlib
@@ -54,6 +55,26 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if item.path.is_relative_to(_TESTS):
             item.add_marker(strict, append=False)
+
+
+def count_collections(call):
+    """``call()``'s result and the number of cyclic garbage collections
+    started while it ran, counted from a fresh ``gc.collect()`` before
+    anything else is allocated."""
+    started = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(on_gc)
+    try:
+        result = call()
+        during = len(started)
+    finally:
+        gc.callbacks.remove(on_gc)
+    return result, during
 
 
 def interval(

@@ -1,7 +1,6 @@
 """Sweeps, monotonicity checks, satisfactory search, and table rendering."""
 
 import csv
-import gc
 import io
 import itertools
 import logging
@@ -15,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    count_collections,
     random_bounded_problem,
     random_loose_problem,
     random_triple,
@@ -636,45 +636,28 @@ class TestRenderMatchesReference:
 
 
 class TestCollectorPause:
-    """Grid commands run with the cyclic collector on.  Their results are
-    arrays, not one tracked object per row, so a call starts at most one
-    collection and its run time does not grow with what else is alive."""
-
-    @staticmethod
-    def collections(call):
-        """``call()``'s result and the number of collections started while it
-        ran, counted before anything else is allocated."""
-        started = []
-
-        def on_gc(phase, info):
-            if phase == "start":
-                started.append(info["generation"])
-
-        gc.collect()
-        gc.callbacks.append(on_gc)
-        try:
-            result = call()
-            during = len(started)
-        finally:
-            gc.callbacks.remove(on_gc)
-        return result, during
+    """Grid commands run with the cyclic collector on (only problem-file
+    decoding pauses it; ``tests/test_cli.py`` covers that pause).  Their
+    results are arrays, not one tracked object per row, so a call starts at
+    most one collection and its run time does not grow with what else is
+    alive."""
 
     def test_sweep_and_render_collect_at_most_once(self, demo_problem):
-        table, started = self.collections(
+        table, started = count_collections(
             lambda: grid_sweep(demo_problem, 0.05, lambdas=(0.5, 1.0))
         )
         assert len(table.f) == 21**3 and started <= 1
-        text, started = self.collections(lambda: render_table(table, "csv"))
+        text, started = count_collections(lambda: render_table(table, "csv"))
         assert text.count("\n") == 1 + 21**3 and started <= 1
 
     def test_satisfactory_search_collects_at_most_once(self, demo_problem):
-        (triples, degrees), started = self.collections(
+        (triples, degrees), started = count_collections(
             lambda: find_satisfactory(demo_problem, 0.4, 0.9, 0.02)
         )
         assert len(triples) == len(degrees) == 62_800 and started <= 1
 
     def test_monotonicity_check_collects_at_most_once(self, demo_problem):
-        report, started = self.collections(
+        report, started = count_collections(
             lambda: check_monotonicity(demo_problem, "gamma", 0.02)
         )
         assert report.pair_count == 51 * 51 * 50 and report.ok and started <= 1

@@ -1,6 +1,7 @@
 """Command-line surface: parsing, serialization, subcommands, exit codes."""
 
 import copy
+import gc
 import hashlib
 import json
 import logging
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import greylp
-from conftest import random_bounded_problem, random_loose_problem
+from conftest import count_collections, random_bounded_problem, random_loose_problem
 from greylp import (
     ParseError,
     ProblemFile,
@@ -246,6 +247,45 @@ def test_parsed_arrays_match_the_document():
     assert p.A_hi.tolist() == [[2.0, 2.0], [9.0, 3.25]]
     assert p.c_lo.tolist() == [1.0, 3.0] and p.b_hi.tolist() == [6.0, 8.0]
     assert p.A_lo.dtype == np.float64 and p.A_lo.shape == p.A_hi.shape == (2, 2)
+
+
+class TestParseCollectorPause:
+    """``parse_problem`` decodes with the cyclic collector paused, restores
+    the caller's setting whatever the outcome, and frees the decoded tree
+    before the collector is back on."""
+
+    BAD_JSON = '{"objective": [[1, 2]],\n  "matrix": }'
+    BAD_PAIR = '{"objective": [[1, 2, 3]], "matrix": [[[1, 2]]], "rhs": [[1, 2]]}'
+    INVALID = '{"objective": [[800, 600]], "matrix": [[[1, 2]]], "rhs": [[3, 4]]}'
+
+    def test_large_document_starts_no_collection(self):
+        text = serialize_problem(ProblemFile(problem=_seeded_problem(60, seed=7)))
+        # The list made after the call would start a collection if the
+        # decoded tree's allocations were still counted against the
+        # threshold when the collector came back on.
+        (pf,), started = count_collections(lambda: [parse_problem(text)])
+        assert (pf.problem.m, pf.problem.n) == (60, 60)
+        assert started == 0 and gc.isenabled()
+
+    @pytest.mark.parametrize("text, error", [
+        (bundled.EXAMPLE_PROBLEM_JSON, None),
+        (BAD_JSON, ParseError),
+        (BAD_PAIR, ParseError),
+        (INVALID, ValidationError),
+    ], ids=["valid", "bad-json", "bad-pair", "invalid"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "paused-by-caller"])
+    def test_collector_setting_is_restored(self, text, error, enabled):
+        if not enabled:
+            gc.disable()
+        try:
+            if error is None:
+                parse_problem(text)
+            else:
+                with pytest.raises(error):
+                    parse_problem(text)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
 
 class TestSerializeProblem:

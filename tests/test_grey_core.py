@@ -88,6 +88,15 @@ _WELL_FORMED = (
 )
 
 
+def _make(edits):
+    """The constructor whose keywords hold every edited key, called with the
+    well-formed arguments that ``edits`` overrides."""
+    make, given = next(
+        (make, given) for make, given in _WELL_FORMED if edits.keys() <= given.keys()
+    )
+    return make(**{**given, **edits})
+
+
 class TestGreyLP:
     def test_construction_from_pairs(self):
         p = GreyLP(
@@ -123,12 +132,8 @@ class TestGreyLP:
         ({"A": [1]}, "matrix"),
     ])
     def test_malformed_blocks_raise_structure_error(self, edits, block):
-        # The edited keys pick the constructor.
-        make, given = next(
-            (make, given) for make, given in _WELL_FORMED if edits.keys() <= given.keys()
-        )
         with pytest.raises(StructureError, match=f"^{re.escape(block)}(: expected | must be )"):
-            make(**{**given, **edits})
+            _make(edits)
 
     def test_rejects_empty_blocks(self):
         with pytest.raises(StructureError, match="^need at least one variable and one "):
@@ -140,6 +145,60 @@ class TestGreyLP:
         # Collecting violations is validate_problem's job.
         p = GreyLP(objective=((8, 6),), matrix=(((-1, 2),),), rhs=((3, 4),))
         assert p.n == 1
+
+
+class TestRealEntries:
+    """Every constructor takes real numbers only: an entry that is not one
+    (though ``float()`` would take it) or an integer past float range is
+    refused, naming its block, as ``parse_problem`` refuses it in a file."""
+
+    @pytest.mark.parametrize("edits, block", [
+        ({"objective": [(1, 10**400)]}, "objective"),
+        ({"matrix": [[(-(10**400), 2)]]}, "matrix"),
+        ({"rhs": [(1, 2**1024)]}, "rhs"),
+        ({"alphas": [10**400]}, "alphas"),
+        ({"gammas": [[0.5, 10**309]]}, "gammas"),
+        ({"c": [10**400]}, "c"),
+        ({"A": [[10**400]]}, "matrix"),
+    ])
+    def test_integer_past_float_range_raises_domain_error(self, edits, block):
+        with pytest.raises(DomainError, match=f"^{block}: value is too large for a float$"):
+            _make(edits)
+
+    @pytest.mark.parametrize("edits, block, got", [
+        ({"objective": [("1", "2")]}, "objective", "'1'"),
+        ({"objective": [(1, "a")]}, "objective", "'a'"),
+        ({"rhs": [(True, 2.0)]}, "rhs", "True"),
+        ({"matrix": [[(1, None)]]}, "matrix", "None"),
+        ({"matrix": np.array([[[True, False]]])}, "matrix", "an array of bool"),
+        ({"alphas": ["0.5"]}, "alphas", "'0.5'"),
+        ({"betas": [True]}, "betas", "True"),
+        ({"gammas": [[np.bool_(False)]]}, "gammas", repr(np.bool_(False))),
+        # np.asarray would silently make this a float64 array.
+        ({"c": [1.0, True]}, "c", "True"),
+        ({"b": [b"1"]}, "b", "b'1'"),
+        ({"A": np.array([["1"]])}, "matrix", "an array of <U1"),
+        ({"c": np.array([1.0, 2.0], dtype=object)}, "c", "an array of object"),
+        ({"betas": [1j]}, "betas", "1j"),
+    ])
+    def test_entries_that_are_not_real_numbers_raise_structure_error(self, edits, block, got):
+        message = f"^{block}: expected real numbers, got {re.escape(got)}$"
+        with pytest.raises(StructureError, match=message):
+            _make(edits)
+
+    def test_whiten_takes_real_numbers_only(self):
+        with pytest.raises(StructureError, match="^interval: expected real numbers, got '1'$"):
+            whiten(("1", 2), 0.5)
+
+    def test_accepts_numpy_numbers_and_integer_arrays(self):
+        pairs = GreyLP(objective=[(1, 2)], matrix=[[(3, 4)]], rhs=[(5, 6)])
+        assert GreyLP(
+            objective=[(np.float32(1), np.int64(2))],
+            matrix=np.array([[[3, 4]]], dtype=np.uint8),
+            rhs=np.array([[5, 6]], dtype=np.int32),
+        ) == pairs
+        w = WhiteLP(c=np.array([1], dtype=np.int8), A=[[np.float16(2)]], b=[3])
+        assert (w.c_array[0], w.A_array[0, 0], w.b_array[0]) == (1.0, 2.0, 3.0)
 
 
 class TestPositionCoefficients:
