@@ -7,20 +7,20 @@ in alpha and beta and nonincreasing in gamma; ``check_monotonicity``
 verifies that ordering empirically on a grid, and every swept value must lie
 between the critical and ideal bounds.
 
-Every sweep goes through one kernel, ``solve_grid``.  Under uniform
-whitening the matrix depends on gamma alone, the right-hand side on beta
-alone and the objective on alpha alone, so the positioned programs of one
-gamma slice share A and differ only in b and c.  A simplex basis S then
-gives, from one factorisation of B = [A | I][:, S], the basic solution for
-every beta of the slice and the dual vector for every alpha; the basis is
-optimal on the rectangle of primal-feasible betas times dual-feasible
-alphas (parametric programming, Gal 1995).  The kernel whitens every slice
-once, keeps the optimal bases found so far, and certifies each of them
-against the pending points of all slices at once, with one stacked
-factorisation per slice.  It solves only the points no cached basis
-certifies, slice by slice, each started from the latest cached basis that
-is primal feasible there, so that the simplex pivots on from it.  A
-sweep's first cached bases are those of its critical and ideal solves.
+Every sweep goes through ``solve_grid``, which hands its points to the
+stacked kernel ``greylp.lp_solver._solve_points``.  Under uniform whitening
+the matrix depends on gamma alone, the right-hand side on beta alone and
+the objective on alpha alone, so the positioned programs of one gamma
+slice share A and differ only in b and c (``grey_core._uniform_stack``
+whitens each slice once).  A simplex basis S then gives, from one
+factorisation of B = [A | I][:, S], the basic solution for every beta of
+the slice and the dual vector for every alpha; the basis is optimal on the
+rectangle of primal-feasible betas times dual-feasible alphas (parametric
+programming, Gal 1995).  The kernel certifies every optimal basis found so
+far at the pending points of all slices at once and solves only the
+points no cached basis certifies.  A sweep's first cached bases are the ones
+the same kernel cached while solving its critical and ideal values.  Each
+``solve_grid`` logs one INFO record with its counts.
 
 Tables render to CSV or Markdown with the presentation rounding used
 throughout: optimal values to 2 decimals, degrees to 4.
@@ -38,13 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SolverFailure, StructureError
-from .grey_core import (
-    GreyLP,
-    _whitened,
-    build_positioned,
-    uniform_coefficients,
-)
-from .lp_solver import SolveStatus, _certify, solve_max
+from .grey_core import GreyLP, _uniform_stack
+from .lp_solver import _solve_points
 from .satisfaction import _bounds, _validated, lambda_satisfactions, pleased_degrees
 
 __all__ = [
@@ -174,12 +169,9 @@ def solve_grid(p: GreyLP, triples) -> np.ndarray:
     Results equal those of solving each triple on its own
     (``solve_max(build_positioned(p, uniform_coefficients(...)))``), up to
     rounding; that solve is either optimal or unbounded, and any other
-    outcome raises :class:`SolverFailure`.  Every cached optimal
-    basis is checked at all points still pending, over all gamma slices at
-    once (see :func:`greylp.lp_solver._certify`).  Every point no basis
-    certifies is solved, in gamma order and then input order, from the
-    latest cached basis that is primal feasible there (cold if there is
-    none), and its optimal basis joins the cache and is checked in turn.
+    outcome raises :class:`SolverFailure`.  The points are solved by the
+    stacked kernel (see :func:`greylp.lp_solver._solve_points`), in gamma
+    order and then input order wherever no cached basis certifies them.
     One INFO record on the ``greylp.analysis`` logger reports the points,
     cold and warm-started solves, certified points, distinct bases and
     non-optimal (unbounded) points.
@@ -192,99 +184,15 @@ def solve_grid(p: GreyLP, triples) -> np.ndarray:
     return _solve_grid(p, _points(triples))
 
 
-def _by_slice(at: np.ndarray, v: np.ndarray, slices: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of ``v`` within each slice (``at`` gives each
-    point's slice) as the rows of a table, ascending and padded with zeros,
-    and each point's entry in the flattened table."""
-    values, vi = np.unique(v, return_inverse=True)
-    pairs, inverse = np.unique(at * len(values) + vi, return_inverse=True)
-    slice_of, value_of = np.divmod(pairs, len(values))
-    column = np.arange(len(pairs)) - np.searchsorted(slice_of, slice_of)
-    table = np.zeros((slices, column.max(initial=-1) + 1))
-    table[slice_of, column] = values[value_of]
-    return table, (slice_of * table.shape[1] + column)[inverse]
-
-
 def _solve_grid(p: GreyLP, pts: np.ndarray, bases=()) -> np.ndarray:
     """:func:`solve_grid` of a validated problem and checked points, with
     ``bases`` (optimal bases of other whitenings of ``p``) as the first
     cached bases."""
-    m, n = p.m, p.n
-
-    values = np.full(len(pts), np.nan)
-    cache: list[tuple[int, ...]] = []
-
-    def cached(basis) -> bool:
-        """Add ``basis`` to the cache unless it is there; True if it was
-        added."""
-        key = tuple(sorted(basis))
-        if key in cache:
-            return False
-        cache.append(key)
-        return True
-
-    for basis in bases:
-        cached(basis)
-    # Every gamma slice's [A | I], and its distinct objectives and
-    # right-hand sides, whitened once with build_positioned's formula, so
-    # each entry matches a cold solve's bit for bit.  Point k lies in slice
-    # at[k] and has objective ca[k] and right-hand side cb[k] of the
-    # flattened per-slice tables.
-    gammas, at = np.unique(pts[:, 2], return_inverse=True)
-    G = len(gammas)
-    alphas, ca = _by_slice(at, pts[:, 0], G)
-    betas, cb = _by_slice(at, pts[:, 1], G)
-    AI = np.concatenate(
-        [_whitened(gammas[:, None, None], p.A_lo, p.A_hi), np.broadcast_to(np.eye(m), (G, m, m))],
-        axis=2,
-    )
-    C = _whitened(alphas[..., None], p.c_lo, p.c_hi)
-    CI = np.concatenate([C, np.zeros(C.shape[:2] + (m,))], axis=2)
-    Bv = _whitened(betas[..., None], p.b_lo, p.b_hi)
-    pending = np.ones(len(pts), dtype=bool)
-    # Per point, the latest cached basis that is primal feasible there (-1
-    # for none): the start of the point's solve if no basis certifies it.
-    feasible = np.full(len(pts), -1)
-
-    def settle(which, first=0):
-        """Certify ``cache[which]`` at every pending point, all of them in
-        slice ``first`` or later."""
-        rows = np.flatnonzero(pending)
-        a, b = ca[rows], cb[rows]
-        a -= first * alphas.shape[1]
-        b -= first * betas.shape[1]
-        ok, f, primal, _, _ = _certify(AI[first:], CI[first:], Bv[first:], cache[which], a, b)
-        values[rows[ok]] = f[ok]
-        pending[rows[ok]] = False
-        feasible[rows[primal]] = which
-
-    for which in range(len(cache)):
-        if not pending.any():
-            break
-        settle(which)
-    cold = warm = 0
-    while pending.any():
-        j = int(np.where(pending, at, G).argmin())  # the first point of the first slice left
-        pending[j] = False
-        alpha, beta, gamma = pts[j].tolist()
-        lp = build_positioned(p, uniform_coefficients(alpha, beta, gamma, m, n))
-        start = cache[feasible[j]] if feasible[j] >= 0 else None
-        sol = solve_max(lp, start)
-        if start is None:
-            cold += 1
-        else:
-            warm += 1
-        if sol.status is not SolveStatus.OPTIMAL:
-            continue
-        values[j] = sol.objective
-        if cached(sol.basis):
-            settle(len(cache) - 1, first=at[j])
-
-    solved = cold + warm
+    values, cache, cold, warm = _solve_points(*_uniform_stack(p, pts), bases)
     _log.info(
         "solve_grid: %d points, %d cold solves, %d warm starts, %d certified, %d bases, "
         "%d non-optimal",
-        len(pts), cold, warm, len(pts) - solved, len(cache), int(np.isnan(values).sum()),
+        len(pts), cold, warm, len(pts) - cold - warm, len(cache), int(np.isnan(values).sum()),
     )
     return values
 

@@ -327,9 +327,10 @@ def _cmd_degrees(args) -> int:
     p = pf.problem
     k = _coefficients(args, p)
     # Parsing validated the problem.  The query is solved cold, as
-    # positioned_value solves it, and both bounds start from its basis.
+    # positioned_value solves it, and its basis is the bounds' first cached
+    # basis.
     sol = _solve_positioned(p, k)
-    vb, _ = _bounds(p, sol.basis)
+    vb, _ = _bounds(p, (sol.basis,))
     f = sol.objective
     mu = pleased_degree(f, vb)
     mu_tilde = lambda_satisfaction(f, vb, args.lam)

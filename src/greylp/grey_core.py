@@ -368,6 +368,43 @@ def uniform_coefficients(
     )
 
 
+def _by_slice(at: np.ndarray, v: np.ndarray, slices: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``v`` within each slice (``at`` gives each
+    point's slice) as the rows of a table, ascending and padded with zeros,
+    and each point's entry in the flattened table."""
+    values, vi = np.unique(v, return_inverse=True)
+    pairs, inverse = np.unique(at * len(values) + vi, return_inverse=True)
+    slice_of, value_of = np.divmod(pairs, len(values))
+    column = np.arange(len(pairs)) - np.searchsorted(slice_of, slice_of)
+    table = np.zeros((slices, column.max(initial=-1) + 1))
+    table[slice_of, column] = values[value_of]
+    return table, (slice_of * table.shape[1] + column)[inverse]
+
+
+def _uniform_stack(p: GreyLP, pts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The positioned programs of the uniform triples ``pts`` (N x 3 rows of
+    alpha, beta, gamma) as a stack of white programs, one slice per
+    distinct gamma: (A, C, Bv, at, ca, cb).
+
+    Under uniform whitening the matrix depends on gamma alone, the
+    objective on alpha alone and the right-hand side on beta alone.  So
+    slice g holds its matrix ``A[g]`` (G x m x n) and its distinct
+    objectives ``C[g]`` (G x ka x n) and right-hand sides ``Bv[g]`` (G x kb
+    x m), padded with zeros.  Point k lies in slice ``at[k]`` and has
+    objective ``ca[k]`` and right-hand side ``cb[k]`` of the flattened
+    per-slice tables.  Every entry is whitened with
+    :func:`build_positioned`'s formula, so it matches that function's
+    entry bit for bit.
+    """
+    gammas, at = np.unique(pts[:, 2], return_inverse=True)
+    alphas, ca = _by_slice(at, pts[:, 0], len(gammas))
+    betas, cb = _by_slice(at, pts[:, 1], len(gammas))
+    A = _whitened(gammas[:, None, None], p.A_lo, p.A_hi)
+    C = _whitened(alphas[..., None], p.c_lo, p.c_hi)
+    Bv = _whitened(betas[..., None], p.b_lo, p.b_hi)
+    return A, C, Bv, at, ca, cb
+
+
 def theta_coefficients(theta: float, m: int, n: int) -> PositionCoefficients:
     """Single-parameter whitening: alpha = beta = gamma = theta."""
     return uniform_coefficients(theta, theta, theta, m, n)

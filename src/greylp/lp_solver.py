@@ -7,17 +7,15 @@ from a feasible basis, cold from the all-slack one ([A | I | b], objective
 row c).  Bland's rule (lowest-index entering column; ratio ties broken by
 lowest row index) keeps every solve deterministic and terminating.
 
-A solve can also start from a known basis (``solve_max(lp, start)``),
-typically the optimal basis of a nearby program.  The basis is first
-certified as it stands (``_certify``: primal and dual feasibility, the
-feasibility post-check and a duality gap); if it is only primal feasible,
-phase 2 continues from the tableau rebuilt in that basis; anything else
-(a singular basis or one that names a column past the slacks, a wrong
-length, a primal infeasible start, an exhausted pivot budget, an unbounded
-ray or a failed post-check) falls back to the cold solve, which is the same
-solve as without a start.  One DEBUG record per solve on the
-``greylp.lp_solver`` logger names the start used (cold, certified or warm)
-and the pivots taken.
+Whitenings of one grey problem nearly always share an optimal basis, so
+``_solve_points`` solves a stack of programs that share each slice's
+matrix by reusing bases: it certifies every optimal basis found so far at
+every pending point of the stack at once (``_certify``: primal and dual
+feasibility, the feasibility post-check and a duality gap), pivots on by
+phase 2 from a cached basis that is primal feasible at a point, and solves
+cold with ``solve_max`` where there is none or that solve fails.  Each
+simplex solve logs one DEBUG record on the ``greylp.lp_solver`` logger
+naming its start (cold or warm), the pivots taken and the outcome.
 
 ``enumerate_vertices_oracle`` solves the same problem by enumerating basic
 points directly.  It shares nothing with the simplex path, so the two act as
@@ -100,10 +98,12 @@ def _bland_iterate(T: np.ndarray, basis: list[int], budget: int) -> tuple[str, i
             return "optimal", used, -1
         col = T[:m, enter]
         ratios.fill(np.inf)  # rows that do not limit the step
-        np.divide(T[:m, -1], col, out=ratios, where=col > _TOL_PIVOT)
+        with np.errstate(over="ignore"):
+            np.divide(T[:m, -1], col, out=ratios, where=col > _TOL_PIVOT)
         # argmin keeps the first minimum, so ties go to the lowest row.  A
         # running minimum started at +inf never picks a NaN or +inf ratio
-        # (only overflow makes one), so those rows are then left out.
+        # (only overflow makes one, silently), so those rows are then left
+        # out.
         row = int(ratios.argmin())
         if not ratios[row] < np.inf:
             usable = np.flatnonzero(ratios < np.inf)
@@ -217,12 +217,10 @@ def _certify(AI, CI, Bv, basis, ca, cb):
     own tests: basic values >= -tol, reduced costs <= tol, the post-check
     A.x <= b + feas tol, and a duality gap |c.x - y.b| <= tol * max(1,
     |f|).  One factorisation per program serves all its objectives and
-    right-hand sides.  Returns (mask, f, primal, xs, nonsingular):
-    ``mask[k]`` tells whether point k is certified, ``f[k]`` its optimal
-    value (meaningful only where the mask is set) and ``primal[k]`` whether
-    the basis is primal feasible there; ``xs[g, :, j]`` is the basic
-    solution for ``Bv[g, j]`` (snapped as the solver snaps), NaN where the
-    basis is singular in program g (``nonsingular[g]`` False).
+    right-hand sides.  Returns (mask, f, primal): ``mask[k]`` tells whether
+    point k is certified, ``f[k]`` its optimal value (meaningful only where
+    the mask is set) and ``primal[k]`` whether the basis is primal feasible
+    (and nonsingular) there.
     """
     m, width = AI.shape[1:]
     n = width - m
@@ -230,7 +228,6 @@ def _certify(AI, CI, Bv, basis, ca, cb):
     B = AI[:, :, S]
     xB, solved = _solve_stack(B, Bv.transpose(0, 2, 1))  # G x m x kb
     Y, solved_dual = _solve_stack(B.transpose(0, 2, 1), CI[:, :, S].transpose(0, 2, 1))
-    nonsingular = solved & solved_dual
     with np.errstate(invalid="ignore", over="ignore"):
         xs = np.zeros((len(AI), n, Bv.shape[1]))
         structural = S < n
@@ -238,7 +235,7 @@ def _certify(AI, CI, Bv, basis, ca, cb):
         xs[(xs < 0.0) & (xs > -_TOL_PIVOT)] = 0.0  # solve_max's snap
         primal = (xB >= -_TOL_PIVOT).all(axis=1)
         primal &= (Bv.transpose(0, 2, 1) - AI[:, :, :n] @ xs >= -_TOL_FEAS).all(axis=1)
-        primal &= nonsingular[:, None]
+        primal &= (solved & solved_dual)[:, None]
         nonbasic = np.ones(width, dtype=bool)
         nonbasic[S] = False
         AN = AI[:, :, nonbasic].transpose(0, 2, 1)
@@ -259,83 +256,109 @@ def _certify(AI, CI, Bv, basis, ca, cb):
             f[block] = fb = np.einsum("ij,ij->i", C.take(a, axis=0), X.take(b, axis=0))
             yb = np.einsum("ij,ij->i", Yr.take(a, axis=0), R.take(b, axis=0))
             ok[block] &= np.abs(fb - yb) <= _TOL_PIVOT * np.maximum(1.0, np.abs(fb))
-    return ok, f, primal, xs, nonsingular
+    return ok, f, primal
 
 
-def _solve_started(A, b, c, start) -> tuple[LPSolution | None, str, int]:
-    """The solve from the basis ``start``: (solution, "certified" or "warm",
-    pivots), or (None, reason, 0) when the start cannot be used and the
-    caller must solve cold."""
-    m, n = A.shape
-    S = np.asarray(start)
-    if S.shape != (m,):
-        return None, "wrong length", 0
-    if S.dtype.kind not in "iu" or S.min() < 0 or S.max() >= n + m:
-        return None, "not a column basis", 0
-    basis = S.tolist()
-    if len(set(basis)) != m:  # a repeated column
-        return None, "singular", 0
-    AI = np.hstack([A, np.eye(m)])
-    CI = np.concatenate([c, np.zeros(m)])
-    zero = np.zeros(1, dtype=np.intp)
-    ok, _, primal, xs, nonsingular = _certify(AI[None], CI[None, None], b[None, None], S, zero, zero)
-    if ok[0]:
-        x = xs[0, :, 0]
-        sol = LPSolution(
-            status=SolveStatus.OPTIMAL,
-            x=tuple(x.tolist()),
-            objective=float(c @ x),
-            basis=tuple(basis),
+def _require_nonnegative(b: np.ndarray) -> None:
+    """Raise :class:`DomainError` naming the first negative entry (in C
+    order) of the right-hand sides ``b``, whose last axis is the row."""
+    negative = np.flatnonzero(b < 0.0)
+    if len(negative):
+        k = int(negative[0])
+        raise DomainError(
+            f"solve_max needs b >= 0, but b[{k % b.shape[-1]}] = {float(b.flat[k])!r}"
         )
-        return sol, "certified", 0
-    if not nonsingular[0]:
-        return None, "singular", 0
-    if not primal[0]:
-        return None, "primal infeasible", 0
-    try:
-        sol, used = _phase2(A, b, c, S)
-    except SolverFailure:
-        return None, "pivot budget exhausted", 0
-    if sol is None:
-        return None, "failed post-check", 0
-    if sol.status is SolveStatus.UNBOUNDED:
-        # The cold solve finds the same status; its ray is the one reported.
-        return None, "unbounded", 0
-    return sol, "warm", used
 
 
-def solve_max(lp: WhiteLP, start=None) -> LPSolution:
-    """Maximize c.x subject to A.x <= b, x >= 0 by primal simplex, for
-    b >= 0.
-
-    ``start`` optionally names a basis to start from, as ``LPSolution.basis``
-    gives it (one column of [A | I] per constraint row).  It is returned at
-    once if it certifies as optimal, and phase 2 pivots on from it if it is
-    primal feasible; otherwise, and whenever the started solve does not end
-    in a checked optimum, the solve runs cold, exactly as without a start.
-    A started solve returns the cold solve's status and optimal value up to
-    rounding, but may return another optimal vertex where there are several.
+def solve_max(lp: WhiteLP) -> LPSolution:
+    """Maximize c.x subject to A.x <= b, x >= 0 by primal simplex from the
+    all-slack basis, for b >= 0.
 
     Deterministic for fixed input.  Raises :class:`DomainError` if some
     b_i < 0, and :class:`SolverFailure` if the pivot count exceeds
     50*(m+n), which signals a pathological instance.
     """
     A, b, c = lp.A_array, lp.b_array, lp.c_array
-    negative = np.flatnonzero(b < 0.0)
-    if len(negative):
-        i = int(negative[0])
-        raise DomainError(f"solve_max needs b >= 0, but b[{i}] = {float(b[i])!r}")
-    sol, used, rejected, pivots = None, "cold", "", 0
-    if start is not None:
-        sol, used, pivots = _solve_started(A, b, c, start)
-        if sol is None:
-            used, rejected = "cold", f" (start rejected: {used})"
+    _require_nonnegative(b)
+    sol, pivots = _phase2(A, b, c)
     if sol is None:
-        sol, pivots = _phase2(A, b, c)
-        if sol is None:
-            raise SolverFailure("solution failed the feasibility post-check")
-    _log.debug("solve_max: %s start%s, %d pivots, %s", used, rejected, pivots, sol.status.value)
+        raise SolverFailure("solution failed the feasibility post-check")
+    _log.debug("solve_max: cold start, %d pivots, %s", pivots, sol.status.value)
     return sol
+
+
+def _solve_points(A, C, Bv, at, ca, cb, bases=()):
+    """The optimal value of every point of a stack of white programs that
+    share each slice's matrix, as ``grey_core._uniform_stack`` lays it out.
+
+    Every cached optimal basis, starting with ``bases``, is certified at
+    all pending points of all slices at once (see :func:`_certify`).  Every
+    point no basis certifies is solved, in slice order and then input
+    order: by phase 2 from the latest cached basis that is primal feasible
+    there, or cold by :func:`solve_max` if there is none or that phase 2
+    does not end in a checked optimum or ray.  Its optimal basis joins the
+    cache and is certified in turn.
+
+    Returns (values, cache, cold, warm): each point's optimal value, NaN
+    where its program is unbounded; the cached bases as sorted tuples; and
+    the numbers of cold and warm solves.  Like :func:`solve_max`, it raises
+    :class:`DomainError` before any solve if some b_i < 0, so a program is
+    refused whether or not a cached basis would have certified it.
+    """
+    _require_nonnegative(Bv)
+    G, m, n = A.shape
+    ka, kb = C.shape[1], Bv.shape[1]
+    AI = np.concatenate([A, np.broadcast_to(np.eye(m), (G, m, m))], axis=2)
+    CI = np.concatenate([C, np.zeros((G, ka, m))], axis=2)
+    objectives, rhs = C.reshape(-1, n), Bv.reshape(-1, m)
+    values = np.full(len(at), np.nan)
+    cache = list(dict.fromkeys(tuple(sorted(basis)) for basis in bases))
+    pending = np.ones(len(at), dtype=bool)
+    # Per point, the latest cached basis that is primal feasible there (-1
+    # for none): the start of the point's solve if no basis certifies it.
+    feasible = np.full(len(at), -1)
+
+    def settle(which, first=0):
+        """Certify ``cache[which]`` at every pending point, all of them in
+        slice ``first`` or later."""
+        rows = np.flatnonzero(pending)
+        a, b = ca[rows] - first * ka, cb[rows] - first * kb
+        ok, f, primal = _certify(AI[first:], CI[first:], Bv[first:], cache[which], a, b)
+        values[rows[ok]] = f[ok]
+        pending[rows[ok]] = False
+        feasible[rows[primal]] = which
+
+    for which in range(len(cache)):
+        if not pending.any():
+            break
+        settle(which)
+    cold = warm = 0
+    while pending.any():
+        j = int(np.where(pending, at, G).argmin())  # the first point of the first slice left
+        pending[j] = False
+        s, c, b = at[j], objectives[ca[j]], rhs[cb[j]]
+        sol = None
+        if feasible[j] >= 0:
+            try:
+                sol, pivots = _phase2(A[s], b, c, np.array(cache[feasible[j]]))
+            except SolverFailure:
+                pivots = 50 * (m + n)
+            outcome = sol.status.value if sol is not None else "failed"
+            _log.debug("solve_max: warm start, %d pivots, %s", pivots, outcome)
+        if sol is None:
+            sol = solve_max(WhiteLP._of_arrays(c, A[s], b))
+            cold += 1
+        else:
+            warm += 1
+        if sol.status is not SolveStatus.OPTIMAL:
+            continue
+        values[j] = sol.objective
+        key = tuple(sorted(sol.basis))
+        if key not in cache:
+            cache.append(key)
+            if pending.any():
+                settle(len(cache) - 1, first=s)
+    return values, cache, cold, warm
 
 
 def _recession_directions(G: np.ndarray, n: int):

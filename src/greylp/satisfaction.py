@@ -14,6 +14,11 @@ positioned optimum is:
   the decision maker's attitude: 0 pessimistic, 1 optimistic.
 
 A degree is then accepted against a grey target [mu0, 1].
+
+The two bounds are uniform whitenings of one problem, so they are solved
+together by the stacked kernel (``greylp.lp_solver._solve_points``), which
+reuses one's optimal basis for the other and any bases the caller already
+has; a positioned program on its own is solved cold.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from .errors import (
     UnboundedValueError,
     ValidationError,
 )
-from .grey_core import GreyLP, PositionCoefficients, build_positioned, uniform_coefficients, validate_problem
-from .lp_solver import LPSolution, SolveStatus, solve_max
+from .grey_core import GreyLP, PositionCoefficients, _uniform_stack, build_positioned, validate_problem
+from .lp_solver import LPSolution, SolveStatus, _solve_points, solve_max
 
 __all__ = [
     "ValueBounds",
@@ -90,16 +95,14 @@ def _clamp(f: np.ndarray, vb: ValueBounds) -> np.ndarray:
     return np.where(vb.ideal < f, vb.ideal, f)
 
 
-def _solve_positioned(
-    p: GreyLP,
-    k: PositionCoefficients,
-    start=None,
-    unbounded: str = "positioned program is unbounded; satisfaction analysis is undefined",
-) -> LPSolution:
+_UNBOUNDED = "positioned program is unbounded; satisfaction analysis is undefined"
+
+
+def _solve_positioned(p: GreyLP, k: PositionCoefficients, unbounded: str = _UNBOUNDED) -> LPSolution:
     """The optimal solution of the positioned program of a validated ``p``,
-    solved from the basis ``start`` if one is given.  Raises
-    :class:`UnboundedValueError` with the message ``unbounded``."""
-    sol = solve_max(build_positioned(p, k), start)
+    solved cold.  Raises :class:`UnboundedValueError` with the message
+    ``unbounded``."""
+    sol = solve_max(build_positioned(p, k))
     if sol.status is SolveStatus.UNBOUNDED:
         raise UnboundedValueError(unbounded)
     return sol
@@ -117,16 +120,21 @@ def positioned_value(p: GreyLP, k: PositionCoefficients) -> float:
     return _solve_positioned(p, k).objective
 
 
-def _bounds(p: GreyLP, start=None) -> tuple[ValueBounds, tuple[tuple[int, ...], ...]]:
-    """The bounds of a validated ``p`` and the optimal bases of its critical
-    and ideal programs.  Both solves start from the basis ``start`` if one
-    is given; otherwise the critical solve is cold and the ideal one starts
-    from the critical basis."""
-    critical = _solve_positioned(p, uniform_coefficients(0, 0, 1, p.m, p.n), start)
-    start = critical.basis if start is None else start
-    ideal = _solve_positioned(p, uniform_coefficients(1, 1, 0, p.m, p.n), start)
-    vb = ValueBounds(critical=critical.objective, ideal=ideal.objective)
-    return vb, (critical.basis, ideal.basis)
+# The uniform triples of the critical and ideal programs.
+_BOUND_POINTS = np.array([(0.0, 0.0, 1.0), (1.0, 1.0, 0.0)])
+
+
+def _bounds(p: GreyLP, bases=()) -> tuple[ValueBounds, list[tuple[int, ...]]]:
+    """The bounds of a validated ``p`` and the optimal bases cached while
+    solving them, with ``bases`` (optimal bases of other whitenings of
+    ``p``) as the first cached bases (see
+    :func:`greylp.lp_solver._solve_points`).  Raises
+    :class:`UnboundedValueError` if a bound is unbounded."""
+    values, cache, _, _ = _solve_points(*_uniform_stack(p, _BOUND_POINTS), bases)
+    if np.isnan(values).any():
+        raise UnboundedValueError(_UNBOUNDED)
+    critical, ideal = values.tolist()
+    return ValueBounds(critical=critical, ideal=ideal), cache
 
 
 def bounds(p: GreyLP) -> ValueBounds:
@@ -226,17 +234,20 @@ def lambda_satisfaction(f: float, vb: ValueBounds, lam: float) -> float:
     return float(lambda_satisfactions(float(f), vb, lam))
 
 
+def _in_target(name: str, degree: float, mu0: float) -> bool:
+    """True iff ``degree`` (called ``name`` in errors) lands in the grey
+    target [mu0, 1]."""
+    for label, v in ((name, degree), ("mu0", mu0)):
+        if not (0.0 <= v <= 1.0):
+            raise DomainError(f"{label} must be in [0, 1], got {v}")
+    return degree >= mu0
+
+
 def is_pleased(mu: float, mu0: float) -> bool:
     """True iff the pleased degree lands in the grey target [mu0, 1]."""
-    for name, v in (("mu", mu), ("mu0", mu0)):
-        if not (0.0 <= v <= 1.0):
-            raise DomainError(f"{name} must be in [0, 1], got {v}")
-    return mu >= mu0
+    return _in_target("mu", mu, mu0)
 
 
 def is_lambda_satisfactory(mu_tilde: float, mu0: float) -> bool:
     """True iff the lambda-satisfaction degree lands in the grey target [mu0, 1]."""
-    for name, v in (("mu_tilde", mu_tilde), ("mu0", mu0)):
-        if not (0.0 <= v <= 1.0):
-            raise DomainError(f"{name} must be in [0, 1], got {v}")
-    return mu_tilde >= mu0
+    return _in_target("mu_tilde", mu_tilde, mu0)

@@ -183,14 +183,15 @@ class TestSolveGrid:
         assert record.getMessage() == "solve_grid: " + message
 
     def test_sweep_starts_from_the_bounds_bases(self, demo_problem, caplog):
-        # The critical solve is cold; the ideal program rejects the critical
-        # basis (it is primal infeasible there) and is solved cold too.  The
-        # two bases then certify the whole grid.
+        # The bounds are solved in slice order: the ideal program (gamma 0)
+        # cold, then the critical one cold too, since the ideal basis is
+        # primal infeasible there.  The two bases then certify the whole
+        # grid.
         with caplog.at_level(logging.DEBUG, logger="greylp"):
             grid_sweep(demo_problem, 0.05)
         assert [r.getMessage() for r in caplog.records] == [
+            "solve_max: cold start, 2 pivots, optimal",
             "solve_max: cold start, 3 pivots, optimal",
-            "solve_max: cold start (start rejected: primal infeasible), 2 pivots, optimal",
             "solve_grid: 9261 points, 0 cold solves, 0 warm starts, 9261 certified, 2 bases, "
             "0 non-optimal",
         ]

@@ -745,7 +745,9 @@ def _seeded_problem(size: int, seed: int) -> GreyLP:
 def test_cold_degrees_query_benchmark_smoke(benchmark, capsys, caplog, tmp_path):
     # One timed round with no time bound: a 60x60 query runs parse,
     # validate and whiten, solves its own setting cold and both bounds from
-    # that basis, and the suite does not depend on host speed.
+    # that basis, and the suite does not depend on host speed.  The ideal
+    # program pivots on from the query's basis; a cached basis certifies
+    # the critical one, which logs no record.
     p = _seeded_problem(60, seed=2012)
     path = tmp_path / "synthetic60.json"
     path.write_text(serialize_problem(ProblemFile(problem=p)), encoding="utf-8")
@@ -754,9 +756,7 @@ def test_cold_degrees_query_benchmark_smoke(benchmark, capsys, caplog, tmp_path)
         code = benchmark.pedantic(run, args=(argv,), rounds=1, iterations=1)
     assert code == 0
     starts = [r.getMessage().split(",")[0] for r in caplog.records]
-    assert starts[0] == "solve_max: cold start"
-    assert len(starts) == 3
-    assert set(starts[1:]) <= {"solve_max: certified start", "solve_max: warm start"}
+    assert starts == ["solve_max: cold start", "solve_max: warm start"]
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 5
     assert lines[0] == f"f = {positioned_value(p, theta_coefficients(0.3, 60, 60))!r}"

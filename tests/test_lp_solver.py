@@ -4,6 +4,7 @@ certificates, determinism, and cross-validation."""
 import logging
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from conftest import (
 )
 from greylp import (
     DomainError,
+    GreyLP,
     SolveStatus,
     SolverFailure,
+    UnboundedValueError,
     WhiteLP,
     build_positioned,
     enumerate_vertices_oracle,
@@ -29,6 +32,7 @@ from greylp import (
 )
 from greylp import lp_solver
 from greylp.lp_solver import _bland_iterate
+from greylp.satisfaction import _bounds
 
 # Loosest whitening of the bundled demo problem: upper objective/rhs bounds,
 # lower matrix bounds.  Optimum sits where rows 2 and 3 are active:
@@ -123,8 +127,8 @@ class TestUnbounded:
 
 
 # Programs with some b_i < 0, the index of the first, and a start of the
-# right length.  The all-slack basis is infeasible for them, and solve_max
-# refuses them before it looks at a start.
+# right length.  The all-slack basis is infeasible for them; solve_max
+# refuses them, and so does the stacked kernel even with a usable start.
 NEGATIVE_RHS = [
     (WhiteLP(c=(1,), A=((-1,), (1,)), b=(-2, 5)), 0, (0, 2)),
     (WhiteLP(c=(-1,), A=((-1,), (1,)), b=(-2, 5)), 0, (1, 2)),
@@ -142,7 +146,7 @@ class TestNegativeRhs:
     def test_is_refused_before_any_record(self, caplog, lp, first, start, started):
         with caplog.at_level(logging.DEBUG, logger="greylp"):
             with pytest.raises(DomainError) as exc:
-                solve_max(lp, start if started else None)
+                _started(lp, start) if started else solve_max(lp)
         assert str(exc.value) == (
             f"solve_max needs b >= 0, but b[{first}] = {float(lp.b_array[first])!r}"
         )
@@ -357,9 +361,16 @@ class TestVectorisedPricing:
         # takes: both report the column unbounded.
         WhiteLP(c=(1,), A=((1e-8,),), b=(1.7e308,)),
     ])
+    # reference_solve_max warns on the overflowing ratio.
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_hand_picked_cases(self, lp):
         assert _outcome(solve_max, lp) == _outcome(reference_solve_max, lp)
+
+    def test_overflowing_ratio_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_max(WhiteLP(c=(1,), A=((1e-8,),), b=(1.7e308,)))
+        assert sol.status is SolveStatus.UNBOUNDED
 
     def test_synthetic_problems_at_three_sizes(self):
         rng = random.Random(77)
@@ -370,25 +381,48 @@ class TestVectorisedPricing:
                 assert _outcome(solve_max, lp) == _outcome(reference_solve_max, lp)
 
 
+def _kernel(lp: WhiteLP, start):
+    """The stacked kernel on ``lp`` alone, with ``start`` as its one cached
+    basis: (value, cache, cold, warm)."""
+    one = np.zeros(1, dtype=np.intp)
+    values, cache, cold, warm = lp_solver._solve_points(
+        lp.A_array[None], lp.c_array[None, None], lp.b_array[None, None], one, one, one, (start,)
+    )
+    return values[0], cache, cold, warm
+
+
 def _started(lp: WhiteLP, start):
-    return _outcome(lambda lp: solve_max(lp, start), lp)
+    """What the kernel's solve of ``lp`` from ``start`` ends with: its value
+    as hex (``nan`` if unbounded) and its cold and warm solve counts, or the
+    failure it raised."""
+    try:
+        value, _, cold, warm = _kernel(lp, start)
+    except SolverFailure as exc:
+        return ("failure", str(exc))
+    return (float(value).hex(), cold, warm)
+
+
+def _as_cold_start(outcome):
+    """A cold ``_outcome`` as :func:`_started` reports one cold solve."""
+    if outcome[0] == "failure":
+        return outcome
+    value = outcome[2] if outcome[0] is SolveStatus.OPTIMAL else float("nan").hex()
+    return (value, 1, 0)
 
 
 def _assert_started_like_cold(lp: WhiteLP, start):
-    """``solve_max(lp, start)`` ends as the cold solve does: the same status
-    (or the same failure), an optimal value within 1e-9 * max(1, |f|) and an
-    x that passes the post-check.  An unbounded ray comes from the cold
-    solve, so that outcome is the cold one bit for bit."""
+    """The kernel's solve of ``lp`` from ``start`` ends as the cold solve
+    does: the same failure, NaN where the cold solve is unbounded, and
+    otherwise a value within 1e-9 * max(1, |f|) of the cold optimum f."""
     cold = _outcome(solve_max, lp)
     got = _started(lp, start)
-    assert got[0] == cold[0]
-    if cold[0] is SolveStatus.UNBOUNDED:
+    if cold[0] == "failure":
         assert got == cold
-    if cold[0] is SolveStatus.OPTIMAL:
-        f, g = float.fromhex(cold[2]), float.fromhex(got[2])
+    elif cold[0] is SolveStatus.UNBOUNDED:
+        assert got[0] == "nan"
+    else:
+        f, g = float.fromhex(cold[2]), float.fromhex(got[0])
         assert abs(g - f) <= 1e-9 * max(1.0, abs(f))
-        x = np.array([float.fromhex(v) for v in got[1]])
-        assert x.min() >= -1e-9 and (lp.b_array - lp.A_array @ x).min() >= -1e-7
 
 
 @st.composite
@@ -399,25 +433,46 @@ def _with_start(draw, lps):
     return lp, tuple(draw(st.permutations(range(lp.n + lp.m)))[: lp.m])
 
 
+def _bound_programs(p: GreyLP) -> list[WhiteLP]:
+    """The critical and ideal programs of ``p``."""
+    return [build_positioned(p, uniform_coefficients(*t, p.m, p.n)) for t in ((0, 0, 1), (1, 1, 0))]
+
+
+def _assert_bounds_like_cold(p: GreyLP, bases):
+    """``_bounds(p, bases)`` and ``_bounds(p)`` end as the cold solves of
+    the bound programs do: unbounded (``UnboundedValueError``) if one is,
+    and otherwise each bound within 1e-9 * max(1, |f|) of the cold optimum
+    f."""
+    cold = [solve_max(lp) for lp in _bound_programs(p)]
+    if any(sol.status is SolveStatus.UNBOUNDED for sol in cold):
+        for given_bases in (bases, ()):
+            with pytest.raises(UnboundedValueError):
+                _bounds(p, given_bases)
+        return
+    for given_bases in (bases, ()):
+        vb, _ = _bounds(p, given_bases)
+        for got, sol in zip((vb.critical, vb.ideal), cold):
+            assert abs(got - sol.objective) <= 1e-9 * max(1.0, abs(sol.objective))
+
+
 @st.composite
-def _grey_with_start(draw):
-    """A positioned program of a random grey problem (bounded, or loose and
-    sometimes unbounded) and, as its start, the optimal basis of another
-    whitening of the same problem."""
+def _grey_with_basis(draw):
+    """A random grey problem (bounded, or loose and sometimes unbounded) and
+    the optimal basis of one of its whitenings."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     make = random_bounded_problem if draw(st.booleans()) else random_loose_problem
     size = draw(st.sampled_from([None, 8]))
     p = make(rng, n=size, m=size)
-    triples = [random_triple(rng), grid_triple(rng), (0, 0, 1), (1, 1, 0)]
-    first, second = draw(st.permutations(triples))[:2]
-    other = solve_max(build_positioned(p, uniform_coefficients(*first, p.m, p.n)))
+    triple = draw(st.sampled_from([random_triple(rng), grid_triple(rng), (0, 0, 1), (1, 1, 0)]))
+    other = solve_max(build_positioned(p, uniform_coefficients(*triple, p.m, p.n)))
     assume(other.status is SolveStatus.OPTIMAL)
-    return build_positioned(p, uniform_coefficients(*second, p.m, p.n)), other.basis
+    return p, other.basis
 
 
 class TestWarmStart:
-    """``solve_max(lp, start)`` certifies the start, pivots on from it, or
-    falls back to the cold solve; it must end as the cold solve does."""
+    """The stacked kernel certifies a cached basis, pivots on from it, or
+    solves cold; for one program or for the bounds, it must end as the cold
+    solve does."""
 
     @given(case=_with_start(_mixed_sign_lps()))
     def test_phase1_cases(self, case):
@@ -431,37 +486,76 @@ class TestWarmStart:
     def test_degenerate_cases(self, case):
         _assert_started_like_cold(*case)
 
-    @given(case=_grey_with_start())
+    @given(case=_grey_with_basis())
     def test_start_from_another_whitening(self, case):
-        _assert_started_like_cold(*case)
+        p, basis = case
+        _assert_bounds_like_cold(p, (basis,))
 
     def test_synthetic_problems_at_three_sizes(self):
         rng = random.Random(77)
         for size in (10, 30, 60):
             p = random_bounded_problem(rng, n=size, m=size)
             query = solve_max(build_positioned(p, uniform_coefficients(0.3, 0.6, 0.4, size, size)))
-            for triple in ((0, 0, 1), (1, 1, 0), (0.7, 0.2, 0.9)):
-                lp = build_positioned(p, uniform_coefficients(*triple, p.m, p.n))
-                _assert_started_like_cold(lp, query.basis)
+            _assert_bounds_like_cold(p, (query.basis,))
 
     @pytest.mark.parametrize("lp", [LOOSE, TIGHT])
     def test_own_basis_certifies_without_pivots(self, lp, caplog):
         cold = solve_max(lp)
         with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
-            started = solve_max(lp, cold.basis[::-1])
-        assert [r.getMessage() for r in caplog.records] == [
-            "solve_max: certified start, 0 pivots, optimal"
-        ]
-        assert started.objective == pytest.approx(cold.objective, rel=1e-12)
-        assert started.basis == cold.basis[::-1]
+            value, cache, n_cold, n_warm = _kernel(lp, cold.basis[::-1])
+        assert caplog.records == []  # a certified point logs no record
+        assert (n_cold, n_warm) == (0, 0)
+        assert value == pytest.approx(cold.objective, rel=1e-12)
+        assert cache == [tuple(sorted(cold.basis))]
 
     def test_primal_feasible_start_pivots_on(self, caplog):
         # The slack basis of LOOSE is feasible but not optimal.
         with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
-            started = solve_max(LOOSE, (2, 3, 4))
+            value, _, n_cold, n_warm = _kernel(LOOSE, (2, 3, 4))
         [message] = [r.getMessage() for r in caplog.records]
         assert re.fullmatch(r"solve_max: warm start, [1-9]\d* pivots, optimal", message)
-        assert started.objective == pytest.approx(LOOSE_F, rel=1e-12)
+        assert (n_cold, n_warm) == (0, 1)
+        assert value == pytest.approx(LOOSE_F, rel=1e-12)
+
+    def test_primal_feasible_basis_pivots_on(self, demo_problem, caplog):
+        # The slack basis is primal feasible but not optimal at both bounds.
+        slack = tuple(range(demo_problem.n, demo_problem.n + demo_problem.m))
+        with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
+            vb, cache = _bounds(demo_problem, (slack,))
+        assert [r.getMessage() for r in caplog.records] == [
+            "solve_max: warm start, 2 pivots, optimal",
+            "solve_max: warm start, 3 pivots, optimal",
+        ]
+        assert vb == _bounds(demo_problem)[0]
+        assert cache[0] == slack and len(cache) == 3
+
+    @pytest.mark.parametrize("broken", ["_bland_iterate", "_vertex"])
+    def test_failed_warm_start_falls_back_to_cold(self, demo_problem, caplog, monkeypatch,
+                                                  broken):
+        # The first phase 2 exhausts its pivot budget or fails its
+        # post-check; that bound is then solved cold.
+        real = getattr(lp_solver, broken)
+        calls = []
+
+        def failing_once(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                return real(*args)
+            if broken == "_vertex":
+                return None
+            raise SolverFailure("simplex exceeded its iteration cap of 0 pivots")
+
+        slack = tuple(range(demo_problem.n, demo_problem.n + demo_problem.m))
+        expected = _bounds(demo_problem)[0]
+        monkeypatch.setattr(lp_solver, broken, failing_once)
+        with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
+            vb, _ = _bounds(demo_problem, (slack,))
+        assert vb == expected
+        assert [r.getMessage().rsplit(", ", 1)[1] for r in caplog.records] == [
+            "failed", "optimal", "optimal"
+        ]
+        starts = [r.getMessage().split(",")[0] for r in caplog.records]
+        assert starts == ["solve_max: warm start", "solve_max: cold start", "solve_max: warm start"]
 
 
 def _infeasible_start(draw, lp: WhiteLP):
@@ -480,27 +574,11 @@ def _infeasible_start(draw, lp: WhiteLP):
 
 @st.composite
 def _rejected_start(draw, lps):
-    """An LP and a start the solver must reject: of the wrong length, with a
-    column past the slacks, with a repeated column, with an all-zero column
-    (a singular basis) or primal infeasible."""
+    """An LP and a start the kernel cannot use: one with an all-zero column
+    (a singular basis) or one that is primal infeasible."""
     lp = draw(lps)
     m, n = lp.m, lp.n
-    columns = list(draw(st.permutations(range(n + m))))
-    kind = draw(st.sampled_from(["short", "long", "past the slacks", "repeated", "zero", "infeasible"]))
-    if kind == "short":
-        return lp, tuple(columns[: m - 1])
-    if kind == "long":
-        return lp, tuple(columns[: m + 1])
-    if kind == "past the slacks":
-        start = columns[:m]
-        start[draw(st.integers(0, m - 1))] = n + m + draw(st.integers(0, 2))
-        return lp, tuple(start)
-    if kind == "repeated":
-        assume(m > 1)
-        start = columns[:m]
-        start[-1] = start[0]
-        return lp, tuple(start)
-    if kind == "zero":
+    if draw(st.booleans()):
         j = draw(st.integers(0, n - 1))
         A = lp.A_array.copy()
         A[:, j] = 0.0
@@ -511,45 +589,38 @@ def _rejected_start(draw, lps):
 
 
 class TestRejectedStart:
-    """A start that cannot be used gives the cold solve bit for bit."""
+    """A cached basis that cannot be used gives one cold solve, whose value
+    the kernel keeps bit for bit."""
 
     @given(case=_rejected_start(_mixed_sign_lps()))
     def test_phase1_cases(self, case):
         lp, start = case
-        assert _started(lp, start) == _outcome(solve_max, lp)
+        assert _started(lp, start) == _as_cold_start(_outcome(solve_max, lp))
 
     @given(case=_rejected_start(_unbounded_lps()))
     def test_unbounded_cases(self, case):
         lp, start = case
-        assert _started(lp, start) == _outcome(solve_max, lp)
+        assert _started(lp, start) == _as_cold_start(_outcome(solve_max, lp))
 
     @given(case=_rejected_start(_degenerate_lps()))
     def test_degenerate_cases(self, case):
         lp, start = case
-        assert _started(lp, start) == _outcome(solve_max, lp)
+        assert _started(lp, start) == _as_cold_start(_outcome(solve_max, lp))
 
     @given(case=_rejected_start(_badly_scaled_lps()))
     def test_badly_scaled_cases(self, case):
         lp, start = case
-        assert _started(lp, start) == _outcome(solve_max, lp)
+        assert _started(lp, start) == _as_cold_start(_outcome(solve_max, lp))
 
-    @pytest.mark.parametrize("start, reason", [
-        ((), "wrong length"),
-        ((0, 1), "wrong length"),
-        ((0, 1, 5), "not a column basis"),
-        ((0, 1, -1), "not a column basis"),
-        ((0.0, 1.0, 2.0), "not a column basis"),
-        ((0, 0, 2), "singular"),
-        ((2, 3, 4, 0), "wrong length"),
-    ])
-    def test_unusable_starts_are_logged(self, caplog, start, reason):
+    # Every basis of LOOSE with a negative basic value.
+    @pytest.mark.parametrize("start", [(0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 3, 4), (1, 2, 4),
+                                       (1, 3, 4)])
+    def test_primal_infeasible_starts_log_only_the_cold_solve(self, caplog, start):
         with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
             got = _started(LOOSE, start)
-        assert got == _outcome(solve_max, LOOSE)
-        assert re.fullmatch(
-            rf"solve_max: cold start \(start rejected: {reason}\), \d+ pivots, optimal",
-            caplog.records[0].getMessage(),
-        )
+        [record] = caplog.records
+        assert re.fullmatch(r"solve_max: cold start, \d+ pivots, optimal", record.getMessage())
+        assert got == _as_cold_start(_outcome(solve_max, LOOSE))
 
     def test_exhausted_budget_falls_back(self, monkeypatch):
         calls = []
@@ -561,7 +632,7 @@ class TestRejectedStart:
             return _bland_iterate(*args)
 
         monkeypatch.setattr(lp_solver, "_bland_iterate", failing_once)
-        assert _started(LOOSE, (2, 3, 4)) == _outcome(solve_max, LOOSE)
+        assert _started(LOOSE, (2, 3, 4)) == _as_cold_start(_outcome(solve_max, LOOSE))
         assert len(calls) == 3  # the warm start, then the cold solve twice
 
     def test_failed_post_check_falls_back(self, monkeypatch):
@@ -573,15 +644,16 @@ class TestRejectedStart:
             return None if len(calls) == 1 else vertex(*args)
 
         monkeypatch.setattr(lp_solver, "_vertex", failing_once)
-        assert _started(LOOSE, (2, 3, 4)) == _outcome(solve_max, LOOSE)
+        assert _started(LOOSE, (2, 3, 4)) == _as_cold_start(_outcome(solve_max, LOOSE))
         assert len(calls) == 3  # the warm start, then the cold solve twice
 
 
 def test_badly_scaled_start_can_end_away_from_the_cold_solve():
     # The solver's tolerances are absolute (the scale defect in ROADMAP item
     # 2), so at tiny scales "optimal" depends on the path.  Cold, the reduced
-    # cost 1e-9 does not exceed the tolerance and x = 0 is reported; started
-    # from the basis {x}, the basis certifies and the true optimum 1e-8 is.
+    # cost 1e-9 does not exceed the tolerance and x = 0 is reported; with
+    # the basis {x} cached, the kernel certifies it and reports the true
+    # optimum 1e-8.
     lp = WhiteLP(c=(1e-9,), A=((0.1,),), b=(1.0,))
     assert solve_max(lp).objective == 0.0
-    assert solve_max(lp, (0,)).objective == pytest.approx(1e-8, rel=1e-12)
+    assert _kernel(lp, (0,))[0] == pytest.approx(1e-8, rel=1e-12)
