@@ -48,7 +48,7 @@ from .grey_core import (
     validate_problem,
     whiten,
 )
-from .lp_solver import LPSolution, SolveStatus, enumerate_vertices_oracle, solve_max
+from .lp_solver import LPSolution, SolveStatus, solve_max
 from .satisfaction import (
     ValueBounds,
     bounds,
@@ -81,7 +81,6 @@ __all__ = [
     "SolveStatus",
     "LPSolution",
     "solve_max",
-    "enumerate_vertices_oracle",
     # satisfaction
     "ValueBounds",
     "positioned_value",

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import DomainError, SolverFailure, StructureError
 from .grey_core import GreyLP, _uniform_stack
 from .lp_solver import _solve_points
-from .satisfaction import _bounds, _validated, lambda_satisfactions, pleased_degrees
+from .satisfaction import _bounds, _lam, _validated, lambda_satisfactions, pleased_degrees
 
 __all__ = [
     "SweepTable",
@@ -239,11 +239,12 @@ def lambda_sweep(p: GreyLP, settings, lambdas) -> SweepTable:
     ``lambdas`` grid.
 
     Rows are sorted lexicographically by triple.  The result renders
-    pivoted: one row per lambda, one column per triple.
+    pivoted: one row per lambda, one column per triple.  A bad lambda
+    raises :class:`DomainError` before anything is solved.
     """
     pts = _points(list(settings))
     pts = pts[np.lexsort(pts.T[::-1])]
-    lambdas = tuple(float(v) for v in lambdas)
+    lambdas = tuple(_lam(v) for v in lambdas)
     labels = ("lambda",) + tuple(_triple_label(tuple(t)) for t in pts.tolist())
     return _scored(p, pts, labels, lambdas, pivoted=True)
 
@@ -252,10 +253,11 @@ def grid_sweep(p: GreyLP, step: float, lambdas=()) -> SweepTable:
     """Positioned values and degrees for every uniform triple on the cubic
     grid with the given step, in lexicographic order.
 
-    ``lambdas`` optionally adds a satisfaction-degree column per value.
+    ``lambdas`` optionally adds a satisfaction-degree column per value; a
+    bad lambda raises :class:`DomainError` before anything is solved.
     """
     grid = unit_grid(step)
-    lambdas = tuple(float(v) for v in lambdas)
+    lambdas = tuple(_lam(v) for v in lambdas)
     labels = ("alpha", "beta", "gamma", "f", "mu") + tuple(
         "mu_tilde[%g]" % lam for lam in lambdas
     )

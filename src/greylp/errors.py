@@ -7,8 +7,8 @@ class GreyLPError(Exception):
 
 class DomainError(GreyLPError, ValueError):
     """A scalar argument is outside its allowed range (e.g. a position
-    coefficient not in [0, 1], an integer too large for a float, or an
-    oracle call on too many variables)."""
+    coefficient not in [0, 1], an integer too large for a float, or a
+    value bound that is not finite)."""
 
 
 class StructureError(GreyLPError, ValueError):
@@ -45,7 +45,8 @@ class InconsistentInputsError(GreyLPError, ValueError):
 
 class SolverFailure(GreyLPError, RuntimeError):
     """The simplex solver exceeded its iteration cap or produced a solution
-    that fails the feasibility post-check; the instance is pathological."""
+    that fails the post-check (infeasible, or not finite because the
+    optimum overflows); the instance is pathological."""
 
 
 class DegenerateBoundsWarning(UserWarning):

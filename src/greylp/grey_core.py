@@ -355,6 +355,8 @@ def uniform_coefficients(
     ``(1, 1, 0)`` selects the ideal endpoint (upper objective and rhs bounds,
     lower matrix bounds); ``(0, 0, 1)`` selects the critical endpoint.
     """
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (m, n)):
+        raise StructureError(f"m and n must be integers, got m={m!r}, n={n!r}")
     if m < 1 or n < 1:
         raise StructureError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     alpha, beta, gamma = float(alpha), float(beta), float(gamma)

@@ -1,4 +1,4 @@
-"""Dense simplex solver for white max-LPs, plus a brute-force oracle.
+"""Dense simplex solver for white max-LPs.
 
 Problems have the form: maximize c.x subject to A.x <= b, x >= 0, with
 b >= 0 as in every positioned program of a valid grey problem.  So x = 0
@@ -17,16 +17,16 @@ cold with ``solve_max`` where there is none or that solve fails.  Each
 simplex solve logs one DEBUG record on the ``greylp.lp_solver`` logger
 naming its start (cold or warm), the pivots taken and the outcome.
 
-``enumerate_vertices_oracle`` solves the same problem by enumerating basic
-points directly.  It shares nothing with the simplex path, so the two act as
-independent checks on each other.
+A solve is post-checked in floating point only: x >= 0, A.x <= b, and a
+finite tableau and objective.  ``tests/conftest.py`` proves the returned
+basis or ray exactly, in rational arithmetic on the float data, and the
+tests take that as ground truth.
 """
 
 from __future__ import annotations
 
 import contextlib
 import enum
-import itertools
 import logging
 from dataclasses import dataclass
 
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DomainError, SolverFailure
 from .grey_core import WhiteLP
 
-__all__ = ["SolveStatus", "LPSolution", "solve_max", "enumerate_vertices_oracle"]
+__all__ = ["SolveStatus", "LPSolution", "solve_max"]
 
 # Reduced-cost / ratio-test tolerance and post-hoc feasibility tolerance.
 # 1e-9 leaves double-precision headroom at desk-scale magnitudes (~1e5);
@@ -51,7 +51,6 @@ _log = logging.getLogger(__name__)
 class SolveStatus(str, enum.Enum):
     OPTIMAL = "optimal"
     UNBOUNDED = "unbounded"
-    INFEASIBLE = "infeasible"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
@@ -98,12 +97,11 @@ def _bland_iterate(T: np.ndarray, basis: list[int], budget: int) -> tuple[str, i
             return "optimal", used, -1
         col = T[:m, enter]
         ratios.fill(np.inf)  # rows that do not limit the step
-        with np.errstate(over="ignore"):
-            np.divide(T[:m, -1], col, out=ratios, where=col > _TOL_PIVOT)
+        np.divide(T[:m, -1], col, out=ratios, where=col > _TOL_PIVOT)
         # argmin keeps the first minimum, so ties go to the lowest row.  A
         # running minimum started at +inf never picks a NaN or +inf ratio
-        # (only overflow makes one, silently), so those rows are then left
-        # out.
+        # (only overflow makes one; see _phase2), so those rows are then
+        # left out.
         row = int(ratios.argmin())
         if not ratios[row] < np.inf:
             usable = np.flatnonzero(ratios < np.inf)
@@ -134,7 +132,9 @@ def _extract_ray(T: np.ndarray, basis: list[int], enter: int, n: int) -> tuple[f
 
 def _vertex(T: np.ndarray, basis: list[int], A, b, c) -> LPSolution | None:
     """The optimal solution read from the final tableau ``T``, or None if it
-    fails the feasibility post-check."""
+    fails the post-check: x >= 0, A.x <= b, and a finite tableau and
+    objective (pricing skips a NaN reduced cost, so such a tableau proves
+    nothing)."""
     m, n = A.shape
     x = np.zeros(T.shape[1] - 1)
     x[basis] = T[:m, -1]
@@ -142,9 +142,11 @@ def _vertex(T: np.ndarray, basis: list[int], A, b, c) -> LPSolution | None:
     xs[(xs < 0.0) & (xs > -_TOL_PIVOT)] = 0.0
 
     slack = b - A @ xs
-    if slack.min() < -_TOL_FEAS or xs.min() < -_TOL_PIVOT:
-        return None
     objective = float(c @ xs)
+    # Negated, the comparisons refuse a NaN slack too.
+    if not (slack.min() >= -_TOL_FEAS and xs.min() >= -_TOL_PIVOT
+            and np.isfinite(objective) and np.isfinite(T).all()):
+        return None
     return LPSolution(
         status=SolveStatus.OPTIMAL,
         x=tuple(xs.tolist()),
@@ -153,11 +155,14 @@ def _vertex(T: np.ndarray, basis: list[int], A, b, c) -> LPSolution | None:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _phase2(A, b, c, S=None) -> tuple[LPSolution | None, int]:
     """Phase 2 from the primal feasible basis ``S`` (the all-slack one if
     None): the optimal or unbounded solution, None if it fails the
     post-check, and the pivots.  Raises :class:`SolverFailure` past the
-    pivot budget."""
+    pivot budget.  numpy's overflow and invalid warnings are off: an
+    overflowing ratio is left out, and an optimum that overflows fails the
+    post-check."""
     m, n = A.shape
     T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = A
@@ -359,81 +364,3 @@ def _solve_points(A, C, Bv, at, ca, cb, bases=()):
             if pending.any():
                 settle(len(cache) - 1, first=s)
     return values, cache, cold, warm
-
-
-def _recession_directions(G: np.ndarray, n: int):
-    """Candidate extreme-ray directions: axis-aligned plus the null spaces of
-    every (n-1)-subset of constraint rows, both signs."""
-    for j in range(n):
-        d = np.zeros(n)
-        d[j] = 1.0
-        yield d
-    if n < 2:
-        return
-    rows = range(G.shape[0])
-    for subset in itertools.combinations(rows, n - 1):
-        M = G[list(subset), :]
-        _, s, vh = np.linalg.svd(M)
-        rank = int(np.sum(s > 1e-9 * max(1.0, s[0] if s.size else 0.0)))
-        for v in vh[rank:]:
-            norm = np.abs(v).max()
-            if norm <= 0.0:
-                continue
-            yield v / norm
-            yield -v / norm
-
-
-def enumerate_vertices_oracle(lp: WhiteLP) -> LPSolution:
-    """Brute-force reference solve for small instances (n <= 4).
-
-    Enumerates every intersection of n hyperplanes drawn from the m
-    constraint rows plus the n axis planes, keeps the feasible ones, and
-    returns the best by objective.  Unboundedness is detected by scanning
-    axis-aligned and edge directions of the recession cone.  Independent of
-    the simplex path by construction.
-    """
-    n, m = lp.n, lp.m
-    if n > 4:
-        raise DomainError(f"vertex enumeration supports at most 4 variables, got {n}")
-    A, b, c = lp.A_array, lp.b_array, lp.c_array
-
-    G = np.vstack([A, -np.eye(n)])
-    h = np.concatenate([b, np.zeros(n)])
-
-    best_x = None
-    best_obj = -np.inf
-    for subset in itertools.combinations(range(m + n), n):
-        S = list(subset)
-        try:
-            x = np.linalg.solve(G[S, :], h[S])
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(x)):
-            continue
-        if np.max(np.abs(G[S, :] @ x - h[S])) > 1e-6:
-            continue  # solve was numerically meaningless
-        if np.any(A @ x > b + _TOL_FEAS) or np.any(x < -_TOL_PIVOT):
-            continue
-        obj = float(c @ x)
-        if obj > best_obj:
-            best_obj = obj
-            best_x = x
-
-    if best_x is None:
-        return LPSolution(status=SolveStatus.INFEASIBLE)
-
-    for d in _recession_directions(G, n):
-        if np.all(d >= -_TOL_PIVOT) and np.all(A @ d <= _TOL_PIVOT) and c @ d > _TOL_PIVOT:
-            ray = d.copy()
-            ray[ray < 0.0] = 0.0
-            return LPSolution(
-                status=SolveStatus.UNBOUNDED, ray=tuple(float(v) for v in ray)
-            )
-
-    best_x = best_x.copy()
-    best_x[(best_x < 0.0) & (best_x > -_TOL_PIVOT)] = 0.0
-    return LPSolution(
-        status=SolveStatus.OPTIMAL,
-        x=tuple(float(v) for v in best_x),
-        objective=float(c @ best_x),
-    )

@@ -23,6 +23,7 @@ has; a positioned program on its own is solved cold.
 
 from __future__ import annotations
 
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -54,7 +55,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ValueBounds:
-    """The critical (pessimistic) and ideal (optimistic) optimal values."""
+    """The critical (pessimistic) and ideal (optimistic) optimal values, both
+    finite."""
 
     critical: float
     ideal: float
@@ -62,6 +64,8 @@ class ValueBounds:
     def __post_init__(self):
         object.__setattr__(self, "critical", float(self.critical))
         object.__setattr__(self, "ideal", float(self.ideal))
+        if not (math.isfinite(self.critical) and math.isfinite(self.ideal)):
+            raise DomainError(f"value bounds must be finite, got {self.critical}, {self.ideal}")
         if self.critical > self.ideal + _value_tol(self):
             raise InconsistentInputsError(
                 f"critical value {self.critical} exceeds ideal value {self.ideal}"
@@ -193,14 +197,24 @@ def pleased_degree(f: float, vb: ValueBounds) -> float:
     )
 
 
+def _lam(lam) -> float:
+    """``lam`` as a float; :class:`DomainError` unless it is a number in
+    [0, 1]."""
+    try:
+        lam = float(lam)
+    except (TypeError, ValueError):
+        raise DomainError(f"lam must be a number in [0, 1], got {lam!r}") from None
+    if not (0.0 <= lam <= 1.0):
+        raise DomainError(f"lam must be in [0, 1], got {lam}")
+    return lam
+
+
 def lambda_satisfactions(f, vb: ValueBounds, lam: float) -> np.ndarray:
     """Attitude-weighted satisfaction degree of every value in ``f`` (an
     array or a number) between the bounds; see :func:`lambda_satisfaction`.
     Degenerate bounds give 1 everywhere and one
     :class:`DegenerateBoundsWarning` per call."""
-    lam = float(lam)
-    if not (0.0 <= lam <= 1.0):
-        raise DomainError(f"lam must be in [0, 1], got {lam}")
+    lam = _lam(lam)
     f = np.asarray(f, dtype=float)
     if vb.is_degenerate:
         warnings.warn(

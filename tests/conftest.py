@@ -1,4 +1,5 @@
-"""Shared fixtures, random-problem generators, and the acceptance summary.
+"""Shared fixtures, random-problem generators, the exact check of solver
+answers, and the acceptance summary.
 
 Acceptance tests register their outcome via :func:`record_acceptance`; a
 terminal-summary hook then prints one pass/fail line per criterion after the
@@ -13,6 +14,7 @@ import io
 import math
 import pathlib
 import random
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -154,6 +156,67 @@ def reference_grid(p: GreyLP, triples):
         sol = solve_max(build_positioned(p, uniform_coefficients(alpha, beta, gamma, p.m, p.n)))
         out.append((sol.status, sol.objective))
     return out
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _exact_solve(M, rhs):
+    """The solution z of M z = rhs (square, lists of Fractions) by
+    Gauss-Jordan elimination, or None if M is singular."""
+    rows = [row + [r] for row, r in zip(M, rhs)]
+    for j in range(len(rows)):
+        pivot = next((i for i in range(j, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            return None
+        rows[j], rows[pivot] = rows[pivot], rows[j]
+        head = rows[j][j]
+        rows[j] = [v / head for v in rows[j]]
+        for i, row in enumerate(rows):
+            if i != j and row[j]:
+                factor = row[j]
+                rows[i] = [a - factor * p for a, p in zip(row, rows[j])]
+    return [row[-1] for row in rows]
+
+
+def exact_check(lp: WhiteLP, sol: LPSolution):
+    """Prove ``sol``, what ``solve_max`` returned for ``lp``, exactly: in
+    rational arithmetic on the float data of ``lp``, which every float is.
+
+    An optimal ``sol`` names a basis B of the columns of [A | I].  It is
+    proven optimal when B x_B = b and B^T y = c_B have solutions with
+    x_B >= 0 (primal) and every reduced cost c_j - a_j.y <= 0 (dual); the
+    optimum is then c_B.x_B.  An unbounded ``sol`` is proven by its ray d:
+    d >= 0, A.d <= 0 and c.d > 0.  Returns ``("optimal", the exact optimum
+    as a Fraction)`` or ``("unbounded", None)``, and otherwise the first
+    condition that failed: ``("singular" | "primal" | "dual" | "ray",
+    None)``.
+    """
+    A = [[Fraction(v) for v in row] for row in lp.A_array.tolist()]
+    b = [Fraction(v) for v in lp.b_array.tolist()]
+    c = [Fraction(v) for v in lp.c_array.tolist()]
+    m, n = lp.m, lp.n
+    if sol.status is SolveStatus.UNBOUNDED:
+        d = [Fraction(v) for v in sol.ray]
+        proven = min(d) >= 0 and all(_dot(row, d) <= 0 for row in A) and _dot(c, d) > 0
+        return ("unbounded", None) if proven else ("ray", None)
+    columns = [[row[j] for row in A] for j in range(n)]
+    columns += [[Fraction(int(i == k)) for i in range(m)] for k in range(m)]
+    cost = c + [Fraction(0)] * m
+    S = list(sol.basis)
+    if len(set(S)) != m:
+        return ("singular", None)
+    BT = [columns[j] for j in S]
+    xB = _exact_solve([list(r) for r in zip(*BT)], b)
+    if xB is None:
+        return ("singular", None)
+    if min(xB) < 0:
+        return ("primal", None)
+    y = _exact_solve(BT, [cost[j] for j in S])  # B^T is nonsingular too
+    if any(cost[j] > _dot(columns[j], y) for j in range(n + m) if j not in S):
+        return ("dual", None)
+    return ("optimal", _dot([cost[j] for j in S], xB))
 
 
 _TOL_PIVOT = 1e-9

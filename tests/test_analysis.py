@@ -315,6 +315,24 @@ class TestGridSweep:
         with pytest.raises(UnboundedValueError):
             grid_sweep(p, 0.5)
 
+    @pytest.mark.parametrize("sweep", [
+        lambda p, lambdas: grid_sweep(p, 0.25, lambdas=lambdas),
+        lambda p, lambdas: lambda_sweep(p, ((0.5, 0.5, 0.5),), lambdas),
+    ], ids=["grid_sweep", "lambda_sweep"])
+    @pytest.mark.parametrize("lambdas, message", [
+        ((2.0,), r"lam must be in \[0, 1\], got 2.0"),
+        ((0.5, -0.1), r"lam must be in \[0, 1\], got -0.1"),
+        ((math.nan,), r"lam must be in \[0, 1\], got nan"),
+        (("x",), r"lam must be a number in \[0, 1\], got 'x'"),
+        ((0.5, None), r"lam must be a number in \[0, 1\], got None"),
+    ], ids=["above", "below", "nan", "text", "none"])
+    def test_bad_lambdas_are_refused_before_any_solve(self, demo_problem, caplog, sweep,
+                                                      lambdas, message):
+        with caplog.at_level(logging.DEBUG, logger="greylp"):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                sweep(demo_problem, lambdas)
+        assert caplog.records == []
+
 
 class TestCheckMonotonicity:
     @pytest.mark.parametrize("axis", ["alpha", "beta", "gamma"])

@@ -391,6 +391,22 @@ class TestExitCodes:
         assert run(["bounds", "--file", uncapped_file]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--precise"],
+        ["sweep", "--step", "0.5", "--lambdas", "0.5"],
+        ["solve", "--alpha", "0.5", "--beta", "0.5", "--gamma", "0.5"],
+    ], ids=["bounds", "sweep", "solve"])
+    def test_optimum_that_overflows_exits_2(self, capsys, tmp_path, argv):
+        # A valid file whose optima pass float range: one error line and no
+        # inf printed.  numpy's overflow RuntimeWarning would fail the test,
+        # as every unexpected warning does in this suite.
+        path = tmp_path / "overflow.json"
+        path.write_text(
+            '{"objective": [[1e308, 1.5e308]], "matrix": [[[1, 1]]], "rhs": [[1e308, 1.2e308]]}'
+        )
+        assert run([*argv, "--file", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: solution failed the feasibility post-check\n")
+
     @pytest.mark.parametrize("argv", GRID_COMMANDS, ids=["monotonicity", "sweep", "satisfactory"])
     def test_grid_too_large_to_allocate_exits_2(self, capsys, demo_file, argv):
         # numpy refuses the 1000001**3 cube of this step at once, before

@@ -237,6 +237,14 @@ class TestUniformAndTheta:
             uniform_coefficients(0.5, 0.5, 0.5, m=0, n=2)
         with pytest.raises(StructureError):
             uniform_coefficients(0.5, 0.5, 0.5, m=2, n=0)
+        # Sizes that are not integers, however close.
+        for m, n in ((2, 2.7), (2.0, 2), (True, 2), ("2", 2), (None, 2), (np.float64(2), 2)):
+            with pytest.raises(StructureError, match="^m and n must be integers, got "):
+                uniform_coefficients(0.5, 0.5, 0.5, m, n)
+        with pytest.raises(StructureError, match=r"^m and n must be integers, got m=1.5, n=1$"):
+            theta_coefficients(0.5, 1.5, 1)
+        k = uniform_coefficients(0.5, 0.5, 0.5, np.int64(2), np.int32(3))
+        assert k.gamma_array.shape == (2, 3)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):

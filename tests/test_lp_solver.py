@@ -1,10 +1,11 @@
-"""Simplex solver and vertex-enumeration oracle: known optima, statuses,
-certificates, determinism, and cross-validation."""
+"""Simplex solver: known optima, statuses, certificates, determinism, and
+answers proven by the exact rational check of ``conftest.exact_check``."""
 
 import logging
 import random
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import (
+    exact_check,
     grid_triple,
     random_bounded_problem,
     random_loose_problem,
@@ -21,12 +23,13 @@ from conftest import (
 from greylp import (
     DomainError,
     GreyLP,
+    LPSolution,
     SolveStatus,
     SolverFailure,
     UnboundedValueError,
     WhiteLP,
+    bounds,
     build_positioned,
-    enumerate_vertices_oracle,
     solve_max,
     uniform_coefficients,
 )
@@ -178,13 +181,43 @@ class TestDeterminismAndDegeneracy:
             _bland_iterate(T, [1], budget=0)
 
 
-class TestOracle:
+class TestExactCheck:
+    """``exact_check`` proves what ``solve_max`` returns in rational
+    arithmetic; the first tests check the checker itself."""
+
+    def test_proves_the_demo_bounds(self, demo_problem, demo_bounds):
+        # The bounds that `bounds --precise` prints, bit for bit.
+        printed = (20657.71812080537, 74783.50515463918)
+        assert (demo_bounds.critical, demo_bounds.ideal) == printed
+        want = (Fraction(3078000, 149), Fraction(7254000, 97))
+        for lp, exact, bound in zip(_bound_programs(demo_problem), want, printed):
+            assert exact_check(lp, solve_max(lp)) == ("optimal", exact)
+            assert float(exact) == bound
+
+    def test_rejects_the_demo_slack_basis(self, demo_problem):
+        # x = 0 is feasible, but every variable has a positive reduced cost.
+        slack = LPSolution(SolveStatus.OPTIMAL, basis=(2, 3, 4))
+        for lp in _bound_programs(demo_problem):
+            assert exact_check(lp, slack) == ("dual", None)
+
+    @pytest.mark.parametrize("lp, sol, failed", [
+        (LOOSE, LPSolution(SolveStatus.OPTIMAL, basis=(0, 1, 3)), "primal"),
+        (WhiteLP(c=(1, 2), A=((1, 1), (1, 1), (2, 2)), b=(4, 4, 8)),
+         LPSolution(SolveStatus.OPTIMAL, basis=(0, 1, 2)), "singular"),
+        (LOOSE, LPSolution(SolveStatus.OPTIMAL, basis=(2, 2, 3)), "singular"),
+        (LOOSE, LPSolution(SolveStatus.UNBOUNDED, ray=(1.0, 0.0)), "ray"),
+        (WhiteLP(c=(-1,), A=((0,),), b=(5,)),
+         LPSolution(SolveStatus.UNBOUNDED, ray=(1.0,)), "ray"),
+    ])
+    def test_rejects_what_is_not_proven(self, lp, sol, failed):
+        assert exact_check(lp, sol) == (failed, None)
+
     def test_matches_simplex_on_known_instances(self):
         for lp in (LOOSE, TIGHT):
-            oracle = enumerate_vertices_oracle(lp)
             direct = solve_max(lp)
-            assert oracle.status is SolveStatus.OPTIMAL
-            assert oracle.objective == pytest.approx(direct.objective, rel=1e-9)
+            status, exact = exact_check(lp, direct)
+            assert status == "optimal"
+            assert float(exact) == pytest.approx(direct.objective, rel=1e-9)
 
     def test_detects_unbounded(self):
         for lp in (
@@ -192,18 +225,7 @@ class TestOracle:
             WhiteLP(c=(1, 1), A=((1, -1),), b=(2,)),
             WhiteLP(c=(1, 1), A=((1, -1), (-1, 1)), b=(0, 0)),
         ):
-            assert enumerate_vertices_oracle(lp).status is SolveStatus.UNBOUNDED
-
-    def test_detects_infeasible(self):
-        assert (
-            enumerate_vertices_oracle(WhiteLP(c=(1,), A=((1,),), b=(-2,))).status
-            is SolveStatus.INFEASIBLE
-        )
-
-    def test_rejects_large_problems(self):
-        lp = WhiteLP(c=(1,) * 5, A=((1,) * 5,), b=(10,))
-        with pytest.raises(DomainError):
-            enumerate_vertices_oracle(lp)
+            assert exact_check(lp, solve_max(lp)) == ("unbounded", None)
 
     def test_random_cross_validation(self):
         rng = random.Random(20240817)
@@ -212,10 +234,10 @@ class TestOracle:
             a, b, g = random_triple(rng)
             lp = build_positioned(p, uniform_coefficients(a, b, g, p.m, p.n))
             direct = solve_max(lp)
-            oracle = enumerate_vertices_oracle(lp)
-            assert direct.status is oracle.status is SolveStatus.OPTIMAL
+            status, exact = exact_check(lp, direct)
+            assert direct.status is SolveStatus.OPTIMAL and status == "optimal"
             assert direct.objective == pytest.approx(
-                oracle.objective, abs=1e-6 * max(1.0, abs(oracle.objective))
+                float(exact), abs=1e-6 * max(1.0, abs(exact))
             )
             _assert_feasible(lp, direct.x)
 
@@ -227,15 +249,30 @@ class TestOracle:
             a, b, g = grid_triple(rng)
             lp = build_positioned(p, uniform_coefficients(a, b, g, p.m, p.n))
             direct = solve_max(lp)
-            oracle = enumerate_vertices_oracle(lp)
-            assert direct.status is oracle.status
+            status, exact = exact_check(lp, direct)
+            assert status == direct.status.value
             if direct.status is SolveStatus.UNBOUNDED:
                 seen_unbounded += 1
             else:
                 assert direct.objective == pytest.approx(
-                    oracle.objective, abs=1e-6 * max(1.0, abs(oracle.objective))
+                    float(exact), abs=1e-6 * max(1.0, abs(exact))
                 )
         assert seen_unbounded > 0  # the generator must actually exercise the path
+
+    def test_bound_bases_of_synthetic_problems(self):
+        # The 10x10 and 30x30 problems of
+        # TestWarmStart::test_synthetic_problems_at_three_sizes (an exact
+        # check at 60x60 takes about a second).
+        rng = random.Random(77)
+        for size in (10, 30):
+            p = random_bounded_problem(rng, n=size, m=size)
+            vb = bounds(p)
+            for lp, bound in zip(_bound_programs(p), (vb.critical, vb.ideal)):
+                sol = solve_max(lp)
+                status, exact = exact_check(lp, sol)
+                assert status == "optimal"
+                for f in (sol.objective, bound):
+                    assert abs(f - float(exact)) <= 1e-9 * max(1.0, abs(f))
 
 
 def _outcome(solve, lp: WhiteLP):
@@ -328,6 +365,10 @@ def _badly_scaled_lps(draw):
     return _scaled(A, b, c, rows, cols, draw(exponent))
 
 
+OVERFLOWING = WhiteLP(c=(1.5e308,), A=((1.0,),), b=(1.2e308,))
+OVERFLOW_FAILURE = ("failure", "solution failed the feasibility post-check")
+
+
 class TestVectorisedPricing:
     """``solve_max`` prices with array operations; it must pick the pivots
     of the scalar Bland loop (``reference_solve_max``) and so return the
@@ -365,6 +406,23 @@ class TestVectorisedPricing:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_hand_picked_cases(self, lp):
         assert _outcome(solve_max, lp) == _outcome(reference_solve_max, lp)
+
+    # The suite turns a numpy RuntimeWarning into a failure.
+    @pytest.mark.parametrize("lp", [
+        # x = 1.2e308 is finite, but c.x and the objective row overflow.
+        OVERFLOWING,
+        # x = (1, 0) and c.x = 1 are finite, but the pivot row overflows and
+        # NaN enters the tableau (inf * 0), where pricing would skip it.
+        WhiteLP(c=(1, 1), A=((1e-5, 1e305),), b=(1e-5,)),
+    ])
+    def test_overflow_fails_the_post_check_without_warning(self, lp):
+        assert _outcome(solve_max, lp) == OVERFLOW_FAILURE
+
+    def test_warm_start_that_overflows_fails_without_warning(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
+            assert _started(OVERFLOWING, (0,)) == OVERFLOW_FAILURE
+        [record] = caplog.records
+        assert record.getMessage() == "solve_max: warm start, 0 pivots, failed"
 
     def test_overflowing_ratio_warns_nothing(self):
         with warnings.catch_warnings():

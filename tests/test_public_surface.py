@@ -17,7 +17,7 @@ EXPORTED = {
     "GreyLP", "PositionCoefficients", "WhiteLP", "Violation", "whiten",
     "build_positioned", "uniform_coefficients", "theta_coefficients", "validate_problem",
     # lp_solver
-    "SolveStatus", "LPSolution", "solve_max", "enumerate_vertices_oracle",
+    "SolveStatus", "LPSolution", "solve_max",
     # satisfaction
     "ValueBounds", "positioned_value", "bounds", "pleased_degree", "pleased_degrees",
     "lambda_satisfaction", "lambda_satisfactions", "is_pleased", "is_lambda_satisfactory",

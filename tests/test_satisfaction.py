@@ -53,6 +53,14 @@ class TestValueBounds:
         assert ValueBounds(5.0, 5.0).is_degenerate
         assert not ValueBounds(5.0, 5.1).is_degenerate
 
+    @pytest.mark.parametrize("critical, ideal", [
+        (0.0, math.inf), (-math.inf, 1.0), (math.nan, math.nan), (0.0, math.nan),
+        (math.inf, math.inf), (-math.inf, -math.inf),
+    ])
+    def test_rejects_bounds_that_are_not_finite(self, critical, ideal):
+        with pytest.raises(DomainError, match="^value bounds must be finite, got "):
+            ValueBounds(critical, ideal)
+
 
 class TestBoundsAndPositionedValue:
     def test_demo_bounds(self, demo_bounds):
@@ -220,6 +228,8 @@ class TestLambdaSatisfaction:
             lambda_satisfaction(50.0, vb, -0.1)
         with pytest.raises(DomainError):
             lambda_satisfaction(50.0, vb, 1.2)
+        with pytest.raises(DomainError, match=r"^lam must be a number in \[0, 1\], got 'x'$"):
+            lambda_satisfaction(50.0, vb, "x")
 
     def test_out_of_bounds_value_is_inconsistent(self):
         vb = ValueBounds(20.0, 80.0)
