@@ -38,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SolverFailure, StructureError
-from .grey_core import GreyLP, _uniform_stack
+from .grey_core import GreyLP, _check_real, _number, _uniform_stack, _unit
 from .lp_solver import _solve_points
-from .satisfaction import _bounds, _lam, _validated, lambda_satisfactions, pleased_degrees
+from .satisfaction import _bounds, _validated, lambda_satisfactions, pleased_degrees
 
 __all__ = [
     "SweepTable",
@@ -119,12 +119,13 @@ def unit_grid(step: float) -> tuple[float, ...]:
     Values are rounded to 10 decimals so grid points like 3*0.1 come out as
     exact presentation values (0.3, not 0.30000000000000004).
 
-    Raises :class:`DomainError` for a step outside (0, 0.5], and
+    Raises :class:`DomainError` for a step that is not a number in
+    (0, 0.5], and
     :class:`MemoryError`, before the grid is built, for a step so fine that
     the cube of grid triples the grid commands solve has more points than
     an array index can count.
     """
-    step = float(step)
+    step = _number(step, "grid step", "(0, 0.5]")
     if not (0.0 < step <= 0.5):
         raise DomainError(f"grid step must be in (0, 0.5], got {step}")
     limit = np.iinfo(np.intp).max
@@ -141,11 +142,17 @@ def unit_grid(step: float) -> tuple[float, ...]:
 
 def _points(triples) -> np.ndarray:
     """``triples`` as an N x 3 array of uniform coefficients; raises
-    :class:`StructureError` for another shape and :class:`DomainError` for
-    a coefficient outside [0, 1] (or NaN)."""
+    :class:`StructureError` for another shape or an entry that is not a
+    real number (see :func:`greylp.grey_core._check_real`), and
+    :class:`DomainError` for the first coefficient outside [0, 1] (or
+    NaN)."""
     try:
-        pts = np.asarray(triples, dtype=float)
-    except (TypeError, ValueError):  # ragged rows, or entries that are not numbers
+        _check_real(triples, 2, "triples")
+        try:
+            pts = np.asarray(triples, dtype=float)
+        except OverflowError:  # an integer past float range, read as an infinity
+            pts = np.array([[_number(v, "triples") for v in row] for row in triples])
+    except (TypeError, ValueError):  # ragged rows, or entries that are not real numbers
         raise StructureError("triples must be (alpha, beta, gamma) rows") from None
     if pts.size == 0:
         pts = pts.reshape(0, 3)
@@ -155,9 +162,7 @@ def _points(triples) -> np.ndarray:
     if len(bad):
         row, col = bad[0]
         name = ("alphas", "betas", "gammas")[col]
-        raise DomainError(
-            f"position coefficient in {name} must be in [0, 1], got {pts[row, col]}"
-        )
+        _unit(pts[row, col], f"position coefficient in {name}")  # raises
     return pts
 
 
@@ -244,7 +249,7 @@ def lambda_sweep(p: GreyLP, settings, lambdas) -> SweepTable:
     """
     pts = _points(list(settings))
     pts = pts[np.lexsort(pts.T[::-1])]
-    lambdas = tuple(_lam(v) for v in lambdas)
+    lambdas = tuple(_unit(v, "lam") for v in lambdas)
     labels = ("lambda",) + tuple(_triple_label(tuple(t)) for t in pts.tolist())
     return _scored(p, pts, labels, lambdas, pivoted=True)
 
@@ -257,7 +262,7 @@ def grid_sweep(p: GreyLP, step: float, lambdas=()) -> SweepTable:
     bad lambda raises :class:`DomainError` before anything is solved.
     """
     grid = unit_grid(step)
-    lambdas = tuple(_lam(v) for v in lambdas)
+    lambdas = tuple(_unit(v, "lam") for v in lambdas)
     labels = ("alpha", "beta", "gamma", "f", "mu") + tuple(
         "mu_tilde[%g]" % lam for lam in lambdas
     )
@@ -328,12 +333,10 @@ def find_satisfactory(
     """All uniform grid triples whose satisfaction degree at ``lam`` reaches
     the grey target ``mu0``, best first (ties in lexicographic order): the
     triples as an N x 3 array and their degrees as an array of N."""
-    for name, v in (("mu0", mu0), ("lam", lam)):
-        if not (0.0 <= float(v) <= 1.0):
-            raise DomainError(f"{name} must be in [0, 1], got {v}")
-    table = grid_sweep(p, step, lambdas=(float(lam),))
+    mu0, lam = _unit(mu0, "mu0"), _unit(lam, "lam")
+    table = grid_sweep(p, step, lambdas=(lam,))
     degree = table.mu_tilde[:, 0]
-    hits = np.flatnonzero(degree >= float(mu0))
+    hits = np.flatnonzero(degree >= mu0)
     # Degrees are compared at 12 decimals, so that two equal up to solver
     # rounding tie; rows are in lexicographic order, so the row index breaks
     # ties by triple.
@@ -362,9 +365,10 @@ def _degree_table() -> tuple[np.ndarray, np.ndarray]:
     return np.empty(10_001, dtype=object), np.zeros(10_001, dtype=bool)
 
 
-def _degree_texts(values: np.ndarray) -> np.ndarray:
-    """``"%.4f" % v`` of every value, as an object array of the same shape,
-    looked up wherever that is provably the same text.
+def _degree_texts(values: np.ndarray, empty: str = "nan") -> np.ndarray:
+    """``"%.4f" % v`` of every value, or ``empty`` for a NaN, as an object
+    array of the same shape, looked up wherever that is provably the same
+    text.
 
     A value v in [0, 1] takes the text of its code q = rint(v * 1e4).  The
     product is within 1.2e-12 of the exact v * 10^4, so q is the correctly
@@ -387,15 +391,8 @@ def _degree_texts(values: np.ndarray) -> np.ndarray:
     texts = np.empty(values.shape, dtype=object)
     texts[exact] = table[codes]
     for i in np.flatnonzero(~exact).tolist():
-        texts.flat[i] = "%.4f" % values.flat[i]
-    return texts
-
-
-def _cells(texts: list[str], values: np.ndarray, empty: str) -> list[str]:
-    """``texts``, the formatted degrees ``values``, with each NaN's replaced
-    by ``empty``."""
-    for i in np.flatnonzero(np.isnan(values)).tolist():
-        texts[i] = empty
+        v = values.flat[i]
+        texts.flat[i] = empty if v != v else "%.4f" % v
     return texts
 
 
@@ -405,7 +402,7 @@ def _body(t: SweepTable, empty: str):
     ``empty``."""
     if t.pivoted:
         yield [
-            ("%g" % lam, *_cells(_degree_texts(row).tolist(), row, empty))
+            ("%g" % lam, *_degree_texts(row, empty).tolist())
             for lam, row in zip(t.lambdas, t.mu_tilde.T)
         ]
         return
@@ -416,8 +413,7 @@ def _body(t: SweepTable, empty: str):
         degrees = np.column_stack((t.mu[start:stop], t.mu_tilde[start:stop]))
         cells = coeffs[start:stop].T.tolist()
         cells.append(["%.2f" % v for v in f.tolist()])
-        for values, texts in zip(degrees.T, _degree_texts(degrees).T):
-            cells.append(_cells(texts.tolist(), values, empty))
+        cells += _degree_texts(degrees, empty).T.tolist()
         yield zip(*cells)
 
 

@@ -41,9 +41,6 @@ REFERENCE_POSITIONED = (
     ((0.7, 0.5, 0.3), 50377.88, 0.63179),
 )
 
-REFERENCE_IDEAL = 74783.51
-REFERENCE_CRITICAL = 20657.71
-
 # Satisfaction degrees on the standard lambda grid for four triples,
 # one column per triple, one row per lambda.
 REFERENCE_LAMBDA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)

@@ -38,10 +38,10 @@ from . import bundled
 from .analysis import (
     _coeff_texts,
     _degree_texts,
-    _solve_grid,
     check_monotonicity,
     find_satisfactory,
     grid_sweep,
+    lambda_sweep,
     render_table,
     unit_grid,
 )
@@ -387,12 +387,13 @@ def _cmd_satisfactory(args) -> int:
 
 def _cmd_verify_example(args) -> int:
     p = parse_problem(bundled.EXAMPLE_PROBLEM_JSON).problem
-    # Parsing validated the problem, and the bounds' bases certify every
-    # reference setting, so the grid kernel evaluates them without a solve.
-    vb, bases = _bounds(p)
-    triples = [triple for triple, _, _ in bundled.REFERENCE_POSITIONED]
-    values = _solve_grid(p, np.array(triples, dtype=float), bases)
-    f_by_triple = dict(zip(triples, values.tolist()))
+    # One table holds every cell: the bounds' bases certify every reference
+    # setting, so the grid kernel evaluates them without a solve.
+    table = lambda_sweep(
+        p, [triple for triple, _, _ in bundled.REFERENCE_POSITIONED], bundled.REFERENCE_LAMBDA_GRID
+    )
+    row = {tuple(t): i for i, t in enumerate(table.coefficients.tolist())}
+    f, mu, mu_tilde = table.f.tolist(), table.mu.tolist(), table.mu_tilde.tolist()
     checked = 0
     failed = 0
 
@@ -409,18 +410,12 @@ def _cmd_verify_example(args) -> int:
         )
 
     for triple, f_ref, mu_ref in bundled.REFERENCE_POSITIONED:
-        f = f_by_triple[triple]
-        cell(f"f{_fmt_triple(triple)}", f, f_ref, bundled.F_TOL)
-        cell(f"mu{_fmt_triple(triple)}", pleased_degree(f, vb), mu_ref, bundled.MU_TOL)
+        i = row[triple]
+        cell(f"f{_fmt_triple(triple)}", f[i], f_ref, bundled.F_TOL)
+        cell(f"mu{_fmt_triple(triple)}", mu[i], mu_ref, bundled.MU_TOL)
     for triple, refs in bundled.REFERENCE_SATISFACTION:
-        f = f_by_triple[triple]
-        for lam, want in zip(bundled.REFERENCE_LAMBDA_GRID, refs):
-            cell(
-                f"mu_tilde[lambda={lam:g}]{_fmt_triple(triple)}",
-                lambda_satisfaction(f, vb, lam),
-                want,
-                bundled.MU_TILDE_TOL,
-            )
+        for lam, got, want in zip(bundled.REFERENCE_LAMBDA_GRID, mu_tilde[row[triple]], refs):
+            cell(f"mu_tilde[lambda={lam:g}]{_fmt_triple(triple)}", got, want, bundled.MU_TILDE_TOL)
     print(f"result: {checked - failed} of {checked} cells match")
     return 0 if failed == 0 else 1
 

@@ -82,6 +82,27 @@ def _check_real(values, depth: int, block: str) -> None:
         level = nested
 
 
+def _number(v, name: str, interval: str = "[0, 1]") -> float:
+    """``v`` as a float, an integer past float range as an infinity.
+    Raises :class:`DomainError` "<name> must be a number in <interval>"
+    unless ``v`` is a real number by :func:`_check_real`'s rule."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise DomainError(f"{name} must be a number in {interval}, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _unit(v, name: str) -> float:
+    """The argument ``v``, called ``name``, as a float in [0, 1]; any other
+    value, NaN among them, raises :class:`DomainError`."""
+    t = _number(v, name)
+    if not (0.0 <= t <= 1.0):  # also true for NaN
+        raise DomainError(f"{name} must be in [0, 1], got {t}")
+    return t
+
+
 def _shaped(values, shape: tuple, block: str, error: str) -> np.ndarray:
     """``values`` as a new float array of ``shape``, where ``None`` stands
     for any length.  An entry that is not a real number raises
@@ -182,10 +203,6 @@ class GreyLP(_ArrayRecord):
         return len(self.b_lo)
 
 
-def _out_of_range(name: str, v) -> None:
-    raise DomainError(f"position coefficient in {name} must be in [0, 1], got {float(v)}")
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class PositionCoefficients(_ArrayRecord):
     """Whitening weights: one alpha per objective entry, one beta per
@@ -217,7 +234,7 @@ class PositionCoefficients(_ArrayRecord):
         for name, values in (("alphas", alpha), ("betas", beta), ("gammas", gamma.ravel())):
             bad = ~((values >= 0.0) & (values <= 1.0))  # also flags NaN
             if bad.any():
-                _out_of_range(name, values[bad.argmax()])
+                _unit(values[bad.argmax()], f"position coefficient in {name}")  # raises
         self._set(alpha, beta, gamma)
 
     def _set(self, alpha, beta, gamma):
@@ -321,9 +338,7 @@ def whiten(iv, t: float) -> float:
     ``t=0`` selects the lower bound exactly and ``t=1`` the upper bound;
     every result lies in [lo, hi].
     """
-    t = float(t)
-    if not (0.0 <= t <= 1.0):
-        raise DomainError(f"position coefficient must be in [0, 1], got {t}")
+    t = _unit(t, "position coefficient")
     lo, hi = _shaped(iv, (2,), "interval", "interval: expected (lo, hi) pairs")
     return float(_whitened(t, lo, hi))
 
@@ -359,12 +374,12 @@ def uniform_coefficients(
         raise StructureError(f"m and n must be integers, got m={m!r}, n={n!r}")
     if m < 1 or n < 1:
         raise StructureError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    alpha, beta, gamma = float(alpha), float(beta), float(gamma)
-    # Every entry is one of three scalars, so the scalars are range-checked
-    # (in the constructor's order) instead of the filled arrays.
-    for name, v in (("alphas", alpha), ("betas", beta), ("gammas", gamma)):
-        if not (0.0 <= v <= 1.0):  # also true for NaN
-            _out_of_range(name, v)
+    # Every entry is one of three scalars, so the scalars are checked (in
+    # the constructor's order) instead of the filled arrays.
+    alpha, beta, gamma = (
+        _unit(v, f"position coefficient in {name}")
+        for v, name in ((alpha, "alphas"), (beta, "betas"), (gamma, "gammas"))
+    )
     return PositionCoefficients._of_arrays(
         np.full(n, alpha), np.full(m, beta), np.full((m, n), gamma)
     )

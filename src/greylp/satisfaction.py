@@ -37,7 +37,9 @@ from .errors import (
     UnboundedValueError,
     ValidationError,
 )
-from .grey_core import GreyLP, PositionCoefficients, _uniform_stack, build_positioned, validate_problem
+from .grey_core import (
+    GreyLP, PositionCoefficients, _uniform_stack, _unit, build_positioned, validate_problem
+)
 from .lp_solver import LPSolution, SolveStatus, _solve_points, solve_max
 
 __all__ = [
@@ -197,24 +199,12 @@ def pleased_degree(f: float, vb: ValueBounds) -> float:
     )
 
 
-def _lam(lam) -> float:
-    """``lam`` as a float; :class:`DomainError` unless it is a number in
-    [0, 1]."""
-    try:
-        lam = float(lam)
-    except (TypeError, ValueError):
-        raise DomainError(f"lam must be a number in [0, 1], got {lam!r}") from None
-    if not (0.0 <= lam <= 1.0):
-        raise DomainError(f"lam must be in [0, 1], got {lam}")
-    return lam
-
-
 def lambda_satisfactions(f, vb: ValueBounds, lam: float) -> np.ndarray:
     """Attitude-weighted satisfaction degree of every value in ``f`` (an
     array or a number) between the bounds; see :func:`lambda_satisfaction`.
     Degenerate bounds give 1 everywhere and one
     :class:`DegenerateBoundsWarning` per call."""
-    lam = _lam(lam)
+    lam = _unit(lam, "lam")
     f = np.asarray(f, dtype=float)
     if vb.is_degenerate:
         warnings.warn(
@@ -248,20 +238,11 @@ def lambda_satisfaction(f: float, vb: ValueBounds, lam: float) -> float:
     return float(lambda_satisfactions(float(f), vb, lam))
 
 
-def _in_target(name: str, degree: float, mu0: float) -> bool:
-    """True iff ``degree`` (called ``name`` in errors) lands in the grey
-    target [mu0, 1]."""
-    for label, v in ((name, degree), ("mu0", mu0)):
-        if not (0.0 <= v <= 1.0):
-            raise DomainError(f"{label} must be in [0, 1], got {v}")
-    return degree >= mu0
-
-
 def is_pleased(mu: float, mu0: float) -> bool:
     """True iff the pleased degree lands in the grey target [mu0, 1]."""
-    return _in_target("mu", mu, mu0)
+    return _unit(mu, "mu") >= _unit(mu0, "mu0")
 
 
 def is_lambda_satisfactory(mu_tilde: float, mu0: float) -> bool:
     """True iff the lambda-satisfaction degree lands in the grey target [mu0, 1]."""
-    return _in_target("mu_tilde", mu_tilde, mu0)
+    return _unit(mu_tilde, "mu_tilde") >= _unit(mu0, "mu0")

@@ -36,11 +36,17 @@ from greylp import (
     check_monotonicity,
     find_satisfactory,
     grid_sweep,
+    is_lambda_satisfactory,
+    is_pleased,
+    lambda_satisfaction,
+    lambda_satisfactions,
     lambda_sweep,
     render_table,
     run,
     solve_grid,
+    uniform_coefficients,
     unit_grid,
+    whiten,
 )
 from greylp import analysis
 from greylp.bundled import (
@@ -680,6 +686,102 @@ class TestCollectorPause:
             lambda: check_monotonicity(demo_problem, "gamma", 0.02)
         )
         assert report.pair_count == 51 * 51 * 50 and report.ok and started <= 1
+
+
+def _checked(name, interval="[0, 1]"):
+    """The error of the one number check for the argument ``name``."""
+    def error(value, shown):
+        if shown is None:
+            return DomainError, f"{name} must be a number in {interval}, got {value!r}"
+        return DomainError, f"{name} must be in {interval}, got {shown}"
+    return error
+
+
+def _row_checked(name):
+    """The error of a triple whose entry for ``name`` is ``value``."""
+    def error(value, shown):
+        if shown is None:
+            return StructureError, "triples must be (alpha, beta, gamma) rows"
+        return _checked(f"position coefficient in {name}")(value, shown)
+    return error
+
+
+_STEP = _checked("grid step", "(0, 0.5]")
+
+# Every library argument that must be a number in [0, 1], every entry of a
+# uniform triple and the grid step: each call passes ``v`` for one of them.
+_ENTRY_POINTS = {
+    "uniform_coefficients(alpha)": (
+        lambda p, vb, v: uniform_coefficients(v, 0.5, 0.5, p.m, p.n),
+        _checked("position coefficient in alphas"),
+    ),
+    "uniform_coefficients(gamma)": (
+        lambda p, vb, v: uniform_coefficients(0.5, 0.5, v, p.m, p.n),
+        _checked("position coefficient in gammas"),
+    ),
+    "whiten": (lambda p, vb, v: whiten((1, 2), v), _checked("position coefficient")),
+    "lambda_satisfaction": (lambda p, vb, v: lambda_satisfaction(30000.0, vb, v), _checked("lam")),
+    "lambda_satisfactions": (
+        lambda p, vb, v: lambda_satisfactions(np.array([30000.0]), vb, v), _checked("lam")
+    ),
+    "grid_sweep(lambdas)": (lambda p, vb, v: grid_sweep(p, 0.5, lambdas=(v,)), _checked("lam")),
+    "lambda_sweep(lambdas)": (
+        lambda p, vb, v: lambda_sweep(p, [(0.5, 0.5, 0.5)], (0.5, v)), _checked("lam")
+    ),
+    "is_pleased(mu)": (lambda p, vb, v: is_pleased(v, 0.5), _checked("mu")),
+    "is_pleased(mu0)": (lambda p, vb, v: is_pleased(0.5, v), _checked("mu0")),
+    "is_lambda_satisfactory(mu_tilde)": (
+        lambda p, vb, v: is_lambda_satisfactory(v, 0.5), _checked("mu_tilde")
+    ),
+    "is_lambda_satisfactory(mu0)": (
+        lambda p, vb, v: is_lambda_satisfactory(0.5, v), _checked("mu0")
+    ),
+    "find_satisfactory(mu0)": (
+        lambda p, vb, v: find_satisfactory(p, v, 0.5, 0.5), _checked("mu0")
+    ),
+    "find_satisfactory(lam)": (
+        lambda p, vb, v: find_satisfactory(p, 0.5, v, 0.5), _checked("lam")
+    ),
+    "solve_grid(triples)": (
+        lambda p, vb, v: solve_grid(p, [(0.5, 0.5, 0.5), (v, 0.5, 0.5)]), _row_checked("alphas")
+    ),
+    "lambda_sweep(triples)": (
+        lambda p, vb, v: lambda_sweep(p, [(0.5, v, 0.5)], (0.5,)), _row_checked("betas")
+    ),
+    "unit_grid": (lambda p, vb, v: unit_grid(v), _STEP),
+    "grid_sweep(step)": (lambda p, vb, v: grid_sweep(p, v), _STEP),
+    "find_satisfactory(step)": (lambda p, vb, v: find_satisfactory(p, 0.5, 0.5, v), _STEP),
+    "check_monotonicity(step)": (lambda p, vb, v: check_monotonicity(p, "alpha", v), _STEP),
+}
+
+
+class TestBadArguments:
+    """One check serves every argument above: a value that is not a real
+    number (a bool, a string, None; ``float()`` takes some of them) and a
+    number outside the range (NaN, and an integer past float range, read as
+    an infinity) each raise one error text, never a bare Python error."""
+
+    @pytest.mark.parametrize("value, shown", [
+        ("0.5", None),
+        (True, None),
+        (np.True_, None),
+        (None, None),
+        (10**400, "inf"),
+        (math.nan, "nan"),
+        (-0.1, "-0.1"),
+        (1.5, "1.5"),
+        (2, "2.0"),
+    ], ids=["text", "bool", "numpy-bool", "none", "huge-int", "nan", "below", "above", "int"])
+    def test_every_entry_point_raises_the_checks_text(self, demo_problem, demo_bounds,
+                                                       value, shown):
+        got, want = {}, {}
+        for entry, (call, error) in _ENTRY_POINTS.items():
+            try:
+                got[entry] = ("returned", repr(call(demo_problem, demo_bounds, value)))
+            except Exception as exc:  # a leaked Python error shows in the diff
+                got[entry] = (type(exc), str(exc))
+            want[entry] = error(value, shown)
+        assert got == want
 
 
 def test_grid_sweep_benchmark_smoke(benchmark, demo_problem):
