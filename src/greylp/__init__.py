@@ -25,7 +25,7 @@ from .analysis import (
     solve_grid,
     unit_grid,
 )
-from .cli import ProblemFile, parse_problem, run, serialize_problem
+from .cli import ProblemFile, parse_problem, run
 from .errors import (
     DegenerateBoundsWarning,
     DomainError,
@@ -43,17 +43,13 @@ from .grey_core import (
     Violation,
     WhiteLP,
     build_positioned,
-    theta_coefficients,
     uniform_coefficients,
     validate_problem,
-    whiten,
 )
 from .lp_solver import LPSolution, SolveStatus, solve_max
 from .satisfaction import (
     ValueBounds,
     bounds,
-    is_lambda_satisfactory,
-    is_pleased,
     lambda_satisfaction,
     lambda_satisfactions,
     pleased_degree,
@@ -72,10 +68,8 @@ __all__ = [
     "PositionCoefficients",
     "WhiteLP",
     "Violation",
-    "whiten",
     "build_positioned",
     "uniform_coefficients",
-    "theta_coefficients",
     "validate_problem",
     # lp_solver
     "SolveStatus",
@@ -89,8 +83,6 @@ __all__ = [
     "pleased_degrees",
     "lambda_satisfaction",
     "lambda_satisfactions",
-    "is_pleased",
-    "is_lambda_satisfactory",
     # analysis
     "SweepTable",
     "MonotonicityReport",
@@ -104,7 +96,6 @@ __all__ = [
     # cli
     "ProblemFile",
     "parse_problem",
-    "serialize_problem",
     "run",
     # errors
     "GreyLPError",

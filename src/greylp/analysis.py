@@ -61,8 +61,7 @@ Triple = tuple[float, float, float]
 
 @dataclass(frozen=True, eq=False)
 class SweepTable:
-    """Sweep results stored column by column, plus the labels they render
-    under.
+    """Sweep results stored column by column.
 
     Row ``i`` is the uniform triple ``coefficients[i]`` with its positioned
     optimum ``f[i]``, pleased degree ``mu[i]`` and satisfaction degrees
@@ -70,19 +69,13 @@ class SweepTable:
     whose positioned program is unbounded anywhere raises instead (see
     :func:`_scored`).  A degree is NaN where it is undefined (``mu`` at
     ideal value zero) and renders as an empty cell.
-
-    A ``pivoted`` table renders one row per lambda and one column per row
-    (the shape of a satisfaction-degree report); otherwise each row renders
-    as one table row.  ``axis_labels`` is the header either way.
     """
 
-    axis_labels: tuple[str, ...]
     lambdas: tuple[float, ...]
     coefficients: np.ndarray  # N x 3
     f: np.ndarray  # N
     mu: np.ndarray  # N
     mu_tilde: np.ndarray  # N x len(lambdas)
-    pivoted: bool
 
 
 @dataclass(frozen=True)
@@ -208,11 +201,10 @@ def _cube(grid: tuple[float, ...]) -> np.ndarray:
     return np.stack(axes, axis=-1).reshape(-1, 3)
 
 
-def _scored(
-    p: GreyLP, pts: np.ndarray, labels: tuple[str, ...], lambdas, pivoted: bool
-) -> SweepTable:
+def _scored(p: GreyLP, pts: np.ndarray, lambdas: tuple[float, ...]) -> SweepTable:
     """The sweep table of the checked triples ``pts`` (see :func:`_points`):
-    each row's positioned optimum and degrees, scored a column at a time.
+    each row's positioned optimum and degrees at each of the checked
+    ``lambdas``, scored a column at a time.
 
     Both bounds are solved first, so an unbounded ideal program raises
     :class:`UnboundedValueError`.  Once the ideal program is bounded, no
@@ -232,26 +224,19 @@ def _scored(
     mu_tilde = np.empty((len(f), len(lambdas)))
     for j, lam in enumerate(lambdas):
         mu_tilde[:, j] = lambda_satisfactions(f, vb, lam)
-    return SweepTable(labels, lambdas, pts, f, mu, mu_tilde, pivoted)
-
-
-def _triple_label(triple: Triple) -> str:
-    return "mu_tilde(%g,%g,%g)" % triple
+    return SweepTable(lambdas, pts, f, mu, mu_tilde)
 
 
 def lambda_sweep(p: GreyLP, settings, lambdas) -> SweepTable:
-    """Satisfaction degrees of each uniform triple in ``settings`` across the
-    ``lambdas`` grid.
+    """Positioned values and degrees of each uniform triple in ``settings``,
+    with a satisfaction-degree column per value of ``lambdas``, in
+    lexicographic order: the table :func:`grid_sweep` gives for a cube.
 
-    Rows are sorted lexicographically by triple.  The result renders
-    pivoted: one row per lambda, one column per triple.  A bad lambda
-    raises :class:`DomainError` before anything is solved.
+    A bad lambda raises :class:`DomainError` before anything is solved.
     """
     pts = _points(list(settings))
-    pts = pts[np.lexsort(pts.T[::-1])]
     lambdas = tuple(_unit(v, "lam") for v in lambdas)
-    labels = ("lambda",) + tuple(_triple_label(tuple(t)) for t in pts.tolist())
-    return _scored(p, pts, labels, lambdas, pivoted=True)
+    return _scored(p, pts[np.lexsort(pts.T[::-1])], lambdas)
 
 
 def grid_sweep(p: GreyLP, step: float, lambdas=()) -> SweepTable:
@@ -262,11 +247,8 @@ def grid_sweep(p: GreyLP, step: float, lambdas=()) -> SweepTable:
     bad lambda raises :class:`DomainError` before anything is solved.
     """
     grid = unit_grid(step)
-    lambdas = tuple(_unit(v, "lam") for v in lambdas)
-    labels = ("alpha", "beta", "gamma", "f", "mu") + tuple(
-        "mu_tilde[%g]" % lam for lam in lambdas
-    )
-    return _scored(p, _cube(grid), labels, lambdas, pivoted=False)
+    lambdas = tuple(_unit(v, "lam") for v in lambdas)  # before the cube is built
+    return _scored(p, _cube(grid), lambdas)
 
 
 _AXES = {"alpha": 0, "beta": 1, "gamma": 2}
@@ -400,12 +382,6 @@ def _body(t: SweepTable, empty: str):
     """The table's rows after the header, each an iterable of cells, at
     most ``_CHUNK`` rows at a time.  An undefined degree renders as
     ``empty``."""
-    if t.pivoted:
-        yield [
-            ("%g" % lam, *_degree_texts(row, empty).tolist())
-            for lam, row in zip(t.lambdas, t.mu_tilde.T)
-        ]
-        return
     coeffs = _coeff_texts(t.coefficients)
     for start in range(0, len(t.f), _CHUNK):
         stop = start + _CHUNK
@@ -420,13 +396,15 @@ def _body(t: SweepTable, empty: str):
 def render_table(t: SweepTable, format: str) -> str:
     """Render a sweep table to ``csv`` or ``markdown`` text.
 
-    Deterministic: identical tables produce identical bytes.  Optimal values
-    round to 2 decimals and degrees to 4; CSV output is comma-separated with
-    LF line endings and one header row.
+    Deterministic: identical tables produce identical bytes.  One row per
+    triple under the header ``alpha, beta, gamma, f, mu`` and one
+    ``mu_tilde[<lambda>]`` per lambda.  Optimal values round to 2 decimals
+    and degrees to 4; CSV output is comma-separated with LF line endings
+    and one header row.
     """
     if format not in ("csv", "markdown"):
         raise DomainError(f"format must be 'csv' or 'markdown', got {format!r}")
-    header = list(t.axis_labels)
+    header = ["alpha", "beta", "gamma", "f", "mu"] + ["mu_tilde[%g]" % lam for lam in t.lambdas]
     buf = io.StringIO()
     if format == "csv":
         # Numbers never need quoting, so only the header goes through the

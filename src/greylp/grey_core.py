@@ -36,10 +36,8 @@ __all__ = [
     "PositionCoefficients",
     "WhiteLP",
     "Violation",
-    "whiten",
     "build_positioned",
     "uniform_coefficients",
-    "theta_coefficients",
     "validate_problem",
 ]
 
@@ -315,13 +313,13 @@ class Violation:
 
 
 def _whitened(t, lo, hi) -> np.ndarray:
-    """The whitening formula ``t*hi + (1-t)*lo``, entry by entry (numpy
-    broadcasting applies), so the array and scalar paths agree bit for bit.
+    """The whitening formula ``t*hi + (1-t)*lo`` of the bound arrays ``lo``
+    and ``hi``, entry by entry (numpy broadcasting applies), so
+    :func:`build_positioned` and :func:`_uniform_stack` agree bit for bit.
 
     Raises :class:`DomainError` naming the first interval (in C order) that
     is not finite or has ``lo > hi``.  ``t`` is not checked.
     """
-    lo, hi = np.asarray(lo), np.asarray(hi)
     ok = (lo <= hi) & (lo > -np.inf) & (hi < np.inf)  # also False for NaN
     if not ok.all():
         i = ok.argmin()
@@ -329,18 +327,6 @@ def _whitened(t, lo, hi) -> np.ndarray:
             f"cannot whiten invalid interval [{float(lo.flat[i])}, {float(hi.flat[i])}]"
         )
     return t * hi + (1.0 - t) * lo
-
-
-def whiten(iv, t: float) -> float:
-    """White value of the grey parameter ``iv``, a ``(lo, hi)`` pair:
-    ``t*hi + (1-t)*lo``.
-
-    ``t=0`` selects the lower bound exactly and ``t=1`` the upper bound;
-    every result lies in [lo, hi].
-    """
-    t = _unit(t, "position coefficient")
-    lo, hi = _shaped(iv, (2,), "interval", "interval: expected (lo, hi) pairs")
-    return float(_whitened(t, lo, hi))
 
 
 def build_positioned(p: GreyLP, k: PositionCoefficients) -> WhiteLP:
@@ -420,11 +406,6 @@ def _uniform_stack(p: GreyLP, pts: np.ndarray) -> tuple[np.ndarray, ...]:
     C = _whitened(alphas[..., None], p.c_lo, p.c_hi)
     Bv = _whitened(betas[..., None], p.b_lo, p.b_hi)
     return A, C, Bv, at, ca, cb
-
-
-def theta_coefficients(theta: float, m: int, n: int) -> PositionCoefficients:
-    """Single-parameter whitening: alpha = beta = gamma = theta."""
-    return uniform_coefficients(theta, theta, theta, m, n)
 
 
 def _interval_violations(lo, hi, locations) -> list[Violation]:

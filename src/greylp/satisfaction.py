@@ -50,8 +50,6 @@ __all__ = [
     "pleased_degrees",
     "lambda_satisfaction",
     "lambda_satisfactions",
-    "is_pleased",
-    "is_lambda_satisfactory",
 ]
 
 
@@ -237,12 +235,3 @@ def lambda_satisfaction(f: float, vb: ValueBounds, lam: float) -> float:
     """
     return float(lambda_satisfactions(float(f), vb, lam))
 
-
-def is_pleased(mu: float, mu0: float) -> bool:
-    """True iff the pleased degree lands in the grey target [mu0, 1]."""
-    return _unit(mu, "mu") >= _unit(mu0, "mu0")
-
-
-def is_lambda_satisfactory(mu_tilde: float, mu0: float) -> bool:
-    """True iff the lambda-satisfaction degree lands in the grey target [mu0, 1]."""
-    return _unit(mu_tilde, "mu_tilde") >= _unit(mu0, "mu0")

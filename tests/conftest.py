@@ -1,5 +1,5 @@
-"""Shared fixtures, random-problem generators, the exact check of solver
-answers, and the acceptance summary.
+"""Shared fixtures, random-problem generators, a problem-file writer, the
+exact check of solver answers, and the acceptance summary.
 
 Acceptance tests register their outcome via :func:`record_acceptance`; a
 terminal-summary hook then prints one pass/fail line per criterion after the
@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import gc
 import io
+import json
 import math
 import pathlib
 import random
@@ -26,6 +27,7 @@ from greylp import (
     GreyLP,
     InconsistentInputsError,
     LPSolution,
+    ProblemFile,
     SolverFailure,
     SolveStatus,
     SweepTable,
@@ -77,6 +79,22 @@ def count_collections(call):
     finally:
         gc.callbacks.remove(on_gc)
     return result, during
+
+
+def problem_text(pf: ProblemFile) -> str:
+    """``pf`` as problem-file JSON, for tests that write a problem to a
+    file: ``parse_problem(problem_text(pf)) == pf`` for every valid ``pf``
+    (Python's float repr reads back exactly)."""
+    doc: dict = {}
+    if pf.name is not None:
+        doc["name"] = pf.name
+    if pf.description is not None:
+        doc["description"] = pf.description
+    p = pf.problem
+    doc["objective"] = np.column_stack([p.c_lo, p.c_hi]).tolist()
+    doc["matrix"] = np.stack([p.A_lo, p.A_hi], -1).tolist()
+    doc["rhs"] = np.column_stack([p.b_lo, p.b_hi]).tolist()
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def interval(
@@ -437,12 +455,11 @@ def reference_records(p: GreyLP, triples, lambdas):
     return rows
 
 
-def table_of(labels, rows, lambdas, pivoted: bool = False) -> SweepTable:
+def table_of(rows, lambdas) -> SweepTable:
     """The :class:`SweepTable` of the records ``rows``: each value in its
     column, NaN where a record has none."""
     by_lam = [dict(r.mu_tilde) for r in rows]
     return SweepTable(
-        axis_labels=tuple(labels),
         lambdas=tuple(lambdas),
         coefficients=np.array([r.coefficients for r in rows], dtype=float).reshape(-1, 3),
         f=np.array([r.f for r in rows], dtype=float),
@@ -450,30 +467,25 @@ def table_of(labels, rows, lambdas, pivoted: bool = False) -> SweepTable:
         mu_tilde=np.array(
             [[d.get(lam, np.nan) for lam in lambdas] for d in by_lam], dtype=float
         ).reshape(len(rows), len(lambdas)),
-        pivoted=pivoted,
     )
 
 
-def reference_render(labels, rows, lambdas, format: str, pivoted: bool = False) -> str:
+def reference_render(labels, rows, lambdas, format: str) -> str:
     """The per-row renderer that ``render_table`` replaces, kept as its
-    reference: one list of cells per record (or, ``pivoted``, per lambda),
+    reference: the header ``labels`` and one list of cells per record,
     written by the csv module or joined as Markdown."""
 
     def fmt(v, spec):
         return "" if v is None else spec % v
 
     table = [list(labels)]
-    if pivoted:
-        for lam in lambdas:
-            table.append(["%g" % lam] + ["%.4f" % dict(r.mu_tilde)[lam] for r in rows])
-    else:
-        for r in rows:
-            by_lam = dict(r.mu_tilde)
-            table.append(
-                ["%g" % v for v in r.coefficients]
-                + ["%.2f" % r.f, fmt(r.mu, "%.4f")]
-                + [fmt(by_lam.get(lam), "%.4f") for lam in lambdas]
-            )
+    for r in rows:
+        by_lam = dict(r.mu_tilde)
+        table.append(
+            ["%g" % v for v in r.coefficients]
+            + ["%.2f" % r.f, fmt(r.mu, "%.4f")]
+            + [fmt(by_lam.get(lam), "%.4f") for lam in lambdas]
+        )
     if format == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(table)

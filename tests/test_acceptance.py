@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     exact_check,
     grid_triple,
+    problem_text,
     random_bounded_problem,
     random_loose_problem,
     random_triple,
@@ -32,7 +33,6 @@ from greylp import (
     pleased_degree,
     positioned_value,
     run,
-    serialize_problem,
     solve_max,
     uniform_coefficients,
 )
@@ -262,7 +262,7 @@ def test_criterion_9_cli_verification_and_round_trip(capsys):
                 name=None if case % 3 == 0 else f"generated case {case}",
                 description=None if case % 5 == 0 else "round-trip fixture — generated",
             )
-            assert parse_problem(serialize_problem(pf)) == pf
+            assert parse_problem(problem_text(pf)) == pf
         return "verify-example exit 0 (56/56); 100 file round-trips exact"
 
     _run(9, "command-line verification and round-trip", body)

@@ -36,8 +36,6 @@ from greylp import (
     check_monotonicity,
     find_satisfactory,
     grid_sweep,
-    is_lambda_satisfactory,
-    is_pleased,
     lambda_satisfaction,
     lambda_satisfactions,
     lambda_sweep,
@@ -46,7 +44,6 @@ from greylp import (
     solve_grid,
     uniform_coefficients,
     unit_grid,
-    whiten,
 )
 from greylp import analysis
 from greylp.bundled import (
@@ -265,6 +262,7 @@ class TestSolveGrid:
 
 class TestLambdaSweep:
     def test_reproduces_reference_grid(self, table):
+        assert table.lambdas == tuple(REFERENCE_LAMBDA_GRID)
         assert table.mu_tilde.shape == (len(REFERENCE_SATISFACTION), len(REFERENCE_LAMBDA_GRID))
         assert not np.isnan(table.mu_tilde).any()
         for triple, refs in REFERENCE_SATISFACTION:
@@ -276,13 +274,6 @@ class TestLambdaSweep:
     def test_rows_sorted_lexicographically(self, table):
         coeffs = table.coefficients.tolist()
         assert coeffs == sorted(coeffs)
-        assert table.axis_labels[1:] == tuple("mu_tilde(%g,%g,%g)" % tuple(t) for t in coeffs)
-
-    def test_axis_labels_mark_pivot_layout(self, table):
-        assert table.pivoted
-        assert table.axis_labels[0] == "lambda"
-        assert len(table.axis_labels) == 1 + len(TABLE_TRIPLES)
-        assert table.lambdas == tuple(REFERENCE_LAMBDA_GRID)
 
     def test_rejects_invalid_problem(self):
         bad = GreyLP(objective=((2, 1),), matrix=(((1, 2),),), rhs=((3, 4),))
@@ -298,12 +289,11 @@ class TestGridSweep:
         assert coeffs == sorted(coeffs) == [list(t) for t in grid_triples(0.5)]
         assert table.f[row_of(table, (1.0, 1.0, 0.0))] == pytest.approx(74783.51, abs=0.01)
         assert table.f[row_of(table, (0.0, 0.0, 1.0))] == pytest.approx(20657.71, abs=0.01)
-        assert table.axis_labels == ("alpha", "beta", "gamma", "f", "mu")
-        assert not table.pivoted
+        assert table.lambdas == () and table.mu_tilde.shape == (27, 0)
 
     def test_lambda_columns(self, demo_problem):
         table = grid_sweep(demo_problem, 0.5, lambdas=(0.5, 1.0))
-        assert table.axis_labels[-2:] == ("mu_tilde[0.5]", "mu_tilde[1]")
+        assert table.lambdas == (0.5, 1.0) and table.mu_tilde.shape == (27, 2)
         got = table.mu_tilde[row_of(table, (1.0, 1.0, 0.0)), table.lambdas.index(1.0)]
         assert got == pytest.approx(1.0, abs=1e-12)
 
@@ -338,6 +328,17 @@ class TestGridSweep:
             with pytest.raises(DomainError, match=f"^{message}$"):
                 sweep(demo_problem, lambdas)
         assert caplog.records == []
+
+    def test_bad_lambda_is_refused_before_the_cube_is_built(self, demo_problem):
+        # The step-0.01 cube holds 101**3 triples, about 24 MB of numbers.
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError):
+                grid_sweep(demo_problem, 0.01, lambdas=("x",))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestCheckMonotonicity:
@@ -477,13 +478,11 @@ class TestFindSatisfactory:
         low = 0.7
         high = float(np.nextafter(low, 1.0))
         table = SweepTable(
-            axis_labels=("alpha", "beta", "gamma", "f", "mu", "mu_tilde[0.5]"),
             lambdas=(0.5,),
             coefficients=np.array([(0.0, 0.0, 0.5), (0.0, 0.5, 0.0), (1.0, 1.0, 0.0)]),
             f=np.array([1.0, 1.0, 2.0]),
             mu=np.array([0.5, 0.5, 0.9]),
             mu_tilde=np.array([[low], [high], [1.0]]),
-            pivoted=False,
         )
         monkeypatch.setattr(analysis, "grid_sweep", lambda p, step, lambdas: table)
         hits = hit_list(find_satisfactory(demo_problem, mu0=0.5, lam=0.5, step=0.5))
@@ -497,18 +496,26 @@ class TestFindSatisfactory:
 
 
 class TestRenderTable:
-    def test_lambda_table_renders_pivoted_csv(self, demo_problem):
+    def test_lambda_table_renders_one_row_per_triple(self, demo_problem):
         table = lambda_sweep(demo_problem, TABLE_TRIPLES, REFERENCE_LAMBDA_GRID)
         text = render_table(table, "csv")
         rows = list(csv.reader(io.StringIO(text)))
-        assert len(rows) == 1 + 11
-        assert rows[0][0] == "lambda"
-        assert len(rows[0]) == 1 + 4
-        # Spot-check a reference cell: the (0.6, 0.6, 0.6) column at lam=0.5.
-        col = rows[0].index("mu_tilde(0.6,0.6,0.6)")
-        lam_row = next(r for r in rows[1:] if r[0] == "0.5")
-        assert lam_row[col] == "0.3659"
+        assert len(rows) == 1 + len(TABLE_TRIPLES)
+        assert rows[0] == ["alpha", "beta", "gamma", "f", "mu"] + [
+            "mu_tilde[%g]" % lam for lam in REFERENCE_LAMBDA_GRID
+        ]
+        # Spot-check a reference cell: the (0.6, 0.6, 0.6) row at lam=0.5.
+        row = next(r for r in rows[1:] if r[:3] == ["0.6", "0.6", "0.6"])
+        assert row[rows[0].index("mu_tilde[0.5]")] == "0.3659"
         assert text.endswith("\n") and "\r" not in text
+
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    def test_lambda_sweep_of_a_cube_renders_as_its_grid_sweep(self, demo_problem, fmt):
+        cube = grid_triples(0.25)
+        table = lambda_sweep(demo_problem, cube, (0.5, 1))
+        assert render_table(table, fmt) == render_table(
+            grid_sweep(demo_problem, 0.25, (0.5, 1)), fmt
+        )
 
     def test_grid_table_renders_one_row_per_record(self, demo_problem):
         table = grid_sweep(demo_problem, 0.5)
@@ -529,12 +536,15 @@ class TestRenderTable:
         assert len(lines) == 2 + 27
 
     def test_empty_table(self):
-        table = table_of(("alpha", "beta", "gamma", "f", "mu"), (), ())
-        assert render_table(table, "csv") == "alpha,beta,gamma,f,mu\n"
+        assert render_table(table_of((), ()), "csv") == "alpha,beta,gamma,f,mu\n"
+        text = render_table(table_of((), (0.5, 1)), "csv")
+        assert text == "alpha,beta,gamma,f,mu,mu_tilde[0.5],mu_tilde[1]\n"
 
     def test_empty_markdown_table(self):
-        table = table_of(("alpha", "beta"), (), ())
-        assert render_table(table, "markdown") == "| alpha | beta |\n| --- | --- |\n"
+        assert render_table(table_of((), (0.25,)), "markdown") == (
+            "| alpha | beta | gamma | f | mu | mu_tilde[0.25] |\n"
+            "| --- | --- | --- | --- | --- | --- |\n"
+        )
 
     def test_rejects_unknown_format(self, demo_problem):
         table = grid_sweep(demo_problem, 0.5)
@@ -631,13 +641,12 @@ class TestRenderMatchesReference:
         )
 
     @pytest.mark.parametrize("fmt", ["csv", "markdown"])
-    def test_pivoted_lambda_table(self, demo_problem, fmt):
-        triples = sorted(TABLE_TRIPLES)
-        labels = ("lambda",) + tuple("mu_tilde(%g,%g,%g)" % t for t in triples)
-        rows = reference_records(demo_problem, triples, REFERENCE_LAMBDA_GRID)
+    def test_lambda_table(self, demo_problem, fmt):
+        labels = GRID_LABELS[:5] + tuple("mu_tilde[%g]" % lam for lam in REFERENCE_LAMBDA_GRID)
+        rows = reference_records(demo_problem, sorted(TABLE_TRIPLES), REFERENCE_LAMBDA_GRID)
         table = lambda_sweep(demo_problem, TABLE_TRIPLES, REFERENCE_LAMBDA_GRID)
         assert render_table(table, fmt) == reference_render(
-            labels, rows, REFERENCE_LAMBDA_GRID, fmt, pivoted=True
+            labels, rows, REFERENCE_LAMBDA_GRID, fmt
         )
 
     @pytest.mark.parametrize("fmt", ["csv", "markdown"])
@@ -657,7 +666,7 @@ class TestRenderMatchesReference:
         text = render_table(table, "csv")
         assert text.count("\n") == 1 + 21**3
         rows = reference_records(demo_problem, grid_triples(0.05), (0.5,))
-        assert text == reference_render(table.axis_labels, rows, table.lambdas, "csv")
+        assert text == reference_render(GRID_LABELS[:5] + ("mu_tilde[0.5]",), rows, (0.5,), "csv")
 
 
 class TestCollectorPause:
@@ -719,7 +728,10 @@ _ENTRY_POINTS = {
         lambda p, vb, v: uniform_coefficients(0.5, 0.5, v, p.m, p.n),
         _checked("position coefficient in gammas"),
     ),
-    "whiten": (lambda p, vb, v: whiten((1, 2), v), _checked("position coefficient")),
+    "uniform_coefficients(beta)": (
+        lambda p, vb, v: uniform_coefficients(0.5, v, 0.5, p.m, p.n),
+        _checked("position coefficient in betas"),
+    ),
     "lambda_satisfaction": (lambda p, vb, v: lambda_satisfaction(30000.0, vb, v), _checked("lam")),
     "lambda_satisfactions": (
         lambda p, vb, v: lambda_satisfactions(np.array([30000.0]), vb, v), _checked("lam")
@@ -727,14 +739,6 @@ _ENTRY_POINTS = {
     "grid_sweep(lambdas)": (lambda p, vb, v: grid_sweep(p, 0.5, lambdas=(v,)), _checked("lam")),
     "lambda_sweep(lambdas)": (
         lambda p, vb, v: lambda_sweep(p, [(0.5, 0.5, 0.5)], (0.5, v)), _checked("lam")
-    ),
-    "is_pleased(mu)": (lambda p, vb, v: is_pleased(v, 0.5), _checked("mu")),
-    "is_pleased(mu0)": (lambda p, vb, v: is_pleased(0.5, v), _checked("mu0")),
-    "is_lambda_satisfactory(mu_tilde)": (
-        lambda p, vb, v: is_lambda_satisfactory(v, 0.5), _checked("mu_tilde")
-    ),
-    "is_lambda_satisfactory(mu0)": (
-        lambda p, vb, v: is_lambda_satisfactory(0.5, v), _checked("mu0")
     ),
     "find_satisfactory(mu0)": (
         lambda p, vb, v: find_satisfactory(p, v, 0.5, 0.5), _checked("mu0")

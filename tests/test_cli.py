@@ -1,4 +1,4 @@
-"""Command-line surface: parsing, serialization, subcommands, exit codes."""
+"""Command-line surface: parsing, file round trips, subcommands, exit codes."""
 
 import copy
 import gc
@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 import greylp
-from conftest import count_collections, random_bounded_problem, random_loose_problem
+from conftest import (
+    count_collections, problem_text, random_bounded_problem, random_loose_problem
+)
 from greylp import (
     ParseError,
     ProblemFile,
@@ -26,8 +28,7 @@ from greylp import (
     cli,
     positioned_value,
     run,
-    serialize_problem,
-    theta_coefficients,
+    uniform_coefficients,
 )
 from greylp import analysis, grey_core, satisfaction
 
@@ -259,7 +260,7 @@ class TestParseCollectorPause:
     INVALID = '{"objective": [[800, 600]], "matrix": [[[1, 2]]], "rhs": [[3, 4]]}'
 
     def test_large_document_starts_no_collection(self):
-        text = serialize_problem(ProblemFile(problem=_seeded_problem(60, seed=7)))
+        text = problem_text(ProblemFile(problem=_seeded_problem(60, seed=7)))
         # The list made after the call would start a collection if the
         # decoded tree's allocations were still counted against the
         # threshold when the collector came back on.
@@ -288,14 +289,14 @@ class TestParseCollectorPause:
             gc.enable()
 
 
-class TestSerializeProblem:
+class TestProblemFileRoundTrip:
     def test_round_trips_demo(self):
         pf = parse_problem(bundled.EXAMPLE_PROBLEM_JSON)
-        assert parse_problem(serialize_problem(pf)) == pf
+        assert parse_problem(problem_text(pf)) == pf
 
     def test_round_trips_without_metadata(self):
         pf = parse_problem('{"objective": [[1, 2]], "matrix": [[[1, 2]]], "rhs": [[1, 2]]}')
-        text = serialize_problem(pf)
+        text = problem_text(pf)
         assert "name" not in text
         assert parse_problem(text) == pf
 
@@ -308,7 +309,7 @@ class TestSerializeProblem:
                 name=None if i % 3 else f"case {i}",
                 description=None if i % 4 else "generated",
             )
-            assert parse_problem(serialize_problem(pf)) == pf
+            assert parse_problem(problem_text(pf)) == pf
 
 
 # The commands that solve a cube of grid triples, without their --file and
@@ -436,6 +437,8 @@ class TestExitCodes:
             ["solve", "--file", "x.json", "--alpha", "abc", "--beta", "0.5", "--gamma", "0.5"],
             ["sweep", "--file", "x.json", "--step", "0.7"],
             ["degrees", "--file", "x.json", "--theta", "0.5", "--lambda", "1.5"],
+            ["degrees", "--file", "x.json", "--theta", "0.5", "--mu0", "-0.1"],
+            ["degrees", "--file", "x.json", "--theta", "0.5", "--mu0", "nan"],
             ["solve"],
         ],
     )
@@ -470,13 +473,6 @@ class TestSolveCommand:
         # cent on top of the reference tolerance
         assert float(f_line.removeprefix("f = ")) == pytest.approx(42995.88, abs=0.0151)
         assert x_line.startswith("x = (")
-
-    def test_theta_matches_uniform_flags(self, capsys, demo_file):
-        run(["solve", "--file", demo_file, "--theta", "0.6"])
-        via_theta = capsys.readouterr().out
-        run(["solve", "--file", demo_file, "--alpha", "0.6", "--beta", "0.6", "--gamma", "0.6"])
-        via_flags = capsys.readouterr().out
-        assert via_theta == via_flags
 
     def test_precise_flag_prints_full_precision(self, capsys, demo_file):
         run(
@@ -524,6 +520,23 @@ class TestDegreesCommand:
         assert "pleased (mu >= 0.5): yes" in out
         assert "satisfactory (mu_tilde >= 0.5): no" in out
 
+    def test_verdicts_take_the_closed_grey_target(self, capsys, demo_file):
+        # A degree equal to mu0 lies in the target [mu0, 1]; one ulp below
+        # mu0 does not.
+        query = ["degrees", "--file", demo_file, "--theta", "0.6", "--lambda", "0.5"]
+        assert run([*query, "--precise"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        mu = float(lines[1].removeprefix("mu = "))
+        mu_tilde = float(lines[2].removeprefix("mu_tilde[lambda=0.5] = "))
+        for line, degree in ((3, mu), (4, mu_tilde)):
+            for mu0, verdict in (
+                (np.nextafter(degree, 0.0), "yes"),
+                (degree, "yes"),
+                (np.nextafter(degree, 1.0), "no"),
+            ):
+                assert run([*query, "--mu0", repr(float(mu0))]) == 0
+                assert capsys.readouterr().out.splitlines()[line].endswith(f": {verdict}")
+
     @pytest.mark.parametrize("argv, calls", [
         (["degrees", "--theta", "0.6"], 1),
         (["degrees", "--alpha", "1", "--beta", "0", "--gamma", "0.5", "--precise"], 1),
@@ -560,6 +573,16 @@ class TestDegreesCommand:
         )
         assert run(["degrees", "--file", str(path), "--theta", "0.5"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["solve", "degrees"])
+@pytest.mark.parametrize("precise", [[], ["--precise"]], ids=["rounded", "precise"])
+def test_theta_prints_what_the_three_flags_print(capsys, demo_file, command, precise):
+    assert run([command, "--file", demo_file, "--theta", "0.3", *precise]) == 0
+    via_theta = capsys.readouterr()
+    argv = [command, "--file", demo_file, "--alpha", "0.3", "--beta", "0.3", "--gamma", "0.3"]
+    assert run([*argv, *precise]) == 0
+    assert capsys.readouterr() == via_theta
 
 
 class TestSweepCommand:
@@ -766,7 +789,7 @@ def test_cold_degrees_query_benchmark_smoke(benchmark, capsys, caplog, tmp_path)
     # the critical one, which logs no record.
     p = _seeded_problem(60, seed=2012)
     path = tmp_path / "synthetic60.json"
-    path.write_text(serialize_problem(ProblemFile(problem=p)), encoding="utf-8")
+    path.write_text(problem_text(ProblemFile(problem=p)), encoding="utf-8")
     argv = ["degrees", "--file", str(path), "--theta", "0.3", "--precise"]
     with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
         code = benchmark.pedantic(run, args=(argv,), rounds=1, iterations=1)
@@ -775,4 +798,4 @@ def test_cold_degrees_query_benchmark_smoke(benchmark, capsys, caplog, tmp_path)
     assert starts == ["solve_max: cold start", "solve_max: warm start"]
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 5
-    assert lines[0] == f"f = {positioned_value(p, theta_coefficients(0.3, 60, 60))!r}"
+    assert lines[0] == f"f = {positioned_value(p, uniform_coefficients(0.3, 0.3, 0.3, 60, 60))!r}"

@@ -21,10 +21,8 @@ from greylp import (
     WhiteLP,
     build_positioned,
     parse_problem,
-    theta_coefficients,
     uniform_coefficients,
     validate_problem,
-    whiten,
 )
 
 _lo = st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False)
@@ -32,53 +30,55 @@ _width = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity
 _t = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
-class TestWhiten:
+def _whitened_entries(lo, hi, t) -> list[float]:
+    """The objective, matrix and right-hand-side entries that
+    :func:`build_positioned` makes of a 1x1 problem whose every interval is
+    ``[lo, hi]``, all at position ``t``."""
+    p = GreyLP(objective=[(lo, hi)], matrix=[[(lo, hi)]], rhs=[(lo, hi)])
+    w = build_positioned(p, PositionCoefficients(alphas=[t], betas=[t], gammas=[[t]]))
+    return [float(w.c_array[0]), float(w.A_array[0, 0]), float(w.b_array[0])]
+
+
+class TestWhitenedEntries:
+    """Every entry of a positioned program is ``t*hi + (1-t)*lo`` of its
+    interval."""
+
     def test_position_weights_upper_bound(self):
-        assert whiten((600, 800), 0.6) == pytest.approx(720.0, abs=1e-9)
-        assert whiten((100, 200), 0.5) == pytest.approx(150.0, abs=1e-9)
-        assert whiten((0, 10), 0.25) == pytest.approx(2.5, abs=1e-12)
+        assert _whitened_entries(600, 800, 0.6) == pytest.approx([720.0] * 3, abs=1e-9)
+        assert _whitened_entries(100, 200, 0.5) == pytest.approx([150.0] * 3, abs=1e-9)
+        assert _whitened_entries(0, 10, 0.25) == pytest.approx([2.5] * 3, abs=1e-12)
 
     def test_endpoints_are_exact(self):
         lo, hi = 0.1, 9.7
-        assert whiten((lo, hi), 0.0) == lo
-        assert whiten((lo, hi), 1.0) == hi
-
-    def test_accepts_bare_pairs(self):
-        assert whiten((2, 4), 0.5) == pytest.approx(3.0)
-        assert whiten([2, 4], 0.5) == whiten(np.array([2.0, 4.0]), 0.5) == 3.0
-        with pytest.raises(StructureError, match="^interval: expected \\(lo, hi\\) pairs$"):
-            whiten((1, 2, 3), 0.5)
+        assert _whitened_entries(lo, hi, 0.0) == [lo] * 3
+        assert _whitened_entries(lo, hi, 1.0) == [hi] * 3
 
     def test_white_interval_ignores_position(self):
         for t in (0.0, 0.3, 1.0):
-            assert whiten((5, 5), t) == 5.0
+            assert _whitened_entries(5, 5, t) == [5.0] * 3
 
-    @pytest.mark.parametrize("t", [-0.1, 1.1, float("nan"), float("inf")])
-    def test_rejects_position_outside_unit(self, t):
-        with pytest.raises(DomainError):
-            whiten((1, 2), t)
-
-    def test_rejects_invalid_interval(self):
-        with pytest.raises(DomainError):
-            whiten((3, 1), 0.5)
-        with pytest.raises(DomainError):
-            whiten((0, float("inf")), 0.5)
-        with pytest.raises(DomainError):
-            whiten((float("nan"), 1), 0.5)
+    @pytest.mark.parametrize("lo, hi, shown", [
+        (3, 1, "[3.0, 1.0]"), (0, math.inf, "[0.0, inf]"), (math.nan, 1, "[nan, 1.0]"),
+    ], ids=["reversed", "infinite", "nan"])
+    def test_rejects_invalid_interval(self, lo, hi, shown):
+        message = f"^cannot whiten invalid interval {re.escape(shown)}$"
+        with pytest.raises(DomainError, match=message):
+            _whitened_entries(lo, hi, 0.5)
 
     @given(lo=_lo, width=_width, t=_t)
     def test_result_stays_within_interval(self, lo, width, t):
         hi = lo + width
-        v = whiten((lo, hi), t)
         slack = 1e-12 * max(1.0, hi)
-        assert lo - slack <= v <= hi + slack
+        for v in _whitened_entries(lo, hi, t):
+            assert lo - slack <= v <= hi + slack
 
     @given(lo=_lo, width=_width, t1=_t, t2=_t)
     def test_monotone_in_position(self, lo, width, t1, t2):
-        iv = (lo, lo + width)
+        hi = lo + width
         t1, t2 = min(t1, t2), max(t1, t2)
-        slack = 1e-12 * max(1.0, iv[1])
-        assert whiten(iv, t1) <= whiten(iv, t2) + slack
+        slack = 1e-12 * max(1.0, hi)
+        for v1, v2 in zip(_whitened_entries(lo, hi, t1), _whitened_entries(lo, hi, t2)):
+            assert v1 <= v2 + slack
 
 
 _WELL_FORMED = (
@@ -186,10 +186,6 @@ class TestRealEntries:
         with pytest.raises(StructureError, match=message):
             _make(edits)
 
-    def test_whiten_takes_real_numbers_only(self):
-        with pytest.raises(StructureError, match="^interval: expected real numbers, got '1'$"):
-            whiten(("1", 2), 0.5)
-
     def test_accepts_numpy_numbers_and_integer_arrays(self):
         pairs = GreyLP(objective=[(1, 2)], matrix=[[(3, 4)]], rhs=[(5, 6)])
         assert GreyLP(
@@ -230,7 +226,9 @@ class TestUniformAndTheta:
         assert k.gamma_array.tolist() == [[0.3, 0.3]] * 3
 
     def test_theta_equals_uniform(self):
-        assert theta_coefficients(0.4, 2, 3) == uniform_coefficients(0.4, 0.4, 0.4, 2, 3)
+        # The CLI's --theta t is uniform_coefficients(t, t, t, m, n).
+        k = PositionCoefficients(alphas=[0.4] * 3, betas=[0.4] * 2, gammas=[[0.4] * 3] * 2)
+        assert uniform_coefficients(0.4, 0.4, 0.4, 2, 3) == k
 
     def test_rejects_empty_dimensions(self):
         with pytest.raises(StructureError):
@@ -242,7 +240,7 @@ class TestUniformAndTheta:
             with pytest.raises(StructureError, match="^m and n must be integers, got "):
                 uniform_coefficients(0.5, 0.5, 0.5, m, n)
         with pytest.raises(StructureError, match=r"^m and n must be integers, got m=1.5, n=1$"):
-            theta_coefficients(0.5, 1.5, 1)
+            uniform_coefficients(0.5, 0.5, 0.5, 1.5, 1)
         k = uniform_coefficients(0.5, 0.5, 0.5, np.int64(2), np.int32(3))
         assert k.gamma_array.shape == (2, 3)
 

@@ -1,11 +1,15 @@
-"""The public surface: the names ``greylp`` and its modules export, and the
-public attributes of its data classes.
+"""The public surface: the names ``greylp`` and its modules export, the
+public attributes of its data classes, and the functions README's
+"Library use" names.
 
 An API is added or removed on purpose, by editing ``EXPORTED`` or
 ``ATTRIBUTES`` here along with the code.
 """
 
 import importlib
+import inspect
+import pathlib
+import re
 
 import pytest
 
@@ -14,18 +18,18 @@ import greylp
 EXPORTED = {
     "__version__",
     # grey_core
-    "GreyLP", "PositionCoefficients", "WhiteLP", "Violation", "whiten",
-    "build_positioned", "uniform_coefficients", "theta_coefficients", "validate_problem",
+    "GreyLP", "PositionCoefficients", "WhiteLP", "Violation",
+    "build_positioned", "uniform_coefficients", "validate_problem",
     # lp_solver
     "SolveStatus", "LPSolution", "solve_max",
     # satisfaction
     "ValueBounds", "positioned_value", "bounds", "pleased_degree", "pleased_degrees",
-    "lambda_satisfaction", "lambda_satisfactions", "is_pleased", "is_lambda_satisfactory",
+    "lambda_satisfaction", "lambda_satisfactions",
     # analysis
     "SweepTable", "MonotonicityReport", "unit_grid", "solve_grid", "lambda_sweep",
     "grid_sweep", "check_monotonicity", "find_satisfactory", "render_table",
     # cli
-    "ProblemFile", "parse_problem", "serialize_problem", "run",
+    "ProblemFile", "parse_problem", "run",
     # errors
     "GreyLPError", "DomainError", "StructureError", "ValidationError", "ParseError",
     "UnboundedValueError", "InconsistentInputsError", "SolverFailure",
@@ -39,15 +43,28 @@ ATTRIBUTES = {
     "GreyLP": {"c_lo", "c_hi", "A_lo", "A_hi", "b_lo", "b_hi", "n", "m"},
     "PositionCoefficients": {"alpha_array", "beta_array", "gamma_array"},
     "WhiteLP": {"c_array", "A_array", "b_array", "n", "m"},
-    "SweepTable": {"axis_labels", "lambdas", "coefficients", "f", "mu", "mu_tilde", "pivoted"},
+    "SweepTable": {"lambdas", "coefficients", "f", "mu", "mu_tilde"},
+}
+
+
+# Names removed on purpose, each with the module that defined it.
+GONE = {
+    "SatisfactionRecord": "analysis",
+    "GridSolution": "analysis",
+    "Interval": "grey_core",
+    "whiten": "grey_core",
+    "theta_coefficients": "grey_core",
+    "is_pleased": "satisfaction",
+    "is_lambda_satisfactory": "satisfaction",
+    "serialize_problem": "cli",
 }
 
 
 def test_package_exports_exactly_the_expected_names():
     assert sorted(greylp.__all__) == sorted(EXPORTED)  # also: no name listed twice
-    for gone in ("SatisfactionRecord", "GridSolution"):
-        assert not hasattr(greylp, gone) and not hasattr(greylp.analysis, gone)
-    assert not hasattr(greylp, "Interval") and not hasattr(greylp.grey_core, "Interval")
+    for gone, module in GONE.items():
+        assert not hasattr(greylp, gone), gone
+        assert not hasattr(importlib.import_module(f"greylp.{module}"), gone), gone
 
 
 def test_data_classes_have_exactly_the_expected_attributes():
@@ -64,13 +81,31 @@ def test_data_classes_have_exactly_the_expected_attributes():
         assert {a for a in dir(obj) if not a.startswith("_")} == ATTRIBUTES[name], name
 
 
-@pytest.mark.parametrize(
-    "module", ["greylp", "greylp.analysis", "greylp.cli", "greylp.grey_core",
-               "greylp.lp_solver", "greylp.satisfaction"],
-)
+MODULES = ["greylp", "greylp.analysis", "greylp.cli", "greylp.grey_core",
+           "greylp.lp_solver", "greylp.satisfaction"]
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
     # The package re-exports its modules' names (the CLI's ``main`` aside).
     if module != "greylp":
         assert set(mod.__all__) - {"main"} <= EXPORTED
+
+
+def test_readme_library_use_names_exactly_the_exported_functions():
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library use")[1].split("\n## ")[0]
+    named = set(re.findall(r"\b([a-z_]+)\(", section)) | set(re.findall(r"`([a-z_]+)`", section))
+    named |= {
+        name for line in re.findall(r"from greylp import \(([^)]*)\)", section)
+        for name in re.findall(r"\w+", line)
+    }
+    modules = [importlib.import_module(module) for module in MODULES]
+    in_greylp = {
+        name for name in named
+        if any(inspect.isfunction(getattr(mod, name, None)) for mod in modules)
+    }
+    assert in_greylp == {name for name in EXPORTED if inspect.isfunction(getattr(greylp, name))}
+    assert named & set(GONE) == set()
