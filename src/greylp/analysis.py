@@ -202,9 +202,9 @@ def _cube(grid: tuple[float, ...]) -> np.ndarray:
 
 
 def _scored(p: GreyLP, pts: np.ndarray, lambdas: tuple[float, ...]) -> SweepTable:
-    """The sweep table of the checked triples ``pts`` (see :func:`_points`):
-    each row's positioned optimum and degrees at each of the checked
-    ``lambdas``, scored a column at a time.
+    """The sweep table of a validated ``p`` at the checked triples ``pts``
+    (see :func:`_points`): each row's positioned optimum and degrees at each
+    of the checked ``lambdas``, scored a column at a time.
 
     Both bounds are solved first, so an unbounded ideal program raises
     :class:`UnboundedValueError`.  Once the ideal program is bounded, no
@@ -212,7 +212,6 @@ def _scored(p: GreyLP, pts: np.ndarray, lambdas: tuple[float, ...]) -> SweepTabl
     so a ray d of a positioned program (A d = 0, c·d > 0) is a ray of the
     ideal program (c_hi, A_lo) too.  A NaN optimum can thus only come from
     the solver, and it raises :class:`SolverFailure`."""
-    _validated(p)
     vb, bases = _bounds(p)
     f = _solve_grid(p, pts, bases)
     if np.isnan(f).any():
@@ -236,6 +235,7 @@ def lambda_sweep(p: GreyLP, settings, lambdas) -> SweepTable:
     """
     pts = _points(list(settings))
     lambdas = tuple(_unit(v, "lam") for v in lambdas)
+    _validated(p)
     return _scored(p, pts[np.lexsort(pts.T[::-1])], lambdas)
 
 
@@ -247,7 +247,9 @@ def grid_sweep(p: GreyLP, step: float, lambdas=()) -> SweepTable:
     bad lambda raises :class:`DomainError` before anything is solved.
     """
     grid = unit_grid(step)
-    lambdas = tuple(_unit(v, "lam") for v in lambdas)  # before the cube is built
+    # The lambdas and the problem are checked before the cube is built.
+    lambdas = tuple(_unit(v, "lam") for v in lambdas)
+    _validated(p)
     return _scored(p, _cube(grid), lambdas)
 
 
@@ -269,7 +271,8 @@ def check_monotonicity(p: GreyLP, axis: str, step: float) -> MonotonicityReport:
     direction = "nonincreasing" if axis == "gamma" else "nondecreasing"
     grid = unit_grid(step)
     g = len(grid)
-    values = solve_grid(p, _cube(grid))
+    _validated(p)  # before the cube is built
+    values = _solve_grid(p, _cube(grid))
     finite = values[~np.isnan(values)]
     scale = max(1.0, float(np.abs(finite).max())) if finite.size else 1.0
     tol = 1e-6 * scale

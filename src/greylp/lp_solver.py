@@ -4,8 +4,12 @@ Problems have the form: maximize c.x subject to A.x <= b, x >= 0, with
 b >= 0 as in every positioned program of a valid grey problem.  So x = 0
 is feasible, and every solve is phase 2 of a dense primal tableau simplex
 from a feasible basis, cold from the all-slack one ([A | I | b], objective
-row c).  Bland's rule (lowest-index entering column; ratio ties broken by
-lowest row index) keeps every solve deterministic and terminating.
+row c).  The entering column is the one of largest reduced cost (Dantzig's
+rule, ties to the lowest index), which usually takes fewer pivots than
+Bland's rule, until a solve makes its first degenerate pivot (a step of
+zero); from then on that solve enters the lowest-index improving column
+(Bland's rule), which cannot cycle.  Ratio ties go to the lowest row index,
+so every solve is deterministic and terminates.
 
 Whitenings of one grey problem nearly always share an optimal basis, so
 ``_solve_points`` solves a stack of programs that share each slice's
@@ -15,7 +19,8 @@ feasibility, the feasibility post-check and a duality gap), pivots on by
 phase 2 from a cached basis that is primal feasible at a point, and solves
 cold with ``solve_max`` where there is none or that solve fails.  Each
 simplex solve logs one DEBUG record on the ``greylp.lp_solver`` logger
-naming its start (cold or warm), the pivots taken and the outcome.
+naming its start (cold or warm), the pivots taken (and how many of them
+were degenerate) and the outcome.
 
 A solve is post-checked in floating point only: x >= 0, A.x <= b, and a
 finite tableau and objective.  ``tests/conftest.py`` proves the returned
@@ -74,27 +79,38 @@ class LPSolution:
     basis: tuple[int, ...] = ()
 
 
-def _bland_iterate(T: np.ndarray, basis: list[int], budget: int) -> tuple[str, int, int]:
+def _iterate(T: np.ndarray, basis: list[int], budget: int) -> tuple[str, int, int, int]:
     """Run simplex pivots on the tableau ``T`` in place until optimal or
     unbounded.
 
-    Returns (outcome, pivots_used, entering_col); entering_col is only
-    meaningful for the "unbounded" outcome.  The ratio vector and the
-    rank-one update are written into buffers allocated once per call, and
-    the update multiplies entry by entry as ``np.outer`` does (not a BLAS
-    product, which may round or sign zeros differently), so every pivot
-    keeps the scalar reference loop's arithmetic bit for bit.
+    The entering column is priced by Dantzig's rule (the largest reduced
+    cost, ties to the lowest index) until the first degenerate pivot (one
+    whose step, the minimum ratio, is not positive), and by Bland's rule
+    (the lowest-index improving column) from then on, which cannot cycle.
+
+    Returns (outcome, pivots_used, degenerate_pivots, entering_col);
+    entering_col is only meaningful for the "unbounded" outcome.  The ratio
+    vector and the rank-one update are written into buffers allocated once
+    per call, and the update multiplies entry by entry as ``np.outer`` does
+    (not a BLAS product, which may round or sign zeros differently), so
+    every pivot keeps the scalar reference loop's arithmetic bit for bit.
     """
     m = T.shape[0] - 1
+    costs = np.empty(T.shape[1] - 1)
     ratios = np.empty(m)
     factors = np.empty(m + 1)
     update = np.empty_like(T)
-    used = 0
+    used = degenerate = 0
     while True:
-        improving = T[m, :-1] > _TOL_PIVOT
-        enter = int(improving.argmax())  # Bland: the lowest-index improving column
-        if not improving[enter]:
-            return "optimal", used, -1
+        if degenerate:
+            # Bland: the lowest-index improving column.
+            enter = int((T[m, :-1] > _TOL_PIVOT).argmax())
+        else:
+            # Dantzig: the largest reduced cost.  fmax reads a NaN as 0, so a
+            # NaN reduced cost is never chosen.
+            enter = int(np.fmax(T[m, :-1], 0.0, out=costs).argmax())
+        if not T[m, enter] > _TOL_PIVOT:
+            return "optimal", used, degenerate, -1
         col = T[:m, enter]
         ratios.fill(np.inf)  # rows that do not limit the step
         np.divide(T[:m, -1], col, out=ratios, where=col > _TOL_PIVOT)
@@ -107,11 +123,13 @@ def _bland_iterate(T: np.ndarray, basis: list[int], budget: int) -> tuple[str, i
             usable = np.flatnonzero(ratios < np.inf)
             row = int(usable[ratios[usable].argmin()]) if len(usable) else -1
         if row < 0:
-            return "unbounded", used, enter
+            return "unbounded", used, degenerate, enter
         if used >= budget:
             raise SolverFailure(
                 f"simplex exceeded its iteration cap of {budget} pivots"
             )
+        if not ratios[row] > 0.0:
+            degenerate += 1
         T[row] /= T[row, enter]
         factors[:] = T[:, enter]
         factors[row] = 0.0
@@ -156,13 +174,13 @@ def _vertex(T: np.ndarray, basis: list[int], A, b, c) -> LPSolution | None:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _phase2(A, b, c, S=None) -> tuple[LPSolution | None, int]:
+def _phase2(A, b, c, S=None) -> tuple[LPSolution | None, int, int]:
     """Phase 2 from the primal feasible basis ``S`` (the all-slack one if
     None): the optimal or unbounded solution, None if it fails the
-    post-check, and the pivots.  Raises :class:`SolverFailure` past the
-    pivot budget.  numpy's overflow and invalid warnings are off: an
-    overflowing ratio is left out, and an optimum that overflows fails the
-    post-check."""
+    post-check, the pivots, and how many of them were degenerate.  Raises
+    :class:`SolverFailure` past the pivot budget.  numpy's overflow and
+    invalid warnings are off: an overflowing ratio is left out, and an
+    optimum that overflows fails the post-check."""
     m, n = A.shape
     T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = A
@@ -180,10 +198,11 @@ def _phase2(A, b, c, S=None) -> tuple[LPSolution | None, int]:
         T[:m, -1][T[:m, -1] < 0.0] = 0.0  # only sub-tolerance noise is negative here
         T[m] -= T[m, S] @ T[:m]
         T[m, S] = 0.0
-    outcome, used, enter = _bland_iterate(T, basis, 50 * (m + n))
+    outcome, used, degenerate, enter = _iterate(T, basis, 50 * (m + n))
     if outcome == "unbounded":
-        return LPSolution(SolveStatus.UNBOUNDED, ray=_extract_ray(T, basis, enter, n)), used
-    return _vertex(T, basis, A, b, c), used
+        ray = _extract_ray(T, basis, enter, n)
+        return LPSolution(SolveStatus.UNBOUNDED, ray=ray), used, degenerate
+    return _vertex(T, basis, A, b, c), used, degenerate
 
 
 def _solve_stack(M, R) -> tuple[np.ndarray, np.ndarray]:
@@ -277,7 +296,8 @@ def _require_nonnegative(b: np.ndarray) -> None:
 
 def solve_max(lp: WhiteLP) -> LPSolution:
     """Maximize c.x subject to A.x <= b, x >= 0 by primal simplex from the
-    all-slack basis, for b >= 0.
+    all-slack basis, for b >= 0, pricing by Dantzig's rule until the first
+    degenerate pivot and by Bland's rule from then on.
 
     Deterministic for fixed input.  Raises :class:`DomainError` if some
     b_i < 0, and :class:`SolverFailure` if the pivot count exceeds
@@ -285,10 +305,13 @@ def solve_max(lp: WhiteLP) -> LPSolution:
     """
     A, b, c = lp.A_array, lp.b_array, lp.c_array
     _require_nonnegative(b)
-    sol, pivots = _phase2(A, b, c)
+    sol, pivots, degenerate = _phase2(A, b, c)
     if sol is None:
         raise SolverFailure("solution failed the feasibility post-check")
-    _log.debug("solve_max: cold start, %d pivots, %s", pivots, sol.status.value)
+    _log.debug(
+        "solve_max: cold start, %d pivots (%d degenerate), %s",
+        pivots, degenerate, sol.status.value,
+    )
     return sol
 
 
@@ -345,11 +368,12 @@ def _solve_points(A, C, Bv, at, ca, cb, bases=()):
         sol = None
         if feasible[j] >= 0:
             try:
-                sol, pivots = _phase2(A[s], b, c, np.array(cache[feasible[j]]))
-            except SolverFailure:
-                pivots = 50 * (m + n)
+                sol, pivots, degenerate = _phase2(A[s], b, c, np.array(cache[feasible[j]]))
+                taken = f"{pivots} pivots ({degenerate} degenerate)"
+            except SolverFailure as exc:  # past the pivot budget
+                taken = str(exc)
             outcome = sol.status.value if sol is not None else "failed"
-            _log.debug("solve_max: warm start, %d pivots, %s", pivots, outcome)
+            _log.debug("solve_max: warm start, %s, %s", taken, outcome)
         if sol is None:
             sol = solve_max(WhiteLP._of_arrays(c, A[s], b))
             cold += 1

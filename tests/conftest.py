@@ -249,15 +249,19 @@ def _reference_pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _reference_bland_iterate(T, basis, budget):
+def _reference_iterate(T, basis, budget):
     m = T.shape[0] - 1
-    used = 0
+    used = degenerate = 0
     while True:
+        # Dantzig's rule (the largest reduced cost, ties to the lowest index)
+        # until the first degenerate pivot, then Bland's rule (the lowest
+        # index); a NaN reduced cost compares False and is never chosen.
         enter = -1
         for j in range(T.shape[1] - 1):
-            if T[m, j] > _TOL_PIVOT:
+            if T[m, j] > _TOL_PIVOT and (enter < 0 or T[m, j] > T[m, enter]):
                 enter = j
-                break
+                if degenerate:
+                    break
         if enter < 0:
             return "optimal", used, -1
         leave = -1
@@ -273,14 +277,18 @@ def _reference_bland_iterate(T, basis, budget):
             return "unbounded", used, enter
         if used >= budget:
             raise SolverFailure(f"simplex exceeded its iteration cap of {budget} pivots")
+        if not best > 0.0:
+            degenerate += 1
         _reference_pivot(T, basis, leave, enter)
         used += 1
 
 
 def reference_solve_max(lp: WhiteLP) -> LPSolution:
-    """The scalar Bland loop that the vectorised pricing in ``solve_max``
-    replaces, kept as its reference: one numpy scalar at a time, read from
-    copies of the arrays of ``lp``, from the all-slack basis (so b >= 0)."""
+    """The scalar pricing loop that the vectorised pricing in ``solve_max``
+    replaces, kept as its reference: Dantzig's rule until the first
+    degenerate pivot and Bland's rule from then on, one numpy scalar at a
+    time, read from copies of the arrays of ``lp``, from the all-slack basis
+    (so b >= 0)."""
     A = np.array(lp.A_array, dtype=float)
     b = np.array(lp.b_array, dtype=float)
     c = np.array(lp.c_array, dtype=float)
@@ -292,7 +300,7 @@ def reference_solve_max(lp: WhiteLP) -> LPSolution:
     T[:m, -1] = b
     T[m, :n] = c
     basis = list(range(n, n + m))
-    outcome, _, enter = _reference_bland_iterate(T, basis, 50 * (m + n))
+    outcome, _, enter = _reference_iterate(T, basis, 50 * (m + n))
     if outcome == "unbounded":
         d = np.zeros(T.shape[1] - 1)
         d[enter] = 1.0

@@ -193,8 +193,8 @@ class TestSolveGrid:
         with caplog.at_level(logging.DEBUG, logger="greylp"):
             grid_sweep(demo_problem, 0.05)
         assert [r.getMessage() for r in caplog.records] == [
-            "solve_max: cold start, 2 pivots, optimal",
-            "solve_max: cold start, 3 pivots, optimal",
+            "solve_max: cold start, 2 pivots (0 degenerate), optimal",
+            "solve_max: cold start, 2 pivots (0 degenerate), optimal",
             "solve_grid: 9261 points, 0 cold solves, 0 warm starts, 9261 certified, 2 bases, "
             "0 non-optimal",
         ]
@@ -340,6 +340,20 @@ class TestGridSweep:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("call", [
+        lambda p: grid_sweep(p, 0.01),
+        lambda p: check_monotonicity(p, "gamma", 0.01),
+        lambda p: find_satisfactory(p, 0.5, 0.5, 0.01),
+    ], ids=["grid_sweep", "check_monotonicity", "find_satisfactory"])
+    def test_invalid_problem_is_refused_before_the_cube_is_built(self, monkeypatch, call):
+        def no_cube(grid):
+            raise AssertionError("the cube was built")
+
+        monkeypatch.setattr(analysis, "_cube", no_cube)
+        bad = GreyLP(objective=((2, 1),), matrix=(((1, 2),),), rhs=((3, 4),))
+        with pytest.raises(ValidationError):
+            call(bad)
+
 
 class TestCheckMonotonicity:
     @pytest.mark.parametrize("axis", ["alpha", "beta", "gamma"])
@@ -408,10 +422,7 @@ class TestCheckMonotonicity:
         cube = np.array(list(itertools.product(grid, repeat=3)))
         f = 100.0 * cube[:, pos] * (-1.0 if axis == "gamma" else 1.0) + 1000.0
         f[37] += 90.0  # breaks the ordering next to this setting
-        monkeypatch.setattr(
-            analysis, "solve_grid",
-            lambda p, pts: f,
-        )
+        monkeypatch.setattr(analysis, "_solve_grid", lambda p, pts: f)
         report = check_monotonicity(demo_problem, axis, 0.25)
         value = dict(zip(map(tuple, cube.tolist()), f.tolist()))
         sign = -1.0 if axis == "gamma" else 1.0

@@ -34,7 +34,7 @@ from greylp import (
     uniform_coefficients,
 )
 from greylp import lp_solver
-from greylp.lp_solver import _bland_iterate
+from greylp.lp_solver import _iterate
 from greylp.satisfaction import _bounds
 
 # Loosest whitening of the bundled demo problem: upper objective/rhs bounds,
@@ -49,6 +49,14 @@ LOOSE_F = 3627000 / 48.5
 TIGHT = WhiteLP(c=(600, 900), A=((5, 6.5), (11, 5), (3.5, 12)), b=(150, 280, 270))
 TIGHT_X = (45 / 37.25, 825 / 37.25)
 TIGHT_F = 769500 / 37.25
+
+# Beale's (1955) example, on which Dantzig's rule cycles; the optimum is 5/4
+# at x = (1, 0, 1, 0).
+BEALE = WhiteLP(
+    c=(0.75, -20, 0.5, -6),
+    A=((0.25, -8, -1, 9), (0.5, -12, -0.5, 3), (0, 0, 1, 0)),
+    b=(0, 0, 1),
+)
 
 
 def _assert_feasible(lp: WhiteLP, x, tol=1e-7):
@@ -178,7 +186,33 @@ class TestDeterminismAndDegeneracy:
     def test_iteration_budget_exhaustion_raises(self):
         T = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
         with pytest.raises(SolverFailure):
-            _bland_iterate(T, [1], budget=0)
+            _iterate(T, [1], budget=0)
+
+    def test_beale_cycling_example_terminates(self, caplog):
+        # Dantzig's rule with lowest-row ratio ties cycles on Beale's
+        # example until the pivot cap; Bland's rule, priced from the first
+        # degenerate pivot on, reaches the optimum 5/4.
+        with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
+            sol = solve_max(BEALE)
+        [record] = caplog.records
+        assert record.getMessage() == "solve_max: cold start, 6 pivots (4 degenerate), optimal"
+        assert sol.objective == pytest.approx(1.25, rel=1e-12)
+        assert exact_check(BEALE, sol) == ("optimal", Fraction(5, 4))
+
+    @pytest.mark.parametrize("size, pivots", [(10, 5), (30, 14), (60, 29)])
+    def test_cold_pivot_counts_of_dense_programs(self, caplog, size, pivots):
+        # Dense programs without a dominant diagonal: A ~ U(0, 1),
+        # b ~ U(1, 2), c ~ U(0.5, 1.5), seeded by the size.
+        rng = np.random.default_rng(size)
+        A, b = rng.uniform(0.0, 1.0, (size, size)), rng.uniform(1.0, 2.0, size)
+        lp = WhiteLP(c=rng.uniform(0.5, 1.5, size), A=A, b=b)
+        with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
+            sol = solve_max(lp)
+        [record] = caplog.records
+        assert record.getMessage() == (
+            f"solve_max: cold start, {pivots} pivots (0 degenerate), optimal"
+        )
+        assert sol.status is SolveStatus.OPTIMAL
 
 
 class TestExactCheck:
@@ -371,7 +405,7 @@ OVERFLOW_FAILURE = ("failure", "solution failed the feasibility post-check")
 
 class TestVectorisedPricing:
     """``solve_max`` prices with array operations; it must pick the pivots
-    of the scalar Bland loop (``reference_solve_max``) and so return the
+    of the scalar pricing loop (``reference_solve_max``) and so return the
     same solution bit for bit."""
 
     @given(lp=_mixed_sign_lps())
@@ -401,6 +435,7 @@ class TestVectorisedPricing:
         # The only ratio overflows to +inf, which the running minimum never
         # takes: both report the column unbounded.
         WhiteLP(c=(1,), A=((1e-8,),), b=(1.7e308,)),
+        BEALE,
     ])
     # reference_solve_max warns on the overflowing ratio.
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -422,7 +457,7 @@ class TestVectorisedPricing:
         with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
             assert _started(OVERFLOWING, (0,)) == OVERFLOW_FAILURE
         [record] = caplog.records
-        assert record.getMessage() == "solve_max: warm start, 0 pivots, failed"
+        assert record.getMessage() == "solve_max: warm start, 0 pivots (0 degenerate), failed"
 
     def test_overflowing_ratio_warns_nothing(self):
         with warnings.catch_warnings():
@@ -571,7 +606,9 @@ class TestWarmStart:
         with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
             value, _, n_cold, n_warm = _kernel(LOOSE, (2, 3, 4))
         [message] = [r.getMessage() for r in caplog.records]
-        assert re.fullmatch(r"solve_max: warm start, [1-9]\d* pivots, optimal", message)
+        assert re.fullmatch(
+            r"solve_max: warm start, [1-9]\d* pivots \(0 degenerate\), optimal", message
+        )
         assert (n_cold, n_warm) == (0, 1)
         assert value == pytest.approx(LOOSE_F, rel=1e-12)
 
@@ -581,13 +618,13 @@ class TestWarmStart:
         with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
             vb, cache = _bounds(demo_problem, (slack,))
         assert [r.getMessage() for r in caplog.records] == [
-            "solve_max: warm start, 2 pivots, optimal",
-            "solve_max: warm start, 3 pivots, optimal",
+            "solve_max: warm start, 2 pivots (0 degenerate), optimal",
+            "solve_max: warm start, 2 pivots (0 degenerate), optimal",
         ]
         assert vb == _bounds(demo_problem)[0]
         assert cache[0] == slack and len(cache) == 3
 
-    @pytest.mark.parametrize("broken", ["_bland_iterate", "_vertex"])
+    @pytest.mark.parametrize("broken", ["_iterate", "_vertex"])
     def test_failed_warm_start_falls_back_to_cold(self, demo_problem, caplog, monkeypatch,
                                                   broken):
         # The first phase 2 exhausts its pivot budget or fails its
@@ -677,7 +714,8 @@ class TestRejectedStart:
         with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
             got = _started(LOOSE, start)
         [record] = caplog.records
-        assert re.fullmatch(r"solve_max: cold start, \d+ pivots, optimal", record.getMessage())
+        message = record.getMessage()
+        assert re.fullmatch(r"solve_max: cold start, \d+ pivots \(0 degenerate\), optimal", message)
         assert got == _as_cold_start(_outcome(solve_max, LOOSE))
 
     def test_exhausted_budget_falls_back(self, monkeypatch):
@@ -687,9 +725,9 @@ class TestRejectedStart:
             calls.append(args)
             if len(calls) == 1:
                 raise SolverFailure("simplex exceeded its iteration cap of 0 pivots")
-            return _bland_iterate(*args)
+            return _iterate(*args)
 
-        monkeypatch.setattr(lp_solver, "_bland_iterate", failing_once)
+        monkeypatch.setattr(lp_solver, "_iterate", failing_once)
         assert _started(LOOSE, (2, 3, 4)) == _as_cold_start(_outcome(solve_max, LOOSE))
         assert len(calls) == 3  # the warm start, then the cold solve twice
 
