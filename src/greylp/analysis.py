@@ -12,13 +12,18 @@ stacked kernel ``greylp.lp_solver._solve_points``.  Under uniform whitening
 the matrix depends on gamma alone, the right-hand side on beta alone and
 the objective on alpha alone, so the positioned programs of one gamma
 slice share A and differ only in b and c (``grey_core._uniform_stack``
-whitens each slice once).  A simplex basis S then gives, from one
-factorisation of B = [A | I][:, S], the basic solution for every beta of
-the slice and the dual vector for every alpha; the basis is optimal on the
-rectangle of primal-feasible betas times dual-feasible alphas (parametric
-programming, Gal 1995).  The kernel certifies every optimal basis found so
-far at the pending points of all slices at once and solves only the
-points no cached basis certifies.  A sweep's first cached bases are the ones
+whitens each slice once).  Which point lies in which slice is the stack
+layout: for arbitrary triples (``solve_grid``, ``lambda_sweep``)
+``grey_core._stack_layout`` finds it by sorting, and for the cube of a grid
+command (``grid_sweep``, ``check_monotonicity``, ``find_satisfactory``)
+``grey_core._cube_layout`` builds it from the cube's shape, in closed
+form.  A
+simplex basis S then gives, from one factorisation of B = [A | I][:, S],
+the basic solution for every beta of the slice and the dual vector for
+every alpha; the basis is optimal on the rectangle of primal-feasible
+betas times dual-feasible alphas (parametric programming, Gal 1995).  The
+kernel certifies every optimal basis found so far at the pending points of
+all slices at once and solves only the points no cached basis certifies.  A sweep's first cached bases are the ones
 the same kernel cached while solving its critical and ideal values.  Each
 ``solve_grid`` logs one INFO record with its counts.
 
@@ -38,7 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SolverFailure, StructureError
-from .grey_core import GreyLP, _check_real, _number, _uniform_stack, _unit
+from .grey_core import (
+    GreyLP, _check_real, _cube_layout, _number, _stack_layout, _uniform_stack, _unit
+)
 from .lp_solver import _solve_points
 from .satisfaction import _bounds, _validated, lambda_satisfactions, pleased_degrees
 
@@ -110,7 +117,9 @@ def unit_grid(step: float) -> tuple[float, ...]:
     """Grid {0, step, 2*step, ...} over [0, 1], always including 1.
 
     Values are rounded to 10 decimals so grid points like 3*0.1 come out as
-    exact presentation values (0.3, not 0.30000000000000004).
+    exact presentation values (0.3, not 0.30000000000000004), and a last
+    value that rounds past 1 is taken as 1, so the grid rises strictly from
+    0.0 to 1.0.
 
     Raises :class:`DomainError` for a step that is not a number in
     (0, 0.5], and
@@ -128,6 +137,8 @@ def unit_grid(step: float) -> tuple[float, ...]:
     if size**3 > limit:
         raise MemoryError(f"grid step {step:g} is too fine: its grid has more than {limit} triples")
     values = [round(k * step, 10) for k in range(count + 1)]
+    # A step a hair above 1/count puts count * step just past 1.
+    values[-1] = min(values[-1], 1.0)
     if len(values) < size:
         values.append(1.0)
     return tuple(values)
@@ -179,18 +190,20 @@ def solve_grid(p: GreyLP, triples) -> np.ndarray:
     anything is solved.
     """
     _validated(p)
-    return _solve_grid(p, _points(triples))
+    return _solve_grid(p, _stack_layout(_points(triples)))
 
 
-def _solve_grid(p: GreyLP, pts: np.ndarray, bases=()) -> np.ndarray:
-    """:func:`solve_grid` of a validated problem and checked points, with
+def _solve_grid(p: GreyLP, layout: tuple[np.ndarray, ...], bases=()) -> np.ndarray:
+    """:func:`solve_grid` of a validated problem at the checked points of
+    the stack ``layout`` (see :func:`greylp.grey_core._uniform_stack`), with
     ``bases`` (optimal bases of other whitenings of ``p``) as the first
     cached bases."""
-    values, cache, cold, warm = _solve_points(*_uniform_stack(p, pts), bases)
+    values, cache, cold, warm = _solve_points(*_uniform_stack(p, layout), bases)
+    n = len(values)
     _log.info(
         "solve_grid: %d points, %d cold solves, %d warm starts, %d certified, %d bases, "
         "%d non-optimal",
-        len(pts), cold, warm, len(pts) - cold - warm, len(cache), int(np.isnan(values).sum()),
+        n, cold, warm, n - cold - warm, len(cache), int(np.isnan(values).sum()),
     )
     return values
 
@@ -201,10 +214,13 @@ def _cube(grid: tuple[float, ...]) -> np.ndarray:
     return np.stack(axes, axis=-1).reshape(-1, 3)
 
 
-def _scored(p: GreyLP, pts: np.ndarray, lambdas: tuple[float, ...]) -> SweepTable:
+def _scored(
+    p: GreyLP, pts: np.ndarray, layout: tuple[np.ndarray, ...], lambdas: tuple[float, ...]
+) -> SweepTable:
     """The sweep table of a validated ``p`` at the checked triples ``pts``
-    (see :func:`_points`): each row's positioned optimum and degrees at each
-    of the checked ``lambdas``, scored a column at a time.
+    (see :func:`_points`), whose stack layout is ``layout``: each row's
+    positioned optimum and degrees at each of the checked ``lambdas``,
+    scored a column at a time.
 
     Both bounds are solved first, so an unbounded ideal program raises
     :class:`UnboundedValueError`.  Once the ideal program is bounded, no
@@ -213,7 +229,7 @@ def _scored(p: GreyLP, pts: np.ndarray, lambdas: tuple[float, ...]) -> SweepTabl
     ideal program (c_hi, A_lo) too.  A NaN optimum can thus only come from
     the solver, and it raises :class:`SolverFailure`."""
     vb, bases = _bounds(p)
-    f = _solve_grid(p, pts, bases)
+    f = _solve_grid(p, layout, bases)
     if np.isnan(f).any():
         triple = tuple(pts[np.isnan(f).argmax()].tolist())
         raise SolverFailure(
@@ -236,7 +252,8 @@ def lambda_sweep(p: GreyLP, settings, lambdas) -> SweepTable:
     pts = _points(list(settings))
     lambdas = tuple(_unit(v, "lam") for v in lambdas)
     _validated(p)
-    return _scored(p, pts[np.lexsort(pts.T[::-1])], lambdas)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    return _scored(p, pts, _stack_layout(pts), lambdas)
 
 
 def grid_sweep(p: GreyLP, step: float, lambdas=()) -> SweepTable:
@@ -250,7 +267,7 @@ def grid_sweep(p: GreyLP, step: float, lambdas=()) -> SweepTable:
     # The lambdas and the problem are checked before the cube is built.
     lambdas = tuple(_unit(v, "lam") for v in lambdas)
     _validated(p)
-    return _scored(p, _cube(grid), lambdas)
+    return _scored(p, _cube(grid), _cube_layout(grid), lambdas)
 
 
 _AXES = {"alpha": 0, "beta": 1, "gamma": 2}
@@ -271,8 +288,8 @@ def check_monotonicity(p: GreyLP, axis: str, step: float) -> MonotonicityReport:
     direction = "nonincreasing" if axis == "gamma" else "nondecreasing"
     grid = unit_grid(step)
     g = len(grid)
-    _validated(p)  # before the cube is built
-    values = _solve_grid(p, _cube(grid))
+    _validated(p)  # before the cube is laid out
+    values = _solve_grid(p, _cube_layout(grid))
     finite = values[~np.isnan(values)]
     scale = max(1.0, float(np.abs(finite).max())) if finite.size else 1.0
     tol = 1e-6 * scale

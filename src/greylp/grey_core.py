@@ -384,24 +384,52 @@ def _by_slice(at: np.ndarray, v: np.ndarray, slices: int) -> tuple[np.ndarray, n
     return table, (slice_of * table.shape[1] + column)[inverse]
 
 
-def _uniform_stack(p: GreyLP, pts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The positioned programs of the uniform triples ``pts`` (N x 3 rows of
-    alpha, beta, gamma) as a stack of white programs, one slice per
-    distinct gamma: (A, C, Bv, at, ca, cb).
-
-    Under uniform whitening the matrix depends on gamma alone, the
-    objective on alpha alone and the right-hand side on beta alone.  So
-    slice g holds its matrix ``A[g]`` (G x m x n) and its distinct
-    objectives ``C[g]`` (G x ka x n) and right-hand sides ``Bv[g]`` (G x kb
-    x m), padded with zeros.  Point k lies in slice ``at[k]`` and has
-    objective ``ca[k]`` and right-hand side ``cb[k]`` of the flattened
-    per-slice tables.  Every entry is whitened with
-    :func:`build_positioned`'s formula, so it matches that function's
-    entry bit for bit.
-    """
+def _stack_layout(pts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The stack layout of the uniform triples ``pts`` (N x 3 rows of
+    alpha, beta, gamma), found by sorting: (gammas, alphas, betas, at, ca,
+    cb), as :func:`_uniform_stack` takes it."""
     gammas, at = np.unique(pts[:, 2], return_inverse=True)
     alphas, ca = _by_slice(at, pts[:, 0], len(gammas))
     betas, cb = _by_slice(at, pts[:, 1], len(gammas))
+    return gammas, alphas, betas, at, ca, cb
+
+
+def _cube_layout(grid: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """The stack layout of every triple of the strictly increasing ``grid``
+    values, in lexicographic order (as ``analysis._cube`` lists them),
+    built from the cube's shape: with g values, point k has alpha, beta and
+    gamma indices (k // g², (k // g) % g, k % g), so it lies in slice
+    k % g, and every slice holds every grid value.  It equals
+    ``_stack_layout`` of the cube array for array, without sorting."""
+    values = np.array(grid)
+    g = len(values)
+    table = np.tile(values, (g, 1))
+    alpha, beta, at = np.indices((g, g, g)).reshape(3, -1)
+    return values, table, table, at, at * g + alpha, at * g + beta
+
+
+def _uniform_stack(p: GreyLP, layout: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """The positioned programs of N uniform triples as a stack of white
+    programs, one slice per distinct gamma: (A, C, Bv, at, ca, cb).
+
+    Under uniform whitening the matrix depends on gamma alone, the
+    objective on alpha alone and the right-hand side on beta alone.  The
+    ``layout`` (gammas, alphas, betas, at, ca, cb) groups the triples by
+    gamma: slice g has gamma ``gammas[g]`` and the distinct alphas
+    ``alphas[g]`` (G x ka) and betas ``betas[g]`` (G x kb) of its points,
+    ascending and padded with zeros; point k lies in slice ``at[k]`` and
+    has alpha ``ca[k]`` and beta ``cb[k]`` of the flattened tables.
+    :func:`_stack_layout` finds it for any triples by sorting,
+    :func:`_cube_layout` builds it for a grid cube from the cube's shape,
+    and ``satisfaction._BOUNDS_LAYOUT`` holds it for the two bounds.
+
+    Slice g then holds its matrix ``A[g]`` (G x m x n) and its objectives
+    ``C[g]`` (G x ka x n) and right-hand sides ``Bv[g]`` (G x kb x m), and
+    the layout's indices carry over.  Every entry is whitened with
+    :func:`build_positioned`'s formula, so it matches that function's
+    entry bit for bit.
+    """
+    gammas, alphas, betas, at, ca, cb = layout
     A = _whitened(gammas[:, None, None], p.A_lo, p.A_hi)
     C = _whitened(alphas[..., None], p.c_lo, p.c_hi)
     Bv = _whitened(betas[..., None], p.b_lo, p.b_hi)

@@ -18,7 +18,8 @@ A degree is then accepted against a grey target [mu0, 1].
 The two bounds are uniform whitenings of one problem, so they are solved
 together by the stacked kernel (``greylp.lp_solver._solve_points``), which
 reuses one's optimal basis for the other and any bases the caller already
-has; a positioned program on its own is solved cold.
+has; their stack layout is found once, at import.  A positioned program on
+its own is solved cold.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from .errors import (
     ValidationError,
 )
 from .grey_core import (
-    GreyLP, PositionCoefficients, _uniform_stack, _unit, build_positioned, validate_problem
+    GreyLP, PositionCoefficients, _frozen, _stack_layout, _uniform_stack, _unit, build_positioned,
+    validate_problem,
 )
 from .lp_solver import LPSolution, SolveStatus, _solve_points, solve_max
 
@@ -124,8 +126,11 @@ def positioned_value(p: GreyLP, k: PositionCoefficients) -> float:
     return _solve_positioned(p, k).objective
 
 
-# The uniform triples of the critical and ideal programs.
-_BOUND_POINTS = np.array([(0.0, 0.0, 1.0), (1.0, 1.0, 0.0)])
+# The stack layout of the uniform triples of the critical and ideal
+# programs, found once.
+_BOUNDS_LAYOUT = tuple(
+    map(_frozen, _stack_layout(np.array([(0.0, 0.0, 1.0), (1.0, 1.0, 0.0)])))
+)
 
 
 def _bounds(p: GreyLP, bases=()) -> tuple[ValueBounds, list[tuple[int, ...]]]:
@@ -134,7 +139,7 @@ def _bounds(p: GreyLP, bases=()) -> tuple[ValueBounds, list[tuple[int, ...]]]:
     ``p``) as the first cached bases (see
     :func:`greylp.lp_solver._solve_points`).  Raises
     :class:`UnboundedValueError` if a bound is unbounded."""
-    values, cache, _, _ = _solve_points(*_uniform_stack(p, _BOUND_POINTS), bases)
+    values, cache, _, _ = _solve_points(*_uniform_stack(p, _BOUNDS_LAYOUT), bases)
     if np.isnan(values).any():
         raise UnboundedValueError(_UNBOUNDED)
     critical, ideal = values.tolist()

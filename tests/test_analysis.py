@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -45,7 +45,8 @@ from greylp import (
     uniform_coefficients,
     unit_grid,
 )
-from greylp import analysis
+from greylp import analysis, satisfaction
+from greylp.grey_core import _cube_layout, _stack_layout, _uniform_stack
 from greylp.bundled import (
     REFERENCE_LAMBDA_GRID,
     REFERENCE_SATISFACTION,
@@ -86,6 +87,39 @@ class TestUnitGrid:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+    @given(step=st.floats(1e-3, 0.5))
+    @example(step=0.100000000005)  # 10 * step rounds to 1.0000000001
+    @example(step=1 / 2.9999999995)
+    def test_rises_strictly_from_zero_to_one(self, step):
+        # _cube_layout relies on this: a grid with a repeated value would
+        # give its cube a slice per copy, which sorting would merge.
+        grid = np.array(unit_grid(step))
+        assert grid[0] == 0.0 and grid[-1] == 1.0
+        assert (np.diff(grid) > 0.0).all()
+
+
+class TestStackLayout:
+    @staticmethod
+    def _assert_identical(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+    @pytest.mark.parametrize("step", [0.5, 0.45, 0.3, 0.25, 0.2, 0.1, 0.05])
+    def test_cube_layout_is_the_sorted_one(self, demo_problem, step):
+        grid = unit_grid(step)
+        sorted_layout = _stack_layout(analysis._cube(grid))
+        self._assert_identical(_cube_layout(grid), sorted_layout)
+        seeded = random_bounded_problem(random.Random(10), n=10, m=10)
+        for p in (demo_problem, seeded):
+            self._assert_identical(
+                _uniform_stack(p, _cube_layout(grid)), _uniform_stack(p, sorted_layout)
+            )
+
+    def test_bounds_layout_is_the_sorted_one(self):
+        points = np.array([(0.0, 0.0, 1.0), (1.0, 1.0, 0.0)])
+        self._assert_identical(satisfaction._BOUNDS_LAYOUT, _stack_layout(points))
 
 
 @pytest.fixture(scope="module")
@@ -228,7 +262,7 @@ class TestSolveGrid:
         # raise nor keep the others from being certified.
         triples = grid_triples(0.1)
         with caplog.at_level(logging.INFO, logger="greylp"):
-            got = analysis._solve_grid(UNCAPPED, np.array(triples), bases=[(0,)])
+            got = analysis._solve_grid(UNCAPPED, _stack_layout(np.array(triples)), bases=[(0,)])
         [record] = [r for r in caplog.records if r.name.startswith("greylp")]
         assert record.getMessage() == (
             "solve_grid: 1331 points, 121 cold solves, 0 warm starts, 1210 certified, 1 bases, "
@@ -242,8 +276,8 @@ class TestSolveGrid:
         # ideal values, so the grid kernel's answer is replaced here.
         real = analysis._solve_grid
 
-        def with_holes(p, pts, bases=()):
-            f = real(p, pts, bases)
+        def with_holes(p, layout, bases=()):
+            f = real(p, layout, bases)
             f[[1, 5]] = np.nan
             return f
 
@@ -350,6 +384,7 @@ class TestGridSweep:
             raise AssertionError("the cube was built")
 
         monkeypatch.setattr(analysis, "_cube", no_cube)
+        monkeypatch.setattr(analysis, "_cube_layout", no_cube)
         bad = GreyLP(objective=((2, 1),), matrix=(((1, 2),),), rhs=((3, 4),))
         with pytest.raises(ValidationError):
             call(bad)
@@ -422,7 +457,7 @@ class TestCheckMonotonicity:
         cube = np.array(list(itertools.product(grid, repeat=3)))
         f = 100.0 * cube[:, pos] * (-1.0 if axis == "gamma" else 1.0) + 1000.0
         f[37] += 90.0  # breaks the ordering next to this setting
-        monkeypatch.setattr(analysis, "_solve_grid", lambda p, pts: f)
+        monkeypatch.setattr(analysis, "_solve_grid", lambda p, layout: f)
         report = check_monotonicity(demo_problem, axis, 0.25)
         value = dict(zip(map(tuple, cube.tolist()), f.tolist()))
         sign = -1.0 if axis == "gamma" else 1.0
