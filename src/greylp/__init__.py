@@ -22,7 +22,6 @@ from .analysis import (
     grid_sweep,
     lambda_sweep,
     render_table,
-    solve_grid,
     unit_grid,
 )
 from .cli import ProblemFile, parse_problem, run
@@ -87,7 +86,6 @@ __all__ = [
     "SweepTable",
     "MonotonicityReport",
     "unit_grid",
-    "solve_grid",
     "lambda_sweep",
     "grid_sweep",
     "check_monotonicity",

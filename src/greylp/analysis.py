@@ -7,25 +7,25 @@ in alpha and beta and nonincreasing in gamma; ``check_monotonicity``
 verifies that ordering empirically on a grid, and every swept value must lie
 between the critical and ideal bounds.
 
-Every sweep goes through ``solve_grid``, which hands its points to the
+Every sweep goes through ``_solve_grid``, which hands its points to the
 stacked kernel ``greylp.lp_solver._solve_points``.  Under uniform whitening
 the matrix depends on gamma alone, the right-hand side on beta alone and
 the objective on alpha alone, so the positioned programs of one gamma
 slice share A and differ only in b and c (``grey_core._uniform_stack``
 whitens each slice once).  Which point lies in which slice is the stack
-layout: for arbitrary triples (``solve_grid``, ``lambda_sweep``)
-``grey_core._stack_layout`` finds it by sorting, and for the cube of a grid
-command (``grid_sweep``, ``check_monotonicity``, ``find_satisfactory``)
-``grey_core._cube_layout`` builds it from the cube's shape, in closed
-form.  A
+layout.  For the cube of a grid command (``grid_sweep``,
+``check_monotonicity``, ``find_satisfactory``) ``grey_core._cube_layout``
+builds it from the cube's shape, in closed form; the chosen settings of
+``lambda_sweep`` get a slice each from ``grey_core._point_layout``.  A
 simplex basis S then gives, from one factorisation of B = [A | I][:, S],
 the basic solution for every beta of the slice and the dual vector for
 every alpha; the basis is optimal on the rectangle of primal-feasible
 betas times dual-feasible alphas (parametric programming, Gal 1995).  The
 kernel certifies every optimal basis found so far at the pending points of
-all slices at once and solves only the points no cached basis certifies.  A sweep's first cached bases are the ones
-the same kernel cached while solving its critical and ideal values.  Each
-``solve_grid`` logs one INFO record with its counts.
+all slices at once and solves only the points no cached basis certifies.
+A sweep's first cached bases are the ones the same kernel cached while
+solving its critical and ideal values.  Each ``_solve_grid`` logs one INFO
+record with its counts.
 
 Tables render to CSV or Markdown with the presentation rounding used
 throughout: optimal values to 2 decimals, degrees to 4.
@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DomainError, SolverFailure, StructureError
 from .grey_core import (
-    GreyLP, _check_real, _cube_layout, _number, _stack_layout, _uniform_stack, _unit
+    GreyLP, _check_real, _cube_layout, _number, _point_layout, _uniform_stack, _unit
 )
 from .lp_solver import _solve_points
 from .satisfaction import _bounds, _validated, lambda_satisfactions, pleased_degrees
@@ -53,7 +53,6 @@ __all__ = [
     "SweepTable",
     "MonotonicityReport",
     "unit_grid",
-    "solve_grid",
     "lambda_sweep",
     "grid_sweep",
     "check_monotonicity",
@@ -122,10 +121,9 @@ def unit_grid(step: float) -> tuple[float, ...]:
     0.0 to 1.0.
 
     Raises :class:`DomainError` for a step that is not a number in
-    (0, 0.5], and
-    :class:`MemoryError`, before the grid is built, for a step so fine that
-    the cube of grid triples the grid commands solve has more points than
-    an array index can count.
+    (0, 0.5], and :class:`MemoryError`, before the grid is built, for a
+    step so fine that the cube of grid triples the grid commands solve, 24
+    bytes per triple, has more bytes than an array index can count.
     """
     step = _number(step, "grid step", "(0, 0.5]")
     if not (0.0 < step <= 0.5):
@@ -134,8 +132,11 @@ def unit_grid(step: float) -> tuple[float, ...]:
     inverse = 1.0 / step  # inf for the smallest subnormal steps
     count = int(math.floor(inverse + 1e-9)) if inverse < limit else limit
     size = count + 1 + (round(count * step, 10) < 1.0)
-    if size**3 > limit:
-        raise MemoryError(f"grid step {step:g} is too fine: its grid has more than {limit} triples")
+    if 24 * size**3 > limit:
+        raise MemoryError(
+            f"grid step {step:g} is too fine: its cube of grid triples needs more than "
+            f"{limit} bytes"
+        )
     values = [round(k * step, 10) for k in range(count + 1)]
     # A step a hair above 1/count puts count * step just past 1.
     values[-1] = min(values[-1], 1.0)
@@ -170,34 +171,18 @@ def _points(triples) -> np.ndarray:
     return pts
 
 
-def solve_grid(p: GreyLP, triples) -> np.ndarray:
-    """Positioned optimum of every uniform triple ``(alpha, beta, gamma)``
-    in ``triples``, as an array in input order, NaN where the positioned
-    program is unbounded.
-
-    Results equal those of solving each triple on its own
-    (``solve_max(build_positioned(p, uniform_coefficients(...)))``), up to
-    rounding; that solve is either optimal or unbounded, and any other
-    outcome raises :class:`SolverFailure`.  The points are solved by the
-    stacked kernel (see :func:`greylp.lp_solver._solve_points`), in gamma
-    order and then input order wherever no cached basis certifies them.
-    One INFO record on the ``greylp.analysis`` logger reports the points,
-    cold and warm-started solves, certified points, distinct bases and
-    non-optimal (unbounded) points.
-
-    Raises :class:`ValidationError` for an invalid problem and
-    :class:`DomainError` for a coefficient outside [0, 1] (or NaN), before
-    anything is solved.
-    """
-    _validated(p)
-    return _solve_grid(p, _stack_layout(_points(triples)))
-
-
 def _solve_grid(p: GreyLP, layout: tuple[np.ndarray, ...], bases=()) -> np.ndarray:
-    """:func:`solve_grid` of a validated problem at the checked points of
-    the stack ``layout`` (see :func:`greylp.grey_core._uniform_stack`), with
-    ``bases`` (optimal bases of other whitenings of ``p``) as the first
-    cached bases."""
+    """The positioned optimum of a validated ``p`` at every point of the
+    stack ``layout`` (see :func:`greylp.grey_core._uniform_stack`), as an
+    array in the layout's point order, NaN where the positioned program is
+    unbounded; ``bases`` (optimal bases of other whitenings of ``p``) are
+    the first cached bases.
+
+    Results equal those of solving each point on its own
+    (``solve_max(build_positioned(p, uniform_coefficients(...)))``), up to
+    rounding.  One INFO record on the ``greylp.analysis`` logger reports
+    the points, cold and warm-started solves, certified points, distinct
+    bases and non-optimal (unbounded) points."""
     values, cache, cold, warm = _solve_points(*_uniform_stack(p, layout), bases)
     n = len(values)
     _log.info(
@@ -247,13 +232,15 @@ def lambda_sweep(p: GreyLP, settings, lambdas) -> SweepTable:
     with a satisfaction-degree column per value of ``lambdas``, in
     lexicographic order: the table :func:`grid_sweep` gives for a cube.
 
+    It is meant for a few chosen settings: each one is whitened as a slice
+    of its own, so a grid of settings belongs with :func:`grid_sweep`.
     A bad lambda raises :class:`DomainError` before anything is solved.
     """
     pts = _points(list(settings))
     lambdas = tuple(_unit(v, "lam") for v in lambdas)
     _validated(p)
     pts = pts[np.lexsort(pts.T[::-1])]
-    return _scored(p, pts, _stack_layout(pts), lambdas)
+    return _scored(p, pts, _point_layout(pts), lambdas)
 
 
 def grid_sweep(p: GreyLP, step: float, lambdas=()) -> SweepTable:

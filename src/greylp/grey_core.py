@@ -371,27 +371,16 @@ def uniform_coefficients(
     )
 
 
-def _by_slice(at: np.ndarray, v: np.ndarray, slices: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of ``v`` within each slice (``at`` gives each
-    point's slice) as the rows of a table, ascending and padded with zeros,
-    and each point's entry in the flattened table."""
-    values, vi = np.unique(v, return_inverse=True)
-    pairs, inverse = np.unique(at * len(values) + vi, return_inverse=True)
-    slice_of, value_of = np.divmod(pairs, len(values))
-    column = np.arange(len(pairs)) - np.searchsorted(slice_of, slice_of)
-    table = np.zeros((slices, column.max(initial=-1) + 1))
-    table[slice_of, column] = values[value_of]
-    return table, (slice_of * table.shape[1] + column)[inverse]
-
-
-def _stack_layout(pts: np.ndarray) -> tuple[np.ndarray, ...]:
+def _point_layout(pts: np.ndarray) -> tuple[np.ndarray, ...]:
     """The stack layout of the uniform triples ``pts`` (N x 3 rows of
-    alpha, beta, gamma), found by sorting: (gammas, alphas, betas, at, ca,
-    cb), as :func:`_uniform_stack` takes it."""
-    gammas, at = np.unique(pts[:, 2], return_inverse=True)
-    alphas, ca = _by_slice(at, pts[:, 0], len(gammas))
-    betas, cb = _by_slice(at, pts[:, 1], len(gammas))
-    return gammas, alphas, betas, at, ca, cb
+    alpha, beta, gamma) with a slice of its own for each point, the slices
+    in ascending gamma and in input order among equal gammas: (gammas,
+    alphas, betas, at, ca, cb), as :func:`_uniform_stack` takes it.
+    Nothing is merged, so it suits a few chosen settings, not a grid."""
+    order = np.argsort(pts[:, 2], kind="stable")
+    at = np.empty(len(pts), dtype=np.intp)
+    at[order] = np.arange(len(pts))
+    return pts[order, 2], pts[order, :1], pts[order, 1:2], at, at, at
 
 
 def _cube_layout(grid: tuple[float, ...]) -> tuple[np.ndarray, ...]:
@@ -399,8 +388,7 @@ def _cube_layout(grid: tuple[float, ...]) -> tuple[np.ndarray, ...]:
     values, in lexicographic order (as ``analysis._cube`` lists them),
     built from the cube's shape: with g values, point k has alpha, beta and
     gamma indices (k // g², (k // g) % g, k % g), so it lies in slice
-    k % g, and every slice holds every grid value.  It equals
-    ``_stack_layout`` of the cube array for array, without sorting."""
+    k % g, and every slice holds every grid value, ascending."""
     values = np.array(grid)
     g = len(values)
     table = np.tile(values, (g, 1))
@@ -415,13 +403,13 @@ def _uniform_stack(p: GreyLP, layout: tuple[np.ndarray, ...]) -> tuple[np.ndarra
     Under uniform whitening the matrix depends on gamma alone, the
     objective on alpha alone and the right-hand side on beta alone.  The
     ``layout`` (gammas, alphas, betas, at, ca, cb) groups the triples by
-    gamma: slice g has gamma ``gammas[g]`` and the distinct alphas
-    ``alphas[g]`` (G x ka) and betas ``betas[g]`` (G x kb) of its points,
-    ascending and padded with zeros; point k lies in slice ``at[k]`` and
-    has alpha ``ca[k]`` and beta ``cb[k]`` of the flattened tables.
-    :func:`_stack_layout` finds it for any triples by sorting,
-    :func:`_cube_layout` builds it for a grid cube from the cube's shape,
-    and ``satisfaction._BOUNDS_LAYOUT`` holds it for the two bounds.
+    gamma: slice g has gamma ``gammas[g]`` and the alphas ``alphas[g]``
+    (G x ka) and betas ``betas[g]`` (G x kb) its points use; point k lies
+    in slice ``at[k]`` and has alpha ``ca[k]`` and beta ``cb[k]`` of the
+    flattened tables.  :func:`_cube_layout` builds it for a grid cube, a
+    slice per grid value, and :func:`_point_layout` for chosen settings, a
+    slice per point, as ``satisfaction._BOUNDS_LAYOUT`` holds for the two
+    bounds.
 
     Slice g then holds its matrix ``A[g]`` (G x m x n) and its objectives
     ``C[g]`` (G x ka x n) and right-hand sides ``Bv[g]`` (G x kb x m), and

@@ -318,9 +318,8 @@ def solve_max(lp: WhiteLP) -> LPSolution:
 def _solve_points(A, C, Bv, at, ca, cb, bases=()):
     """The optimal value of every point of a stack of white programs that
     share each slice's matrix, as ``grey_core._uniform_stack`` whitens a
-    stack layout: one that ``grey_core._stack_layout`` found by sorting
-    arbitrary triples, that ``grey_core._cube_layout`` built for a grid cube,
-    or the bounds' ``satisfaction._BOUNDS_LAYOUT``.
+    stack layout: a grid cube's from ``grey_core._cube_layout``, or one
+    with a slice per chosen setting from ``grey_core._point_layout``.
 
     Every cached optimal basis, starting with ``bases``, is certified at
     all pending points of all slices at once (see :func:`_certify`).  Every

@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .grey_core import (
-    GreyLP, PositionCoefficients, _frozen, _stack_layout, _uniform_stack, _unit, build_positioned,
+    GreyLP, PositionCoefficients, _frozen, _point_layout, _uniform_stack, _unit, build_positioned,
     validate_problem,
 )
 from .lp_solver import LPSolution, SolveStatus, _solve_points, solve_max
@@ -127,9 +127,9 @@ def positioned_value(p: GreyLP, k: PositionCoefficients) -> float:
 
 
 # The stack layout of the uniform triples of the critical and ideal
-# programs, found once.
+# programs, a slice each, built once.
 _BOUNDS_LAYOUT = tuple(
-    map(_frozen, _stack_layout(np.array([(0.0, 0.0, 1.0), (1.0, 1.0, 0.0)])))
+    map(_frozen, _point_layout(np.array([(0.0, 0.0, 1.0), (1.0, 1.0, 0.0)])))
 )
 
 

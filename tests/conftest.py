@@ -166,8 +166,9 @@ def random_triple(rng: random.Random) -> tuple[float, float, float]:
 
 
 def reference_grid(p: GreyLP, triples):
-    """The per-point path that ``solve_grid`` replaces, kept as its
-    reference: whiten each uniform triple on its own and solve it cold.
+    """The per-point path that the grid kernel (``analysis._solve_grid``)
+    replaces, kept as its reference: whiten each uniform triple on its own
+    and solve it cold.
     Returns one ``(status, objective)`` pair per triple."""
     out = []
     for alpha, beta, gamma in triples:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     count_collections,
+    grid_triple,
     random_bounded_problem,
     random_loose_problem,
     random_triple,
@@ -32,6 +33,7 @@ from greylp import (
     StructureError,
     SweepTable,
     ValidationError,
+    build_positioned,
     bundled,
     check_monotonicity,
     find_satisfactory,
@@ -41,12 +43,11 @@ from greylp import (
     lambda_sweep,
     render_table,
     run,
-    solve_grid,
     uniform_coefficients,
     unit_grid,
 )
 from greylp import analysis, satisfaction
-from greylp.grey_core import _cube_layout, _stack_layout, _uniform_stack
+from greylp.grey_core import _cube_layout, _point_layout, _uniform_stack
 from greylp.bundled import (
     REFERENCE_LAMBDA_GRID,
     REFERENCE_SATISFACTION,
@@ -76,9 +77,12 @@ class TestUnitGrid:
         with pytest.raises(DomainError):
             unit_grid(bad)
 
-    @pytest.mark.parametrize("step", [4e-7, 1e-12, 1e-320, 1 / 2_097_151])
+    @pytest.mark.parametrize(
+        "step", [1 / 727_041, 1e-6, 1 / 2_097_150, 1 / 2_097_151, 4e-7, 1e-12, 1e-320]
+    )
     def test_refuses_steps_too_fine_to_index(self, step):
-        # 2_097_152**3 is one past the largest array index.
+        # The cube of 727_042 grid values is the first whose 24 * g**3 bytes
+        # pass the largest array index.
         tracemalloc.start()
         try:
             with pytest.raises(MemoryError, match="too fine"):
@@ -88,38 +92,97 @@ class TestUnitGrid:
             tracemalloc.stop()
         assert peak < 100_000
 
+    def test_finest_accepted_grid(self):
+        grid = unit_grid(1 / 727_040)
+        assert len(grid) == 727_041 and grid[-1] == 1.0
+
     @given(step=st.floats(1e-3, 0.5))
     @example(step=0.100000000005)  # 10 * step rounds to 1.0000000001
     @example(step=1 / 2.9999999995)
     def test_rises_strictly_from_zero_to_one(self, step):
-        # _cube_layout relies on this: a grid with a repeated value would
-        # give its cube a slice per copy, which sorting would merge.
+        # _cube_layout relies on this: it gives each grid value a slice of
+        # its own, in grid order, and the kernel solves slices in order.
         grid = np.array(unit_grid(step))
         assert grid[0] == 0.0 and grid[-1] == 1.0
         assert (np.diff(grid) > 0.0).all()
 
 
 class TestStackLayout:
+    """Each layout gives point k the programs its own triple whitens to:
+    ``A[at[k]]``, row ``ca[k]`` of the objectives and row ``cb[k]`` of the
+    right-hand sides equal ``build_positioned`` bit for bit."""
+
     @staticmethod
     def _assert_identical(got, want):
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
-    @pytest.mark.parametrize("step", [0.5, 0.45, 0.3, 0.25, 0.2, 0.1, 0.05])
-    def test_cube_layout_is_the_sorted_one(self, demo_problem, step):
-        grid = unit_grid(step)
-        sorted_layout = _stack_layout(analysis._cube(grid))
-        self._assert_identical(_cube_layout(grid), sorted_layout)
+    def _assert_whitens_each_point(self, demo_problem, pts, layout):
         seeded = random_bounded_problem(random.Random(10), n=10, m=10)
         for p in (demo_problem, seeded):
+            A, C, Bv, at, ca, cb = _uniform_stack(p, layout)
+            white = [
+                build_positioned(p, uniform_coefficients(*triple, p.m, p.n))
+                for triple in pts.tolist()
+            ]
             self._assert_identical(
-                _uniform_stack(p, _cube_layout(grid)), _uniform_stack(p, sorted_layout)
+                (A[at], C.reshape(-1, p.n)[ca], Bv.reshape(-1, p.m)[cb]),
+                [np.array([w.A_array for w in white]), np.array([w.c_array for w in white]),
+                 np.array([w.b_array for w in white])],
             )
 
-    def test_bounds_layout_is_the_sorted_one(self):
-        points = np.array([(0.0, 0.0, 1.0), (1.0, 1.0, 0.0)])
-        self._assert_identical(satisfaction._BOUNDS_LAYOUT, _stack_layout(points))
+    @pytest.mark.parametrize("step", [0.5, 0.45, 0.3, 0.25, 0.2, 0.1, 0.05])
+    def test_cube_layout(self, demo_problem, step):
+        grid = unit_grid(step)
+        self._assert_whitens_each_point(demo_problem, analysis._cube(grid), _cube_layout(grid))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_point_layout(self, demo_problem, seed):
+        # Quarter-grid triples share gammas, and the repeats share settings.
+        rng = random.Random(seed)
+        pts = [grid_triple(rng) for _ in range(30)]
+        pts = np.array(pts + rng.sample(pts, 10))
+        layout = _point_layout(pts)
+        at = layout[3]
+        # A slice per point, in ascending gamma and input order among equal
+        # gammas.
+        assert sorted(at.tolist()) == list(range(len(pts)))
+        assert np.argsort(at).tolist() == sorted(range(len(pts)), key=lambda k: (pts[k, 2], k))
+        self._assert_whitens_each_point(demo_problem, pts, layout)
+
+    def test_bounds_layout(self, demo_problem):
+        pts = np.array([(0.0, 0.0, 1.0), (1.0, 1.0, 0.0)])
+        self._assert_whitens_each_point(demo_problem, pts, satisfaction._BOUNDS_LAYOUT)
+
+    def test_bounds_layout_is_pinned(self):
+        # The layout the sorting builder gave, so the bounds keep their
+        # solve order, bases and bits.
+        at = np.array([1, 0], dtype=np.intp)
+        self._assert_identical(satisfaction._BOUNDS_LAYOUT, (
+            np.array([0.0, 1.0]), np.array([[1.0], [0.0]]), np.array([[1.0], [0.0]]),
+            at, at, at,
+        ))
+
+    def test_verify_example_layout_is_pinned(self, monkeypatch, capsys):
+        laid_out = []
+        real = analysis._point_layout
+
+        def recording(pts):
+            laid_out.append(real(pts))
+            return laid_out[-1]
+
+        monkeypatch.setattr(analysis, "_point_layout", recording)
+        assert run(["verify-example"]) == 0
+        capsys.readouterr()
+        at = np.array([5, 2, 4, 1, 3, 0], dtype=np.intp)
+        [layout] = laid_out
+        self._assert_identical(layout, (
+            np.array([0.0, 0.3, 0.4, 0.5, 0.6, 1.0]),
+            np.array([[1.0], [0.7], [0.5], [0.7], [0.6], [0.0]]),
+            np.array([[1.0], [0.5], [0.9], [0.9], [0.6], [0.0]]),
+            at, at, at,
+        ))
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +200,7 @@ GRID_LABELS = ("alpha", "beta", "gamma", "f", "mu", "mu_tilde[0]", "mu_tilde[0.5
 
 
 def assert_matches_reference(p, triples, got):
-    """``got``, the optima ``solve_grid`` gives for ``triples``, against the
+    """``got``, the optima the grid kernel gives for ``triples``, against the
     per-point reference: NaN exactly where the reference solve is
     unbounded, and the reference optimum up to rounding elsewhere."""
     want = reference_grid(p, triples)
@@ -161,8 +224,12 @@ class TestSolveGrid:
     def test_matches_per_point_reference(self, seed, loose):
         rng = random.Random(seed)
         p = random_loose_problem(rng) if loose else random_bounded_problem(rng)
-        triples = grid_triples(0.25) + [random_triple(rng) for _ in range(8)]
-        assert_matches_reference(p, triples, solve_grid(p, triples))
+        cube = grid_triples(0.25)
+        triples = cube + [random_triple(rng) for _ in range(8)]
+        got = analysis._solve_grid(p, _point_layout(np.array(triples)))
+        assert_matches_reference(p, triples, got)
+        got = analysis._solve_grid(p, _cube_layout(unit_grid(0.25)))
+        assert_matches_reference(p, cube, got)
 
     def test_cli_sweep_csv_matches_reference_rows(self, demo_problem, tmp_path, capsys):
         path = tmp_path / "demo.json"
@@ -180,8 +247,6 @@ class TestSolveGrid:
 
     def test_rejects_malformed_triples(self, demo_problem):
         message = "triples must be \\(alpha, beta, gamma\\) rows"
-        with pytest.raises(StructureError, match=message):
-            solve_grid(demo_problem, [(0.5, 0.5)])
         # The sweep checks the shape before it formats a label per triple.
         for bad in [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4)]:
             with pytest.raises(StructureError, match=message):
@@ -190,12 +255,7 @@ class TestSolveGrid:
         # conversion itself.
         for bad in [[(0.1, 0.2, 0.3), (0.1, 0.2)], [("a", 0.2, 0.3)]]:
             with pytest.raises(StructureError, match=message):
-                solve_grid(demo_problem, bad)
-            with pytest.raises(StructureError, match=message):
                 lambda_sweep(demo_problem, bad, [0.5])
-
-    def test_empty_batch(self, demo_problem):
-        assert solve_grid(demo_problem, []).shape == (0,)
 
     @pytest.mark.parametrize(
         "problem, step, message",
@@ -214,7 +274,7 @@ class TestSolveGrid:
     def test_logs_counters(self, demo_problem, caplog, problem, step, message):
         p = demo_problem if problem == "demo" else UNCAPPED
         with caplog.at_level(logging.INFO, logger="greylp"):
-            solve_grid(p, grid_triples(step))
+            analysis._solve_grid(p, _cube_layout(unit_grid(step)))
         [record] = [r for r in caplog.records if r.name.startswith("greylp")]
         assert record.levelno == logging.INFO
         assert record.getMessage() == "solve_grid: " + message
@@ -241,7 +301,7 @@ class TestSolveGrid:
         p = random_bounded_problem(random.Random(5), n=20, m=20)
         triples = grid_triples(0.5)
         with caplog.at_level(logging.DEBUG, logger="greylp"):
-            got = solve_grid(p, triples)
+            got = analysis._solve_grid(p, _cube_layout(unit_grid(0.5)))
         *solves, summary = [r.getMessage() for r in caplog.records]
         starts = [message.split(",")[0] for message in solves]
         assert starts.count("solve_max: cold start") == 5
@@ -262,7 +322,7 @@ class TestSolveGrid:
         # raise nor keep the others from being certified.
         triples = grid_triples(0.1)
         with caplog.at_level(logging.INFO, logger="greylp"):
-            got = analysis._solve_grid(UNCAPPED, _stack_layout(np.array(triples)), bases=[(0,)])
+            got = analysis._solve_grid(UNCAPPED, _cube_layout(unit_grid(0.1)), bases=[(0,)])
         [record] = [r for r in caplog.records if r.name.startswith("greylp")]
         assert record.getMessage() == (
             "solve_grid: 1331 points, 121 cold solves, 0 warm starts, 1210 certified, 1 bases, "
@@ -313,6 +373,22 @@ class TestLambdaSweep:
         bad = GreyLP(objective=((2, 1),), matrix=(((1, 2),),), rhs=((3, 4),))
         with pytest.raises(ValidationError):
             lambda_sweep(bad, ((0.5, 0.5, 0.5),), (0.5,))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_settings_that_share_gammas_and_repeat(self, seed):
+        # Each setting is a slice of its own, repeats included.
+        rng = random.Random(seed)
+        p = random_bounded_problem(rng, n=4, m=4)
+        settings = [grid_triple(rng) for _ in range(12)]
+        settings += rng.sample(settings, 4)
+        table = lambda_sweep(p, settings, (0.5,))
+        coeffs = [tuple(t) for t in table.coefficients.tolist()]
+        assert coeffs == sorted(settings)
+        assert_matches_reference(p, coeffs, table.f)
+
+    def test_no_settings_give_an_empty_table(self, demo_problem):
+        table = lambda_sweep(demo_problem, [], (0.5,))
+        assert table.coefficients.shape == (0, 3) and table.mu_tilde.shape == (0, 1)
 
 
 class TestGridSweep:
@@ -791,9 +867,6 @@ _ENTRY_POINTS = {
     ),
     "find_satisfactory(lam)": (
         lambda p, vb, v: find_satisfactory(p, 0.5, v, 0.5), _checked("lam")
-    ),
-    "solve_grid(triples)": (
-        lambda p, vb, v: solve_grid(p, [(0.5, 0.5, 0.5), (v, 0.5, 0.5)]), _row_checked("alphas")
     ),
     "lambda_sweep(triples)": (
         lambda p, vb, v: lambda_sweep(p, [(0.5, v, 0.5)], (0.5,)), _row_checked("betas")

@@ -410,14 +410,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", GRID_COMMANDS, ids=["monotonicity", "sweep", "satisfactory"])
     def test_grid_too_large_to_allocate_exits_2(self, capsys, demo_file, argv):
-        # numpy refuses the 1000001**3 cube of this step at once, before
+        # numpy refuses the 500001**3 cube of this step at once, before
         # anything is allocated.
-        assert run([*argv, "--file", demo_file, "--step", "1e-6"]) == 2
+        assert run([*argv, "--file", demo_file, "--step", "2e-6"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("step", ["4e-7", "1e-12", "1e-320"])
+    @pytest.mark.parametrize("step", ["1e-6", "4e-7", "1e-12", "1e-320"])
     @pytest.mark.parametrize("argv", GRID_COMMANDS, ids=["monotonicity", "sweep", "satisfactory"])
     def test_grid_too_fine_to_index_exits_2(self, capsys, demo_file, argv, step):
         # Refused from the step alone, before the grid's values are listed.
@@ -426,7 +426,9 @@ class TestExitCodes:
         assert out == ""
         limit = np.iinfo(np.intp).max
         assert err.startswith("error: grid step ") and err.count("\n") == 1
-        assert err.endswith(f" is too fine: its grid has more than {limit} triples\n")
+        assert err.endswith(
+            f" is too fine: its cube of grid triples needs more than {limit} bytes\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",

@@ -26,8 +26,8 @@ EXPORTED = {
     "ValueBounds", "positioned_value", "bounds", "pleased_degree", "pleased_degrees",
     "lambda_satisfaction", "lambda_satisfactions",
     # analysis
-    "SweepTable", "MonotonicityReport", "unit_grid", "solve_grid", "lambda_sweep",
-    "grid_sweep", "check_monotonicity", "find_satisfactory", "render_table",
+    "SweepTable", "MonotonicityReport", "unit_grid", "lambda_sweep", "grid_sweep",
+    "check_monotonicity", "find_satisfactory", "render_table",
     # cli
     "ProblemFile", "parse_problem", "run",
     # errors
@@ -57,6 +57,7 @@ GONE = {
     "is_pleased": "satisfaction",
     "is_lambda_satisfactory": "satisfaction",
     "serialize_problem": "cli",
+    "solve_grid": "analysis",
 }
 
 
