@@ -33,7 +33,6 @@ throughout: optimal values to 2 decimals, degrees to 4.
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import logging
@@ -414,9 +413,9 @@ def render_table(t: SweepTable, format: str) -> str:
     header = ["alpha", "beta", "gamma", "f", "mu"] + ["mu_tilde[%g]" % lam for lam in t.lambdas]
     buf = io.StringIO()
     if format == "csv":
-        # Numbers never need quoting, so only the header goes through the
-        # csv module.
-        csv.writer(buf, lineterminator="\n").writerow(header)
+        # No cell needs quoting: the header cells are fixed names and
+        # "mu_tilde[%g]" of a lambda in [0, 1], and the rest are numbers.
+        buf.write(",".join(header) + "\n")
         lead, sep, end, empty = "", ",", "\n", ""
     else:
         buf.write("| " + " | ".join(header) + " |\n")

@@ -388,10 +388,11 @@ def _cube_layout(grid: tuple[float, ...]) -> tuple[np.ndarray, ...]:
     values, in lexicographic order (as ``analysis._cube`` lists them),
     built from the cube's shape: with g values, point k has alpha, beta and
     gamma indices (k // g², (k // g) % g, k % g), so it lies in slice
-    k % g, and every slice holds every grid value, ascending."""
+    k % g, and every slice holds every grid value, ascending: the alpha
+    and beta tables are one read-only view, so nothing of size g² is written."""
     values = np.array(grid)
     g = len(values)
-    table = np.tile(values, (g, 1))
+    table = np.broadcast_to(values, (g, g))
     alpha, beta, at = np.indices((g, g, g)).reshape(3, -1)
     return values, table, table, at, at * g + alpha, at * g + beta
 

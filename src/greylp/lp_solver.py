@@ -15,9 +15,10 @@ Whitenings of one grey problem nearly always share an optimal basis, so
 ``_solve_points`` solves a stack of programs that share each slice's
 matrix by reusing bases: it certifies every optimal basis found so far at
 every pending point of the stack at once (``_certify``: primal and dual
-feasibility, the feasibility post-check and a duality gap), pivots on by
-phase 2 from a cached basis that is primal feasible at a point, and solves
-cold with ``solve_max`` where there is none or that solve fails.  Each
+feasibility, the feasibility post-check and a duality gap, over each
+slice's rectangle of objectives and right-hand sides), pivots on by phase 2
+from a cached basis that is primal feasible at a point, and solves cold
+with ``solve_max`` where there is none or that solve fails.  Each
 simplex solve logs one DEBUG record on the ``greylp.lp_solver`` logger
 naming its start (cold or warm), the pivots taken (and how many of them
 were degenerate) and the outcome.
@@ -47,8 +48,6 @@ __all__ = ["SolveStatus", "LPSolution", "solve_max"]
 # feasibility is checked more loosely because residuals accumulate pivots.
 _TOL_PIVOT = 1e-9
 _TOL_FEAS = 1e-7
-# Certification gathers per-point rows in blocks of about this many entries.
-_BLOCK = 1 << 13
 
 _log = logging.getLogger(__name__)
 
@@ -222,12 +221,6 @@ def _solve_stack(M, R) -> tuple[np.ndarray, np.ndarray]:
         return X, nonsingular
 
 
-def _rows(X: np.ndarray) -> np.ndarray:
-    """The columns of a stack of matrices as rows, program by program
-    (G x r x k -> G*k x r)."""
-    return X.transpose(0, 2, 1).reshape(-1, X.shape[1])
-
-
 def _certify(AI, CI, Bv, basis, ca, cb):
     """Which points of a stack of G programs the basis ``basis`` proves
     optimal.
@@ -237,23 +230,25 @@ def _certify(AI, CI, Bv, basis, ca, cb):
     (n+m)) and ``Bv`` their right-hand sides (G x kb x m).  Point k is the
     objective ``ca[k]`` and the right-hand side ``cb[k]`` of one program,
     counted across the stack (so objective ``ca[k]`` is ``CI[ca[k] // ka,
-    ca[k] % ka]``).  A point is certified only if it passes the solver's
-    own tests: basic values >= -tol, reduced costs <= tol, the post-check
-    A.x <= b + feas tol, and a duality gap |c.x - y.b| <= tol * max(1,
-    |f|).  One factorisation per program serves all its objectives and
-    right-hand sides.  Returns (mask, f, primal): ``mask[k]`` tells whether
-    point k is certified, ``f[k]`` its optimal value (meaningful only where
-    the mask is set) and ``primal[k]`` whether the basis is primal feasible
-    (and nonsingular) there.
+    ca[k] % ka]``, and ``cb[k] // kb`` is the same program).  A point is
+    certified only if it passes the solver's own tests: basic values >=
+    -tol, reduced costs <= tol, the post-check A.x <= b + feas tol, and a
+    duality gap |c.x - y.b| <= tol * max(1, |f|).  One factorisation per
+    program serves all its objectives and right-hand sides, and two batched
+    products give its values c.x and y.b over its ka x kb rectangle, summed
+    as ``np.einsum("ij,ij->i")`` sums each point's rows.  Returns (mask,
+    f, primal): ``mask[k]`` tells whether point k is certified, ``f[k]`` its
+    optimal value (meaningful only where the mask is set) and ``primal[k]``
+    whether the basis is primal feasible (and nonsingular) there.
     """
     m, width = AI.shape[1:]
-    n = width - m
+    n, kb = width - m, Bv.shape[1]
     S = np.asarray(basis)
     B = AI[:, :, S]
     xB, solved = _solve_stack(B, Bv.transpose(0, 2, 1))  # G x m x kb
     Y, solved_dual = _solve_stack(B.transpose(0, 2, 1), CI[:, :, S].transpose(0, 2, 1))
     with np.errstate(invalid="ignore", over="ignore"):
-        xs = np.zeros((len(AI), n, Bv.shape[1]))
+        xs = np.zeros((len(AI), n, kb))
         structural = S < n
         xs[:, S[structural]] = xB[:, structural]
         xs[(xs < 0.0) & (xs > -_TOL_PIVOT)] = 0.0  # solve_max's snap
@@ -267,19 +262,21 @@ def _certify(AI, CI, Bv, basis, ca, cb):
         dual = (reduced <= _TOL_PIVOT).all(axis=1)
         primal = primal.ravel()[cb]
         ok = primal & dual.ravel()[ca]
-        # The values and the duality gap are summed over one row per point
-        # in every operand: einsum's summation order depends on the layout,
-        # and with this one each point is summed the same way however many
-        # programs are stacked.  Blocks of points bound the rows held.
-        C, X = CI[:, :, :n].reshape(-1, n), _rows(xs)
-        Yr, R = _rows(Y), Bv.reshape(-1, m)
-        f = np.empty(len(ca))
-        size = max(1, _BLOCK // width)
-        for block in (slice(k, k + size) for k in range(0, len(ca), size)):
-            a, b = ca[block], cb[block]
-            f[block] = fb = np.einsum("ij,ij->i", C.take(a, axis=0), X.take(b, axis=0))
-            yb = np.einsum("ij,ij->i", Yr.take(a, axis=0), R.take(b, axis=0))
-            ok[block] &= np.abs(fb - yb) <= _TOL_PIVOT * np.maximum(1.0, np.abs(fb))
+        # Each slice's values and dual values over its alpha x beta
+        # rectangle.  The summed axis is contiguous in both operands, so each
+        # entry is summed as "ij,ij->i" sums one point's two rows.
+        f = np.einsum("gan,gbn->gab", CI[:, :, :n], np.ascontiguousarray(xs.transpose(0, 2, 1)))
+        gap = np.einsum("gam,gbm->gab", np.ascontiguousarray(Y.transpose(0, 2, 1)), Bv)
+        gap -= f  # tested in place, so only f and the outcome are gathered
+        bound = np.abs(f)
+        np.maximum(bound, 1.0, out=bound)
+        bound *= _TOL_PIVOT
+        closed = np.abs(gap, out=gap) <= bound
+        del gap, bound  # freed before the per-point gathers
+        # Point k is flat entry ca[k] * kb + cb[k] % kb of the rectangles.
+        k = (ca - cb // kb) * kb + cb
+        ok &= closed.ravel()[k]
+        f = f.ravel()[k]
     return ok, f, primal
 
 

@@ -154,6 +154,26 @@ def random_loose_problem(
     )
 
 
+def many_basis_problem(rng: np.random.Generator, m: int, n: int) -> GreyLP:
+    """A seeded m x n grey LP whose grids need many optimal bases.
+
+    It is the benchmark's synthetic family (``bench/inputs.generate_problem``)
+    without the heavy diagonal that gives those grids one basis everywhere,
+    and with wider objective and right-hand side intervals: hi = lo * (1 +
+    w * u) with u uniform in [0, 1], w = 2.0 for c and b and 0.3 for A.
+    Every entry stays positive, so every positioned program is bounded."""
+
+    def grey(lo, width):
+        lo = np.round(lo, 4)
+        return np.stack([lo, np.round(lo * (1.0 + width * rng.uniform(0.0, 1.0, lo.shape)), 4)], -1)
+
+    return GreyLP(
+        objective=grey(rng.uniform(1.0, 10.0, n), 2.0),
+        matrix=grey(rng.uniform(0.1, 1.0, (m, n)), 0.3),
+        rhs=grey(rng.uniform(50.0, 100.0, m), 2.0),
+    )
+
+
 def grid_triple(rng: random.Random) -> tuple[float, float, float]:
     """A coefficient triple drawn from the quarter grid, so endpoint values
     like 0 and 1 actually occur."""

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import (
     count_collections,
     grid_triple,
+    many_basis_problem,
     random_bounded_problem,
     random_loose_problem,
     random_triple,
@@ -136,6 +137,15 @@ class TestStackLayout:
     def test_cube_layout(self, demo_problem, step):
         grid = unit_grid(step)
         self._assert_whitens_each_point(demo_problem, analysis._cube(grid), _cube_layout(grid))
+
+    def test_cube_layout_tables_are_read_only_views(self):
+        # The alpha and beta tables are the grid values broadcast to g x g,
+        # so nothing of size g² is written before the cube's indices.
+        values, alphas, betas = _cube_layout(unit_grid(0.1))[:3]
+        for t in (alphas, betas):
+            assert t.shape == (11, 11)
+            assert not t.flags.writeable
+            assert np.shares_memory(t, values)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_point_layout(self, demo_problem, seed):
@@ -278,6 +288,22 @@ class TestSolveGrid:
         [record] = [r for r in caplog.records if r.name.startswith("greylp")]
         assert record.levelno == logging.INFO
         assert record.getMessage() == "solve_grid: " + message
+
+    def test_many_basis_grid_matches_reference(self, caplog):
+        # Without a heavy diagonal the gamma slices need bases of their own.
+        # Each new basis is certified on the slices from its own on, so
+        # every value is read through the offset stacks of settle(first=s).
+        p = many_basis_problem(np.random.default_rng(0), 10, 10)
+        with caplog.at_level(logging.INFO, logger="greylp"):
+            got = analysis._solve_grid(p, _cube_layout(unit_grid(0.1)))
+        [record] = [r for r in caplog.records if r.name.startswith("greylp")]
+        message = record.getMessage()
+        assert int(message.split(", ")[4].split()[0]) >= 4
+        assert message == (
+            "solve_grid: 1331 points, 4 cold solves, 4 warm starts, 1323 certified, 8 bases, "
+            "0 non-optimal"
+        )
+        assert_matches_reference(p, grid_triples(0.1), got)
 
     def test_sweep_starts_from_the_bounds_bases(self, demo_problem, caplog):
         # The bounds are solved in slice order: the ideal program (gamma 0)

@@ -744,7 +744,9 @@ def test_golden_stdout(capsys, demo_file, argv):
 def test_grid_commands_leave_numpy_ma_unimported(demo_file):
     # Importing numpy.ma adds about a megabyte of resident memory.  np.unique
     # imports it when called without return_inverse, so a grid command that
-    # did would carry it in its peak RSS.  Only a fresh interpreter shows it.
+    # did would carry it in its peak RSS.  The csv module, which the CSV
+    # renderer does not need, costs about a millisecond per start.  Only a
+    # fresh interpreter shows either.
     commands = [
         ["sweep", "--file", demo_file, "--step", "0.1", "--lambdas", "0.5,1"],
         ["satisfactory", "--file", demo_file, "--mu0", "0.5", "--step", "0.1"],
@@ -756,14 +758,14 @@ def test_grid_commands_leave_numpy_ma_unimported(demo_file):
         "from greylp.cli import run\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [run(argv) for argv in {commands!r}]\n"
-        "print(codes, 'numpy.ma' in sys.modules)\n"
+        "print(codes, 'numpy.ma' in sys.modules, 'csv' in sys.modules)\n"
     )
     src = str(pathlib.Path(greylp.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
-    assert done.stdout == "[0, 0, 0, 0] False\n", done.stderr
+    assert done.stdout == "[0, 0, 0, 0] False False\n", done.stderr
 
 
 def _seeded_problem(size: int, seed: int) -> GreyLP:

@@ -33,7 +33,8 @@ from greylp import (
     solve_max,
     uniform_coefficients,
 )
-from greylp import lp_solver
+from greylp import analysis, lp_solver
+from greylp.grey_core import _cube_layout, _point_layout, _uniform_stack
 from greylp.lp_solver import _iterate
 from greylp.satisfaction import _bounds
 
@@ -742,6 +743,47 @@ class TestRejectedStart:
         monkeypatch.setattr(lp_solver, "_vertex", failing_once)
         assert _started(LOOSE, (2, 3, 4)) == _as_cold_start(_outcome(solve_max, LOOSE))
         assert len(calls) == 3  # the warm start, then the cold solve twice
+
+
+def _layout(kind: str, rng: random.Random):
+    """A stack layout of quarter-grid triples: the cube's in closed form,
+    or a slice per point for random triples or the cube's shuffled."""
+    grid = analysis.unit_grid(0.25)
+    if kind == "cube":
+        return _cube_layout(grid)
+    if kind == "points":
+        return _point_layout(np.array([random_triple(rng) for _ in range(40)]))
+    pts = analysis._cube(grid)
+    return _point_layout(pts[rng.sample(range(len(pts)), len(pts))])
+
+
+class TestCertifiedValues:
+    """``_certify`` takes each slice's values over its whole alpha x beta
+    rectangle at once, yet each point's value must be summed as
+    ``np.einsum("ij,ij->i")`` sums that point's objective row and solution
+    row.  A product that sums in another order (a BLAS matmul, or einsum
+    over an axis that is not contiguous) moves printed digits."""
+
+    @pytest.mark.parametrize("kind", ["cube", "points", "shuffled"])
+    @pytest.mark.parametrize("n", [2, 3, 7, 30])
+    def test_each_point_is_summed_as_its_own_rows(self, n, kind):
+        rng = random.Random(n)
+        p = random_bounded_problem(rng, n=n, m=rng.randint(1, n))
+        A, C, Bv, at, ca, cb = _uniform_stack(p, _layout(kind, rng))
+        G, m, _ = A.shape
+        AI = np.concatenate([A, np.broadcast_to(np.eye(m), (G, m, m))], axis=2)
+        CI = np.concatenate([C, np.zeros((G, C.shape[1], m))], axis=2)
+        S = np.array(solve_max(build_positioned(p, uniform_coefficients(0.5, 0.5, 0.5, m, n))).basis)
+        _, f, _ = lp_solver._certify(AI, CI, Bv, S, ca, cb)
+        # The solution at every right-hand side, as solve_max snaps it.
+        xB, _ = lp_solver._solve_stack(AI[:, :, S], Bv.transpose(0, 2, 1))
+        xs = np.zeros((G, n, Bv.shape[1]))
+        xs[:, S[S < n]] = xB[:, S < n]
+        xs[(xs < 0.0) & (xs > -1e-9)] = 0.0
+        rows = xs.transpose(0, 2, 1).reshape(-1, n)
+        want = np.einsum("ij,ij->i", C.reshape(-1, n)[ca], rows[cb])
+        assert np.count_nonzero(want) > len(want) // 2
+        assert f.tobytes() == want.tobytes()
 
 
 def test_badly_scaled_start_can_end_away_from_the_cold_solve():
