@@ -12,11 +12,13 @@ stacked kernel ``greylp.lp_solver._solve_points``.  Under uniform whitening
 the matrix depends on gamma alone, the right-hand side on beta alone and
 the objective on alpha alone, so the positioned programs of one gamma
 slice share A and differ only in b and c (``grey_core._uniform_stack``
-whitens each slice once).  Which point lies in which slice is the stack
-layout.  For the cube of a grid command (``grid_sweep``,
-``check_monotonicity``, ``find_satisfactory``) ``grey_core._cube_layout``
-builds it from the cube's shape, in closed form; the chosen settings of
-``lambda_sweep`` get a slice each from ``grey_core._point_layout``.  A
+whitens each slice once); its points are the whole rectangle of its
+alphas times its betas.  The stack layout gives each slice its values and
+each triple its point (``rows``), through which ``_solve_grid`` hands the
+values back in the caller's order.  For the cube of a grid command
+(``grid_sweep``, ``check_monotonicity``, ``find_satisfactory``)
+``grey_core._cube_layout`` builds it in closed form; ``lambda_sweep``'s
+settings get a 1 x 1 slice each from ``grey_core._point_layout``.  A
 simplex basis S then gives, from one factorisation of B = [A | I][:, S],
 the basic solution for every beta of the slice and the dual vector for
 every alpha; the basis is optimal on the rectangle of primal-feasible
@@ -171,11 +173,11 @@ def _points(triples) -> np.ndarray:
 
 
 def _solve_grid(p: GreyLP, layout: tuple[np.ndarray, ...], bases=()) -> np.ndarray:
-    """The positioned optimum of a validated ``p`` at every point of the
+    """The positioned optimum of a validated ``p`` at every triple of the
     stack ``layout`` (see :func:`greylp.grey_core._uniform_stack`), as an
-    array in the layout's point order, NaN where the positioned program is
-    unbounded; ``bases`` (optimal bases of other whitenings of ``p``) are
-    the first cached bases.
+    array in the caller's triple order (the order of the layout's rows),
+    NaN where the positioned program is unbounded; ``bases`` (optimal bases
+    of other whitenings of ``p``) are the first cached bases.
 
     Results equal those of solving each point on its own
     (``solve_max(build_positioned(p, uniform_coefficients(...)))``), up to
@@ -183,6 +185,7 @@ def _solve_grid(p: GreyLP, layout: tuple[np.ndarray, ...], bases=()) -> np.ndarr
     the points, cold and warm-started solves, certified points, distinct
     bases and non-optimal (unbounded) points."""
     values, cache, cold, warm = _solve_points(*_uniform_stack(p, layout), bases)
+    values = values.take(layout[3])
     n = len(values)
     _log.info(
         "solve_grid: %d points, %d cold solves, %d warm starts, %d certified, %d bases, "

@@ -372,57 +372,56 @@ def uniform_coefficients(
 
 
 def _point_layout(pts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The stack layout of the uniform triples ``pts`` (N x 3 rows of
-    alpha, beta, gamma) with a slice of its own for each point, the slices
-    in ascending gamma and in input order among equal gammas: (gammas,
-    alphas, betas, at, ca, cb), as :func:`_uniform_stack` takes it.
-    Nothing is merged, so it suits a few chosen settings, not a grid."""
+    """The stack layout (gammas, alphas, betas, rows) of the uniform
+    triples ``pts`` (N x 3 rows of alpha, beta, gamma) with a 1 x 1 slice
+    for each point, in ascending gamma and in input order among equal
+    gammas, so ``rows`` inverts that sort.  Nothing is merged, so it suits
+    a few chosen settings, not a grid."""
     order = np.argsort(pts[:, 2], kind="stable")
-    at = np.empty(len(pts), dtype=np.intp)
-    at[order] = np.arange(len(pts))
-    return pts[order, 2], pts[order, :1], pts[order, 1:2], at, at, at
+    rows = np.empty(len(pts), dtype=np.intp)
+    rows[order] = np.arange(len(pts))
+    return pts[order, 2], pts[order, :1], pts[order, 1:2], rows
 
 
 def _cube_layout(grid: tuple[float, ...]) -> tuple[np.ndarray, ...]:
     """The stack layout of every triple of the strictly increasing ``grid``
     values, in lexicographic order (as ``analysis._cube`` lists them),
-    built from the cube's shape: with g values, point k has alpha, beta and
-    gamma indices (k // g², (k // g) % g, k % g), so it lies in slice
-    k % g, and every slice holds every grid value, ascending: the alpha
-    and beta tables are one read-only view, so nothing of size g² is written."""
+    built from the cube's shape: with g values, each value has a g x g
+    slice holding every value as an alpha and a beta, so triple (a, b, c)
+    of grid indices is stack point (c, a, b).  The alpha and beta tables
+    are one read-only view, so nothing of size g² is written."""
     values = np.array(grid)
     g = len(values)
     table = np.broadcast_to(values, (g, g))
-    alpha, beta, at = np.indices((g, g, g)).reshape(3, -1)
-    return values, table, table, at, at * g + alpha, at * g + beta
+    rows = np.arange(g**3).reshape(g, g, g).transpose(1, 2, 0).ravel()
+    return values, table, table, rows
 
 
 def _uniform_stack(p: GreyLP, layout: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     """The positioned programs of N uniform triples as a stack of white
-    programs, one slice per distinct gamma: (A, C, Bv, at, ca, cb).
+    programs, one slice per distinct gamma: (A, C, Bv).
 
     Under uniform whitening the matrix depends on gamma alone, the
     objective on alpha alone and the right-hand side on beta alone.  The
-    ``layout`` (gammas, alphas, betas, at, ca, cb) groups the triples by
-    gamma: slice g has gamma ``gammas[g]`` and the alphas ``alphas[g]``
-    (G x ka) and betas ``betas[g]`` (G x kb) its points use; point k lies
-    in slice ``at[k]`` and has alpha ``ca[k]`` and beta ``cb[k]`` of the
-    flattened tables.  :func:`_cube_layout` builds it for a grid cube, a
-    slice per grid value, and :func:`_point_layout` for chosen settings, a
-    slice per point, as ``satisfaction._BOUNDS_LAYOUT`` holds for the two
-    bounds.
+    ``layout`` (gammas, alphas, betas, rows) groups the triples by gamma:
+    slice g has gamma ``gammas[g]``, alphas ``alphas[g]`` (G x ka) and
+    betas ``betas[g]`` (G x kb), and its points are their whole ka x kb
+    rectangle; triple i is point ``rows[i]`` of the flattened stack.
+    :func:`_cube_layout` builds it for a grid cube, a slice per grid value,
+    and :func:`_point_layout` for chosen settings, a slice per point, as
+    ``satisfaction._BOUNDS_LAYOUT`` holds for the two bounds.
 
-    Slice g then holds its matrix ``A[g]`` (G x m x n) and its objectives
-    ``C[g]`` (G x ka x n) and right-hand sides ``Bv[g]`` (G x kb x m), and
-    the layout's indices carry over.  Every entry is whitened with
+    Slice g then holds its matrix ``A[g]`` (G x m x n), objectives ``C[g]``
+    (G x ka x n) and right-hand sides ``Bv[g]`` (G x kb x m), so point (g,
+    a, b) is ``C[g, a]`` and ``Bv[g, b]``.  Every entry is whitened with
     :func:`build_positioned`'s formula, so it matches that function's
     entry bit for bit.
     """
-    gammas, alphas, betas, at, ca, cb = layout
+    gammas, alphas, betas = layout[:3]
     A = _whitened(gammas[:, None, None], p.A_lo, p.A_hi)
     C = _whitened(alphas[..., None], p.c_lo, p.c_hi)
     Bv = _whitened(betas[..., None], p.b_lo, p.b_hi)
-    return A, C, Bv, at, ca, cb
+    return A, C, Bv
 
 
 def _interval_violations(lo, hi, locations) -> list[Violation]:

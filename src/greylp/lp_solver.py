@@ -13,12 +13,13 @@ so every solve is deterministic and terminates.
 
 Whitenings of one grey problem nearly always share an optimal basis, so
 ``_solve_points`` solves a stack of programs that share each slice's
-matrix by reusing bases: it certifies every optimal basis found so far at
-every pending point of the stack at once (``_certify``: primal and dual
-feasibility, the feasibility post-check and a duality gap, over each
-slice's rectangle of objectives and right-hand sides), pivots on by phase 2
-from a cached basis that is primal feasible at a point, and solves cold
-with ``solve_max`` where there is none or that solve fails.  Each
+matrix by reusing bases: point (g, a, b) of the stack is objective a and
+right-hand side b of slice g.  It certifies every optimal basis found so
+far at every pending point of the stack at once (``_certify``: primal and
+dual feasibility, the feasibility post-check and a duality gap, over
+each slice's whole rectangle), pivots on by phase 2 from a cached basis
+that is primal feasible at a point, and solves cold with ``solve_max``
+where there is none or that solve fails.  Each
 simplex solve logs one DEBUG record on the ``greylp.lp_solver`` logger
 naming its start (cold or warm), the pivots taken (and how many of them
 were degenerate) and the outcome.
@@ -221,25 +222,22 @@ def _solve_stack(M, R) -> tuple[np.ndarray, np.ndarray]:
         return X, nonsingular
 
 
-def _certify(AI, CI, Bv, basis, ca, cb):
-    """Which points of a stack of G programs the basis ``basis`` proves
-    optimal.
+def _certify(AI, CI, Bv, basis):
+    """Where in a stack of G programs the basis ``basis`` is proven optimal.
 
     ``AI`` stacks the programs' constraint matrices [A | I] (G x m x
     (n+m)), ``CI`` their objectives zero-padded over the slacks (G x ka x
-    (n+m)) and ``Bv`` their right-hand sides (G x kb x m).  Point k is the
-    objective ``ca[k]`` and the right-hand side ``cb[k]`` of one program,
-    counted across the stack (so objective ``ca[k]`` is ``CI[ca[k] // ka,
-    ca[k] % ka]``, and ``cb[k] // kb`` is the same program).  A point is
-    certified only if it passes the solver's own tests: basic values >=
-    -tol, reduced costs <= tol, the post-check A.x <= b + feas tol, and a
-    duality gap |c.x - y.b| <= tol * max(1, |f|).  One factorisation per
-    program serves all its objectives and right-hand sides, and two batched
-    products give its values c.x and y.b over its ka x kb rectangle, summed
-    as ``np.einsum("ij,ij->i")`` sums each point's rows.  Returns (mask,
-    f, primal): ``mask[k]`` tells whether point k is certified, ``f[k]`` its
-    optimal value (meaningful only where the mask is set) and ``primal[k]``
-    whether the basis is primal feasible (and nonsingular) there.
+    (n+m)) and ``Bv`` their right-hand sides (G x kb x m); point (g, a, b)
+    is objective a and right-hand side b of slice g.  A point is certified
+    only if it passes the solver's own tests: basic values >= -tol, reduced
+    costs <= tol, the post-check A.x <= b + feas tol, and a duality gap
+    |c.x - y.b| <= tol * max(1, |f|).  One factorisation per program serves
+    all its objectives and right-hand sides, and two batched products give
+    its values c.x and y.b over its ka x kb rectangle, summed as
+    ``np.einsum("ij,ij->i")`` sums each point's rows.  Returns (ok, f,
+    primal): whether each point is certified and its optimal value (only
+    meaningful where certified), both G x ka x kb, and whether the basis is
+    primal feasible (and nonsingular) at each right-hand side, G x kb.
     """
     m, width = AI.shape[1:]
     n, kb = width - m, Bv.shape[1]
@@ -260,23 +258,18 @@ def _certify(AI, CI, Bv, basis, ca, cb):
         AN = AI[:, :, nonbasic].transpose(0, 2, 1)
         reduced = CI[:, :, nonbasic].transpose(0, 2, 1) - AN @ Y
         dual = (reduced <= _TOL_PIVOT).all(axis=1)
-        primal = primal.ravel()[cb]
-        ok = primal & dual.ravel()[ca]
         # Each slice's values and dual values over its alpha x beta
         # rectangle.  The summed axis is contiguous in both operands, so each
         # entry is summed as "ij,ij->i" sums one point's two rows.
         f = np.einsum("gan,gbn->gab", CI[:, :, :n], np.ascontiguousarray(xs.transpose(0, 2, 1)))
         gap = np.einsum("gam,gbm->gab", np.ascontiguousarray(Y.transpose(0, 2, 1)), Bv)
-        gap -= f  # tested in place, so only f and the outcome are gathered
+        gap -= f
         bound = np.abs(f)
         np.maximum(bound, 1.0, out=bound)
         bound *= _TOL_PIVOT
-        closed = np.abs(gap, out=gap) <= bound
-        del gap, bound  # freed before the per-point gathers
-        # Point k is flat entry ca[k] * kb + cb[k] % kb of the rectangles.
-        k = (ca - cb // kb) * kb + cb
-        ok &= closed.ravel()[k]
-        f = f.ravel()[k]
+        ok = np.abs(gap, out=gap) <= bound
+        ok &= primal[:, None, :]
+        ok &= dual[:, :, None]
     return ok, f, primal
 
 
@@ -312,48 +305,48 @@ def solve_max(lp: WhiteLP) -> LPSolution:
     return sol
 
 
-def _solve_points(A, C, Bv, at, ca, cb, bases=()):
+def _solve_points(A, C, Bv, bases=()):
     """The optimal value of every point of a stack of white programs that
     share each slice's matrix, as ``grey_core._uniform_stack`` whitens a
     stack layout: a grid cube's from ``grey_core._cube_layout``, or one
     with a slice per chosen setting from ``grey_core._point_layout``.
+    Point (g, a, b) is objective ``C[g, a]`` and right-hand side ``Bv[g, b]``.
 
     Every cached optimal basis, starting with ``bases``, is certified at
     all pending points of all slices at once (see :func:`_certify`).  Every
-    point no basis certifies is solved, in slice order and then input
-    order: by phase 2 from the latest cached basis that is primal feasible
-    there, or cold by :func:`solve_max` if there is none or that phase 2
-    does not end in a checked optimum or ray.  Its optimal basis joins the
-    cache and is certified in turn.
+    point no basis certifies is solved, in slice order and then (alpha,
+    beta) order: by phase 2 from the latest cached basis that is primal
+    feasible there, or cold by :func:`solve_max` if there is none or that
+    phase 2 does not end in a checked optimum or ray.  Its optimal basis
+    joins the cache and is certified in turn.
 
-    Returns (values, cache, cold, warm): each point's optimal value, NaN
-    where its program is unbounded; the cached bases as sorted tuples; and
-    the numbers of cold and warm solves.  Like :func:`solve_max`, it raises
-    :class:`DomainError` before any solve if some b_i < 0, so a program is
-    refused whether or not a cached basis would have certified it.
+    Returns (values, cache, cold, warm): each point's optimal value (G x ka
+    x kb), NaN where its program is unbounded; the cached bases as sorted
+    tuples; and the numbers of cold and warm solves.  Like
+    :func:`solve_max`, it raises :class:`DomainError` before any solve if
+    some b_i < 0, so a program is refused whether or not a cached basis
+    would have certified it.
     """
     _require_nonnegative(Bv)
-    G, m, n = A.shape
+    G, m, _ = A.shape
     ka, kb = C.shape[1], Bv.shape[1]
     AI = np.concatenate([A, np.broadcast_to(np.eye(m), (G, m, m))], axis=2)
     CI = np.concatenate([C, np.zeros((G, ka, m))], axis=2)
-    objectives, rhs = C.reshape(-1, n), Bv.reshape(-1, m)
-    values = np.full(len(at), np.nan)
+    values = np.full((G, ka, kb), np.nan)
     cache = list(dict.fromkeys(tuple(sorted(basis)) for basis in bases))
-    pending = np.ones(len(at), dtype=bool)
-    # Per point, the latest cached basis that is primal feasible there (-1
-    # for none): the start of the point's solve if no basis certifies it.
-    feasible = np.full(len(at), -1)
+    pending = np.ones((G, ka, kb), dtype=bool)
+    # Per slice and right-hand side, the latest cached basis primal feasible
+    # there (-1 for none): where a point's solve starts if none certifies it.
+    feasible = np.full((G, kb), -1)
 
     def settle(which, first=0):
         """Certify ``cache[which]`` at every pending point, all of them in
         slice ``first`` or later."""
-        rows = np.flatnonzero(pending)
-        a, b = ca[rows] - first * ka, cb[rows] - first * kb
-        ok, f, primal = _certify(AI[first:], CI[first:], Bv[first:], cache[which], a, b)
-        values[rows[ok]] = f[ok]
-        pending[rows[ok]] = False
-        feasible[rows[primal]] = which
+        ok, f, primal = _certify(AI[first:], CI[first:], Bv[first:], cache[which])
+        ok &= pending[first:]
+        np.copyto(values[first:], f, where=ok)
+        np.copyto(pending[first:], False, where=ok)
+        np.copyto(feasible[first:], which, where=primal)
 
     for which in range(len(cache)):
         if not pending.any():
@@ -361,26 +354,26 @@ def _solve_points(A, C, Bv, at, ca, cb, bases=()):
         settle(which)
     cold = warm = 0
     while pending.any():
-        j = int(np.where(pending, at, G).argmin())  # the first point of the first slice left
-        pending[j] = False
-        s, c, b = at[j], objectives[ca[j]], rhs[cb[j]]
+        s, a, b = np.unravel_index(pending.argmax(), pending.shape)  # the first point left
+        pending[s, a, b] = False
+        c, rhs, start = C[s, a], Bv[s, b], feasible[s, b]
         sol = None
-        if feasible[j] >= 0:
+        if start >= 0:
             try:
-                sol, pivots, degenerate = _phase2(A[s], b, c, np.array(cache[feasible[j]]))
+                sol, pivots, degenerate = _phase2(A[s], rhs, c, np.array(cache[start]))
                 taken = f"{pivots} pivots ({degenerate} degenerate)"
             except SolverFailure as exc:  # past the pivot budget
                 taken = str(exc)
             outcome = sol.status.value if sol is not None else "failed"
             _log.debug("solve_max: warm start, %s, %s", taken, outcome)
         if sol is None:
-            sol = solve_max(WhiteLP._of_arrays(c, A[s], b))
+            sol = solve_max(WhiteLP._of_arrays(c, A[s], rhs))
             cold += 1
         else:
             warm += 1
         if sol.status is not SolveStatus.OPTIMAL:
             continue
-        values[j] = sol.objective
+        values[s, a, b] = sol.objective
         key = tuple(sorted(sol.basis))
         if key not in cache:
             cache.append(key)

@@ -18,8 +18,8 @@ A degree is then accepted against a grey target [mu0, 1].
 The two bounds are uniform whitenings of one problem, so they are solved
 together by the stacked kernel (``greylp.lp_solver._solve_points``), which
 reuses one's optimal basis for the other and any bases the caller already
-has; their stack layout is found once, at import.  A positioned program on
-its own is solved cold.
+has; their stack layout is a constant.  A positioned program on its own is
+solved cold.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .grey_core import (
-    GreyLP, PositionCoefficients, _frozen, _point_layout, _uniform_stack, _unit, build_positioned,
+    GreyLP, PositionCoefficients, _frozen, _uniform_stack, _unit, build_positioned,
     validate_problem,
 )
 from .lp_solver import LPSolution, SolveStatus, _solve_points, solve_max
@@ -126,11 +126,12 @@ def positioned_value(p: GreyLP, k: PositionCoefficients) -> float:
     return _solve_positioned(p, k).objective
 
 
-# The stack layout of the uniform triples of the critical and ideal
-# programs, a slice each, built once.
-_BOUNDS_LAYOUT = tuple(
-    map(_frozen, _point_layout(np.array([(0.0, 0.0, 1.0), (1.0, 1.0, 0.0)])))
-)
+# The stack layout (see ``grey_core._uniform_stack``) of the critical and
+# ideal triples, (0, 0, 1) and (1, 1, 0): a slice each, the ideal one first.
+_BOUNDS_LAYOUT = tuple(map(_frozen, (
+    np.array([0.0, 1.0]), np.array([[1.0], [0.0]]), np.array([[1.0], [0.0]]),
+    np.array([1, 0], dtype=np.intp),
+)))
 
 
 def _bounds(p: GreyLP, bases=()) -> tuple[ValueBounds, list[tuple[int, ...]]]:
@@ -142,7 +143,7 @@ def _bounds(p: GreyLP, bases=()) -> tuple[ValueBounds, list[tuple[int, ...]]]:
     values, cache, _, _ = _solve_points(*_uniform_stack(p, _BOUNDS_LAYOUT), bases)
     if np.isnan(values).any():
         raise UnboundedValueError(_UNBOUNDED)
-    critical, ideal = values.tolist()
+    critical, ideal = values.take(_BOUNDS_LAYOUT[3]).tolist()
     return ValueBounds(critical=critical, ideal=ideal), cache
 
 

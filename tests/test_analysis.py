@@ -109,9 +109,9 @@ class TestUnitGrid:
 
 
 class TestStackLayout:
-    """Each layout gives point k the programs its own triple whitens to:
-    ``A[at[k]]``, row ``ca[k]`` of the objectives and row ``cb[k]`` of the
-    right-hand sides equal ``build_positioned`` bit for bit."""
+    """Each layout gives triple i the programs it whitens to: stack point
+    ``rows[i]``, unravelled to (g, a, b), has ``A[g]``, ``C[g, a]`` and
+    ``Bv[g, b]`` equal to ``build_positioned``'s bit for bit."""
 
     @staticmethod
     def _assert_identical(got, want):
@@ -122,13 +122,14 @@ class TestStackLayout:
     def _assert_whitens_each_point(self, demo_problem, pts, layout):
         seeded = random_bounded_problem(random.Random(10), n=10, m=10)
         for p in (demo_problem, seeded):
-            A, C, Bv, at, ca, cb = _uniform_stack(p, layout)
+            A, C, Bv = _uniform_stack(p, layout)
+            g, a, b = np.unravel_index(layout[3], (len(A), C.shape[1], Bv.shape[1]))
             white = [
                 build_positioned(p, uniform_coefficients(*triple, p.m, p.n))
                 for triple in pts.tolist()
             ]
             self._assert_identical(
-                (A[at], C.reshape(-1, p.n)[ca], Bv.reshape(-1, p.m)[cb]),
+                (A[g], C[g, a], Bv[g, b]),
                 [np.array([w.A_array for w in white]), np.array([w.c_array for w in white]),
                  np.array([w.b_array for w in white])],
             )
@@ -154,11 +155,12 @@ class TestStackLayout:
         pts = [grid_triple(rng) for _ in range(30)]
         pts = np.array(pts + rng.sample(pts, 10))
         layout = _point_layout(pts)
-        at = layout[3]
-        # A slice per point, in ascending gamma and input order among equal
-        # gammas.
-        assert sorted(at.tolist()) == list(range(len(pts)))
-        assert np.argsort(at).tolist() == sorted(range(len(pts)), key=lambda k: (pts[k, 2], k))
+        rows = layout[3]
+        # A 1 x 1 slice per point, in ascending gamma and input order among
+        # equal gammas.
+        assert layout[1].shape == layout[2].shape == (len(pts), 1)
+        assert sorted(rows.tolist()) == list(range(len(pts)))
+        assert np.argsort(rows).tolist() == sorted(range(len(pts)), key=lambda k: (pts[k, 2], k))
         self._assert_whitens_each_point(demo_problem, pts, layout)
 
     def test_bounds_layout(self, demo_problem):
@@ -166,12 +168,11 @@ class TestStackLayout:
         self._assert_whitens_each_point(demo_problem, pts, satisfaction._BOUNDS_LAYOUT)
 
     def test_bounds_layout_is_pinned(self):
-        # The layout the sorting builder gave, so the bounds keep their
+        # The slices the sorting builder gave, so the bounds keep their
         # solve order, bases and bits.
-        at = np.array([1, 0], dtype=np.intp)
         self._assert_identical(satisfaction._BOUNDS_LAYOUT, (
             np.array([0.0, 1.0]), np.array([[1.0], [0.0]]), np.array([[1.0], [0.0]]),
-            at, at, at,
+            np.array([1, 0], dtype=np.intp),
         ))
 
     def test_verify_example_layout_is_pinned(self, monkeypatch, capsys):
@@ -185,13 +186,12 @@ class TestStackLayout:
         monkeypatch.setattr(analysis, "_point_layout", recording)
         assert run(["verify-example"]) == 0
         capsys.readouterr()
-        at = np.array([5, 2, 4, 1, 3, 0], dtype=np.intp)
         [layout] = laid_out
         self._assert_identical(layout, (
             np.array([0.0, 0.3, 0.4, 0.5, 0.6, 1.0]),
             np.array([[1.0], [0.7], [0.5], [0.7], [0.6], [0.0]]),
             np.array([[1.0], [0.5], [0.9], [0.9], [0.6], [0.0]]),
-            at, at, at,
+            np.array([5, 2, 4, 1, 3, 0], dtype=np.intp),
         ))
 
 
@@ -522,6 +522,21 @@ class TestCheckMonotonicity:
             p = random_bounded_problem(rng, n=2, m=2)
             for axis in ("alpha", "beta", "gamma"):
                 assert check_monotonicity(p, axis, 0.5).ok
+
+    @pytest.mark.parametrize("axis", ["alpha", "beta", "gamma"])
+    def test_peak_memory_holds_no_per_point_index_arrays(self, demo_problem, axis):
+        # At its peak the 51**3-point cube holds its values, masks, the
+        # rectangles of one certification and the rows that reorder it:
+        # about 46 bytes a point.  Per-point int64 indices into the stack
+        # (slice, objective, right-hand side) would add 8 bytes each.
+        g = len(unit_grid(0.02))
+        tracemalloc.start()
+        try:
+            check_monotonicity(demo_problem, axis, 0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * g**3
 
     @staticmethod
     def _probe_order(grid, pos):

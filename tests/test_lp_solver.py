@@ -478,11 +478,10 @@ class TestVectorisedPricing:
 def _kernel(lp: WhiteLP, start):
     """The stacked kernel on ``lp`` alone, with ``start`` as its one cached
     basis: (value, cache, cold, warm)."""
-    one = np.zeros(1, dtype=np.intp)
     values, cache, cold, warm = lp_solver._solve_points(
-        lp.A_array[None], lp.c_array[None, None], lp.b_array[None, None], one, one, one, (start,)
+        lp.A_array[None], lp.c_array[None, None], lp.b_array[None, None], (start,)
     )
-    return values[0], cache, cold, warm
+    return values[0, 0, 0], cache, cold, warm
 
 
 def _started(lp: WhiteLP, start):
@@ -759,9 +758,9 @@ def _layout(kind: str, rng: random.Random):
 
 class TestCertifiedValues:
     """``_certify`` takes each slice's values over its whole alpha x beta
-    rectangle at once, yet each point's value must be summed as
-    ``np.einsum("ij,ij->i")`` sums that point's objective row and solution
-    row.  A product that sums in another order (a BLAS matmul, or einsum
+    rectangle at once, yet each entry (g, a, b) must be summed as
+    ``np.einsum("ij,ij->i")`` sums its own objective row ``C[g, a]`` and
+    solution row (at ``Bv[g, b]``).  A product that sums in another order (a BLAS matmul, or einsum
     over an axis that is not contiguous) moves printed digits."""
 
     @pytest.mark.parametrize("kind", ["cube", "points", "shuffled"])
@@ -769,20 +768,21 @@ class TestCertifiedValues:
     def test_each_point_is_summed_as_its_own_rows(self, n, kind):
         rng = random.Random(n)
         p = random_bounded_problem(rng, n=n, m=rng.randint(1, n))
-        A, C, Bv, at, ca, cb = _uniform_stack(p, _layout(kind, rng))
-        G, m, _ = A.shape
+        A, C, Bv = _uniform_stack(p, _layout(kind, rng))
+        (G, m, _), ka, kb = A.shape, C.shape[1], Bv.shape[1]
         AI = np.concatenate([A, np.broadcast_to(np.eye(m), (G, m, m))], axis=2)
         CI = np.concatenate([C, np.zeros((G, C.shape[1], m))], axis=2)
         S = np.array(solve_max(build_positioned(p, uniform_coefficients(0.5, 0.5, 0.5, m, n))).basis)
-        _, f, _ = lp_solver._certify(AI, CI, Bv, S, ca, cb)
+        _, f, _ = lp_solver._certify(AI, CI, Bv, S)
         # The solution at every right-hand side, as solve_max snaps it.
         xB, _ = lp_solver._solve_stack(AI[:, :, S], Bv.transpose(0, 2, 1))
-        xs = np.zeros((G, n, Bv.shape[1]))
+        xs = np.zeros((G, n, kb))
         xs[:, S[S < n]] = xB[:, S < n]
         xs[(xs < 0.0) & (xs > -1e-9)] = 0.0
-        rows = xs.transpose(0, 2, 1).reshape(-1, n)
-        want = np.einsum("ij,ij->i", C.reshape(-1, n)[ca], rows[cb])
+        g, a, b = np.indices((G, ka, kb)).reshape(3, -1)
+        want = np.einsum("ij,ij->i", C[g, a], xs.transpose(0, 2, 1)[g, b])
         assert np.count_nonzero(want) > len(want) // 2
+        assert f.shape == (G, ka, kb)
         assert f.tobytes() == want.tobytes()
 
 
