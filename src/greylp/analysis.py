@@ -30,13 +30,22 @@ solving its critical and ideal values.  Each ``_solve_grid`` logs one INFO
 record with its counts.
 
 Tables render to CSV or Markdown with the presentation rounding used
-throughout: optimal values to 2 decimals, degrees to 4.
+throughout: optimal values to 2 decimals, degrees to 4.  ``render_table``
+and the ``satisfactory`` command's hit lines go through one row formatter,
+``_format_rows``, which writes 1 024 rows at a time as a matrix of 4-byte
+words with no Python object per cell: coefficient cells are gathered from
+a table of their distinct "%g" texts, values with d decimals are written
+from the digit groups of q = rint(v * 10**d) wherever that is provably the
+text "%.*f" prints (any other value is formatted on its own), and
+separators are constant words.  NUL padding is dropped when a block is
+decoded.
 """
 
 from __future__ import annotations
 
 import functools
 import io
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -335,71 +344,202 @@ def find_satisfactory(
     return table.coefficients[hits], degree[hits]
 
 
-# Rows are formatted this many at a time, which bounds the text held at once.
-_CHUNK = 1024
+# Rows are rendered this many at a time, which bounds the bytes held at once.
+_BLOCK = 1024
+
+# A value v with d decimals is written from its digits while 0 <= v <
+# 10**(12 - d).  The product x = v * 10**d is then below 2**52, where every
+# rounding tie k + 0.5 is a double.  Rounding x to the nearest double keeps
+# its order with each tie, so q = rint(x) is the correctly rounded
+# d-decimal value that "%.*f" prints unless the rounded x is a tie itself.
+_DIGITS = 12
+_POWERS = 10.0 ** np.arange(1, _DIGITS + 1)
 
 
-def _coeff_texts(values: np.ndarray) -> np.ndarray:
-    """``"%g" % v`` of every value, as an object array of the same shape;
-    each distinct value is formatted once."""
-    distinct, index = np.unique(values, return_inverse=True)
-    texts = np.array(["%g" % v for v in distinct.tolist()], dtype=object)
-    return texts[index].reshape(values.shape)
+# _TAIL[z] keeps all but the first z bytes of a word.  _UNITS[z] keeps the
+# first three bytes but the first z, where a value's last three whole digits
+# go, and _POINT is the point after them.
+_TAIL = np.frombuffer(b"".join(bytes(z) + b"\xff" * (4 - z) for z in range(5)), dtype=np.uint32)
+_UNITS = np.frombuffer(
+    b"".join(bytes(z) + b"\xff" * (3 - z) + b"\0" for z in range(3)), dtype=np.uint32
+)
+_POINT = np.frombuffer(b"\0\0\0.", dtype=np.uint32)[0]
 
 
 @functools.cache
-def _degree_table() -> tuple[np.ndarray, np.ndarray]:
-    """The text "%d.%04d" % divmod(q, 10000) of each 4-decimal code q of a
-    degree in [0, 1], and which of them are filled in.  Codes are filled in
-    as they come into use; the table is shared by the whole process, which
-    is safe because each entry depends on its code alone."""
-    return np.empty(10_001, dtype=object), np.zeros(10_001, dtype=bool)
+def _digit_groups() -> np.ndarray:
+    """The text "%04d" % g of each digit group g in 0..9999, its four ASCII
+    bytes read as one uint32.  Built on first use."""
+    numerals = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    groups = np.meshgrid(*[numerals] * 4, indexing="ij", copy=False)  # views
+    digits = np.stack(groups, axis=-1)
+    table = digits.reshape(10_000, 4).view(np.uint32).ravel()
+    table.flags.writeable = False
+    return table
 
 
-def _degree_texts(values: np.ndarray, empty: str = "nan") -> np.ndarray:
-    """``"%.4f" % v`` of every value, or ``empty`` for a NaN, as an object
-    array of the same shape, looked up wherever that is provably the same
-    text.
+def _padded(raw: bytes, words: int = 0) -> bytes:
+    """``raw`` NUL-padded to whole 4-byte words, at least ``words`` of them."""
+    return raw.ljust(4 * max(words, -(-len(raw) // 4)), b"\0")
 
-    A value v in [0, 1] takes the text of its code q = rint(v * 1e4).  The
-    product is within 1.2e-12 of the exact v * 10^4, so q is the correctly
-    rounded 4-decimal value, as "%.4f" prints it, unless the product lies
-    within 1e-6 of a rounding tie.  Values near a tie, NaN, -0.0 and values
-    outside [0, 1] are formatted one by one.
+
+def _coefficient_table(coefficients):
+    """The "%g" texts of the distinct coefficients of each column of
+    ``coefficients`` (N x c), told apart by their bits (so -0.0 keeps its
+    sign), as a table of NUL-padded words with a row per text; and for
+    each column, the sorted bits of its distinct coefficients, whose texts
+    are the table's rows from ``start`` on, as (bits, start)."""
+    bits = np.array(coefficients.T, dtype=float).view(np.int64)  # a copy, sorted in place
+    bits.sort(axis=1)
+    first = np.ones(bits.shape, dtype=bool)
+    np.not_equal(bits[:, 1:], bits[:, :-1], out=first[:, 1:])
+    distinct = bits[first]  # column by column
+    texts = [b"%g" % v for v in distinct.view(float).tolist()]
+    width = -(-max(map(len, texts), default=0) // 4)
+    table = np.frombuffer(b"".join(_padded(text, width) for text in texts), dtype=np.uint32)
+    columns, start = [], 0
+    for count in first.sum(axis=1).tolist():
+        columns.append((distinct[start : start + count], start))
+        start += count
+    return table.reshape(len(texts), width), columns
+
+
+def _format_rows(coefficients, columns, decimals, empty, seps):
+    """The text of the rows, yielded ``_BLOCK`` rows at a time, one line per
+    row: ``seps[0]``, then the "%g" text of each of the row's
+    ``coefficients`` (N x c) and the "%.*f" text of each of its values in
+    ``columns`` (arrays of N or N x j values, side by side) with that
+    column's ``decimals`` (at most 4), or its ``empty`` text where the
+    value is NaN, each cell followed by the next of ``seps``.
+
+    Each block is written as a matrix of 4-byte words, a row of words per
+    line, whose unused bytes are NUL and are dropped when the block is
+    decoded.  The matrix is filled transposed, so that a word of one cell
+    in every line is one contiguous run, and separators are constant
+    words.  Each distinct coefficient is formatted once, and its words are
+    gathered from a table of those texts.  A value v with 0 <= v < 10**(12
+    - d) whose product v * 10**d does not round to a tie k + 0.5 has the
+    text of q = rint(v * 10**d), the correctly rounded d-decimal value that
+    "%.*f" prints (see ``_DIGITS``): its whole and fractional digits are
+    taken from :func:`_digit_groups` (the last three whole digits with the
+    point, the others four at a time), with leading zeros masked to NUL.
+    Any other value (NaN, -0.0, a negative or infinite value, one past the
+    limit or one whose product rounds to a tie) is formatted on its own and
+    written into its line.
     """
+    table, distinct = _coefficient_table(coefficients)
+    seps = [_padded(sep.encode("ascii")) for sep in seps]
+    layouts = {}
+    for start in range(0, len(coefficients), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        bits = np.ascontiguousarray(coefficients[block].T, dtype=float).view(np.int64)
+        index = np.empty(bits.shape, dtype=np.intp)  # each coefficient's row of the table
+        for i, (keys, offset) in enumerate(distinct):
+            np.add(np.searchsorted(keys, bits[i]), offset, out=index[i])
+        yield _block_text(
+            table, index, *_value_words([column[block] for column in columns], decimals, empty),
+            seps, layouts,
+        )
+
+
+def _block_text(table, index, words, sizes, fallback, seps, layouts) -> str:
+    """The text of one block of rows of :func:`_format_rows`: row r's
+    coefficient i has the text ``table[index[i, r]]`` (c x R), and its
+    values the words of :func:`_value_words`.  ``seps`` are padded to
+    words, and ``layouts`` keeps the word columns of each width of the
+    value cells met so far."""
+    c, n = index.shape
+    width = table.shape[1]
+    cells = list(sizes)
+    for (j, _), text in fallback.items():
+        cells[j] = max(cells[j], len(text))
+    cells = tuple(cells)
+    if cells not in layouts:
+        parts = [seps[0]]
+        for sep in seps[1 : 1 + c]:
+            parts += [bytes(4 * width), sep]
+        for cell, sep in zip(cells, seps[1 + c :]):
+            parts += [bytes(4 * cell), sep]
+        starts = list(itertools.accumulate((len(part) // 4 for part in parts), initial=0))
+        # The constant words, the first word of each coefficient cell, and
+        # the word after each value cell.
+        layouts[cells] = (np.frombuffer(b"".join(parts), dtype=np.uint32)[:, None],
+                          starts[1 : 2 * c : 2], starts[2 + 2 * c :: 2])
+    template, coef_at, ends = layouts[cells]
+    lines = np.empty((len(template), n), dtype=np.uint32)
+    lines[:] = template
+    for w in range(width):
+        lines[[at + w for at in coef_at]] = table[:, w].take(index)
+    for i, word in enumerate(words):
+        has = [j for j, size in enumerate(sizes) if size > i]
+        lines[[ends[j] - 1 - i for j in has]] = word if len(has) == len(word) else word[has]
+    for (j, r), text in fallback.items():
+        lines[ends[j] - cells[j] : ends[j], r] = 0
+        lines[ends[j] - cells[j] : ends[j] - cells[j] + len(text), r] = text
+    return lines.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _value_words(columns, decimals, empty):
+    """The words of the value cells of a block of R rows: ``columns`` (R or
+    R x j values each) hold k columns of values side by side, column j with
+    ``decimals[j]`` decimals and the text ``empty[j]`` for NaN.
+
+    Returns (words, sizes, fallback).  ``words[i]`` (k x R) is the i-th word
+    from the end of each cell: the fraction's digits, then the last three
+    whole digits and the point, then four more whole digits at a time, with
+    leading zeros NUL; column j's cells are its last ``sizes[j]`` words.
+    ``fallback`` maps (j, r) to the words of each value formatted on its
+    own, whose words in ``words`` are meaningless.
+    """
+    values = np.empty((len(decimals), len(columns[0])))  # k x R
+    np.concatenate([np.atleast_2d(column.T) for column in columns], out=values)
+    d = np.array(decimals)[:, None]
+    unit = 10.0 ** d
     with np.errstate(invalid="ignore", over="ignore"):
-        scaled = values * 1e4
-        exact = (values >= 0.0) & (values <= 1.0) & ~np.signbit(values)
-        exact &= np.abs(scaled - np.floor(scaled) - 0.5) > 1e-6
-    codes = np.rint(scaled[exact]).astype(np.intp)
-    table, known = _degree_table()
-    fresh = np.zeros(len(table), dtype=bool)
-    fresh[codes] = True
-    fresh &= ~known
-    for q in np.flatnonzero(fresh).tolist():
-        table[q] = "%d.%04d" % divmod(q, 10000)
-    known |= fresh
-    texts = np.empty(values.shape, dtype=object)
-    texts[exact] = table[codes]
-    for i in np.flatnonzero(~exact).tolist():
-        v = values.flat[i]
-        texts.flat[i] = empty if v != v else "%.4f" % v
-    return texts
-
-
-def _body(t: SweepTable, empty: str):
-    """The table's rows after the header, each an iterable of cells, at
-    most ``_CHUNK`` rows at a time.  An undefined degree renders as
-    ``empty``."""
-    coeffs = _coeff_texts(t.coefficients)
-    for start in range(0, len(t.f), _CHUNK):
-        stop = start + _CHUNK
-        f = t.f[start:stop]
-        degrees = np.column_stack((t.mu[start:stop], t.mu_tilde[start:stop]))
-        cells = coeffs[start:stop].T.tolist()
-        cells.append(["%.2f" % v for v in f.tolist()])
-        cells += _degree_texts(degrees, empty).T.tolist()
-        yield zip(*cells)
+        scaled = values * unit
+        q = np.rint(scaled)
+        # The unsigned view is below the limit's for 0.0 <= v < limit alone:
+        # not for -0.0, a negative, an infinity or NaN.
+        exact = values.view(np.uint64) < (10.0 ** (_DIGITS - d)).view(np.uint64)
+        scaled -= q
+        exact &= np.abs(scaled, out=scaled) < 0.5  # not a tie
+    fallback = {}
+    if not exact.all():
+        for j, r in zip(*np.nonzero(~exact)):
+            v = values[j, r]
+            text = empty[j] if v != v else "%.*f" % (decimals[j], v)
+            fallback[j, r] = np.frombuffer(_padded(text.encode("ascii")), dtype=np.uint32)
+        q[~exact] = 0.0
+    whole = np.floor(np.divide(q, unit, out=scaled), out=scaled)
+    q -= whole * unit
+    digits = _digit_groups()
+    words = [digits.take(q.astype(np.intp))]
+    words[0] &= _TAIL[4 - d]  # the last d digits of the group
+    # The number of whole digits (at least one) of each value, the same for
+    # a whole column unless its least and greatest whole parts differ in it.
+    low, high = np.searchsorted(_POWERS, [whole.min(axis=1), whole.max(axis=1)], "right") + 1
+    size = high[:, None]
+    vary = low != high
+    if vary.any():
+        size = np.repeat(size, values.shape[1], axis=1)
+        size[vary] = np.searchsorted(_POWERS, whole[vary], "right") + 1
+    groups = 1 + high // 4
+    for g in range(groups.max()):
+        # Word 0 holds the last three whole digits, word g > 0 the four
+        # before those of word g - 1.
+        part = whole if g == 0 else np.floor(whole / 10.0 ** (4 * g - 1))
+        if g + 1 < groups.max():
+            span = 1e3 if g == 0 else 1e4
+            part = part - np.floor(part / span) * span
+        if g == 0:
+            word = digits.take((part * 10).astype(np.intp))  # the three digits, then a 0
+            word &= _UNITS.take(3 - size, mode="clip")
+            word |= _POINT
+        else:
+            word = digits.take(part.astype(np.intp))
+            word &= _TAIL.take(4 * g + 3 - size, mode="clip")
+        words.append(word)
+    return words, (groups + 1).tolist(), fallback
 
 
 def render_table(t: SweepTable, format: str) -> str:
@@ -414,18 +554,21 @@ def render_table(t: SweepTable, format: str) -> str:
     if format not in ("csv", "markdown"):
         raise DomainError(f"format must be 'csv' or 'markdown', got {format!r}")
     header = ["alpha", "beta", "gamma", "f", "mu"] + ["mu_tilde[%g]" % lam for lam in t.lambdas]
-    buf = io.StringIO()
     if format == "csv":
         # No cell needs quoting: the header cells are fixed names and
         # "mu_tilde[%g]" of a lambda in [0, 1], and the rest are numbers.
-        buf.write(",".join(header) + "\n")
+        head = ",".join(header) + "\n"
         lead, sep, end, empty = "", ",", "\n", ""
     else:
-        buf.write("| " + " | ".join(header) + " |\n")
-        buf.write("| " + " | ".join("---" for _ in header) + " |\n")
+        head = "| " + " | ".join(header) + " |\n| " + " | ".join("---" for _ in header) + " |\n"
         lead, sep, end, empty = "| ", " | ", " |\n", "-"
-    for chunk in _body(t, empty):
-        lines = list(map(sep.join, chunk))
-        if lines:
-            buf.write(lead + (end + lead).join(lines) + end)
+    k = 1 + len(t.lambdas)
+    buf = io.StringIO()
+    buf.write(head)
+    # Each block is written as it is made, so one block's text is held at
+    # a time besides the output.
+    buf.writelines(_format_rows(
+        t.coefficients, (t.f, t.mu, t.mu_tilde), [2] + [4] * k, ["nan"] + [empty] * k,
+        [lead] + [sep] * (len(header) - 1) + [end],
+    ))
     return buf.getvalue()

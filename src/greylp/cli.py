@@ -36,8 +36,7 @@ import numpy as np
 
 from . import bundled
 from .analysis import (
-    _coeff_texts,
-    _degree_texts,
+    _format_rows,
     check_monotonicity,
     find_satisfactory,
     grid_sweep,
@@ -354,10 +353,9 @@ def _cmd_satisfactory(args) -> int:
         f"{len(degrees)} of {total} grid setting(s) reach "
         f"mu_tilde[lambda={args.lam:g}] >= {args.mu0:g}"
     )
-    hits = zip(*_coeff_texts(triples).T.tolist(), _degree_texts(degrees).tolist())
-    sys.stdout.write("".join([
-        f"  alpha={a} beta={b} gamma={g}  mu_tilde={degree}\n" for a, b, g, degree in hits
-    ]))
+    sys.stdout.writelines(_format_rows(
+        triples, (degrees,), [4], ["nan"], ["  alpha=", " beta=", " gamma=", "  mu_tilde=", "\n"]
+    ))
     return 0
 
 

@@ -24,8 +24,8 @@ simplex solve logs one DEBUG record on the ``greylp.lp_solver`` logger
 naming its start (cold or warm), the pivots taken (and how many of them
 were degenerate) and the outcome.
 
-A solve is post-checked in floating point only: x >= 0, A.x <= b, and a
-finite tableau and objective.  ``tests/conftest.py`` proves the returned
+A solve is post-checked in floating point only: x >= 0, A.x <= b within
+1e-7 * max(1, |b_i|), and a finite tableau and objective.  ``tests/conftest.py`` proves the returned
 basis or ray exactly, in rational arithmetic on the float data, and the
 tests take that as ground truth.
 """
@@ -46,7 +46,9 @@ __all__ = ["SolveStatus", "LPSolution", "solve_max"]
 
 # Reduced-cost / ratio-test tolerance and post-hoc feasibility tolerance.
 # 1e-9 leaves double-precision headroom at desk-scale magnitudes (~1e5);
-# feasibility is checked more loosely because residuals accumulate pivots.
+# feasibility is checked more loosely because residuals accumulate pivots,
+# and relative to the row's bound, |b_i| of a row with |b_i| > 1, because
+# A.x carries the rounding of a number of that size.
 _TOL_PIVOT = 1e-9
 _TOL_FEAS = 1e-7
 
@@ -148,21 +150,29 @@ def _extract_ray(T: np.ndarray, basis: list[int], enter: int, n: int) -> tuple[f
     return tuple(d[:n].tolist())
 
 
+def _slack_ok(b, Ax):
+    """Where the slack b - A.x passes the feasibility post-check, slack >=
+    -_TOL_FEAS * max(1, |b_i|); a NaN slack fails it."""
+    bound = np.abs(b)
+    np.maximum(bound, 1.0, out=bound)
+    bound *= -_TOL_FEAS
+    return b - Ax >= bound
+
+
 def _vertex(T: np.ndarray, basis: list[int], A, b, c) -> LPSolution | None:
     """The optimal solution read from the final tableau ``T``, or None if it
-    fails the post-check: x >= 0, A.x <= b, and a finite tableau and
-    objective (pricing skips a NaN reduced cost, so such a tableau proves
-    nothing)."""
+    fails the post-check: x >= 0, A.x <= b (see :func:`_slack_ok`), and a
+    finite tableau and objective (pricing skips a NaN reduced cost, so such
+    a tableau proves nothing)."""
     m, n = A.shape
     x = np.zeros(T.shape[1] - 1)
     x[basis] = T[:m, -1]
     xs = x[:n]
     xs[(xs < 0.0) & (xs > -_TOL_PIVOT)] = 0.0
 
-    slack = b - A @ xs
     objective = float(c @ xs)
-    # Negated, the comparisons refuse a NaN slack too.
-    if not (slack.min() >= -_TOL_FEAS and xs.min() >= -_TOL_PIVOT
+    # Negated, the comparisons refuse a NaN too.
+    if not (_slack_ok(b, A @ xs).all() and xs.min() >= -_TOL_PIVOT
             and np.isfinite(objective) and np.isfinite(T).all()):
         return None
     return LPSolution(
@@ -230,7 +240,7 @@ def _certify(AI, CI, Bv, basis):
     (n+m)) and ``Bv`` their right-hand sides (G x kb x m); point (g, a, b)
     is objective a and right-hand side b of slice g.  A point is certified
     only if it passes the solver's own tests: basic values >= -tol, reduced
-    costs <= tol, the post-check A.x <= b + feas tol, and a duality gap
+    costs <= tol, the post-check of :func:`_slack_ok`, and a duality gap
     |c.x - y.b| <= tol * max(1, |f|).  One factorisation per program serves
     all its objectives and right-hand sides, and two batched products give
     its values c.x and y.b over its ka x kb rectangle, summed as
@@ -251,7 +261,7 @@ def _certify(AI, CI, Bv, basis):
         xs[:, S[structural]] = xB[:, structural]
         xs[(xs < 0.0) & (xs > -_TOL_PIVOT)] = 0.0  # solve_max's snap
         primal = (xB >= -_TOL_PIVOT).all(axis=1)
-        primal &= (Bv.transpose(0, 2, 1) - AI[:, :, :n] @ xs >= -_TOL_FEAS).all(axis=1)
+        primal &= _slack_ok(Bv.transpose(0, 2, 1), AI[:, :, :n] @ xs).all(axis=1)
         primal &= (solved & solved_dual)[:, None]
         nonbasic = np.ones(width, dtype=bool)
         nonbasic[S] = False

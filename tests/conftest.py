@@ -335,7 +335,7 @@ def reference_solve_max(lp: WhiteLP) -> LPSolution:
     xs = x[:n]
     xs[(xs < 0.0) & (xs > -_TOL_PIVOT)] = 0.0
     slack = b - A @ xs
-    if slack.min() < -_TOL_FEAS or xs.min() < -_TOL_PIVOT:
+    if (slack < -_TOL_FEAS * np.maximum(1.0, np.abs(b))).any() or xs.min() < -_TOL_PIVOT:
         raise SolverFailure("solution failed the feasibility post-check")
     return LPSolution(
         status=SolveStatus.OPTIMAL,

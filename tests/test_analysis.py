@@ -730,55 +730,152 @@ def _ulp_neighbours(values, steps):
     return np.concatenate(out)
 
 
-# (k + 0.5)/1e4 for an integer k, give or take a few ulps: where rounding
-# to 4 decimals is closest to a tie.
-_near_ties = st.builds(
-    lambda k, ulps: _ulp_neighbours(np.array([(k + 0.5) / 1e4]), [ulps])[0],
-    st.integers(-5000, 14999), st.integers(-3, 3),
-)
+def _near_ties(decimals):
+    """(k + 0.5) / 10**decimals for an integer k, give or take a few ulps:
+    where rounding to ``decimals`` decimals is closest to a tie."""
+    return st.builds(
+        lambda k, ulps: _ulp_neighbours(np.array([(k + 0.5) / 10**decimals]), [ulps])[0],
+        st.integers(-5000, 10**(12 - decimals)), st.integers(-3, 3),
+    )
 
 
-class TestDegreeTexts:
-    """Degree cells come from a lookup table; every text must be the one
-    ``"%.4f" % v`` prints."""
+def _formatted(coefficients, columns, decimals, empty, seps):
+    """The text ``analysis._format_rows`` writes for these rows."""
+    return "".join(analysis._format_rows(coefficients, columns, decimals, empty, seps))
 
-    @given(st.lists(
-        st.one_of(
-            st.floats(-0.5, 1.5),
-            _near_ties,
-            st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf, -math.inf]),
-            st.floats(allow_nan=True, allow_infinity=True),
-        ),
-        max_size=40,
-    ))
-    def test_matches_percent_format(self, values):
-        values = np.array(values, dtype=float)
-        assert analysis._degree_texts(values).tolist() == ["%.4f" % v for v in values.tolist()]
 
-    def test_matches_percent_format_at_every_tie_and_code(self):
+def _reference_rows(coefficients, columns, decimals, empty, seps):
+    """The same rows formatted a cell at a time with "%g" and "%.*f"."""
+    values = np.column_stack([np.reshape(column, (len(coefficients), -1)) for column in columns])
+    lines = []
+    for triple, row in zip(coefficients.tolist(), values.tolist()):
+        cells = ["%g" % v for v in triple]
+        cells += [e if v != v else "%.*f" % (k, v) for v, k, e in zip(row, decimals, empty)]
+        lines.append(seps[0] + "".join(cell + sep for cell, sep in zip(cells, seps[1:])))
+    return "".join(lines)
+
+
+def _column_texts(values, decimals, empty="nan"):
+    """The cells ``analysis._format_rows`` writes for one column of values."""
+    values = np.asarray(values, dtype=float)
+    text = _formatted(np.zeros((len(values), 0)), (values,), [decimals], [empty], ["", "\n"])
+    return text.split("\n")[:-1]
+
+
+def _percent(values, decimals, empty="nan"):
+    return [empty if v != v else "%.*f" % (decimals, v) for v in np.asarray(values).tolist()]
+
+
+class TestFormatRows:
+    """Value cells come from digit groups wherever that is provably exact
+    and are formatted on their own elsewhere; every text must be the one
+    "%g" (coefficients) or "%.*f" (values) prints, in every block."""
+
+    @pytest.mark.parametrize("decimals", [2, 4])
+    @given(data=st.data())
+    def test_matches_percent_format(self, decimals, data):
+        values = data.draw(st.lists(
+            st.one_of(
+                st.floats(-0.5, 1.5),
+                st.floats(0.0, 10.0 ** (12 - decimals)),
+                _near_ties(decimals),
+                st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf, -math.inf]),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            max_size=40,
+        ))
+        assert _column_texts(values, decimals) == _percent(values, decimals)
+
+    @pytest.mark.parametrize("decimals", [2, 4])
+    def test_every_tie_and_code(self, decimals):
+        # Every code of [-0.5, 1.5] at 4 decimals, and of [-50, 150] at 2,
+        # with every tie between them and its ulp neighbours.
         k = np.arange(-5000, 15000)
-        ties = (k + 0.5) / 1e4
+        ties = (k + 0.5) / 10**decimals
         special = [0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), math.nan, math.inf, -math.inf]
         values = np.concatenate([
             _ulp_neighbours(ties, [0, 1, 2, -1, -2]),
-            np.arange(-5000, 15001) / 1e4,
+            np.arange(-5000, 15001) / 10**decimals,
             special,
         ])
-        want = ["%.4f" % v for v in values.tolist()]
-        assert analysis._degree_texts(values).tolist() == want
-        # Any shape: the texts keep the shape of the values.
-        block = values[: 4 * (len(values) // 4)].reshape(-1, 4)
-        assert analysis._degree_texts(block).ravel().tolist() == want[: block.size]
+        assert _column_texts(values, decimals) == _percent(values, decimals)
 
-    def test_table_holds_only_the_codes_in_use(self):
-        analysis._degree_table.cache_clear()
-        try:
-            analysis._degree_texts(np.array([0.25, 0.25, 0.5, -0.0, 2.0, math.nan]))
-            table, known = analysis._degree_table()
-            assert np.flatnonzero(known).tolist() == [2500, 5000]
-            assert table[[2500, 5000]].tolist() == ["0.2500", "0.5000"]
-        finally:
-            analysis._degree_table.cache_clear()
+    @pytest.mark.parametrize("decimals", [2, 4])
+    def test_digit_group_boundaries(self, decimals):
+        # Where the whole part gains a digit or a digit group, and the ties
+        # just below: 9 999.995 rounds to 10 000.00 or 9 999.99.
+        bases = [10.0**k for k in range(13)] + [10.0**k - 0.5 / 10**decimals for k in range(11)]
+        bases += [9999.995, 1e4, 1e8, 99999999.99995, 123456789.125]
+        values = _ulp_neighbours(np.array(bases), [0, 1, 2, 3, -1, -2, -3])
+        assert _column_texts(values, decimals) == _percent(values, decimals)
+
+    @pytest.mark.parametrize("decimals", [2, 4])
+    def test_exactness_limit(self, decimals):
+        # Values below 10**(12 - d) take the digit path, the limit and
+        # above are formatted on their own; both give "%.*f"'s text.
+        limit = 10.0 ** (12 - decimals)
+        below = _ulp_neighbours(np.array([limit]), [-1, -2, -3, -1000])
+        beyond = _ulp_neighbours(np.array([limit]), [0, 1, 2])
+        values = np.concatenate([below, beyond, [1e300, 2.0**53, 1e12 + 0.5]])
+        _, _, fallback = analysis._value_words(values[None], [decimals], ["nan"])
+        assert sorted(r for _, r in fallback) == list(range(len(below), len(values)))
+        assert _column_texts(values, decimals) == _percent(values, decimals)
+
+    def test_signs_infinities_and_nan(self):
+        values = [-0.0, -1e-9, -0.00005, -0.5, -1234.5678, math.inf, -math.inf, math.nan, 0.25]
+        for decimals in (2, 4):
+            assert _column_texts(values, decimals) == _percent(values, decimals)
+            assert _column_texts(values, decimals, "") == _percent(values, decimals, "")
+
+    def test_fallback_text_wider_than_the_field(self):
+        # One cell far wider than its column's digits widens the column's
+        # field in its block only; an empty text can be wide too.
+        values = np.full(3000, 0.125)
+        values[[5, 1500]] = 1.5e300, -2.5e200
+        values[2999] = math.nan
+        empty = "no value at this setting"
+        assert _column_texts(values, 2, empty) == _percent(values, 2, empty)
+
+    @pytest.mark.parametrize("rows", [1, 2, 1023, 1024, 1025, 2048, 2049, 3100])
+    def test_block_edges(self, rows):
+        # Rows at and around block edges, with coefficients of several
+        # widths (-0.0 keeps its sign), degrees whose whole part changes
+        # width, and cells formatted on their own on either side of an edge.
+        assert analysis._BLOCK == 1024
+        rng = np.random.default_rng(rows)
+        coefficients = rng.choice([0.0, -0.0, 0.05, 1.0, 1 / 3, 1e-05, 0.123456789], (rows, 3))
+        coefficients[: rows // 2] = 1.0  # blocks whose coefficient texts differ in width
+        f = rng.uniform(0.0, 1e5, rows) * rng.choice([1e-4, 1.0, 1e4], rows)
+        degrees = rng.uniform(-0.01, 1.0, (rows, 3))
+        for r in (1023, 1024, 2047, 2048, rows - 1):
+            if r < rows:
+                f[r], degrees[r, 0] = math.inf, math.nan
+        args = (coefficients, (f, degrees), [2, 4, 4, 4], ["nan", "", "", ""],
+                ["| ", " | ", " | ", " | ", " | ", " | ", " | ", " |\n"])
+        assert _formatted(*args) == _reference_rows(*args)
+
+    def test_hit_lines_of_the_satisfactory_command(self):
+        triples = np.array([(1.0, 1.0, 0.0), (0.5, -0.0, 0.25), (1 / 3, 0.05, 1e-05)])
+        degrees = np.array([1.0, 0.99995, 0.5])
+        seps = ["  alpha=", " beta=", " gamma=", "  mu_tilde=", "\n"]
+        assert _formatted(triples, (degrees,), [4], ["nan"], seps) == (
+            "  alpha=1 beta=1 gamma=0  mu_tilde=1.0000\n"
+            "  alpha=0.5 beta=-0 gamma=0.25  mu_tilde=1.0000\n"
+            "  alpha=0.333333 beta=0.05 gamma=1e-05  mu_tilde=0.5000\n"
+        )
+
+    def test_no_rows(self):
+        seps = ["  alpha=", " beta=", " gamma=", "  mu_tilde=", "\n"]
+        assert _formatted(np.zeros((0, 3)), (np.zeros(0),), [4], ["nan"], seps) == ""
+        assert _formatted(np.zeros((0, 3)), (np.zeros(0), np.zeros((0, 2))), [2, 4, 4],
+                          ["nan", "", ""], ["", ",", ",", ",", ",", ",", "\n"]) == ""
+
+    def test_digit_table_is_built_once_and_read_only(self):
+        table = analysis._digit_groups()
+        assert table is analysis._digit_groups()
+        assert not table.flags.writeable
+        texts = table.view(np.uint8).reshape(10_000, 4)
+        assert [bytes(row).decode() for row in texts] == ["%04d" % g for g in range(10_000)]
 
 
 class TestRenderMatchesReference:

@@ -26,6 +26,7 @@ from greylp import (
     bundled,
     parse_problem,
     cli,
+    find_satisfactory,
     positioned_value,
     run,
     uniform_coefficients,
@@ -636,6 +637,28 @@ class TestSatisfactoryCommand:
         )
         assert "alpha=1 beta=1 gamma=0  mu_tilde=1.0000" in out
 
+    def test_hit_lines_match_percent_format(self, capsys, demo_file, demo_problem):
+        argv = ["satisfactory", "--file", demo_file, "--mu0", "0.4", "--lambda", "0.9",
+                "--step", "0.05"]
+        assert run(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        triples, degrees = find_satisfactory(demo_problem, 0.4, 0.9, 0.05)
+        assert len(lines) == 1 + len(degrees) > 1 + analysis._BLOCK
+        assert lines[1:] == [
+            "  alpha=%g beta=%g gamma=%g  mu_tilde=%.4f" % (*triple, degree)
+            for triple, degree in zip(triples.tolist(), degrees.tolist())
+        ]
+
+    def test_no_hits_print_the_count_alone(self, capsys, demo_file, monkeypatch):
+        monkeypatch.setattr(
+            cli, "find_satisfactory", lambda p, mu0, lam, step: (np.zeros((0, 3)), np.zeros(0))
+        )
+        argv = ["satisfactory", "--file", demo_file, "--mu0", "1", "--step", "0.5"]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == (
+            "0 of 27 grid setting(s) reach mu_tilde[lambda=1] >= 1\n"
+        )
+
 
 class TestVerifyExample:
     def test_exits_zero_with_all_cells_matching(self, capsys):
@@ -766,6 +789,25 @@ def test_grid_commands_leave_numpy_ma_unimported(demo_file):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.stdout == "[0, 0, 0, 0] False False\n", done.stderr
+
+
+def test_import_builds_no_digit_table(demo_file):
+    # The renderers' digit table is built on first use, so start-up (and a
+    # command that renders nothing) does not pay for it.
+    script = (
+        "import greylp.cli, greylp.analysis as analysis\n"
+        "print(analysis._digit_groups.cache_info().currsize)\n"
+        "greylp.cli.run(['sweep', '--file', %r, '--step', '0.5'])\n"
+        "print(analysis._digit_groups.cache_info().currsize)\n"
+    )
+    src = str(pathlib.Path(greylp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script % demo_file], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1], len(lines)) == ("0", "1", 2 + 27 + 1), done.stderr
 
 
 def _seeded_problem(size: int, seed: int) -> GreyLP:

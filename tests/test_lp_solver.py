@@ -795,3 +795,24 @@ def test_badly_scaled_start_can_end_away_from_the_cold_solve():
     lp = WhiteLP(c=(1e-9,), A=((0.1,),), b=(1.0,))
     assert solve_max(lp).objective == 0.0
     assert _kernel(lp, (0,))[0] == pytest.approx(1e-8, rel=1e-12)
+
+
+def test_post_check_is_relative_to_large_right_hand_sides():
+    # A seeded 60x60 program of the benchmark's family (a heavy diagonal)
+    # with A scaled by 1e-6 and b by 1e6, which maps x to 1e12 x.  At b near
+    # 1e8 its optimal vertex has the slack -1.19e-7: past an absolute 1e-7,
+    # but within 1e-7 * |b_i|, where A.x carries the rounding of b_i.
+    rng = np.random.default_rng(41)
+    c = rng.uniform(1.0, 10.0, 60)
+    A = rng.uniform(0.1, 1.0, (60, 60))
+    A[np.arange(60), np.arange(60)] = rng.uniform(0.5, 0.75, 60) * 60
+    b = rng.uniform(50.0, 100.0, 60)
+    lp = WhiteLP(c=c, A=A * 1e-6, b=b * 1e6)
+    sol = solve_max(lp)
+    slack = lp.b_array - lp.A_array @ np.array(sol.x)
+    assert -1.3e-7 < slack.min() < -1.1e-7 and lp.b_array[slack.argmin()] > 5e7
+    unscaled = solve_max(WhiteLP(c=c, A=A, b=b)).objective
+    assert sol.objective == pytest.approx(unscaled * 1e12, rel=1e-12)
+    # The kernel's post-check is the same one: the basis certifies its
+    # program, so "certified" and "solved" agree.
+    assert _kernel(lp, sol.basis)[1:] == ([tuple(sorted(sol.basis))], 0, 0)
