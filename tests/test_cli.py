@@ -751,6 +751,10 @@ GOLDEN_STDOUT = {
         "5a9664ad4d7c9a5b504d08d5fbcc18dd56e604a2fd50359b085e9d7b153c71d0",
     ("sweep", "--step", "0.05", "--lambdas", "0.5", "--format", "markdown"):
         "b4b0f4904646732f84cb86439c250055550d4d83d327d72a1ff9f108b925757a",
+    ("bounds", "--precise"):
+        "aca0aeff99ccb4f7e441571892cf5c3766498728f88484636d3d95d30942cf2d",
+    ("degrees", "--theta", "0.4", "--precise"):
+        "c5b80ee58da3a744d609151a76212aa8ae176723299f3e2ac299d03a9b68a778",
 }
 
 
