@@ -7,27 +7,19 @@ in alpha and beta and nonincreasing in gamma; ``check_monotonicity``
 verifies that ordering empirically on a grid, and every swept value must lie
 between the critical and ideal bounds.
 
-Every sweep goes through ``_solve_grid``, which hands its points to the
-stacked kernel ``greylp.lp_solver._solve_points``.  Under uniform whitening
-the matrix depends on gamma alone, the right-hand side on beta alone and
-the objective on alpha alone, so the positioned programs of one gamma
-slice share A and differ only in b and c (``grey_core._uniform_stack``
-whitens each slice once); its points are the whole rectangle of its
-alphas times its betas.  The stack layout gives each slice its values and
-each triple its point (``rows``), through which ``_solve_grid`` hands the
-values back in the caller's order.  For the cube of a grid command
-(``grid_sweep``, ``check_monotonicity``, ``find_satisfactory``)
-``grey_core._cube_layout`` builds it in closed form; ``lambda_sweep``'s
-settings get a 1 x 1 slice each from ``grey_core._point_layout``.  A
-simplex basis S then gives, from one factorisation of B = [A | I][:, S],
-the basic solution for every beta of the slice and the dual vector for
-every alpha; the basis is optimal on the rectangle of primal-feasible
-betas times dual-feasible alphas (parametric programming, Gal 1995).  The
-kernel certifies every optimal basis found so far at the pending points of
-all slices at once and solves only the points no cached basis certifies.
-A sweep's first cached bases are the ones the same kernel cached while
-solving its critical and ideal values.  Each ``_solve_grid`` logs one INFO
-record with its counts.
+Every sweep solves its points in one call of the stacked kernel
+``greylp.lp_solver._solve_points``, through ``satisfaction._solve_grid``.
+Under uniform whitening the matrix depends on gamma alone, the right-hand
+side on beta alone and the objective on alpha alone, so a simplex basis S
+gives, from one factorisation of B = [A | I][:, S] per gamma slice, the
+basic solution for every beta and the dual vector for every alpha; it is
+optimal on the rectangle of primal-feasible betas times dual-feasible
+alphas (parametric programming, Gal 1995).  A grid command's cube
+(``grid_sweep``, ``check_monotonicity``, ``find_satisfactory``) is laid
+out by ``grey_core._cube_layout`` and holds both bound triples;
+``lambda_sweep``'s settings get a slice each from
+``grey_core._point_layout``, with the bounds added
+(``satisfaction._solve_with_bounds``).
 
 Tables render to CSV or Markdown with the presentation rounding used
 throughout: optimal values to 2 decimals, degrees to 4.  ``render_table``
@@ -46,18 +38,17 @@ from __future__ import annotations
 import functools
 import io
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SolverFailure, StructureError
-from .grey_core import (
-    GreyLP, _check_real, _cube_layout, _number, _point_layout, _uniform_stack, _unit
+from .errors import DomainError, StructureError
+from .grey_core import GreyLP, _check_real, _cube_layout, _number, _unit
+from .satisfaction import (
+    ValueBounds, _bounded, _solve_grid, _solve_with_bounds, _validated, lambda_satisfactions,
+    pleased_degrees,
 )
-from .lp_solver import _solve_points
-from .satisfaction import _bounds, _validated, lambda_satisfactions, pleased_degrees
 
 __all__ = [
     "SweepTable",
@@ -70,8 +61,6 @@ __all__ = [
     "render_table",
 ]
 
-_log = logging.getLogger(__name__)
-
 Triple = tuple[float, float, float]
 
 
@@ -83,8 +72,8 @@ class SweepTable:
     optimum ``f[i]``, pleased degree ``mu[i]`` and satisfaction degrees
     ``mu_tilde[i, j]`` at ``lambdas[j]``.  Every optimum is finite: a sweep
     whose positioned program is unbounded anywhere raises instead (see
-    :func:`_scored`).  A degree is NaN where it is undefined (``mu`` at
-    ideal value zero) and renders as an empty cell.
+    :func:`greylp.satisfaction._bounded`).  A degree is NaN where it is
+    undefined (``mu`` at ideal value zero) and renders as an empty cell.
     """
 
     lambdas: tuple[float, ...]
@@ -181,29 +170,6 @@ def _points(triples) -> np.ndarray:
     return pts
 
 
-def _solve_grid(p: GreyLP, layout: tuple[np.ndarray, ...], bases=()) -> np.ndarray:
-    """The positioned optimum of a validated ``p`` at every triple of the
-    stack ``layout`` (see :func:`greylp.grey_core._uniform_stack`), as an
-    array in the caller's triple order (the order of the layout's rows),
-    NaN where the positioned program is unbounded; ``bases`` (optimal bases
-    of other whitenings of ``p``) are the first cached bases.
-
-    Results equal those of solving each point on its own
-    (``solve_max(build_positioned(p, uniform_coefficients(...)))``), up to
-    rounding.  One INFO record on the ``greylp.analysis`` logger reports
-    the points, cold and warm-started solves, certified points, distinct
-    bases and non-optimal (unbounded) points."""
-    values, cache, cold, warm = _solve_points(*_uniform_stack(p, layout), bases)
-    values = values.take(layout[3])
-    n = len(values)
-    _log.info(
-        "solve_grid: %d points, %d cold solves, %d warm starts, %d certified, %d bases, "
-        "%d non-optimal",
-        n, cold, warm, n - cold - warm, len(cache), int(np.isnan(values).sum()),
-    )
-    return values
-
-
 def _cube(grid: tuple[float, ...]) -> np.ndarray:
     """Every triple of ``grid`` values as rows, in lexicographic order."""
     axes = np.meshgrid(grid, grid, grid, indexing="ij")
@@ -211,26 +177,12 @@ def _cube(grid: tuple[float, ...]) -> np.ndarray:
 
 
 def _scored(
-    p: GreyLP, pts: np.ndarray, layout: tuple[np.ndarray, ...], lambdas: tuple[float, ...]
+    pts: np.ndarray, f: np.ndarray, vb: ValueBounds, lambdas: tuple[float, ...]
 ) -> SweepTable:
-    """The sweep table of a validated ``p`` at the checked triples ``pts``
-    (see :func:`_points`), whose stack layout is ``layout``: each row's
-    positioned optimum and degrees at each of the checked ``lambdas``,
-    scored a column at a time.
-
-    Both bounds are solved first, so an unbounded ideal program raises
-    :class:`UnboundedValueError`.  Once the ideal program is bounded, no
-    positioned program is unbounded: valid data have A_lo >= 0 and c >= 0,
-    so a ray d of a positioned program (A d = 0, c·d > 0) is a ray of the
-    ideal program (c_hi, A_lo) too.  A NaN optimum can thus only come from
-    the solver, and it raises :class:`SolverFailure`."""
-    vb, bases = _bounds(p)
-    f = _solve_grid(p, layout, bases)
-    if np.isnan(f).any():
-        triple = tuple(pts[np.isnan(f).argmax()].tolist())
-        raise SolverFailure(
-            "positioned program at (%g,%g,%g) is unbounded, but the ideal one is bounded" % triple
-        )
+    """The sweep table of the checked triples ``pts`` (see :func:`_points`)
+    with their finite positioned optima ``f`` and the bounds ``vb``: each
+    row's degrees at each of the checked ``lambdas``, scored a column at a
+    time."""
     mu = pleased_degrees(f, vb)  # NaN where undefined (ideal value zero)
     mu_tilde = np.empty((len(f), len(lambdas)))
     for j, lam in enumerate(lambdas):
@@ -251,7 +203,7 @@ def lambda_sweep(p: GreyLP, settings, lambdas) -> SweepTable:
     lambdas = tuple(_unit(v, "lam") for v in lambdas)
     _validated(p)
     pts = pts[np.lexsort(pts.T[::-1])]
-    return _scored(p, pts, _point_layout(pts), lambdas)
+    return _scored(pts, *_solve_with_bounds(p, pts), lambdas)
 
 
 def grid_sweep(p: GreyLP, step: float, lambdas=()) -> SweepTable:
@@ -265,7 +217,10 @@ def grid_sweep(p: GreyLP, step: float, lambdas=()) -> SweepTable:
     # The lambdas and the problem are checked before the cube is built.
     lambdas = tuple(_unit(v, "lam") for v in lambdas)
     _validated(p)
-    return _scored(p, _cube(grid), _cube_layout(grid), lambdas)
+    pts, f = _cube(grid), _solve_grid(p, _cube_layout(grid))
+    # The cube holds both bounds: row g - 1 is (0, 0, 1), row g**3 - g is (1, 1, 0).
+    g = len(grid)
+    return _scored(pts, f, _bounded(pts, f, f[g - 1], f[g**3 - g]), lambdas)
 
 
 _AXES = {"alpha": 0, "beta": 1, "gamma": 2}

@@ -53,7 +53,6 @@ from .errors import (
 )
 from .grey_core import (
     GreyLP,
-    PositionCoefficients,
     _REALS,
     _dimension_violations,
     _interval_violations,
@@ -61,8 +60,8 @@ from .grey_core import (
     validate_problem,
 )
 from .satisfaction import (
-    _bounds,
     _solve_positioned,
+    _solve_with_bounds,
     bounds,
     lambda_satisfaction,
     pleased_degree,
@@ -242,15 +241,16 @@ def _add_coefficients(sp) -> None:
     )
 
 
-def _coefficients(args, p: GreyLP) -> PositionCoefficients:
+def _triple(args) -> tuple[float, float, float]:
+    """The (alpha, beta, gamma) of the options."""
     has_abc = any(v is not None for v in (args.alpha, args.beta, args.gamma))
     if args.theta is not None:
         if has_abc:
             raise _UsageError("--theta cannot be combined with --alpha/--beta/--gamma")
-        return uniform_coefficients(args.theta, args.theta, args.theta, p.m, p.n)
+        return (args.theta,) * 3
     if args.alpha is None or args.beta is None or args.gamma is None:
         raise _UsageError("provide either --theta or all three of --alpha, --beta, --gamma")
-    return uniform_coefficients(args.alpha, args.beta, args.gamma, p.m, p.n)
+    return args.alpha, args.beta, args.gamma
 
 
 def _fmt_value(v: float, precise: bool) -> str:
@@ -284,7 +284,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_solve(args) -> int:
     pf = _load(args.file)
-    k = _coefficients(args, pf.problem)
+    k = uniform_coefficients(*_triple(args), pf.problem.m, pf.problem.n)
     sol = _solve_positioned(pf.problem, k, unbounded="positioned program is unbounded")
     print(f"f = {_fmt_value(sol.objective, args.precise)}")
     xs = ", ".join(repr(float(v)) if args.precise else "%.6f" % v for v in sol.x)
@@ -302,14 +302,10 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_degrees(args) -> int:
     pf = _load(args.file)
-    p = pf.problem
-    k = _coefficients(args, p)
-    # Parsing validated the problem.  The query is solved cold, as
-    # positioned_value solves it, and its basis is the bounds' first cached
-    # basis.
-    sol = _solve_positioned(p, k)
-    vb, _ = _bounds(p, (sol.basis,))
-    f = sol.objective
+    # Parsing validated the problem.  The query is solved first, cold, as
+    # positioned_value solves it, and the bounds in the same kernel call.
+    (f,), vb = _solve_with_bounds(pf.problem, np.array([_triple(args)]))
+    f = float(f)
     mu = pleased_degree(f, vb)
     mu_tilde = lambda_satisfaction(f, vb, args.lam)
     print(f"f = {_fmt_value(f, args.precise)}")
@@ -361,8 +357,8 @@ def _cmd_satisfactory(args) -> int:
 
 def _cmd_verify_example(args) -> int:
     p = parse_problem(bundled.EXAMPLE_PROBLEM_JSON).problem
-    # One table holds every cell: the bounds' bases certify every reference
-    # setting, so the grid kernel evaluates them without a solve.
+    # One table holds every cell.  Both bounds are reference settings, and
+    # their bases certify the other four in the same kernel call.
     table = lambda_sweep(
         p, [triple for triple, _, _ in bundled.REFERENCE_POSITIONED], bundled.REFERENCE_LAMBDA_GRID
     )

@@ -374,13 +374,9 @@ def uniform_coefficients(
 def _point_layout(pts: np.ndarray) -> tuple[np.ndarray, ...]:
     """The stack layout (gammas, alphas, betas, rows) of the uniform
     triples ``pts`` (N x 3 rows of alpha, beta, gamma) with a 1 x 1 slice
-    for each point, in ascending gamma and in input order among equal
-    gammas, so ``rows`` inverts that sort.  Nothing is merged, so it suits
-    a few chosen settings, not a grid."""
-    order = np.argsort(pts[:, 2], kind="stable")
-    rows = np.empty(len(pts), dtype=np.intp)
-    rows[order] = np.arange(len(pts))
-    return pts[order, 2], pts[order, :1], pts[order, 1:2], rows
+    for each point, in input order, so ``rows`` is the identity.  Nothing
+    is merged, so it suits a few chosen settings, not a grid."""
+    return pts[:, 2], pts[:, :1], pts[:, 1:2], np.arange(len(pts))
 
 
 def _cube_layout(grid: tuple[float, ...]) -> tuple[np.ndarray, ...]:
@@ -408,8 +404,7 @@ def _uniform_stack(p: GreyLP, layout: tuple[np.ndarray, ...]) -> tuple[np.ndarra
     betas ``betas[g]`` (G x kb), and its points are their whole ka x kb
     rectangle; triple i is point ``rows[i]`` of the flattened stack.
     :func:`_cube_layout` builds it for a grid cube, a slice per grid value,
-    and :func:`_point_layout` for chosen settings, a slice per point, as
-    ``satisfaction._BOUNDS_LAYOUT`` holds for the two bounds.
+    and :func:`_point_layout` for chosen settings, a slice per point.
 
     Slice g then holds its matrix ``A[g]`` (G x m x n), objectives ``C[g]``
     (G x ka x n) and right-hand sides ``Bv[g]`` (G x kb x m), so point (g,

@@ -13,7 +13,8 @@ so every solve is deterministic and terminates.
 
 Whitenings of one grey problem nearly always share an optimal basis, so
 ``_solve_points`` solves a stack of programs that share each slice's
-matrix by reusing bases: point (g, a, b) of the stack is objective a and
+matrix by reusing bases (every analysis command makes one call, its bounds
+among the points): point (g, a, b) of the stack is objective a and
 right-hand side b of slice g.  It certifies every optimal basis found so
 far at every pending point of the stack at once (``_certify``: primal and
 dual feasibility, the feasibility post-check and a duality gap, over
@@ -323,12 +324,14 @@ def _solve_points(A, C, Bv, bases=()):
     Point (g, a, b) is objective ``C[g, a]`` and right-hand side ``Bv[g, b]``.
 
     Every cached optimal basis, starting with ``bases``, is certified at
-    all pending points of all slices at once (see :func:`_certify`).  Every
-    point no basis certifies is solved, in slice order and then (alpha,
-    beta) order: by phase 2 from the latest cached basis that is primal
-    feasible there, or cold by :func:`solve_max` if there is none or that
-    phase 2 does not end in a checked optimum or ray.  Its optimal basis
-    joins the cache and is certified in turn.
+    all pending points of all slices at once (see :func:`_certify`); no
+    caller in greylp passes ``bases``, the tests start from chosen ones.
+    Every point no basis certifies is solved, in slice order and then
+    (alpha, beta) order: by phase 2 from the latest cached basis that is
+    primal feasible there, or cold by :func:`solve_max` if there is none or
+    that phase 2 does not end in a checked optimum or ray.  Its optimal
+    basis joins the cache and is certified in turn, from the slice of the
+    first point left on.
 
     Returns (values, cache, cold, warm): each point's optimal value (G x ka
     x kb), NaN where its program is unbounded; the cached bases as sorted
@@ -388,5 +391,5 @@ def _solve_points(A, C, Bv, bases=()):
         if key not in cache:
             cache.append(key)
             if pending.any():
-                settle(len(cache) - 1, first=s)
+                settle(len(cache) - 1, first=pending.argmax() // (ka * kb))
     return values, cache, cold, warm

@@ -15,15 +15,15 @@ positioned optimum is:
 
 A degree is then accepted against a grey target [mu0, 1].
 
-The two bounds are uniform whitenings of one problem, so they are solved
-together by the stacked kernel (``greylp.lp_solver._solve_points``), which
-reuses one's optimal basis for the other and any bases the caller already
-has; their stack layout is a constant.  A positioned program on its own is
-solved cold.
+Each analysis command solves its settings and both bounds in one call of
+the stacked kernel (:func:`_solve_grid`), so a setting at a bound triple
+is the bound's own point and scores exactly 0 or 1.  A positioned program
+on its own is solved cold.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import sys
 import warnings
@@ -35,11 +35,12 @@ from .errors import (
     DegenerateBoundsWarning,
     DomainError,
     InconsistentInputsError,
+    SolverFailure,
     UnboundedValueError,
     ValidationError,
 )
 from .grey_core import (
-    GreyLP, PositionCoefficients, _frozen, _uniform_stack, _unit, build_positioned,
+    GreyLP, PositionCoefficients, _point_layout, _uniform_stack, _unit, build_positioned,
     validate_problem,
 )
 from .lp_solver import LPSolution, SolveStatus, _solve_points, solve_max
@@ -53,6 +54,8 @@ __all__ = [
     "lambda_satisfaction",
     "lambda_satisfactions",
 ]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -126,31 +129,73 @@ def positioned_value(p: GreyLP, k: PositionCoefficients) -> float:
     return _solve_positioned(p, k).objective
 
 
-# The stack layout (see ``grey_core._uniform_stack``) of the critical and
-# ideal triples, (0, 0, 1) and (1, 1, 0): a slice each, the ideal one first.
-_BOUNDS_LAYOUT = tuple(map(_frozen, (
-    np.array([0.0, 1.0]), np.array([[1.0], [0.0]]), np.array([[1.0], [0.0]]),
-    np.array([1, 0], dtype=np.intp),
-)))
+_IDEAL, _CRITICAL = (1.0, 1.0, 0.0), (0.0, 0.0, 1.0)  # as uniform (alpha, beta, gamma)
 
 
-def _bounds(p: GreyLP, bases=()) -> tuple[ValueBounds, list[tuple[int, ...]]]:
-    """The bounds of a validated ``p`` and the optimal bases cached while
-    solving them, with ``bases`` (optimal bases of other whitenings of
-    ``p``) as the first cached bases (see
-    :func:`greylp.lp_solver._solve_points`).  Raises
-    :class:`UnboundedValueError` if a bound is unbounded."""
-    values, cache, _, _ = _solve_points(*_uniform_stack(p, _BOUNDS_LAYOUT), bases)
-    if np.isnan(values).any():
+def _solve_grid(p: GreyLP, layout: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The positioned optimum of a validated ``p`` at every triple of the
+    stack ``layout`` (see :func:`greylp.grey_core._uniform_stack`), as an
+    array in the caller's triple order (the order of the layout's rows),
+    NaN where the positioned program is unbounded, from one call of the
+    stacked kernel.
+
+    Results equal those of solving each point on its own
+    (``solve_max(build_positioned(p, uniform_coefficients(...)))``), up to
+    rounding.  One INFO record on the ``greylp.satisfaction`` logger
+    reports the points, cold and warm-started solves, certified points,
+    distinct bases and non-optimal (unbounded) points."""
+    values, cache, cold, warm = _solve_points(*_uniform_stack(p, layout))
+    values = values.take(layout[3])
+    n = len(values)
+    _log.info(
+        "solve_grid: %d points, %d cold solves, %d warm starts, %d certified, %d bases, "
+        "%d non-optimal",
+        n, cold, warm, n - cold - warm, len(cache), int(np.isnan(values).sum()),
+    )
+    return values
+
+
+def _bounded(pts: np.ndarray, f: np.ndarray, critical: float, ideal: float) -> ValueBounds:
+    """The bounds ``critical`` and ``ideal``, solved in one kernel call
+    with the optima ``f`` at the triples ``pts`` (N x 3).
+
+    An unbounded (NaN) bound raises :class:`UnboundedValueError`.  Once the
+    ideal program is bounded, no positioned program is unbounded: valid
+    data have A_lo >= 0 and c >= 0, so a ray d of a positioned program
+    (A d = 0, c·d > 0) is a ray of the ideal program (c_hi, A_lo) too.  A
+    NaN optimum can thus only come from the solver, and it raises
+    :class:`SolverFailure`."""
+    if math.isnan(critical) or math.isnan(ideal):
         raise UnboundedValueError(_UNBOUNDED)
-    critical, ideal = values.take(_BOUNDS_LAYOUT[3]).tolist()
-    return ValueBounds(critical=critical, ideal=ideal), cache
+    if np.isnan(f).any():
+        triple = tuple(pts[np.isnan(f).argmax()].tolist())
+        raise SolverFailure(
+            "positioned program at (%g,%g,%g) is unbounded, but the ideal one is bounded" % triple
+        )
+    return ValueBounds(critical=critical, ideal=ideal)
+
+
+def _solve_with_bounds(p: GreyLP, pts: np.ndarray) -> tuple[np.ndarray, ValueBounds]:
+    """The positioned optimum of a validated ``p`` at each of the checked
+    triples ``pts`` (N x 3), and the bounds, from one kernel call (see
+    :func:`_solve_grid`).  Raises as :func:`_bounded`.
+
+    Each distinct triple is one point with a slice of its own
+    (``grey_core._point_layout``), in the order ``pts`` first, then the
+    ideal triple and the critical one.  So the first triple of ``pts`` is
+    solved cold, bit for bit as :func:`positioned_value` solves it, and a
+    triple of ``pts`` at a bound has the bound's own value."""
+    triples = list(map(tuple, pts.tolist()))
+    index = {t: i for i, t in enumerate(dict.fromkeys([*triples, _IDEAL, _CRITICAL]))}
+    values = _solve_grid(p, _point_layout(np.array(list(index))))
+    f = values.take([index[t] for t in triples])
+    return f, _bounded(pts, f, values[index[_CRITICAL]], values[index[_IDEAL]])
 
 
 def bounds(p: GreyLP) -> ValueBounds:
     """Critical and ideal optimal values of ``p``."""
     _validated(p)
-    return _bounds(p)[0]
+    return _solve_with_bounds(p, np.empty((0, 3)))[1]
 
 
 def _outside_stacklevel() -> int:

@@ -186,7 +186,7 @@ def random_triple(rng: random.Random) -> tuple[float, float, float]:
 
 
 def reference_grid(p: GreyLP, triples):
-    """The per-point path that the grid kernel (``analysis._solve_grid``)
+    """The per-point path that the grid kernel (``satisfaction._solve_grid``)
     replaces, kept as its reference: whiten each uniform triple on its own
     and solve it cold.
     Returns one ``(status, objective)`` pair per triple."""

@@ -49,6 +49,7 @@ from greylp import (
 )
 from greylp import analysis, satisfaction
 from greylp.grey_core import _cube_layout, _point_layout, _uniform_stack
+from greylp.lp_solver import _solve_points
 from greylp.bundled import (
     REFERENCE_LAMBDA_GRID,
     REFERENCE_SATISFACTION,
@@ -155,43 +156,31 @@ class TestStackLayout:
         pts = [grid_triple(rng) for _ in range(30)]
         pts = np.array(pts + rng.sample(pts, 10))
         layout = _point_layout(pts)
-        rows = layout[3]
-        # A 1 x 1 slice per point, in ascending gamma and input order among
-        # equal gammas.
+        # A 1 x 1 slice per point, in input order.
+        assert layout[0].tolist() == pts[:, 2].tolist()
         assert layout[1].shape == layout[2].shape == (len(pts), 1)
-        assert sorted(rows.tolist()) == list(range(len(pts)))
-        assert np.argsort(rows).tolist() == sorted(range(len(pts)), key=lambda k: (pts[k, 2], k))
+        assert layout[3].tolist() == list(range(len(pts)))
         self._assert_whitens_each_point(demo_problem, pts, layout)
 
-    def test_bounds_layout(self, demo_problem):
-        pts = np.array([(0.0, 0.0, 1.0), (1.0, 1.0, 0.0)])
-        self._assert_whitens_each_point(demo_problem, pts, satisfaction._BOUNDS_LAYOUT)
-
-    def test_bounds_layout_is_pinned(self):
-        # The slices the sorting builder gave, so the bounds keep their
-        # solve order, bases and bits.
-        self._assert_identical(satisfaction._BOUNDS_LAYOUT, (
-            np.array([0.0, 1.0]), np.array([[1.0], [0.0]]), np.array([[1.0], [0.0]]),
-            np.array([1, 0], dtype=np.intp),
-        ))
-
     def test_verify_example_layout_is_pinned(self, monkeypatch, capsys):
+        # The six reference settings in lexicographic order, both bounds
+        # among them, so no bound is added.
         laid_out = []
-        real = analysis._point_layout
+        real = satisfaction._point_layout
 
         def recording(pts):
             laid_out.append(real(pts))
             return laid_out[-1]
 
-        monkeypatch.setattr(analysis, "_point_layout", recording)
+        monkeypatch.setattr(satisfaction, "_point_layout", recording)
         assert run(["verify-example"]) == 0
         capsys.readouterr()
         [layout] = laid_out
         self._assert_identical(layout, (
-            np.array([0.0, 0.3, 0.4, 0.5, 0.6, 1.0]),
-            np.array([[1.0], [0.7], [0.5], [0.7], [0.6], [0.0]]),
-            np.array([[1.0], [0.5], [0.9], [0.9], [0.6], [0.0]]),
-            np.array([5, 2, 4, 1, 3, 0], dtype=np.intp),
+            np.array([1.0, 0.4, 0.6, 0.3, 0.5, 0.0]),
+            np.array([[0.0], [0.5], [0.6], [0.7], [0.7], [1.0]]),
+            np.array([[0.0], [0.9], [0.6], [0.5], [0.9], [1.0]]),
+            np.arange(6),
         ))
 
 
@@ -236,9 +225,9 @@ class TestSolveGrid:
         p = random_loose_problem(rng) if loose else random_bounded_problem(rng)
         cube = grid_triples(0.25)
         triples = cube + [random_triple(rng) for _ in range(8)]
-        got = analysis._solve_grid(p, _point_layout(np.array(triples)))
+        got = satisfaction._solve_grid(p, _point_layout(np.array(triples)))
         assert_matches_reference(p, triples, got)
-        got = analysis._solve_grid(p, _cube_layout(unit_grid(0.25)))
+        got = satisfaction._solve_grid(p, _cube_layout(unit_grid(0.25)))
         assert_matches_reference(p, cube, got)
 
     def test_cli_sweep_csv_matches_reference_rows(self, demo_problem, tmp_path, capsys):
@@ -284,18 +273,19 @@ class TestSolveGrid:
     def test_logs_counters(self, demo_problem, caplog, problem, step, message):
         p = demo_problem if problem == "demo" else UNCAPPED
         with caplog.at_level(logging.INFO, logger="greylp"):
-            analysis._solve_grid(p, _cube_layout(unit_grid(step)))
+            satisfaction._solve_grid(p, _cube_layout(unit_grid(step)))
         [record] = [r for r in caplog.records if r.name.startswith("greylp")]
         assert record.levelno == logging.INFO
         assert record.getMessage() == "solve_grid: " + message
 
     def test_many_basis_grid_matches_reference(self, caplog):
         # Without a heavy diagonal the gamma slices need bases of their own.
-        # Each new basis is certified on the slices from its own on, so
-        # every value is read through the offset stacks of settle(first=s).
+        # Each new basis is certified on the slices from the first pending
+        # one on, so every value is read through the offset stacks of
+        # settle(first).
         p = many_basis_problem(np.random.default_rng(0), 10, 10)
         with caplog.at_level(logging.INFO, logger="greylp"):
-            got = analysis._solve_grid(p, _cube_layout(unit_grid(0.1)))
+            got = satisfaction._solve_grid(p, _cube_layout(unit_grid(0.1)))
         [record] = [r for r in caplog.records if r.name.startswith("greylp")]
         message = record.getMessage()
         assert int(message.split(", ")[4].split()[0]) >= 4
@@ -305,19 +295,29 @@ class TestSolveGrid:
         )
         assert_matches_reference(p, grid_triples(0.1), got)
 
-    def test_sweep_starts_from_the_bounds_bases(self, demo_problem, caplog):
-        # The bounds are solved in slice order: the ideal program (gamma 0)
-        # cold, then the critical one cold too, since the ideal basis is
-        # primal infeasible there.  The two bases then certify the whole
-        # grid.
+    def test_sweep_cube_solves_its_own_bounds(self, demo_problem, caplog):
+        # One kernel call solves the cube, both bounds among its points: the
+        # first point (0, 0, 0) cold, then the first point of the gamma = 1
+        # slice cold too, since the first basis is primal infeasible there.
+        # The two bases then certify the rest of the grid.
         with caplog.at_level(logging.DEBUG, logger="greylp"):
             grid_sweep(demo_problem, 0.05)
         assert [r.getMessage() for r in caplog.records] == [
             "solve_max: cold start, 2 pivots (0 degenerate), optimal",
             "solve_max: cold start, 2 pivots (0 degenerate), optimal",
-            "solve_grid: 9261 points, 0 cold solves, 0 warm starts, 9261 certified, 2 bases, "
+            "solve_grid: 9261 points, 2 cold solves, 0 warm starts, 9259 certified, 2 bases, "
             "0 non-optimal",
         ]
+
+    @pytest.mark.parametrize("size", [3, 10])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bound_rows_score_exactly(self, seed, size):
+        # The cube's (0, 0, 1) and (1, 1, 0) points are the bounds
+        # themselves, so their rows score exactly 0 and 1 at every lambda.
+        p = many_basis_problem(np.random.default_rng(seed), size, size)
+        t = grid_sweep(p, 0.25, lambdas=GRID_LAMBDAS)
+        assert t.mu_tilde[row_of(t, (0.0, 0.0, 1.0))].tolist() == [0.0] * 3
+        assert t.mu_tilde[row_of(t, (1.0, 1.0, 0.0))].tolist() == [1.0] * 3
 
     def test_uncertified_points_start_from_a_primal_feasible_basis(self, caplog):
         # The gamma slices of a 20x20 problem need bases of their own.  A
@@ -327,7 +327,7 @@ class TestSolveGrid:
         p = random_bounded_problem(random.Random(5), n=20, m=20)
         triples = grid_triples(0.5)
         with caplog.at_level(logging.DEBUG, logger="greylp"):
-            got = analysis._solve_grid(p, _cube_layout(unit_grid(0.5)))
+            got = satisfaction._solve_grid(p, _cube_layout(unit_grid(0.5)))
         *solves, summary = [r.getMessage() for r in caplog.records]
         starts = [message.split(",")[0] for message in solves]
         assert starts.count("solve_max: cold start") == 5
@@ -346,33 +346,34 @@ class TestSolveGrid:
         # the gamma = 0 slice only, where the program is unbounded.  The
         # slices are certified together, and the singular one must neither
         # raise nor keep the others from being certified.
-        triples = grid_triples(0.1)
-        with caplog.at_level(logging.INFO, logger="greylp"):
-            got = analysis._solve_grid(UNCAPPED, _cube_layout(unit_grid(0.1)), bases=[(0,)])
-        [record] = [r for r in caplog.records if r.name.startswith("greylp")]
-        assert record.getMessage() == (
-            "solve_grid: 1331 points, 121 cold solves, 0 warm starts, 1210 certified, 1 bases, "
-            "121 non-optimal"
-        )
-        assert_matches_reference(UNCAPPED, triples, got)
+        layout = _cube_layout(unit_grid(0.1))
+        values, cache, cold, warm = _solve_points(*_uniform_stack(UNCAPPED, layout), [(0,)])
+        got = values.take(layout[3])
+        assert (cache, cold, warm, int(np.isnan(got).sum())) == ([(0,)], 121, 0, 121)
+        assert_matches_reference(UNCAPPED, grid_triples(0.1), got)
 
     def test_unbounded_rows_raise_solver_failure(self, demo_problem, tmp_path, monkeypatch,
                                                  capsys):
         # No valid problem has an unbounded positioned program under bounded
         # ideal values, so the grid kernel's answer is replaced here.
-        real = analysis._solve_grid
+        # Rows 1 and 5 of a step-0.5 cube are not bounds, and neither is a
+        # chosen setting's first point (0.5, 0.5, 0.5).
+        real = satisfaction._solve_grid
 
-        def with_holes(p, layout, bases=()):
-            f = real(p, layout, bases)
-            f[[1, 5]] = np.nan
-            return f
+        def with_holes(rows):
+            def solve(p, layout):
+                f = real(p, layout)
+                f[rows] = np.nan
+                return f
+            return solve
 
-        monkeypatch.setattr(analysis, "_solve_grid", with_holes)
+        monkeypatch.setattr(analysis, "_solve_grid", with_holes([1, 5]))  # the cube's
+        monkeypatch.setattr(satisfaction, "_solve_grid", with_holes(0))  # chosen settings'
         message = "positioned program at (0,0,0.5) is unbounded, but the ideal one is bounded"
         with pytest.raises(SolverFailure) as exc:
             grid_sweep(demo_problem, 0.5, lambdas=(0.5, 1.0))
         assert str(exc.value) == message
-        with pytest.raises(SolverFailure):
+        with pytest.raises(SolverFailure, match=r"at \(0.5,0.5,0.5\) is unbounded"):
             lambda_sweep(demo_problem, [(0.5, 0.5, 0.5)] * 6, (0.5,))
         path = tmp_path / "demo.json"
         path.write_text(bundled.EXAMPLE_PROBLEM_JSON, encoding="utf-8")

@@ -16,7 +16,8 @@ import pytest
 
 import greylp
 from conftest import (
-    count_collections, problem_text, random_bounded_problem, random_loose_problem
+    count_collections, many_basis_problem, problem_text, random_bounded_problem,
+    random_loose_problem,
 )
 from greylp import (
     ParseError,
@@ -668,16 +669,17 @@ class TestVerifyExample:
         assert "FAIL" not in out
 
     def test_solves_only_its_two_bounds(self, capsys, caplog):
-        # The critical and ideal bases certify all six reference settings.
+        # Both bounds are reference settings, solved first and last in
+        # lexicographic order; their bases certify the other four.
         with caplog.at_level(logging.DEBUG, logger="greylp"):
             assert run(["verify-example"]) == 0
         capsys.readouterr()
         records = [(r.name, r.levelname) for r in caplog.records]
-        assert records == [("greylp.lp_solver", "DEBUG")] * 2 + [("greylp.analysis", "INFO")]
+        assert records == [("greylp.lp_solver", "DEBUG")] * 2 + [("greylp.satisfaction", "INFO")]
         messages = [r.getMessage() for r in caplog.records]
-        assert all(m.startswith("solve_max: ") for m in messages[:2])
+        assert all(m.startswith("solve_max: cold start") for m in messages[:2])
         assert messages[2] == (
-            "solve_grid: 6 points, 0 cold solves, 0 warm starts, 6 certified, 2 bases, "
+            "solve_grid: 6 points, 2 cold solves, 0 warm starts, 4 certified, 2 bases, "
             "0 non-optimal"
         )
 
@@ -686,6 +688,46 @@ class TestVerifyExample:
         first = capsys.readouterr().out
         run(["verify-example"])
         assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bounds"], "2 points, 2 cold solves, 0 warm starts, 0 certified, 2 bases"),
+    (["degrees", "--theta", "0.4"], "3 points, 2 cold solves, 0 warm starts, 1 certified, 2 bases"),
+    (["sweep", "--step", "0.05"],
+     "9261 points, 2 cold solves, 0 warm starts, 9259 certified, 2 bases"),
+    (["satisfactory", "--mu0", "0.5", "--step", "0.05"],
+     "9261 points, 2 cold solves, 0 warm starts, 9259 certified, 2 bases"),
+    (["monotonicity", "--axis", "gamma", "--step", "0.05"],
+     "9261 points, 2 cold solves, 0 warm starts, 9259 certified, 2 bases"),
+    (["verify-example"], "6 points, 2 cold solves, 0 warm starts, 4 certified, 2 bases"),
+], ids=["bounds", "degrees", "sweep", "satisfactory", "monotonicity", "verify-example"])
+def test_one_kernel_call_per_command(capsys, caplog, demo_file, argv, message):
+    # Each command solves its settings and both bounds in one call of the
+    # stacked kernel, which logs one INFO record.
+    file = [] if argv[0] == "verify-example" else ["--file", demo_file]
+    with caplog.at_level(logging.INFO, logger="greylp"):
+        assert run([argv[0], *file, *argv[1:]]) == 0
+    capsys.readouterr()
+    assert [r.getMessage() for r in caplog.records] == [
+        f"solve_grid: {message}, 0 non-optimal"
+    ]
+
+
+@pytest.mark.parametrize("size", [3, 10])
+@pytest.mark.parametrize("seed", range(5))
+def test_degrees_at_the_bounds_are_exact(capsys, tmp_path, seed, size):
+    # A query at a bound triple is the bound's own point, so its
+    # satisfaction degree is exactly 0 at (0, 0, 1) and 1 at (1, 1, 0).
+    p = many_basis_problem(np.random.default_rng(seed), size, size)
+    path = tmp_path / "p.json"
+    path.write_text(problem_text(ProblemFile(problem=p)), encoding="utf-8")
+    for triple, degree in (((0, 0, 1), "0.0"), ((1, 1, 0), "1.0")):
+        for lam in ("0", "0.5", "1"):
+            argv = ["degrees", "--file", str(path), "--lambda", lam, "--precise"]
+            argv += [f"--{name}={v}" for name, v in zip(("alpha", "beta", "gamma"), triple)]
+            assert run(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[2] == f"mu_tilde[lambda={lam}] = {degree}"
 
 
 class TestParserReuse:
@@ -833,8 +875,9 @@ def _seeded_problem(size: int, seed: int) -> GreyLP:
 
 def test_cold_degrees_query_benchmark_smoke(benchmark, capsys, caplog, tmp_path):
     # One timed round with no time bound: a 60x60 query runs parse,
-    # validate and whiten, solves its own setting cold and both bounds from
-    # that basis, and the suite does not depend on host speed.  The ideal
+    # validate and whiten, solves its own setting cold and, in the same
+    # kernel call, both bounds from that basis, and the suite does not
+    # depend on host speed.  The ideal
     # program pivots on from the query's basis; a cached basis certifies
     # the critical one, which logs no record.
     p = _seeded_problem(60, seed=2012)

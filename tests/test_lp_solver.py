@@ -26,7 +26,6 @@ from greylp import (
     LPSolution,
     SolveStatus,
     SolverFailure,
-    UnboundedValueError,
     WhiteLP,
     bounds,
     build_positioned,
@@ -36,7 +35,6 @@ from greylp import (
 from greylp import analysis, lp_solver
 from greylp.grey_core import _cube_layout, _point_layout, _uniform_stack
 from greylp.lp_solver import _iterate
-from greylp.satisfaction import _bounds
 
 # Loosest whitening of the bundled demo problem: upper objective/rhs bounds,
 # lower matrix bounds.  Optimum sits where rows 2 and 3 are active:
@@ -531,21 +529,34 @@ def _bound_programs(p: GreyLP) -> list[WhiteLP]:
     return [build_positioned(p, uniform_coefficients(*t, p.m, p.n)) for t in ((0, 0, 1), (1, 1, 0))]
 
 
+# The stack layout of the two bounds as the program solves them: the ideal
+# point (1, 1, 0), then the critical one (0, 0, 1).
+_BOUND_POINTS = _point_layout(np.array([(1.0, 1.0, 0.0), (0.0, 0.0, 1.0)]))
+
+
+def _kernel_bounds(p: GreyLP, bases=()):
+    """The stacked kernel over the bounds' points of ``p``, with ``bases``
+    as its first cached bases: ((critical, ideal), cache), a bound NaN
+    where its program is unbounded."""
+    values, cache, _, _ = lp_solver._solve_points(*_uniform_stack(p, _BOUND_POINTS), bases)
+    ideal, critical = values.ravel().tolist()
+    return (critical, ideal), cache
+
+
 def _assert_bounds_like_cold(p: GreyLP, bases):
-    """``_bounds(p, bases)`` and ``_bounds(p)`` end as the cold solves of
-    the bound programs do: unbounded (``UnboundedValueError``) if one is,
-    and otherwise each bound within 1e-9 * max(1, |f|) of the cold optimum
-    f."""
+    """The kernel over the bounds' points, started from ``bases`` and from
+    no basis, ends as the cold solves of the bound programs do: some bound
+    is unbounded (NaN) if one program is, and otherwise each bound is
+    within 1e-9 * max(1, |f|) of the cold optimum f."""
     cold = [solve_max(lp) for lp in _bound_programs(p)]
-    if any(sol.status is SolveStatus.UNBOUNDED for sol in cold):
-        for given_bases in (bases, ()):
-            with pytest.raises(UnboundedValueError):
-                _bounds(p, given_bases)
-        return
+    unbounded = any(sol.status is SolveStatus.UNBOUNDED for sol in cold)
     for given_bases in (bases, ()):
-        vb, _ = _bounds(p, given_bases)
-        for got, sol in zip((vb.critical, vb.ideal), cold):
-            assert abs(got - sol.objective) <= 1e-9 * max(1.0, abs(sol.objective))
+        got, _ = _kernel_bounds(p, given_bases)
+        if unbounded:
+            assert np.isnan(got).any()
+            continue
+        for f, sol in zip(got, cold):
+            assert abs(f - sol.objective) <= 1e-9 * max(1.0, abs(sol.objective))
 
 
 @st.composite
@@ -616,12 +627,12 @@ class TestWarmStart:
         # The slack basis is primal feasible but not optimal at both bounds.
         slack = tuple(range(demo_problem.n, demo_problem.n + demo_problem.m))
         with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
-            vb, cache = _bounds(demo_problem, (slack,))
+            got, cache = _kernel_bounds(demo_problem, (slack,))
         assert [r.getMessage() for r in caplog.records] == [
             "solve_max: warm start, 2 pivots (0 degenerate), optimal",
             "solve_max: warm start, 2 pivots (0 degenerate), optimal",
         ]
-        assert vb == _bounds(demo_problem)[0]
+        assert got == _kernel_bounds(demo_problem)[0]
         assert cache[0] == slack and len(cache) == 3
 
     @pytest.mark.parametrize("broken", ["_iterate", "_vertex"])
@@ -641,11 +652,11 @@ class TestWarmStart:
             raise SolverFailure("simplex exceeded its iteration cap of 0 pivots")
 
         slack = tuple(range(demo_problem.n, demo_problem.n + demo_problem.m))
-        expected = _bounds(demo_problem)[0]
+        expected = _kernel_bounds(demo_problem)[0]
         monkeypatch.setattr(lp_solver, broken, failing_once)
         with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
-            vb, _ = _bounds(demo_problem, (slack,))
-        assert vb == expected
+            got, _ = _kernel_bounds(demo_problem, (slack,))
+        assert got == expected
         assert [r.getMessage().rsplit(", ", 1)[1] for r in caplog.records] == [
             "failed", "optimal", "optimal"
         ]
