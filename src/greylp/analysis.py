@@ -30,13 +30,14 @@ a table of their distinct "%g" texts, values with d decimals are written
 from the digit groups of q = rint(v * 10**d) wherever that is provably the
 text "%.*f" prints (any other value is formatted on its own), and
 separators are constant words.  NUL padding is dropped when a block is
-decoded.
+decoded.  The ``sweep`` command writes the header and then each block as
+it is made (``_table_blocks``), as ``satisfactory`` writes its hit lines,
+so the whole text is never held; ``render_table`` is their join.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -506,6 +507,11 @@ def render_table(t: SweepTable, format: str) -> str:
     and degrees to 4; CSV output is comma-separated with LF line endings
     and one header row.
     """
+    return "".join(_table_blocks(t, format))
+
+
+def _table_blocks(t: SweepTable, format: str):
+    """:func:`render_table`'s text in blocks; a bad ``format`` raises at the call."""
     if format not in ("csv", "markdown"):
         raise DomainError(f"format must be 'csv' or 'markdown', got {format!r}")
     header = ["alpha", "beta", "gamma", "f", "mu"] + ["mu_tilde[%g]" % lam for lam in t.lambdas]
@@ -518,12 +524,7 @@ def render_table(t: SweepTable, format: str) -> str:
         head = "| " + " | ".join(header) + " |\n| " + " | ".join("---" for _ in header) + " |\n"
         lead, sep, end, empty = "| ", " | ", " |\n", "-"
     k = 1 + len(t.lambdas)
-    buf = io.StringIO()
-    buf.write(head)
-    # Each block is written as it is made, so one block's text is held at
-    # a time besides the output.
-    buf.writelines(_format_rows(
+    return itertools.chain((head,), _format_rows(
         t.coefficients, (t.f, t.mu, t.mu_tilde), [2] + [4] * k, ["nan"] + [empty] * k,
         [lead] + [sep] * (len(header) - 1) + [end],
     ))
-    return buf.getvalue()

@@ -37,11 +37,11 @@ import numpy as np
 from . import bundled
 from .analysis import (
     _format_rows,
+    _table_blocks,
     check_monotonicity,
     find_satisfactory,
     grid_sweep,
     lambda_sweep,
-    render_table,
     unit_grid,
 )
 from .errors import (
@@ -319,12 +319,13 @@ def _cmd_degrees(args) -> int:
 def _cmd_sweep(args) -> int:
     pf = _load(args.file)
     table = grid_sweep(pf.problem, args.step, lambdas=args.lambdas)
-    text = render_table(table, args.format)
+    blocks = _table_blocks(table, args.format)
     if args.out:
-        pathlib.Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.writelines(blocks)
         print(f"wrote {len(table.f)} row(s) to {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     return 0
 
 

@@ -20,10 +20,11 @@ far at every pending point of the stack at once (``_certify``: primal and
 dual feasibility, the feasibility post-check and a duality gap, over
 each slice's whole rectangle), pivots on by phase 2 from a cached basis
 that is primal feasible at a point, and solves cold with ``solve_max``
-where there is none or that solve fails.  Each
-simplex solve logs one DEBUG record on the ``greylp.lp_solver`` logger
-naming its start (cold or warm), the pivots taken (and how many of them
-were degenerate) and the outcome.
+where there is none or that solve fails.  The ray of an unbounded solve
+settles every pending point of its slice whose objective gains along it.
+Each simplex solve logs one DEBUG record on the ``greylp.lp_solver``
+logger naming its start (cold or warm), the pivots taken (and how many of
+them were degenerate) and the outcome.
 
 A solve is post-checked in floating point only: x >= 0, A.x <= b within
 1e-7 * max(1, |b_i|), and a finite tableau and objective.  ``tests/conftest.py`` proves the returned
@@ -331,7 +332,10 @@ def _solve_points(A, C, Bv, bases=()):
     primal feasible there, or cold by :func:`solve_max` if there is none or
     that phase 2 does not end in a checked optimum or ray.  Its optimal
     basis joins the cache and is certified in turn, from the slice of the
-    first point left on.
+    first point left on.  Its ray d, if it is unbounded (d >= 0, A[s].d <=
+    0), settles every pending point of its slice s whose objective gains
+    along it, C[s, a].d > ``_TOL_PIVOT``: unbounded at every right-hand
+    side, so it is not solved.
 
     Returns (values, cache, cold, warm): each point's optimal value (G x ka
     x kb), NaN where its program is unbounded; the cached bases as sorted
@@ -385,6 +389,8 @@ def _solve_points(A, C, Bv, bases=()):
         else:
             warm += 1
         if sol.status is not SolveStatus.OPTIMAL:
+            gains = C[s] @ np.array(sol.ray) > _TOL_PIVOT
+            pending[s, gains] = False
             continue
         values[s, a, b] = sol.objective
         key = tuple(sorted(sol.basis))

@@ -48,8 +48,8 @@ from greylp import (
     unit_grid,
 )
 from greylp import analysis, satisfaction
-from greylp.grey_core import _cube_layout, _point_layout, _uniform_stack
-from greylp.lp_solver import _solve_points
+from greylp.grey_core import WhiteLP, _cube_layout, _point_layout, _uniform_stack
+from greylp.lp_solver import _solve_points, solve_max
 from greylp.bundled import (
     REFERENCE_LAMBDA_GRID,
     REFERENCE_SATISFACTION,
@@ -265,8 +265,10 @@ class TestSolveGrid:
                 "0 non-optimal",
             ),
             (
+                # The gamma = 0 slice is unbounded: one cold solve's ray
+                # settles all 9 of its points.
                 "uncapped", 0.5,
-                "27 points, 10 cold solves, 0 warm starts, 17 certified, 1 bases, 9 non-optimal",
+                "27 points, 2 cold solves, 0 warm starts, 25 certified, 1 bases, 9 non-optimal",
             ),
         ],
     )
@@ -345,12 +347,46 @@ class TestSolveGrid:
         # The basis {x} of UNCAPPED is the 1x1 matrix [gamma]: singular in
         # the gamma = 0 slice only, where the program is unbounded.  The
         # slices are certified together, and the singular one must neither
-        # raise nor keep the others from being certified.
+        # raise nor keep the others from being certified.  Its 121 points
+        # are settled by the ray of its first one's cold solve.
         layout = _cube_layout(unit_grid(0.1))
         values, cache, cold, warm = _solve_points(*_uniform_stack(UNCAPPED, layout), [(0,)])
         got = values.take(layout[3])
-        assert (cache, cold, warm, int(np.isnan(got).sum())) == ([(0,)], 121, 0, 121)
+        assert (cache, cold, warm, int(np.isnan(got).sum())) == ([(0,)], 1, 0, 121)
         assert_matches_reference(UNCAPPED, grid_triples(0.1), got)
+
+    def test_ray_settles_only_the_objectives_that_gain_along_it(self):
+        # One slice, max c.x s.t. [0, 1].x <= b.  The first point's cold
+        # solve enters x1 (the lower of two equal reduced costs), whose
+        # column is zero: its ray is d = (1, 0).  Objectives 0 and 2 gain
+        # along it and are settled unbounded at both right-hand sides;
+        # objective 1 (c1 = 0) does not, and is still solved.
+        A = np.array([[[0.0, 1.0]]])
+        C = np.array([[[1.0, 1.0], [0.0, 1.0], [2.0, 0.0]]])
+        Bv = np.array([[[5.0], [6.0]]])
+        values, cache, cold, warm = _solve_points(A, C, Bv)
+        assert (cache, cold, warm) == ([(1,)], 2, 0)
+        assert np.isnan(values[0, [0, 2]]).all()
+        assert values[0, 1].tolist() == [5.0, 6.0]
+        for a, b in itertools.product(range(3), range(2)):
+            sol = solve_max(WhiteLP._of_arrays(C[0, a], A[0], Bv[0, b]))
+            assert sol.status is (SolveStatus.UNBOUNDED if a != 1 else SolveStatus.OPTIMAL)
+
+    def test_unbounded_slice_solves_the_objectives_without_gain(self, caplog):
+        # c_lo = 0 for x1, whose column is zero at gamma = 0: there the
+        # alpha = 0 objectives do not gain along x1 and are bounded, and
+        # every other one is unbounded.  The first alpha > 0 point starts
+        # warm from the alpha = 0 basis, and its ray settles the slice.
+        p = GreyLP(objective=((0, 1), (1, 2)), matrix=(((0, 1), (1, 2)),), rhs=((5, 6),))
+        with caplog.at_level(logging.INFO, logger="greylp"):
+            got = satisfaction._solve_grid(p, _cube_layout(unit_grid(0.25)))
+        assert_matches_reference(p, grid_triples(0.25), got)
+        assert int(np.isnan(got).sum()) == 4 * 5
+        [record] = [r for r in caplog.records if r.name.startswith("greylp")]
+        assert record.getMessage() == (
+            "solve_grid: 125 points, 1 cold solves, 2 warm starts, 122 certified, 2 bases, "
+            "20 non-optimal"
+        )
 
     def test_unbounded_rows_raise_solver_failure(self, demo_problem, tmp_path, monkeypatch,
                                                  capsys):

@@ -1,5 +1,6 @@
 """Command-line surface: parsing, file round trips, subcommands, exit codes."""
 
+import contextlib
 import copy
 import gc
 import hashlib
@@ -10,6 +11,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,9 +30,12 @@ from greylp import (
     parse_problem,
     cli,
     find_satisfactory,
+    grid_sweep,
     positioned_value,
+    render_table,
     run,
     uniform_coefficients,
+    unit_grid,
 )
 from greylp import analysis, grey_core, satisfaction
 
@@ -612,6 +617,53 @@ class TestSweepCommand:
         assert run(["sweep", "--file", demo_file, "--step", "0.5", "--format", "markdown"]) == 0
         assert capsys.readouterr().out.startswith("| alpha | beta | gamma |")
 
+    @pytest.mark.parametrize("lambdas", [(), (0.25, 0.5, 0.75, 1.0)], ids=["no-lambdas", "lambdas"])
+    @pytest.mark.parametrize("step", [0.05, 0.07, 0.45])
+    @pytest.mark.parametrize("format", ["csv", "markdown"])
+    def test_streamed_text_is_render_table_text(
+        self, capsys, tmp_path, demo_file, demo_problem, format, step, lambdas
+    ):
+        # The table is written a block at a time (9 261, 3 375 and 64 rows:
+        # full blocks, a partial last one, a single one); the bytes are
+        # render_table's, on standard output and in an --out file alike.
+        want = render_table(grid_sweep(demo_problem, step, lambdas), format).encode("utf-8")
+        argv = ["sweep", "--file", demo_file, "--step", str(step), "--format", format]
+        if lambdas:
+            argv += ["--lambdas", ",".join(map(str, lambdas))]
+        assert run(argv) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == hashlib.sha256(want).hexdigest()
+        dest = tmp_path / "sweep.txt"
+        assert run([*argv, "--out", str(dest)]) == 0
+        rows = len(unit_grid(step)) ** 3
+        assert capsys.readouterr() == (f"wrote {rows} row(s) to {dest}\n", "")
+        assert dest.read_bytes() == want
+
+    def test_unwritable_out_path_exits_1(self, capsys, tmp_path, demo_file):
+        dest = tmp_path / "missing" / "sweep.csv"
+        assert run(["sweep", "--file", demo_file, "--step", "0.5", "--out", str(dest)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 2] No such file or directory: '{dest}'\n"
+        )
+        assert not dest.parent.exists()
+
+    def test_peak_memory_holds_one_copy_of_the_text(self, demo_file):
+        # Written to a sink that keeps nothing, the step-0.02 table (51**3
+        # rows of 58 bytes of text) is held as its arrays, 72 bytes a row
+        # with four lambdas, and one block's text at a time.  Rendering the
+        # whole text before writing it would hold another 58 bytes a row
+        # at least, and a joined copy of it more.
+        rows = len(unit_grid(0.02)) ** 3
+        argv = ["sweep", "--file", demo_file, "--step", "0.02", "--lambdas", "0.25,0.5,0.75,1"]
+        with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert run(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 136 * rows
+
 
 class TestMonotonicityCommand:
     def test_reports_clean_axis(self, capsys, demo_file):
@@ -710,6 +762,39 @@ def test_one_kernel_call_per_command(capsys, caplog, demo_file, argv, message):
     capsys.readouterr()
     assert [r.getMessage() for r in caplog.records] == [
         f"solve_grid: {message}, 0 non-optimal"
+    ]
+
+
+_UNDEFINED = "error: positioned program is unbounded; satisfaction analysis is undefined\n"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["sweep", "--step", "0.02"], 2, "", _UNDEFINED),
+    (["sweep", "--step", "0.02", "--lambdas", "0.5", "--format", "markdown"], 2, "", _UNDEFINED),
+    (["satisfactory", "--mu0", "0.5", "--step", "0.02"], 2, "", _UNDEFINED),
+    (["monotonicity", "--axis", "gamma", "--step", "0.02"], 0,
+     "axis = gamma (expected nonincreasing)\npairs checked = 130050\nviolations = 0\n"
+     "skipped = 2601\n", ""),
+    (["monotonicity", "--axis", "alpha", "--step", "0.02"], 0,
+     "axis = alpha (expected nondecreasing)\npairs checked = 130050\nviolations = 0\n"
+     "skipped = 2550\n", ""),
+    (["monotonicity", "--axis", "beta", "--step", "0.02"], 0,
+     "axis = beta (expected nondecreasing)\npairs checked = 130050\nviolations = 0\n"
+     "skipped = 2550\n", ""),
+], ids=["sweep", "sweep-markdown", "satisfactory", "monotonicity-gamma", "monotonicity-alpha",
+        "monotonicity-beta"])
+def test_unbounded_slice_is_settled_by_one_ray(capsys, caplog, uncapped_file, argv, code, out,
+                                               err):
+    # Every program of the gamma = 0 slice of max x s.t. [0, 1].x <= [5, 6]
+    # is unbounded.  The ray of its first cold solve settles all 51 x 51 of
+    # its points, and each command prints what solving every point cold
+    # would make it print.
+    with caplog.at_level(logging.INFO, logger="greylp"):
+        assert run([argv[0], "--file", uncapped_file, *argv[1:]]) == code
+    assert capsys.readouterr() == (out, err)
+    assert [r.getMessage() for r in caplog.records] == [
+        "solve_grid: 132651 points, 2 cold solves, 0 warm starts, 132649 certified, 1 bases, "
+        "2601 non-optimal"
     ]
 
 
