@@ -47,8 +47,8 @@ import numpy as np
 from .errors import DomainError, StructureError
 from .grey_core import GreyLP, _check_real, _cube_layout, _number, _unit
 from .satisfaction import (
-    ValueBounds, _bounded, _solve_grid, _solve_with_bounds, _validated, lambda_satisfactions,
-    pleased_degrees,
+    ValueBounds, _bounded, _satisfaction_rows, _solve_grid, _solve_with_bounds, _validated,
+    lambda_satisfactions, pleased_degrees,
 )
 
 __all__ = [
@@ -177,18 +177,31 @@ def _cube(grid: tuple[float, ...]) -> np.ndarray:
     return np.stack(axes, axis=-1).reshape(-1, 3)
 
 
+def _cube_rows(grid: tuple[float, ...], index) -> np.ndarray:
+    """The rows of :func:`_cube` at the flat positions ``index``."""
+    g = len(grid)
+    return np.asarray(grid).take(np.stack(np.unravel_index(index, (g, g, g)), axis=-1))
+
+
+def _solve_cube(p: GreyLP, grid: tuple[float, ...]) -> tuple[np.ndarray, ValueBounds]:
+    """The positioned optimum of a validated ``p`` at every triple of the
+    cube of ``grid`` values, in lexicographic order, and the bounds, from
+    one kernel call; raises as :func:`greylp.satisfaction._bounded`."""
+    f = _solve_grid(p, _cube_layout(grid))
+    # The cube holds both bounds: row g - 1 is (0, 0, 1), row g**3 - g is (1, 1, 0).
+    g = len(grid)
+    return f, _bounded(f, f[g - 1], f[g**3 - g], functools.partial(_cube_rows, grid))
+
+
 def _scored(
     pts: np.ndarray, f: np.ndarray, vb: ValueBounds, lambdas: tuple[float, ...]
 ) -> SweepTable:
     """The sweep table of the checked triples ``pts`` (see :func:`_points`)
     with their finite positioned optima ``f`` and the bounds ``vb``: each
-    row's degrees at each of the checked ``lambdas``, scored a column at a
-    time."""
+    row's degrees at each of the checked ``lambdas``, the optima clamped
+    once for all of them."""
     mu = pleased_degrees(f, vb)  # NaN where undefined (ideal value zero)
-    mu_tilde = np.empty((len(f), len(lambdas)))
-    for j, lam in enumerate(lambdas):
-        mu_tilde[:, j] = lambda_satisfactions(f, vb, lam)
-    return SweepTable(lambdas, pts, f, mu, mu_tilde)
+    return SweepTable(lambdas, pts, f, mu, _satisfaction_rows(f, vb, lambdas).T)
 
 
 def lambda_sweep(p: GreyLP, settings, lambdas) -> SweepTable:
@@ -218,10 +231,7 @@ def grid_sweep(p: GreyLP, step: float, lambdas=()) -> SweepTable:
     # The lambdas and the problem are checked before the cube is built.
     lambdas = tuple(_unit(v, "lam") for v in lambdas)
     _validated(p)
-    pts, f = _cube(grid), _solve_grid(p, _cube_layout(grid))
-    # The cube holds both bounds: row g - 1 is (0, 0, 1), row g**3 - g is (1, 1, 0).
-    g = len(grid)
-    return _scored(pts, f, _bounded(pts, f, f[g - 1], f[g**3 - g]), lambdas)
+    return _scored(_cube(grid), *_solve_cube(p, grid), lambdas)
 
 
 _AXES = {"alpha": 0, "beta": 1, "gamma": 2}
@@ -288,16 +298,22 @@ def find_satisfactory(
 ) -> tuple[np.ndarray, np.ndarray]:
     """All uniform grid triples whose satisfaction degree at ``lam`` reaches
     the grey target ``mu0``, best first (ties in lexicographic order): the
-    triples as an N x 3 array and their degrees as an array of N."""
+    triples as an N x 3 array and their degrees as an array of N.
+
+    The cube is solved as :func:`grid_sweep` solves it, but only the
+    satisfaction degree at ``lam`` is scored, and only the hits' triples
+    are built.
+    """
     mu0, lam = _unit(mu0, "mu0"), _unit(lam, "lam")
-    table = grid_sweep(p, step, lambdas=(lam,))
-    degree = table.mu_tilde[:, 0]
+    grid = unit_grid(step)
+    _validated(p)  # before the cube is laid out
+    degree = lambda_satisfactions(*_solve_cube(p, grid), lam)
     hits = np.flatnonzero(degree >= mu0)
     # Degrees are compared at 12 decimals, so that two equal up to solver
-    # rounding tie; rows are in lexicographic order, so the row index breaks
-    # ties by triple.
+    # rounding tie; the cube is in lexicographic order, so the flat index
+    # breaks ties by triple.
     hits = hits[np.lexsort((hits, -np.round(degree[hits], 12)))]
-    return table.coefficients[hits], degree[hits]
+    return _cube_rows(grid, hits), degree[hits]
 
 
 # Rows are rendered this many at a time, which bounds the bytes held at once.

@@ -15,16 +15,19 @@ Whitenings of one grey problem nearly always share an optimal basis, so
 ``_solve_points`` solves a stack of programs that share each slice's
 matrix by reusing bases (every analysis command makes one call, its bounds
 among the points): point (g, a, b) of the stack is objective a and
-right-hand side b of slice g.  It certifies every optimal basis found so
-far at every pending point of the stack at once (``_certify``: primal and
-dual feasibility, the feasibility post-check and a duality gap, over
-each slice's whole rectangle), pivots on by phase 2 from a cached basis
-that is primal feasible at a point, and solves cold with ``solve_max``
-where there is none or that solve fails.  The ray of an unbounded solve
+right-hand side b of slice g.  It certifies each optimal basis found at
+every pending point of the stack at once (``_certify``: primal and dual
+feasibility, the feasibility post-check and a duality gap), on the box of
+slices x alphas x betas that holds the pending points, pivots on by phase
+2 from a cached basis that is primal feasible at a point, and solves cold
+with ``solve_max`` where there is none or that solve fails.  A warm start
+whose B^-1 B is not the identity within ``_TOL_BASIS`` (a numerically
+singular basis) fails and is solved cold.  The ray of an unbounded solve
 settles every pending point of its slice whose objective gains along it.
 Each simplex solve logs one DEBUG record on the ``greylp.lp_solver``
 logger naming its start (cold or warm), the pivots taken (and how many of
-them were degenerate) and the outcome.
+them were degenerate) and the outcome; the records are built only when
+DEBUG is enabled for that logger.
 
 A solve is post-checked in floating point only: x >= 0, A.x <= b within
 1e-7 * max(1, |b_i|), and a finite tableau and objective.  ``tests/conftest.py`` proves the returned
@@ -53,6 +56,10 @@ __all__ = ["SolveStatus", "LPSolution", "solve_max"]
 # A.x carries the rounding of a number of that size.
 _TOL_PIVOT = 1e-9
 _TOL_FEAS = 1e-7
+# How far B^-1 B may stray from the identity in a warm start's tableau.  Its
+# entries err by about cond(B) * 2.2e-16, so this refuses a start whose basis
+# matrix has a condition number past about 1e8.
+_TOL_BASIS = 1e-7
 
 _log = logging.getLogger(__name__)
 
@@ -189,7 +196,8 @@ def _vertex(T: np.ndarray, basis: list[int], A, b, c) -> LPSolution | None:
 def _phase2(A, b, c, S=None) -> tuple[LPSolution | None, int, int]:
     """Phase 2 from the primal feasible basis ``S`` (the all-slack one if
     None): the optimal or unbounded solution, None if it fails the
-    post-check, the pivots, and how many of them were degenerate.  Raises
+    post-check or ``S``'s B^-1 B is not the identity within
+    ``_TOL_BASIS``, the pivots, and how many of them were degenerate.  Raises
     :class:`SolverFailure` past the pivot budget.  numpy's overflow and
     invalid warnings are off: an overflowing ratio is left out, and an
     optimum that overflows fails the post-check."""
@@ -206,7 +214,13 @@ def _phase2(A, b, c, S=None) -> tuple[LPSolution | None, int, int]:
         # c - c_B B^-1 [A | I] as the objective row.
         basis = S.tolist()
         T[:m] = np.linalg.solve(T[:m, S], T[:m])
-        T[:m, S] = np.eye(m)
+        # B^-1 B must come out as the identity: a numerically singular B
+        # that LU does not flag gives a tableau whose reduced costs prove
+        # nothing, so the start is refused.
+        identity = np.eye(m)
+        if not np.abs(T[:m, S] - identity).max() <= _TOL_BASIS:
+            return None, 0, 0
+        T[:m, S] = identity
         T[:m, -1][T[:m, -1] < 0.0] = 0.0  # only sub-tolerance noise is negative here
         T[m] -= T[m, S] @ T[:m]
         T[m, S] = 0.0
@@ -325,17 +339,20 @@ def _solve_points(A, C, Bv, bases=()):
     Point (g, a, b) is objective ``C[g, a]`` and right-hand side ``Bv[g, b]``.
 
     Every cached optimal basis, starting with ``bases``, is certified at
-    all pending points of all slices at once (see :func:`_certify`); no
-    caller in greylp passes ``bases``, the tests start from chosen ones.
-    Every point no basis certifies is solved, in slice order and then
-    (alpha, beta) order: by phase 2 from the latest cached basis that is
-    primal feasible there, or cold by :func:`solve_max` if there is none or
-    that phase 2 does not end in a checked optimum or ray.  Its optimal
-    basis joins the cache and is certified in turn, from the slice of the
-    first point left on.  Its ray d, if it is unbounded (d >= 0, A[s].d <=
-    0), settles every pending point of its slice s whose objective gains
-    along it, C[s, a].d > ``_TOL_PIVOT``: unbounded at every right-hand
-    side, so it is not solved.
+    all pending points at once (see :func:`_certify`), over the bounding
+    box of those points: a range of slices x a range of alphas x a range
+    of betas, taken as views of the stacks.  No caller in greylp passes
+    ``bases``; the tests start from chosen ones.  Every point no basis
+    certifies is solved, in slice order and then (alpha, beta) order: by
+    phase 2 from the latest cached basis that is primal feasible there, or
+    cold by :func:`solve_max` if there is none or that phase 2 does not
+    end in a checked optimum or ray.  Its optimal basis joins the cache and
+    is certified in turn on the box of the points still pending, which
+    only shrinks, so a basis's primal feasibility is recorded wherever a
+    later point may start.  Its ray d, if it is unbounded (d >= 0, A[s].d
+    <= 0), settles every pending point of its slice s whose objective
+    gains along it, C[s, a].d > ``_TOL_PIVOT``: unbounded at every
+    right-hand side, so it is not solved.
 
     Returns (values, cache, cold, warm): each point's optimal value (G x ka
     x kb), NaN where its program is unbounded; the cached bases as sorted
@@ -356,19 +373,27 @@ def _solve_points(A, C, Bv, bases=()):
     # there (-1 for none): where a point's solve starts if none certifies it.
     feasible = np.full((G, kb), -1)
 
-    def settle(which, first=0):
-        """Certify ``cache[which]`` at every pending point, all of them in
-        slice ``first`` or later."""
-        ok, f, primal = _certify(AI[first:], CI[first:], Bv[first:], cache[which])
-        ok &= pending[first:]
-        np.copyto(values[first:], f, where=ok)
-        np.copyto(pending[first:], False, where=ok)
-        np.copyto(feasible[first:], which, where=primal)
+    def settle(which):
+        """Certify ``cache[which]`` at every pending point, over the box of
+        slices, alphas and betas that holds them."""
+        slices = np.flatnonzero(pending.any(axis=(1, 2)))
+        if not len(slices):
+            return
+        g = slice(slices[0], slices[-1] + 1)
+        rectangle = pending[g].any(axis=0)
+        alphas = np.flatnonzero(rectangle.any(axis=1))
+        betas = np.flatnonzero(rectangle.any(axis=0))
+        a, b = slice(alphas[0], alphas[-1] + 1), slice(betas[0], betas[-1] + 1)
+        ok, f, primal = _certify(AI[g], CI[g, a], Bv[g, b], cache[which])
+        box = pending[g, a, b]  # views, so the writes below go through
+        ok &= box
+        np.copyto(values[g, a, b], f, where=ok)
+        np.copyto(box, False, where=ok)
+        np.copyto(feasible[g, b], which, where=primal)
 
     for which in range(len(cache)):
-        if not pending.any():
-            break
         settle(which)
+    debug = _log.isEnabledFor(logging.DEBUG)
     cold = warm = 0
     while pending.any():
         s, a, b = np.unravel_index(pending.argmax(), pending.shape)  # the first point left
@@ -376,13 +401,17 @@ def _solve_points(A, C, Bv, bases=()):
         c, rhs, start = C[s, a], Bv[s, b], feasible[s, b]
         sol = None
         if start >= 0:
+            failure = None
             try:
                 sol, pivots, degenerate = _phase2(A[s], rhs, c, np.array(cache[start]))
-                taken = f"{pivots} pivots ({degenerate} degenerate)"
             except SolverFailure as exc:  # past the pivot budget
-                taken = str(exc)
-            outcome = sol.status.value if sol is not None else "failed"
-            _log.debug("solve_max: warm start, %s, %s", taken, outcome)
+                failure = exc
+            if debug:
+                _log.debug(
+                    "solve_max: warm start, %s, %s",
+                    failure or f"{pivots} pivots ({degenerate} degenerate)",
+                    sol.status.value if sol is not None else "failed",
+                )
         if sol is None:
             sol = solve_max(WhiteLP._of_arrays(c, A[s], rhs))
             cold += 1
@@ -396,6 +425,5 @@ def _solve_points(A, C, Bv, bases=()):
         key = tuple(sorted(sol.basis))
         if key not in cache:
             cache.append(key)
-            if pending.any():
-                settle(len(cache) - 1, first=pending.argmax() // (ka * kb))
+            settle(len(cache) - 1)
     return values, cache, cold, warm

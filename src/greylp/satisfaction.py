@@ -143,21 +143,24 @@ def _solve_grid(p: GreyLP, layout: tuple[np.ndarray, ...]) -> np.ndarray:
     (``solve_max(build_positioned(p, uniform_coefficients(...)))``), up to
     rounding.  One INFO record on the ``greylp.satisfaction`` logger
     reports the points, cold and warm-started solves, certified points,
-    distinct bases and non-optimal (unbounded) points."""
+    distinct bases and non-optimal (unbounded) points; its counts are
+    taken only when INFO is enabled for that logger."""
     values, cache, cold, warm = _solve_points(*_uniform_stack(p, layout))
     values = values.take(layout[3])
-    n = len(values)
-    _log.info(
-        "solve_grid: %d points, %d cold solves, %d warm starts, %d certified, %d bases, "
-        "%d non-optimal",
-        n, cold, warm, n - cold - warm, len(cache), int(np.isnan(values).sum()),
-    )
+    if _log.isEnabledFor(logging.INFO):
+        n = len(values)
+        _log.info(
+            "solve_grid: %d points, %d cold solves, %d warm starts, %d certified, %d bases, "
+            "%d non-optimal",
+            n, cold, warm, n - cold - warm, len(cache), int(np.isnan(values).sum()),
+        )
     return values
 
 
-def _bounded(pts: np.ndarray, f: np.ndarray, critical: float, ideal: float) -> ValueBounds:
+def _bounded(f: np.ndarray, critical: float, ideal: float, triple) -> ValueBounds:
     """The bounds ``critical`` and ``ideal``, solved in one kernel call
-    with the optima ``f`` at the triples ``pts`` (N x 3).
+    with the optima ``f``, where ``triple(i)`` is the (alpha, beta, gamma)
+    row of ``f[i]``.
 
     An unbounded (NaN) bound raises :class:`UnboundedValueError`.  Once the
     ideal program is bounded, no positioned program is unbounded: valid
@@ -168,9 +171,9 @@ def _bounded(pts: np.ndarray, f: np.ndarray, critical: float, ideal: float) -> V
     if math.isnan(critical) or math.isnan(ideal):
         raise UnboundedValueError(_UNBOUNDED)
     if np.isnan(f).any():
-        triple = tuple(pts[np.isnan(f).argmax()].tolist())
         raise SolverFailure(
-            "positioned program at (%g,%g,%g) is unbounded, but the ideal one is bounded" % triple
+            "positioned program at (%g,%g,%g) is unbounded, but the ideal one is bounded"
+            % tuple(triple(np.isnan(f).argmax()).tolist())
         )
     return ValueBounds(critical=critical, ideal=ideal)
 
@@ -189,7 +192,7 @@ def _solve_with_bounds(p: GreyLP, pts: np.ndarray) -> tuple[np.ndarray, ValueBou
     index = {t: i for i, t in enumerate(dict.fromkeys([*triples, _IDEAL, _CRITICAL]))}
     values = _solve_grid(p, _point_layout(np.array(list(index))))
     f = values.take([index[t] for t in triples])
-    return f, _bounded(pts, f, values[index[_CRITICAL]], values[index[_IDEAL]])
+    return f, _bounded(f, values[index[_CRITICAL]], values[index[_IDEAL]], pts.__getitem__)
 
 
 def bounds(p: GreyLP) -> ValueBounds:
@@ -253,22 +256,35 @@ def lambda_satisfactions(f, vb: ValueBounds, lam: float) -> np.ndarray:
     array or a number) between the bounds; see :func:`lambda_satisfaction`.
     Degenerate bounds give 1 everywhere and one
     :class:`DegenerateBoundsWarning` per call."""
-    lam = _unit(lam, "lam")
+    return _satisfaction_rows(f, vb, (_unit(lam, "lam"),))[0]
+
+
+def _satisfaction_rows(f, vb: ValueBounds, lambdas) -> np.ndarray:
+    """The satisfaction degree of every value in ``f`` at each of the
+    checked ``lambdas``, one row per lambda, as :func:`lambda_satisfactions`
+    scores each: the values are checked and clamped once for all rows.
+    Degenerate bounds give 1 everywhere and one
+    :class:`DegenerateBoundsWarning` per lambda."""
     f = np.asarray(f, dtype=float)
+    rows = np.ones((len(lambdas), *f.shape))
     if vb.is_degenerate:
-        warnings.warn(
-            "critical and ideal values coincide (effectively white problem); "
-            "reporting satisfaction degree 1",
-            DegenerateBoundsWarning,
-            stacklevel=_outside_stacklevel(),
-        )
-        return np.ones(f.shape)
+        for _ in lambdas:
+            warnings.warn(
+                "critical and ideal values coincide (effectively white problem); "
+                "reporting satisfaction degree 1",
+                DegenerateBoundsWarning,
+                stacklevel=_outside_stacklevel(),
+            )
+        return rows
     f = _clamp(f, vb)
     spread = vb.ideal - vb.critical
     gain = f - vb.critical
     linear = gain / spread
-    damped = gain / (spread + (1.0 - lam) * (vb.ideal - f))
-    return lam * linear + (1.0 - lam) * damped
+    room = vb.ideal - f
+    for j, lam in enumerate(lambdas):
+        damped = gain / (spread + (1.0 - lam) * room)
+        rows[j] = lam * linear + (1.0 - lam) * damped
+    return rows
 
 
 def lambda_satisfaction(f: float, vb: ValueBounds, lam: float) -> float:

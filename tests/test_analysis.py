@@ -1,6 +1,7 @@
 """Sweeps, monotonicity checks, satisfactory search, and table rendering."""
 
 import csv
+import hashlib
 import io
 import itertools
 import logging
@@ -32,7 +33,6 @@ from greylp import (
     SolverFailure,
     UnboundedValueError,
     StructureError,
-    SweepTable,
     ValidationError,
     build_positioned,
     bundled,
@@ -47,7 +47,7 @@ from greylp import (
     uniform_coefficients,
     unit_grid,
 )
-from greylp import analysis, satisfaction
+from greylp import analysis, lp_solver, satisfaction
 from greylp.grey_core import WhiteLP, _cube_layout, _point_layout, _uniform_stack
 from greylp.lp_solver import _solve_points, solve_max
 from greylp.bundled import (
@@ -280,22 +280,59 @@ class TestSolveGrid:
         assert record.levelno == logging.INFO
         assert record.getMessage() == "solve_grid: " + message
 
-    def test_many_basis_grid_matches_reference(self, caplog):
+    # (seed, size, step): (cold solves, warm starts, bases).  Certifying each
+    # basis on every slice from the first pending one on gave the same.
+    MANY_BASES = {
+        (0, 10, 0.1): (4, 4, 8), (1, 10, 0.1): (4, 5, 9), (2, 10, 0.1): (4, 2, 6),
+        (0, 30, 0.1): (6, 78, 84), (1, 30, 0.1): (3, 14, 17), (2, 30, 0.1): (5, 22, 27),
+        (0, 45, 0.1): (8, 178, 186), (1, 45, 0.1): (8, 123, 131), (2, 45, 0.1): (8, 156, 164),
+        (0, 60, 0.2): (5, 125, 130), (1, 60, 0.2): (5, 110, 115), (2, 60, 0.2): (8, 108, 116),
+    }
+
+    @pytest.mark.parametrize("seed, size, step", list(MANY_BASES))
+    def test_many_basis_grid_matches_reference(self, caplog, seed, size, step):
         # Without a heavy diagonal the gamma slices need bases of their own.
-        # Each new basis is certified on the slices from the first pending
-        # one on, so every value is read through the offset stacks of
-        # settle(first).
-        p = many_basis_problem(np.random.default_rng(0), 10, 10)
+        # Each new basis is certified on the box of the pending points, so
+        # every value is read through views of the stacks; the box settles
+        # no point a whole slice would not, so every start and count holds.
+        p = many_basis_problem(np.random.default_rng(seed), size, size)
         with caplog.at_level(logging.INFO, logger="greylp"):
-            got = satisfaction._solve_grid(p, _cube_layout(unit_grid(0.1)))
+            got = satisfaction._solve_grid(p, _cube_layout(unit_grid(step)))
         [record] = [r for r in caplog.records if r.name.startswith("greylp")]
-        message = record.getMessage()
-        assert int(message.split(", ")[4].split()[0]) >= 4
-        assert message == (
-            "solve_grid: 1331 points, 4 cold solves, 4 warm starts, 1323 certified, 8 bases, "
+        cold, warm, bases = self.MANY_BASES[seed, size, step]
+        points = len(got)
+        assert record.getMessage() == (
+            f"solve_grid: {points} points, {cold} cold solves, {warm} warm starts, "
+            f"{points - cold - warm} certified, {bases} bases, 0 non-optimal"
+        )
+        assert_matches_reference(p, grid_triples(step), got)
+
+    def test_later_bases_are_certified_on_the_box_of_pending_points(
+        self, demo_problem, caplog, monkeypatch
+    ):
+        # After the first basis, the demo step-0.05 cube's pending points lie
+        # in gamma slices 0-8 x betas 12-20, all alphas, so the second basis
+        # is certified on those 9 x 21 x 9 entries alone, not on all 9 261.
+        # The values and the record are those of whole-slice certification.
+        certify = lp_solver._certify
+        boxes = []
+
+        def recording(AI, CI, Bv, basis):
+            boxes.append((len(AI), CI.shape[1], Bv.shape[1]))
+            return certify(AI, CI, Bv, basis)
+
+        monkeypatch.setattr(lp_solver, "_certify", recording)
+        with caplog.at_level(logging.INFO, logger="greylp"):
+            got = satisfaction._solve_grid(demo_problem, _cube_layout(unit_grid(0.05)))
+        assert boxes == [(21, 21, 21), (9, 21, 9)]
+        assert hashlib.sha256(got.tobytes()).hexdigest() == (
+            "cf8f4a5aa208b8cfd71e07e4aa10c23f5767dccce1ab895c975c08e8ffbbc951"
+        )
+        [record] = [r.getMessage() for r in caplog.records if r.name.startswith("greylp")]
+        assert record == (
+            "solve_grid: 9261 points, 2 cold solves, 0 warm starts, 9259 certified, 2 bases, "
             "0 non-optimal"
         )
-        assert_matches_reference(p, grid_triples(0.1), got)
 
     def test_sweep_cube_solves_its_own_bounds(self, demo_problem, caplog):
         # One kernel call solves the cube, both bounds among its points: the
@@ -677,14 +714,11 @@ class TestFindSatisfactory:
         # so come out in triple order, not in the order of the rounding.
         low = 0.7
         high = float(np.nextafter(low, 1.0))
-        table = SweepTable(
-            lambdas=(0.5,),
-            coefficients=np.array([(0.0, 0.0, 0.5), (0.0, 0.5, 0.0), (1.0, 1.0, 0.0)]),
-            f=np.array([1.0, 1.0, 2.0]),
-            mu=np.array([0.5, 0.5, 0.9]),
-            mu_tilde=np.array([[low], [high], [1.0]]),
-        )
-        monkeypatch.setattr(analysis, "grid_sweep", lambda p, step, lambdas: table)
+        # The step-0.5 cube's degrees in lexicographic order: rows 1, 3 and
+        # 24 are (0, 0, 0.5), (0, 0.5, 0) and (1, 1, 0).
+        degree = np.zeros(27)
+        degree[[1, 3, 24]] = [low, high, 1.0]
+        monkeypatch.setattr(analysis, "lambda_satisfactions", lambda f, vb, lam: degree)
         hits = hit_list(find_satisfactory(demo_problem, mu0=0.5, lam=0.5, step=0.5))
         assert hits == [((1.0, 1.0, 0.0), 1.0), ((0.0, 0.0, 0.5), low), ((0.0, 0.5, 0.0), high)]
 

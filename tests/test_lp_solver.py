@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -573,6 +573,17 @@ def _grey_with_basis(draw):
     return p, other.basis
 
 
+# An unbounded program (ray (1, 0, 0)) and a start whose B is singular
+# (cond 8e16, rows 2 and 3 of A are equal), which LU does not flag.  Its
+# tableau, built by np.linalg.solve, has entries near 1.8e16 and made x = 0
+# look optimal.
+SINGULAR_START = (
+    WhiteLP(c=(1, 0, 0), A=((0, .5, 1), (-.5, .5, .5), (-.5, 2, 1), (-.5, 2, 1), (-.5, 3, 1),
+                            (0, 1, .5)), b=(0,) * 6),
+    (0, 1, 2, 3, 7, 4),
+)
+
+
 class TestWarmStart:
     """The stacked kernel certifies a cached basis, pivots on from it, or
     solves cold; for one program or for the bounds, it must end as the cold
@@ -583,6 +594,7 @@ class TestWarmStart:
         _assert_started_like_cold(*case)
 
     @given(case=_with_start(_unbounded_lps()))
+    @example(case=SINGULAR_START)
     def test_unbounded_cases(self, case):
         _assert_started_like_cold(*case)
 
@@ -742,6 +754,18 @@ class TestRejectedStart:
         assert _started(LOOSE, (2, 3, 4)) == _as_cold_start(_outcome(solve_max, LOOSE))
         assert len(calls) == 3  # the warm start, then the cold solve twice
 
+    def test_numerically_singular_start_is_refused(self, caplog):
+        # B^-1 B comes out far from the identity, so the warm start fails
+        # before any pivot and the program is solved cold.
+        lp, start = SINGULAR_START
+        with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
+            got = _started(lp, start)
+        assert got == _as_cold_start(_outcome(solve_max, lp)) == ("nan", 1, 0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "solve_max: warm start, 0 pivots (0 degenerate), failed",
+            "solve_max: cold start, 0 pivots (0 degenerate), unbounded",
+        ]
+
     def test_failed_post_check_falls_back(self, monkeypatch):
         vertex = lp_solver._vertex
         calls = []
@@ -756,10 +780,11 @@ class TestRejectedStart:
 
 
 def _layout(kind: str, rng: random.Random):
-    """A stack layout of quarter-grid triples: the cube's in closed form,
-    or a slice per point for random triples or the cube's shuffled."""
+    """A stack layout of quarter-grid triples: the cube's in closed form
+    (of which "box" certifies a sub-box), or a slice per point for random
+    triples or the cube's shuffled."""
     grid = analysis.unit_grid(0.25)
-    if kind == "cube":
+    if kind in ("cube", "box"):
         return _cube_layout(grid)
     if kind == "points":
         return _point_layout(np.array([random_triple(rng) for _ in range(40)]))
@@ -772,17 +797,27 @@ class TestCertifiedValues:
     rectangle at once, yet each entry (g, a, b) must be summed as
     ``np.einsum("ij,ij->i")`` sums its own objective row ``C[g, a]`` and
     solution row (at ``Bv[g, b]``).  A product that sums in another order (a BLAS matmul, or einsum
-    over an axis that is not contiguous) moves printed digits."""
+    over an axis that is not contiguous) moves printed digits.  The kernel
+    certifies on views of its stacks, a box of slices x alphas x betas, so
+    the same must hold there."""
 
-    @pytest.mark.parametrize("kind", ["cube", "points", "shuffled"])
+    @pytest.mark.parametrize("kind", ["cube", "box", "points", "shuffled"])
     @pytest.mark.parametrize("n", [2, 3, 7, 30])
     def test_each_point_is_summed_as_its_own_rows(self, n, kind):
         rng = random.Random(n)
         p = random_bounded_problem(rng, n=n, m=rng.randint(1, n))
         A, C, Bv = _uniform_stack(p, _layout(kind, rng))
-        (G, m, _), ka, kb = A.shape, C.shape[1], Bv.shape[1]
-        AI = np.concatenate([A, np.broadcast_to(np.eye(m), (G, m, m))], axis=2)
-        CI = np.concatenate([C, np.zeros((G, C.shape[1], m))], axis=2)
+        m = A.shape[1]
+        AI = np.concatenate([A, np.broadcast_to(np.eye(m), (len(A), m, m))], axis=2)
+        CI = np.concatenate([C, np.zeros((len(A), C.shape[1], m))], axis=2)
+        if kind == "box":
+            # 2 to 5 of the 5 slices, and 1 to 3 of the 5 alphas and betas,
+            # never the first.
+            g = slice(rng.randint(0, 1), rng.randint(3, 5))
+            a, b = (slice(rng.randint(1, 2), rng.randint(3, 4)) for _ in range(2))
+            A, AI, C, CI, Bv = A[g], AI[g], C[g, a], CI[g, a], Bv[g, b]
+            assert not (CI.flags.c_contiguous or Bv.flags.c_contiguous)
+        (G, _, _), ka, kb = A.shape, C.shape[1], Bv.shape[1]
         S = np.array(solve_max(build_positioned(p, uniform_coefficients(0.5, 0.5, 0.5, m, n))).basis)
         _, f, _ = lp_solver._certify(AI, CI, Bv, S)
         # The solution at every right-hand side, as solve_max snaps it.
