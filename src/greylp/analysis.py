@@ -26,13 +26,19 @@ throughout: optimal values to 2 decimals, degrees to 4.  ``render_table``
 and the ``satisfactory`` command's hit lines go through one row formatter,
 ``_format_rows``, which writes 1 024 rows at a time as a matrix of 4-byte
 words with no Python object per cell: coefficient cells are gathered from
-a table of their distinct "%g" texts, values with d decimals are written
-from the digit groups of q = rint(v * 10**d) wherever that is provably the
-text "%.*f" prints (any other value is formatted on its own), and
-separators are constant words.  NUL padding is dropped when a block is
-decoded.  The ``sweep`` command writes the header and then each block as
-it is made (``_table_blocks``), as ``satisfactory`` writes its hit lines,
-so the whole text is never held; ``render_table`` is their join.
+a table of "%g" texts at indices into it.  A grid table holds no triples,
+only its grid values: row k of the cube of g values is grid point (k //
+g², k // g % g, k % g), so its cells (and those of the hit lines, from
+their flat cube indices) are unravelled row numbers (``_grid_cells``),
+and nothing is sorted.  A table of other triples is indexed when it is
+rendered, by sorting each column's distinct values (``_triple_cells``).
+Values with d decimals are written from the digit groups of q = rint(v *
+10**d) wherever that is provably the text "%.*f" prints (any other value
+is formatted on its own), and separators are constant words.  NUL padding
+is dropped when a block is decoded.  The ``sweep`` command writes the
+header and then each block as it is made (``_table_blocks``), as
+``satisfactory`` writes its hit lines, so the whole text is never held;
+``render_table`` is their join.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ __all__ = [
 Triple = tuple[float, float, float]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SweepTable:
     """Sweep results stored column by column.
 
@@ -75,13 +81,38 @@ class SweepTable:
     whose positioned program is unbounded anywhere raises instead (see
     :func:`greylp.satisfaction._bounded`).  A degree is NaN where it is
     undefined (``mu`` at ideal value zero) and renders as an empty cell.
+
+    ``SweepTable(lambdas, coefficients, f, mu, mu_tilde)`` holds the given
+    arrays.  A table of :func:`grid_sweep` holds its grid values instead of
+    triples: its row k is the grid point (k // g², k // g % g, k % g) of
+    the g values, and ``coefficients`` (N x 3) is built on first access.
     """
 
     lambdas: tuple[float, ...]
-    coefficients: np.ndarray  # N x 3
     f: np.ndarray  # N
     mu: np.ndarray  # N
     mu_tilde: np.ndarray  # N x len(lambdas)
+    _grid: tuple[float, ...] | None  # the grid values of a grid table
+
+    def __init__(self, lambdas, coefficients, f, mu, mu_tilde):
+        # The class is frozen; fields are set once, here.
+        self.__dict__.update(
+            lambdas=lambdas, coefficients=coefficients, f=f, mu=mu, mu_tilde=mu_tilde, _grid=None
+        )
+
+    @classmethod
+    def _of_grid(cls, grid, lambdas, f, mu, mu_tilde) -> SweepTable:
+        """The table of every triple of ``grid`` values, in lexicographic
+        order, with these columns."""
+        t = object.__new__(cls)
+        t.__dict__.update(lambdas=lambdas, f=f, mu=mu, mu_tilde=mu_tilde, _grid=grid)
+        return t
+
+    @functools.cached_property
+    def coefficients(self) -> np.ndarray:
+        """The triples of the rows (N x 3), built on first access for a grid
+        table."""
+        return _cube(self._grid)
 
 
 @dataclass(frozen=True)
@@ -122,8 +153,10 @@ def unit_grid(step: float) -> tuple[float, ...]:
 
     Raises :class:`DomainError` for a step that is not a number in
     (0, 0.5], and :class:`MemoryError`, before the grid is built, for a
-    step so fine that the cube of grid triples the grid commands solve, 24
-    bytes per triple, has more bytes than an array index can count.
+    step so fine that the cube the grid commands solve has more bytes than
+    an array index can count: they hold at least three cube-sized arrays
+    of 8-byte numbers (the layout's rows, the kernel's values and the
+    optima in row order), 24 bytes per grid point.
     """
     step = _number(step, "grid step", "(0, 0.5]")
     if not (0.0 < step <= 0.5):
@@ -194,14 +227,14 @@ def _solve_cube(p: GreyLP, grid: tuple[float, ...]) -> tuple[np.ndarray, ValueBo
 
 
 def _scored(
-    pts: np.ndarray, f: np.ndarray, vb: ValueBounds, lambdas: tuple[float, ...]
-) -> SweepTable:
-    """The sweep table of the checked triples ``pts`` (see :func:`_points`)
-    with their finite positioned optima ``f`` and the bounds ``vb``: each
-    row's degrees at each of the checked ``lambdas``, the optima clamped
-    once for all of them."""
+    f: np.ndarray, vb: ValueBounds, lambdas: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns (f, mu, mu_tilde) of a sweep table of the finite
+    positioned optima ``f`` with the bounds ``vb``: each row's degrees at
+    each of the checked ``lambdas``, the optima clamped once for all of
+    them."""
     mu = pleased_degrees(f, vb)  # NaN where undefined (ideal value zero)
-    return SweepTable(lambdas, pts, f, mu, _satisfaction_rows(f, vb, lambdas).T)
+    return f, mu, _satisfaction_rows(f, vb, lambdas).T
 
 
 def lambda_sweep(p: GreyLP, settings, lambdas) -> SweepTable:
@@ -217,7 +250,7 @@ def lambda_sweep(p: GreyLP, settings, lambdas) -> SweepTable:
     lambdas = tuple(_unit(v, "lam") for v in lambdas)
     _validated(p)
     pts = pts[np.lexsort(pts.T[::-1])]
-    return _scored(pts, *_solve_with_bounds(p, pts), lambdas)
+    return SweepTable(lambdas, pts, *_scored(*_solve_with_bounds(p, pts), lambdas))
 
 
 def grid_sweep(p: GreyLP, step: float, lambdas=()) -> SweepTable:
@@ -231,7 +264,7 @@ def grid_sweep(p: GreyLP, step: float, lambdas=()) -> SweepTable:
     # The lambdas and the problem are checked before the cube is built.
     lambdas = tuple(_unit(v, "lam") for v in lambdas)
     _validated(p)
-    return _scored(_cube(grid), *_solve_cube(p, grid), lambdas)
+    return SweepTable._of_grid(grid, lambdas, *_scored(*_solve_cube(p, grid), lambdas))
 
 
 _AXES = {"alpha": 0, "beta": 1, "gamma": 2}
@@ -304,6 +337,13 @@ def find_satisfactory(
     satisfaction degree at ``lam`` is scored, and only the hits' triples
     are built.
     """
+    grid, hits, degrees = _satisfactory_hits(p, mu0, lam, step)
+    return _cube_rows(grid, hits), degrees
+
+
+def _satisfactory_hits(p: GreyLP, mu0: float, lam: float, step: float):
+    """:func:`find_satisfactory`'s hits as (grid, hits, degrees): the grid
+    values, each hit's flat index into the cube of them, and its degree."""
     mu0, lam = _unit(mu0, "mu0"), _unit(lam, "lam")
     grid = unit_grid(step)
     _validated(p)  # before the cube is laid out
@@ -313,7 +353,7 @@ def find_satisfactory(
     # rounding tie; the cube is in lexicographic order, so the flat index
     # breaks ties by triple.
     hits = hits[np.lexsort((hits, -np.round(degree[hits], 12)))]
-    return _cube_rows(grid, hits), degree[hits]
+    return grid, hits, degree[hits]
 
 
 # Rows are rendered this many at a time, which bounds the bytes held at once.
@@ -355,61 +395,91 @@ def _padded(raw: bytes, words: int = 0) -> bytes:
     return raw.ljust(4 * max(words, -(-len(raw) // 4)), b"\0")
 
 
-def _coefficient_table(coefficients):
-    """The "%g" texts of the distinct coefficients of each column of
-    ``coefficients`` (N x c), told apart by their bits (so -0.0 keeps its
-    sign), as a table of NUL-padded words with a row per text; and for
-    each column, the sorted bits of its distinct coefficients, whose texts
-    are the table's rows from ``start`` on, as (bits, start)."""
+def _text_table(texts) -> np.ndarray:
+    """The byte strings ``texts`` as a table of NUL-padded words, a row per
+    text."""
+    width = -(-max(map(len, texts), default=0) // 4)
+    table = np.frombuffer(b"".join(_padded(text, width) for text in texts), dtype=np.uint32)
+    return table.reshape(len(texts), width)
+
+
+def _grid_cells(grid, flat=None):
+    """The coefficient cells of rows of the cube of ``grid`` values, as
+    :func:`_format_rows` takes them: the table of the grid values' "%g"
+    texts, and a function giving the grid indices (a, b, c) of the cube's
+    rows ``flat[start:stop]`` (rows start to stop if ``flat`` is None).
+    Row k of the cube is grid point (k // g², k // g % g, k % g), so
+    nothing is sorted or searched."""
+    shape = (len(grid),) * 3
+
+    def index(start, stop):
+        rows = np.arange(start, stop) if flat is None else flat[start:stop]
+        return np.array(np.unravel_index(rows, shape))
+
+    return _text_table([b"%g" % v for v in grid]), index
+
+
+def _triple_cells(coefficients):
+    """The coefficient cells of the rows of ``coefficients`` (N x c), as
+    :func:`_format_rows` takes them: a table of the "%g" texts of the
+    distinct coefficients of each column, told apart by their bits (so
+    -0.0 keeps its sign), and a function giving the table row of each cell
+    of rows start to stop, found by a binary search in its column's sorted
+    bits."""
     bits = np.array(coefficients.T, dtype=float).view(np.int64)  # a copy, sorted in place
     bits.sort(axis=1)
     first = np.ones(bits.shape, dtype=bool)
     np.not_equal(bits[:, 1:], bits[:, :-1], out=first[:, 1:])
     distinct = bits[first]  # column by column
-    texts = [b"%g" % v for v in distinct.view(float).tolist()]
-    width = -(-max(map(len, texts), default=0) // 4)
-    table = np.frombuffer(b"".join(_padded(text, width) for text in texts), dtype=np.uint32)
-    columns, start = [], 0
+    columns, offset = [], 0
     for count in first.sum(axis=1).tolist():
-        columns.append((distinct[start : start + count], start))
-        start += count
-    return table.reshape(len(texts), width), columns
+        columns.append((distinct[offset : offset + count], offset))
+        offset += count
+
+    def index(start, stop):
+        block = np.ascontiguousarray(coefficients[start:stop].T, dtype=float).view(np.int64)
+        rows = np.empty(block.shape, dtype=np.intp)
+        for i, (keys, offset) in enumerate(columns):
+            np.add(np.searchsorted(keys, block[i]), offset, out=rows[i])
+        return rows
+
+    return _text_table([b"%g" % v for v in distinct.view(float).tolist()]), index
 
 
-def _format_rows(coefficients, columns, decimals, empty, seps):
+def _format_rows(cells, columns, decimals, empty, seps):
     """The text of the rows, yielded ``_BLOCK`` rows at a time, one line per
-    row: ``seps[0]``, then the "%g" text of each of the row's
-    ``coefficients`` (N x c) and the "%.*f" text of each of its values in
-    ``columns`` (arrays of N or N x j values, side by side) with that
-    column's ``decimals`` (at most 4), or its ``empty`` text where the
-    value is NaN, each cell followed by the next of ``seps``.
+    row: ``seps[0]``, then the text of each of the row's c coefficient
+    cells and the "%.*f" text of each of its values in ``columns`` (arrays
+    of N or N x j values, side by side) with that column's ``decimals`` (at
+    most 4), or its ``empty`` text where the value is NaN, each cell
+    followed by the next of ``seps``.  The ``cells`` are (table, index), as
+    :func:`_grid_cells` and :func:`_triple_cells` make them: the texts as a
+    table of words with a row per text, and a function giving the table
+    row of each cell of rows start to stop (c x R).
 
     Each block is written as a matrix of 4-byte words, a row of words per
     line, whose unused bytes are NUL and are dropped when the block is
     decoded.  The matrix is filled transposed, so that a word of one cell
     in every line is one contiguous run, and separators are constant
-    words.  Each distinct coefficient is formatted once, and its words are
-    gathered from a table of those texts.  A value v with 0 <= v < 10**(12
-    - d) whose product v * 10**d does not round to a tie k + 0.5 has the
-    text of q = rint(v * 10**d), the correctly rounded d-decimal value that
-    "%.*f" prints (see ``_DIGITS``): its whole and fractional digits are
-    taken from :func:`_digit_groups` (the last three whole digits with the
-    point, the others four at a time), with leading zeros masked to NUL.
-    Any other value (NaN, -0.0, a negative or infinite value, one past the
-    limit or one whose product rounds to a tie) is formatted on its own and
-    written into its line.
+    words.  Coefficient cells are gathered from their table.  A value v
+    with 0 <= v < 10**(12 - d) whose product v * 10**d does not round to a
+    tie k + 0.5 has the text of q = rint(v * 10**d), the correctly rounded
+    d-decimal value that "%.*f" prints (see ``_DIGITS``): its whole and
+    fractional digits are taken from :func:`_digit_groups` (the last three
+    whole digits with the point, the others four at a time), with leading
+    zeros masked to NUL.  Any other value (NaN, -0.0, a negative or
+    infinite value, one past the limit or one whose product rounds to a
+    tie) is formatted on its own and written into its line.
     """
-    table, distinct = _coefficient_table(coefficients)
+    table, index = cells
     seps = [_padded(sep.encode("ascii")) for sep in seps]
     layouts = {}
-    for start in range(0, len(coefficients), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        bits = np.ascontiguousarray(coefficients[block].T, dtype=float).view(np.int64)
-        index = np.empty(bits.shape, dtype=np.intp)  # each coefficient's row of the table
-        for i, (keys, offset) in enumerate(distinct):
-            np.add(np.searchsorted(keys, bits[i]), offset, out=index[i])
+    rows = len(columns[0])
+    for start in range(0, rows, _BLOCK):
+        stop = min(start + _BLOCK, rows)
         yield _block_text(
-            table, index, *_value_words([column[block] for column in columns], decimals, empty),
+            table, index(start, stop),
+            *_value_words([column[start:stop] for column in columns], decimals, empty),
             seps, layouts,
         )
 
@@ -443,8 +513,7 @@ def _block_text(table, index, words, sizes, fallback, seps, layouts) -> str:
     for w in range(width):
         lines[[at + w for at in coef_at]] = table[:, w].take(index)
     for i, word in enumerate(words):
-        has = [j for j, size in enumerate(sizes) if size > i]
-        lines[[ends[j] - 1 - i for j in has]] = word if len(has) == len(word) else word[has]
+        lines[[ends[j] - 1 - i for j, size in enumerate(sizes) if size > i]] = word
     for (j, r), text in fallback.items():
         lines[ends[j] - cells[j] : ends[j], r] = 0
         lines[ends[j] - cells[j] : ends[j] - cells[j] + len(text), r] = text
@@ -456,10 +525,12 @@ def _value_words(columns, decimals, empty):
     R x j values each) hold k columns of values side by side, column j with
     ``decimals[j]`` decimals and the text ``empty[j]`` for NaN.
 
-    Returns (words, sizes, fallback).  ``words[i]`` (k x R) is the i-th word
-    from the end of each cell: the fraction's digits, then the last three
-    whole digits and the point, then four more whole digits at a time, with
-    leading zeros NUL; column j's cells are its last ``sizes[j]`` words.
+    Returns (words, sizes, fallback).  ``words[i]`` is the i-th word from
+    the end of each cell: the fraction's digits, then the last three whole
+    digits and the point, then four more whole digits at a time, with
+    leading zeros NUL; column j's cells are its last ``sizes[j]`` words, so
+    ``words[i]`` has a row of R words for each column j with ``sizes[j] >
+    i`` (k rows for i < 2).
     ``fallback`` maps (j, r) to the words of each value formatted on its
     own, whose words in ``words`` are meaningless.
     """
@@ -496,20 +567,25 @@ def _value_words(columns, decimals, empty):
         size = np.repeat(size, values.shape[1], axis=1)
         size[vary] = np.searchsorted(_POWERS, whole[vary], "right") + 1
     groups = 1 + high // 4
-    for g in range(groups.max()):
+    top = groups.max()
+    for g in range(top):
         # Word 0 holds the last three whole digits, word g > 0 the four
-        # before those of word g - 1.
-        part = whole if g == 0 else np.floor(whole / 10.0 ** (4 * g - 1))
-        if g + 1 < groups.max():
+        # before those of word g - 1, for the columns with a g-th group.
+        if g == 0:
+            part, ndigits = whole, size
+        else:
+            has = groups > g
+            part, ndigits = np.floor(whole[has] / 10.0 ** (4 * g - 1)), size[has]
+        if g + 1 < top:
             span = 1e3 if g == 0 else 1e4
             part = part - np.floor(part / span) * span
         if g == 0:
             word = digits.take((part * 10).astype(np.intp))  # the three digits, then a 0
-            word &= _UNITS.take(3 - size, mode="clip")
+            word &= _UNITS.take(3 - ndigits, mode="clip")
             word |= _POINT
         else:
             word = digits.take(part.astype(np.intp))
-            word &= _TAIL.take(4 * g + 3 - size, mode="clip")
+            word &= _TAIL.take(4 * g + 3 - ndigits, mode="clip")
         words.append(word)
     return words, (groups + 1).tolist(), fallback
 
@@ -540,7 +616,8 @@ def _table_blocks(t: SweepTable, format: str):
         head = "| " + " | ".join(header) + " |\n| " + " | ".join("---" for _ in header) + " |\n"
         lead, sep, end, empty = "| ", " | ", " |\n", "-"
     k = 1 + len(t.lambdas)
+    cells = _triple_cells(t.coefficients) if t._grid is None else _grid_cells(t._grid)
     return itertools.chain((head,), _format_rows(
-        t.coefficients, (t.f, t.mu, t.mu_tilde), [2] + [4] * k, ["nan"] + [empty] * k,
+        cells, (t.f, t.mu, t.mu_tilde), [2] + [4] * k, ["nan"] + [empty] * k,
         [lead] + [sep] * (len(header) - 1) + [end],
     ))

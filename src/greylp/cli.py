@@ -37,12 +37,12 @@ import numpy as np
 from . import bundled
 from .analysis import (
     _format_rows,
+    _grid_cells,
+    _satisfactory_hits,
     _table_blocks,
     check_monotonicity,
-    find_satisfactory,
     grid_sweep,
     lambda_sweep,
-    unit_grid,
 )
 from .errors import (
     GreyLPError,
@@ -344,14 +344,15 @@ def _cmd_monotonicity(args) -> int:
 
 def _cmd_satisfactory(args) -> int:
     pf = _load(args.file)
-    triples, degrees = find_satisfactory(pf.problem, args.mu0, args.lam, args.step)
-    total = len(unit_grid(args.step)) ** 3
+    # find_satisfactory's hits, as flat cube indices: no triple is built.
+    grid, hits, degrees = _satisfactory_hits(pf.problem, args.mu0, args.lam, args.step)
     print(
-        f"{len(degrees)} of {total} grid setting(s) reach "
+        f"{len(degrees)} of {len(grid) ** 3} grid setting(s) reach "
         f"mu_tilde[lambda={args.lam:g}] >= {args.mu0:g}"
     )
     sys.stdout.writelines(_format_rows(
-        triples, (degrees,), [4], ["nan"], ["  alpha=", " beta=", " gamma=", "  mu_tilde=", "\n"]
+        _grid_cells(grid, hits), (degrees,), [4], ["nan"],
+        ["  alpha=", " beta=", " gamma=", "  mu_tilde=", "\n"],
     ))
     return 0
 

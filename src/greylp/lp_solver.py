@@ -259,8 +259,8 @@ def _certify(AI, CI, Bv, basis):
     costs <= tol, the post-check of :func:`_slack_ok`, and a duality gap
     |c.x - y.b| <= tol * max(1, |f|).  One factorisation per program serves
     all its objectives and right-hand sides, and two batched products give
-    its values c.x and y.b over its ka x kb rectangle, summed as
-    ``np.einsum("ij,ij->i")`` sums each point's rows.  Returns (ok, f,
+    its values c.x and y.b over its ka x kb rectangle, the values summed
+    as ``np.einsum("ij,ij->i")`` sums each point's rows.  Returns (ok, f,
     primal): whether each point is certified and its optimal value (only
     meaningful where certified), both G x ka x kb, and whether the basis is
     primal feasible (and nonsingular) at each right-hand side, G x kb.
@@ -285,10 +285,11 @@ def _certify(AI, CI, Bv, basis):
         reduced = CI[:, :, nonbasic].transpose(0, 2, 1) - AN @ Y
         dual = (reduced <= _TOL_PIVOT).all(axis=1)
         # Each slice's values and dual values over its alpha x beta
-        # rectangle.  The summed axis is contiguous in both operands, so each
-        # entry is summed as "ij,ij->i" sums one point's two rows.
+        # rectangle.  The values' summed axis is contiguous in both
+        # operands, so each is summed as "ij,ij->i" sums one point's two
+        # rows; the dual values are read by the gap test alone.
         f = np.einsum("gan,gbn->gab", CI[:, :, :n], np.ascontiguousarray(xs.transpose(0, 2, 1)))
-        gap = np.einsum("gam,gbm->gab", np.ascontiguousarray(Y.transpose(0, 2, 1)), Bv)
+        gap = np.matmul(Y.transpose(0, 2, 1), Bv.transpose(0, 2, 1))
         gap -= f
         bound = np.abs(f)
         np.maximum(bound, 1.0, out=bound)
@@ -372,18 +373,22 @@ def _solve_points(A, C, Bv, bases=()):
     # Per slice and right-hand side, the latest cached basis primal feasible
     # there (-1 for none): where a point's solve starts if none certifies it.
     feasible = np.full((G, kb), -1)
+    points = ka == kb == 1  # a slice per point, as grey_core._point_layout lays them out
 
     def settle(which):
         """Certify ``cache[which]`` at every pending point, over the box of
-        slices, alphas and betas that holds them."""
-        slices = np.flatnonzero(pending.any(axis=(1, 2)))
+        slices, alphas and betas that holds them (the range of pending
+        slices alone where every slice is one point)."""
+        slices = np.flatnonzero(pending if points else pending.any(axis=(1, 2)))
         if not len(slices):
             return
         g = slice(slices[0], slices[-1] + 1)
-        rectangle = pending[g].any(axis=0)
-        alphas = np.flatnonzero(rectangle.any(axis=1))
-        betas = np.flatnonzero(rectangle.any(axis=0))
-        a, b = slice(alphas[0], alphas[-1] + 1), slice(betas[0], betas[-1] + 1)
+        a = b = slice(None)
+        if not points:
+            rectangle = pending[g].any(axis=0)
+            alphas = np.flatnonzero(rectangle.any(axis=1))
+            betas = np.flatnonzero(rectangle.any(axis=0))
+            a, b = slice(alphas[0], alphas[-1] + 1), slice(betas[0], betas[-1] + 1)
         ok, f, primal = _certify(AI[g], CI[g, a], Bv[g, b], cache[which])
         box = pending[g, a, b]  # views, so the writes below go through
         ok &= box

@@ -565,6 +565,41 @@ class TestGridSweep:
         with pytest.raises(ValidationError):
             call(bad)
 
+    def test_grid_commands_build_and_sort_no_triples(self, demo_problem, monkeypatch, tmp_path,
+                                                     capsys):
+        # Grid tables and hit lines take their coefficient cells from the
+        # cube's shape; verify-example renders nothing.  So none of them
+        # builds the cube's triples or sorts coefficients to index them.
+        def refused(*args):
+            raise AssertionError("triples were built or sorted")
+
+        for name in ("_cube", "_cube_rows", "_triple_cells"):
+            monkeypatch.setattr(analysis, name, refused)
+        path = tmp_path / "demo.json"
+        path.write_text(bundled.EXAMPLE_PROBLEM_JSON, encoding="utf-8")
+        for argv in (
+            ["sweep", "--file", str(path), "--step", "0.05", "--lambdas", "0.25,0.5,0.75,1"],
+            ["satisfactory", "--file", str(path), "--mu0", "0.4", "--lambda", "0.9",
+             "--step", "0.05"],
+            ["verify-example"],
+        ):
+            assert run(argv) == 0, argv
+        assert capsys.readouterr().err == ""
+        assert render_table(grid_sweep(demo_problem, 0.1, lambdas=(0.5,)), "csv")
+
+    def test_table_holds_its_columns_and_the_grid_only(self, demo_problem):
+        # 8 * (2 + L) bytes per row (f, mu, and mu_tilde at each lambda),
+        # plus the grid values; the triples are built on first access.
+        lambdas = (0.25, 0.5, 0.75, 1.0)
+        table = grid_sweep(demo_problem, 0.05, lambdas=lambdas)
+        arrays = [a if a.base is None else a.base for a in vars(table).values()
+                  if isinstance(a, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) == 8 * (2 + len(lambdas)) * 21**3
+        assert "coefficients" not in vars(table) and len(table._grid) == 21
+        coefficients = table.coefficients
+        assert coefficients.tolist() == [list(t) for t in grid_triples(0.05)]
+        assert table.coefficients is coefficients
+
 
 class TestCheckMonotonicity:
     @pytest.mark.parametrize("axis", ["alpha", "beta", "gamma"])
@@ -811,8 +846,10 @@ def _near_ties(decimals):
 
 
 def _formatted(coefficients, columns, decimals, empty, seps):
-    """The text ``analysis._format_rows`` writes for these rows."""
-    return "".join(analysis._format_rows(coefficients, columns, decimals, empty, seps))
+    """The text ``analysis._format_rows`` writes for these rows, their
+    coefficient cells indexed by ``analysis._triple_cells``."""
+    cells = analysis._triple_cells(coefficients)
+    return "".join(analysis._format_rows(cells, columns, decimals, empty, seps))
 
 
 def _reference_rows(coefficients, columns, decimals, empty, seps):
@@ -924,6 +961,18 @@ class TestFormatRows:
         args = (coefficients, (f, degrees), [2, 4, 4, 4], ["nan", "", "", ""],
                 ["| ", " | ", " | ", " | ", " | ", " | ", " | ", " |\n"])
         assert _formatted(*args) == _reference_rows(*args)
+
+    @pytest.mark.parametrize("rows", [1, 1024, 1025, 3000])
+    def test_grid_cells_match_the_cells_of_their_triples(self, rows):
+        # Cube rows in any order, across block edges, as the satisfactory
+        # command's hits index them.
+        grid = unit_grid(0.05)
+        flat = np.random.default_rng(rows).permutation(len(grid) ** 3)[:rows]
+        degrees = np.linspace(0.0, 1.0, rows)
+        args = ((degrees,), [4], ["nan"], ["  alpha=", " beta=", " gamma=", "  mu_tilde=", "\n"])
+        text = "".join(analysis._format_rows(analysis._grid_cells(grid, flat), *args))
+        assert text == _formatted(analysis._cube_rows(grid, flat), *args)
+        assert text == _reference_rows(analysis._cube_rows(grid, flat), *args)
 
     def test_hit_lines_of_the_satisfactory_command(self):
         triples = np.array([(1.0, 1.0, 0.0), (0.5, -0.0, 0.25), (1 / 3, 0.05, 1e-05)])

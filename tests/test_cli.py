@@ -704,7 +704,8 @@ class TestSatisfactoryCommand:
 
     def test_no_hits_print_the_count_alone(self, capsys, demo_file, monkeypatch):
         monkeypatch.setattr(
-            cli, "find_satisfactory", lambda p, mu0, lam, step: (np.zeros((0, 3)), np.zeros(0))
+            cli, "_satisfactory_hits",
+            lambda p, mu0, lam, step: ((0.0, 0.5, 1.0), np.zeros(0, dtype=np.intp), np.zeros(0)),
         )
         argv = ["satisfactory", "--file", demo_file, "--mu0", "1", "--step", "0.5"]
         assert run(argv) == 0

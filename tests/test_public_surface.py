@@ -1,6 +1,6 @@
 """The public surface: the names ``greylp`` and its modules export, the
-public attributes of its data classes, and the functions README's
-"Library use" names.
+public attributes of its data classes, the functions README's "Library
+use" names, and the output of the commands its "Quick start" shows.
 
 An API is added or removed on purpose, by editing ``EXPORTED`` or
 ``ATTRIBUTES`` here along with the code.
@@ -10,10 +10,14 @@ import importlib
 import inspect
 import pathlib
 import re
+import shlex
 
 import pytest
 
 import greylp
+from greylp.cli import run
+
+README = pathlib.Path(__file__).parents[1] / "README.md"
 
 EXPORTED = {
     "__version__",
@@ -96,8 +100,7 @@ def test_every_exported_name_resolves(module):
 
 
 def test_readme_library_use_names_exactly_the_exported_functions():
-    readme = pathlib.Path(__file__).parents[1] / "README.md"
-    section = readme.read_text(encoding="utf-8").split("## Library use")[1].split("\n## ")[0]
+    section = README.read_text(encoding="utf-8").split("## Library use")[1].split("\n## ")[0]
     named = set(re.findall(r"\b([a-z_]+)\(", section)) | set(re.findall(r"`([a-z_]+)`", section))
     named |= {
         name for line in re.findall(r"from greylp import \(([^)]*)\)", section)
@@ -110,3 +113,16 @@ def test_readme_library_use_names_exactly_the_exported_functions():
     }
     assert in_greylp == {name for name in EXPORTED if inspect.isfunction(getattr(greylp, name))}
     assert named & set(GONE) == set()
+
+
+def test_readme_quick_start_shows_what_the_commands_print(monkeypatch, capsys):
+    # Each "$ greylp ..." line of the section's shell block, run from the
+    # repository root, prints exactly the lines below it.
+    section = README.read_text(encoding="utf-8").split("## Quick start")[1].split("\n## ")[0]
+    [block] = re.findall(r"```sh\n(.*?)```", section, re.DOTALL)
+    commands = [c.strip("\n").split("\n", 1) for c in block.split("$ greylp ")[1:]]
+    assert len(commands) == 3
+    monkeypatch.chdir(README.parent)
+    for argv, shown in commands:
+        assert run(shlex.split(argv)) == 0, argv
+        assert capsys.readouterr().out == shown + "\n", argv
