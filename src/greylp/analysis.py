@@ -19,7 +19,9 @@ alphas (parametric programming, Gal 1995).  A grid command's cube
 out by ``grey_core._cube_layout`` and holds both bound triples;
 ``lambda_sweep``'s settings get a slice each from
 ``grey_core._point_layout``, with the bounds added
-(``satisfaction._solve_with_bounds``).
+(``satisfaction._solve_with_bounds``).  Either way the rows' order is
+arithmetic, so the kernel's values are put in row order by a transpose,
+not by an index.
 
 Tables render to CSV or Markdown with the presentation rounding used
 throughout: optimal values to 2 decimals, degrees to 4.  ``render_table``
@@ -30,8 +32,9 @@ a table of "%g" texts at indices into it.  A grid table holds no triples,
 only its grid values: row k of the cube of g values is grid point (k //
 g², k // g % g, k % g), so its cells (and those of the hit lines, from
 their flat cube indices) are unravelled row numbers (``_grid_cells``),
-and nothing is sorted.  A table of other triples is indexed when it is
-rendered, by sorting each column's distinct values (``_triple_cells``).
+and nothing is sorted.  A table of other triples (``lambda_sweep``'s, or
+one built by hand; no command renders one) has a text per cell
+(``_row_cells``).
 Values with d decimals are written from the digit groups of q = rint(v *
 10**d) wherever that is provably the text "%.*f" prints (any other value
 is formatted on its own), and separators are constant words.  NUL padding
@@ -112,7 +115,7 @@ class SweepTable:
     def coefficients(self) -> np.ndarray:
         """The triples of the rows (N x 3), built on first access for a grid
         table."""
-        return _cube(self._grid)
+        return _cube_rows(self._grid, np.arange(len(self._grid) ** 3))
 
 
 @dataclass(frozen=True)
@@ -154,9 +157,9 @@ def unit_grid(step: float) -> tuple[float, ...]:
     Raises :class:`DomainError` for a step that is not a number in
     (0, 0.5], and :class:`MemoryError`, before the grid is built, for a
     step so fine that the cube the grid commands solve has more bytes than
-    an array index can count: they hold at least three cube-sized arrays
-    of 8-byte numbers (the layout's rows, the kernel's values and the
-    optima in row order), 24 bytes per grid point.
+    an array index can count: they hold at least two cube-sized arrays of
+    8-byte numbers (the kernel's values and the optima in row order), 16
+    bytes per grid point.
     """
     step = _number(step, "grid step", "(0, 0.5]")
     if not (0.0 < step <= 0.5):
@@ -165,7 +168,7 @@ def unit_grid(step: float) -> tuple[float, ...]:
     inverse = 1.0 / step  # inf for the smallest subnormal steps
     count = int(math.floor(inverse + 1e-9)) if inverse < limit else limit
     size = count + 1 + (round(count * step, 10) < 1.0)
-    if 24 * size**3 > limit:
+    if 16 * size**3 > limit:
         raise MemoryError(
             f"grid step {step:g} is too fine: its cube of grid triples needs more than "
             f"{limit} bytes"
@@ -204,14 +207,9 @@ def _points(triples) -> np.ndarray:
     return pts
 
 
-def _cube(grid: tuple[float, ...]) -> np.ndarray:
-    """Every triple of ``grid`` values as rows, in lexicographic order."""
-    axes = np.meshgrid(grid, grid, grid, indexing="ij")
-    return np.stack(axes, axis=-1).reshape(-1, 3)
-
-
 def _cube_rows(grid: tuple[float, ...], index) -> np.ndarray:
-    """The rows of :func:`_cube` at the flat positions ``index``."""
+    """The triples of ``grid`` values at the flat positions ``index`` of
+    their cube, whose rows are every triple in lexicographic order."""
     g = len(grid)
     return np.asarray(grid).take(np.stack(np.unravel_index(index, (g, g, g)), axis=-1))
 
@@ -419,31 +417,17 @@ def _grid_cells(grid, flat=None):
     return _text_table([b"%g" % v for v in grid]), index
 
 
-def _triple_cells(coefficients):
+def _row_cells(coefficients):
     """The coefficient cells of the rows of ``coefficients`` (N x c), as
-    :func:`_format_rows` takes them: a table of the "%g" texts of the
-    distinct coefficients of each column, told apart by their bits (so
-    -0.0 keeps its sign), and a function giving the table row of each cell
-    of rows start to stop, found by a binary search in its column's sorted
-    bits."""
-    bits = np.array(coefficients.T, dtype=float).view(np.int64)  # a copy, sorted in place
-    bits.sort(axis=1)
-    first = np.ones(bits.shape, dtype=bool)
-    np.not_equal(bits[:, 1:], bits[:, :-1], out=first[:, 1:])
-    distinct = bits[first]  # column by column
-    columns, offset = [], 0
-    for count in first.sum(axis=1).tolist():
-        columns.append((distinct[offset : offset + count], offset))
-        offset += count
+    :func:`_format_rows` takes them: a table of the "%g" text of every
+    cell, row by row, so cell (r, i) is its row r * c + i, and a function
+    giving those table rows for rows start to stop."""
+    c = coefficients.shape[1]
 
     def index(start, stop):
-        block = np.ascontiguousarray(coefficients[start:stop].T, dtype=float).view(np.int64)
-        rows = np.empty(block.shape, dtype=np.intp)
-        for i, (keys, offset) in enumerate(columns):
-            np.add(np.searchsorted(keys, block[i]), offset, out=rows[i])
-        return rows
+        return np.arange(start * c, stop * c).reshape(stop - start, c).T
 
-    return _text_table([b"%g" % v for v in distinct.view(float).tolist()]), index
+    return _text_table([b"%g" % v for v in coefficients.ravel().tolist()]), index
 
 
 def _format_rows(cells, columns, decimals, empty, seps):
@@ -453,7 +437,7 @@ def _format_rows(cells, columns, decimals, empty, seps):
     of N or N x j values, side by side) with that column's ``decimals`` (at
     most 4), or its ``empty`` text where the value is NaN, each cell
     followed by the next of ``seps``.  The ``cells`` are (table, index), as
-    :func:`_grid_cells` and :func:`_triple_cells` make them: the texts as a
+    :func:`_grid_cells` and :func:`_row_cells` make them: the texts as a
     table of words with a row per text, and a function giving the table
     row of each cell of rows start to stop (c x R).
 
@@ -616,7 +600,7 @@ def _table_blocks(t: SweepTable, format: str):
         head = "| " + " | ".join(header) + " |\n| " + " | ".join("---" for _ in header) + " |\n"
         lead, sep, end, empty = "| ", " | ", " |\n", "-"
     k = 1 + len(t.lambdas)
-    cells = _triple_cells(t.coefficients) if t._grid is None else _grid_cells(t._grid)
+    cells = _row_cells(t.coefficients) if t._grid is None else _grid_cells(t._grid)
     return itertools.chain((head,), _format_rows(
         cells, (t.f, t.mu, t.mu_tilde), [2] + [4] * k, ["nan"] + [empty] * k,
         [lead] + [sep] * (len(header) - 1) + [end],

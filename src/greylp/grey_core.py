@@ -17,6 +17,23 @@ so no ragged or empty container, and no bool or string read as a number,
 exists past that point.  All types are immutable after construction and
 all operations are pure, so everything here is safe to share across
 threads.
+
+Many uniform (alpha, beta, gamma) triples are whitened at once as a stack
+layout (gammas, alphas, betas) for the grid kernel
+(``lp_solver._solve_points``).  Under uniform whitening the matrix depends
+on gamma alone, the objective on alpha alone and the right-hand side on
+beta alone, so the triples are grouped by gamma: slice s has gamma
+``gammas[s]`` (G x 1 x 1), alphas ``alphas[s]`` (G x ka x 1) and betas
+``betas[s]`` (G x kb x 1), and its points are their whole ka x kb
+rectangle.  ``_white_stack`` whitens the layout to a matrix per slice (G x
+m x n), objectives (G x ka x n) and right-hand sides (G x kb x m), so
+point (s, a, b) is objective ``C[s, a]`` and right-hand side ``Bv[s, b]``.
+The layout's rows are numbered by arithmetic: row k is point (s, a, b)
+with k = (a * kb + b) * G + s, so the kernel's values (G x ka x kb) in row
+order are ``values.transpose(1, 2, 0).ravel()``.  ``_cube_layout`` lays out
+a grid cube with a slice per grid value, whose rows are then its triples
+in lexicographic (alpha, beta, gamma) order, and ``_point_layout`` chosen
+settings with a slice per point, in input order.
 """
 
 from __future__ import annotations
@@ -314,8 +331,7 @@ class Violation:
 
 def _whitened(t, lo, hi) -> np.ndarray:
     """The whitening formula ``t*hi + (1-t)*lo`` of the bound arrays ``lo``
-    and ``hi``, entry by entry (numpy broadcasting applies), so
-    :func:`build_positioned` and :func:`_uniform_stack` agree bit for bit.
+    and ``hi``, entry by entry (numpy broadcasting applies).
 
     Raises :class:`DomainError` naming the first interval (in C order) that
     is not finite or has ``lo > hi``.  ``t`` is not checked.
@@ -327,6 +343,24 @@ def _whitened(t, lo, hi) -> np.ndarray:
             f"cannot whiten invalid interval [{float(lo.flat[i])}, {float(hi.flat[i])}]"
         )
     return t * hi + (1.0 - t) * lo
+
+
+def _white_stack(p: GreyLP, gammas, alphas, betas) -> tuple[np.ndarray, ...]:
+    """The white programs of ``p`` at the position coefficients ``gammas``,
+    ``alphas`` and ``betas``, which broadcast against the problem's matrix
+    (... x m x n), objective (... x n) and right-hand side (... x m): (A,
+    C, Bv), each the whitening of its block.  This is the one function
+    that whitens a program: :func:`build_positioned` passes one
+    coefficient block, and the grid kernel a stack layout (see the module
+    docstring).
+
+    The blocks are whitened in objective, rhs, matrix order, so an interval
+    that cannot be whitened raises :class:`DomainError` for the first one
+    in that order.
+    """
+    C = _whitened(alphas, p.c_lo, p.c_hi)
+    Bv = _whitened(betas, p.b_lo, p.b_hi)
+    return _whitened(gammas, p.A_lo, p.A_hi), C, Bv
 
 
 def build_positioned(p: GreyLP, k: PositionCoefficients) -> WhiteLP:
@@ -343,9 +377,8 @@ def build_positioned(p: GreyLP, k: PositionCoefficients) -> WhiteLP:
         raise StructureError(f"expected {p.m} betas, got {len(k.beta_array)}")
     if k.gamma_array.shape != (p.m, p.n):
         raise StructureError(f"expected a {p.m}x{p.n} gamma grid")
-    c = _whitened(k.alpha_array, p.c_lo, p.c_hi)
-    b = _whitened(k.beta_array, p.b_lo, p.b_hi)
-    return WhiteLP._of_arrays(c, _whitened(k.gamma_array, p.A_lo, p.A_hi), b)
+    A, c, b = _white_stack(p, k.gamma_array, k.alpha_array, k.beta_array)
+    return WhiteLP._of_arrays(c, A, b)
 
 
 def uniform_coefficients(
@@ -372,51 +405,20 @@ def uniform_coefficients(
 
 
 def _point_layout(pts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The stack layout (gammas, alphas, betas, rows) of the uniform
-    triples ``pts`` (N x 3 rows of alpha, beta, gamma) with a 1 x 1 slice
-    for each point, in input order, so ``rows`` is the identity.  Nothing
-    is merged, so it suits a few chosen settings, not a grid."""
-    return pts[:, 2], pts[:, :1], pts[:, 1:2], np.arange(len(pts))
+    """The stack layout of the uniform triples ``pts`` (N x 3 rows of
+    alpha, beta, gamma) with a 1 x 1 slice for each point, in input order.
+    Nothing is merged, so it suits a few chosen settings, not a grid."""
+    return pts[:, 2, None, None], pts[:, None, :1], pts[:, None, 1:2]
 
 
 def _cube_layout(grid: tuple[float, ...]) -> tuple[np.ndarray, ...]:
     """The stack layout of every triple of the strictly increasing ``grid``
-    values, in lexicographic order (as ``analysis._cube`` lists them),
-    built from the cube's shape: with g values, each value has a g x g
-    slice holding every value as an alpha and a beta, so triple (a, b, c)
-    of grid indices is stack point (c, a, b).  The alpha and beta tables
-    are one read-only view, so nothing of size g² is written."""
+    values: with g values, each value has a g x g slice holding every
+    value as an alpha and a beta.  The alpha and beta stacks are one
+    read-only view, so nothing of size g² is written."""
     values = np.array(grid)
-    g = len(values)
-    table = np.broadcast_to(values, (g, g))
-    rows = np.arange(g**3).reshape(g, g, g).transpose(1, 2, 0).ravel()
-    return values, table, table, rows
-
-
-def _uniform_stack(p: GreyLP, layout: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """The positioned programs of N uniform triples as a stack of white
-    programs, one slice per distinct gamma: (A, C, Bv).
-
-    Under uniform whitening the matrix depends on gamma alone, the
-    objective on alpha alone and the right-hand side on beta alone.  The
-    ``layout`` (gammas, alphas, betas, rows) groups the triples by gamma:
-    slice g has gamma ``gammas[g]``, alphas ``alphas[g]`` (G x ka) and
-    betas ``betas[g]`` (G x kb), and its points are their whole ka x kb
-    rectangle; triple i is point ``rows[i]`` of the flattened stack.
-    :func:`_cube_layout` builds it for a grid cube, a slice per grid value,
-    and :func:`_point_layout` for chosen settings, a slice per point.
-
-    Slice g then holds its matrix ``A[g]`` (G x m x n), objectives ``C[g]``
-    (G x ka x n) and right-hand sides ``Bv[g]`` (G x kb x m), so point (g,
-    a, b) is ``C[g, a]`` and ``Bv[g, b]``.  Every entry is whitened with
-    :func:`build_positioned`'s formula, so it matches that function's
-    entry bit for bit.
-    """
-    gammas, alphas, betas = layout[:3]
-    A = _whitened(gammas[:, None, None], p.A_lo, p.A_hi)
-    C = _whitened(alphas[..., None], p.c_lo, p.c_hi)
-    Bv = _whitened(betas[..., None], p.b_lo, p.b_hi)
-    return A, C, Bv
+    table = np.broadcast_to(values[:, None], (len(values), len(values), 1))
+    return values[:, None, None], table, table
 
 
 def _interval_violations(lo, hi, locations) -> list[Violation]:

@@ -334,7 +334,7 @@ def solve_max(lp: WhiteLP) -> LPSolution:
 
 def _solve_points(A, C, Bv, bases=()):
     """The optimal value of every point of a stack of white programs that
-    share each slice's matrix, as ``grey_core._uniform_stack`` whitens a
+    share each slice's matrix, as ``grey_core._white_stack`` whitens a
     stack layout: a grid cube's from ``grey_core._cube_layout``, or one
     with a slice per chosen setting from ``grey_core._point_layout``.
     Point (g, a, b) is objective ``C[g, a]`` and right-hand side ``Bv[g, b]``.

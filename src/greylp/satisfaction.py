@@ -17,8 +17,14 @@ A degree is then accepted against a grey target [mu0, 1].
 
 Each analysis command solves its settings and both bounds in one call of
 the stacked kernel (:func:`_solve_grid`), so a setting at a bound triple
-is the bound's own point and scores exactly 0 or 1.  A positioned program
-on its own is solved cold.
+is the bound's own point and scores exactly 0 or 1.  The kernel's values
+come back in the layout's row order by a transpose, since that order is
+arithmetic (see :mod:`greylp.grey_core`).  A positioned program on its
+own is solved cold.
+
+The degrees of an array of optima run the scalar formulas' operations in
+the same order, so each is bit for bit the scalar function's, and write
+each result into one of a few reused buffers of the optima's shape.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .grey_core import (
-    GreyLP, PositionCoefficients, _point_layout, _uniform_stack, _unit, build_positioned,
+    GreyLP, PositionCoefficients, _point_layout, _unit, _white_stack, build_positioned,
     validate_problem,
 )
 from .lp_solver import LPSolution, SolveStatus, _solve_points, solve_max
@@ -91,6 +97,8 @@ def _value_tol(vb: ValueBounds) -> float:
 
 
 def _clamp(f: np.ndarray, vb: ValueBounds) -> np.ndarray:
+    """The values ``f``, an array the caller owns, clamped to the bounds in
+    place."""
     tol = _value_tol(vb)
     outside = (f < vb.critical - tol) | (f > vb.ideal + tol)
     if outside.any():
@@ -100,8 +108,9 @@ def _clamp(f: np.ndarray, vb: ValueBounds) -> np.ndarray:
         )
     # min(max(f, critical), ideal) with Python's tie rules, so the sign of a
     # zero survives as it does for floats.
-    f = np.where(vb.critical > f, vb.critical, f)
-    return np.where(vb.ideal < f, vb.ideal, f)
+    np.copyto(f, vb.critical, where=vb.critical > f)
+    np.copyto(f, vb.ideal, where=vb.ideal < f)
+    return f
 
 
 _UNBOUNDED = "positioned program is unbounded; satisfaction analysis is undefined"
@@ -134,10 +143,12 @@ _IDEAL, _CRITICAL = (1.0, 1.0, 0.0), (0.0, 0.0, 1.0)  # as uniform (alpha, beta,
 
 def _solve_grid(p: GreyLP, layout: tuple[np.ndarray, ...]) -> np.ndarray:
     """The positioned optimum of a validated ``p`` at every triple of the
-    stack ``layout`` (see :func:`greylp.grey_core._uniform_stack`), as an
-    array in the caller's triple order (the order of the layout's rows),
-    NaN where the positioned program is unbounded, from one call of the
-    stacked kernel.
+    stack ``layout`` (see :mod:`greylp.grey_core`), in the layout's row
+    order, NaN where the positioned program is unbounded, from one call of
+    the stacked kernel.  The kernel's values are indexed (gamma, alpha,
+    beta), so row order is their (alpha, beta, gamma) transpose,
+    flattened: the lexicographic order of a grid cube's triples, and the
+    input order of chosen settings, a slice each.
 
     Results equal those of solving each point on its own
     (``solve_max(build_positioned(p, uniform_coefficients(...)))``), up to
@@ -145,8 +156,13 @@ def _solve_grid(p: GreyLP, layout: tuple[np.ndarray, ...]) -> np.ndarray:
     reports the points, cold and warm-started solves, certified points,
     distinct bases and non-optimal (unbounded) points; its counts are
     taken only when INFO is enabled for that logger."""
-    values, cache, cold, warm = _solve_points(*_uniform_stack(p, layout))
-    values = values.take(layout[3])
+    gammas, alphas, betas = layout
+    # Allocated first, so that a cube too large to hold fails at once, as
+    # numpy refuses it, before its g² whitened stacks are written.
+    rows = np.empty((alphas.shape[1], betas.shape[1], len(gammas)))
+    values, cache, cold, warm = _solve_points(*_white_stack(p, *layout))
+    np.copyto(rows, values.transpose(1, 2, 0))
+    values = rows.ravel()
     if _log.isEnabledFor(logging.INFO):
         n = len(values)
         _log.info(
@@ -218,18 +234,28 @@ def pleased_degrees(f, vb: ValueBounds) -> np.ndarray:
     Raises :class:`InconsistentInputsError` if a value it scores lies
     outside the bounds by more than the solver-noise tolerance.
     """
-    f = np.asarray(f, dtype=float)
+    f = np.array(f, dtype=float)  # a copy, clamped and scaled in place
     if vb.ideal <= 0.0:
         return np.full(f.shape, np.nan)
     # The negated comparisons keep NaN inputs defined (and NaN), as for floats.
     defined = ~(f < min(vb.critical, 0.0) - _value_tol(vb))
-    f = _clamp(np.where(defined, f, vb.critical), vb)
+    np.copyto(f, vb.critical, where=~defined)
+    _clamp(f, vb)
     defined &= ~(f < 0.0) & ((f != 0.0) | (vb.critical == 0.0))
+    # mu = 0.5 * (1 - critical / f) + 0.5 * f / ideal, one operation at a
+    # time in two buffers.
+    mu = np.empty_like(f)
     with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(vb.critical, f, out=mu)
+        np.subtract(1.0, mu, out=mu)
+        np.multiply(0.5, mu, out=mu)
         # At f = 0 (critical 0) the ratio term is its limit 0.5 as f -> 0+.
-        ratio_term = np.where(f == 0.0, 0.5, 0.5 * (1.0 - vb.critical / f))
-        mu = ratio_term + 0.5 * f / vb.ideal
-    return np.where(defined, mu, np.nan)
+        np.copyto(mu, 0.5, where=f == 0.0)
+        np.multiply(0.5, f, out=f)
+        np.divide(f, vb.ideal, out=f)
+        np.add(mu, f, out=mu)
+    np.copyto(mu, np.nan, where=~defined)
+    return mu
 
 
 def pleased_degree(f: float, vb: ValueBounds) -> float:
@@ -276,14 +302,23 @@ def _satisfaction_rows(f, vb: ValueBounds, lambdas) -> np.ndarray:
                 stacklevel=_outside_stacklevel(),
             )
         return rows
-    f = _clamp(f, vb)
+    # Row j is lam * (gain / spread) + (1 - lam) * damped, where damped =
+    # gain / (spread + (1 - lam) * room), one operation at a time in reused
+    # buffers.
     spread = vb.ideal - vb.critical
-    gain = f - vb.critical
-    linear = gain / spread
-    room = vb.ideal - f
+    room = _clamp(f.copy(), vb)  # the clamped optima until room is written
+    gain = room - vb.critical
+    np.subtract(vb.ideal, room, out=room)
+    damped = np.empty_like(f)
     for j, lam in enumerate(lambdas):
-        damped = gain / (spread + (1.0 - lam) * room)
-        rows[j] = lam * linear + (1.0 - lam) * damped
+        row = rows[j, ...]  # a view, also of a single value's row
+        np.multiply(1.0 - lam, room, out=damped)
+        np.add(spread, damped, out=damped)
+        np.divide(gain, damped, out=damped)
+        np.multiply(1.0 - lam, damped, out=damped)
+        np.divide(gain, spread, out=row)
+        np.multiply(lam, row, out=row)
+        np.add(row, damped, out=row)
     return rows
 
 

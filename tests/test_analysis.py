@@ -48,7 +48,7 @@ from greylp import (
     unit_grid,
 )
 from greylp import analysis, lp_solver, satisfaction
-from greylp.grey_core import WhiteLP, _cube_layout, _point_layout, _uniform_stack
+from greylp.grey_core import WhiteLP, _cube_layout, _point_layout, _white_stack
 from greylp.lp_solver import _solve_points, solve_max
 from greylp.bundled import (
     REFERENCE_LAMBDA_GRID,
@@ -80,10 +80,10 @@ class TestUnitGrid:
             unit_grid(bad)
 
     @pytest.mark.parametrize(
-        "step", [1 / 727_041, 1e-6, 1 / 2_097_150, 1 / 2_097_151, 4e-7, 1e-12, 1e-320]
+        "step", [1 / 832_255, 1e-6, 1 / 2_097_150, 1 / 2_097_151, 4e-7, 1e-12, 1e-320]
     )
     def test_refuses_steps_too_fine_to_index(self, step):
-        # The cube of 727_042 grid values is the first whose 24 * g**3 bytes
+        # The cube of 832_256 grid values is the first whose 16 * g**3 bytes
         # pass the largest array index.
         tracemalloc.start()
         try:
@@ -95,8 +95,8 @@ class TestUnitGrid:
         assert peak < 100_000
 
     def test_finest_accepted_grid(self):
-        grid = unit_grid(1 / 727_040)
-        assert len(grid) == 727_041 and grid[-1] == 1.0
+        grid = unit_grid(1 / 832_254)
+        assert len(grid) == 832_255 and grid[-1] == 1.0
 
     @given(step=st.floats(1e-3, 0.5))
     @example(step=0.100000000005)  # 10 * step rounds to 1.0000000001
@@ -111,8 +111,9 @@ class TestUnitGrid:
 
 class TestStackLayout:
     """Each layout gives triple i the programs it whitens to: stack point
-    ``rows[i]``, unravelled to (g, a, b), has ``A[g]``, ``C[g, a]`` and
-    ``Bv[g, b]`` equal to ``build_positioned``'s bit for bit."""
+    (g, a, b), where i is (a, b, g) flattened over (ka, kb, G), has
+    ``A[g]``, ``C[g, a]`` and ``Bv[g, b]`` equal to ``build_positioned``'s
+    bit for bit."""
 
     @staticmethod
     def _assert_identical(got, want):
@@ -123,8 +124,8 @@ class TestStackLayout:
     def _assert_whitens_each_point(self, demo_problem, pts, layout):
         seeded = random_bounded_problem(random.Random(10), n=10, m=10)
         for p in (demo_problem, seeded):
-            A, C, Bv = _uniform_stack(p, layout)
-            g, a, b = np.unravel_index(layout[3], (len(A), C.shape[1], Bv.shape[1]))
+            A, C, Bv = _white_stack(p, *layout)
+            a, b, g = np.unravel_index(np.arange(len(pts)), (C.shape[1], Bv.shape[1], len(A)))
             white = [
                 build_positioned(p, uniform_coefficients(*triple, p.m, p.n))
                 for triple in pts.tolist()
@@ -138,16 +139,30 @@ class TestStackLayout:
     @pytest.mark.parametrize("step", [0.5, 0.45, 0.3, 0.25, 0.2, 0.1, 0.05])
     def test_cube_layout(self, demo_problem, step):
         grid = unit_grid(step)
-        self._assert_whitens_each_point(demo_problem, analysis._cube(grid), _cube_layout(grid))
+        triples = np.array(grid_triples(step))
+        self._assert_whitens_each_point(demo_problem, triples, _cube_layout(grid))
 
     def test_cube_layout_tables_are_read_only_views(self):
         # The alpha and beta tables are the grid values broadcast to g x g,
-        # so nothing of size g² is written before the cube's indices.
-        values, alphas, betas = _cube_layout(unit_grid(0.1))[:3]
+        # so nothing of size g² is written.
+        gammas, alphas, betas = _cube_layout(unit_grid(0.1))
+        assert gammas.shape == (11, 1, 1)
         for t in (alphas, betas):
-            assert t.shape == (11, 11)
+            assert t.shape == (11, 11, 1)
             assert not t.flags.writeable
-            assert np.shares_memory(t, values)
+            assert np.shares_memory(t, gammas)
+
+    def test_cube_layout_allocates_nothing_cube_sized(self):
+        # The 101**3 cube of step 0.01 has no index array: its rows are in
+        # lexicographic order by arithmetic.
+        grid = unit_grid(0.01)
+        tracemalloc.start()
+        try:
+            layout = _cube_layout(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(layout) == 3 and peak < 64 * 1024
 
     @pytest.mark.parametrize("seed", range(5))
     def test_point_layout(self, demo_problem, seed):
@@ -157,9 +172,10 @@ class TestStackLayout:
         pts = np.array(pts + rng.sample(pts, 10))
         layout = _point_layout(pts)
         # A 1 x 1 slice per point, in input order.
-        assert layout[0].tolist() == pts[:, 2].tolist()
-        assert layout[1].shape == layout[2].shape == (len(pts), 1)
-        assert layout[3].tolist() == list(range(len(pts)))
+        assert len(layout) == 3
+        for values, column in zip(layout, (2, 0, 1)):
+            assert values.shape == (len(pts), 1, 1)
+            assert values.ravel().tolist() == pts[:, column].tolist()
         self._assert_whitens_each_point(demo_problem, pts, layout)
 
     def test_verify_example_layout_is_pinned(self, monkeypatch, capsys):
@@ -177,10 +193,9 @@ class TestStackLayout:
         capsys.readouterr()
         [layout] = laid_out
         self._assert_identical(layout, (
-            np.array([1.0, 0.4, 0.6, 0.3, 0.5, 0.0]),
-            np.array([[0.0], [0.5], [0.6], [0.7], [0.7], [1.0]]),
-            np.array([[0.0], [0.9], [0.6], [0.5], [0.9], [1.0]]),
-            np.arange(6),
+            np.array([1.0, 0.4, 0.6, 0.3, 0.5, 0.0]).reshape(6, 1, 1),
+            np.array([0.0, 0.5, 0.6, 0.7, 0.7, 1.0]).reshape(6, 1, 1),
+            np.array([0.0, 0.9, 0.6, 0.5, 0.9, 1.0]).reshape(6, 1, 1),
         ))
 
 
@@ -387,8 +402,8 @@ class TestSolveGrid:
         # raise nor keep the others from being certified.  Its 121 points
         # are settled by the ray of its first one's cold solve.
         layout = _cube_layout(unit_grid(0.1))
-        values, cache, cold, warm = _solve_points(*_uniform_stack(UNCAPPED, layout), [(0,)])
-        got = values.take(layout[3])
+        values, cache, cold, warm = _solve_points(*_white_stack(UNCAPPED, *layout), [(0,)])
+        got = values.transpose(1, 2, 0).ravel()
         assert (cache, cold, warm, int(np.isnan(got).sum())) == ([(0,)], 1, 0, 121)
         assert_matches_reference(UNCAPPED, grid_triples(0.1), got)
 
@@ -559,21 +574,32 @@ class TestGridSweep:
         def no_cube(grid):
             raise AssertionError("the cube was built")
 
-        monkeypatch.setattr(analysis, "_cube", no_cube)
         monkeypatch.setattr(analysis, "_cube_layout", no_cube)
         bad = GreyLP(objective=((2, 1),), matrix=(((1, 2),),), rhs=((3, 4),))
         with pytest.raises(ValidationError):
             call(bad)
 
+    def test_cube_too_large_to_hold_is_refused_before_it_is_whitened(self, demo_problem,
+                                                                      monkeypatch):
+        # The 10 001**3 cube of step 1e-4 needs 8 TB for its values, which
+        # numpy refuses at once; the demo's whitened objective and
+        # right-hand side stacks alone would fill 4 GB first.
+        def no_whitening(*args):
+            raise AssertionError("the cube was whitened")
+
+        monkeypatch.setattr(satisfaction, "_white_stack", no_whitening)
+        with pytest.raises(MemoryError):
+            check_monotonicity(demo_problem, "alpha", 1e-4)
+
     def test_grid_commands_build_and_sort_no_triples(self, demo_problem, monkeypatch, tmp_path,
                                                      capsys):
         # Grid tables and hit lines take their coefficient cells from the
         # cube's shape; verify-example renders nothing.  So none of them
-        # builds the cube's triples or sorts coefficients to index them.
+        # builds the cube's triples or a text per coefficient cell.
         def refused(*args):
-            raise AssertionError("triples were built or sorted")
+            raise AssertionError("triples or per-cell texts were built")
 
-        for name in ("_cube", "_cube_rows", "_triple_cells"):
+        for name in ("_cube_rows", "_row_cells"):
             monkeypatch.setattr(analysis, name, refused)
         path = tmp_path / "demo.json"
         path.write_text(bundled.EXAMPLE_PROBLEM_JSON, encoding="utf-8")
@@ -847,8 +873,8 @@ def _near_ties(decimals):
 
 def _formatted(coefficients, columns, decimals, empty, seps):
     """The text ``analysis._format_rows`` writes for these rows, their
-    coefficient cells indexed by ``analysis._triple_cells``."""
-    cells = analysis._triple_cells(coefficients)
+    coefficient cells from ``analysis._row_cells``."""
+    cells = analysis._row_cells(coefficients)
     return "".join(analysis._format_rows(cells, columns, decimals, empty, seps))
 
 

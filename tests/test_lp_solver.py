@@ -1,6 +1,7 @@
 """Simplex solver: known optima, statuses, certificates, determinism, and
 answers proven by the exact rational check of ``conftest.exact_check``."""
 
+import itertools
 import logging
 import random
 import re
@@ -33,7 +34,7 @@ from greylp import (
     uniform_coefficients,
 )
 from greylp import analysis, lp_solver
-from greylp.grey_core import _cube_layout, _point_layout, _uniform_stack
+from greylp.grey_core import _cube_layout, _point_layout, _white_stack
 from greylp.lp_solver import _iterate
 
 # Loosest whitening of the bundled demo problem: upper objective/rhs bounds,
@@ -538,7 +539,7 @@ def _kernel_bounds(p: GreyLP, bases=()):
     """The stacked kernel over the bounds' points of ``p``, with ``bases``
     as its first cached bases: ((critical, ideal), cache), a bound NaN
     where its program is unbounded."""
-    values, cache, _, _ = lp_solver._solve_points(*_uniform_stack(p, _BOUND_POINTS), bases)
+    values, cache, _, _ = lp_solver._solve_points(*_white_stack(p, *_BOUND_POINTS), bases)
     ideal, critical = values.ravel().tolist()
     return (critical, ideal), cache
 
@@ -788,7 +789,7 @@ def _layout(kind: str, rng: random.Random):
         return _cube_layout(grid)
     if kind == "points":
         return _point_layout(np.array([random_triple(rng) for _ in range(40)]))
-    pts = analysis._cube(grid)
+    pts = np.array(list(itertools.product(grid, repeat=3)))
     return _point_layout(pts[rng.sample(range(len(pts)), len(pts))])
 
 
@@ -806,7 +807,7 @@ class TestCertifiedValues:
     def test_each_point_is_summed_as_its_own_rows(self, n, kind):
         rng = random.Random(n)
         p = random_bounded_problem(rng, n=n, m=rng.randint(1, n))
-        A, C, Bv = _uniform_stack(p, _layout(kind, rng))
+        A, C, Bv = _white_stack(p, *_layout(kind, rng))
         m = A.shape[1]
         AI = np.concatenate([A, np.broadcast_to(np.eye(m), (len(A), m, m))], axis=2)
         CI = np.concatenate([C, np.zeros((len(A), C.shape[1], m))], axis=2)
