@@ -453,7 +453,8 @@ def _format_rows(cells, columns, decimals, empty, seps):
     whole digits with the point, the others four at a time), with leading
     zeros masked to NUL.  Any other value (NaN, -0.0, a negative or
     infinite value, one past the limit or one whose product rounds to a
-    tie) is formatted on its own and written into its line.
+    tie) is formatted on its own and written into its line; a text wider
+    than its column widens that column's cells in its block.
     """
     table, index = cells
     seps = [_padded(sep.encode("ascii")) for sep in seps]

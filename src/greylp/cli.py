@@ -85,7 +85,9 @@ _OPTIONAL_FIELDS = ("name", "description")
 
 def _pair_array(items, path: str) -> np.ndarray:
     """A decoded list of [lo, hi] pairs as a k x 2 float array.  Anything
-    else raises the :class:`ParseError` of the first bad entry."""
+    else raises the :class:`ParseError` of the first bad entry.  The types
+    are checked by set operations and the pairs converted by one numpy
+    call; only a list with a bad entry is walked, to name that entry."""
     if type(items) is not list:
         raise ParseError(f"{path}: expected a list of [lo, hi] pairs")
     # A bool is not a number here, so types are compared exactly.
@@ -109,16 +111,13 @@ def _pair_array(items, path: str) -> np.ndarray:
 
 def _matrix_array(rows) -> np.ndarray | list[np.ndarray]:
     """The matrix field as an m x n x 2 float array, or as one k x 2 array
-    per row when the rows differ in length."""
+    per row in an invalid file, whose rows differ in length or are none."""
     if type(rows) is not list:
         raise ParseError("matrix: expected a list of rows")
-    if set(map(type, rows)) <= {list}:
+    if set(map(type, rows)) <= {list} and len(set(map(len, rows))) == 1:
         with contextlib.suppress(ParseError):  # named row by row below
             bounds = _pair_array(list(itertools.chain.from_iterable(rows)), "matrix")
-            lengths = list(map(len, rows))
-            if len(set(lengths)) == 1:
-                return bounds.reshape(len(rows), lengths[0], 2)
-            return np.split(bounds, np.cumsum(lengths)[:-1]) if rows else []
+            return bounds.reshape(len(rows), len(rows[0]), 2)
     return [_pair_array(row, f"matrix[{i}]") for i, row in enumerate(rows)]
 
 

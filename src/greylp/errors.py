@@ -1,5 +1,17 @@
 """Exception hierarchy and warnings shared across the toolkit."""
 
+__all__ = [
+    "GreyLPError",
+    "DomainError",
+    "StructureError",
+    "ValidationError",
+    "ParseError",
+    "UnboundedValueError",
+    "InconsistentInputsError",
+    "SolverFailure",
+    "DegenerateBoundsWarning",
+]
+
 
 class GreyLPError(Exception):
     """Base class for all toolkit errors."""

@@ -250,21 +250,10 @@ class PositionCoefficients(_ArrayRecord):
             bad = ~((values >= 0.0) & (values <= 1.0))  # also flags NaN
             if bad.any():
                 _unit(values[bad.argmax()], f"position coefficient in {name}")  # raises
-        self._set(alpha, beta, gamma)
-
-    def _set(self, alpha, beta, gamma):
         # The class is frozen; fields are set once, here.
         self.__dict__.update(
             alpha_array=_frozen(alpha), beta_array=_frozen(beta), gamma_array=_frozen(gamma)
         )
-
-    @classmethod
-    def _of_arrays(cls, alpha, beta, gamma) -> PositionCoefficients:
-        """Coefficients holding the new arrays ``alpha`` (n), ``beta`` (m)
-        and ``gamma`` (m x n), whose entries the caller checked."""
-        k = object.__new__(cls)
-        k._set(alpha, beta, gamma)
-        return k
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -393,15 +382,13 @@ def uniform_coefficients(
         raise StructureError(f"m and n must be integers, got m={m!r}, n={n!r}")
     if m < 1 or n < 1:
         raise StructureError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    # Every entry is one of three scalars, so the scalars are checked (in
-    # the constructor's order) instead of the filled arrays.
+    # Every entry is one of three scalars, so a bad one is reported by the
+    # scalar check (in the constructor's order) before any array is filled.
     alpha, beta, gamma = (
         _unit(v, f"position coefficient in {name}")
         for v, name in ((alpha, "alphas"), (beta, "betas"), (gamma, "gammas"))
     )
-    return PositionCoefficients._of_arrays(
-        np.full(n, alpha), np.full(m, beta), np.full((m, n), gamma)
-    )
+    return PositionCoefficients(np.full(n, alpha), np.full(m, beta), np.full((m, n), gamma))
 
 
 def _point_layout(pts: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -485,9 +472,11 @@ def validate_problem(p: GreyLP) -> list[Violation]:
     Checks interval ordering (lo <= hi), the nonnegativity assumption
     (lo >= 0) and finiteness of all bounds.  Returns an empty list iff the
     problem is valid.  Violations are data, not exceptions, so a CLI user
-    sees every data problem in one pass.  A ``GreyLP`` is m x n by
-    construction; :func:`~greylp.cli.parse_problem` reports the dimension
-    mismatches of a problem file.
+    sees every data problem in one pass.  Each block is checked with array
+    masks, and a message is formatted only for a flagged entry: block by
+    block (objective, matrix, rhs), in C order within each.  A ``GreyLP``
+    is m x n by construction; :func:`~greylp.cli.parse_problem` reports the
+    dimension mismatches of a problem file.
     """
     return [
         *_interval_violations(p.c_lo, p.c_hi, "objective[{}]".format),

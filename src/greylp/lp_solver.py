@@ -26,13 +26,20 @@ singular basis) fails and is solved cold.  The ray of an unbounded solve
 settles every pending point of its slice whose objective gains along it.
 Each simplex solve logs one DEBUG record on the ``greylp.lp_solver``
 logger naming its start (cold or warm), the pivots taken (and how many of
-them were degenerate) and the outcome; the records are built only when
-DEBUG is enabled for that logger.
+them were degenerate) and the outcome, as in ``solve_max: warm start, 2
+pivots (0 degenerate), optimal``.  A warm start that falls back to a cold
+solve reads ``failed``, one past the pivot budget names the budget instead
+of the counts, and a refused singular start reads ``0 pivots (0
+degenerate), failed``; a certified point logs none.  The records are built
+only when DEBUG is enabled for that logger.
 
 A solve is post-checked in floating point only: x >= 0, A.x <= b within
 1e-7 * max(1, |b_i|), and a finite tableau and objective.  ``tests/conftest.py`` proves the returned
 basis or ray exactly, in rational arithmetic on the float data, and the
-tests take that as ground truth.
+tests take that as ground truth.  The pivot and reduced-cost tolerances
+are absolute, so on a badly scaled program "optimal" can depend on the
+path: for c = 1e-9, A = 0.1, b = 1 the cold solve stops at 0, while the
+basis {x}, once cached, certifies the true optimum 1e-8.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ class SolveStatus(str, enum.Enum):
     OPTIMAL = "optimal"
     UNBOUNDED = "unbounded"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return self.value
 
 
@@ -234,8 +241,9 @@ def _phase2(A, b, c, S=None) -> tuple[LPSolution | None, int, int]:
 def _solve_stack(M, R) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.solve(M, R)`` over a stack of matrices, and which of them
     are nonsingular.  One singular matrix makes the stacked solve raise for
-    all of them, so the stack is then solved one matrix at a time and the
-    solutions in the singular ones are NaN."""
+    all of them (as the basis {x} of ``max x s.t. gamma*x <= b`` does in
+    the slice gamma = 0), so the stack is then solved one matrix at a time
+    and the solutions in the singular ones are NaN."""
     try:
         return np.linalg.solve(M, R), np.ones(len(M), dtype=bool)
     except np.linalg.LinAlgError:
@@ -260,10 +268,11 @@ def _certify(AI, CI, Bv, basis):
     |c.x - y.b| <= tol * max(1, |f|).  One factorisation per program serves
     all its objectives and right-hand sides, and two batched products give
     its values c.x and y.b over its ka x kb rectangle, the values summed
-    as ``np.einsum("ij,ij->i")`` sums each point's rows.  Returns (ok, f,
-    primal): whether each point is certified and its optimal value (only
-    meaningful where certified), both G x ka x kb, and whether the basis is
-    primal feasible (and nonsingular) at each right-hand side, G x kb.
+    as ``np.einsum("ij,ij->i")`` sums each point's rows (a BLAS product
+    could move printed digits).  Returns (ok, f, primal): whether each
+    point is certified and its optimal value (only meaningful where
+    certified), both G x ka x kb, and whether the basis is primal feasible
+    (and nonsingular) at each right-hand side, G x kb.
     """
     m, width = AI.shape[1:]
     n, kb = width - m, Bv.shape[1]
@@ -372,6 +381,7 @@ def _solve_points(A, C, Bv, bases=()):
     pending = np.ones((G, ka, kb), dtype=bool)
     # Per slice and right-hand side, the latest cached basis primal feasible
     # there (-1 for none): where a point's solve starts if none certifies it.
+    # Primal feasibility does not depend on the objective, so G x kb.
     feasible = np.full((G, kb), -1)
     points = ka == kb == 1  # a slice per point, as grey_core._point_layout lays them out
 

@@ -154,7 +154,8 @@ def _solve_grid(p: GreyLP, layout: tuple[np.ndarray, ...]) -> np.ndarray:
     (``solve_max(build_positioned(p, uniform_coefficients(...)))``), up to
     rounding.  One INFO record on the ``greylp.satisfaction`` logger
     reports the points, cold and warm-started solves, certified points,
-    distinct bases and non-optimal (unbounded) points; its counts are
+    distinct bases and non-optimal (unbounded) points; points settled by
+    the ray of an unbounded solve count as certified.  Its counts are
     taken only when INFO is enabled for that logger."""
     gammas, alphas, betas = layout
     # Allocated first, so that a cube too large to hold fails at once, as

@@ -1191,11 +1191,6 @@ class TestBadArguments:
         assert got == want
 
 
-def test_grid_sweep_benchmark_smoke(benchmark, demo_problem):
-    # One timed round with no time bound: it exercises the benchmark plugin
-    # and the sweep path without making the suite depend on host speed.
-    table = benchmark.pedantic(
-        grid_sweep, args=(demo_problem, 0.1), kwargs={"lambdas": (0.5, 1.0)},
-        rounds=1, iterations=1,
-    )
+def test_grid_sweep_of_the_demo_at_step_0_1(demo_problem):
+    table = grid_sweep(demo_problem, 0.1, lambdas=(0.5, 1.0))
     assert len(table.f) == 11**3

@@ -455,6 +455,14 @@ class TestExitCodes:
         assert run(argv) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value, error", [
+        ("--step", "abc", "argument --step: 'abc' is not a number"),
+        ("--lambdas", ",", "argument --lambdas: expected a comma-separated list of values in [0, 1]"),
+    ], ids=["step", "lambdas"])
+    def test_option_error_text(self, capsys, option, value, error):
+        assert run(["sweep", "--file", "x.json", option, value]) == 3
+        assert capsys.readouterr() == ("", f"error: greylp sweep: {error}\n")
+
     def test_mixed_coefficient_flags_exit_3(self, capsys, demo_file):
         code = run(["solve", "--file", demo_file, "--theta", "0.5", "--alpha", "0.5"])
         assert code == 3
@@ -676,6 +684,20 @@ class TestMonotonicityCommand:
         assert run(["monotonicity", "--file", demo_file]) == 3
         capsys.readouterr()
 
+    def test_prints_each_violation(self, capsys, demo_file, monkeypatch):
+        report = analysis.MonotonicityReport(
+            axis="beta", direction="nondecreasing", axis_values=(0.0, 0.5, 1.0),
+            violations=((((0.5, 0.0, 1.0), (0.5, 0.5, 1.0)), (30000.5, 29999.25)),),
+        )
+        monkeypatch.setattr(cli, "check_monotonicity", lambda p, axis, step: report)
+        assert run(["monotonicity", "--file", demo_file, "--axis", "beta"]) == 0
+        assert capsys.readouterr().out == (
+            "axis = beta (expected nondecreasing)\n"
+            "pairs checked = 18\n"
+            "violations = 1\n"
+            "  (0.5,0,1) -> (0.5,0.5,1): f 30000.5 -> 29999.25\n"
+        )
+
 
 class TestSatisfactoryCommand:
     def test_lists_reaching_settings(self, capsys, demo_file):
@@ -735,6 +757,18 @@ class TestVerifyExample:
             "solve_grid: 6 points, 2 cold solves, 0 warm starts, 4 certified, 2 bases, "
             "0 non-optimal"
         )
+
+    def test_reports_a_cell_that_misses(self, capsys, monkeypatch):
+        rows = list(bundled.REFERENCE_POSITIONED)
+        rows[2] = ((0.6, 0.6, 0.6), 42995.0, 0.54724)
+        monkeypatch.setattr(bundled, "REFERENCE_POSITIONED", tuple(rows))
+        assert run(["verify-example"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL  f(0.6,0.6,0.6): computed 42995.889908, reference 42995.0, "
+            "|diff| 8.90e-01 (tol 0.01)"
+        ]
+        assert lines[-1] == "result: 55 of 56 cells match"
 
     def test_is_deterministic(self, capsys):
         run(["verify-example"])
@@ -959,19 +993,17 @@ def _seeded_problem(size: int, seed: int) -> GreyLP:
     )
 
 
-def test_cold_degrees_query_benchmark_smoke(benchmark, capsys, caplog, tmp_path):
-    # One timed round with no time bound: a 60x60 query runs parse,
-    # validate and whiten, solves its own setting cold and, in the same
-    # kernel call, both bounds from that basis, and the suite does not
-    # depend on host speed.  The ideal
-    # program pivots on from the query's basis; a cached basis certifies
-    # the critical one, which logs no record.
+def test_cold_degrees_query_solves_its_bounds_from_its_basis(capsys, caplog, tmp_path):
+    # A 60x60 query runs parse, validate and whiten, solves its own setting
+    # cold and, in the same kernel call, both bounds from that basis.  The
+    # ideal program pivots on from the query's basis (in 2 pivots); a
+    # cached basis certifies the critical one, which logs no record.
     p = _seeded_problem(60, seed=2012)
     path = tmp_path / "synthetic60.json"
     path.write_text(problem_text(ProblemFile(problem=p)), encoding="utf-8")
     argv = ["degrees", "--file", str(path), "--theta", "0.3", "--precise"]
     with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
-        code = benchmark.pedantic(run, args=(argv,), rounds=1, iterations=1)
+        code = run(argv)
     assert code == 0
     starts = [r.getMessage().split(",")[0] for r in caplog.records]
     assert starts == ["solve_max: cold start", "solve_max: warm start"]

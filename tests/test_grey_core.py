@@ -312,6 +312,11 @@ class TestBuildPositioned:
         with pytest.raises(StructureError):
             build_positioned(demo_problem, wrong_m)
 
+    def test_gamma_grid_of_the_wrong_shape(self, demo_problem):
+        k = PositionCoefficients(alphas=[0.5] * 2, betas=[0.5] * 3, gammas=[[0.5] * 3] * 2)
+        with pytest.raises(StructureError, match=r"^expected a 3x2 gamma grid$"):
+            build_positioned(demo_problem, k)
+
 
 class TestWhiteLP:
     def test_strict_dimensions(self):
@@ -474,6 +479,13 @@ class TestArrayStorage:
             uniform_coefficients(0.5, 0.5, 0.5, 1, 1)
         )
         assert WhiteLP(c=(1,), A=((2,),), b=(3,)) == WhiteLP(c=[1.0], A=np.array([[2.0]]), b=[3])
+
+    def test_records_of_another_class_are_unequal(self):
+        # __eq__ returns NotImplemented, so Python falls back to identity.
+        p = GreyLP(objective=((1, 1),), matrix=(((2, 2),),), rhs=((3, 3),))
+        w = WhiteLP(c=(1,), A=((2,),), b=(3,))
+        assert p.__eq__(w) is NotImplemented
+        assert p != w and not (w == p)
 
 
 class TestValidateMatchesReference:

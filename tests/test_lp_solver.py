@@ -110,6 +110,9 @@ class TestKnownOptima:
         x[list(sol.basis)] = np.linalg.solve(AI[:, list(sol.basis)], lp.b_array)
         assert x[:n] == pytest.approx(sol.x, rel=1e-12)
 
+    def test_status_prints_as_its_value(self):
+        assert [str(s) for s in SolveStatus] == ["optimal", "unbounded"]
+
 
 class TestUnbounded:
     def test_uncapped_single_variable(self):

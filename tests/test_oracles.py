@@ -9,6 +9,10 @@ an interval LP in this form: Chinneck & Ramadan, J. Oper. Res. Soc. 51,
 the optimum, and raising one of A never raises it.  Permuting the
 variables and the constraints, together with their positions, only
 renames the program.
+
+The lambda-satisfaction degree of an optimum f between the critical value
+C and the ideal value I is the linear degree (f - C)/(I - C) at lambda = 1,
+and it is nondecreasing in f and in lambda.
 """
 
 import random
@@ -19,11 +23,12 @@ from hypothesis import strategies as st
 
 from conftest import many_basis_problem, random_bounded_problem
 from greylp import (
-    GreyLP, PositionCoefficients, bounds, lambda_satisfactions, pleased_degrees,
+    GreyLP, PositionCoefficients, ValueBounds, bounds, lambda_satisfactions, pleased_degrees,
     positioned_value,
 )
 
 _TOL = 1e-9
+_DEGREE_TOL = 1e-12  # degrees lie in [0, 1], so this is absolute
 
 
 def _close(x: float, y: float) -> bool:
@@ -94,3 +99,32 @@ def test_permuting_rows_and_columns_with_their_positions_changes_nothing(instanc
     if not (vb.is_degenerate or vq.is_degenerate):  # degrees of 1 with a warning
         assert _close(float(lambda_satisfactions(f, vb, lam)),
                       float(lambda_satisfactions(fq, vq, lam)))
+
+
+@st.composite
+def _bounds_and_optima(draw):
+    """(vb, f): bounds with a critical value C in [0, 1e6] and a spread I - C
+    of 1e-6 to 1e6 times max(1, C), so never degenerate, and 1 to 20
+    optima in [C, I] in increasing order."""
+    critical = draw(st.floats(0.0, 1e6))
+    vb = ValueBounds(critical, critical + draw(st.floats(1e-6, 1e6)) * max(1.0, critical))
+    u = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20)))
+    return vb, np.minimum(vb.critical + u * (vb.ideal - vb.critical), vb.ideal)
+
+
+@settings(max_examples=200)
+@given(_bounds_and_optima())
+def test_satisfaction_at_lambda_1_is_the_linear_degree(instance):
+    vb, f = instance
+    linear = [(v - vb.critical) / (vb.ideal - vb.critical) for v in f.tolist()]
+    assert np.abs(lambda_satisfactions(f, vb, 1.0) - linear).max() <= _DEGREE_TOL
+
+
+@settings(max_examples=200)
+@given(_bounds_and_optima(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_satisfaction_is_nondecreasing_in_the_optimum_and_in_lambda(instance, lam, other):
+    vb, f = instance
+    low, high = (lambda_satisfactions(f, vb, t) for t in sorted((lam, other)))
+    assert np.diff(low).min(initial=0.0) >= -_DEGREE_TOL
+    assert np.diff(high).min(initial=0.0) >= -_DEGREE_TOL
+    assert (high - low).min() >= -_DEGREE_TOL
