@@ -11,8 +11,9 @@ Every sweep solves its points in one call of the stacked kernel
 ``greylp.lp_solver._solve_points``, through ``satisfaction._solve_grid``.
 Under uniform whitening the matrix depends on gamma alone, the right-hand
 side on beta alone and the objective on alpha alone, so a simplex basis S
-gives, from one factorisation of B = [A | I][:, S] per gamma slice, the
-basic solution for every beta and the dual vector for every alpha; it is
+gives, from one factorisation of B = [A | I][:, S] per gamma slice and one
+of its block of basic structural columns, the basic solution for every
+beta and the dual vector for every alpha; it is
 optimal on the rectangle of primal-feasible betas times dual-feasible
 alphas (parametric programming, Gal 1995).  A grid command's cube
 (``grid_sweep``, ``check_monotonicity``, ``find_satisfactory``) is laid

@@ -30,6 +30,7 @@ import itertools
 import json
 import pathlib
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,7 @@ from .analysis import (
     lambda_sweep,
 )
 from .errors import (
+    DegenerateBoundsWarning,
     GreyLPError,
     ParseError,
     SolverFailure,
@@ -498,17 +500,24 @@ def run(args) -> int:
     """Execute one command line and return the process exit code.
 
     0 success; 1 validation/parse error; 2 computation failure (unbounded,
-    iteration cap, or a grid too large to allocate); 3 usage error.
+    iteration cap, or a grid too large to allocate); 3 usage error.  The
+    warnings the command issues are recorded, and each distinct text is
+    printed once, after the command, as ``warning: <text>`` on the error
+    stream.
     """
-    try:
-        ns = _parser().parse_args(list(args))
-        return int(ns.handler(ns))
-    except SystemExit as exc:  # --help prints and exits 0
-        code = exc.code
-        return code if isinstance(code, int) else 0
-    except (GreyLPError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DegenerateBoundsWarning)
+        try:
+            ns = _parser().parse_args(list(args))
+            code = int(ns.handler(ns))
+        except SystemExit as exc:  # --help prints and exits 0
+            code = exc.code if isinstance(exc.code, int) else 0
+        except (GreyLPError, OSError, MemoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = next(c for kinds, c in _EXIT_CODES if isinstance(exc, kinds))
+    for text in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {text}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -18,20 +18,25 @@ among the points): point (g, a, b) of the stack is objective a and
 right-hand side b of slice g.  It certifies each optimal basis found at
 every pending point of the stack at once (``_certify``: primal and dual
 feasibility, the feasibility post-check and a duality gap), on the box of
-slices x alphas x betas that holds the pending points, pivots on by phase
-2 from a cached basis that is primal feasible at a point, and solves cold
-with ``solve_max`` where there is none or that solve fails.  A warm start
-whose B^-1 B is not the identity within ``_TOL_BASIS`` (a numerically
-singular basis) fails and is solved cold.  The ray of an unbounded solve
-settles every pending point of its slice whose objective gains along it.
-Each simplex solve logs one DEBUG record on the ``greylp.lp_solver``
-logger naming its start (cold or warm), the pivots taken (and how many of
-them were degenerate) and the outcome, as in ``solve_max: warm start, 2
-pivots (0 degenerate), optimal``.  A warm start that falls back to a cold
-solve reads ``failed``, one past the pivot budget names the budget instead
-of the counts, and a refused singular start reads ``0 pivots (0
-degenerate), failed``; a certified point logs none.  The records are built
-only when DEBUG is enabled for that logger.
+slices x alphas x betas that holds the pending points.  No [A | I] is
+stacked: a basis's primal values come from its m x m basis matrix, and its
+duals from the k x k block of its k basic structural columns on the rows
+whose slack is nonbasic, since the dual of a row whose slack is basic is
+0.  A basis whose matrix or block is singular in a slice certifies nothing
+there and starts no point.  The kernel pivots on by phase 2 from a cached
+basis that is primal feasible at a point, and solves cold with
+``solve_max`` where there is none or that solve fails.  A warm start whose
+B^-1 B is not the identity within ``_TOL_BASIS`` (a numerically singular
+basis) fails and is solved cold.  The ray of an unbounded solve settles
+every pending point of its slice whose objective gains along it.  Each
+simplex solve logs one DEBUG record on the ``greylp.lp_solver`` logger
+naming its start (cold or warm), the pivots taken (and how many of them
+were degenerate) and the outcome, as in ``solve_max: warm start, 2 pivots
+(0 degenerate), optimal``.  A warm start that falls back to a cold solve
+reads ``failed``, one past the pivot budget names the budget instead of
+the counts, and a refused singular start reads ``0 pivots (0 degenerate),
+failed``; a certified point logs none.  The records are built only when
+DEBUG is enabled for that logger.
 
 A solve is post-checked in floating point only: x >= 0, A.x <= b within
 1e-7 * max(1, |b_i|), and a finite tableau and objective.  ``tests/conftest.py`` proves the returned
@@ -256,49 +261,70 @@ def _solve_stack(M, R) -> tuple[np.ndarray, np.ndarray]:
         return X, nonsingular
 
 
-def _certify(AI, CI, Bv, basis):
+def _certify(A, C, Bv, basis):
     """Where in a stack of G programs the basis ``basis`` is proven optimal.
 
-    ``AI`` stacks the programs' constraint matrices [A | I] (G x m x
-    (n+m)), ``CI`` their objectives zero-padded over the slacks (G x ka x
-    (n+m)) and ``Bv`` their right-hand sides (G x kb x m); point (g, a, b)
-    is objective a and right-hand side b of slice g.  A point is certified
-    only if it passes the solver's own tests: basic values >= -tol, reduced
-    costs <= tol, the post-check of :func:`_slack_ok`, and a duality gap
-    |c.x - y.b| <= tol * max(1, |f|).  One factorisation per program serves
-    all its objectives and right-hand sides, and two batched products give
-    its values c.x and y.b over its ka x kb rectangle, the values summed
-    as ``np.einsum("ij,ij->i")`` sums each point's rows (a BLAS product
-    could move printed digits).  Returns (ok, f, primal): whether each
-    point is certified and its optimal value (only meaningful where
+    ``A`` stacks the programs' constraint matrices (G x m x n), ``C`` their
+    objectives (G x ka x n) and ``Bv`` their right-hand sides (G x kb x m);
+    point (g, a, b) is objective a and right-hand side b of slice g, and
+    ``basis`` names columns of [A | I] as :class:`LPSolution` does.  A
+    point is certified only if it passes the solver's own tests: basic
+    values >= -tol, reduced costs <= tol, the post-check of
+    :func:`_slack_ok`, and a duality gap |c.x - y.b| <= tol * max(1, |f|).
+
+    [A | I] itself is never built.  The basis matrix B holds A's k basic
+    columns and a unit column per basic slack, and one m x m solve per
+    program gives x at all its right-hand sides.  The duals y are 0 on
+    every row whose slack is basic, so B^T y = c_B reduces to the k x k
+    block of the basic columns on the k rows F whose slack is nonbasic:
+    A[F, S]^T y_F = c_S, one solve per program for all its objectives.  One
+    product prices the n - k nonbasic columns of A; a nonbasic slack's
+    reduced cost is -y_i, and y.b is y_F.b_F.  A program whose B or block
+    is singular certifies nothing.  Two batched products give each
+    program's values c.x and y.b over its ka x kb rectangle, the values
+    summed as ``np.einsum("ij,ij->i")`` sums each point's rows (a BLAS
+    product could move printed digits).  Returns (ok, f, primal): whether
+    each point is certified and its optimal value (only meaningful where
     certified), both G x ka x kb, and whether the basis is primal feasible
     (and nonsingular) at each right-hand side, G x kb.
     """
-    m, width = AI.shape[1:]
-    n, kb = width - m, Bv.shape[1]
+    G, m, n = A.shape
+    kb = Bv.shape[1]
     S = np.asarray(basis)
-    B = AI[:, :, S]
+    structural = S < n
+    cols = S[structural]
+    slack_rows = S[~structural] - n
+    rows = np.ones(m, dtype=bool)
+    rows[slack_rows] = False
+    F = np.flatnonzero(rows)
+    B = np.zeros((G, m, m))
+    B[:, :, structural] = A[:, :, cols]
+    B[:, slack_rows, np.flatnonzero(~structural)] = 1.0
     xB, solved = _solve_stack(B, Bv.transpose(0, 2, 1))  # G x m x kb
-    Y, solved_dual = _solve_stack(B.transpose(0, 2, 1), CI[:, :, S].transpose(0, 2, 1))
+    del B  # freed before the dual's blocks are gathered, which lowers the peak
+    AF = A[:, F]
+    YF, solved_dual = _solve_stack(  # G x k x ka
+        AF[:, :, cols].transpose(0, 2, 1), C[:, :, cols].transpose(0, 2, 1)
+    )
     with np.errstate(invalid="ignore", over="ignore"):
-        xs = np.zeros((len(AI), n, kb))
-        structural = S < n
-        xs[:, S[structural]] = xB[:, structural]
+        xs = np.zeros((G, n, kb))
+        xs[:, cols] = xB[:, structural]
         xs[(xs < 0.0) & (xs > -_TOL_PIVOT)] = 0.0  # solve_max's snap
         primal = (xB >= -_TOL_PIVOT).all(axis=1)
-        primal &= _slack_ok(Bv.transpose(0, 2, 1), AI[:, :, :n] @ xs).all(axis=1)
+        primal &= _slack_ok(Bv.transpose(0, 2, 1), A @ xs).all(axis=1)
         primal &= (solved & solved_dual)[:, None]
-        nonbasic = np.ones(width, dtype=bool)
-        nonbasic[S] = False
-        AN = AI[:, :, nonbasic].transpose(0, 2, 1)
-        reduced = CI[:, :, nonbasic].transpose(0, 2, 1) - AN @ Y
-        dual = (reduced <= _TOL_PIVOT).all(axis=1)
+        nonbasic = np.ones(n, dtype=bool)
+        nonbasic[cols] = False
+        reduced = C[:, :, nonbasic].transpose(0, 2, 1)
+        reduced -= AF[:, :, nonbasic].transpose(0, 2, 1) @ YF
+        # A nonbasic slack's reduced cost is -y_i <= tol.
+        dual = (reduced <= _TOL_PIVOT).all(axis=1) & (YF >= -_TOL_PIVOT).all(axis=1)
         # Each slice's values and dual values over its alpha x beta
         # rectangle.  The values' summed axis is contiguous in both
         # operands, so each is summed as "ij,ij->i" sums one point's two
         # rows; the dual values are read by the gap test alone.
-        f = np.einsum("gan,gbn->gab", CI[:, :, :n], np.ascontiguousarray(xs.transpose(0, 2, 1)))
-        gap = np.matmul(Y.transpose(0, 2, 1), Bv.transpose(0, 2, 1))
+        f = np.einsum("gan,gbn->gab", C, np.ascontiguousarray(xs.transpose(0, 2, 1)))
+        gap = np.matmul(YF.transpose(0, 2, 1), Bv[:, :, F].transpose(0, 2, 1))
         gap -= f
         bound = np.abs(f)
         np.maximum(bound, 1.0, out=bound)
@@ -351,15 +377,16 @@ def _solve_points(A, C, Bv, bases=()):
     Every cached optimal basis, starting with ``bases``, is certified at
     all pending points at once (see :func:`_certify`), over the bounding
     box of those points: a range of slices x a range of alphas x a range
-    of betas, taken as views of the stacks.  No caller in greylp passes
-    ``bases``; the tests start from chosen ones.  Every point no basis
-    certifies is solved, in slice order and then (alpha, beta) order: by
-    phase 2 from the latest cached basis that is primal feasible there, or
-    cold by :func:`solve_max` if there is none or that phase 2 does not
-    end in a checked optimum or ray.  Its optimal basis joins the cache and
-    is certified in turn on the box of the points still pending, which
-    only shrinks, so a basis's primal feasibility is recorded wherever a
-    later point may start.  Its ray d, if it is unbounded (d >= 0, A[s].d
+    of betas, taken as views of the stacks themselves: no [A | I] or
+    [C | 0] copy of them is built.  No caller in greylp passes ``bases``;
+    the tests start from chosen ones.  Every point no basis certifies is
+    solved, in slice order and then (alpha, beta) order: by phase 2 from
+    the latest cached basis that is primal feasible there, or cold by
+    :func:`solve_max` if there is none or that phase 2 does not end in a
+    checked optimum or ray.  Its optimal basis joins the cache and is
+    certified in turn on the box of the points still pending, which only
+    shrinks, so a basis's primal feasibility is recorded wherever a later
+    point may start.  Its ray d, if it is unbounded (d >= 0, A[s].d
     <= 0), settles every pending point of its slice s whose objective
     gains along it, C[s, a].d > ``_TOL_PIVOT``: unbounded at every
     right-hand side, so it is not solved.
@@ -372,10 +399,7 @@ def _solve_points(A, C, Bv, bases=()):
     would have certified it.
     """
     _require_nonnegative(Bv)
-    G, m, _ = A.shape
-    ka, kb = C.shape[1], Bv.shape[1]
-    AI = np.concatenate([A, np.broadcast_to(np.eye(m), (G, m, m))], axis=2)
-    CI = np.concatenate([C, np.zeros((G, ka, m))], axis=2)
+    G, ka, kb = len(A), C.shape[1], Bv.shape[1]
     values = np.full((G, ka, kb), np.nan)
     cache = list(dict.fromkeys(tuple(sorted(basis)) for basis in bases))
     pending = np.ones((G, ka, kb), dtype=bool)
@@ -399,7 +423,7 @@ def _solve_points(A, C, Bv, bases=()):
             alphas = np.flatnonzero(rectangle.any(axis=1))
             betas = np.flatnonzero(rectangle.any(axis=0))
             a, b = slice(alphas[0], alphas[-1] + 1), slice(betas[0], betas[-1] + 1)
-        ok, f, primal = _certify(AI[g], CI[g, a], Bv[g, b], cache[which])
+        ok, f, primal = _certify(A[g], C[g, a], Bv[g, b], cache[which])
         box = pending[g, a, b]  # views, so the writes below go through
         ok &= box
         np.copyto(values[g, a, b], f, where=ok)

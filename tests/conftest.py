@@ -41,6 +41,7 @@ from greylp import (
     solve_max,
     uniform_coefficients,
 )
+from greylp.lp_solver import _slack_ok, _solve_stack
 
 settings.register_profile("suite", deadline=None, max_examples=100)
 settings.load_profile("suite")
@@ -343,6 +344,41 @@ def reference_solve_max(lp: WhiteLP) -> LPSolution:
         objective=float(c @ xs),
         basis=tuple(basis),
     )
+
+
+def reference_certify(A, C, Bv, basis):
+    """The certification over stacked ``[A | I]`` matrices that
+    ``lp_solver._certify`` replaces, kept as its reference: the full m x m
+    basis matrix B is taken from ``[A | I]`` (G x m x (n+m)) and the
+    objectives padded with zeros over the slacks (G x ka x (n+m)); y solves
+    B^T y = c_B, and every nonbasic column of ``[A | I]`` is priced.  Takes
+    and returns what ``_certify`` does: (ok, f, primal)."""
+    (G, m, n), kb = A.shape, Bv.shape[1]
+    AI = np.concatenate([A, np.broadcast_to(np.eye(m), (G, m, m))], axis=2)
+    CI = np.concatenate([C, np.zeros((G, C.shape[1], m))], axis=2)
+    S = np.asarray(basis)
+    B = AI[:, :, S]
+    xB, solved = _solve_stack(B, Bv.transpose(0, 2, 1))
+    Y, solved_dual = _solve_stack(B.transpose(0, 2, 1), CI[:, :, S].transpose(0, 2, 1))
+    with np.errstate(invalid="ignore", over="ignore"):
+        xs = np.zeros((G, n, kb))
+        structural = S < n
+        xs[:, S[structural]] = xB[:, structural]
+        xs[(xs < 0.0) & (xs > -_TOL_PIVOT)] = 0.0
+        primal = (xB >= -_TOL_PIVOT).all(axis=1)
+        primal &= _slack_ok(Bv.transpose(0, 2, 1), AI[:, :, :n] @ xs).all(axis=1)
+        primal &= (solved & solved_dual)[:, None]
+        nonbasic = np.ones(n + m, dtype=bool)
+        nonbasic[S] = False
+        AN = AI[:, :, nonbasic].transpose(0, 2, 1)
+        reduced = CI[:, :, nonbasic].transpose(0, 2, 1) - AN @ Y
+        dual = (reduced <= _TOL_PIVOT).all(axis=1)
+        f = np.einsum("gan,gbn->gab", CI[:, :, :n], np.ascontiguousarray(xs.transpose(0, 2, 1)))
+        gap = np.matmul(Y.transpose(0, 2, 1), Bv.transpose(0, 2, 1)) - f
+        ok = np.abs(gap) <= _TOL_PIVOT * np.maximum(np.abs(f), 1.0)
+        ok &= primal[:, None, :]
+        ok &= dual[:, :, None]
+    return ok, f, primal
 
 
 def blocks(p: GreyLP):

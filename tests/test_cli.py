@@ -4,6 +4,7 @@ import contextlib
 import copy
 import gc
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -671,6 +672,37 @@ class TestSweepCommand:
             finally:
                 tracemalloc.stop()
         assert peak < 136 * rows
+
+
+# A white problem: its critical and ideal values coincide (f = 10).
+WHITE_DOC = json.dumps({
+    "objective": [[3, 3], [2, 2]],
+    "matrix": [[[1, 1], [1, 1]], [[2, 2], [1, 1]]],
+    "rhs": [[4, 4], [6, 6]],
+})
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["degrees", "--theta", "0.5"],
+     "f = 10.00\nmu = 0.5000\nmu_tilde[lambda=1] = 1.0000\npleased (mu >= 0.5): yes\n"
+     "satisfactory (mu_tilde >= 0.5): yes\n"),
+    (["sweep", "--step", "0.5", "--lambdas", "0.5,1"],
+     "alpha,beta,gamma,f,mu,mu_tilde[0.5],mu_tilde[1]\n"
+     + "".join(f"{a},{b},{g},10.00,0.5000,1.0000,1.0000\n"
+               for a, b, g in itertools.product(("0", "0.5", "1"), repeat=3))),
+], ids=["degrees", "sweep"])
+def test_warning_prints_once_as_plain_text(capsys, tmp_path, argv, out):
+    # The suite turns every warning into an error, and run still records
+    # this one: the degenerate bounds warn once per lambda scored (twice in
+    # the sweep), and the text is printed once, with no source location.
+    path = tmp_path / "white.json"
+    path.write_text(WHITE_DOC, encoding="utf-8")
+    assert run([*argv, "--file", str(path)]) == 0
+    assert capsys.readouterr() == (
+        out,
+        "warning: critical and ideal values coincide (effectively white problem); "
+        "reporting satisfaction degree 1\n",
+    )
 
 
 class TestMonotonicityCommand:

@@ -5,6 +5,7 @@ import itertools
 import logging
 import random
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -16,9 +17,11 @@ from hypothesis import strategies as st
 from conftest import (
     exact_check,
     grid_triple,
+    many_basis_problem,
     random_bounded_problem,
     random_loose_problem,
     random_triple,
+    reference_certify,
     reference_solve_max,
 )
 from greylp import (
@@ -759,14 +762,19 @@ class TestRejectedStart:
         assert len(calls) == 3  # the warm start, then the cold solve twice
 
     def test_numerically_singular_start_is_refused(self, caplog):
-        # B^-1 B comes out far from the identity, so the warm start fails
-        # before any pivot and the program is solved cold.
+        # Phase 2 from this start finds B^-1 B far from the identity and
+        # fails before any pivot.  The kernel never gets that far: the
+        # start's k x k structural block is exactly singular, so it
+        # certifies nothing, is feasible nowhere, and the program is solved
+        # cold.
         lp, start = SINGULAR_START
+        assert lp_solver._phase2(lp.A_array, lp.b_array, lp.c_array, np.array(start)) == (
+            None, 0, 0
+        )
         with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
             got = _started(lp, start)
         assert got == _as_cold_start(_outcome(solve_max, lp)) == ("nan", 1, 0)
         assert [r.getMessage() for r in caplog.records] == [
-            "solve_max: warm start, 0 pivots (0 degenerate), failed",
             "solve_max: cold start, 0 pivots (0 degenerate), unbounded",
         ]
 
@@ -813,18 +821,18 @@ class TestCertifiedValues:
         A, C, Bv = _white_stack(p, *_layout(kind, rng))
         m = A.shape[1]
         AI = np.concatenate([A, np.broadcast_to(np.eye(m), (len(A), m, m))], axis=2)
-        CI = np.concatenate([C, np.zeros((len(A), C.shape[1], m))], axis=2)
         if kind == "box":
             # 2 to 5 of the 5 slices, and 1 to 3 of the 5 alphas and betas,
             # never the first.
             g = slice(rng.randint(0, 1), rng.randint(3, 5))
             a, b = (slice(rng.randint(1, 2), rng.randint(3, 4)) for _ in range(2))
-            A, AI, C, CI, Bv = A[g], AI[g], C[g, a], CI[g, a], Bv[g, b]
-            assert not (CI.flags.c_contiguous or Bv.flags.c_contiguous)
+            A, AI, C, Bv = A[g], AI[g], C[g, a], Bv[g, b]
+            assert not (C.flags.c_contiguous or Bv.flags.c_contiguous)
         (G, _, _), ka, kb = A.shape, C.shape[1], Bv.shape[1]
         S = np.array(solve_max(build_positioned(p, uniform_coefficients(0.5, 0.5, 0.5, m, n))).basis)
-        _, f, _ = lp_solver._certify(AI, CI, Bv, S)
-        # The solution at every right-hand side, as solve_max snaps it.
+        _, f, _ = lp_solver._certify(A, C, Bv, S)
+        # The solution at every right-hand side, from B taken out of [A | I],
+        # as solve_max snaps it.
         xB, _ = lp_solver._solve_stack(AI[:, :, S], Bv.transpose(0, 2, 1))
         xs = np.zeros((G, n, kb))
         xs[:, S[S < n]] = xB[:, S < n]
@@ -834,6 +842,100 @@ class TestCertifiedValues:
         assert np.count_nonzero(want) > len(want) // 2
         assert f.shape == (G, ka, kb)
         assert f.tobytes() == want.tobytes()
+
+
+def _bases_to_certify(rng: random.Random, p: GreyLP):
+    """Bases of every kind for ``p``: the optimal ones of four random
+    whitenings, the all-slack one (k = 0), m structural columns where
+    n >= m (k = m), and m random columns of [A | I]."""
+    m, n = p.m, p.n
+    bases = [
+        solve_max(build_positioned(p, uniform_coefficients(*random_triple(rng), m, n))).basis
+        for _ in range(4)
+    ]
+    bases.append(tuple(range(n, n + m)))
+    if n >= m:
+        bases.append(tuple(rng.sample(range(n), m)))
+    bases.append(tuple(rng.sample(range(n + m), m)))
+    return bases
+
+
+def _random_box(rng: random.Random, A, C, Bv):
+    """A random box of the stack, as the kernel certifies on: views of a
+    range of slices x alphas x betas."""
+    def span(k):
+        lo = rng.randrange(k)
+        return slice(lo, rng.randint(lo + 1, k))
+    g, a, b = span(len(A)), span(C.shape[1]), span(Bv.shape[1])
+    return A[g], C[g, a], Bv[g, b]
+
+
+def _assert_certifies_as_reference(A, C, Bv, basis):
+    ok, f, primal = lp_solver._certify(A, C, Bv, basis)
+    want_ok, want_f, want_primal = reference_certify(A, C, Bv, basis)
+    assert (ok == want_ok).all() and (primal == want_primal).all()
+    assert f.tobytes() == want_f.tobytes()
+    return ok, primal
+
+
+class TestCertifyMatchesReference:
+    """``_certify`` solves the dual on the k x k block of the basic
+    structural columns and never builds [A | I]; it must certify exactly
+    where the full [A | I] certification of ``conftest.reference_certify``
+    does, with the same primal feasibility and the same bits of f."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_problems_and_boxes(self, seed):
+        rng = random.Random(seed)
+        m, n = rng.randint(1, 30), rng.randint(1, 30)
+        if seed % 2:
+            p = many_basis_problem(np.random.default_rng(seed), m, n)
+        else:
+            p = random_bounded_problem(rng, n=n, m=m)
+        stack = _white_stack(p, *_cube_layout(analysis.unit_grid(0.25)))
+        certified = 0
+        for basis in _bases_to_certify(rng, p):
+            certified += _assert_certifies_as_reference(*stack, basis)[0].sum()
+            _assert_certifies_as_reference(*_random_box(rng, *stack), basis)
+        assert certified > 0
+
+    def test_zero_objective_certifies_the_all_slack_basis(self):
+        # k = 0: no dual to solve, y = 0, and every point is certified at 0.
+        rng = random.Random(5)
+        p = many_basis_problem(np.random.default_rng(5), 7, 4)
+        p = GreyLP(np.zeros((4, 2)), np.stack([p.A_lo, p.A_hi], -1), np.stack([p.b_lo, p.b_hi], -1))
+        stack = _white_stack(p, *_cube_layout(analysis.unit_grid(0.25)))
+        assert _assert_certifies_as_reference(*stack, range(4, 11))[0].all()
+        for basis in _bases_to_certify(rng, p):
+            _assert_certifies_as_reference(*stack, basis)
+
+    def test_singular_slice(self):
+        # max x s.t. gamma*x <= b: at gamma = 0 the basis {x} is singular,
+        # and so is its 1 x 1 block; it certifies every other slice.  The
+        # all-slack basis is primal feasible everywhere and certifies
+        # nothing, since x gains.
+        p = GreyLP(objective=[(1, 1)], matrix=[[(0, 1)]], rhs=[(1, 2)])
+        stack = _white_stack(p, *_cube_layout(analysis.unit_grid(0.25)))
+        ok, primal = _assert_certifies_as_reference(*stack, (0,))
+        assert not (ok[0].any() or primal[0].any()) and ok[1:].all()
+        ok, primal = _assert_certifies_as_reference(*stack, (1,))
+        assert primal.all() and not ok.any()
+
+
+def test_kernel_builds_no_stack_of_identity_columns():
+    # A seeded 60x60 many-basis cube at step 0.25 (5 slices, 89 bases).
+    # Stacking [A | I] (5 x 60 x 120) and [C | 0] (5 x 5 x 120) with their
+    # certification took the kernel's traced peak to 706 KB; without them
+    # it is 325 KB.
+    p = many_basis_problem(np.random.default_rng(0), 60, 60)
+    stack = _white_stack(p, *_cube_layout(analysis.unit_grid(0.25)))
+    tracemalloc.start()
+    try:
+        lp_solver._solve_points(*stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 def test_badly_scaled_start_can_end_away_from_the_cold_solve():
