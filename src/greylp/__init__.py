@@ -1,12 +1,10 @@
 """greylp: interval-coefficient linear programs, positioned and ranked.
 
-The toolkit models linear programs whose objective, constraint-matrix, and
-right-hand-side coefficients are only known as closed intervals.  Choosing a
-position coefficient in [0, 1] for each interval whitens the problem into an
-ordinary LP; the built-in simplex solver computes its optimum; and the
-satisfaction layer grades that optimum between the problem's pessimistic
-(critical) and optimistic (ideal) values so different positioned choices can
-be ranked against a grey target.
+The toolkit whitens a linear program whose coefficients are only known as
+closed intervals into an ordinary LP (:mod:`greylp.grey_core`), solves it
+with the built-in simplex (:mod:`greylp.lp_solver`), and grades the optimum
+between the problem's critical and ideal values (:mod:`greylp.satisfaction`),
+so different positioned choices can be ranked against a grey target.
 
 The package exports each module's ``__all__`` (the command line's ``main``
 aside), so a public name is declared once, in the module that defines it.

@@ -2,47 +2,16 @@
 
 Sweeps explore uniform (alpha, beta, gamma) triples only: per-entry
 coefficient sweeps are combinatorially explosive and uniform triples are
-what decision makers actually compare.  Positioned optima are nondecreasing
-in alpha and beta and nonincreasing in gamma; ``check_monotonicity``
-verifies that ordering empirically on a grid, and every swept value must lie
-between the critical and ideal bounds.
+what decision makers actually compare.  ``check_monotonicity`` verifies
+the expected ordering of positioned optima empirically on a grid.
 
-Every sweep solves its points in one call of the stacked kernel
-``greylp.lp_solver._solve_points``, through ``satisfaction._solve_grid``.
-Under uniform whitening the matrix depends on gamma alone, the right-hand
-side on beta alone and the objective on alpha alone, so a simplex basis S
-gives, from one factorisation of B = [A | I][:, S] per gamma slice and one
-of its block of basic structural columns, the basic solution for every
-beta and the dual vector for every alpha; it is
-optimal on the rectangle of primal-feasible betas times dual-feasible
-alphas (parametric programming, Gal 1995).  A grid command's cube
-(``grid_sweep``, ``check_monotonicity``, ``find_satisfactory``) is laid
-out by ``grey_core._cube_layout`` and holds both bound triples;
-``lambda_sweep``'s settings get a slice each from
-``grey_core._point_layout``, with the bounds added
-(``satisfaction._solve_with_bounds``).  Either way the rows' order is
-arithmetic, so the kernel's values are put in row order by a transpose,
-not by an index.
+Every sweep is solved in one stacked-kernel call, as a grid cube or as
+chosen settings; see :mod:`greylp.satisfaction` and :mod:`greylp.grey_core`.
 
-Tables render to CSV or Markdown with the presentation rounding used
-throughout: optimal values to 2 decimals, degrees to 4.  ``render_table``
-and the ``satisfactory`` command's hit lines go through one row formatter,
-``_format_rows``, which writes 1 024 rows at a time as a matrix of 4-byte
-words with no Python object per cell: coefficient cells are gathered from
-a table of "%g" texts at indices into it.  A grid table holds no triples,
-only its grid values: row k of the cube of g values is grid point (k //
-g², k // g % g, k % g), so its cells (and those of the hit lines, from
-their flat cube indices) are unravelled row numbers (``_grid_cells``),
-and nothing is sorted.  A table of other triples (``lambda_sweep``'s, or
-one built by hand; no command renders one) has a text per cell
-(``_row_cells``).
-Values with d decimals are written from the digit groups of q = rint(v *
-10**d) wherever that is provably the text "%.*f" prints (any other value
-is formatted on its own), and separators are constant words.  NUL padding
-is dropped when a block is decoded.  The ``sweep`` command writes the
-header and then each block as it is made (``_table_blocks``), as
-``satisfactory`` writes its hit lines, so the whole text is never held;
-``render_table`` is their join.
+Tables render to CSV or Markdown with optimal values to 2 decimals and
+degrees to 4, through one row formatter (``_format_rows``).  The ``sweep``
+command writes each block of its table as it is made (``_table_blocks``),
+as ``satisfactory`` writes its hit lines, so the whole text is never held.
 """
 
 from __future__ import annotations
@@ -55,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .grey_core import GreyLP, _check_real, _cube_layout, _number, _unit
+from .grey_core import GreyLP, _check_real, _cube_layout, _number, _require_units, _unit
 from .satisfaction import (
     ValueBounds, _bounded, _satisfaction_rows, _solve_grid, _solve_with_bounds, _validated,
     lambda_satisfactions, pleased_degrees,
@@ -88,8 +57,7 @@ class SweepTable:
 
     ``SweepTable(lambdas, coefficients, f, mu, mu_tilde)`` holds the given
     arrays.  A table of :func:`grid_sweep` holds its grid values instead of
-    triples: its row k is the grid point (k // g², k // g % g, k % g) of
-    the g values, and ``coefficients`` (N x 3) is built on first access.
+    triples, and its rows are the cube's (see :mod:`greylp.grey_core`).
     """
 
     lambdas: tuple[float, ...]
@@ -200,11 +168,7 @@ def _points(triples) -> np.ndarray:
         pts = pts.reshape(0, 3)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise StructureError("triples must be (alpha, beta, gamma) rows")
-    bad = np.argwhere(~((pts >= 0.0) & (pts <= 1.0)))  # also catches NaN
-    if len(bad):
-        row, col = bad[0]
-        name = ("alphas", "betas", "gammas")[col]
-        _unit(pts[row, col], f"position coefficient in {name}")  # raises
+    _require_units(pts, ("alphas", "betas", "gammas"))
     return pts
 
 
@@ -358,11 +322,10 @@ def _satisfactory_hits(p: GreyLP, mu0: float, lam: float, step: float):
 # Rows are rendered this many at a time, which bounds the bytes held at once.
 _BLOCK = 1024
 
-# A value v with d decimals is written from its digits while 0 <= v <
-# 10**(12 - d).  The product x = v * 10**d is then below 2**52, where every
-# rounding tie k + 0.5 is a double.  Rounding x to the nearest double keeps
-# its order with each tie, so q = rint(x) is the correctly rounded
-# d-decimal value that "%.*f" prints unless the rounded x is a tie itself.
+# Why _format_rows may write v from q = rint(v * 10**d) while 0 <= v <
+# 10**(12 - d): x = v * 10**d is then below 2**52, where every rounding tie
+# k + 0.5 is a double, and rounding x to the nearest double keeps its order
+# with each tie, so q is correct unless the rounded x is a tie itself.
 _DIGITS = 12
 _POWERS = 10.0 ** np.arange(1, _DIGITS + 1)
 
@@ -406,8 +369,8 @@ def _grid_cells(grid, flat=None):
     """The coefficient cells of rows of the cube of ``grid`` values, as
     :func:`_format_rows` takes them: the table of the grid values' "%g"
     texts, and a function giving the grid indices (a, b, c) of the cube's
-    rows ``flat[start:stop]`` (rows start to stop if ``flat`` is None).
-    Row k of the cube is grid point (k // g², k // g % g, k % g), so
+    rows ``flat[start:stop]`` (rows start to stop if ``flat`` is None),
+    unravelled from the row numbers (see :mod:`greylp.grey_core`), so
     nothing is sorted or searched."""
     shape = (len(grid),) * 3
 
@@ -422,7 +385,9 @@ def _row_cells(coefficients):
     """The coefficient cells of the rows of ``coefficients`` (N x c), as
     :func:`_format_rows` takes them: a table of the "%g" text of every
     cell, row by row, so cell (r, i) is its row r * c + i, and a function
-    giving those table rows for rows start to stop."""
+    giving those table rows for rows start to stop.  For a table that is
+    not a grid's: ``lambda_sweep``'s, or one built by hand (no command
+    renders one)."""
     c = coefficients.shape[1]
 
     def index(start, stop):
@@ -432,30 +397,31 @@ def _row_cells(coefficients):
 
 
 def _format_rows(cells, columns, decimals, empty, seps):
-    """The text of the rows, yielded ``_BLOCK`` rows at a time, one line per
-    row: ``seps[0]``, then the text of each of the row's c coefficient
-    cells and the "%.*f" text of each of its values in ``columns`` (arrays
-    of N or N x j values, side by side) with that column's ``decimals`` (at
-    most 4), or its ``empty`` text where the value is NaN, each cell
-    followed by the next of ``seps``.  The ``cells`` are (table, index), as
-    :func:`_grid_cells` and :func:`_row_cells` make them: the texts as a
-    table of words with a row per text, and a function giving the table
-    row of each cell of rows start to stop (c x R).
+    """The text of the rows of a table (:func:`_table_blocks`) or of the
+    ``satisfactory`` command's hit lines, yielded ``_BLOCK`` rows at a time,
+    one line per row: ``seps[0]``, then the text of each of the row's c
+    coefficient cells and the "%.*f" text of each of its values in
+    ``columns`` (arrays of N or N x j values, side by side) with that
+    column's ``decimals`` (at most 4), or its ``empty`` text where the value
+    is NaN, each cell followed by the next of ``seps``.  The ``cells`` are
+    (table, index), as :func:`_grid_cells` and :func:`_row_cells` make them:
+    the texts as a table of words with a row per text, and a function giving
+    the table row of each cell of rows start to stop (c x R).
 
-    Each block is written as a matrix of 4-byte words, a row of words per
-    line, whose unused bytes are NUL and are dropped when the block is
-    decoded.  The matrix is filled transposed, so that a word of one cell
-    in every line is one contiguous run, and separators are constant
-    words.  Coefficient cells are gathered from their table.  A value v
-    with 0 <= v < 10**(12 - d) whose product v * 10**d does not round to a
-    tie k + 0.5 has the text of q = rint(v * 10**d), the correctly rounded
-    d-decimal value that "%.*f" prints (see ``_DIGITS``): its whole and
-    fractional digits are taken from :func:`_digit_groups` (the last three
-    whole digits with the point, the others four at a time), with leading
-    zeros masked to NUL.  Any other value (NaN, -0.0, a negative or
-    infinite value, one past the limit or one whose product rounds to a
-    tie) is formatted on its own and written into its line; a text wider
-    than its column widens that column's cells in its block.
+    Each block is written, with no Python object per cell, as a matrix of
+    4-byte words, a row of words per line, whose unused bytes are NUL and
+    are dropped when the block is decoded.  The matrix is filled transposed,
+    so that a word of one cell in every line is one contiguous run, and
+    separators are constant words.  A value v with 0 <= v < 10**(12 - d)
+    whose product v * 10**d does not round to a tie k + 0.5 has the text of
+    q = rint(v * 10**d), the correctly rounded d-decimal value that "%.*f"
+    prints (see ``_DIGITS``): its whole and fractional digits are taken from
+    :func:`_digit_groups` (the last three whole digits with the point, the
+    others four at a time), with leading zeros masked to NUL.  Any other
+    value (NaN, -0.0, a negative or infinite value, one past the limit or
+    one whose product rounds to a tie) is formatted on its own and written
+    into its line; a text wider than its column widens that column's cells
+    in its block.
     """
     table, index = cells
     seps = [_padded(sep.encode("ascii")) for sep in seps]
@@ -507,18 +473,16 @@ def _block_text(table, index, words, sizes, fallback, seps, layouts) -> str:
 
 
 def _value_words(columns, decimals, empty):
-    """The words of the value cells of a block of R rows: ``columns`` (R or
-    R x j values each) hold k columns of values side by side, column j with
-    ``decimals[j]`` decimals and the text ``empty[j]`` for NaN.
+    """The words of the value cells of a block of R rows: the k columns of
+    values side by side in ``columns``, as :func:`_format_rows` takes them.
 
     Returns (words, sizes, fallback).  ``words[i]`` is the i-th word from
-    the end of each cell: the fraction's digits, then the last three whole
-    digits and the point, then four more whole digits at a time, with
-    leading zeros NUL; column j's cells are its last ``sizes[j]`` words, so
-    ``words[i]`` has a row of R words for each column j with ``sizes[j] >
-    i`` (k rows for i < 2).
-    ``fallback`` maps (j, r) to the words of each value formatted on its
-    own, whose words in ``words`` are meaningless.
+    the end of each cell, the fraction's digits first (see
+    :func:`_format_rows`); column j's cells are its last ``sizes[j]``
+    words, so ``words[i]`` has a row of R words for each column j with
+    ``sizes[j] > i`` (k rows for i < 2).  ``fallback`` maps (j, r) to the
+    words of each value formatted on its own, whose words in ``words`` are
+    meaningless.
     """
     values = np.empty((len(decimals), len(columns[0])))  # k x R
     np.concatenate([np.atleast_2d(column.T) for column in columns], out=values)
@@ -589,7 +553,9 @@ def render_table(t: SweepTable, format: str) -> str:
 
 
 def _table_blocks(t: SweepTable, format: str):
-    """:func:`render_table`'s text in blocks; a bad ``format`` raises at the call."""
+    """:func:`render_table`'s text in blocks, the header first, each made as
+    it is asked for, so the ``sweep`` command writes each one before the
+    next is made.  A bad ``format`` raises at the call."""
     if format not in ("csv", "markdown"):
         raise DomainError(f"format must be 'csv' or 'markdown', got {format!r}")
     header = ["alpha", "beta", "gamma", "f", "mu"] + ["mu_tilde[%g]" % lam for lam in t.lambdas]

@@ -10,9 +10,7 @@ Problem files are JSON documents::
       "rhs": [[lo, hi], ...]
     }
 
-Subcommands: ``validate``, ``solve``, ``bounds``, ``degrees``, ``sweep``,
-``monotonicity``, ``satisfactory``, and ``verify-example`` (recomputes the
-bundled demo problem's reference tables from embedded data).
+The subcommands, with their help texts, are declared in :func:`_parser`.
 
 Exit codes: 0 success, 1 validation/parse error, 2 computation failure
 (unbounded, iteration cap, or a grid too large to allocate), 3 usage error.
@@ -55,8 +53,8 @@ from .errors import (
 )
 from .grey_core import (
     GreyLP,
+    Violation,
     _REALS,
-    _dimension_violations,
     _interval_violations,
     uniform_coefficients,
     validate_problem,
@@ -123,15 +121,37 @@ def _matrix_array(rows) -> np.ndarray | list[np.ndarray]:
     return [_pair_array(row, f"matrix[{i}]") for i, row in enumerate(rows)]
 
 
+def _dimension_violations(n: int, m: int, lengths: list[int]) -> list[Violation]:
+    """The dimension findings on a problem file's blocks: ``n`` objective
+    pairs, ``m`` right-hand sides and one matrix row per entry of
+    ``lengths`` (its number of pairs).  Empty iff the blocks make an m x n
+    problem with m, n >= 1."""
+    violations: list[Violation] = []
+    if n < 1:
+        violations.append(Violation("objective", "dimension", "no variables"))
+    if m < 1:
+        violations.append(Violation("rhs", "dimension", "no constraints"))
+    if len(lengths) != m:
+        violations.append(
+            Violation("matrix", "dimension", f"{len(lengths)} matrix rows but {m} right-hand sides")
+        )
+    violations += [
+        Violation(f"matrix[{i}]", "dimension", f"{length} entries but {n} objective coefficients")
+        for i, length in enumerate(lengths)
+        if length != n
+    ]
+    return violations
+
+
 def parse_problem(text: str) -> ProblemFile:
     """Parse problem-file JSON into a validated :class:`ProblemFile`.
 
     Malformed syntax raises :class:`ParseError` with line/column or field
     context; a well-formed document whose data breaks a problem invariant
-    raises :class:`ValidationError` listing every violation at once.  This
-    is the only place that reports dimension violations: blocks that do not
-    make an m x n problem (with m, n >= 1) are listed first, followed by the
-    findings on every bound present, and never become a :class:`GreyLP`.
+    raises :class:`ValidationError` listing every violation at once.  Only
+    a file reports dimension violations (:func:`_dimension_violations`):
+    they are listed first, then the findings on every bound present, and
+    such blocks never become a :class:`GreyLP`.
 
     The cyclic garbage collector is paused while the document is decoded,
     checked and turned into arrays, and restored (to on, unless the caller
@@ -198,24 +218,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _unit(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 <= v <= 1.0:
-        raise argparse.ArgumentTypeError(f"{text} is outside [0, 1]")
-    return v
+def _number_in(within, interval: str):
+    """The argparse type of a number option: its text as a float for
+    which ``within`` holds, where ``interval`` writes that range."""
+
+    def number(text: str) -> float:
+        try:
+            v = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+        if not within(v):
+            raise argparse.ArgumentTypeError(f"{text} is outside {interval}")
+        return v
+
+    return number
 
 
-def _step(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 < v <= 0.5:
-        raise argparse.ArgumentTypeError(f"{text} is outside (0, 0.5]")
-    return v
+_unit = _number_in(lambda v: 0.0 <= v <= 1.0, "[0, 1]")
+_step = _number_in(lambda v: 0.0 < v <= 0.5, "(0, 0.5]")
 
 
 def _lambda_list(text: str) -> tuple[float, ...]:
@@ -303,8 +323,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_degrees(args) -> int:
     pf = _load(args.file)
-    # Parsing validated the problem.  The query is solved first, cold, as
-    # positioned_value solves it, and the bounds in the same kernel call.
+    # Parsing validated the problem.
     (f,), vb = _solve_with_bounds(pf.problem, np.array([_triple(args)]))
     f = float(f)
     mu = pleased_degree(f, vb)
@@ -492,18 +511,15 @@ def _parser() -> _Parser:
 _EXIT_CODES = (
     (_UsageError, 3),
     ((UnboundedValueError, SolverFailure, MemoryError), 2),
-    ((ParseError, ValidationError, OSError, GreyLPError), 1),
+    ((OSError, GreyLPError), 1),
 )
 
 
 def run(args) -> int:
-    """Execute one command line and return the process exit code.
-
-    0 success; 1 validation/parse error; 2 computation failure (unbounded,
-    iteration cap, or a grid too large to allocate); 3 usage error.  The
-    warnings the command issues are recorded, and each distinct text is
-    printed once, after the command, as ``warning: <text>`` on the error
-    stream.
+    """Execute one command line and return the process exit code (see the
+    module docstring).  The warnings the command issues are recorded, and
+    each distinct text is printed once, after the command, as ``warning:
+    <text>`` on the error stream.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateBoundsWarning)

@@ -26,9 +26,7 @@ class DomainError(GreyLPError, ValueError):
 class StructureError(GreyLPError, ValueError):
     """A container was given a block of the wrong shape (a ragged or empty
     matrix, entries that are not real numbers, a coefficient block that
-    does not match the target problem).  A problem file reports the
-    dimension mismatches of its blocks as :class:`ValidationError`
-    instead."""
+    does not match the target problem)."""
 
 
 class ValidationError(GreyLPError, ValueError):

@@ -9,14 +9,11 @@ convex combination ``t*hi + (1-t)*lo`` for a position coefficient
 Problems, coefficient blocks and white programs store their numbers only
 as read-only numpy arrays (``GreyLP.c_lo``, ``PositionCoefficients.
 alpha_array``, ``WhiteLP.A_array``, ...); an interval is a ``(lo, hi)``
-pair wherever one is passed in.  Every block is checked at construction:
-an entry that is not a real number raises :class:`StructureError`, an
-integer past float range :class:`DomainError`, and a block of any shape
-but its own (a problem is m x n, with m, n >= 1) :class:`StructureError`,
-so no ragged or empty container, and no bool or string read as a number,
-exists past that point.  All types are immutable after construction and
-all operations are pure, so everything here is safe to share across
-threads.
+pair wherever one is passed in.  Every block is checked at construction
+(``_shaped``), so no ragged or empty container, and no bool or string
+read as a number, exists past that point.  All types are immutable after
+construction and all operations are pure, so everything here is safe to
+share across threads.
 
 Many uniform (alpha, beta, gamma) triples are whitened at once as a stack
 layout (gammas, alphas, betas) for the grid kernel
@@ -28,12 +25,13 @@ beta alone, so the triples are grouped by gamma: slice s has gamma
 rectangle.  ``_white_stack`` whitens the layout to a matrix per slice (G x
 m x n), objectives (G x ka x n) and right-hand sides (G x kb x m), so
 point (s, a, b) is objective ``C[s, a]`` and right-hand side ``Bv[s, b]``.
-The layout's rows are numbered by arithmetic: row k is point (s, a, b)
-with k = (a * kb + b) * G + s, so the kernel's values (G x ka x kb) in row
-order are ``values.transpose(1, 2, 0).ravel()``.  ``_cube_layout`` lays out
-a grid cube with a slice per grid value, whose rows are then its triples
-in lexicographic (alpha, beta, gamma) order, and ``_point_layout`` chosen
-settings with a slice per point, in input order.
+Row k is point (s, a, b) with k = (a * kb + b) * G + s, so the kernel's
+values (G x ka x kb) are put in row order by arithmetic, not by an index:
+``values.transpose(1, 2, 0).ravel()``.  A grid cube of g values
+(``_cube_layout``) has a slice per value, so row k is grid point (k // g²,
+k // g % g, k % g): its triples in lexicographic (alpha, beta, gamma)
+order, with nothing sorted.  Chosen settings (``_point_layout``) have a
+slice per point, so their rows are in input order.
 """
 
 from __future__ import annotations
@@ -116,6 +114,16 @@ def _unit(v, name: str) -> float:
     if not (0.0 <= t <= 1.0):  # also true for NaN
         raise DomainError(f"{name} must be in [0, 1], got {t}")
     return t
+
+
+def _require_units(values: np.ndarray, names: tuple[str, ...]) -> None:
+    """Raise :func:`_unit`'s :class:`DomainError` for the first entry of
+    ``values`` (C order) outside [0, 1] or NaN, named as a position
+    coefficient in ``names[j % len(names)]`` for column j of the last axis."""
+    bad = ~((values >= 0.0) & (values <= 1.0))  # also flags NaN
+    if bad.any():
+        i = int(bad.argmax())
+        _unit(values.flat[i], f"position coefficient in {names[i % len(names)]}")  # raises
 
 
 def _shaped(values, shape: tuple, block: str, error: str) -> np.ndarray:
@@ -246,10 +254,8 @@ class PositionCoefficients(_ArrayRecord):
         gamma = _shaped(
             gammas, (None, None), "gammas", "gammas: expected rows of numbers of one length"
         )
-        for name, values in (("alphas", alpha), ("betas", beta), ("gammas", gamma.ravel())):
-            bad = ~((values >= 0.0) & (values <= 1.0))  # also flags NaN
-            if bad.any():
-                _unit(values[bad.argmax()], f"position coefficient in {name}")  # raises
+        for name, values in (("alphas", alpha), ("betas", beta), ("gammas", gamma)):
+            _require_units(values, (name,))
         # The class is frozen; fields are set once, here.
         self.__dict__.update(
             alpha_array=_frozen(alpha), beta_array=_frozen(beta), gamma_array=_frozen(gamma)
@@ -335,17 +341,14 @@ def _whitened(t, lo, hi) -> np.ndarray:
 
 
 def _white_stack(p: GreyLP, gammas, alphas, betas) -> tuple[np.ndarray, ...]:
-    """The white programs of ``p`` at the position coefficients ``gammas``,
-    ``alphas`` and ``betas``, which broadcast against the problem's matrix
-    (... x m x n), objective (... x n) and right-hand side (... x m): (A,
-    C, Bv), each the whitening of its block.  This is the one function
-    that whitens a program: :func:`build_positioned` passes one
-    coefficient block, and the grid kernel a stack layout (see the module
-    docstring).
-
-    The blocks are whitened in objective, rhs, matrix order, so an interval
-    that cannot be whitened raises :class:`DomainError` for the first one
-    in that order.
+    """The white programs (A, C, Bv) of ``p`` at the position coefficients
+    ``gammas``, ``alphas`` and ``betas``, which broadcast against the
+    problem's matrix (... x m x n), objective (... x n) and right-hand side
+    (... x m).  This is the one function that whitens a program:
+    :func:`build_positioned` passes one coefficient block, and the grid
+    kernel a stack layout (see the module docstring).  The blocks are
+    whitened in objective, rhs, matrix order, so an interval that cannot be
+    whitened raises :class:`DomainError` for the first one in that order.
     """
     C = _whitened(alphas, p.c_lo, p.c_hi)
     Bv = _whitened(betas, p.b_lo, p.b_hi)
@@ -444,28 +447,6 @@ def _interval_violations(lo, hi, locations) -> list[Violation]:
     return out
 
 
-def _dimension_violations(n: int, m: int, lengths: list[int]) -> list[Violation]:
-    """The dimension findings on a problem file's blocks: ``n`` objective
-    pairs, ``m`` right-hand sides and one matrix row per entry of
-    ``lengths`` (its number of pairs).  Empty iff the blocks make an m x n
-    problem with m, n >= 1."""
-    violations: list[Violation] = []
-    if n < 1:
-        violations.append(Violation("objective", "dimension", "no variables"))
-    if m < 1:
-        violations.append(Violation("rhs", "dimension", "no constraints"))
-    if len(lengths) != m:
-        violations.append(
-            Violation("matrix", "dimension", f"{len(lengths)} matrix rows but {m} right-hand sides")
-        )
-    violations += [
-        Violation(f"matrix[{i}]", "dimension", f"{length} entries but {n} objective coefficients")
-        for i, length in enumerate(lengths)
-        if length != n
-    ]
-    return violations
-
-
 def validate_problem(p: GreyLP) -> list[Violation]:
     """Collect every invariant violation in ``p``.
 
@@ -474,9 +455,7 @@ def validate_problem(p: GreyLP) -> list[Violation]:
     problem is valid.  Violations are data, not exceptions, so a CLI user
     sees every data problem in one pass.  Each block is checked with array
     masks, and a message is formatted only for a flagged entry: block by
-    block (objective, matrix, rhs), in C order within each.  A ``GreyLP``
-    is m x n by construction; :func:`~greylp.cli.parse_problem` reports the
-    dimension mismatches of a problem file.
+    block (objective, matrix, rhs), in C order within each.
     """
     return [
         *_interval_violations(p.c_lo, p.c_hi, "objective[{}]".format),

@@ -6,30 +6,17 @@ is feasible, and every solve is phase 2 of a dense primal tableau simplex
 from a feasible basis, cold from the all-slack one ([A | I | b], objective
 row c).  The entering column is the one of largest reduced cost (Dantzig's
 rule, ties to the lowest index), which usually takes fewer pivots than
-Bland's rule, until a solve makes its first degenerate pivot (a step of
-zero); from then on that solve enters the lowest-index improving column
-(Bland's rule), which cannot cycle.  Ratio ties go to the lowest row index,
-so every solve is deterministic and terminates.
+Bland's rule, until a solve makes its first degenerate pivot (its step,
+the minimum ratio, is not positive); from then on that solve enters the
+lowest-index improving column (Bland's rule), which cannot cycle.  Ratio
+ties go to the lowest row index, so every solve is deterministic and
+terminates.
 
 Whitenings of one grey problem nearly always share an optimal basis, so
-``_solve_points`` solves a stack of programs that share each slice's
-matrix by reusing bases (every analysis command makes one call, its bounds
-among the points): point (g, a, b) of the stack is objective a and
-right-hand side b of slice g.  It certifies each optimal basis found at
-every pending point of the stack at once (``_certify``: primal and dual
-feasibility, the feasibility post-check and a duality gap), on the box of
-slices x alphas x betas that holds the pending points.  No [A | I] is
-stacked: a basis's primal values come from its m x m basis matrix, and its
-duals from the k x k block of its k basic structural columns on the rows
-whose slack is nonbasic, since the dual of a row whose slack is basic is
-0.  A basis whose matrix or block is singular in a slice certifies nothing
-there and starts no point.  The kernel pivots on by phase 2 from a cached
-basis that is primal feasible at a point, and solves cold with
-``solve_max`` where there is none or that solve fails.  A warm start whose
-B^-1 B is not the identity within ``_TOL_BASIS`` (a numerically singular
-basis) fails and is solved cold.  The ray of an unbounded solve settles
-every pending point of its slice whose objective gains along it.  Each
-simplex solve logs one DEBUG record on the ``greylp.lp_solver`` logger
+the stacked kernel ``_solve_points`` solves a stack of them by reusing
+bases, which ``_certify`` certifies and ``_phase2`` starts from.
+
+Each simplex solve logs one DEBUG record on the ``greylp.lp_solver`` logger
 naming its start (cold or warm), the pivots taken (and how many of them
 were degenerate) and the outcome, as in ``solve_max: warm start, 2 pivots
 (0 degenerate), optimal``.  A warm start that falls back to a cold solve
@@ -39,12 +26,13 @@ failed``; a certified point logs none.  The records are built only when
 DEBUG is enabled for that logger.
 
 A solve is post-checked in floating point only: x >= 0, A.x <= b within
-1e-7 * max(1, |b_i|), and a finite tableau and objective.  ``tests/conftest.py`` proves the returned
-basis or ray exactly, in rational arithmetic on the float data, and the
-tests take that as ground truth.  The pivot and reduced-cost tolerances
-are absolute, so on a badly scaled program "optimal" can depend on the
-path: for c = 1e-9, A = 0.1, b = 1 the cold solve stops at 0, while the
-basis {x}, once cached, certifies the true optimum 1e-8.
+1e-7 * max(1, |b_i|), and a finite tableau and objective.
+``tests/conftest.py`` proves the returned basis or ray exactly, in rational
+arithmetic on the float data, and the tests take that as ground truth.  The
+pivot and reduced-cost tolerances are absolute, so on a badly scaled
+program "optimal" can depend on the path: for c = 1e-9, A = 0.1, b = 1 the
+cold solve stops at 0, while the basis {x}, once cached, certifies the true
+optimum 1e-8.
 """
 
 from __future__ import annotations
@@ -104,12 +92,8 @@ class LPSolution:
 
 def _iterate(T: np.ndarray, basis: list[int], budget: int) -> tuple[str, int, int, int]:
     """Run simplex pivots on the tableau ``T`` in place until optimal or
-    unbounded.
-
-    The entering column is priced by Dantzig's rule (the largest reduced
-    cost, ties to the lowest index) until the first degenerate pivot (one
-    whose step, the minimum ratio, is not positive), and by Bland's rule
-    (the lowest-index improving column) from then on, which cannot cycle.
+    unbounded, priced by Dantzig's rule and then by Bland's (see the module
+    docstring).
 
     Returns (outcome, pivots_used, degenerate_pivots, entering_col);
     entering_col is only meaningful for the "unbounded" outcome.  The ratio
@@ -182,9 +166,8 @@ def _slack_ok(b, Ax):
 
 def _vertex(T: np.ndarray, basis: list[int], A, b, c) -> LPSolution | None:
     """The optimal solution read from the final tableau ``T``, or None if it
-    fails the post-check: x >= 0, A.x <= b (see :func:`_slack_ok`), and a
-    finite tableau and objective (pricing skips a NaN reduced cost, so such
-    a tableau proves nothing)."""
+    fails the module docstring's post-check (pricing skips a NaN reduced
+    cost, so a tableau that is not finite proves nothing)."""
     m, n = A.shape
     x = np.zeros(T.shape[1] - 1)
     x[basis] = T[:m, -1]
@@ -208,11 +191,11 @@ def _vertex(T: np.ndarray, basis: list[int], A, b, c) -> LPSolution | None:
 def _phase2(A, b, c, S=None) -> tuple[LPSolution | None, int, int]:
     """Phase 2 from the primal feasible basis ``S`` (the all-slack one if
     None): the optimal or unbounded solution, None if it fails the
-    post-check or ``S``'s B^-1 B is not the identity within
-    ``_TOL_BASIS``, the pivots, and how many of them were degenerate.  Raises
-    :class:`SolverFailure` past the pivot budget.  numpy's overflow and
-    invalid warnings are off: an overflowing ratio is left out, and an
-    optimum that overflows fails the post-check."""
+    post-check or ``S`` is refused (its B^-1 B is not the identity within
+    ``_TOL_BASIS``: a numerically singular basis), the pivots, and how many
+    of them were degenerate.  Raises :class:`SolverFailure` past the pivot
+    budget.  numpy's overflow and invalid warnings are off: an overflowing
+    ratio is left out, and an optimum that overflows fails the post-check."""
     m, n = A.shape
     T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = A
@@ -265,28 +248,34 @@ def _certify(A, C, Bv, basis):
     """Where in a stack of G programs the basis ``basis`` is proven optimal.
 
     ``A`` stacks the programs' constraint matrices (G x m x n), ``C`` their
-    objectives (G x ka x n) and ``Bv`` their right-hand sides (G x kb x m);
-    point (g, a, b) is objective a and right-hand side b of slice g, and
-    ``basis`` names columns of [A | I] as :class:`LPSolution` does.  A
-    point is certified only if it passes the solver's own tests: basic
-    values >= -tol, reduced costs <= tol, the post-check of
-    :func:`_slack_ok`, and a duality gap |c.x - y.b| <= tol * max(1, |f|).
+    objectives (G x ka x n) and ``Bv`` their right-hand sides (G x kb x m),
+    with points as in :func:`_solve_points`; ``basis`` names columns of [A |
+    I] as :class:`LPSolution` does.  A point is certified only if it passes
+    the solver's own tests: basic values >= -tol, reduced costs <= tol, the
+    post-check of :func:`_slack_ok`, and a duality gap |c.x - y.b| <= tol *
+    max(1, |f|).  Returns (ok, f, primal): whether each point is certified
+    and its optimal value (only meaningful where certified), both G x ka x
+    kb, and whether the basis is primal feasible (and nonsingular) at each
+    right-hand side, G x kb.
 
-    [A | I] itself is never built.  The basis matrix B holds A's k basic
-    columns and a unit column per basic slack, and one m x m solve per
-    program gives x at all its right-hand sides.  The duals y are 0 on
-    every row whose slack is basic, so B^T y = c_B reduces to the k x k
-    block of the basic columns on the k rows F whose slack is nonbasic:
-    A[F, S]^T y_F = c_S, one solve per program for all its objectives.  One
-    product prices the n - k nonbasic columns of A; a nonbasic slack's
-    reduced cost is -y_i, and y.b is y_F.b_F.  A program whose B or block
-    is singular certifies nothing.  Two batched products give each
-    program's values c.x and y.b over its ka x kb rectangle, the values
-    summed as ``np.einsum("ij,ij->i")`` sums each point's rows (a BLAS
-    product could move printed digits).  Returns (ok, f, primal): whether
-    each point is certified and its optimal value (only meaningful where
-    certified), both G x ka x kb, and whether the basis is primal feasible
-    (and nonsingular) at each right-hand side, G x kb.
+    In a slice the matrix is fixed, so the basis's primal values depend on
+    the right-hand side alone and its duals on the objective alone: it is
+    optimal on the rectangle of the betas where it is primal feasible times
+    the alphas where it is dual feasible (parametric programming; T. Gal,
+    *Postoptimal Analyses, Parametric Programming and Related Topics*,
+    1995).  [A | I] and [C | 0] are never built.  The basis matrix B holds
+    A's k basic columns and a unit column per basic slack, and one m x m
+    solve per slice gives x at every beta.  The duals y are 0 on every row
+    whose slack is basic, so B^T y = c_B reduces to the k x k block of the
+    basic columns on the k rows F whose slack is nonbasic, A[F, S]^T y_F =
+    c_S, and one solve per slice gives y at every alpha.  One product prices
+    the n - k nonbasic columns of A; a nonbasic slack's reduced cost is
+    -y_i, and y.b is y_F.b_F.  A slice whose B or block is singular
+    certifies nothing and is primal feasible nowhere, so the basis starts no
+    point there.  Two batched products give each slice's values c.x and y.b
+    over its ka x kb rectangle, the values summed as
+    ``np.einsum("ij,ij->i")`` sums each point's rows (a BLAS product could
+    move printed digits).
     """
     G, m, n = A.shape
     kb = Bv.shape[1]
@@ -319,10 +308,8 @@ def _certify(A, C, Bv, basis):
         reduced -= AF[:, :, nonbasic].transpose(0, 2, 1) @ YF
         # A nonbasic slack's reduced cost is -y_i <= tol.
         dual = (reduced <= _TOL_PIVOT).all(axis=1) & (YF >= -_TOL_PIVOT).all(axis=1)
-        # Each slice's values and dual values over its alpha x beta
-        # rectangle.  The values' summed axis is contiguous in both
-        # operands, so each is summed as "ij,ij->i" sums one point's two
-        # rows; the dual values are read by the gap test alone.
+        # The values' summed axis is contiguous in both operands; the dual
+        # values are read by the gap test alone.
         f = np.einsum("gan,gbn->gab", C, np.ascontiguousarray(xs.transpose(0, 2, 1)))
         gap = np.matmul(YF.transpose(0, 2, 1), Bv[:, :, F].transpose(0, 2, 1))
         gap -= f
@@ -347,9 +334,8 @@ def _require_nonnegative(b: np.ndarray) -> None:
 
 
 def solve_max(lp: WhiteLP) -> LPSolution:
-    """Maximize c.x subject to A.x <= b, x >= 0 by primal simplex from the
-    all-slack basis, for b >= 0, pricing by Dantzig's rule until the first
-    degenerate pivot and by Bland's rule from then on.
+    """Maximize c.x subject to A.x <= b, x >= 0, for b >= 0, by primal
+    simplex from the all-slack basis, priced as the module docstring says.
 
     Deterministic for fixed input.  Raises :class:`DomainError` if some
     b_i < 0, and :class:`SolverFailure` if the pivot count exceeds
@@ -370,26 +356,24 @@ def solve_max(lp: WhiteLP) -> LPSolution:
 def _solve_points(A, C, Bv, bases=()):
     """The optimal value of every point of a stack of white programs that
     share each slice's matrix, as ``grey_core._white_stack`` whitens a
-    stack layout: a grid cube's from ``grey_core._cube_layout``, or one
-    with a slice per chosen setting from ``grey_core._point_layout``.
-    Point (g, a, b) is objective ``C[g, a]`` and right-hand side ``Bv[g, b]``.
+    stack layout (see :mod:`greylp.grey_core`): point (g, a, b) is
+    objective ``C[g, a]`` and right-hand side ``Bv[g, b]``.
 
-    Every cached optimal basis, starting with ``bases``, is certified at
-    all pending points at once (see :func:`_certify`), over the bounding
-    box of those points: a range of slices x a range of alphas x a range
-    of betas, taken as views of the stacks themselves: no [A | I] or
-    [C | 0] copy of them is built.  No caller in greylp passes ``bases``;
-    the tests start from chosen ones.  Every point no basis certifies is
-    solved, in slice order and then (alpha, beta) order: by phase 2 from
-    the latest cached basis that is primal feasible there, or cold by
-    :func:`solve_max` if there is none or that phase 2 does not end in a
-    checked optimum or ray.  Its optimal basis joins the cache and is
+    Every cached optimal basis, starting with ``bases``, is certified at all
+    pending points at once (see :func:`_certify`), over the bounding box of
+    those points (a range of slices x alphas x betas, taken as views of the
+    stacks).  No caller in greylp passes ``bases``; the tests start from
+    chosen ones.  Every point no basis
+    certifies is solved, in slice order and then (alpha, beta) order: by
+    phase 2 from the latest cached basis that is primal feasible there, or
+    cold by :func:`solve_max` if there is none or that phase 2 does not end
+    in a checked optimum or ray.  Its optimal basis joins the cache and is
     certified in turn on the box of the points still pending, which only
     shrinks, so a basis's primal feasibility is recorded wherever a later
-    point may start.  Its ray d, if it is unbounded (d >= 0, A[s].d
-    <= 0), settles every pending point of its slice s whose objective
-    gains along it, C[s, a].d > ``_TOL_PIVOT``: unbounded at every
-    right-hand side, so it is not solved.
+    point may start.  Its ray d, if it is unbounded (d >= 0, A[s].d <= 0),
+    settles every pending point of its slice s whose objective gains along
+    it, C[s, a].d > ``_TOL_PIVOT``: unbounded at every right-hand side, so
+    it is not solved.
 
     Returns (values, cache, cold, warm): each point's optimal value (G x ka
     x kb), NaN where its program is unbounded; the cached bases as sorted
@@ -410,9 +394,8 @@ def _solve_points(A, C, Bv, bases=()):
     points = ka == kb == 1  # a slice per point, as grey_core._point_layout lays them out
 
     def settle(which):
-        """Certify ``cache[which]`` at every pending point, over the box of
-        slices, alphas and betas that holds them (the range of pending
-        slices alone where every slice is one point)."""
+        """Certify ``cache[which]`` on the box of the pending points (the
+        range of pending slices alone where every slice is one point)."""
         slices = np.flatnonzero(pending if points else pending.any(axis=(1, 2)))
         if not len(slices):
             return

@@ -4,23 +4,14 @@ The critical value is the positioned optimum at uniform coefficients
 (0, 0, 1) (most pessimistic whitening) and the ideal value the optimum at
 (1, 1, 0) (most optimistic).  Every positioned optimum lies between the two,
 which makes them the natural normalization for judging how good a
-positioned optimum is:
-
-* the pleased degree ``0.5*(1 - critical/f) + 0.5*f/ideal`` never reaches
-  0 or 1, even at the bounds themselves;
-* the lambda-satisfaction degree blends a linear normalized degree (weight
-  ``lam``) with a damped one (weight ``1-lam``) and spans [0, 1] exactly,
-  hitting 0 at the critical value and 1 at the ideal value.  ``lam`` encodes
-  the decision maker's attitude: 0 pessimistic, 1 optimistic.
-
-A degree is then accepted against a grey target [mu0, 1].
+positioned optimum is, by the pleased degree (:func:`pleased_degree`) or
+the lambda-satisfaction degree (:func:`lambda_satisfaction`).  A degree is
+then accepted against a grey target [mu0, 1].
 
 Each analysis command solves its settings and both bounds in one call of
 the stacked kernel (:func:`_solve_grid`), so a setting at a bound triple
-is the bound's own point and scores exactly 0 or 1.  The kernel's values
-come back in the layout's row order by a transpose, since that order is
-arithmetic (see :mod:`greylp.grey_core`).  A positioned program on its
-own is solved cold.
+is the bound's own point and scores exactly 0 or 1.  A positioned program
+on its own is solved cold.
 
 The degrees of an array of optima run the scalar formulas' operations in
 the same order, so each is bit for bit the scalar function's, and write
@@ -143,12 +134,9 @@ _IDEAL, _CRITICAL = (1.0, 1.0, 0.0), (0.0, 0.0, 1.0)  # as uniform (alpha, beta,
 
 def _solve_grid(p: GreyLP, layout: tuple[np.ndarray, ...]) -> np.ndarray:
     """The positioned optimum of a validated ``p`` at every triple of the
-    stack ``layout`` (see :mod:`greylp.grey_core`), in the layout's row
-    order, NaN where the positioned program is unbounded, from one call of
-    the stacked kernel.  The kernel's values are indexed (gamma, alpha,
-    beta), so row order is their (alpha, beta, gamma) transpose,
-    flattened: the lexicographic order of a grid cube's triples, and the
-    input order of chosen settings, a slice each.
+    stack ``layout``, from one kernel call, NaN where the positioned program
+    is unbounded, in the layout's row order (see :mod:`greylp.grey_core`):
+    lexicographic for a grid cube, input order for chosen settings.
 
     Results equal those of solving each point on its own
     (``solve_max(build_positioned(p, uniform_coefficients(...)))``), up to
@@ -200,11 +188,11 @@ def _solve_with_bounds(p: GreyLP, pts: np.ndarray) -> tuple[np.ndarray, ValueBou
     triples ``pts`` (N x 3), and the bounds, from one kernel call (see
     :func:`_solve_grid`).  Raises as :func:`_bounded`.
 
-    Each distinct triple is one point with a slice of its own
-    (``grey_core._point_layout``), in the order ``pts`` first, then the
-    ideal triple and the critical one.  So the first triple of ``pts`` is
-    solved cold, bit for bit as :func:`positioned_value` solves it, and a
-    triple of ``pts`` at a bound has the bound's own value."""
+    Each distinct triple is one point of a ``grey_core._point_layout``,
+    in the order ``pts`` first, then the ideal triple and the critical one.
+    So the first triple of ``pts`` is solved cold, bit for bit as
+    :func:`positioned_value` solves it, and a triple of ``pts`` at a bound
+    has the bound's own value."""
     triples = list(map(tuple, pts.tolist()))
     index = {t: i for i, t in enumerate(dict.fromkeys([*triples, _IDEAL, _CRITICAL]))}
     values = _solve_grid(p, _point_layout(np.array(list(index))))
@@ -328,9 +316,10 @@ def lambda_satisfaction(f: float, vb: ValueBounds, lam: float) -> float:
 
     Blends the linear normalized degree ``t = (f - critical)/(ideal -
     critical)`` (weight ``lam``) with the damped degree ``(f - critical) /
-    (ideal - critical + (1 - lam)*(ideal - f))`` (weight ``1 - lam``).
-    Equals 0 at the critical value, 1 at the ideal value, and is increasing
-    in both ``f`` and ``lam`` in between.  ``lam = 1`` reduces to ``t``.
+    (ideal - critical + (1 - lam)*(ideal - f))`` (weight ``1 - lam``), so
+    ``lam`` is the decision maker's attitude: 0 pessimistic, 1 optimistic.
+    Spans [0, 1] exactly: 0 at the critical value, 1 at the ideal value,
+    increasing in both ``f`` and ``lam`` in between; ``lam = 1`` gives ``t``.
 
     Coinciding bounds make the ratios meaningless; every solution then
     attains the ideal, so the degree is reported as 1 with a

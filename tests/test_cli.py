@@ -808,6 +808,12 @@ class TestVerifyExample:
         run(["verify-example"])
         assert capsys.readouterr().out == first
 
+    def test_checks_the_shipped_demo_file(self):
+        # README's Quick start and the benchmark's demo-grid workload read
+        # data/demo_problem.json; verify-example checks the bundled copy.
+        demo = pathlib.Path(__file__).parents[1] / "data" / "demo_problem.json"
+        assert demo.read_bytes() == bundled.EXAMPLE_PROBLEM_JSON.encode("utf-8")
+
 
 @pytest.mark.parametrize("argv, message", [
     (["bounds"], "2 points, 2 cold solves, 0 warm starts, 0 certified, 2 bases"),
