@@ -8,10 +8,11 @@ the expected ordering of positioned optima empirically on a grid.
 Every sweep is solved in one stacked-kernel call, as a grid cube or as
 chosen settings; see :mod:`greylp.satisfaction` and :mod:`greylp.grey_core`.
 
-Tables render to CSV or Markdown with optimal values to 2 decimals and
-degrees to 4, through one row formatter (``_format_rows``).  The ``sweep``
-command writes each block of its table as it is made (``_table_blocks``),
-as ``satisfactory`` writes its hit lines, so the whole text is never held.
+Tables render to CSV or Markdown, optimal values and degrees to the
+decimals ``_VALUE_DECIMALS`` and ``_DEGREE_DECIMALS``, through one row
+formatter (``_format_rows``).  The ``sweep`` command writes each block of
+its table as it is made (``_table_blocks``), as ``satisfactory`` writes its
+hit lines, so the whole text is never held.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .grey_core import GreyLP, _check_real, _cube_layout, _number, _require_units, _unit
+from .grey_core import GreyLP, _STEP, _check_real, _cube_layout, _in_range, _number, _require_units
 from .satisfaction import (
-    ValueBounds, _bounded, _satisfaction_rows, _solve_grid, _solve_with_bounds, _validated,
-    lambda_satisfactions, pleased_degrees,
+    ValueBounds, _bounded, _noise_tol, _satisfaction_rows, _solve_grid, _solve_with_bounds,
+    _validated, lambda_satisfactions, pleased_degrees,
 )
 
 __all__ = [
@@ -130,9 +131,7 @@ def unit_grid(step: float) -> tuple[float, ...]:
     8-byte numbers (the kernel's values and the optima in row order), 16
     bytes per grid point.
     """
-    step = _number(step, "grid step", "(0, 0.5]")
-    if not (0.0 < step <= 0.5):
-        raise DomainError(f"grid step must be in (0, 0.5], got {step}")
+    step = _in_range(step, "grid step", _STEP)
     limit = np.iinfo(np.intp).max
     inverse = 1.0 / step  # inf for the smallest subnormal steps
     count = int(math.floor(inverse + 1e-9)) if inverse < limit else limit
@@ -210,7 +209,7 @@ def lambda_sweep(p: GreyLP, settings, lambdas) -> SweepTable:
     A bad lambda raises :class:`DomainError` before anything is solved.
     """
     pts = _points(list(settings))
-    lambdas = tuple(_unit(v, "lam") for v in lambdas)
+    lambdas = tuple(_in_range(v, "lam") for v in lambdas)
     _validated(p)
     pts = pts[np.lexsort(pts.T[::-1])]
     return SweepTable(lambdas, pts, *_scored(*_solve_with_bounds(p, pts), lambdas))
@@ -225,7 +224,7 @@ def grid_sweep(p: GreyLP, step: float, lambdas=()) -> SweepTable:
     """
     grid = unit_grid(step)
     # The lambdas and the problem are checked before the cube is built.
-    lambdas = tuple(_unit(v, "lam") for v in lambdas)
+    lambdas = tuple(_in_range(v, "lam") for v in lambdas)
     _validated(p)
     return SweepTable._of_grid(grid, lambdas, *_scored(*_solve_cube(p, grid), lambdas))
 
@@ -239,8 +238,8 @@ def check_monotonicity(p: GreyLP, axis: str, step: float) -> MonotonicityReport:
 
     Expected ordering: optima nondecreasing in alpha and beta, nonincreasing
     in gamma.  Adjacent pairs suffice: transitivity extends them to the
-    whole grid.  Violations beyond ``1e-6 * scale`` are reported, where
-    ``scale`` is the largest optimum probed (at least 1).
+    whole grid.  Violations beyond the solver noise of the largest optimum
+    probed (:func:`greylp.satisfaction._noise_tol`) are reported.
     """
     if axis not in _AXES:
         raise DomainError(f"axis must be one of {sorted(_AXES)}, got {axis!r}")
@@ -250,9 +249,7 @@ def check_monotonicity(p: GreyLP, axis: str, step: float) -> MonotonicityReport:
     g = len(grid)
     _validated(p)  # before the cube is laid out
     values = _solve_grid(p, _cube_layout(grid))
-    finite = values[~np.isnan(values)]
-    scale = max(1.0, float(np.abs(finite).max())) if finite.size else 1.0
-    tol = 1e-6 * scale
+    tol = _noise_tol(float(np.fmax.reduce(np.abs(values), initial=0.0)))  # fmax skips NaN
 
     # Pairs in the order (other two axes, then the probed one): with the
     # probed axis moved last, that is the C order of the cube.
@@ -307,7 +304,7 @@ def find_satisfactory(
 def _satisfactory_hits(p: GreyLP, mu0: float, lam: float, step: float):
     """:func:`find_satisfactory`'s hits as (grid, hits, degrees): the grid
     values, each hit's flat index into the cube of them, and its degree."""
-    mu0, lam = _unit(mu0, "mu0"), _unit(lam, "lam")
+    mu0, lam = _in_range(mu0, "mu0"), _in_range(lam, "lam")
     grid = unit_grid(step)
     _validated(p)  # before the cube is laid out
     degree = lambda_satisfactions(*_solve_cube(p, grid), lam)
@@ -321,6 +318,9 @@ def _satisfactory_hits(p: GreyLP, mu0: float, lam: float, step: float):
 
 # Rows are rendered this many at a time, which bounds the bytes held at once.
 _BLOCK = 1024
+
+# The decimals of the optimal values and the degrees that every command prints.
+_VALUE_DECIMALS, _DEGREE_DECIMALS = 2, 4
 
 # Why _format_rows may write v from q = rint(v * 10**d) while 0 <= v <
 # 10**(12 - d): x = v * 10**d is then below 2**52, where every rounding tie
@@ -570,6 +570,6 @@ def _table_blocks(t: SweepTable, format: str):
     k = 1 + len(t.lambdas)
     cells = _row_cells(t.coefficients) if t._grid is None else _grid_cells(t._grid)
     return itertools.chain((head,), _format_rows(
-        cells, (t.f, t.mu, t.mu_tilde), [2] + [4] * k, ["nan"] + [empty] * k,
-        [lead] + [sep] * (len(header) - 1) + [end],
+        cells, (t.f, t.mu, t.mu_tilde), [_VALUE_DECIMALS] + [_DEGREE_DECIMALS] * k,
+        ["nan"] + [empty] * k, [lead] + [sep] * (len(header) - 1) + [end],
     ))

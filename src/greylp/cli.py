@@ -35,6 +35,8 @@ import numpy as np
 
 from . import bundled
 from .analysis import (
+    _DEGREE_DECIMALS,
+    _VALUE_DECIMALS,
     _format_rows,
     _grid_cells,
     _satisfactory_hits,
@@ -55,6 +57,8 @@ from .grey_core import (
     GreyLP,
     Violation,
     _REALS,
+    _STEP,
+    _UNIT,
     _interval_violations,
     uniform_coefficients,
     validate_problem,
@@ -218,30 +222,30 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _number_in(within, interval: str):
-    """The argparse type of a number option: its text as a float for
-    which ``within`` holds, where ``interval`` writes that range."""
+def _number_in(rng):
+    """The argparse type of a number option: its text as a float in the
+    range ``rng``."""
 
     def number(text: str) -> float:
         try:
             v = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-        if not within(v):
-            raise argparse.ArgumentTypeError(f"{text} is outside {interval}")
+        if not rng.within(v):
+            raise argparse.ArgumentTypeError(f"{text} is outside {rng.text}")
         return v
 
     return number
 
 
-_unit = _number_in(lambda v: 0.0 <= v <= 1.0, "[0, 1]")
-_step = _number_in(lambda v: 0.0 < v <= 0.5, "(0, 0.5]")
+_unit = _number_in(_UNIT)
 
 
 def _lambda_list(text: str) -> tuple[float, ...]:
     parts = [part.strip() for part in text.split(",") if part.strip()]
     if not parts:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of values in [0, 1]")
+        expected = f"expected a comma-separated list of values in {_UNIT.text}"
+        raise argparse.ArgumentTypeError(expected)
     return tuple(_unit(part) for part in parts)
 
 
@@ -251,6 +255,18 @@ def _add_file(sp) -> None:
 
 def _add_precise(sp) -> None:
     sp.add_argument("--precise", action="store_true", help="print full-precision numbers")
+
+
+def _add_lambda(sp) -> None:
+    sp.add_argument(
+        "--lambda", dest="lam", type=_unit, default=1.0,
+        help="attitude weight in [0, 1] (default 1)",
+    )
+
+
+def _add_step(sp, default: float) -> None:
+    help_ = f"grid step in (0, 0.5] (default {default:g})"
+    sp.add_argument("--step", type=_number_in(_STEP), default=default, help=help_)
 
 
 def _add_coefficients(sp) -> None:
@@ -274,12 +290,8 @@ def _triple(args) -> tuple[float, float, float]:
     return args.alpha, args.beta, args.gamma
 
 
-def _fmt_value(v: float, precise: bool) -> str:
-    return repr(float(v)) if precise else "%.2f" % v
-
-
-def _fmt_degree(v: float, precise: bool) -> str:
-    return repr(float(v)) if precise else "%.4f" % v
+def _fmt(v: float, decimals: int, precise: bool) -> str:
+    return repr(float(v)) if precise else "%.*f" % (decimals, v)
 
 
 def _fmt_triple(t) -> str:
@@ -307,8 +319,8 @@ def _cmd_solve(args) -> int:
     pf = _load(args.file)
     k = uniform_coefficients(*_triple(args), pf.problem.m, pf.problem.n)
     sol = _solve_positioned(pf.problem, k, unbounded="positioned program is unbounded")
-    print(f"f = {_fmt_value(sol.objective, args.precise)}")
-    xs = ", ".join(repr(float(v)) if args.precise else "%.6f" % v for v in sol.x)
+    print(f"f = {_fmt(sol.objective, _VALUE_DECIMALS, args.precise)}")
+    xs = ", ".join(_fmt(v, 6, args.precise) for v in sol.x)
     print(f"x = ({xs})")
     return 0
 
@@ -316,8 +328,8 @@ def _cmd_solve(args) -> int:
 def _cmd_bounds(args) -> int:
     pf = _load(args.file)
     vb = bounds(pf.problem)
-    print(f"critical = {_fmt_value(vb.critical, args.precise)}")
-    print(f"ideal = {_fmt_value(vb.ideal, args.precise)}")
+    print(f"critical = {_fmt(vb.critical, _VALUE_DECIMALS, args.precise)}")
+    print(f"ideal = {_fmt(vb.ideal, _VALUE_DECIMALS, args.precise)}")
     return 0
 
 
@@ -328,9 +340,9 @@ def _cmd_degrees(args) -> int:
     f = float(f)
     mu = pleased_degree(f, vb)
     mu_tilde = lambda_satisfaction(f, vb, args.lam)
-    print(f"f = {_fmt_value(f, args.precise)}")
-    print(f"mu = {_fmt_degree(mu, args.precise)}")
-    print(f"mu_tilde[lambda={args.lam:g}] = {_fmt_degree(mu_tilde, args.precise)}")
+    print(f"f = {_fmt(f, _VALUE_DECIMALS, args.precise)}")
+    print(f"mu = {_fmt(mu, _DEGREE_DECIMALS, args.precise)}")
+    print(f"mu_tilde[lambda={args.lam:g}] = {_fmt(mu_tilde, _DEGREE_DECIMALS, args.precise)}")
     print(f"pleased (mu >= {args.mu0:g}): {'yes' if mu >= args.mu0 else 'no'}")
     print(f"satisfactory (mu_tilde >= {args.mu0:g}): {'yes' if mu_tilde >= args.mu0 else 'no'}")
     return 0
@@ -371,7 +383,7 @@ def _cmd_satisfactory(args) -> int:
         f"mu_tilde[lambda={args.lam:g}] >= {args.mu0:g}"
     )
     sys.stdout.writelines(_format_rows(
-        _grid_cells(grid, hits), (degrees,), [4], ["nan"],
+        _grid_cells(grid, hits), (degrees,), [_DEGREE_DECIMALS], ["nan"],
         ["  alpha=", " beta=", " gamma=", "  mu_tilde=", "\n"],
     ))
     return 0
@@ -442,10 +454,7 @@ def _parser() -> _Parser:
     sp = add("degrees", "Compute pleased and satisfaction degrees for one setting.", _cmd_degrees)
     _add_file(sp)
     _add_coefficients(sp)
-    sp.add_argument(
-        "--lambda", dest="lam", type=_unit, default=1.0,
-        help="attitude weight in [0, 1] (default 1)",
-    )
+    _add_lambda(sp)
     sp.add_argument(
         "--mu0", type=_unit, default=0.5,
         help="grey target threshold in [0, 1] (default 0.5)",
@@ -454,9 +463,7 @@ def _parser() -> _Parser:
 
     sp = add("sweep", "Tabulate optima and degrees over a uniform coefficient grid.", _cmd_sweep)
     _add_file(sp)
-    sp.add_argument(
-        "--step", type=_step, default=0.1, help="grid step in (0, 0.5] (default 0.1)"
-    )
+    _add_step(sp, 0.1)
     sp.add_argument(
         "--lambdas", type=_lambda_list, default=(),
         help="comma-separated attitude weights to tabulate",
@@ -477,9 +484,7 @@ def _parser() -> _Parser:
         "--axis", required=True, choices=("alpha", "beta", "gamma"),
         help="coefficient axis to probe",
     )
-    sp.add_argument(
-        "--step", type=_step, default=0.25, help="grid step in (0, 0.5] (default 0.25)"
-    )
+    _add_step(sp, 0.25)
 
     sp = add(
         "satisfactory",
@@ -490,13 +495,8 @@ def _parser() -> _Parser:
     sp.add_argument(
         "--mu0", type=_unit, required=True, help="grey target threshold in [0, 1]"
     )
-    sp.add_argument(
-        "--lambda", dest="lam", type=_unit, default=1.0,
-        help="attitude weight in [0, 1] (default 1)",
-    )
-    sp.add_argument(
-        "--step", type=_step, default=0.1, help="grid step in (0, 0.5] (default 0.1)"
-    )
+    _add_lambda(sp)
+    _add_step(sp, 0.1)
 
     add(
         "verify-example",

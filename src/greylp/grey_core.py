@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -95,7 +96,15 @@ def _check_real(values, depth: int, block: str) -> None:
         level = nested
 
 
-def _number(v, name: str, interval: str = "[0, 1]") -> float:
+# A range of numbers: its interval text, and within(v), whether a float, or
+# each entry of an array, lies in it (False for NaN).
+_Range = namedtuple("_Range", "text within")
+
+_UNIT = _Range("[0, 1]", lambda v: (v >= 0.0) & (v <= 1.0))  # coefficients, lambdas, mu0
+_STEP = _Range("(0, 0.5]", lambda v: (v > 0.0) & (v <= 0.5))  # grid steps
+
+
+def _number(v, name: str, interval: str = _UNIT.text) -> float:
     """``v`` as a float, an integer past float range as an infinity.
     Raises :class:`DomainError` "<name> must be a number in <interval>"
     unless ``v`` is a real number by :func:`_check_real`'s rule."""
@@ -107,23 +116,23 @@ def _number(v, name: str, interval: str = "[0, 1]") -> float:
         return math.inf if v > 0 else -math.inf
 
 
-def _unit(v, name: str) -> float:
-    """The argument ``v``, called ``name``, as a float in [0, 1]; any other
-    value, NaN among them, raises :class:`DomainError`."""
-    t = _number(v, name)
-    if not (0.0 <= t <= 1.0):  # also true for NaN
-        raise DomainError(f"{name} must be in [0, 1], got {t}")
+def _in_range(v, name: str, rng: _Range = _UNIT) -> float:
+    """The argument ``v``, called ``name``, as a float in the range ``rng``;
+    any other value, NaN among them, raises :class:`DomainError`."""
+    t = _number(v, name, rng.text)
+    if not rng.within(t):
+        raise DomainError(f"{name} must be in {rng.text}, got {t}")
     return t
 
 
 def _require_units(values: np.ndarray, names: tuple[str, ...]) -> None:
-    """Raise :func:`_unit`'s :class:`DomainError` for the first entry of
+    """Raise :func:`_in_range`'s :class:`DomainError` for the first entry of
     ``values`` (C order) outside [0, 1] or NaN, named as a position
     coefficient in ``names[j % len(names)]`` for column j of the last axis."""
-    bad = ~((values >= 0.0) & (values <= 1.0))  # also flags NaN
+    bad = ~_UNIT.within(values)
     if bad.any():
         i = int(bad.argmax())
-        _unit(values.flat[i], f"position coefficient in {names[i % len(names)]}")  # raises
+        _in_range(values.flat[i], f"position coefficient in {names[i % len(names)]}")  # raises
 
 
 def _shaped(values, shape: tuple, block: str, error: str) -> np.ndarray:
@@ -388,7 +397,7 @@ def uniform_coefficients(
     # Every entry is one of three scalars, so a bad one is reported by the
     # scalar check (in the constructor's order) before any array is filled.
     alpha, beta, gamma = (
-        _unit(v, f"position coefficient in {name}")
+        _in_range(v, f"position coefficient in {name}")
         for v, name in ((alpha, "alphas"), (beta, "betas"), (gamma, "gammas"))
     )
     return PositionCoefficients(np.full(n, alpha), np.full(m, beta), np.full((m, n), gamma))

@@ -155,13 +155,19 @@ def _extract_ray(T: np.ndarray, basis: list[int], enter: int, n: int) -> tuple[f
     return tuple(d[:n].tolist())
 
 
+def _scaled(tol: float, v: np.ndarray) -> np.ndarray:
+    """The tolerance ``tol * max(1, |v|)`` for each entry of ``v``, as a new
+    array: absolute up to magnitude 1 and relative beyond."""
+    bound = np.abs(v)
+    np.maximum(bound, 1.0, out=bound)
+    bound *= tol
+    return bound
+
+
 def _slack_ok(b, Ax):
     """Where the slack b - A.x passes the feasibility post-check, slack >=
     -_TOL_FEAS * max(1, |b_i|); a NaN slack fails it."""
-    bound = np.abs(b)
-    np.maximum(bound, 1.0, out=bound)
-    bound *= -_TOL_FEAS
-    return b - Ax >= bound
+    return b - Ax >= _scaled(-_TOL_FEAS, b)
 
 
 def _vertex(T: np.ndarray, basis: list[int], A, b, c) -> LPSolution | None:
@@ -192,10 +198,11 @@ def _phase2(A, b, c, S=None) -> tuple[LPSolution | None, int, int]:
     """Phase 2 from the primal feasible basis ``S`` (the all-slack one if
     None): the optimal or unbounded solution, None if it fails the
     post-check or ``S`` is refused (its B^-1 B is not the identity within
-    ``_TOL_BASIS``: a numerically singular basis), the pivots, and how many
-    of them were degenerate.  Raises :class:`SolverFailure` past the pivot
-    budget.  numpy's overflow and invalid warnings are off: an overflowing
-    ratio is left out, and an optimum that overflows fails the post-check."""
+    ``_TOL_BASIS``: a singular or numerically singular basis), the pivots,
+    and how many of them were degenerate.  Raises :class:`SolverFailure`
+    past the pivot budget.  numpy's overflow and invalid warnings are off:
+    an overflowing ratio is left out, and an optimum that overflows fails
+    the post-check."""
     m, n = A.shape
     T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = A
@@ -208,10 +215,10 @@ def _phase2(A, b, c, S=None) -> tuple[LPSolution | None, int, int]:
         # The tableau of the basis: B^-1 [A | I | b], with the reduced costs
         # c - c_B B^-1 [A | I] as the objective row.
         basis = S.tolist()
-        T[:m] = np.linalg.solve(T[:m, S], T[:m])
-        # B^-1 B must come out as the identity: a numerically singular B
-        # that LU does not flag gives a tableau whose reduced costs prove
-        # nothing, so the start is refused.
+        T[:m] = _solve_stack(T[None, :m, S], T[None, :m])[0][0]
+        # B^-1 B must come out as the identity, or the start is refused.  It
+        # is NaN for an exactly singular B, and for a numerically singular B
+        # that LU does not flag, the tableau's reduced costs prove nothing.
         identity = np.eye(m)
         if not np.abs(T[:m, S] - identity).max() <= _TOL_BASIS:
             return None, 0, 0
@@ -313,10 +320,7 @@ def _certify(A, C, Bv, basis):
         f = np.einsum("gan,gbn->gab", C, np.ascontiguousarray(xs.transpose(0, 2, 1)))
         gap = np.matmul(YF.transpose(0, 2, 1), Bv[:, :, F].transpose(0, 2, 1))
         gap -= f
-        bound = np.abs(f)
-        np.maximum(bound, 1.0, out=bound)
-        bound *= _TOL_PIVOT
-        ok = np.abs(gap, out=gap) <= bound
+        ok = np.abs(gap, out=gap) <= _scaled(_TOL_PIVOT, f)
         ok &= primal[:, None, :]
         ok &= dual[:, :, None]
     return ok, f, primal

@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .grey_core import (
-    GreyLP, PositionCoefficients, _point_layout, _unit, _white_stack, build_positioned,
+    GreyLP, PositionCoefficients, _in_range, _point_layout, _white_stack, build_positioned,
     validate_problem,
 )
 from .lp_solver import LPSolution, SolveStatus, _solve_points, solve_max
@@ -68,7 +68,7 @@ class ValueBounds:
         object.__setattr__(self, "ideal", float(self.ideal))
         if not (math.isfinite(self.critical) and math.isfinite(self.ideal)):
             raise DomainError(f"value bounds must be finite, got {self.critical}, {self.ideal}")
-        if self.critical > self.ideal + _value_tol(self):
+        if self.critical > self.ideal + _noise_tol(self.ideal):
             raise InconsistentInputsError(
                 f"critical value {self.critical} exceeds ideal value {self.ideal}"
             )
@@ -80,17 +80,18 @@ class ValueBounds:
         return self.ideal - self.critical <= 1e-9 * max(1.0, self.ideal)
 
 
-def _value_tol(vb: ValueBounds) -> float:
-    # Solver noise can place a positioned value marginally outside the
-    # bounds; containment is mathematically guaranteed, so clamp within
-    # this tolerance and reject beyond it.
-    return 1e-6 * max(1.0, vb.ideal)
+def _noise_tol(magnitude: float) -> float:
+    """The solver noise allowed on values of up to ``magnitude``: two bounds
+    out of order, a positioned value outside the bounds (containment is
+    mathematically guaranteed, so values are clamped within this and
+    rejected beyond it), or two optima out of the expected order."""
+    return 1e-6 * max(1.0, magnitude)
 
 
 def _clamp(f: np.ndarray, vb: ValueBounds) -> np.ndarray:
     """The values ``f``, an array the caller owns, clamped to the bounds in
     place."""
-    tol = _value_tol(vb)
+    tol = _noise_tol(vb.ideal)
     outside = (f < vb.critical - tol) | (f > vb.ideal + tol)
     if outside.any():
         raise InconsistentInputsError(
@@ -227,7 +228,7 @@ def pleased_degrees(f, vb: ValueBounds) -> np.ndarray:
     if vb.ideal <= 0.0:
         return np.full(f.shape, np.nan)
     # The negated comparisons keep NaN inputs defined (and NaN), as for floats.
-    defined = ~(f < min(vb.critical, 0.0) - _value_tol(vb))
+    defined = ~(f < min(vb.critical, 0.0) - _noise_tol(vb.ideal))
     np.copyto(f, vb.critical, where=~defined)
     _clamp(f, vb)
     defined &= ~(f < 0.0) & ((f != 0.0) | (vb.critical == 0.0))
@@ -271,7 +272,7 @@ def lambda_satisfactions(f, vb: ValueBounds, lam: float) -> np.ndarray:
     array or a number) between the bounds; see :func:`lambda_satisfaction`.
     Degenerate bounds give 1 everywhere and one
     :class:`DegenerateBoundsWarning` per call."""
-    return _satisfaction_rows(f, vb, (_unit(lam, "lam"),))[0]
+    return _satisfaction_rows(f, vb, (_in_range(lam, "lam"),))[0]
 
 
 def _satisfaction_rows(f, vb: ValueBounds, lambdas) -> np.ndarray:

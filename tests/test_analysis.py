@@ -1,7 +1,6 @@
 """Sweeps, monotonicity checks, satisfactory search, and table rendering."""
 
 import csv
-import hashlib
 import io
 import itertools
 import logging
@@ -21,6 +20,7 @@ from conftest import (
     random_bounded_problem,
     random_loose_problem,
     random_triple,
+    reference_certify,
     reference_grid,
     reference_records,
     reference_render,
@@ -328,21 +328,33 @@ class TestSolveGrid:
         # After the first basis, the demo step-0.05 cube's pending points lie
         # in gamma slices 0-8 x betas 12-20, all alphas, so the second basis
         # is certified on those 9 x 21 x 9 entries alone, not on all 9 261.
-        # The values and the record are those of whole-slice certification.
+        # The values and the record are those of whole-slice certification:
+        # the first point left is solved cold, its basis is certified on
+        # every slice (conftest.reference_certify), and the first basis
+        # that certifies a point gives its value, bit for bit.
         certify = lp_solver._certify
-        boxes = []
+        boxes, bases = [], []
 
         def recording(AI, CI, Bv, basis):
             boxes.append((len(AI), CI.shape[1], Bv.shape[1]))
+            bases.append(basis)
             return certify(AI, CI, Bv, basis)
 
         monkeypatch.setattr(lp_solver, "_certify", recording)
+        layout = _cube_layout(unit_grid(0.05))
         with caplog.at_level(logging.INFO, logger="greylp"):
-            got = satisfaction._solve_grid(demo_problem, _cube_layout(unit_grid(0.05)))
+            got = satisfaction._solve_grid(demo_problem, layout)
         assert boxes == [(21, 21, 21), (9, 21, 9)]
-        assert hashlib.sha256(got.tobytes()).hexdigest() == (
-            "cf8f4a5aa208b8cfd71e07e4aa10c23f5767dccce1ab895c975c08e8ffbbc951"
-        )
+        A, C, Bv = _white_stack(demo_problem, *layout)
+        want = np.full((len(A), C.shape[1], Bv.shape[1]), np.nan)
+        for basis in bases:
+            s, a, b = np.unravel_index(np.isnan(want).argmax(), want.shape)
+            sol = solve_max(WhiteLP(c=C[s, a], A=A[s], b=Bv[s, b]))
+            assert tuple(sorted(sol.basis)) == basis
+            want[s, a, b] = sol.objective
+            ok, f, _ = reference_certify(A, C, Bv, basis)
+            np.copyto(want, f, where=ok & np.isnan(want))
+        assert got.tobytes() == want.transpose(1, 2, 0).tobytes()
         [record] = [r.getMessage() for r in caplog.records if r.name.startswith("greylp")]
         assert record == (
             "solve_grid: 9261 points, 2 cold solves, 0 warm starts, 9259 certified, 2 bases, "

@@ -3,6 +3,7 @@ answers proven by the exact rational check of ``conftest.exact_check``."""
 
 import itertools
 import logging
+import operator
 import random
 import re
 import tracemalloc
@@ -778,6 +779,22 @@ class TestRejectedStart:
             "solve_max: cold start, 0 pivots (0 degenerate), unbounded",
         ]
 
+    def test_exactly_singular_start_is_refused(self, caplog):
+        # B = [[1, 1], [2, 2]] is singular in exact arithmetic, so LU flags
+        # it under every BLAS kernel.  Phase 2 refuses the start as it
+        # refuses a numerically singular one, and the kernel, which cannot
+        # certify the basis anywhere, solves the program cold.
+        lp, start = WhiteLP(c=(1, 1), A=((1, 1), (2, 2)), b=(1, 2)), (0, 1)
+        assert lp_solver._phase2(lp.A_array, lp.b_array, lp.c_array, np.array(start)) == (
+            None, 0, 0
+        )
+        with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
+            got = _started(lp, start)
+        assert got == _as_cold_start(_outcome(solve_max, lp))
+        assert [r.getMessage() for r in caplog.records] == [
+            "solve_max: cold start, 1 pivots (0 degenerate), optimal",
+        ]
+
     def test_failed_post_check_falls_back(self, monkeypatch):
         vertex = lp_solver._vertex
         calls = []
@@ -952,8 +969,10 @@ def test_badly_scaled_start_can_end_away_from_the_cold_solve():
 def test_post_check_is_relative_to_large_right_hand_sides():
     # A seeded 60x60 program of the benchmark's family (a heavy diagonal)
     # with A scaled by 1e-6 and b by 1e6, which maps x to 1e12 x.  At b near
-    # 1e8 its optimal vertex has the slack -1.19e-7: past an absolute 1e-7,
-    # but within 1e-7 * |b_i|, where A.x carries the rounding of b_i.
+    # 1e8 its optimal vertex has the exact slack -1.06e-7: past an absolute
+    # 1e-7, but within 1e-7 * |b_i|, where A.x carries the rounding of b_i.
+    # The slack is computed in rational arithmetic on the float data, since
+    # a BLAS product reads anywhere from -1.04e-7 to -1.19e-7 by kernel.
     rng = np.random.default_rng(41)
     c = rng.uniform(1.0, 10.0, 60)
     A = rng.uniform(0.1, 1.0, (60, 60))
@@ -961,8 +980,12 @@ def test_post_check_is_relative_to_large_right_hand_sides():
     b = rng.uniform(50.0, 100.0, 60)
     lp = WhiteLP(c=c, A=A * 1e-6, b=b * 1e6)
     sol = solve_max(lp)
-    slack = lp.b_array - lp.A_array @ np.array(sol.x)
-    assert -1.3e-7 < slack.min() < -1.1e-7 and lp.b_array[slack.argmin()] > 5e7
+    x = [Fraction(v) for v in sol.x]
+    worst, b_i = min(
+        (Fraction(b_i) - sum(map(operator.mul, map(Fraction, row), x)), b_i)
+        for row, b_i in zip(lp.A_array.tolist(), lp.b_array.tolist())
+    )
+    assert -1e-7 * b_i < worst < -1e-7 and b_i > 5e7
     unscaled = solve_max(WhiteLP(c=c, A=A, b=b)).objective
     assert sol.objective == pytest.approx(unscaled * 1e12, rel=1e-12)
     # The kernel's post-check is the same one: the basis certifies its
