@@ -10,7 +10,8 @@ Problem files are JSON documents::
       "rhs": [[lo, hi], ...]
     }
 
-The subcommands, with their help texts, are declared in :func:`_parser`.
+The subcommands, with their help texts and options, are declared once,
+in the table :data:`_COMMANDS`.
 
 Exit codes: 0 success, 1 validation/parse error, 2 computation failure
 (unbounded, iteration cap, or a grid too large to allocate), 3 usage error.
@@ -66,6 +67,7 @@ from .grey_core import (
 from .satisfaction import (
     _solve_positioned,
     _solve_with_bounds,
+    _triple_text,
     bounds,
     lambda_satisfaction,
     pleased_degree,
@@ -249,35 +251,6 @@ def _lambda_list(text: str) -> tuple[float, ...]:
     return tuple(_unit(part) for part in parts)
 
 
-def _add_file(sp) -> None:
-    sp.add_argument("--file", required=True, help="path to a problem JSON file")
-
-
-def _add_precise(sp) -> None:
-    sp.add_argument("--precise", action="store_true", help="print full-precision numbers")
-
-
-def _add_lambda(sp) -> None:
-    sp.add_argument(
-        "--lambda", dest="lam", type=_unit, default=1.0,
-        help="attitude weight in [0, 1] (default 1)",
-    )
-
-
-def _add_step(sp, default: float) -> None:
-    help_ = f"grid step in (0, 0.5] (default {default:g})"
-    sp.add_argument("--step", type=_number_in(_STEP), default=default, help=help_)
-
-
-def _add_coefficients(sp) -> None:
-    sp.add_argument("--alpha", type=_unit, help="objective position coefficient in [0, 1]")
-    sp.add_argument("--beta", type=_unit, help="right-hand-side position coefficient in [0, 1]")
-    sp.add_argument("--gamma", type=_unit, help="constraint-matrix position coefficient in [0, 1]")
-    sp.add_argument(
-        "--theta", type=_unit, help="single position coefficient applied to all three roles"
-    )
-
-
 def _triple(args) -> tuple[float, float, float]:
     """The (alpha, beta, gamma) of the options."""
     has_abc = any(v is not None for v in (args.alpha, args.beta, args.gamma))
@@ -294,10 +267,6 @@ def _fmt(v: float, decimals: int, precise: bool) -> str:
     return repr(float(v)) if precise else "%.*f" % (decimals, v)
 
 
-def _fmt_triple(t) -> str:
-    return "(%g,%g,%g)" % tuple(t)
-
-
 def _load(path: str) -> ProblemFile:
     try:
         text = pathlib.Path(path).read_text(encoding="utf-8")
@@ -307,16 +276,14 @@ def _load(path: str) -> ProblemFile:
     return parse_problem(text)
 
 
-def _cmd_validate(args) -> int:
-    pf = _load(args.file)
+def _cmd_validate(args, pf) -> int:
     p = pf.problem
     label = f" ({pf.name})" if pf.name else ""
     print(f"ok: valid problem{label} with {p.n} variable(s), {p.m} constraint(s)")
     return 0
 
 
-def _cmd_solve(args) -> int:
-    pf = _load(args.file)
+def _cmd_solve(args, pf) -> int:
     k = uniform_coefficients(*_triple(args), pf.problem.m, pf.problem.n)
     sol = _solve_positioned(pf.problem, k, unbounded="positioned program is unbounded")
     print(f"f = {_fmt(sol.objective, _VALUE_DECIMALS, args.precise)}")
@@ -325,16 +292,14 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_bounds(args) -> int:
-    pf = _load(args.file)
+def _cmd_bounds(args, pf) -> int:
     vb = bounds(pf.problem)
     print(f"critical = {_fmt(vb.critical, _VALUE_DECIMALS, args.precise)}")
     print(f"ideal = {_fmt(vb.ideal, _VALUE_DECIMALS, args.precise)}")
     return 0
 
 
-def _cmd_degrees(args) -> int:
-    pf = _load(args.file)
+def _cmd_degrees(args, pf) -> int:
     # Parsing validated the problem.
     (f,), vb = _solve_with_bounds(pf.problem, np.array([_triple(args)]))
     f = float(f)
@@ -348,8 +313,7 @@ def _cmd_degrees(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    pf = _load(args.file)
+def _cmd_sweep(args, pf) -> int:
     table = grid_sweep(pf.problem, args.step, lambdas=args.lambdas)
     blocks = _table_blocks(table, args.format)
     if args.out:
@@ -361,8 +325,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_monotonicity(args) -> int:
-    pf = _load(args.file)
+def _cmd_monotonicity(args, pf) -> int:
     report = check_monotonicity(pf.problem, args.axis, args.step)
     print(f"axis = {report.axis} (expected {report.direction})")
     print(f"pairs checked = {report.pair_count}")
@@ -370,12 +333,11 @@ def _cmd_monotonicity(args) -> int:
     if report.skipped:
         print(f"skipped = {len(report.skipped)}")
     for pair, (f_lo, f_hi) in report.violations:
-        print(f"  {_fmt_triple(pair[0])} -> {_fmt_triple(pair[1])}: f {f_lo!r} -> {f_hi!r}")
+        print(f"  {_triple_text(pair[0])} -> {_triple_text(pair[1])}: f {f_lo!r} -> {f_hi!r}")
     return 0
 
 
-def _cmd_satisfactory(args) -> int:
-    pf = _load(args.file)
+def _cmd_satisfactory(args, pf) -> int:
     # find_satisfactory's hits, as flat cube indices: no triple is built.
     grid, hits, degrees = _satisfactory_hits(pf.problem, args.mu0, args.lam, args.step)
     print(
@@ -389,7 +351,7 @@ def _cmd_satisfactory(args) -> int:
     return 0
 
 
-def _cmd_verify_example(args) -> int:
+def _cmd_verify_example(args, pf) -> int:
     p = parse_problem(bundled.EXAMPLE_PROBLEM_JSON).problem
     # One table holds every cell.  Both bounds are reference settings, and
     # their bases certify the other four in the same kernel call.
@@ -415,94 +377,89 @@ def _cmd_verify_example(args) -> int:
 
     for triple, f_ref, mu_ref in bundled.REFERENCE_POSITIONED:
         i = row[triple]
-        cell(f"f{_fmt_triple(triple)}", f[i], f_ref, bundled.F_TOL)
-        cell(f"mu{_fmt_triple(triple)}", mu[i], mu_ref, bundled.MU_TOL)
+        cell(f"f{_triple_text(triple)}", f[i], f_ref, bundled.F_TOL)
+        cell(f"mu{_triple_text(triple)}", mu[i], mu_ref, bundled.MU_TOL)
     for triple, refs in bundled.REFERENCE_SATISFACTION:
         for lam, got, want in zip(bundled.REFERENCE_LAMBDA_GRID, mu_tilde[row[triple]], refs):
-            cell(f"mu_tilde[lambda={lam:g}]{_fmt_triple(triple)}", got, want, bundled.MU_TILDE_TOL)
+            cell(f"mu_tilde[lambda={lam:g}]{_triple_text(triple)}", got, want, bundled.MU_TILDE_TOL)
     print(f"result: {checked - failed} of {checked} cells match")
     return 0 if failed == 0 else 1
 
 
+# The options that several subcommands share, each a (flag, argparse
+# keywords) pair.
+_FILE = ("--file", dict(required=True, help="path to a problem JSON file"))
+_PRECISE = ("--precise", dict(action="store_true", help="print full-precision numbers"))
+_LAMBDA = ("--lambda", dict(dest="lam", type=_unit, default=1.0,
+                            help="attitude weight in [0, 1] (default 1)"))
+_COEFFICIENTS = (
+    ("--alpha", dict(type=_unit, help="objective position coefficient in [0, 1]")),
+    ("--beta", dict(type=_unit, help="right-hand-side position coefficient in [0, 1]")),
+    ("--gamma", dict(type=_unit, help="constraint-matrix position coefficient in [0, 1]")),
+    ("--theta", dict(type=_unit, help="single position coefficient applied to all three roles")),
+)
+
+
+def _step(default: float):
+    """The --step option of a grid command whose default step is ``default``."""
+    return "--step", dict(type=_number_in(_STEP), default=default,
+                          help=f"grid step in (0, 0.5] (default {default:g})")
+
+
+def _mu0(default: float | None):
+    """The --mu0 option with its ``default``; without one it is required."""
+    note = "" if default is None else f" (default {default:g})"
+    return "--mu0", dict(type=_unit, default=default, required=default is None,
+                         help=f"grey target threshold in [0, 1]{note}")
+
+
+# The subcommands in help order, each as (name, help, handler, options).
+# The handler is called as handler(args, pf), where pf is the ProblemFile
+# that run loads from --file, or None for a subcommand without --file.
+_COMMANDS = (
+    ("validate", "Parse a problem file and report whether it is valid.", _cmd_validate, [_FILE]),
+    ("solve", "Solve the positioned program for one coefficient setting.", _cmd_solve,
+     [_FILE, *_COEFFICIENTS, _PRECISE]),
+    ("bounds", "Compute the critical and ideal optimal values.", _cmd_bounds, [_FILE, _PRECISE]),
+    ("degrees", "Compute pleased and satisfaction degrees for one setting.", _cmd_degrees,
+     [_FILE, *_COEFFICIENTS, _LAMBDA, _mu0(0.5), _PRECISE]),
+    ("sweep", "Tabulate optima and degrees over a uniform coefficient grid.", _cmd_sweep, [
+        _FILE,
+        _step(0.1),
+        ("--lambdas", dict(type=_lambda_list, default=(),
+                           help="comma-separated attitude weights to tabulate")),
+        ("--format", dict(choices=("csv", "markdown"), default="csv",
+                          help="output format (default csv)")),
+        ("--out", dict(help="write the table to this file instead of standard output")),
+    ]),
+    ("monotonicity", "Check the expected ordering of optima along one coefficient axis.",
+     _cmd_monotonicity, [
+        _FILE,
+        ("--axis", dict(required=True, choices=("alpha", "beta", "gamma"),
+                        help="coefficient axis to probe")),
+        _step(0.25),
+    ]),
+    ("satisfactory", "List grid settings whose satisfaction degree reaches a target.",
+     _cmd_satisfactory, [_FILE, _mu0(None), _LAMBDA, _step(0.1)]),
+    ("verify-example", "Recompute the bundled demo problem's reference tables and compare.",
+     _cmd_verify_example, []),
+)
+
+
 @functools.cache
 def _parser() -> _Parser:
-    """The command-line parser, built once per process (parsing keeps no
-    state in it: each call gets a fresh namespace)."""
+    """The command-line parser of :data:`_COMMANDS`, built once per process
+    (parsing keeps no state in it: each call gets a fresh namespace)."""
     parser = _Parser(
         prog="greylp",
         description="Whiten, solve, and rank interval-coefficient linear programs.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-
-    def add(name: str, help_: str, handler):
+    for name, help_, handler, options in _COMMANDS:
         sp = sub.add_parser(name, help=help_, description=help_)
         sp.set_defaults(handler=handler)
-        return sp
-
-    sp = add("validate", "Parse a problem file and report whether it is valid.", _cmd_validate)
-    _add_file(sp)
-
-    sp = add("solve", "Solve the positioned program for one coefficient setting.", _cmd_solve)
-    _add_file(sp)
-    _add_coefficients(sp)
-    _add_precise(sp)
-
-    sp = add("bounds", "Compute the critical and ideal optimal values.", _cmd_bounds)
-    _add_file(sp)
-    _add_precise(sp)
-
-    sp = add("degrees", "Compute pleased and satisfaction degrees for one setting.", _cmd_degrees)
-    _add_file(sp)
-    _add_coefficients(sp)
-    _add_lambda(sp)
-    sp.add_argument(
-        "--mu0", type=_unit, default=0.5,
-        help="grey target threshold in [0, 1] (default 0.5)",
-    )
-    _add_precise(sp)
-
-    sp = add("sweep", "Tabulate optima and degrees over a uniform coefficient grid.", _cmd_sweep)
-    _add_file(sp)
-    _add_step(sp, 0.1)
-    sp.add_argument(
-        "--lambdas", type=_lambda_list, default=(),
-        help="comma-separated attitude weights to tabulate",
-    )
-    sp.add_argument(
-        "--format", choices=("csv", "markdown"), default="csv",
-        help="output format (default csv)",
-    )
-    sp.add_argument("--out", help="write the table to this file instead of standard output")
-
-    sp = add(
-        "monotonicity",
-        "Check the expected ordering of optima along one coefficient axis.",
-        _cmd_monotonicity,
-    )
-    _add_file(sp)
-    sp.add_argument(
-        "--axis", required=True, choices=("alpha", "beta", "gamma"),
-        help="coefficient axis to probe",
-    )
-    _add_step(sp, 0.25)
-
-    sp = add(
-        "satisfactory",
-        "List grid settings whose satisfaction degree reaches a target.",
-        _cmd_satisfactory,
-    )
-    _add_file(sp)
-    sp.add_argument(
-        "--mu0", type=_unit, required=True, help="grey target threshold in [0, 1]"
-    )
-    _add_lambda(sp)
-    _add_step(sp, 0.1)
-
-    add(
-        "verify-example",
-        "Recompute the bundled demo problem's reference tables and compare.",
-        _cmd_verify_example,
-    )
+        for flag, keywords in options:
+            sp.add_argument(flag, **keywords)
     return parser
 
 
@@ -517,15 +474,17 @@ _EXIT_CODES = (
 
 def run(args) -> int:
     """Execute one command line and return the process exit code (see the
-    module docstring).  The warnings the command issues are recorded, and
-    each distinct text is printed once, after the command, as ``warning:
-    <text>`` on the error stream.
+    module docstring).  The problem file of a subcommand that declares
+    --file is loaded and parsed here, so its errors come before those of
+    the options the handler checks.  The warnings the command issues are
+    recorded, and each distinct text is printed once, after the command,
+    as ``warning: <text>`` on the error stream.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateBoundsWarning)
         try:
             ns = _parser().parse_args(list(args))
-            code = int(ns.handler(ns))
+            code = int(ns.handler(ns, _load(ns.file) if "file" in ns else None))
         except SystemExit as exc:  # --help prints and exits 0
             code = exc.code if isinstance(exc.code, int) else 0
         except (GreyLPError, OSError, MemoryError) as exc:

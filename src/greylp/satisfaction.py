@@ -163,6 +163,12 @@ def _solve_grid(p: GreyLP, layout: tuple[np.ndarray, ...]) -> np.ndarray:
     return values
 
 
+def _triple_text(t) -> str:
+    """A coefficient triple as its messages and the command line print it:
+    "(alpha,beta,gamma)", each in ``%g`` form."""
+    return "(%g,%g,%g)" % tuple(t)
+
+
 def _bounded(f: np.ndarray, critical: float, ideal: float, triple) -> ValueBounds:
     """The bounds ``critical`` and ``ideal``, solved in one kernel call
     with the optima ``f``, where ``triple(i)`` is the (alpha, beta, gamma)
@@ -178,8 +184,8 @@ def _bounded(f: np.ndarray, critical: float, ideal: float, triple) -> ValueBound
         raise UnboundedValueError(_UNBOUNDED)
     if np.isnan(f).any():
         raise SolverFailure(
-            "positioned program at (%g,%g,%g) is unbounded, but the ideal one is bounded"
-            % tuple(triple(np.isnan(f).argmax()).tolist())
+            f"positioned program at {_triple_text(triple(np.isnan(f).argmax()).tolist())} "
+            "is unbounded, but the ideal one is bounded"
         )
     return ValueBounds(critical=critical, ideal=ideal)
 

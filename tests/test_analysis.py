@@ -363,9 +363,9 @@ class TestSolveGrid:
 
     def test_sweep_cube_solves_its_own_bounds(self, demo_problem, caplog):
         # One kernel call solves the cube, both bounds among its points: the
-        # first point (0, 0, 0) cold, then the first point of the gamma = 1
-        # slice cold too, since the first basis is primal infeasible there.
-        # The two bases then certify the rest of the grid.
+        # first point (0, 0, 0) cold, then (0, 0.6, 0), cube row 252 in the
+        # gamma = 0 slice, cold too, since the first basis is primal
+        # infeasible there.  The two bases then certify the rest of the grid.
         with caplog.at_level(logging.DEBUG, logger="greylp"):
             grid_sweep(demo_problem, 0.05)
         assert [r.getMessage() for r in caplog.records] == [

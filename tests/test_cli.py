@@ -1,5 +1,6 @@
 """Command-line surface: parsing, file round trips, subcommands, exit codes."""
 
+import argparse
 import contextlib
 import copy
 import gc
@@ -888,6 +889,115 @@ def test_degrees_at_the_bounds_are_exact(capsys, tmp_path, seed, size):
             assert lines[2] == f"mu_tilde[lambda={lam}] = {degree}"
 
 
+def _declared(parser):
+    """Each option of ``parser``, in order, as (flags, dest, default,
+    required, choices, metavar, nargs, help); a subcommand option lists
+    its subcommands' names as its choices."""
+    return [
+        (tuple(a.option_strings), a.dest, a.default, a.required,
+         list(a.choices) if isinstance(a.choices, dict) else a.choices, a.metavar, a.nargs, a.help)
+        for a in parser._actions
+    ]
+
+
+def _subcommands():
+    """The top-level parser's subcommand option."""
+    [sub] = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub
+
+
+# The command line, as the parser declares it: its help output and usage
+# errors are built from these fields alone.
+_HELP = (("-h", "--help"), "help", argparse.SUPPRESS, False, None, None, 0,
+         "show this help message and exit")
+_FILE = (("--file",), "file", None, True, None, None, None, "path to a problem JSON file")
+_PRECISE = (("--precise",), "precise", False, False, None, None, 0, "print full-precision numbers")
+_COEFFICIENTS = [
+    (("--alpha",), "alpha", None, False, None, None, None,
+     "objective position coefficient in [0, 1]"),
+    (("--beta",), "beta", None, False, None, None, None,
+     "right-hand-side position coefficient in [0, 1]"),
+    (("--gamma",), "gamma", None, False, None, None, None,
+     "constraint-matrix position coefficient in [0, 1]"),
+    (("--theta",), "theta", None, False, None, None, None,
+     "single position coefficient applied to all three roles"),
+]
+_LAMBDA = (("--lambda",), "lam", 1.0, False, None, None, None,
+           "attitude weight in [0, 1] (default 1)")
+_STEP_01 = (("--step",), "step", 0.1, False, None, None, None,
+            "grid step in (0, 0.5] (default 0.1)")
+
+SUBCOMMANDS = {
+    "validate": ("Parse a problem file and report whether it is valid.", [_HELP, _FILE]),
+    "solve": (
+        "Solve the positioned program for one coefficient setting.",
+        [_HELP, _FILE, *_COEFFICIENTS, _PRECISE],
+    ),
+    "bounds": ("Compute the critical and ideal optimal values.", [_HELP, _FILE, _PRECISE]),
+    "degrees": (
+        "Compute pleased and satisfaction degrees for one setting.",
+        [_HELP, _FILE, *_COEFFICIENTS, _LAMBDA,
+         (("--mu0",), "mu0", 0.5, False, None, None, None,
+          "grey target threshold in [0, 1] (default 0.5)"),
+         _PRECISE],
+    ),
+    "sweep": (
+        "Tabulate optima and degrees over a uniform coefficient grid.",
+        [_HELP, _FILE, _STEP_01,
+         (("--lambdas",), "lambdas", (), False, None, None, None,
+          "comma-separated attitude weights to tabulate"),
+         (("--format",), "format", "csv", False, ("csv", "markdown"), None, None,
+          "output format (default csv)"),
+         (("--out",), "out", None, False, None, None, None,
+          "write the table to this file instead of standard output")],
+    ),
+    "monotonicity": (
+        "Check the expected ordering of optima along one coefficient axis.",
+        [_HELP, _FILE,
+         (("--axis",), "axis", None, True, ("alpha", "beta", "gamma"), None, None,
+          "coefficient axis to probe"),
+         (("--step",), "step", 0.25, False, None, None, None,
+          "grid step in (0, 0.5] (default 0.25)")],
+    ),
+    "satisfactory": (
+        "List grid settings whose satisfaction degree reaches a target.",
+        [_HELP, _FILE,
+         (("--mu0",), "mu0", None, True, None, None, None, "grey target threshold in [0, 1]"),
+         _LAMBDA, _STEP_01],
+    ),
+    "verify-example": (
+        "Recompute the bundled demo problem's reference tables and compare.", [_HELP]
+    ),
+}
+
+
+class TestParserDeclaration:
+    """The parser's declared fields, pinned option by option; they do
+    not depend on the terminal's width."""
+
+    def test_top_level(self):
+        parser = cli._parser()
+        assert parser.prog == "greylp"
+        assert parser.description == (
+            "Whiten, solve, and rank interval-coefficient linear programs."
+        )
+        assert _declared(parser) == [
+            _HELP,
+            ((), "command", None, True, list(SUBCOMMANDS), "SUBCOMMAND", argparse.PARSER, None),
+        ]
+
+    def test_subcommand_names_and_help_in_order(self):
+        listed = [(a.dest, a.help) for a in _subcommands()._choices_actions]
+        assert listed == [(name, help_) for name, (help_, _) in SUBCOMMANDS.items()]
+
+    @pytest.mark.parametrize("name", list(SUBCOMMANDS))
+    def test_subcommand_options(self, name):
+        help_, options = SUBCOMMANDS[name]
+        sp = _subcommands().choices[name]
+        assert (sp.prog, sp.description) == (f"greylp {name}", help_)
+        assert _declared(sp) == options
+
+
 class TestParserReuse:
     """The parser is built once per process; no call may see another's
     options."""
@@ -968,6 +1078,12 @@ def test_golden_stdout(capsys, demo_file, argv):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT[argv]
 
 
+def _src_env():
+    """The environment of a fresh interpreter that imports this greylp."""
+    src = str(pathlib.Path(greylp.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_grid_commands_leave_numpy_ma_unimported(demo_file):
     # Importing numpy.ma adds about a megabyte of resident memory.  np.unique
     # imports it when called without return_inverse, so a grid command that
@@ -987,8 +1103,7 @@ def test_grid_commands_leave_numpy_ma_unimported(demo_file):
         f"    codes = [run(argv) for argv in {commands!r}]\n"
         "print(codes, 'numpy.ma' in sys.modules, 'csv' in sys.modules)\n"
     )
-    src = str(pathlib.Path(greylp.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = _src_env()
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
@@ -1004,14 +1119,35 @@ def test_import_builds_no_digit_table(demo_file):
         "greylp.cli.run(['sweep', '--file', %r, '--step', '0.5'])\n"
         "print(analysis._digit_groups.cache_info().currsize)\n"
     )
-    src = str(pathlib.Path(greylp.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = _src_env()
     done = subprocess.run(
         [sys.executable, "-c", script % demo_file], capture_output=True, text=True, env=env,
         timeout=120,
     )
     lines = done.stdout.splitlines()
     assert (lines[0], lines[-1], len(lines)) == ("0", "1", 2 + 27 + 1), done.stderr
+
+
+def test_module_entry_point_runs_the_command_line(capsys, tmp_path):
+    # ``python -m greylp`` goes through __main__ and cli.main, which exits
+    # with run's code and prints what run prints.
+    env = _src_env()
+
+    def entry(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "greylp", *argv], capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+
+    done = entry("verify-example")
+    assert run(["verify-example"]) == 0
+    assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+    missing = str(tmp_path / "missing.json")
+    done = entry("bounds", "--file", missing)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (
+        f"error: cannot read problem file {missing!r}: No such file or directory\n"
+    )
 
 
 def _seeded_problem(size: int, seed: int) -> GreyLP:

@@ -1,11 +1,13 @@
 """The public surface: the names ``greylp`` and its modules export, the
 public attributes of its data classes, the functions README's "Library
-use" names, and the output of the commands its "Quick start" shows.
+use" names, the output of the commands its "Quick start" shows, and the
+subcommands its "Subcommands" table lists.
 
 An API is added or removed on purpose, by editing ``EXPORTED`` or
 ``ATTRIBUTES`` here along with the code.
 """
 
+import argparse
 import importlib
 import inspect
 import pathlib
@@ -15,7 +17,7 @@ import shlex
 import pytest
 
 import greylp
-from greylp.cli import run
+from greylp.cli import _parser, run
 
 README = pathlib.Path(__file__).parents[1] / "README.md"
 
@@ -113,6 +115,13 @@ def test_readme_library_use_names_exactly_the_exported_functions():
     }
     assert in_greylp == {name for name in EXPORTED if inspect.isfunction(getattr(greylp, name))}
     assert named & set(GONE) == set()
+
+
+def test_readme_subcommands_table_lists_the_parsers_subcommands_in_order():
+    section = README.read_text(encoding="utf-8").split("## Subcommands")[1].split("\n## ")[0]
+    listed = re.findall(r"^\| `([a-z-]+)` \|", section, re.MULTILINE)
+    [sub] = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert listed == list(sub.choices)
 
 
 def test_readme_quick_start_shows_what_the_commands_print(monkeypatch, capsys):
