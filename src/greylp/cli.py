@@ -41,6 +41,7 @@ from .analysis import (
     _format_rows,
     _grid_cells,
     _satisfactory_hits,
+    _scored,
     _table_blocks,
     check_monotonicity,
     grid_sweep,
@@ -62,16 +63,8 @@ from .grey_core import (
     _UNIT,
     _interval_violations,
     uniform_coefficients,
-    validate_problem,
 )
-from .satisfaction import (
-    _solve_positioned,
-    _solve_with_bounds,
-    _triple_text,
-    bounds,
-    lambda_satisfaction,
-    pleased_degree,
-)
+from .satisfaction import _solve_positioned, _solve_with_bounds, _triple_text, _validated, bounds
 
 __all__ = ["ProblemFile", "parse_problem", "run", "main"]
 
@@ -209,9 +202,7 @@ def _parse(text: str) -> ProblemFile:
         violations += _interval_violations(*rhs.T, "rhs[{}]".format)
         raise ValidationError(violations)
     problem = GreyLP(objective=objective, matrix=matrix, rhs=rhs)
-    violations = validate_problem(problem)
-    if violations:
-        raise ValidationError(violations)
+    _validated(problem)
     return ProblemFile(problem=problem, name=meta.get("name"), description=meta.get("description"))
 
 
@@ -285,7 +276,7 @@ def _cmd_validate(args, pf) -> int:
 
 def _cmd_solve(args, pf) -> int:
     k = uniform_coefficients(*_triple(args), pf.problem.m, pf.problem.n)
-    sol = _solve_positioned(pf.problem, k, unbounded="positioned program is unbounded")
+    sol = _solve_positioned(pf.problem, k)
     print(f"f = {_fmt(sol.objective, _VALUE_DECIMALS, args.precise)}")
     xs = ", ".join(_fmt(v, 6, args.precise) for v in sol.x)
     print(f"x = ({xs})")
@@ -300,11 +291,11 @@ def _cmd_bounds(args, pf) -> int:
 
 
 def _cmd_degrees(args, pf) -> int:
-    # Parsing validated the problem.
-    (f,), vb = _solve_with_bounds(pf.problem, np.array([_triple(args)]))
-    f = float(f)
-    mu = pleased_degree(f, vb)
-    mu_tilde = lambda_satisfaction(f, vb, args.lam)
+    # Parsing validated the problem.  The setting is scored as a table row
+    # is, so an undefined mu (ideal value 0) prints nan.
+    (f,), (mu,), ((mu_tilde,),) = _scored(
+        *_solve_with_bounds(pf.problem, np.array([_triple(args)])), (args.lam,)
+    )
     print(f"f = {_fmt(f, _VALUE_DECIMALS, args.precise)}")
     print(f"mu = {_fmt(mu, _DEGREE_DECIMALS, args.precise)}")
     print(f"mu_tilde[lambda={args.lam:g}] = {_fmt(mu_tilde, _DEGREE_DECIMALS, args.precise)}")

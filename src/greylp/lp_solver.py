@@ -366,7 +366,8 @@ def _solve_points(A, C, Bv, bases=()):
     Every cached optimal basis, starting with ``bases``, is certified at all
     pending points at once (see :func:`_certify`), over the bounding box of
     those points (a range of slices x alphas x betas, taken as views of the
-    stacks).  No caller in greylp passes ``bases``; the tests start from
+    stacks).  That one rule serves every layout, a 1 x 1 slice per point
+    included.  No caller in greylp passes ``bases``; the tests start from
     chosen ones.  Every point no basis
     certifies is solved, in slice order and then (alpha, beta) order: by
     phase 2 from the latest cached basis that is primal feasible there, or
@@ -395,21 +396,19 @@ def _solve_points(A, C, Bv, bases=()):
     # there (-1 for none): where a point's solve starts if none certifies it.
     # Primal feasibility does not depend on the objective, so G x kb.
     feasible = np.full((G, kb), -1)
-    points = ka == kb == 1  # a slice per point, as grey_core._point_layout lays them out
 
     def settle(which):
-        """Certify ``cache[which]`` on the box of the pending points (the
-        range of pending slices alone where every slice is one point)."""
-        slices = np.flatnonzero(pending if points else pending.any(axis=(1, 2)))
+        """Certify ``cache[which]`` on the box of the pending points: the
+        range of slices holding one, times the rectangle of the alphas and
+        betas pending in any of them."""
+        slices = np.flatnonzero(pending.any(axis=(1, 2)))
         if not len(slices):
             return
         g = slice(slices[0], slices[-1] + 1)
-        a = b = slice(None)
-        if not points:
-            rectangle = pending[g].any(axis=0)
-            alphas = np.flatnonzero(rectangle.any(axis=1))
-            betas = np.flatnonzero(rectangle.any(axis=0))
-            a, b = slice(alphas[0], alphas[-1] + 1), slice(betas[0], betas[-1] + 1)
+        rectangle = pending[g].any(axis=0)
+        alphas = np.flatnonzero(rectangle.any(axis=1))
+        betas = np.flatnonzero(rectangle.any(axis=0))
+        a, b = slice(alphas[0], alphas[-1] + 1), slice(betas[0], betas[-1] + 1)
         ok, f, primal = _certify(A[g], C[g, a], Bv[g, b], cache[which])
         box = pending[g, a, b]  # views, so the writes below go through
         ok &= box

@@ -105,16 +105,13 @@ def _clamp(f: np.ndarray, vb: ValueBounds) -> np.ndarray:
     return f
 
 
-_UNBOUNDED = "positioned program is unbounded; satisfaction analysis is undefined"
-
-
-def _solve_positioned(p: GreyLP, k: PositionCoefficients, unbounded: str = _UNBOUNDED) -> LPSolution:
+def _solve_positioned(p: GreyLP, k: PositionCoefficients) -> LPSolution:
     """The optimal solution of the positioned program of a validated ``p``,
-    solved cold.  Raises :class:`UnboundedValueError` with the message
-    ``unbounded``."""
+    solved cold.  Raises :class:`UnboundedValueError` ("positioned program
+    is unbounded") if it is unbounded."""
     sol = solve_max(build_positioned(p, k))
     if sol.status is SolveStatus.UNBOUNDED:
-        raise UnboundedValueError(unbounded)
+        raise UnboundedValueError("positioned program is unbounded")
     return sol
 
 
@@ -167,6 +164,9 @@ def _triple_text(t) -> str:
     """A coefficient triple as its messages and the command line print it:
     "(alpha,beta,gamma)", each in ``%g`` form."""
     return "(%g,%g,%g)" % tuple(t)
+
+
+_UNBOUNDED = "positioned program is unbounded; satisfaction analysis is undefined"
 
 
 def _bounded(f: np.ndarray, critical: float, ideal: float, triple) -> ValueBounds:

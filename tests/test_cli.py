@@ -577,6 +577,26 @@ class TestDegreesCommand:
         assert run([argv[0], "--file", demo_file, *argv[1:]]) == 0
         assert len(counted) == calls
 
+    @pytest.mark.parametrize("precise, f, mu_tilde", [
+        ([], "0.00", "1.0000"), (["--precise"], "0.0", "1.0"),
+    ], ids=["rounded", "precise"])
+    def test_undefined_pleased_degree_prints_nan(self, capsys, tmp_path, precise, f, mu_tilde):
+        # Every objective interval is [0, 0], so the ideal value is 0: mu is
+        # undefined, as a sweep row's empty mu cell shows, and the bounds
+        # coincide, so mu_tilde is 1 with a warning.
+        path = tmp_path / "zero.json"
+        path.write_text(
+            '{"objective": [[0, 0], [0, 0]], "matrix": [[[1, 2], [0, 1]], [[2, 3], [1, 1]]], '
+            '"rhs": [[4, 5], [3, 6]]}', encoding="utf-8",
+        )
+        assert run(["degrees", "--file", str(path), "--theta", "0.5", *precise]) == 0
+        assert capsys.readouterr() == (
+            f"f = {f}\nmu = nan\nmu_tilde[lambda=1] = {mu_tilde}\n"
+            "pleased (mu >= 0.5): no\nsatisfactory (mu_tilde >= 0.5): yes\n",
+            "warning: critical and ideal values coincide (effectively white problem); "
+            "reporting satisfaction degree 1\n",
+        )
+
     def test_unbounded_degrees_exit_2(self, capsys, uncapped_file):
         assert run(["degrees", "--file", uncapped_file, "--theta", "0.5"]) == 2
         captured = capsys.readouterr()

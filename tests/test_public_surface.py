@@ -1,7 +1,8 @@
 """The public surface: the names ``greylp`` and its modules export, the
 public attributes of its data classes, the functions README's "Library
-use" names, the output of the commands its "Quick start" shows, and the
-subcommands its "Subcommands" table lists.
+use" names, the output of the commands its "Quick start" shows, the
+subcommands its "Subcommands" table lists, and the names the benchmark
+under ``bench/`` binds.
 
 An API is added or removed on purpose, by editing ``EXPORTED`` or
 ``ATTRIBUTES`` here along with the code.
@@ -9,6 +10,7 @@ An API is added or removed on purpose, by editing ``EXPORTED`` or
 
 import argparse
 import importlib
+import importlib.util
 import inspect
 import pathlib
 import re
@@ -135,3 +137,25 @@ def test_readme_quick_start_shows_what_the_commands_print(monkeypatch, capsys):
     for argv, shown in commands:
         assert run(shlex.split(argv)) == 0, argv
         assert capsys.readouterr().out == shown + "\n", argv
+
+
+def test_the_benchmark_binds_names_that_exist():
+    # bench/tracer.py wraps its LAYERS by name and bench/worker.py calls a
+    # few names directly; one that is gone stops a traced benchmark run
+    # with "no binding site found".  The tracer imports only the stdlib.
+    path = README.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for key in tracer.LAYERS:
+        module, name = key.split(".")
+        assert inspect.isfunction(getattr(importlib.import_module(f"greylp.{module}"), name)), key
+    # The worker's calls, with the keywords it passes.
+    assert inspect.isfunction(greylp.cli.run)
+    p = greylp.cli.parse_problem(greylp.bundled.EXAMPLE_PROBLEM_JSON).problem
+    k = greylp.PositionCoefficients(
+        alphas=[0.5] * p.n, betas=[0.5] * p.m, gammas=[[0.5] * p.n] * p.m
+    )
+    assert greylp.satisfaction.positioned_value(p, k) > 0.0
+    # The tracer counts a solve as optimal by comparing its status to this text.
+    assert greylp.SolveStatus.OPTIMAL == "optimal"

@@ -94,10 +94,11 @@ class TestBoundsAndPositionedValue:
             bounds(p)
 
     def test_unbounded_positioned_program(self):
+        # No degree is scored, so the message is solve's, not the bounds'.
         k = uniform_coefficients(1, 1, 0, 1, 1)
-        with pytest.raises(UnboundedValueError):
+        with pytest.raises(UnboundedValueError, match=r"^positioned program is unbounded$"):
             positioned_value(UNCAPPED, k)
-        with pytest.raises(UnboundedValueError):
+        with pytest.raises(UnboundedValueError, match="; satisfaction analysis is undefined$"):
             bounds(UNCAPPED)  # the ideal endpoint is the unbounded one
 
     def test_white_problem_has_equal_bounds(self):
