@@ -41,7 +41,7 @@ import math
 import numbers
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -56,11 +56,6 @@ __all__ = [
     "uniform_coefficients",
     "validate_problem",
 ]
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 _REALS = {int, float}  # exact types: a bool is not a number here
@@ -159,23 +154,31 @@ def _at_least_one(n: int, m: int) -> None:
 
 
 class _ArrayRecord:
-    """Value equality over the arrays named in ``_arrays`` (NaN equals NaN,
-    so a problem equals itself and its round trip)."""
+    """A frozen dataclass whose fields are read-only arrays, set once by
+    :meth:`_store`, with value equality over its fields in their declared
+    order (NaN equals NaN, so a problem equals itself and its round
+    trip)."""
 
-    _arrays: tuple[str, ...] = ()
+    def _store(self, **arrays: np.ndarray) -> None:
+        """Make each of ``arrays`` read-only and set it as the field of its
+        name (the class is frozen, so this is the one place fields are
+        set)."""
+        for a in arrays.values():
+            a.flags.writeable = False
+        self.__dict__.update(arrays)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return all(
-            np.array_equal(getattr(self, k), getattr(other, k), equal_nan=True)
-            for k in self._arrays
+            np.array_equal(getattr(self, f.name), getattr(other, f.name), equal_nan=True)
+            for f in fields(self)
         )
 
     def __hash__(self):
         # Equal records have equal shapes; hashing values would have to map
         # -0.0 to 0.0 and every NaN to one NaN first.
-        return hash(tuple(getattr(self, k).shape for k in self._arrays))
+        return hash(tuple(getattr(self, f.name).shape for f in fields(self)))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -204,8 +207,6 @@ class GreyLP(_ArrayRecord):
     b_lo: np.ndarray
     b_hi: np.ndarray
 
-    _arrays = ("c_lo", "c_hi", "A_lo", "A_hi", "b_lo", "b_hi")
-
     def __init__(self, objective, matrix, rhs):
         c = _shaped(objective, (None, 2), "objective", "objective: expected (lo, hi) pairs")
         b = _shaped(rhs, (None, 2), "rhs", "rhs: expected (lo, hi) pairs")
@@ -214,14 +215,10 @@ class GreyLP(_ArrayRecord):
         A = _shaped(
             matrix, (m, n, 2), "matrix", f"matrix: expected a {m}x{n} grid of (lo, hi) pairs"
         )
-        # The class is frozen; fields are set once, here.
-        self.__dict__.update(
-            (name, _frozen(np.ascontiguousarray(a)))
-            for name, a in (
-                ("c_lo", c[:, 0]), ("c_hi", c[:, 1]),
-                ("A_lo", A[..., 0]), ("A_hi", A[..., 1]),
-                ("b_lo", b[:, 0]), ("b_hi", b[:, 1]),
-            )
+        self._store(
+            c_lo=np.ascontiguousarray(c[:, 0]), c_hi=np.ascontiguousarray(c[:, 1]),
+            A_lo=np.ascontiguousarray(A[..., 0]), A_hi=np.ascontiguousarray(A[..., 1]),
+            b_lo=np.ascontiguousarray(b[:, 0]), b_hi=np.ascontiguousarray(b[:, 1]),
         )
 
     @property
@@ -255,8 +252,6 @@ class PositionCoefficients(_ArrayRecord):
     beta_array: np.ndarray
     gamma_array: np.ndarray
 
-    _arrays = ("alpha_array", "beta_array", "gamma_array")
-
     def __init__(self, alphas, betas, gammas):
         alpha = _shaped(alphas, (None,), "alphas", "alphas: expected a list of numbers")
         beta = _shaped(betas, (None,), "betas", "betas: expected a list of numbers")
@@ -265,10 +260,7 @@ class PositionCoefficients(_ArrayRecord):
         )
         for name, values in (("alphas", alpha), ("betas", beta), ("gammas", gamma)):
             _require_units(values, (name,))
-        # The class is frozen; fields are set once, here.
-        self.__dict__.update(
-            alpha_array=_frozen(alpha), beta_array=_frozen(beta), gamma_array=_frozen(gamma)
-        )
+        self._store(alpha_array=alpha, beta_array=beta, gamma_array=gamma)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -284,8 +276,6 @@ class WhiteLP(_ArrayRecord):
     c_array: np.ndarray
     A_array: np.ndarray
     b_array: np.ndarray
-
-    _arrays = ("c_array", "A_array", "b_array")
 
     def __init__(self, c, A, b):
         c = _shaped(c, (None,), "c", "c: expected a list of numbers")
@@ -309,8 +299,7 @@ class WhiteLP(_ArrayRecord):
                 raise DomainError(
                     f"non-finite entry {float(values.flat[bad.argmax()])} in white problem"
                 )
-        # The class is frozen; fields are set once, here.
-        self.__dict__.update(c_array=_frozen(c), A_array=_frozen(A), b_array=_frozen(b))
+        self._store(c_array=c, A_array=A, b_array=b)
 
     @property
     def n(self) -> int:
@@ -392,8 +381,7 @@ def uniform_coefficients(
     """
     if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (m, n)):
         raise StructureError(f"m and n must be integers, got m={m!r}, n={n!r}")
-    if m < 1 or n < 1:
-        raise StructureError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    _at_least_one(n, m)
     # Every entry is one of three scalars, so a bad one is reported by the
     # scalar check (in the constructor's order) before any array is filled.
     alpha, beta, gamma = (

@@ -33,12 +33,13 @@ from .errors import (
     DomainError,
     InconsistentInputsError,
     SolverFailure,
+    StructureError,
     UnboundedValueError,
     ValidationError,
 )
 from .grey_core import (
-    GreyLP, PositionCoefficients, _in_range, _point_layout, _white_stack, build_positioned,
-    validate_problem,
+    GreyLP, PositionCoefficients, _in_range, _number, _point_layout, _shaped, _white_stack,
+    build_positioned, validate_problem,
 )
 from .lp_solver import LPSolution, SolveStatus, _solve_points, solve_max
 
@@ -54,18 +55,26 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 
+_ANY = "(-inf, inf)"  # the interval in which a bound or a value to score is read
+
 
 @dataclass(frozen=True)
 class ValueBounds:
     """The critical (pessimistic) and ideal (optimistic) optimal values, both
-    finite."""
+    finite.
+
+    Each is read by the number rule of :mod:`greylp.grey_core`: a bool, a
+    string or None raises :class:`DomainError`, and an integer past float
+    range reads as an infinity, which is refused as not finite.  A critical
+    value above the ideal one by more than solver noise raises
+    :class:`InconsistentInputsError`."""
 
     critical: float
     ideal: float
 
     def __post_init__(self):
-        object.__setattr__(self, "critical", float(self.critical))
-        object.__setattr__(self, "ideal", float(self.ideal))
+        for name in ("critical", "ideal"):
+            object.__setattr__(self, name, _number(getattr(self, name), name, _ANY))
         if not (math.isfinite(self.critical) and math.isfinite(self.ideal)):
             raise DomainError(f"value bounds must be finite, got {self.critical}, {self.ideal}")
         if self.critical > self.ideal + _noise_tol(self.ideal):
@@ -78,6 +87,18 @@ class ValueBounds:
         """True when the two bounds coincide up to solver noise (effectively
         white problem: every positioned optimum equals both bounds)."""
         return self.ideal - self.critical <= 1e-9 * max(1.0, self.ideal)
+
+
+def _values(f) -> np.ndarray:
+    """The values to score ``f`` (an array or a number) as a new float
+    array, each entry checked as a block named "values" is (see
+    ``grey_core._shaped``); ragged nesting raises :class:`StructureError`."""
+    error = "values: expected an array of numbers"
+    try:
+        depth = np.ndim(f)
+    except ValueError:  # numpy refuses ragged nesting
+        raise StructureError(error) from None
+    return _shaped(f, (None,) * depth, "values", error)
 
 
 def _noise_tol(magnitude: float) -> float:
@@ -227,21 +248,19 @@ def pleased_degrees(f, vb: ValueBounds) -> np.ndarray:
     """Pleased degree of every value in ``f`` (an array or a number), NaN
     wherever :func:`pleased_degree` raises :class:`DomainError`.
 
-    Raises :class:`InconsistentInputsError` if a value it scores lies
-    outside the bounds by more than the solver-noise tolerance.
+    The values are checked and clamped as :func:`lambda_satisfactions`
+    checks and clamps them, at degenerate bounds too.  The degree is then
+    undefined (NaN) where the ideal value is not positive, where a value
+    is negative, and at a zero value unless the critical value is zero.
     """
-    f = np.array(f, dtype=float)  # a copy, clamped and scaled in place
-    if vb.ideal <= 0.0:
-        return np.full(f.shape, np.nan)
-    # The negated comparisons keep NaN inputs defined (and NaN), as for floats.
-    defined = ~(f < min(vb.critical, 0.0) - _noise_tol(vb.ideal))
-    np.copyto(f, vb.critical, where=~defined)
-    _clamp(f, vb)
-    defined &= ~(f < 0.0) & ((f != 0.0) | (vb.critical == 0.0))
+    f = _clamp(_values(f), vb)  # a copy, clamped and scaled in place
+    # The negated comparison keeps a NaN value defined (and NaN), as for floats.
+    defined = ~(f < 0.0) & ((f != 0.0) | (vb.critical == 0.0)) & (vb.ideal > 0.0)
     # mu = 0.5 * (1 - critical / f) + 0.5 * f / ideal, one operation at a
-    # time in two buffers.
+    # time in two buffers; where mu is undefined the operations may
+    # divide by zero or overflow, and their results are discarded.
     mu = np.empty_like(f)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         np.divide(vb.critical, f, out=mu)
         np.subtract(1.0, mu, out=mu)
         np.multiply(0.5, mu, out=mu)
@@ -259,10 +278,13 @@ def pleased_degree(f: float, vb: ValueBounds) -> float:
 
     Stays strictly inside (0, 1): the critical value scores
     ``critical/(2*ideal)`` and the ideal value ``1 - critical/(2*ideal)``.
-    ``f`` must be positive (zero is allowed only when the critical value is
-    zero, where the vanishing ratio term is taken by continuity).
+    ``f`` is read by the number rule of :class:`ValueBounds` and checked
+    against the bounds as :func:`pleased_degrees` checks it.  The degree
+    needs a positive ideal value and ``f > 0`` (zero is allowed only when
+    the critical value is zero, where the vanishing ratio term is taken by
+    continuity); elsewhere it raises :class:`DomainError`.
     """
-    f = float(f)
+    f = _number(f, "f", _ANY)
     mu = float(pleased_degrees(f, vb))
     if mu == mu or f != f:  # a NaN f scores NaN, as the formula gives
         return mu
@@ -276,8 +298,12 @@ def pleased_degree(f: float, vb: ValueBounds) -> float:
 def lambda_satisfactions(f, vb: ValueBounds, lam: float) -> np.ndarray:
     """Attitude-weighted satisfaction degree of every value in ``f`` (an
     array or a number) between the bounds; see :func:`lambda_satisfaction`.
-    Degenerate bounds give 1 everywhere and one
-    :class:`DegenerateBoundsWarning` per call."""
+    An entry of ``f`` that is not a real number raises
+    :class:`StructureError`, one past float range :class:`DomainError`,
+    and a value outside the bounds by more than the solver-noise tolerance
+    :class:`InconsistentInputsError`; values within it are clamped to the
+    bounds.  Degenerate bounds give 1 everywhere, with no bound check, and
+    one :class:`DegenerateBoundsWarning` per call."""
     return _satisfaction_rows(f, vb, (_in_range(lam, "lam"),))[0]
 
 
@@ -287,7 +313,7 @@ def _satisfaction_rows(f, vb: ValueBounds, lambdas) -> np.ndarray:
     scores each: the values are checked and clamped once for all rows.
     Degenerate bounds give 1 everywhere and one
     :class:`DegenerateBoundsWarning` per lambda."""
-    f = np.asarray(f, dtype=float)
+    f = _values(f)
     rows = np.ones((len(lambdas), *f.shape))
     if vb.is_degenerate:
         for _ in lambdas:
@@ -302,7 +328,7 @@ def _satisfaction_rows(f, vb: ValueBounds, lambdas) -> np.ndarray:
     # gain / (spread + (1 - lam) * room), one operation at a time in reused
     # buffers.
     spread = vb.ideal - vb.critical
-    room = _clamp(f.copy(), vb)  # the clamped optima until room is written
+    room = _clamp(f, vb)  # the clamped optima until room is written
     gain = room - vb.critical
     np.subtract(vb.ideal, room, out=room)
     damped = np.empty_like(f)
@@ -332,5 +358,5 @@ def lambda_satisfaction(f: float, vb: ValueBounds, lam: float) -> float:
     attains the ideal, so the degree is reported as 1 with a
     :class:`DegenerateBoundsWarning`.
     """
-    return float(lambda_satisfactions(float(f), vb, lam))
+    return float(lambda_satisfactions(_number(f, "f", _ANY), vb, lam))
 

@@ -460,13 +460,12 @@ def _reference_clamp(f: float, vb: ValueBounds) -> float:
 
 def reference_pleased_degree(f: float, vb: ValueBounds) -> float:
     """The pleased degree computed one float at a time with Python
-    arithmetic, as the scalar path did before scoring moved to arrays."""
+    arithmetic, as the scalar path did before scoring moved to arrays.  The
+    value is checked against the bounds first, as for the satisfaction
+    degree."""
+    f = _reference_clamp(float(f), vb)
     if vb.ideal <= 0.0:
         raise DomainError("pleased degree needs a positive ideal value")
-    f = float(f)
-    if f < min(vb.critical, 0.0) - 1e-6 * max(1.0, vb.ideal):
-        raise DomainError("pleased degree needs a positive value")
-    f = _reference_clamp(f, vb)
     if f < 0.0:
         raise DomainError("pleased degree needs a nonnegative value")
     if f == 0.0:

@@ -231,9 +231,16 @@ class TestUniformAndTheta:
         assert uniform_coefficients(0.4, 0.4, 0.4, 2, 3) == k
 
     def test_rejects_empty_dimensions(self):
-        with pytest.raises(StructureError):
-            uniform_coefficients(0.5, 0.5, 0.5, m=0, n=2)
-        with pytest.raises(StructureError):
+        # The size rule and its text are GreyLP's and WhiteLP's.
+        with pytest.raises(
+            StructureError,
+            match=r"^need at least one variable and one constraint, got n=2, m=0$",
+        ):
+            uniform_coefficients(0.5, 0.5, 0.5, 0, 2)
+        with pytest.raises(
+            StructureError,
+            match=r"^need at least one variable and one constraint, got n=0, m=2$",
+        ):
             uniform_coefficients(0.5, 0.5, 0.5, m=2, n=0)
         # Sizes that are not integers, however close.
         for m, n in ((2, 2.7), (2.0, 2), (True, 2), ("2", 2), (None, 2), (np.float64(2), 2)):

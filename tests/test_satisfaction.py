@@ -15,6 +15,7 @@ from greylp import (
     DomainError,
     GreyLP,
     InconsistentInputsError,
+    StructureError,
     UnboundedValueError,
     ValidationError,
     ValueBounds,
@@ -58,6 +59,65 @@ class TestValueBounds:
     def test_rejects_bounds_that_are_not_finite(self, critical, ideal):
         with pytest.raises(DomainError, match="^value bounds must be finite, got "):
             ValueBounds(critical, ideal)
+
+
+# Each degree function and ValueBounds with one argument ``bad`` where a
+# number belongs, and how each refuses a bool, a string or None, and a
+# huge integer: a scalar argument reads it as an infinity, an array entry
+# is too large for a float.
+_VB = ValueBounds(20.0, 80.0)
+_NOT_A_VALUE = (StructureError, "values: expected real numbers, got {!r}")
+_TOO_LARGE = (DomainError, "values: value is too large for a float")
+_INF_OUTSIDE = (InconsistentInputsError, "value inf lies outside [20.0, 80.0] by more than 8e-05")
+_TAKERS = {
+    "ValueBounds-critical": (
+        lambda bad: ValueBounds(bad, 80.0),
+        (DomainError, "critical must be a number in (-inf, inf), got {!r}"),
+        (DomainError, "value bounds must be finite, got inf, 80.0"),
+    ),
+    "ValueBounds-ideal": (
+        lambda bad: ValueBounds(20.0, bad),
+        (DomainError, "ideal must be a number in (-inf, inf), got {!r}"),
+        (DomainError, "value bounds must be finite, got 20.0, inf"),
+    ),
+    "pleased_degree": (
+        lambda bad: pleased_degree(bad, _VB),
+        (DomainError, "f must be a number in (-inf, inf), got {!r}"),
+        _INF_OUTSIDE,
+    ),
+    "lambda_satisfaction": (
+        lambda bad: lambda_satisfaction(bad, _VB, 0.5),
+        (DomainError, "f must be a number in (-inf, inf), got {!r}"),
+        _INF_OUTSIDE,
+    ),
+    "pleased_degrees": (lambda bad: pleased_degrees([30.0, bad], _VB), _NOT_A_VALUE, _TOO_LARGE),
+    "lambda_satisfactions": (
+        lambda bad: lambda_satisfactions([30.0, bad], _VB, 0.5), _NOT_A_VALUE, _TOO_LARGE
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "bad", [True, "30000", None, 10**400], ids=["True", "str", "None", "10**400"]
+)
+@pytest.mark.parametrize("taker", list(_TAKERS))
+def test_every_number_argument_is_read_by_the_number_rule(taker, bad):
+    call, not_a_number, huge = _TAKERS[taker]
+    error, text = huge if bad == 10**400 else not_a_number
+    with pytest.raises(error) as caught:
+        call(bad)
+    assert type(caught.value) is error and str(caught.value) == text.format(bad)
+
+
+@pytest.mark.parametrize("values", [[[30.0], [30.0, 40.0]], [30.0, [40.0]]])
+@pytest.mark.parametrize(
+    "score",
+    [pleased_degrees, lambda f, vb: lambda_satisfactions(f, vb, 0.5)],
+    ids=["pleased_degrees", "lambda_satisfactions"],
+)
+def test_ragged_values_raise_structure_error(score, values):
+    with pytest.raises(StructureError, match=r"^values: expected an array of numbers$"):
+        score(values, _VB)
 
 
 class TestBoundsAndPositionedValue:
@@ -158,7 +218,8 @@ class TestPleasedDegree:
             pleased_degree(-5.0, ValueBounds(-5.0, -1.0))
 
     def test_rejects_clearly_negative_value(self):
-        with pytest.raises(DomainError):
+        # Below the critical value beyond noise, as for the satisfaction degree.
+        with pytest.raises(InconsistentInputsError, match=r"^value -1\.0 lies outside \[0\.0, "):
             pleased_degree(-1.0, ValueBounds(0.0, 10.0))
 
     def test_out_of_bounds_value_is_inconsistent(self):
@@ -319,8 +380,6 @@ class TestArrayScoring:
         vb = ValueBounds(critical, critical + spread)
         tol = 1e-6 * max(1.0, vb.ideal)
         for f in (vb.ideal + over * tol, vb.critical - over * tol):
-            if vb.critical - over * tol < 0.0 and f < vb.critical:
-                continue  # below zero the pleased degree is undefined instead
             values = np.array([vb.critical, f, vb.ideal])
             with pytest.raises(InconsistentInputsError):
                 pleased_degrees(values, vb)
