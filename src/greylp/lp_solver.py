@@ -14,7 +14,10 @@ terminates.
 
 Whitenings of one grey problem nearly always share an optimal basis, so
 the stacked kernel ``_solve_points`` solves a stack of them by reusing
-bases, which ``_certify`` certifies and ``_phase2`` starts from.
+bases, which ``_certify`` certifies and ``_phase2`` starts from.  A basis
+with k basic structural columns is certified from one k x k system per
+slice, which gives both its primal and its dual values; its m x m basis
+matrix is built only for a warm start's tableau.
 
 Each simplex solve logs one DEBUG record on the ``greylp.lp_solver`` logger
 naming its start (cold or warm), the pivots taken (and how many of them
@@ -164,10 +167,10 @@ def _scaled(tol: float, v: np.ndarray) -> np.ndarray:
     return bound
 
 
-def _slack_ok(b, Ax):
+def _slack_ok(b, slack):
     """Where the slack b - A.x passes the feasibility post-check, slack >=
     -_TOL_FEAS * max(1, |b_i|); a NaN slack fails it."""
-    return b - Ax >= _scaled(-_TOL_FEAS, b)
+    return slack >= _scaled(-_TOL_FEAS, b)
 
 
 def _vertex(T: np.ndarray, basis: list[int], A, b, c) -> LPSolution | None:
@@ -182,7 +185,7 @@ def _vertex(T: np.ndarray, basis: list[int], A, b, c) -> LPSolution | None:
 
     objective = float(c @ xs)
     # Negated, the comparisons refuse a NaN too.
-    if not (_slack_ok(b, A @ xs).all() and xs.min() >= -_TOL_PIVOT
+    if not (_slack_ok(b, b - A @ xs).all() and xs.min() >= -_TOL_PIVOT
             and np.isfinite(objective) and np.isfinite(T).all()):
         return None
     return LPSolution(
@@ -270,44 +273,45 @@ def _certify(A, C, Bv, basis):
     optimal on the rectangle of the betas where it is primal feasible times
     the alphas where it is dual feasible (parametric programming; T. Gal,
     *Postoptimal Analyses, Parametric Programming and Related Topics*,
-    1995).  [A | I] and [C | 0] are never built.  The basis matrix B holds
-    A's k basic columns and a unit column per basic slack, and one m x m
-    solve per slice gives x at every beta.  The duals y are 0 on every row
-    whose slack is basic, so B^T y = c_B reduces to the k x k block of the
-    basic columns on the k rows F whose slack is nonbasic, A[F, S]^T y_F =
-    c_S, and one solve per slice gives y at every alpha.  One product prices
-    the n - k nonbasic columns of A; a nonbasic slack's reduced cost is
-    -y_i, and y.b is y_F.b_F.  A slice whose B or block is singular
-    certifies nothing and is primal feasible nowhere, so the basis starts no
-    point there.  Two batched products give each slice's values c.x and y.b
-    over its ka x kb rectangle, the values summed as
-    ``np.einsum("ij,ij->i")`` sums each point's rows (a BLAS product could
-    move printed digits).
+    1995).  [A | I] and [C | 0] are never built, nor is the m x m basis
+    matrix B, A's k basic columns and a unit column per basic slack.  Both
+    solves need only the k x k block A[F, S] of the basic columns on the k
+    rows F whose slack is nonbasic: B x_B = b gives A[F, S] x_S = b_F, and
+    the basic slacks are b - A.x on the rows outside F; the duals y are 0
+    on every row whose slack is basic, so B^T y = c_B gives A[F, S]^T y_F =
+    c_S.  B is singular exactly when the block is, because B's other
+    columns are unit vectors.  One solve per slice gives x at every beta,
+    and one y at every alpha.  One product prices the n - k nonbasic
+    columns of A; a nonbasic slack's reduced cost is -y_i, and y.b is
+    y_F.b_F.  A slice whose block is singular certifies nothing and is
+    primal feasible nowhere, so the basis starts no point there.  Two
+    batched products give each slice's values c.x and y.b over its ka x kb
+    rectangle, the values summed as ``np.einsum("ij,ij->i")`` sums each
+    point's rows (a BLAS product could move printed digits).
     """
     G, m, n = A.shape
     kb = Bv.shape[1]
     S = np.asarray(basis)
-    structural = S < n
-    cols = S[structural]
-    slack_rows = S[~structural] - n
+    cols = S[S < n]
     rows = np.ones(m, dtype=bool)
-    rows[slack_rows] = False
+    rows[S[S >= n] - n] = False
     F = np.flatnonzero(rows)
-    B = np.zeros((G, m, m))
-    B[:, :, structural] = A[:, :, cols]
-    B[:, slack_rows, np.flatnonzero(~structural)] = 1.0
-    xB, solved = _solve_stack(B, Bv.transpose(0, 2, 1))  # G x m x kb
-    del B  # freed before the dual's blocks are gathered, which lowers the peak
     AF = A[:, F]
+    block = AF[:, :, cols]  # G x k x k
+    bF = Bv[:, :, F].transpose(0, 2, 1)
+    XS, solved = _solve_stack(block, bF)  # G x k x kb
     YF, solved_dual = _solve_stack(  # G x k x ka
-        AF[:, :, cols].transpose(0, 2, 1), C[:, :, cols].transpose(0, 2, 1)
+        block.transpose(0, 2, 1), C[:, :, cols].transpose(0, 2, 1)
     )
     with np.errstate(invalid="ignore", over="ignore"):
         xs = np.zeros((G, n, kb))
-        xs[:, cols] = xB[:, structural]
+        xs[:, cols] = XS
         xs[(xs < 0.0) & (xs > -_TOL_PIVOT)] = 0.0  # solve_max's snap
-        primal = (xB >= -_TOL_PIVOT).all(axis=1)
-        primal &= _slack_ok(Bv.transpose(0, 2, 1), A @ xs).all(axis=1)
+        b = Bv.transpose(0, 2, 1)
+        slack = b - A @ xs  # G x m x kb; the basic slacks are its rows outside F
+        primal = (XS >= -_TOL_PIVOT).all(axis=1)
+        primal &= (slack[:, ~rows] >= -_TOL_PIVOT).all(axis=1)
+        primal &= _slack_ok(b, slack).all(axis=1)
         primal &= (solved & solved_dual)[:, None]
         nonbasic = np.ones(n, dtype=bool)
         nonbasic[cols] = False
@@ -318,7 +322,7 @@ def _certify(A, C, Bv, basis):
         # The values' summed axis is contiguous in both operands; the dual
         # values are read by the gap test alone.
         f = np.einsum("gan,gbn->gab", C, np.ascontiguousarray(xs.transpose(0, 2, 1)))
-        gap = np.matmul(YF.transpose(0, 2, 1), Bv[:, :, F].transpose(0, 2, 1))
+        gap = np.matmul(YF.transpose(0, 2, 1), bF)
         gap -= f
         ok = np.abs(gap, out=gap) <= _scaled(_TOL_PIVOT, f)
         ok &= primal[:, None, :]

@@ -302,18 +302,18 @@ def lambda_satisfactions(f, vb: ValueBounds, lam: float) -> np.ndarray:
     :class:`StructureError`, one past float range :class:`DomainError`,
     and a value outside the bounds by more than the solver-noise tolerance
     :class:`InconsistentInputsError`; values within it are clamped to the
-    bounds.  Degenerate bounds give 1 everywhere, with no bound check, and
-    one :class:`DegenerateBoundsWarning` per call."""
+    bounds.  Degenerate bounds give 1 everywhere, and one
+    :class:`DegenerateBoundsWarning` per call."""
     return _satisfaction_rows(f, vb, (_in_range(lam, "lam"),))[0]
 
 
 def _satisfaction_rows(f, vb: ValueBounds, lambdas) -> np.ndarray:
     """The satisfaction degree of every value in ``f`` at each of the
     checked ``lambdas``, one row per lambda, as :func:`lambda_satisfactions`
-    scores each: the values are checked and clamped once for all rows.
-    Degenerate bounds give 1 everywhere and one
-    :class:`DegenerateBoundsWarning` per lambda."""
-    f = _values(f)
+    scores each: the values are checked and clamped once for all rows,
+    at degenerate bounds too.  Degenerate bounds then give 1 everywhere and
+    one :class:`DegenerateBoundsWarning` per lambda."""
+    f = _clamp(_values(f), vb)  # a copy, clamped in place
     rows = np.ones((len(lambdas), *f.shape))
     if vb.is_degenerate:
         for _ in lambdas:
@@ -328,9 +328,8 @@ def _satisfaction_rows(f, vb: ValueBounds, lambdas) -> np.ndarray:
     # gain / (spread + (1 - lam) * room), one operation at a time in reused
     # buffers.
     spread = vb.ideal - vb.critical
-    room = _clamp(f, vb)  # the clamped optima until room is written
-    gain = room - vb.critical
-    np.subtract(vb.ideal, room, out=room)
+    gain = f - vb.critical
+    room = np.subtract(vb.ideal, f, out=f)
     damped = np.empty_like(f)
     for j, lam in enumerate(lambdas):
         row = rows[j, ...]  # a view, also of a single value's row

@@ -346,27 +346,60 @@ def reference_solve_max(lp: WhiteLP) -> LPSolution:
     )
 
 
+def _snapped(xs):
+    xs[(xs < 0.0) & (xs > -_TOL_PIVOT)] = 0.0  # as solve_max snaps x
+    return xs
+
+
+def block_primal(A, Bv, basis):
+    """The structural values x of the basis ``basis`` (columns of ``[A |
+    I]``) at every right-hand side of a stack as ``lp_solver._certify``
+    takes it, G x n x kb and snapped as ``solve_max`` snaps them, and
+    where the basis is nonsingular (G).  As ``_certify`` solves them: x_S
+    from the k x k block A[F, S] of the basic structural columns S on the
+    rows F whose slack is nonbasic, A[F, S] x_S = b_F."""
+    (G, m, n), kb = A.shape, Bv.shape[1]
+    S = np.asarray(basis)
+    F = np.setdiff1d(np.arange(m), S[S >= n] - n)
+    xS, solved = _solve_stack(A[:, F][:, :, S[S < n]], Bv[:, :, F].transpose(0, 2, 1))
+    xs = np.zeros((G, n, kb))
+    xs[:, S[S < n]] = xS
+    return _snapped(xs), solved
+
+
+def square_primal(A, Bv, basis):
+    """What :func:`block_primal` returns, from the full m x m basis matrix
+    B taken out of ``[A | I]``, B x_B = b: the accuracy reference of the
+    k x k solve."""
+    (G, m, n), kb = A.shape, Bv.shape[1]
+    S = np.asarray(basis)
+    AI = np.concatenate([A, np.broadcast_to(np.eye(m), (G, m, m))], axis=2)
+    xB, solved = _solve_stack(AI[:, :, S], Bv.transpose(0, 2, 1))
+    xs = np.zeros((G, n, kb))
+    xs[:, S[S < n]] = xB[:, S < n]
+    return _snapped(xs), solved
+
+
 def reference_certify(A, C, Bv, basis):
     """The certification over stacked ``[A | I]`` matrices that
-    ``lp_solver._certify`` replaces, kept as its reference: the full m x m
+    ``lp_solver._certify`` replaces, kept as its reference: x is taken from
+    :func:`block_primal` and the basic slacks are b - A.x; the full m x m
     basis matrix B is taken from ``[A | I]`` (G x m x (n+m)) and the
     objectives padded with zeros over the slacks (G x ka x (n+m)); y solves
     B^T y = c_B, and every nonbasic column of ``[A | I]`` is priced.  Takes
     and returns what ``_certify`` does: (ok, f, primal)."""
-    (G, m, n), kb = A.shape, Bv.shape[1]
+    G, m, n = A.shape
     AI = np.concatenate([A, np.broadcast_to(np.eye(m), (G, m, m))], axis=2)
     CI = np.concatenate([C, np.zeros((G, C.shape[1], m))], axis=2)
     S = np.asarray(basis)
     B = AI[:, :, S]
-    xB, solved = _solve_stack(B, Bv.transpose(0, 2, 1))
+    xs, solved = block_primal(A, Bv, S)
     Y, solved_dual = _solve_stack(B.transpose(0, 2, 1), CI[:, :, S].transpose(0, 2, 1))
     with np.errstate(invalid="ignore", over="ignore"):
-        xs = np.zeros((G, n, kb))
-        structural = S < n
-        xs[:, S[structural]] = xB[:, structural]
-        xs[(xs < 0.0) & (xs > -_TOL_PIVOT)] = 0.0
-        primal = (xB >= -_TOL_PIVOT).all(axis=1)
-        primal &= _slack_ok(Bv.transpose(0, 2, 1), AI[:, :, :n] @ xs).all(axis=1)
+        b = Bv.transpose(0, 2, 1)
+        x = np.concatenate([xs, b - AI[:, :, :n] @ xs], axis=1)  # every column of [A | I]
+        primal = (x[:, S] >= -_TOL_PIVOT).all(axis=1)
+        primal &= _slack_ok(b, x[:, n:]).all(axis=1)
         primal &= (solved & solved_dual)[:, None]
         nonbasic = np.ones(n + m, dtype=bool)
         nonbasic[S] = False
@@ -374,7 +407,7 @@ def reference_certify(A, C, Bv, basis):
         reduced = CI[:, :, nonbasic].transpose(0, 2, 1) - AN @ Y
         dual = (reduced <= _TOL_PIVOT).all(axis=1)
         f = np.einsum("gan,gbn->gab", CI[:, :, :n], np.ascontiguousarray(xs.transpose(0, 2, 1)))
-        gap = np.matmul(Y.transpose(0, 2, 1), Bv.transpose(0, 2, 1)) - f
+        gap = np.matmul(Y.transpose(0, 2, 1), b) - f
         ok = np.abs(gap) <= _TOL_PIVOT * np.maximum(np.abs(f), 1.0)
         ok &= primal[:, None, :]
         ok &= dual[:, :, None]
@@ -478,11 +511,12 @@ def reference_pleased_degree(f: float, vb: ValueBounds) -> float:
 
 
 def reference_lambda_satisfaction(f: float, vb: ValueBounds, lam: float) -> float:
-    """The lambda-satisfaction degree one float at a time (degenerate bounds
-    give 1, without the warning)."""
+    """The lambda-satisfaction degree one float at a time.  The value is
+    checked against the bounds first, as for the pleased degree; degenerate
+    bounds then give 1, without the warning."""
+    f = _reference_clamp(float(f), vb)
     if vb.is_degenerate:
         return 1.0
-    f = _reference_clamp(float(f), vb)
     spread = vb.ideal - vb.critical
     gain = f - vb.critical
     linear = gain / spread

@@ -8,19 +8,21 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import os
 import pathlib
 import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import greylp
 from conftest import (
-    count_collections, many_basis_problem, problem_text, random_bounded_problem,
+    count_collections, exact_check, many_basis_problem, problem_text, random_bounded_problem,
     random_loose_problem,
 )
 from greylp import (
@@ -28,6 +30,7 @@ from greylp import (
     ProblemFile,
     GreyLP,
     ValidationError,
+    build_positioned,
     bundled,
     parse_problem,
     cli,
@@ -36,6 +39,7 @@ from greylp import (
     positioned_value,
     render_table,
     run,
+    solve_max,
     uniform_coefficients,
     unit_grid,
 )
@@ -1062,8 +1066,15 @@ class TestParserReuse:
 
 # sha256 of the demo's stdout for commands whose bytes must not change.  The
 # first four were taken from the per-row implementation before sweeps were
-# scored as arrays, the last four before degree cells were formatted from a
+# scored as arrays, the next three before degree cells were formatted from a
 # lookup table (step 0.02 puts many more cells next to a rounding tie).
+# Default-format output does not change when every optimum moves by up to 16
+# ulp (test_golden_stdout_holds_under_noise), so these seven match across
+# BLAS kernels whose optima agree that closely.  verify-example prints each cell's |diff| to three digits and bounds
+# --precise the repr() of each bound, so those two pin the solver's own bits;
+# they are the same under OpenBLAS's SkylakeX, Prescott, Haswell, Sandybridge
+# and Nehalem kernels.  degrees --precise is pinned by value
+# (test_golden_precise_degrees_lie_within_4_ulp_of_exact).
 GOLDEN_STDOUT = {
     ("sweep", "--step", "0.05", "--lambdas", "0.25,0.5,0.75,1"):
         "1ac4fa9eacb623b1ddcbb8d349d2150a9c996c49e0fcd408ea165e2580c12d93",
@@ -1073,29 +1084,85 @@ GOLDEN_STDOUT = {
         "e9208c54d70554a213af641607d4b0885a9bf8cb24b2e1dd2279f3376e25ffed",
     ("monotonicity", "--axis", "gamma", "--step", "0.05"):
         "01adac0f90bdf2e648c067a8dc54a18903bce3adf8a202aea374c303418551fc",
-    ("verify-example",):
-        "22f62a4782f3d0780e7218b965da872dc28b34d9de5af70f58139992e45333c3",
     ("sweep", "--step", "0.02", "--lambdas", "0,0.25,0.5,0.75,1"):
         "e1e8f758f51118143d7f1f0d67de1ccf822482b4ab7503385ab860738934f8e3",
     ("satisfactory", "--mu0", "0.4", "--lambda", "0.9", "--step", "0.02"):
         "5a9664ad4d7c9a5b504d08d5fbcc18dd56e604a2fd50359b085e9d7b153c71d0",
     ("sweep", "--step", "0.05", "--lambdas", "0.5", "--format", "markdown"):
         "b4b0f4904646732f84cb86439c250055550d4d83d327d72a1ff9f108b925757a",
+    ("verify-example",):
+        "3c44a9bef0b9392cd83ce79e35404a3c0b879e49dfc14af53c8b59958e20d11e",
     ("bounds", "--precise"):
         "aca0aeff99ccb4f7e441571892cf5c3766498728f88484636d3d95d30942cf2d",
-    ("degrees", "--theta", "0.4", "--precise"):
-        "c5b80ee58da3a744d609151a76212aa8ae176723299f3e2ac299d03a9b68a778",
 }
+DEFAULT_FORMAT = [
+    argv for argv in sorted(GOLDEN_STDOUT) if argv[0] != "verify-example" and "--precise" not in argv
+]
 
 
-@pytest.mark.parametrize(
-    "argv", sorted(GOLDEN_STDOUT), ids=lambda argv: "_".join(a.lstrip("-") for a in argv)
-)
-def test_golden_stdout(capsys, demo_file, argv):
+def _golden_id(argv):
+    return "_".join(a.lstrip("-") for a in argv)
+
+
+def _golden_out(capsys, demo_file, argv) -> str:
     file = [] if argv[0] == "verify-example" else ["--file", demo_file]  # it embeds the demo
     assert run([argv[0], *file, *argv[1:]]) == 0
-    out = capsys.readouterr().out
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT), ids=_golden_id)
+def test_golden_stdout(capsys, demo_file, argv):
+    out = _golden_out(capsys, demo_file, argv)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("ulps", [1, 4, 16])
+@pytest.mark.parametrize("argv", DEFAULT_FORMAT, ids=_golden_id)
+def test_golden_stdout_holds_under_noise(monkeypatch, capsys, demo_file, argv, ulps, seed):
+    # Every optimum the kernel returns, both bounds included, moved by
+    # ``ulps`` units in the last place, each up or down at random: the
+    # printed digits are not rounding noise.
+    rng = np.random.default_rng(seed)
+    solve = satisfaction._solve_points
+
+    def noisy(*stack):
+        values, *rest = solve(*stack)
+        toward = np.where(rng.random(values.shape) < 0.5, np.inf, -np.inf)
+        for _ in range(ulps):
+            values = np.nextafter(values, toward)
+        return (values, *rest)
+
+    monkeypatch.setattr(satisfaction, "_solve_points", noisy)
+    out = _golden_out(capsys, demo_file, argv)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+def test_golden_precise_degrees_lie_within_4_ulp_of_exact(capsys, demo_file):
+    # degrees --precise prints the repr() of f, mu and mu_tilde, whose last
+    # bits depend on the BLAS kernel (mu_tilde reads ...23796 under
+    # OpenBLAS's SkylakeX kernel and ...238 under Prescott, Haswell,
+    # Sandybridge and Nehalem).  Each must lie within 4 ulp of its exact
+    # value: f and both bounds proven by exact_check, the degrees computed
+    # from them in rational arithmetic.
+    p = parse_problem(bundled.EXAMPLE_PROBLEM_JSON).problem
+
+    def exact(*triple):
+        lp = build_positioned(p, uniform_coefficients(*triple, p.m, p.n))
+        status, value = exact_check(lp, solve_max(lp))
+        assert status == "optimal"
+        return value
+
+    f, critical, ideal = exact(0.4, 0.4, 0.4), exact(0, 0, 1), exact(1, 1, 0)
+    mu = (1 - critical / f) / 2 + f / ideal / 2
+    mu_tilde = (f - critical) / (ideal - critical)  # lambda = 1
+    lines = _golden_out(capsys, demo_file, ("degrees", "--theta", "0.4", "--precise")).splitlines()
+    names = [line.partition(" = ")[0] for line in lines[:3]]
+    assert names == ["f", "mu", "mu_tilde[lambda=1]"]
+    assert lines[3:] == ["pleased (mu >= 0.5): yes", "satisfactory (mu_tilde >= 0.5): no"]
+    for line, want in zip(lines, (f, mu, mu_tilde)):
+        got = float(line.partition(" = ")[2])
+        assert abs(Fraction(got) - want) <= 4 * Fraction(math.ulp(float(want))), line
 
 
 def _src_env():

@@ -16,6 +16,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import (
+    block_primal,
     exact_check,
     grid_triple,
     many_basis_problem,
@@ -24,6 +25,7 @@ from conftest import (
     random_triple,
     reference_certify,
     reference_solve_max,
+    square_primal,
 )
 from greylp import (
     DomainError,
@@ -837,23 +839,17 @@ class TestCertifiedValues:
         p = random_bounded_problem(rng, n=n, m=rng.randint(1, n))
         A, C, Bv = _white_stack(p, *_layout(kind, rng))
         m = A.shape[1]
-        AI = np.concatenate([A, np.broadcast_to(np.eye(m), (len(A), m, m))], axis=2)
         if kind == "box":
             # 2 to 5 of the 5 slices, and 1 to 3 of the 5 alphas and betas,
             # never the first.
             g = slice(rng.randint(0, 1), rng.randint(3, 5))
             a, b = (slice(rng.randint(1, 2), rng.randint(3, 4)) for _ in range(2))
-            A, AI, C, Bv = A[g], AI[g], C[g, a], Bv[g, b]
+            A, C, Bv = A[g], C[g, a], Bv[g, b]
             assert not (C.flags.c_contiguous or Bv.flags.c_contiguous)
         (G, _, _), ka, kb = A.shape, C.shape[1], Bv.shape[1]
         S = np.array(solve_max(build_positioned(p, uniform_coefficients(0.5, 0.5, 0.5, m, n))).basis)
         _, f, _ = lp_solver._certify(A, C, Bv, S)
-        # The solution at every right-hand side, from B taken out of [A | I],
-        # as solve_max snaps it.
-        xB, _ = lp_solver._solve_stack(AI[:, :, S], Bv.transpose(0, 2, 1))
-        xs = np.zeros((G, n, kb))
-        xs[:, S[S < n]] = xB[:, S < n]
-        xs[(xs < 0.0) & (xs > -1e-9)] = 0.0
+        xs, _ = block_primal(A, Bv, S)  # the solution at every right-hand side
         g, a, b = np.indices((G, ka, kb)).reshape(3, -1)
         want = np.einsum("ij,ij->i", C[g, a], xs.transpose(0, 2, 1)[g, b])
         assert np.count_nonzero(want) > len(want) // 2
@@ -896,10 +892,11 @@ def _assert_certifies_as_reference(A, C, Bv, basis):
 
 
 class TestCertifyMatchesReference:
-    """``_certify`` solves the dual on the k x k block of the basic
-    structural columns and never builds [A | I]; it must certify exactly
-    where the full [A | I] certification of ``conftest.reference_certify``
-    does, with the same primal feasibility and the same bits of f."""
+    """``_certify`` solves the primal and the dual on the k x k block of the
+    basic structural columns and never builds [A | I] or the m x m basis
+    matrix; it must certify exactly where the full [A | I] pricing of
+    ``conftest.reference_certify`` does, on every box of the stack, with
+    the same primal feasibility and the same bits of f."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_problems_and_boxes(self, seed):
@@ -926,6 +923,19 @@ class TestCertifyMatchesReference:
         for basis in _bases_to_certify(rng, p):
             _assert_certifies_as_reference(*stack, basis)
 
+    def test_basic_slack_is_held_to_the_pivot_tolerance(self):
+        # max x s.t. x <= 1, x <= 1 - 5e-9: the basis {x, s_2} sets x = 1 and
+        # its basic slack s_2 = -5e-9, past -1e-9 but within the 1e-7
+        # post-check.  It is primal infeasible, so it certifies nothing;
+        # {x, s_1} certifies the optimum 1 - 5e-9 everywhere.
+        b = 1 - 5e-9
+        p = GreyLP(objective=[(1, 1)], matrix=[[(1, 1)], [(1, 1)]], rhs=[(1, 1), (b, b)])
+        stack = _white_stack(p, *_cube_layout(analysis.unit_grid(0.5)))
+        ok, primal = _assert_certifies_as_reference(*stack, (0, 2))
+        assert not (ok.any() or primal.any())
+        ok, primal = _assert_certifies_as_reference(*stack, (0, 1))
+        assert ok.all()
+
     def test_singular_slice(self):
         # max x s.t. gamma*x <= b: at gamma = 0 the basis {x} is singular,
         # and so is its 1 x 1 block; it certifies every other slice.  The
@@ -937,6 +947,30 @@ class TestCertifyMatchesReference:
         assert not (ok[0].any() or primal[0].any()) and ok[1:].all()
         ok, primal = _assert_certifies_as_reference(*stack, (1,))
         assert primal.all() and not ok.any()
+
+
+@pytest.mark.parametrize("family", ["bounded", "many_basis"])
+@pytest.mark.parametrize("size", [10, 30, 60])
+def test_certified_values_lie_near_the_square_primal(size, family):
+    # _certify solves x_S on the k x k block; the full m x m basis matrix
+    # of [A | I] gives the same values up to rounding.  Every basis the
+    # kernel caches on a step-0.25 cube, certified on the whole cube.
+    if family == "bounded":
+        p = random_bounded_problem(random.Random(size), n=size, m=size)
+    else:
+        p = many_basis_problem(np.random.default_rng(size), size, size)
+    stack = _white_stack(p, *_cube_layout(analysis.unit_grid(0.25)))
+    A, C, Bv = stack
+    certified = 0
+    for basis in lp_solver._solve_points(*stack)[1]:
+        ok, f, primal = lp_solver._certify(A, C, Bv, basis)
+        want_ok, _, want_primal = reference_certify(A, C, Bv, basis)
+        assert (ok == want_ok).all() and (primal == want_primal).all()
+        xs, _ = square_primal(A, Bv, basis)
+        want = np.einsum("gan,gbn->gab", C, np.ascontiguousarray(xs.transpose(0, 2, 1)))
+        assert (np.abs(f - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))[ok].all()
+        certified += ok.sum()
+    assert certified > 0
 
 
 def test_kernel_builds_no_stack_of_identity_columns():

@@ -29,6 +29,7 @@ from greylp import (
     positioned_value,
     uniform_coefficients,
 )
+from greylp.satisfaction import _satisfaction_rows
 
 # An always-valid problem whose loosest whitening drops the only matrix
 # entry to zero, leaving the objective uncapped.
@@ -410,6 +411,26 @@ class TestArrayScoring:
             got = lambda_satisfactions(np.full(7, 5.0), vb, 0.3)
         assert got.tolist() == [1.0] * 7
         assert [w.category for w in caught] == [DegenerateBoundsWarning]
+
+    def test_both_degrees_check_values_at_degenerate_bounds(self):
+        # One rule for both degrees: a value outside degenerate bounds by
+        # more than the noise tolerance raises the same error from each,
+        # before any warning.  Values within it still score 1, with one
+        # warning per lambda.
+        vb = ValueBounds(5.0, 5.0)
+        with pytest.raises(InconsistentInputsError) as pleased:
+            pleased_degree(1e9, vb)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InconsistentInputsError) as satisfied:
+                lambda_satisfaction(1e9, vb, 0.5)
+        assert str(satisfied.value) == str(pleased.value)
+        assert caught == []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _satisfaction_rows([5.0 - 4e-6, 5.0, 5.0 + 4e-6], vb, (0.0, 0.5, 1.0))
+        assert got.tolist() == [[1.0] * 3] * 3
+        assert [w.category for w in caught] == [DegenerateBoundsWarning] * 3
 
     def test_scalar_input_gives_a_zero_dimensional_result(self):
         vb = ValueBounds(20.0, 80.0)
