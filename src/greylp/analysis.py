@@ -28,7 +28,7 @@ from .errors import DomainError, StructureError
 from .grey_core import GreyLP, _STEP, _check_real, _cube_layout, _in_range, _number, _require_units
 from .satisfaction import (
     ValueBounds, _bounded, _noise_tol, _satisfaction_rows, _solve_grid, _solve_with_bounds,
-    _validated, lambda_satisfactions, pleased_degrees,
+    lambda_satisfactions, pleased_degrees,
 )
 
 __all__ = [
@@ -179,8 +179,8 @@ def _cube_rows(grid: tuple[float, ...], index) -> np.ndarray:
 
 
 def _solve_cube(p: GreyLP, grid: tuple[float, ...]) -> tuple[np.ndarray, ValueBounds]:
-    """The positioned optimum of a validated ``p`` at every triple of the
-    cube of ``grid`` values, in lexicographic order, and the bounds, from
+    """The positioned optimum of ``p`` at every triple of the cube of
+    ``grid`` values, in lexicographic order, and the bounds, from
     one kernel call; raises as :func:`greylp.satisfaction._bounded`."""
     f = _solve_grid(p, _cube_layout(grid))
     # The cube holds both bounds: row g - 1 is (0, 0, 1), row g**3 - g is (1, 1, 0).
@@ -210,7 +210,6 @@ def lambda_sweep(p: GreyLP, settings, lambdas) -> SweepTable:
     """
     pts = _points(list(settings))
     lambdas = tuple(_in_range(v, "lam") for v in lambdas)
-    _validated(p)
     pts = pts[np.lexsort(pts.T[::-1])]
     return SweepTable(lambdas, pts, *_scored(*_solve_with_bounds(p, pts), lambdas))
 
@@ -223,9 +222,7 @@ def grid_sweep(p: GreyLP, step: float, lambdas=()) -> SweepTable:
     bad lambda raises :class:`DomainError` before anything is solved.
     """
     grid = unit_grid(step)
-    # The lambdas and the problem are checked before the cube is built.
-    lambdas = tuple(_in_range(v, "lam") for v in lambdas)
-    _validated(p)
+    lambdas = tuple(_in_range(v, "lam") for v in lambdas)  # before the cube is built
     return SweepTable._of_grid(grid, lambdas, *_scored(*_solve_cube(p, grid), lambdas))
 
 
@@ -247,7 +244,6 @@ def check_monotonicity(p: GreyLP, axis: str, step: float) -> MonotonicityReport:
     direction = "nonincreasing" if axis == "gamma" else "nondecreasing"
     grid = unit_grid(step)
     g = len(grid)
-    _validated(p)  # before the cube is laid out
     values = _solve_grid(p, _cube_layout(grid))
     tol = _noise_tol(float(np.fmax.reduce(np.abs(values), initial=0.0)))  # fmax skips NaN
 
@@ -306,7 +302,6 @@ def _satisfactory_hits(p: GreyLP, mu0: float, lam: float, step: float):
     values, each hit's flat index into the cube of them, and its degree."""
     mu0, lam = _in_range(mu0, "mu0"), _in_range(lam, "lam")
     grid = unit_grid(step)
-    _validated(p)  # before the cube is laid out
     degree = lambda_satisfactions(*_solve_cube(p, grid), lam)
     hits = np.flatnonzero(degree >= mu0)
     # Degrees are compared at 12 decimals, so that two equal up to solver

@@ -64,7 +64,7 @@ from .grey_core import (
     _interval_violations,
     uniform_coefficients,
 )
-from .satisfaction import _solve_positioned, _solve_with_bounds, _triple_text, _validated, bounds
+from .satisfaction import _solve_positioned, _solve_with_bounds, _triple_text, bounds
 
 __all__ = ["ProblemFile", "parse_problem", "run", "main"]
 
@@ -201,8 +201,7 @@ def _parse(text: str) -> ProblemFile:
             violations += _interval_violations(*row.T, f"matrix[{i}][{{}}]".format)
         violations += _interval_violations(*rhs.T, "rhs[{}]".format)
         raise ValidationError(violations)
-    problem = GreyLP(objective=objective, matrix=matrix, rhs=rhs)
-    _validated(problem)
+    problem = GreyLP(objective=objective, matrix=matrix, rhs=rhs)  # validates the intervals
     return ProblemFile(problem=problem, name=meta.get("name"), description=meta.get("description"))
 
 
@@ -291,8 +290,8 @@ def _cmd_bounds(args, pf) -> int:
 
 
 def _cmd_degrees(args, pf) -> int:
-    # Parsing validated the problem.  The setting is scored as a table row
-    # is, so an undefined mu (ideal value 0) prints nan.
+    # The setting is scored as a table row is, so an undefined mu (ideal
+    # value 0) prints nan.
     (f,), (mu,), ((mu_tilde,),) = _scored(
         *_solve_with_bounds(pf.problem, np.array([_triple(args)])), (args.lam,)
     )

@@ -11,9 +11,10 @@ as read-only numpy arrays (``GreyLP.c_lo``, ``PositionCoefficients.
 alpha_array``, ``WhiteLP.A_array``, ...); an interval is a ``(lo, hi)``
 pair wherever one is passed in.  Every block is checked at construction
 (``_shaped``), so no ragged or empty container, and no bool or string
-read as a number, exists past that point.  All types are immutable after
-construction and all operations are pure, so everything here is safe to
-share across threads.
+read as a number, exists past that point; a problem's intervals are
+checked there too (:func:`validate_problem`), so every ``GreyLP`` is
+valid.  All types are immutable after construction and all operations are
+pure, so everything here is safe to share across threads.
 
 Many uniform (alpha, beta, gamma) triples are whitened at once as a stack
 layout (gammas, alphas, betas) for the grid kernel
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError, StructureError
+from .errors import DomainError, StructureError, ValidationError
 
 __all__ = [
     "GreyLP",
@@ -156,8 +157,7 @@ def _at_least_one(n: int, m: int) -> None:
 class _ArrayRecord:
     """A frozen dataclass whose fields are read-only arrays, set once by
     :meth:`_store`, with value equality over its fields in their declared
-    order (NaN equals NaN, so a problem equals itself and its round
-    trip)."""
+    order."""
 
     def _store(self, **arrays: np.ndarray) -> None:
         """Make each of ``arrays`` read-only and set it as the field of its
@@ -171,13 +171,12 @@ class _ArrayRecord:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name), equal_nan=True)
-            for f in fields(self)
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
         )
 
     def __hash__(self):
         # Equal records have equal shapes; hashing values would have to map
-        # -0.0 to 0.0 and every NaN to one NaN first.
+        # -0.0 to 0.0 first.
         return hash(tuple(getattr(self, f.name).shape for f in fields(self)))
 
 
@@ -193,8 +192,9 @@ class GreyLP(_ArrayRecord):
     :class:`StructureError` naming the block, and an integer past float
     range raises :class:`DomainError`; a file whose blocks do not fit
     together is reported by :func:`~greylp.cli.parse_problem` instead.
-    Construction does not check the bounds themselves; use
-    :func:`validate_problem`.
+    Every interval must satisfy 0 <= lo <= hi < inf: otherwise
+    construction raises :class:`ValidationError` listing every violation
+    that :func:`validate_problem` finds, so no invalid problem exists.
 
     The bounds are stored as arrays: ``c_lo``/``c_hi`` (n), ``A_lo``/``A_hi``
     (m x n) and ``b_lo``/``b_hi`` (m).
@@ -220,6 +220,9 @@ class GreyLP(_ArrayRecord):
             A_lo=np.ascontiguousarray(A[..., 0]), A_hi=np.ascontiguousarray(A[..., 1]),
             b_lo=np.ascontiguousarray(b[:, 0]), b_hi=np.ascontiguousarray(b[:, 1]),
         )
+        violations = validate_problem(self)
+        if violations:
+            raise ValidationError(violations)
 
     @property
     def n(self) -> int:
@@ -322,35 +325,20 @@ class Violation:
         return f"{self.location}: {self.message}"
 
 
-def _whitened(t, lo, hi) -> np.ndarray:
-    """The whitening formula ``t*hi + (1-t)*lo`` of the bound arrays ``lo``
-    and ``hi``, entry by entry (numpy broadcasting applies).
-
-    Raises :class:`DomainError` naming the first interval (in C order) that
-    is not finite or has ``lo > hi``.  ``t`` is not checked.
-    """
-    ok = (lo <= hi) & (lo > -np.inf) & (hi < np.inf)  # also False for NaN
-    if not ok.all():
-        i = ok.argmin()
-        raise DomainError(
-            f"cannot whiten invalid interval [{float(lo.flat[i])}, {float(hi.flat[i])}]"
-        )
-    return t * hi + (1.0 - t) * lo
-
-
 def _white_stack(p: GreyLP, gammas, alphas, betas) -> tuple[np.ndarray, ...]:
     """The white programs (A, C, Bv) of ``p`` at the position coefficients
     ``gammas``, ``alphas`` and ``betas``, which broadcast against the
     problem's matrix (... x m x n), objective (... x n) and right-hand side
-    (... x m).  This is the one function that whitens a program:
-    :func:`build_positioned` passes one coefficient block, and the grid
-    kernel a stack layout (see the module docstring).  The blocks are
-    whitened in objective, rhs, matrix order, so an interval that cannot be
-    whitened raises :class:`DomainError` for the first one in that order.
+    (... x m), each entry whitened as ``t*hi + (1-t)*lo``.  This is the
+    one function that whitens a program: :func:`build_positioned` passes
+    one coefficient block, and the grid kernel a stack layout (see the
+    module docstring).
     """
-    C = _whitened(alphas, p.c_lo, p.c_hi)
-    Bv = _whitened(betas, p.b_lo, p.b_hi)
-    return _whitened(gammas, p.A_lo, p.A_hi), C, Bv
+    return (
+        gammas * p.A_hi + (1.0 - gammas) * p.A_lo,
+        alphas * p.c_hi + (1.0 - alphas) * p.c_lo,
+        betas * p.b_hi + (1.0 - betas) * p.b_lo,
+    )
 
 
 def build_positioned(p: GreyLP, k: PositionCoefficients) -> WhiteLP:
@@ -358,8 +346,7 @@ def build_positioned(p: GreyLP, k: PositionCoefficients) -> WhiteLP:
     producing the positioned (white) program.
 
     Raises :class:`StructureError` when the coefficient block does not match
-    the problem's dimensions, and :class:`DomainError` for an interval that
-    cannot be whitened (the first one in objective, rhs, matrix order).
+    the problem's dimensions.
     """
     if len(k.alpha_array) != p.n:
         raise StructureError(f"expected {p.n} alphas, got {len(k.alpha_array)}")
@@ -445,14 +432,15 @@ def _interval_violations(lo, hi, locations) -> list[Violation]:
 
 
 def validate_problem(p: GreyLP) -> list[Violation]:
-    """Collect every invariant violation in ``p``.
+    """Collect every invariant violation in the bounds of ``p``.
 
     Checks interval ordering (lo <= hi), the nonnegativity assumption
-    (lo >= 0) and finiteness of all bounds.  Returns an empty list iff the
-    problem is valid.  Violations are data, not exceptions, so a CLI user
-    sees every data problem in one pass.  Each block is checked with array
-    masks, and a message is formatted only for a flagged entry: block by
-    block (objective, matrix, rhs), in C order within each.
+    (lo >= 0) and finiteness of all bounds.  This is the rule
+    :class:`GreyLP` applies when it is built, so the list is empty for
+    every problem that exists.  Violations are data, not exceptions, so a
+    CLI user sees every data problem in one pass.  Each block is checked
+    with array masks, and a message is formatted only for a flagged entry:
+    block by block (objective, matrix, rhs), in C order within each.
     """
     return [
         *_interval_violations(p.c_lo, p.c_hi, "objective[{}]".format),

@@ -35,11 +35,10 @@ from .errors import (
     SolverFailure,
     StructureError,
     UnboundedValueError,
-    ValidationError,
 )
 from .grey_core import (
     GreyLP, PositionCoefficients, _in_range, _number, _point_layout, _shaped, _white_stack,
-    build_positioned, validate_problem,
+    build_positioned,
 )
 from .lp_solver import LPSolution, SolveStatus, _solve_points, solve_max
 
@@ -127,8 +126,8 @@ def _clamp(f: np.ndarray, vb: ValueBounds) -> np.ndarray:
 
 
 def _solve_positioned(p: GreyLP, k: PositionCoefficients) -> LPSolution:
-    """The optimal solution of the positioned program of a validated ``p``,
-    solved cold.  Raises :class:`UnboundedValueError` ("positioned program
+    """The optimal solution of the positioned program of ``p``, solved
+    cold.  Raises :class:`UnboundedValueError` ("positioned program
     is unbounded") if it is unbounded."""
     sol = solve_max(build_positioned(p, k))
     if sol.status is SolveStatus.UNBOUNDED:
@@ -136,15 +135,8 @@ def _solve_positioned(p: GreyLP, k: PositionCoefficients) -> LPSolution:
     return sol
 
 
-def _validated(p: GreyLP) -> None:
-    violations = validate_problem(p)
-    if violations:
-        raise ValidationError(violations)
-
-
 def positioned_value(p: GreyLP, k: PositionCoefficients) -> float:
     """Optimal value of the positioned program built from ``p`` with ``k``."""
-    _validated(p)
     return _solve_positioned(p, k).objective
 
 
@@ -152,8 +144,8 @@ _IDEAL, _CRITICAL = (1.0, 1.0, 0.0), (0.0, 0.0, 1.0)  # as uniform (alpha, beta,
 
 
 def _solve_grid(p: GreyLP, layout: tuple[np.ndarray, ...]) -> np.ndarray:
-    """The positioned optimum of a validated ``p`` at every triple of the
-    stack ``layout``, from one kernel call, NaN where the positioned program
+    """The positioned optimum of ``p`` at every triple of the stack
+    ``layout``, from one kernel call, NaN where the positioned program
     is unbounded, in the layout's row order (see :mod:`greylp.grey_core`):
     lexicographic for a grid cube, input order for chosen settings.
 
@@ -212,8 +204,8 @@ def _bounded(f: np.ndarray, critical: float, ideal: float, triple) -> ValueBound
 
 
 def _solve_with_bounds(p: GreyLP, pts: np.ndarray) -> tuple[np.ndarray, ValueBounds]:
-    """The positioned optimum of a validated ``p`` at each of the checked
-    triples ``pts`` (N x 3), and the bounds, from one kernel call (see
+    """The positioned optimum of ``p`` at each of the checked triples
+    ``pts`` (N x 3), and the bounds, from one kernel call (see
     :func:`_solve_grid`).  Raises as :func:`_bounded`.
 
     Each distinct triple is one point of a ``grey_core._point_layout``,
@@ -230,7 +222,6 @@ def _solve_with_bounds(p: GreyLP, pts: np.ndarray) -> tuple[np.ndarray, ValueBou
 
 def bounds(p: GreyLP) -> ValueBounds:
     """Critical and ideal optimal values of ``p``."""
-    _validated(p)
     return _solve_with_bounds(p, np.empty((0, 3)))[1]
 
 

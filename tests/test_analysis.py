@@ -33,7 +33,6 @@ from greylp import (
     SolverFailure,
     UnboundedValueError,
     StructureError,
-    ValidationError,
     build_positioned,
     bundled,
     check_monotonicity,
@@ -496,11 +495,6 @@ class TestLambdaSweep:
         coeffs = table.coefficients.tolist()
         assert coeffs == sorted(coeffs)
 
-    def test_rejects_invalid_problem(self):
-        bad = GreyLP(objective=((2, 1),), matrix=(((1, 2),),), rhs=((3, 4),))
-        with pytest.raises(ValidationError):
-            lambda_sweep(bad, ((0.5, 0.5, 0.5),), (0.5,))
-
     @pytest.mark.parametrize("seed", range(3))
     def test_settings_that_share_gammas_and_repeat(self, seed):
         # Each setting is a slice of its own, repeats included.
@@ -576,20 +570,6 @@ class TestGridSweep:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-
-    @pytest.mark.parametrize("call", [
-        lambda p: grid_sweep(p, 0.01),
-        lambda p: check_monotonicity(p, "gamma", 0.01),
-        lambda p: find_satisfactory(p, 0.5, 0.5, 0.01),
-    ], ids=["grid_sweep", "check_monotonicity", "find_satisfactory"])
-    def test_invalid_problem_is_refused_before_the_cube_is_built(self, monkeypatch, call):
-        def no_cube(grid):
-            raise AssertionError("the cube was built")
-
-        monkeypatch.setattr(analysis, "_cube_layout", no_cube)
-        bad = GreyLP(objective=((2, 1),), matrix=(((1, 2),),), rhs=((3, 4),))
-        with pytest.raises(ValidationError):
-            call(bad)
 
     def test_cube_too_large_to_hold_is_refused_before_it_is_whitened(self, demo_problem,
                                                                       monkeypatch):

@@ -560,27 +560,6 @@ class TestDegreesCommand:
                 assert run([*query, "--mu0", repr(float(mu0))]) == 0
                 assert capsys.readouterr().out.splitlines()[line].endswith(f": {verdict}")
 
-    @pytest.mark.parametrize("argv, calls", [
-        (["degrees", "--theta", "0.6"], 1),
-        (["degrees", "--alpha", "1", "--beta", "0", "--gamma", "0.5", "--precise"], 1),
-        (["sweep", "--step", "0.5"], 2),
-    ])
-    def test_validates_the_problem_once(self, monkeypatch, capsys, demo_file, argv, calls):
-        # Parsing validates; the degrees query and its bounds do not again
-        # (a sweep validates once more, as the library grid_sweep does).
-        original = grey_core.validate_problem
-        counted = []
-
-        def counting(p):
-            counted.append(p)
-            return original(p)
-
-        for module in (grey_core, cli, satisfaction, analysis):
-            if getattr(module, "validate_problem", None) is original:
-                monkeypatch.setattr(module, "validate_problem", counting)
-        assert run([argv[0], "--file", demo_file, *argv[1:]]) == 0
-        assert len(counted) == calls
-
     @pytest.mark.parametrize("precise, f, mu_tilde", [
         ([], "0.00", "1.0000"), (["--precise"], "0.0", "1.0"),
     ], ids=["rounded", "precise"])
@@ -616,6 +595,35 @@ class TestDegreesCommand:
         )
         assert run(["degrees", "--file", str(path), "--theta", "0.5"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["solve", "--theta", "0.6"],
+    ["bounds"],
+    ["degrees", "--theta", "0.6"],
+    ["degrees", "--alpha", "1", "--beta", "0", "--gamma", "0.5", "--precise"],
+    ["sweep", "--step", "0.5"],
+    ["monotonicity", "--axis", "gamma", "--step", "0.5"],
+    ["satisfactory", "--mu0", "0.5", "--step", "0.5"],
+    ["verify-example"],
+], ids=" ".join)
+def test_validates_the_problem_once(monkeypatch, capsys, demo_file, argv):
+    # Building the GreyLP, while the file is parsed, is the one validation:
+    # no command validates the problem again.
+    original = grey_core.validate_problem
+    counted = []
+
+    def counting(p):
+        counted.append(p)
+        return original(p)
+
+    for module in (grey_core, cli, satisfaction, analysis):
+        if getattr(module, "validate_problem", None) is original:
+            monkeypatch.setattr(module, "validate_problem", counting)
+    problem = [] if argv == ["verify-example"] else ["--file", demo_file]
+    assert run([argv[0], *problem, *argv[1:]]) == 0
+    assert len(counted) == 1
 
 
 @pytest.mark.parametrize("command", ["solve", "degrees"])

@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import blocks, reference_validate_problem
@@ -56,14 +56,6 @@ class TestWhitenedEntries:
     def test_white_interval_ignores_position(self):
         for t in (0.0, 0.3, 1.0):
             assert _whitened_entries(5, 5, t) == [5.0] * 3
-
-    @pytest.mark.parametrize("lo, hi, shown", [
-        (3, 1, "[3.0, 1.0]"), (0, math.inf, "[0.0, inf]"), (math.nan, 1, "[nan, 1.0]"),
-    ], ids=["reversed", "infinite", "nan"])
-    def test_rejects_invalid_interval(self, lo, hi, shown):
-        message = f"^cannot whiten invalid interval {re.escape(shown)}$"
-        with pytest.raises(DomainError, match=message):
-            _whitened_entries(lo, hi, 0.5)
 
     @given(lo=_lo, width=_width, t=_t)
     def test_result_stays_within_interval(self, lo, width, t):
@@ -140,11 +132,6 @@ class TestGreyLP:
             GreyLP(objective=np.empty((0, 2)), matrix=np.empty((1, 0, 2)), rhs=[(1, 2)])
         with pytest.raises(StructureError, match="^objective: expected "):
             GreyLP(objective=[], matrix=[[]], rhs=[(1, 2)])
-
-    def test_construction_does_not_validate(self):
-        # Collecting violations is validate_problem's job.
-        p = GreyLP(objective=((8, 6),), matrix=(((-1, 2),),), rhs=((3, 4),))
-        assert p.n == 1
 
 
 class TestRealEntries:
@@ -350,29 +337,6 @@ class TestValidateProblem:
     def test_valid_problem_has_no_violations(self, demo_problem):
         assert validate_problem(demo_problem) == []
 
-    def test_reversed_bounds(self):
-        p = GreyLP(objective=((800, 600),), matrix=(((1, 2),),), rhs=((3, 4),))
-        violations = validate_problem(p)
-        assert [v.kind for v in violations] == ["bounds_order"]
-        assert violations[0].location == "objective[0]"
-        assert "800" in str(violations[0])
-
-    def test_negative_lower_bound(self):
-        p = GreyLP(objective=((1, 2),), matrix=(((-0.5, 2),),), rhs=((3, 4),))
-        violations = validate_problem(p)
-        assert [v.kind for v in violations] == ["negative_lower"]
-        assert violations[0].location == "matrix[0][0]"
-
-    def test_non_finite_reported_once_per_bound(self):
-        p = GreyLP(
-            objective=((1, 2),),
-            matrix=(((1, 2),),),
-            rhs=((float("nan"), float("inf")),),
-        )
-        violations = validate_problem(p)
-        assert [v.kind for v in violations] == ["non_finite", "non_finite"]
-        assert all(v.location == "rhs[0]" for v in violations)
-
     def test_dimension_violations(self):
         # Blocks that do not fit together never make a GreyLP; parsing a
         # file reports them.
@@ -385,16 +349,6 @@ class TestValidateProblem:
 
         missing_row = _file_violations([(1, 2)], [[(1, 2)]], [(1, 2), (3, 4)])
         assert [v.kind for v in missing_row] == ["dimension"]
-
-    def test_collects_every_violation_at_once(self):
-        p = GreyLP(
-            objective=((8, 6),),
-            matrix=(((-1, 2),),),
-            rhs=((float("inf"), 1),),
-        )
-        violations = validate_problem(p)
-        assert {v.kind for v in violations} == {"bounds_order", "negative_lower", "non_finite"}
-        assert len(violations) == 3
 
 
 def _file_violations(objective, matrix, rhs):
@@ -409,21 +363,42 @@ def _file_violations(objective, matrix, rhs):
     return []
 
 
+def _findings(violations):
+    """The (location, kind, message) of each violation, in order."""
+    return [(v.location, v.kind, v.message) for v in violations]
+
+
 _special = st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0, -3.5, math.nan, math.inf, -math.inf])
 _bound = st.one_of(st.floats(0.0, 10.0), _special)
 _pair = st.tuples(_bound, _bound)
+# A valid interval: two bounds in [0, 10] (-0.0 among them), in order.
+_valid_pair = st.tuples(*[st.one_of(st.floats(0.0, 10.0), st.just(-0.0))] * 2).map(sorted)
 _block = st.lists(_pair, max_size=3)
 # Rows of any length, so the matrix may be ragged, short, long or empty.
 _rows = st.lists(st.lists(_pair, max_size=4), max_size=4)
 
 
 @st.composite
-def _problems(draw):
-    """The objective, matrix rows and right-hand side of an m x n problem."""
+def _problems(draw, pair=_pair):
+    """The objective, matrix rows and right-hand side of an m x n problem,
+    each interval drawn from ``pair``."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    objective = draw(st.lists(_pair, min_size=n, max_size=n))
-    matrix = draw(st.lists(st.lists(_pair, min_size=n, max_size=n), min_size=m, max_size=m))
-    return objective, matrix, draw(st.lists(_pair, min_size=m, max_size=m))
+    objective = draw(st.lists(pair, min_size=n, max_size=n))
+    matrix = draw(st.lists(st.lists(pair, min_size=n, max_size=n), min_size=m, max_size=m))
+    return objective, matrix, draw(st.lists(pair, min_size=m, max_size=m))
+
+
+# Problems of any bounds, and valid ones, which every build needs.
+_any_problems = st.one_of(_problems(), _problems(_valid_pair))
+
+
+def _greylp_or_none(problem):
+    """``GreyLP(*problem)``, or None where a drawn interval is invalid and
+    construction raises :class:`ValidationError`."""
+    try:
+        return GreyLP(*problem)
+    except ValidationError:
+        return None
 
 
 def _hexes(pairs):
@@ -431,11 +406,13 @@ def _hexes(pairs):
 
 
 class TestArrayStorage:
-    @given(problem=_problems())
+    @given(problem=_any_problems)
     def test_tuple_views_give_back_the_input(self, problem):
         # The views are built here, by conftest.blocks, from the arrays.
         objective, matrix, rhs = problem
-        p = GreyLP(objective=objective, matrix=matrix, rhs=rhs)
+        p = _greylp_or_none(problem)
+        if p is None:
+            return
         assert (p.n, p.m) == (len(objective), len(rhs))
         got_objective, got_matrix, got_rhs = blocks(p)
         assert _hexes(got_objective) == _hexes(objective)
@@ -447,7 +424,8 @@ class TestArrayStorage:
     def test_blocks_that_do_not_fit_raise_structure_error(self, objective, matrix, rhs):
         n, m = len(objective), len(rhs)
         if n and m and len(matrix) == m and all(len(row) == n for row in matrix):
-            assert GreyLP(objective=objective, matrix=matrix, rhs=rhs).A_lo.shape == (m, n)
+            p = _greylp_or_none((objective, matrix, rhs))
+            assert p is None or p.A_lo.shape == (m, n)
         else:
             with pytest.raises(StructureError):
                 GreyLP(objective=objective, matrix=matrix, rhs=rhs)
@@ -477,10 +455,10 @@ class TestArrayStorage:
         assert w.A_array.tolist() == [[1.0, 2.0]]
 
     def test_equality_and_hash(self):
-        p = GreyLP(objective=((1, 2),), matrix=(((0.0, 2),),), rhs=((math.nan, 4),))
-        q = GreyLP(objective=((1, 2),), matrix=(((-0.0, 2),),), rhs=((math.nan, 4),))
+        p = GreyLP(objective=((1, 2),), matrix=(((0.0, 2),),), rhs=((3, 4),))
+        q = GreyLP(objective=((1, 2),), matrix=(((-0.0, 2),),), rhs=((3, 4),))
         assert p == q and hash(p) == hash(q)
-        assert p != GreyLP(objective=((1, 2),), matrix=(((0, 3),),), rhs=((math.nan, 4),))
+        assert p != GreyLP(objective=((1, 2),), matrix=(((0, 3),),), rhs=((3, 4),))
         k = PositionCoefficients(alphas=[0.5], betas=(0.5,), gammas=[[0.5]])
         assert k == uniform_coefficients(0.5, 0.5, 0.5, 1, 1) and hash(k) == hash(
             uniform_coefficients(0.5, 0.5, 0.5, 1, 1)
@@ -497,20 +475,33 @@ class TestArrayStorage:
 
 class TestValidateMatchesReference:
     """``parse_problem`` checks a file's dimensions from the decoded lists
-    and ``validate_problem`` its intervals with array masks; together they
-    must report the per-entry reference's violations, message and order
-    included."""
+    and ``validate_problem`` its intervals with array masks, as ``GreyLP``
+    does when it is built; each must report the per-entry reference's
+    violations, message and order included."""
+
+    @given(problem=_problems())
+    @example(problem=([(800, 600)], [[(1, 2)]], [(3, 4)]))  # reversed
+    @example(problem=([(1, 2)], [[(-0.5, 2)]], [(3, 4)]))  # negative lower bound
+    @example(problem=([(1, 2)], [[(1, 2)]], [(math.nan, math.inf)]))  # two non-finite bounds
+    @example(problem=([(8, 6)], [[(-1, 2)]], [(math.inf, 1)]))  # every kind at once
+    @example(problem=([(1, 2)], [[(-0.0, 2)]], [(3, 4)]))  # valid
+    def test_construction_builds_or_refuses_as_the_reference(self, problem):
+        want = _findings(reference_validate_problem(*problem))
+        try:
+            p = GreyLP(*problem)
+        except ValidationError as exc:
+            assert want != []
+            assert _findings(exc.violations) == want
+        else:
+            assert want == []
+            assert validate_problem(p) == []
 
     # Half the draws fit together, so the array masks see bad bounds too.
     @given(blocks_=st.one_of(_problems(), st.tuples(_block, _rows, _block)))
     def test_identical_violation_lists(self, blocks_):
-        objective, matrix, rhs = blocks_
-        got = [(v.location, v.kind, v.message) for v in _file_violations(objective, matrix, rhs)]
-        want = [
-            (v.location, v.kind, v.message)
-            for v in reference_validate_problem(objective, matrix, rhs)
-        ]
-        assert got == want
+        assert _findings(_file_violations(*blocks_)) == _findings(
+            reference_validate_problem(*blocks_)
+        )
 
     def test_every_kind_in_one_problem(self):
         blocks_ = (
@@ -532,8 +523,6 @@ def _reference_build(p, k):
 
     def whiten_entry(iv, t):
         lo, hi = iv
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-            raise DomainError(f"cannot whiten invalid interval [{lo}, {hi}]")
         return t * hi + (1.0 - t) * lo
 
     objective, matrix, rhs = blocks(p)
@@ -557,7 +546,7 @@ def _reference_build(p, k):
 def _built(build, p, k):
     try:
         w = build(p, k)
-    except (DomainError, StructureError) as exc:
+    except StructureError as exc:
         return type(exc), str(exc)
     return (
         [v.hex() for v in w.c_array.tolist()],
@@ -567,9 +556,11 @@ def _built(build, p, k):
 
 
 class TestBuildPositionedMatchesReference:
-    @given(problem=_problems(), t=st.floats(0.0, 1.0), data=st.data())
+    @given(problem=_any_problems, t=st.floats(0.0, 1.0), data=st.data())
     def test_same_program_or_same_error(self, problem, t, data):
-        p = GreyLP(*problem)
+        p = _greylp_or_none(problem)
+        if p is None:
+            return
         gammas = data.draw(st.lists(
             st.lists(st.floats(0.0, 1.0), min_size=p.n, max_size=p.n), min_size=p.m, max_size=p.m
         ))

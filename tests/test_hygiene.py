@@ -1,12 +1,17 @@
-"""Dead code in ``src/greylp``, found by reading the syntax trees.
+"""Dead code and foreign imports in ``src/greylp``, found by reading the
+syntax trees.
 
 An import that nothing in its module uses, and a module-level private
 name that nothing in the package uses, are left behind when code is
-removed.  Each check names every offender at once.
+removed.  An import of a module that is neither in the standard library
+nor numpy (the one runtime dependency in ``pyproject.toml``) nor greylp
+itself would break an install without the test extras.  Each check names
+every offender at once.
 """
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -94,12 +99,40 @@ def unused_private_names(trees) -> list[str]:
     return found
 
 
+_RUNTIME = {"numpy", "greylp"}  # beside the standard library
+
+
+def foreign_imports(trees) -> list[str]:
+    """``module: name`` for the top-level name of every module that a
+    module imports, at any depth, and that is neither in the standard
+    library (``sys.stdlib_module_names``) nor in ``_RUNTIME``; a relative
+    import is greylp's own."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top not in _RUNTIME:
+                    found.append(f"{module}: {top}")
+    return found
+
+
 def test_every_import_is_used_or_exported():
     assert unused_imports(TREES) == []
 
 
 def test_every_private_module_name_is_used_in_the_package():
     assert unused_private_names(TREES) == []
+
+
+def test_imports_only_the_standard_library_numpy_and_greylp():
+    assert foreign_imports(TREES) == []
 
 
 @pytest.mark.parametrize(
@@ -118,3 +151,17 @@ def test_the_checks_flag_planted_dead_code(source, imports, privates):
     trees = {"m.py": ast.parse(source)}
     assert unused_imports(trees) == imports
     assert unused_private_names(trees) == privates
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("import scipy.optimize\n", ["m.py: scipy"]),
+        ("from hypothesis import given\n", ["m.py: hypothesis"]),
+        ("def f():\n    import pandas\n", ["m.py: pandas"]),
+        ("import os, numpy.linalg\nfrom greylp import cli\nfrom . import errors\n", []),
+        ("from __future__ import annotations\nfrom collections.abc import Sequence\n", []),
+    ],
+)
+def test_the_import_check_flags_planted_foreign_modules(source, found):
+    assert foreign_imports({"m.py": ast.parse(source)}) == found

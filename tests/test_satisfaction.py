@@ -17,7 +17,6 @@ from greylp import (
     InconsistentInputsError,
     StructureError,
     UnboundedValueError,
-    ValidationError,
     ValueBounds,
     bounds,
     grid_sweep,
@@ -146,13 +145,6 @@ class TestBoundsAndPositionedValue:
             k = uniform_coefficients(a, b, g, demo_problem.m, demo_problem.n)
             f = positioned_value(demo_problem, k)
             assert demo_bounds.critical - 1e-6 <= f <= demo_bounds.ideal + 1e-6
-
-    def test_invalid_problem_rejected(self):
-        p = GreyLP(objective=((2, 1),), matrix=(((1, 2),),), rhs=((3, 4),))
-        with pytest.raises(ValidationError):
-            positioned_value(p, uniform_coefficients(0.5, 0.5, 0.5, 1, 1))
-        with pytest.raises(ValidationError):
-            bounds(p)
 
     def test_unbounded_positioned_program(self):
         # No degree is scored, so the message is solve's, not the bounds'.
