@@ -218,7 +218,7 @@ def _phase2(A, b, c, S=None) -> tuple[LPSolution | None, int, int]:
         # The tableau of the basis: B^-1 [A | I | b], with the reduced costs
         # c - c_B B^-1 [A | I] as the objective row.
         basis = S.tolist()
-        T[:m] = _solve_stack(T[None, :m, S], T[None, :m])[0][0]
+        T[:m] = _solve_stack(T[None, :m, S], T[None, :m])[0]
         # B^-1 B must come out as the identity, or the start is refused.  It
         # is NaN for an exactly singular B, and for a numerically singular B
         # that LU does not flag, the tableau's reduced costs prove nothing.
@@ -236,22 +236,20 @@ def _phase2(A, b, c, S=None) -> tuple[LPSolution | None, int, int]:
     return _vertex(T, basis, A, b, c), used, degenerate
 
 
-def _solve_stack(M, R) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.solve(M, R)`` over a stack of matrices, and which of them
-    are nonsingular.  One singular matrix makes the stacked solve raise for
-    all of them (as the basis {x} of ``max x s.t. gamma*x <= b`` does in
-    the slice gamma = 0), so the stack is then solved one matrix at a time
-    and the solutions in the singular ones are NaN."""
+def _solve_stack(M, R) -> np.ndarray:
+    """``np.linalg.solve(M, R)`` over a stack of matrices, NaN in the slot
+    of each singular one.  One singular matrix makes the stacked solve raise
+    for all of them (as the basis {x} of ``max x s.t. gamma*x <= b`` does in
+    the slice gamma = 0), so the stack is then solved one matrix at a
+    time."""
     try:
-        return np.linalg.solve(M, R), np.ones(len(M), dtype=bool)
+        return np.linalg.solve(M, R)
     except np.linalg.LinAlgError:
         X = np.full(R.shape, np.nan)
-        nonsingular = np.zeros(len(M), dtype=bool)
         for g in range(len(M)):
             with contextlib.suppress(np.linalg.LinAlgError):
                 X[g] = np.linalg.solve(M[g], R[g])
-                nonsingular[g] = True
-        return X, nonsingular
+        return X
 
 
 def _certify(A, C, Bv, basis):
@@ -265,8 +263,11 @@ def _certify(A, C, Bv, basis):
     post-check of :func:`_slack_ok`, and a duality gap |c.x - y.b| <= tol *
     max(1, |f|).  Returns (ok, f, primal): whether each point is certified
     and its optimal value (only meaningful where certified), both G x ka x
-    kb, and whether the basis is primal feasible (and nonsingular) at each
-    right-hand side, G x kb.
+    kb, and whether the basis is primal feasible at each right-hand side,
+    G x kb.  In a slice where only the transposed block tests singular in
+    floating point, the basis can be primal feasible and certify nothing;
+    a warm start from it there is refused by :func:`_phase2`, and the point
+    is solved cold.
 
     In a slice the matrix is fixed, so the basis's primal values depend on
     the right-hand side alone and its duals on the objective alone: it is
@@ -283,11 +284,13 @@ def _certify(A, C, Bv, basis):
     columns are unit vectors.  One solve per slice gives x at every beta,
     and one y at every alpha.  One product prices the n - k nonbasic
     columns of A; a nonbasic slack's reduced cost is -y_i, and y.b is
-    y_F.b_F.  A slice whose block is singular certifies nothing and is
-    primal feasible nowhere, so the basis starts no point there.  Two
-    batched products give each slice's values c.x and y.b over its ka x kb
-    rectangle, the values summed as ``np.einsum("ij,ij->i")`` sums each
-    point's rows (a BLAS product could move printed digits).
+    y_F.b_F.  A singular system's solutions are NaN (see
+    :func:`_solve_stack`), and NaN fails every test: a slice whose block
+    is singular certifies nothing and is primal feasible nowhere, so the
+    basis starts no point there.  Two batched products give each slice's
+    values c.x and y.b over its ka x kb rectangle, the values summed as
+    ``np.einsum("ij,ij->i")`` sums each point's rows (a BLAS product could
+    move printed digits).
     """
     G, m, n = A.shape
     kb = Bv.shape[1]
@@ -299,8 +302,8 @@ def _certify(A, C, Bv, basis):
     AF = A[:, F]
     block = AF[:, :, cols]  # G x k x k
     bF = Bv[:, :, F].transpose(0, 2, 1)
-    XS, solved = _solve_stack(block, bF)  # G x k x kb
-    YF, solved_dual = _solve_stack(  # G x k x ka
+    XS = _solve_stack(block, bF)  # G x k x kb
+    YF = _solve_stack(  # G x k x ka
         block.transpose(0, 2, 1), C[:, :, cols].transpose(0, 2, 1)
     )
     with np.errstate(invalid="ignore", over="ignore"):
@@ -312,7 +315,6 @@ def _certify(A, C, Bv, basis):
         primal = (XS >= -_TOL_PIVOT).all(axis=1)
         primal &= (slack[:, ~rows] >= -_TOL_PIVOT).all(axis=1)
         primal &= _slack_ok(b, slack).all(axis=1)
-        primal &= (solved & solved_dual)[:, None]
         nonbasic = np.ones(n, dtype=bool)
         nonbasic[cols] = False
         reduced = C[:, :, nonbasic].transpose(0, 2, 1)
@@ -369,10 +371,10 @@ def _solve_points(A, C, Bv, bases=()):
 
     Every cached optimal basis, starting with ``bases``, is certified at all
     pending points at once (see :func:`_certify`), over the bounding box of
-    those points (a range of slices x alphas x betas, taken as views of the
-    stacks).  That one rule serves every layout, a 1 x 1 slice per point
-    included.  No caller in greylp passes ``bases``; the tests start from
-    chosen ones.  Every point no basis
+    those points (their extent along each axis, a range of slices x alphas
+    x betas, taken as views of the stacks).  That one rule serves every
+    layout, a 1 x 1 slice per point included.  No caller in greylp passes
+    ``bases``; the tests start from chosen ones.  Every point no basis
     certifies is solved, in slice order and then (alpha, beta) order: by
     phase 2 from the latest cached basis that is primal feasible there, or
     cold by :func:`solve_max` if there is none or that phase 2 does not end
@@ -402,17 +404,19 @@ def _solve_points(A, C, Bv, bases=()):
     feasible = np.full((G, kb), -1)
 
     def settle(which):
-        """Certify ``cache[which]`` on the box of the pending points: the
-        range of slices holding one, times the rectangle of the alphas and
-        betas pending in any of them."""
-        slices = np.flatnonzero(pending.any(axis=(1, 2)))
-        if not len(slices):
+        """Certify ``cache[which]`` on the box of the pending points: their
+        extent along each axis."""
+        # The alphas and betas pending in any slice, one OR of the slices'
+        # planes: numpy reduces over (0, 2) or (0, 1) at once several times
+        # slower.
+        rectangle = pending.any(axis=0)
+        extents = [
+            np.flatnonzero(k)
+            for k in (pending.any(axis=(1, 2)), rectangle.any(axis=1), rectangle.any(axis=0))
+        ]
+        if not len(extents[0]):
             return
-        g = slice(slices[0], slices[-1] + 1)
-        rectangle = pending[g].any(axis=0)
-        alphas = np.flatnonzero(rectangle.any(axis=1))
-        betas = np.flatnonzero(rectangle.any(axis=0))
-        a, b = slice(alphas[0], alphas[-1] + 1), slice(betas[0], betas[-1] + 1)
+        g, a, b = (slice(k[0], k[-1] + 1) for k in extents)
         ok, f, primal = _certify(A[g], C[g, a], Bv[g, b], cache[which])
         box = pending[g, a, b]  # views, so the writes below go through
         ok &= box

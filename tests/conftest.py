@@ -354,17 +354,17 @@ def _snapped(xs):
 def block_primal(A, Bv, basis):
     """The structural values x of the basis ``basis`` (columns of ``[A |
     I]``) at every right-hand side of a stack as ``lp_solver._certify``
-    takes it, G x n x kb and snapped as ``solve_max`` snaps them, and
-    where the basis is nonsingular (G).  As ``_certify`` solves them: x_S
-    from the k x k block A[F, S] of the basic structural columns S on the
-    rows F whose slack is nonbasic, A[F, S] x_S = b_F."""
+    takes it, G x n x kb and snapped as ``solve_max`` snaps them, NaN in
+    every slice where the basis is singular.  As ``_certify`` solves them:
+    x_S from the k x k block A[F, S] of the basic structural columns S on
+    the rows F whose slack is nonbasic, A[F, S] x_S = b_F."""
     (G, m, n), kb = A.shape, Bv.shape[1]
     S = np.asarray(basis)
     F = np.setdiff1d(np.arange(m), S[S >= n] - n)
-    xS, solved = _solve_stack(A[:, F][:, :, S[S < n]], Bv[:, :, F].transpose(0, 2, 1))
+    xS = _solve_stack(A[:, F][:, :, S[S < n]], Bv[:, :, F].transpose(0, 2, 1))
     xs = np.zeros((G, n, kb))
     xs[:, S[S < n]] = xS
-    return _snapped(xs), solved
+    return _snapped(xs)
 
 
 def square_primal(A, Bv, basis):
@@ -374,10 +374,10 @@ def square_primal(A, Bv, basis):
     (G, m, n), kb = A.shape, Bv.shape[1]
     S = np.asarray(basis)
     AI = np.concatenate([A, np.broadcast_to(np.eye(m), (G, m, m))], axis=2)
-    xB, solved = _solve_stack(AI[:, :, S], Bv.transpose(0, 2, 1))
+    xB = _solve_stack(AI[:, :, S], Bv.transpose(0, 2, 1))
     xs = np.zeros((G, n, kb))
     xs[:, S[S < n]] = xB[:, S < n]
-    return _snapped(xs), solved
+    return _snapped(xs)
 
 
 def reference_certify(A, C, Bv, basis):
@@ -393,14 +393,13 @@ def reference_certify(A, C, Bv, basis):
     CI = np.concatenate([C, np.zeros((G, C.shape[1], m))], axis=2)
     S = np.asarray(basis)
     B = AI[:, :, S]
-    xs, solved = block_primal(A, Bv, S)
-    Y, solved_dual = _solve_stack(B.transpose(0, 2, 1), CI[:, :, S].transpose(0, 2, 1))
+    xs = block_primal(A, Bv, S)
+    Y = _solve_stack(B.transpose(0, 2, 1), CI[:, :, S].transpose(0, 2, 1))
     with np.errstate(invalid="ignore", over="ignore"):
         b = Bv.transpose(0, 2, 1)
         x = np.concatenate([xs, b - AI[:, :, :n] @ xs], axis=1)  # every column of [A | I]
         primal = (x[:, S] >= -_TOL_PIVOT).all(axis=1)
         primal &= _slack_ok(b, x[:, n:]).all(axis=1)
-        primal &= (solved & solved_dual)[:, None]
         nonbasic = np.ones(n + m, dtype=bool)
         nonbasic[S] = False
         AN = AI[:, :, nonbasic].transpose(0, 2, 1)

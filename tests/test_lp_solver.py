@@ -849,7 +849,7 @@ class TestCertifiedValues:
         (G, _, _), ka, kb = A.shape, C.shape[1], Bv.shape[1]
         S = np.array(solve_max(build_positioned(p, uniform_coefficients(0.5, 0.5, 0.5, m, n))).basis)
         _, f, _ = lp_solver._certify(A, C, Bv, S)
-        xs, _ = block_primal(A, Bv, S)  # the solution at every right-hand side
+        xs = block_primal(A, Bv, S)  # the solution at every right-hand side
         g, a, b = np.indices((G, ka, kb)).reshape(3, -1)
         want = np.einsum("ij,ij->i", C[g, a], xs.transpose(0, 2, 1)[g, b])
         assert np.count_nonzero(want) > len(want) // 2
@@ -949,6 +949,30 @@ class TestCertifyMatchesReference:
         assert primal.all() and not ok.any()
 
 
+class TestSolveStack:
+    """``_solve_stack`` returns the solutions alone: a singular matrix's
+    slot is NaN, and no flag says which slots those are."""
+
+    def test_nonsingular_stack_is_one_stacked_solve(self):
+        rng = np.random.default_rng(0)
+        M, R = rng.normal(size=(4, 5, 5)), rng.normal(size=(4, 5, 3))
+        assert lp_solver._solve_stack(M, R).tobytes() == np.linalg.solve(M, R).tobytes()
+
+    def test_singular_slot_is_nan_and_the_others_solved_alone(self):
+        # A zero column makes the middle matrix exactly singular, so the
+        # stacked solve raises and each matrix is solved on its own.
+        rng = np.random.default_rng(1)
+        M, R = rng.normal(size=(3, 4, 4)), rng.normal(size=(3, 4, 2))
+        M[1, :, 2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(M, R)
+        X = lp_solver._solve_stack(M, R)
+        assert X.shape == R.shape
+        assert np.isnan(X[1]).all()
+        for g in (0, 2):
+            assert X[g].tobytes() == np.linalg.solve(M[g], R[g]).tobytes()
+
+
 @pytest.mark.parametrize("family", ["bounded", "many_basis"])
 @pytest.mark.parametrize("size", [10, 30, 60])
 def test_certified_values_lie_near_the_square_primal(size, family):
@@ -966,7 +990,7 @@ def test_certified_values_lie_near_the_square_primal(size, family):
         ok, f, primal = lp_solver._certify(A, C, Bv, basis)
         want_ok, _, want_primal = reference_certify(A, C, Bv, basis)
         assert (ok == want_ok).all() and (primal == want_primal).all()
-        xs, _ = square_primal(A, Bv, basis)
+        xs = square_primal(A, Bv, basis)
         want = np.einsum("gan,gbn->gab", C, np.ascontiguousarray(xs.transpose(0, 2, 1)))
         assert (np.abs(f - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))[ok].all()
         certified += ok.sum()

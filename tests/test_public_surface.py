@@ -1,8 +1,8 @@
 """The public surface: the names ``greylp`` and its modules export, the
 public attributes of its data classes, the functions README's "Library
-use" names, the output of the commands its "Quick start" shows, the
-subcommands its "Subcommands" table lists, and the names the benchmark
-under ``bench/`` binds.
+use" names, the output of the commands its "Quick start" and
+"Subcommands" show, the subcommands its "Subcommands" table lists, and
+the names the benchmark under ``bench/`` binds.
 
 An API is added or removed on purpose, by editing ``EXPORTED`` or
 ``ATTRIBUTES`` here along with the code.
@@ -137,6 +137,26 @@ def test_readme_quick_start_shows_what_the_commands_print(monkeypatch, capsys):
     for argv, shown in commands:
         assert run(shlex.split(argv)) == 0, argv
         assert capsys.readouterr().out == shown + "\n", argv
+
+
+def test_readme_subcommand_examples_show_lines_the_commands_print(monkeypatch, capsys):
+    # The section's two shell blocks are elided with "...": every other
+    # line below "$ greylp ..." is a line the command prints, in order.
+    section = README.read_text(encoding="utf-8").split("## Subcommands")[1].split("\n## ")[0]
+    blocks = re.findall(r"```sh\n\$ greylp (.*?)\n(.*?)```", section, re.DOTALL)
+    assert [argv for argv, _ in blocks] == [
+        "sweep --file data/demo_problem.json --step 0.5 --lambdas 0.5,1",
+        "verify-example",
+    ]
+    monkeypatch.chdir(README.parent)
+    for argv, shown in blocks:
+        lines = shown.splitlines()
+        assert "..." in lines, argv
+        assert run(shlex.split(argv)) == 0, argv
+        printed = iter(capsys.readouterr().out.splitlines())
+        # ``in`` consumes the iterator up to the match, so each shown line
+        # must come after the one before it.
+        assert all(line in printed for line in lines if line != "..."), argv
 
 
 def test_the_benchmark_binds_names_that_exist():
