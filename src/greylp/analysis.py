@@ -129,7 +129,11 @@ def unit_grid(step: float) -> tuple[float, ...]:
     step so fine that the cube the grid commands solve has more bytes than
     an array index can count: they hold at least two cube-sized arrays of
     8-byte numbers (the kernel's values and the optima in row order), 16
-    bytes per grid point.
+    bytes per grid point.  A coarser step passes, and the grid commands
+    then need roughly 100 bytes per grid point in all.  numpy raises
+    :class:`MemoryError` only when it is refused an allocation; under
+    Linux memory overcommit an allocation past the machine's memory can
+    succeed, and the OS later kills the process instead.
     """
     step = _in_range(step, "grid step", _STEP)
     limit = np.iinfo(np.intp).max

@@ -14,7 +14,8 @@ The subcommands, with their help texts and options, are declared once,
 in the table :data:`_COMMANDS`.
 
 Exit codes: 0 success, 1 validation/parse error, 2 computation failure
-(unbounded, iteration cap, or a grid too large to allocate), 3 usage error.
+(unbounded, iteration cap, or a grid whose allocation numpy refuses), 3
+usage error.
 Error messages go to the error stream; identical invocations produce
 identical bytes on the output stream.
 """
@@ -41,7 +42,6 @@ from .analysis import (
     _format_rows,
     _grid_cells,
     _satisfactory_hits,
-    _scored,
     _table_blocks,
     check_monotonicity,
     grid_sweep,
@@ -64,7 +64,7 @@ from .grey_core import (
     _interval_violations,
     uniform_coefficients,
 )
-from .satisfaction import _solve_positioned, _solve_with_bounds, _triple_text, bounds
+from .satisfaction import _solve_positioned, _triple_text, bounds
 
 __all__ = ["ProblemFile", "parse_problem", "run", "main"]
 
@@ -292,9 +292,8 @@ def _cmd_bounds(args, pf) -> int:
 def _cmd_degrees(args, pf) -> int:
     # The setting is scored as a table row is, so an undefined mu (ideal
     # value 0) prints nan.
-    (f,), (mu,), ((mu_tilde,),) = _scored(
-        *_solve_with_bounds(pf.problem, np.array([_triple(args)])), (args.lam,)
-    )
+    table = lambda_sweep(pf.problem, [_triple(args)], (args.lam,))
+    (f,), (mu,), ((mu_tilde,),) = table.f, table.mu, table.mu_tilde
     print(f"f = {_fmt(f, _VALUE_DECIMALS, args.precise)}")
     print(f"mu = {_fmt(mu, _DEGREE_DECIMALS, args.precise)}")
     print(f"mu_tilde[lambda={args.lam:g}] = {_fmt(mu_tilde, _DEGREE_DECIMALS, args.precise)}")
@@ -350,30 +349,28 @@ def _cmd_verify_example(args, pf) -> int:
     )
     row = {tuple(t): i for i, t in enumerate(table.coefficients.tolist())}
     f, mu, mu_tilde = table.f.tolist(), table.mu.tolist(), table.mu_tilde.tolist()
-    checked = 0
-    failed = 0
-
-    def cell(label: str, got: float, want: float, tol: float) -> None:
-        nonlocal checked, failed
-        checked += 1
+    # Every cell as (label, computed, reference, tolerance), in print order.
+    cells = []
+    for triple, f_ref, mu_ref in bundled.REFERENCE_POSITIONED:
+        i = row[triple]
+        cells.append((f"f{_triple_text(triple)}", f[i], f_ref, bundled.F_TOL))
+        cells.append((f"mu{_triple_text(triple)}", mu[i], mu_ref, bundled.MU_TOL))
+    for triple, refs in bundled.REFERENCE_SATISFACTION:
+        cells += [
+            (f"mu_tilde[lambda={lam:g}]{_triple_text(triple)}", got, want, bundled.MU_TILDE_TOL)
+            for lam, got, want in zip(bundled.REFERENCE_LAMBDA_GRID, mu_tilde[row[triple]], refs)
+        ]
+    passed = 0
+    for label, got, want, tol in cells:
         diff = abs(got - want)
         ok = diff <= tol
-        if not ok:
-            failed += 1
+        passed += ok
         print(
             f"{'PASS' if ok else 'FAIL'}  {label}: computed {got:.6f}, "
             f"reference {want}, |diff| {diff:.2e} (tol {tol:g})"
         )
-
-    for triple, f_ref, mu_ref in bundled.REFERENCE_POSITIONED:
-        i = row[triple]
-        cell(f"f{_triple_text(triple)}", f[i], f_ref, bundled.F_TOL)
-        cell(f"mu{_triple_text(triple)}", mu[i], mu_ref, bundled.MU_TOL)
-    for triple, refs in bundled.REFERENCE_SATISFACTION:
-        for lam, got, want in zip(bundled.REFERENCE_LAMBDA_GRID, mu_tilde[row[triple]], refs):
-            cell(f"mu_tilde[lambda={lam:g}]{_triple_text(triple)}", got, want, bundled.MU_TILDE_TOL)
-    print(f"result: {checked - failed} of {checked} cells match")
-    return 0 if failed == 0 else 1
+    print(f"result: {passed} of {len(cells)} cells match")
+    return 0 if passed == len(cells) else 1
 
 
 # The options that several subcommands share, each a (flag, argparse

@@ -19,14 +19,16 @@ with k basic structural columns is certified from one k x k system per
 slice, which gives both its primal and its dual values; its m x m basis
 matrix is built only for a warm start's tableau.
 
-Each simplex solve logs one DEBUG record on the ``greylp.lp_solver`` logger
-naming its start (cold or warm), the pivots taken (and how many of them
-were degenerate) and the outcome, as in ``solve_max: warm start, 2 pivots
-(0 degenerate), optimal``.  A warm start that falls back to a cold solve
-reads ``failed``, one past the pivot budget names the budget instead of
-the counts, and a refused singular start reads ``0 pivots (0 degenerate),
-failed``; a certified point logs none.  The records are built only when
-DEBUG is enabled for that logger.
+Each simplex solve, failed or not, logs one DEBUG record on the
+``greylp.lp_solver`` logger, written by ``_phase2``, naming its start (cold
+or warm), the pivots taken (and how many of them were degenerate) and the
+outcome, as in ``solve_max: warm start, 2 pivots (0 degenerate),
+optimal``.  A failed solve reads ``failed``: a warm start that falls back
+to a cold solve, and a cold solve that raises :class:`SolverFailure`.  One
+past the pivot budget names the budget instead of the counts, and a
+refused singular start reads ``0 pivots (0 degenerate), failed``; a
+certified point logs none.  The records are built only when DEBUG is
+enabled for that logger.
 
 A solve is post-checked in floating point only: x >= 0, A.x <= b within
 1e-7 * max(1, |b_i|), and a finite tableau and objective.
@@ -197,43 +199,59 @@ def _vertex(T: np.ndarray, basis: list[int], A, b, c) -> LPSolution | None:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _phase2(A, b, c, S=None) -> tuple[LPSolution | None, int, int]:
+def _phase2(A, b, c, S=None) -> LPSolution | None:
     """Phase 2 from the primal feasible basis ``S`` (the all-slack one if
-    None): the optimal or unbounded solution, None if it fails the
-    post-check or ``S`` is refused (its B^-1 B is not the identity within
-    ``_TOL_BASIS``: a singular or numerically singular basis), the pivots,
-    and how many of them were degenerate.  Raises :class:`SolverFailure`
-    past the pivot budget.  numpy's overflow and invalid warnings are off:
-    an overflowing ratio is left out, and an optimum that overflows fails
-    the post-check."""
+    None): the optimal or unbounded solution, or a failure if it fails the
+    post-check, runs past the pivot budget, or ``S`` is refused (its B^-1 B
+    is not the identity within ``_TOL_BASIS``: a singular or numerically
+    singular basis).  A failed warm start returns None, and a failed cold
+    one raises :class:`SolverFailure`.  Every call logs the one DEBUG
+    record of the module docstring.  numpy's overflow and invalid warnings
+    are off: an overflowing ratio is left out, and an optimum that
+    overflows fails the post-check."""
     m, n = A.shape
     T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = A
     T[:m, n:-1] = np.eye(m)
     T[:m, -1] = b
     T[m, :n] = c
-    if S is None:
-        basis = list(range(n, n + m))
-    else:
+    basis = list(range(n, n + m)) if S is None else S.tolist()
+    if S is not None:
         # The tableau of the basis: B^-1 [A | I | b], with the reduced costs
         # c - c_B B^-1 [A | I] as the objective row.
-        basis = S.tolist()
         T[:m] = _solve_stack(T[None, :m, S], T[None, :m])[0]
         # B^-1 B must come out as the identity, or the start is refused.  It
         # is NaN for an exactly singular B, and for a numerically singular B
         # that LU does not flag, the tableau's reduced costs prove nothing.
         identity = np.eye(m)
         if not np.abs(T[:m, S] - identity).max() <= _TOL_BASIS:
-            return None, 0, 0
+            basis = None  # refused: the solve fails without a pivot
         T[:m, S] = identity
         T[:m, -1][T[:m, -1] < 0.0] = 0.0  # only sub-tolerance noise is negative here
         T[m] -= T[m, S] @ T[:m]
         T[m, S] = 0.0
-    outcome, used, degenerate, enter = _iterate(T, basis, 50 * (m + n))
-    if outcome == "unbounded":
-        ray = _extract_ray(T, basis, enter, n)
-        return LPSolution(SolveStatus.UNBOUNDED, ray=ray), used, degenerate
-    return _vertex(T, basis, A, b, c), used, degenerate
+    sol = failure = None
+    used = degenerate = 0
+    if basis is not None:
+        try:
+            outcome, used, degenerate, enter = _iterate(T, basis, 50 * (m + n))
+        except SolverFailure as exc:  # past the pivot budget
+            failure = exc
+        else:
+            sol = (
+                LPSolution(SolveStatus.UNBOUNDED, ray=_extract_ray(T, basis, enter, n))
+                if outcome == "unbounded" else _vertex(T, basis, A, b, c)
+            )
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "solve_max: %s start, %s, %s",
+            "cold" if S is None else "warm",
+            failure or f"{used} pivots ({degenerate} degenerate)",
+            "failed" if sol is None else sol.status.value,
+        )
+    if sol is None and S is None:
+        raise failure or SolverFailure("solution failed the feasibility post-check")
+    return sol
 
 
 def _solve_stack(M, R) -> np.ndarray:
@@ -349,18 +367,12 @@ def solve_max(lp: WhiteLP) -> LPSolution:
 
     Deterministic for fixed input.  Raises :class:`DomainError` if some
     b_i < 0, and :class:`SolverFailure` if the pivot count exceeds
-    50*(m+n), which signals a pathological instance.
+    50*(m+n), which signals a pathological instance, or if the solution
+    fails the post-check.
     """
     A, b, c = lp.A_array, lp.b_array, lp.c_array
     _require_nonnegative(b)
-    sol, pivots, degenerate = _phase2(A, b, c)
-    if sol is None:
-        raise SolverFailure("solution failed the feasibility post-check")
-    _log.debug(
-        "solve_max: cold start, %d pivots (%d degenerate), %s",
-        pivots, degenerate, sol.status.value,
-    )
-    return sol
+    return _phase2(A, b, c)
 
 
 def _solve_points(A, C, Bv, bases=()):
@@ -426,25 +438,12 @@ def _solve_points(A, C, Bv, bases=()):
 
     for which in range(len(cache)):
         settle(which)
-    debug = _log.isEnabledFor(logging.DEBUG)
     cold = warm = 0
     while pending.any():
         s, a, b = np.unravel_index(pending.argmax(), pending.shape)  # the first point left
         pending[s, a, b] = False
         c, rhs, start = C[s, a], Bv[s, b], feasible[s, b]
-        sol = None
-        if start >= 0:
-            failure = None
-            try:
-                sol, pivots, degenerate = _phase2(A[s], rhs, c, np.array(cache[start]))
-            except SolverFailure as exc:  # past the pivot budget
-                failure = exc
-            if debug:
-                _log.debug(
-                    "solve_max: warm start, %s, %s",
-                    failure or f"{pivots} pivots ({degenerate} degenerate)",
-                    sol.status.value if sol is not None else "failed",
-                )
+        sol = _phase2(A[s], rhs, c, np.array(cache[start])) if start >= 0 else None
         if sol is None:
             sol = solve_max(WhiteLP._of_arrays(c, A[s], rhs))
             cold += 1

@@ -465,8 +465,28 @@ class TestVectorisedPricing:
     def test_warm_start_that_overflows_fails_without_warning(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
             assert _started(OVERFLOWING, (0,)) == OVERFLOW_FAILURE
-        [record] = caplog.records
-        assert record.getMessage() == "solve_max: warm start, 0 pivots (0 degenerate), failed"
+        assert [r.getMessage() for r in caplog.records] == [
+            "solve_max: warm start, 0 pivots (0 degenerate), failed",
+            "solve_max: cold start, 1 pivots (0 degenerate), failed",
+        ]
+
+    @pytest.mark.parametrize("lp, budget, message", [
+        (OVERFLOWING, None, "solve_max: cold start, 1 pivots (0 degenerate), failed"),
+        (LOOSE, 0,
+         "solve_max: cold start, simplex exceeded its iteration cap of 0 pivots, failed"),
+    ], ids=["post-check", "pivot-cap"])
+    def test_failed_cold_solve_logs_one_record(self, caplog, monkeypatch, lp, budget, message):
+        # Every simplex solve logs one record, so a cold solve that fails
+        # its post-check or, with its budget cut to 0, its pivot cap logs
+        # one before it raises.
+        if budget is not None:
+            monkeypatch.setattr(
+                lp_solver, "_iterate", lambda T, basis, _: _iterate(T, basis, budget)
+            )
+        with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
+            with pytest.raises(SolverFailure):
+                solve_max(lp)
+        assert [r.getMessage() for r in caplog.records] == [message]
 
     def test_overflowing_ratio_warns_nothing(self):
         with warnings.catch_warnings():
@@ -771,9 +791,7 @@ class TestRejectedStart:
         # certifies nothing, is feasible nowhere, and the program is solved
         # cold.
         lp, start = SINGULAR_START
-        assert lp_solver._phase2(lp.A_array, lp.b_array, lp.c_array, np.array(start)) == (
-            None, 0, 0
-        )
+        assert lp_solver._phase2(lp.A_array, lp.b_array, lp.c_array, np.array(start)) is None
         with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
             got = _started(lp, start)
         assert got == _as_cold_start(_outcome(solve_max, lp)) == ("nan", 1, 0)
@@ -787,9 +805,7 @@ class TestRejectedStart:
         # refuses a numerically singular one, and the kernel, which cannot
         # certify the basis anywhere, solves the program cold.
         lp, start = WhiteLP(c=(1, 1), A=((1, 1), (2, 2)), b=(1, 2)), (0, 1)
-        assert lp_solver._phase2(lp.A_array, lp.b_array, lp.c_array, np.array(start)) == (
-            None, 0, 0
-        )
+        assert lp_solver._phase2(lp.A_array, lp.b_array, lp.c_array, np.array(start)) is None
         with caplog.at_level(logging.DEBUG, logger="greylp.lp_solver"):
             got = _started(lp, start)
         assert got == _as_cold_start(_outcome(solve_max, lp))
