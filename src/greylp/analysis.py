@@ -12,7 +12,7 @@ Tables render to CSV or Markdown, optimal values and degrees to the
 decimals ``_VALUE_DECIMALS`` and ``_DEGREE_DECIMALS``, through one row
 formatter (``_format_rows``).  The ``sweep`` command writes each block of
 its table as it is made (``_table_blocks``), as ``satisfactory`` writes its
-hit lines, so the whole text is never held.
+hit lines (``_hit_lines``), so the whole text is never held.
 """
 
 from __future__ import annotations
@@ -274,16 +274,14 @@ def _probed_pairs(grid, pos: int, index) -> tuple[tuple[Triple, Triple], ...]:
     """The probed pairs at the flat positions ``index``: pair ``i`` holds
     the other two axes at ``grid[a]``, ``grid[b]`` and the probed axis (at
     ``pos``) at ``grid[k]`` and ``grid[k + 1]``, where (a, b, k) is ``i``
-    unravelled over shape (g, g, g - 1)."""
+    unravelled over shape (g, g, g - 1).  Both triples are read off the
+    cube's rows: the upper one is ``g ** (2 - pos)`` rows past the lower."""
     g = len(grid)
-    out = []
-    for a, b, k in zip(*(axis.tolist() for axis in np.unravel_index(index, (g, g, g - 1)))):
-        fixed = (grid[a], grid[b])
-        out.append((
-            fixed[:pos] + (grid[k],) + fixed[pos:],
-            fixed[:pos] + (grid[k + 1],) + fixed[pos:],
-        ))
-    return tuple(out)
+    coords = list(np.unravel_index(index, (g, g, g - 1)))
+    coords.insert(pos, coords.pop())  # k, the probed axis, goes to pos
+    lo = np.ravel_multi_index(coords, (g, g, g))
+    lower, upper = (_cube_rows(grid, rows).tolist() for rows in (lo, lo + g ** (2 - pos)))
+    return tuple(zip(map(tuple, lower), map(tuple, upper)))
 
 
 def find_satisfactory(
@@ -397,15 +395,16 @@ def _row_cells(coefficients):
 
 def _format_rows(cells, columns, decimals, empty, seps):
     """The text of the rows of a table (:func:`_table_blocks`) or of the
-    ``satisfactory`` command's hit lines, yielded ``_BLOCK`` rows at a time,
-    one line per row: ``seps[0]``, then the text of each of the row's c
-    coefficient cells and the "%.*f" text of each of its values in
-    ``columns`` (arrays of N or N x j values, side by side) with that
-    column's ``decimals`` (at most 4), or its ``empty`` text where the value
-    is NaN, each cell followed by the next of ``seps``.  The ``cells`` are
-    (table, index), as :func:`_grid_cells` and :func:`_row_cells` make them:
-    the texts as a table of words with a row per text, and a function giving
-    the table row of each cell of rows start to stop (c x R).
+    ``satisfactory`` command's hit lines (:func:`_hit_lines`), yielded
+    ``_BLOCK`` rows at a time, one line per row: ``seps[0]``, then the text
+    of each of the row's c coefficient cells and the "%.*f" text of each of
+    its values in ``columns`` (arrays of N or N x j values, side by side)
+    with that column's ``decimals`` (at most 4), or its ``empty`` text where
+    the value is NaN, each cell followed by the next of ``seps``.  The
+    ``cells`` are (table, index), as :func:`_grid_cells` and
+    :func:`_row_cells` make them: the texts as a table of words with a row
+    per text, and a function giving the table row of each cell of rows
+    start to stop (c x R).
 
     Each block is written, with no Python object per cell, as a matrix of
     4-byte words, a row of words per line, whose unused bytes are NUL and
@@ -572,3 +571,15 @@ def _table_blocks(t: SweepTable, format: str):
         cells, (t.f, t.mu, t.mu_tilde), [_VALUE_DECIMALS] + [_DEGREE_DECIMALS] * k,
         ["nan"] + [empty] * k, [lead] + [sep] * (len(header) - 1) + [end],
     ))
+
+
+def _hit_lines(p: GreyLP, mu0: float, lam: float, step: float):
+    """The ``satisfactory`` command's text in blocks: the count line, then
+    the hits' lines (:func:`_satisfactory_hits`), ``_BLOCK`` at a time, as
+    :func:`_table_blocks` yields a table's.  Nothing is solved until the
+    first block is asked for, and no triple is built."""
+    grid, hits, degrees = _satisfactory_hits(p, mu0, lam, step)
+    yield (f"{len(degrees)} of {len(grid) ** 3} grid setting(s) reach "
+           f"mu_tilde[lambda={lam:g}] >= {mu0:g}\n")
+    seps = ["  alpha=", " beta=", " gamma=", "  mu_tilde=", "\n"]
+    yield from _format_rows(_grid_cells(grid, hits), (degrees,), [_DEGREE_DECIMALS], ["nan"], seps)

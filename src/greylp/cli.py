@@ -39,9 +39,7 @@ from . import bundled
 from .analysis import (
     _DEGREE_DECIMALS,
     _VALUE_DECIMALS,
-    _format_rows,
-    _grid_cells,
-    _satisfactory_hits,
+    _hit_lines,
     _table_blocks,
     check_monotonicity,
     grid_sweep,
@@ -327,16 +325,7 @@ def _cmd_monotonicity(args, pf) -> int:
 
 
 def _cmd_satisfactory(args, pf) -> int:
-    # find_satisfactory's hits, as flat cube indices: no triple is built.
-    grid, hits, degrees = _satisfactory_hits(pf.problem, args.mu0, args.lam, args.step)
-    print(
-        f"{len(degrees)} of {len(grid) ** 3} grid setting(s) reach "
-        f"mu_tilde[lambda={args.lam:g}] >= {args.mu0:g}"
-    )
-    sys.stdout.writelines(_format_rows(
-        _grid_cells(grid, hits), (degrees,), [_DEGREE_DECIMALS], ["nan"],
-        ["  alpha=", " beta=", " gamma=", "  mu_tilde=", "\n"],
-    ))
+    sys.stdout.writelines(_hit_lines(pf.problem, args.mu0, args.lam, args.step))
     return 0
 
 

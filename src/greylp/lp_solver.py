@@ -278,14 +278,16 @@ def _certify(A, C, Bv, basis):
     with points as in :func:`_solve_points`; ``basis`` names columns of [A |
     I] as :class:`LPSolution` does.  A point is certified only if it passes
     the solver's own tests: basic values >= -tol, reduced costs <= tol, the
-    post-check of :func:`_slack_ok`, and a duality gap |c.x - y.b| <= tol *
-    max(1, |f|).  Returns (ok, f, primal): whether each point is certified
-    and its optimal value (only meaningful where certified), both G x ka x
-    kb, and whether the basis is primal feasible at each right-hand side,
-    G x kb.  In a slice where only the transposed block tests singular in
-    floating point, the basis can be primal feasible and certify nothing;
-    a warm start from it there is refused by :func:`_phase2`, and the point
-    is solved cold.
+    post-check of :func:`_slack_ok` and a duality gap |c.x - y.b| <= tol *
+    max(1, |f|), and its value f = c.x must be finite, as a solved
+    optimum's must (an f that overflows to inf passes the gap test).
+    Returns (ok, f, primal): whether each point is certified and its
+    optimal value (only meaningful where certified), both G x ka x kb, and
+    whether the basis is primal feasible at each right-hand side, G x kb.
+    In a slice where only the transposed block tests singular in floating
+    point, the basis can be primal feasible and certify nothing; a warm
+    start from it there is refused by :func:`_phase2`, and the point is
+    solved cold.
 
     In a slice the matrix is fixed, so the basis's primal values depend on
     the right-hand side alone and its duals on the objective alone: it is
@@ -345,6 +347,7 @@ def _certify(A, C, Bv, basis):
         gap = np.matmul(YF.transpose(0, 2, 1), bF)
         gap -= f
         ok = np.abs(gap, out=gap) <= _scaled(_TOL_PIVOT, f)
+        ok &= np.isfinite(f)
         ok &= primal[:, None, :]
         ok &= dual[:, :, None]
     return ok, f, primal

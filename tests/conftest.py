@@ -408,6 +408,7 @@ def reference_certify(A, C, Bv, basis):
         f = np.einsum("gan,gbn->gab", CI[:, :, :n], np.ascontiguousarray(xs.transpose(0, 2, 1)))
         gap = np.matmul(Y.transpose(0, 2, 1), b) - f
         ok = np.abs(gap) <= _TOL_PIVOT * np.maximum(np.abs(f), 1.0)
+        ok &= np.isfinite(f)
         ok &= primal[:, None, :]
         ok &= dual[:, :, None]
     return ok, f, primal

@@ -964,6 +964,17 @@ class TestCertifyMatchesReference:
         ok, primal = _assert_certifies_as_reference(*stack, (1,))
         assert primal.all() and not ok.any()
 
+    def test_value_that_overflows_certifies_nothing(self):
+        # max c.x s.t. x_1 <= 1, 3 x_2 <= b_2: the basis {x_1, x_2} is
+        # primal and dual feasible, y.b is finite, but c.x overflows to inf
+        # and passes the gap test; a tableau solve refuses such a value.
+        A = np.array([[[1.0, 0.0], [0.0, 3.0]]])
+        C = np.array([[[8.988465674311579e307, 8.988981468087567e307]]])
+        Bv = np.array([[[1.0, 2.999827857991091]]])
+        ok, primal = _assert_certifies_as_reference(A, C, Bv, (0, 1))
+        _, f, _ = lp_solver._certify(A, C, Bv, (0, 1))
+        assert primal.all() and np.isinf(f).all() and not ok.any()
+
 
 class TestSolveStack:
     """``_solve_stack`` returns the solutions alone: a singular matrix's

@@ -119,6 +119,20 @@ def test_readme_library_use_names_exactly_the_exported_functions():
     assert named & set(GONE) == set()
 
 
+def test_readme_library_use_example_runs_and_shows_its_values(monkeypatch, capsys):
+    # The section's Python block, run from the repository root: each value
+    # with a "# 1.2345…" comment starts with those digits.
+    section = README.read_text(encoding="utf-8").split("## Library use")[1].split("\n## ")[0]
+    [block] = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    shown = dict(re.findall(r"^(\w+) = .*# ([\d.]+)…$", block, re.MULTILINE))
+    assert shown == {"f": "42995.8899", "mu": "0.5472", "mt": "0.4040"}
+    monkeypatch.chdir(README.parent)
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert {name: repr(names[name])[: len(digits)] for name, digits in shown.items()} == shown
+    assert capsys.readouterr().out.startswith("| alpha | beta | gamma | f | mu |")
+
+
 def test_readme_subcommands_table_lists_the_parsers_subcommands_in_order():
     section = README.read_text(encoding="utf-8").split("## Subcommands")[1].split("\n## ")[0]
     listed = re.findall(r"^\| `([a-z-]+)` \|", section, re.MULTILINE)
